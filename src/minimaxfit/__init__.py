@@ -32,7 +32,6 @@ from .monomials import (
     evaluate,
     lift,
     shift_monomial_weights,
-    zero_model,
 )
 from .optimality import (
     IntersectionCertificate,
@@ -65,7 +64,6 @@ __all__ = [
     "evaluate",
     "lift",
     "shift_monomial_weights",
-    "zero_model",
     "LinearProgram",
     "LpFailure",
     "LpSolution",

@@ -16,10 +16,14 @@ from .monomials import Number
 _RTOL = 1e-9
 
 
-def exact_nullspace_vector(rows: Sequence[Sequence[Fraction]]) -> Optional[list[Fraction]]:
-    """A non-zero rational v with A v = 0, or None when A has full column rank."""
+def exact_nullspace(rows: Sequence[Sequence[Number]]) -> tuple[Optional[list[Fraction]], int]:
+    """Gauss-Jordan reduction of A over ``Fraction``.
+
+    Returns (v, rank): v is a non-zero rational vector with A v = 0, or None
+    when A has full column rank.
+    """
     if not rows:
-        return None
+        return None, 0
     ncols = len(rows[0])
     mat = [[Fraction(v) for v in r] for r in rows]
     pivot_of_col: dict[int, int] = {}
@@ -45,13 +49,13 @@ def exact_nullspace_vector(rows: Sequence[Sequence[Fraction]]) -> Optional[list[
             break
     free = [c for c in range(ncols) if c not in pivot_of_col]
     if not free:
-        return None
+        return None, r
     f0 = free[0]
     v = [Fraction(0)] * ncols
     v[f0] = Fraction(1)
     for c, row_idx in pivot_of_col.items():
         v[c] = -mat[row_idx][f0]
-    return v
+    return v, r
 
 
 def float_nullspace_vector(rows: Sequence[Sequence[float]], rtol: float = _RTOL) -> Optional[np.ndarray]:
@@ -70,7 +74,7 @@ def float_nullspace_vector(rows: Sequence[Sequence[float]], rtol: float = _RTOL)
 
 def nullspace_vector(rows, exact: bool):
     if exact:
-        return exact_nullspace_vector(rows)
+        return exact_nullspace(rows)[0]
     v = float_nullspace_vector(rows)
     return None if v is None else list(v)
 
@@ -96,9 +100,9 @@ def affine_normal(
         base = [Fraction(c) for c in points[0]]
         diffs = [[Fraction(c) - b for c, b in zip(p, base)] for p in points[1:]]
         # unique plane needs the differences to span a (d-1)-dimensional space
-        if _exact_rank(diffs) != d - 1:
+        u, rank = exact_nullspace(diffs)
+        if rank != d - 1:
             return None
-        u = exact_nullspace_vector(diffs)
         lead = next(c for c in u if c != 0)
         u = tuple(c / lead for c in u)
         a = sum(c * b for c, b in zip(u, base))
@@ -116,27 +120,3 @@ def affine_normal(
     a = float(np.mean([np.dot(u, np.asarray(p, dtype=float)) for p in points]))
     return tuple(float(c) for c in u), a
 
-
-def _exact_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    mat = [[Fraction(v) for v in r] for r in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(rank, len(mat)):
-            if mat[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pv = mat[rank][c]
-        mat[rank] = [v / pv for v in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [v - f * w for v, w in zip(mat[i], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank

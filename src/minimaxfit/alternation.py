@@ -88,11 +88,15 @@ def split(
     if len(u) != samples.dimension:
         raise ValueError(f"normal has dimension {len(u)}, samples have {samples.dimension}")
 
-    pts = samples.as_fractions()[0] if exact else samples.as_floats()[0]
+    pts = samples.view(exact)[0]
+    classed = [(i, True) for i in extremes.plus] + [(i, False) for i in extremes.minus]
+    return _classify(classed, pts, u, a, tol)
+
+
+def _classify(classed, pts, u, a, tol) -> HyperplaneSplit:
+    """Split (index, in E+) pairs by their side of <u, x> = a, flipping below the plane."""
     plus_side, minus_side, on_plus, on_minus = [], [], [], []
-    for idx, positive_class in [(i, True) for i in extremes.plus] + [
-        (i, False) for i in extremes.minus
-    ]:
+    for idx, positive_class in classed:
         s = sum(c * x for c, x in zip(u, pts[idx])) - a
         if abs(s) <= tol:
             (on_plus if positive_class else on_minus).append(idx)
@@ -105,6 +109,15 @@ def split(
     )
 
 
+def _hull_check(pts, plus_idx, minus_idx, degree: int, exact: bool) -> Optional[bool]:
+    """Whether the indexed point classes meet at `degree`; None when both are empty."""
+    if not plus_idx and not minus_idx:
+        return None
+    if not plus_idx or not minus_idx:
+        return False
+    return hulls_intersect([pts[i] for i in plus_idx], [pts[i] for i in minus_idx], degree, exact)
+
+
 def check_split_condition(
     split_: HyperplaneSplit, samples: SampleSet, degree: int, exact: bool = False
 ) -> SplitCondition:
@@ -115,19 +128,9 @@ def check_split_condition(
     on-plane sign classes to meet.  A test whose two input sets are both
     empty is not applicable (None) rather than false.
     """
-    pts = samples.as_fractions()[0] if exact else samples.as_floats()[0]
-
-    def hull_check(plus_idx, minus_idx, deg):
-        if not plus_idx and not minus_idx:
-            return None
-        if not plus_idx or not minus_idx:
-            return False
-        return hulls_intersect(
-            [pts[i] for i in plus_idx], [pts[i] for i in minus_idx], deg, exact
-        )
-
-    reduction = hull_check(split_.plus_side, split_.minus_side, degree - 1)
-    elimination = hull_check(split_.on_plane_plus, split_.on_plane_minus, degree)
+    pts = samples.view(exact)[0]
+    reduction = _hull_check(pts, split_.plus_side, split_.minus_side, degree - 1, exact)
+    elimination = _hull_check(pts, split_.on_plane_plus, split_.on_plane_minus, degree, exact)
     if reduction:
         via: Optional[str] = "degree_reduction"
     elif elimination:
@@ -193,7 +196,7 @@ def verify_by_hyperplanes(
         return HyperplaneVerdict(
             "vacuous", None, 0, warning=f"fewer than d = {d} extreme points"
         )
-    pts = samples.as_fractions()[0] if exact else samples.as_floats()[0]
+    pts = samples.view(exact)[0]
 
     checked = 0
     for u, a in _candidate_planes(idxs, pts, d, exact):
@@ -213,16 +216,7 @@ def verify_by_hyperplanes(
 
 
 def _holds_recursive(sp: HyperplaneSplit, pts, degree: int, exact: bool) -> bool:
-    elimination = False
-    if sp.on_plane_plus or sp.on_plane_minus:
-        if sp.on_plane_plus and sp.on_plane_minus:
-            elimination = hulls_intersect(
-                [pts[i] for i in sp.on_plane_plus],
-                [pts[i] for i in sp.on_plane_minus],
-                degree,
-                exact,
-            )
-    if elimination:
+    if _hull_check(pts, sp.on_plane_plus, sp.on_plane_minus, degree, exact):
         return True
     return _verify_level(set(sp.plus_side), set(sp.minus_side), pts, degree - 1, exact)
 
@@ -231,27 +225,12 @@ def _verify_level(plus, minus, pts, degree: int, exact: bool) -> bool:
     if not plus or not minus:
         return False
     if degree == 1:
-        return hulls_intersect(
-            [pts[i] for i in sorted(plus)], [pts[i] for i in sorted(minus)], 1, exact
-        )
+        return _hull_check(pts, sorted(plus), sorted(minus), 1, exact)
     idxs = sorted(plus | minus)
     d = len(pts[idxs[0]])
+    classed = [(i, i not in minus) for i in idxs]  # a point in both classes counts as E-
     for u, a in _candidate_planes(idxs, pts, d, exact):
-        classes = {i: True for i in plus}
-        classes.update({i: False for i in minus})
-        side_plus, side_minus, on_plus, on_minus = [], [], [], []
-        tol = 0 if exact else PLANE_TOL
-        for i in idxs:
-            s = sum(c * x for c, x in zip(u, pts[i])) - a
-            if abs(s) <= tol:
-                (on_plus if classes[i] else on_minus).append(i)
-            elif (s > 0) == classes[i]:
-                side_plus.append(i)
-            else:
-                side_minus.append(i)
-        sp = HyperplaneSplit(
-            tuple(u), a, tuple(side_plus), tuple(side_minus), tuple(on_plus), tuple(on_minus)
-        )
+        sp = _classify(classed, pts, u, a, 0 if exact else PLANE_TOL)
         if not _holds_recursive(sp, pts, degree, exact):
             return False
     return True

@@ -1,7 +1,9 @@
 """Command-line front end: ingestion, grid generation, pipeline, JSON reports.
 
 Input is a CSV with header columns x1..xd and a final column f, or a
-generated hyperbox grid (``--grid "bounds;resolution;type;expression"``).
+generated hyperbox grid (``--grid "bounds;resolution;type;expression"``, for
+example ``--grid "-1,1;11;uniform;x1^3"``; a negative lower bound needs no
+``--grid=`` form).
 Each command writes one JSON report and exits 0 when the verdict is
 pass/optimal, 2 when it is fail/non-optimal, and 1 on errors.
 """
@@ -9,9 +11,11 @@ pass/optimal, 2 when it is fail/non-optimal, and 1 on errors.
 from __future__ import annotations
 
 import argparse
+import ast
 import csv
 import json
 import math
+import operator
 import re
 import sys
 import time
@@ -24,19 +28,20 @@ from .alternation import HyperplaneSplit, HyperplaneVerdict, verify_by_hyperplan
 from .fitting import (
     DEFAULT_REL_TOL,
     ExtremeSets,
-    FitResult,
     SampleSet,
     compute_psi,
     extreme_sets,
     fit_minimax,
 )
-from .monomials import Number, PolynomialModel, build_basis, evaluate
+from .monomials import Number, PolynomialModel, build_basis
+from .monomials import evaluate  # unused here, kept because bench/tracing.py wraps cli.evaluate
 from .optimality import (
     IntersectionCertificate,
     SeparationWitness,
     check_hull_intersection,
     check_isolability,
     verify_certificate,
+    verify_witness,
 )
 from .reduction import ReductionReport, SingleStrategy, reduce_and_verify
 
@@ -50,174 +55,12 @@ class ExpressionError(ValueError):
         self.position = position
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^(),]))"
-)
+_BAD_CHAR = re.compile(r"[^A-Za-z0-9_.+\-*/^(),\s]")
+_NUMBER = re.compile(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")
+_FUNCTIONS = {"abs": abs, "min": min, "max": max}
 
 
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            bad_at = len(text) - len(stripped)
-            raise ExpressionError(f"unexpected character {text[bad_at]!r}", bad_at)
-        if m.group("num") is not None:
-            tokens.append(("num", m.group(0).strip(), m.start("num")))
-        elif m.group("name") is not None:
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
-class Expression:
-    """Parsed arithmetic over x1..xd with +, -, *, /, ^, abs, min, max."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self._tokens = _tokenize(text)
-        self._pos = 0
-        self.ast = self._parse_sum()
-        kind, val, at = self._tokens[self._pos]
-        if kind != "end":
-            raise ExpressionError(f"unexpected token {val!r}", at)
-        self.max_var = _max_var(self.ast)
-
-    # grammar: sum -> term (('+'|'-') term)* ; term -> factor (('*'|'/') factor)*
-    # factor -> '-' factor | power ; power -> atom ('^' factor)?   (right assoc)
-    def _peek(self):
-        return self._tokens[self._pos]
-
-    def _take(self):
-        tok = self._tokens[self._pos]
-        self._pos += 1
-        return tok
-
-    def _parse_sum(self):
-        node = self._parse_term()
-        while True:
-            kind, val, _ = self._peek()
-            if kind == "op" and val in "+-":
-                self._take()
-                node = ("bin", val, node, self._parse_term())
-            else:
-                return node
-
-    def _parse_term(self):
-        node = self._parse_factor()
-        while True:
-            kind, val, _ = self._peek()
-            if kind == "op" and val in "*/":
-                self._take()
-                node = ("bin", val, node, self._parse_factor())
-            else:
-                return node
-
-    def _parse_factor(self):
-        kind, val, at = self._peek()
-        if kind == "op" and val == "-":
-            self._take()
-            return ("neg", self._parse_factor())
-        return self._parse_power()
-
-    def _parse_power(self):
-        node = self._parse_atom()
-        kind, val, _ = self._peek()
-        if kind == "op" and val == "^":
-            self._take()
-            return ("bin", "^", node, self._parse_factor())
-        return node
-
-    def _parse_atom(self):
-        kind, val, at = self._take()
-        if kind == "num":
-            return ("num", val)
-        if kind == "name":
-            if re.fullmatch(r"x\d+", val):
-                k = int(val[1:])
-                if k < 1:
-                    raise ExpressionError(f"coordinate {val!r} is not valid", at)
-                return ("var", k - 1)
-            if val in ("abs", "min", "max"):
-                kind2, val2, at2 = self._take()
-                if not (kind2 == "op" and val2 == "("):
-                    raise ExpressionError(f"{val} needs parenthesised arguments", at2)
-                args = [self._parse_sum()]
-                while True:
-                    kind3, val3, at3 = self._take()
-                    if kind3 == "op" and val3 == ",":
-                        args.append(self._parse_sum())
-                    elif kind3 == "op" and val3 == ")":
-                        break
-                    else:
-                        raise ExpressionError("expected ',' or ')'", at3)
-                if val == "abs" and len(args) != 1:
-                    raise ExpressionError("abs takes exactly one argument", at)
-                if val in ("min", "max") and len(args) < 2:
-                    raise ExpressionError(f"{val} takes at least two arguments", at)
-                return ("call", val, tuple(args))
-            raise ExpressionError(f"unknown name {val!r}", at)
-        if kind == "op" and val == "(":
-            node = self._parse_sum()
-            kind2, val2, at2 = self._take()
-            if not (kind2 == "op" and val2 == ")"):
-                raise ExpressionError("expected ')'", at2)
-            return node
-        raise ExpressionError(f"unexpected token {val!r}" if val else "unexpected end of expression", at)
-
-    def __call__(self, point: Sequence[Number], exact: bool = False) -> Number:
-        if self.max_var >= len(point):
-            raise ValueError(
-                f"expression uses x{self.max_var + 1} but points have dimension {len(point)}"
-            )
-        return _eval(self.ast, point, exact)
-
-
-def _max_var(node) -> int:
-    kind = node[0]
-    if kind == "num":
-        return -1
-    if kind == "var":
-        return node[1]
-    if kind == "neg":
-        return _max_var(node[1])
-    if kind == "bin":
-        return max(_max_var(node[2]), _max_var(node[3]))
-    return max(_max_var(arg) for arg in node[2])
-
-
-def _eval(node, point, exact: bool) -> Number:
-    kind = node[0]
-    if kind == "num":
-        return Fraction(node[1]) if exact else float(node[1])
-    if kind == "var":
-        return point[node[1]]
-    if kind == "neg":
-        return -_eval(node[1], point, exact)
-    if kind == "call":
-        args = [_eval(a, point, exact) for a in node[2]]
-        return {"abs": lambda: abs(args[0]), "min": lambda: min(args), "max": lambda: max(args)}[
-            node[1]
-        ]()
-    _, op, lnode, rnode = node
-    left = _eval(lnode, point, exact)
-    right = _eval(rnode, point, exact)
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
-        return left / right
+def _power(left: Number, right: Number) -> Number:
     if isinstance(right, Fraction):
         if right.denominator != 1:
             raise ValueError("non-integer exponents are not supported in exact mode")
@@ -225,6 +68,90 @@ def _eval(node, point, exact: bool) -> Number:
     if isinstance(right, float) and right.is_integer():
         right = int(right)
     return left**right
+
+
+_OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+              ast.Div: operator.truediv, ast.Pow: _power}
+
+
+class Expression:
+    """Parsed arithmetic over x1..xd with +, -, *, /, ^, abs, min, max.
+
+    Python's ``ast`` reads the text with ``^`` written as ``**``.  Only number
+    literals, x1..xd, those operators, unary minus, abs with one argument and
+    min or max with two or more are admitted.
+    """
+
+    def __init__(self, text: str):
+        self.text = text
+        bad = _BAD_CHAR.search(text)
+        if bad:
+            raise ExpressionError(f"unexpected character {bad.group()!r}", bad.start())
+        if "**" in text:  # Python's power operator; this grammar spells it '^'
+            raise ExpressionError("unexpected token '*'", text.index("**") + 1)
+        source = re.sub(r"\s", " ", text).replace("^", "**")
+        lead = len(source) - len(source.lstrip())  # ast rejects leading blanks
+        # position in `text` of each character of the parsed source, and of its end
+        origin = [i for i, ch in enumerate(text) for _ in range(2 if ch == "^" else 1)]
+        self._origin = origin[lead:] + [len(text)]
+        self._source = source[lead:]
+        try:
+            body = ast.parse(self._source, mode="eval").body
+        except SyntaxError as err:
+            # an offset of 0 means the text ended too early
+            at = err.offset - 1 if err.offset else len(self._source)
+            raise ExpressionError(err.msg, self._at(at)) from None
+        self.max_var = -1
+        self._evaluate = self._build(body)
+
+    def _at(self, offset: int) -> int:
+        return self._origin[min(offset, len(self._origin) - 1)]
+
+    def _build(self, node):
+        """Check one syntax node; returns its evaluator f(point, exact)."""
+        at = self._at(node.col_offset)
+        if isinstance(node, ast.Constant):
+            literal = self._source[node.col_offset:node.end_col_offset]
+            if not _NUMBER.fullmatch(literal):
+                raise ExpressionError(f"unexpected token {literal!r}", at)
+            as_float, as_fraction = float(literal), Fraction(literal)
+            return lambda point, exact: as_fraction if exact else as_float
+        if isinstance(node, ast.Name):
+            if node.id in _FUNCTIONS:
+                raise ExpressionError(f"{node.id} needs parenthesised arguments", at)
+            if not re.fullmatch(r"x\d+", node.id):
+                raise ExpressionError(f"unknown name {node.id!r}", at)
+            k = int(node.id[1:]) - 1
+            if k < 0:
+                raise ExpressionError(f"coordinate {node.id!r} is not valid", at)
+            self.max_var = max(self.max_var, k)
+            return lambda point, exact: point[k]
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            operand = self._build(node.operand)
+            return lambda point, exact: -operand(point, exact)
+        if isinstance(node, ast.BinOp) and type(node.op) in _OPERATORS:
+            op = _OPERATORS[type(node.op)]
+            left, right = self._build(node.left), self._build(node.right)
+            return lambda point, exact: op(left(point, exact), right(point, exact))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            name = node.func.id  # keyword arguments cannot occur: '=' is a bad character
+            if name not in _FUNCTIONS:
+                raise ExpressionError(f"unknown function {name!r}", at)
+            if name == "abs" and len(node.args) != 1:
+                raise ExpressionError("abs takes exactly one argument", at)
+            if name != "abs" and len(node.args) < 2:
+                raise ExpressionError(f"{name} takes at least two arguments", at)
+            fn = _FUNCTIONS[name]
+            args = [self._build(arg) for arg in node.args]
+            return lambda point, exact: fn(*[arg(point, exact) for arg in args])
+        raise ExpressionError("unsupported syntax", at)
+
+    def __call__(self, point: Sequence[Number], exact: bool = False) -> Number:
+        if self.max_var >= len(point):
+            raise ValueError(
+                f"expression uses x{self.max_var + 1} but points have dimension {len(point)}"
+            )
+        return self._evaluate(point, exact)
 
 
 # --- ingestion and grids -----------------------------------------------------
@@ -466,17 +393,41 @@ def _load_samples(config: RunConfig) -> tuple[SampleSet, str]:
     raise ValueError("an input is required (--input or --grid)")
 
 
+def _model_from_json(payload: dict, dimension: int, exact: bool = False) -> PolynomialModel:
+    conv = Fraction if exact else _jnum_parse
+    coeffs = tuple(conv(c) for c in payload["coefficients"])
+    return PolynomialModel(build_basis(dimension, payload["degree"]), coeffs)
+
+
 def _load_model(config: RunConfig, samples: SampleSet) -> PolynomialModel:
     with open(config.coeffs) as handle:
         payload = json.load(handle)
     degree = payload["degree"]
     if config.degree is not None and config.degree != degree:
         raise ValueError(f"--degree {config.degree} conflicts with coefficients file degree {degree}")
-    coeffs = [_jnum_parse(c) for c in payload["coefficients"]]
-    if config.exact:
-        coeffs = [Fraction(c) for c in coeffs]
-    basis = build_basis(samples.dimension, degree)
-    return PolynomialModel(basis, tuple(coeffs))
+    return _model_from_json(payload, samples.dimension, config.exact)
+
+
+def _reduce_stage(extremes, samples, degree, config) -> tuple[dict, bool]:
+    if extremes.degenerate:
+        return {"verdict": "pass", "vacuous_branches": 0, "traces": [],
+                "note": "exact fit; nothing to reduce"}, True
+    strategy = "exhaustive" if config.strategy == "exhaustive" else SingleStrategy()
+    red = reduce_and_verify(extremes, samples, degree, strategy=strategy, exact=config.exact)
+    return _reduction_to_json(red), red.verdict == "pass"
+
+
+def _alternate_stage(extremes, samples, degree, config) -> tuple[dict, bool]:
+    if extremes.degenerate:
+        return {"verdict": "pass", "planes_checked": 0, "counterexample": None,
+                "note": "exact fit; trivially optimal"}, True
+    alt = verify_by_hyperplanes(extremes, samples, degree, exact=config.exact)
+    return _alternation_to_json(alt), alt.verdict in ("pass", "vacuous")
+
+
+# The verification stages after the certificate, in run order: the command that
+# runs a stage alone, its report section, and the function that fills it.
+_STAGES = (("reduce", "reduction", _reduce_stage), ("alternate", "alternation", _alternate_stage))
 
 
 def run(config: RunConfig) -> tuple[int, dict]:
@@ -495,15 +446,13 @@ def run(config: RunConfig) -> tuple[int, dict]:
     if config.coeffs:
         model = _load_model(config, samples)
         degree = model.degree
-        fit = None
     else:
         if config.degree is None:
             raise ValueError("--degree is required when fitting")
         degree = config.degree
         t0 = time.perf_counter()
-        fit = fit_minimax(samples, degree, exact=config.exact)
+        model = fit_minimax(samples, degree, exact=config.exact).model
         timings["fit_s"] = time.perf_counter() - t0
-        model = fit.model
     report["degree"] = degree
     report["model"] = _model_to_json(model)
 
@@ -526,42 +475,19 @@ def run(config: RunConfig) -> tuple[int, dict]:
         if config.command == "verify":
             iso = check_isolability(extremes, samples, degree, exact=config.exact)
             report["isolability"] = {"isolable": iso.isolable, "margin": _jnum(iso.margin)}
-    if config.command == "fit" and degree >= 1 and not extremes.degenerate:
-        if extremes.plus and extremes.minus:
-            strategy = "exhaustive" if config.strategy == "exhaustive" else SingleStrategy()
+    if config.command in ("reduce", "alternate") and degree < 1:
+        raise ValueError(f"{config.command} needs degree >= 1")
+    # fit runs every stage where both extreme sets hold points, and its exit
+    # code stays the certificate's; a stage's own command exits on its verdict
+    fit_stages = (config.command == "fit" and degree >= 1 and not extremes.degenerate
+                  and bool(extremes.plus and extremes.minus))
+    for command, section, stage in _STAGES:
+        if command == config.command or fit_stages:
             t0 = time.perf_counter()
-            red = reduce_and_verify(extremes, samples, degree, strategy=strategy, exact=config.exact)
-            timings["reduction_s"] = time.perf_counter() - t0
-            report["reduction"] = _reduction_to_json(red)
-            t0 = time.perf_counter()
-            alt = verify_by_hyperplanes(extremes, samples, degree, exact=config.exact)
-            timings["alternation_s"] = time.perf_counter() - t0
-            report["alternation"] = _alternation_to_json(alt)
-    if config.command == "reduce":
-        if degree < 1:
-            raise ValueError("reduce needs degree >= 1")
-        if extremes.degenerate:
-            report["reduction"] = {"verdict": "pass", "vacuous_branches": 0, "traces": [],
-                                   "note": "exact fit; nothing to reduce"}
-        else:
-            strategy = "exhaustive" if config.strategy == "exhaustive" else SingleStrategy()
-            t0 = time.perf_counter()
-            red = reduce_and_verify(extremes, samples, degree, strategy=strategy, exact=config.exact)
-            timings["reduction_s"] = time.perf_counter() - t0
-            report["reduction"] = _reduction_to_json(red)
-            code = 0 if red.verdict == "pass" else 2
-    if config.command == "alternate":
-        if degree < 1:
-            raise ValueError("alternate needs degree >= 1")
-        if extremes.degenerate:
-            report["alternation"] = {"verdict": "pass", "planes_checked": 0, "counterexample": None,
-                                     "note": "exact fit; trivially optimal"}
-        else:
-            t0 = time.perf_counter()
-            alt = verify_by_hyperplanes(extremes, samples, degree, exact=config.exact)
-            timings["alternation_s"] = time.perf_counter() - t0
-            report["alternation"] = _alternation_to_json(alt)
-            code = 0 if alt.verdict in ("pass", "vacuous") else 2
+            report[section], passed = stage(extremes, samples, degree, config)
+            timings[f"{section}_s"] = time.perf_counter() - t0
+            if command == config.command:
+                code = 0 if passed else 2
     return code, report
 
 
@@ -581,10 +507,7 @@ def _run_revalidate(config: RunConfig) -> tuple[int, dict]:
 
     degree = report["degree"]
     if "model" in report:
-        coeffs = [_jnum_parse(c) for c in report["model"]["coefficients"]]
-        basis = build_basis(samples.dimension, degree)
-        model = PolynomialModel(basis, tuple(coeffs))
-        psi = compute_psi(model, samples)
+        psi = compute_psi(_model_from_json(report["model"], samples.dimension), samples)
         claimed = _jnum_parse(report["psi"])
         if exact:
             checks["psi"] = psi == claimed
@@ -608,15 +531,14 @@ def _run_revalidate(config: RunConfig) -> tuple[int, dict]:
             and abs(sum(beta) - 1) <= (0 if exact else 1e-9)
         )
     if "witness" in report:
-        wit = report["witness"]
-        coeffs = [_jnum_parse(c) for c in wit["coefficients"]]
-        basis = build_basis(samples.dimension, wit["degree"])
-        model = PolynomialModel(basis, tuple(coeffs))
-        plus = report["extremes"]["plus"]
-        minus = report["extremes"]["minus"]
-        ok = all(evaluate(model, samples.points[i]) > 0 for i in plus)
-        ok = ok and all(evaluate(model, samples.points[i]) < 0 for i in minus)
-        checks["witness_separates"] = ok
+        witness = SeparationWitness(_model_from_json(report["witness"], samples.dimension), None, None)
+        extremes = ExtremeSets(
+            plus=tuple(report["extremes"]["plus"]),
+            minus=tuple(report["extremes"]["minus"]),
+            psi=_jnum_parse(report["psi"]),
+            rel_tol=config.rel_tol,
+        )
+        checks["witness_separates"] = verify_witness(witness, extremes, samples)
 
     valid = all(checks.values())
     return (0 if valid else 2), {"revalidated": config.report_path, "checks": checks, "valid": valid}
@@ -640,7 +562,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ]:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", help="CSV file with header x1..xd,f")
-        p.add_argument("--grid", help='grid spec "lo,hi[:lo,hi];res[:res];uniform|chebyshev;expr"')
+        p.add_argument("--grid", help='grid spec "lo,hi[:lo,hi];res[:res];uniform|chebyshev;expr", '
+                                      'e.g. --grid "-1,1;11;uniform;x1^3"')
         p.add_argument("--degree", type=int, help="model degree m")
         p.add_argument("--rel-tol", type=float, default=DEFAULT_REL_TOL,
                        help="relative band for extreme-point detection")
@@ -656,6 +579,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if "--grid" in argv[:-1]:
+        # argparse takes a separate value that starts with '-' (a negative lower
+        # bound) for an option, so hand the grid spec over joined to its flag
+        k = argv.index("--grid")
+        argv[k:k + 2] = [f"--grid={argv[k + 1]}"]
     parser = _build_parser()
     ns = parser.parse_args(argv)
     try:

@@ -18,10 +18,10 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 from .lp import LinearProgram, LpFailure, solve, solve_exact
-from .monomials import MonomialBasis, Number, PolynomialModel, build_basis, evaluate, lift
+from .monomials import Number, PolynomialModel, build_basis, evaluate, lift
 
 DUPLICATE_TOL = 1e-12
 DEGENERATE_PSI = 1e-12
@@ -53,6 +53,7 @@ class SampleSet:
         self.dimension = d
         self.points: tuple[tuple[Number, ...], ...] = tuple(pts)
         self.values: tuple[Number, ...] = tuple(vals)
+        self._views: dict[bool, tuple] = {}
 
     @staticmethod
     def _check_duplicates(pts):
@@ -69,17 +70,19 @@ class SampleSet:
     def __len__(self) -> int:
         return len(self.points)
 
-    def as_floats(self) -> tuple[list[tuple[float, ...]], list[float]]:
-        return (
-            [tuple(float(c) for c in p) for p in self.points],
-            [float(v) for v in self.values],
-        )
+    def view(self, exact: bool) -> tuple[tuple[tuple[Number, ...], ...], tuple[Number, ...]]:
+        """Points and values as ``Fraction`` (exact) or ``float``, converted on first use.
 
-    def as_fractions(self) -> tuple[list[tuple[Fraction, ...]], list[Fraction]]:
-        return (
-            [tuple(Fraction(c) for c in p) for p in self.points],
-            [Fraction(v) for v in self.values],
-        )
+        Every verifier reads the samples through this view, so repeated calls
+        (one per candidate hyperplane, say) share one conversion.
+        """
+        if exact not in self._views:
+            conv = Fraction if exact else float
+            self._views[exact] = (
+                tuple(tuple(conv(c) for c in p) for p in self.points),
+                tuple(conv(v) for v in self.values),
+            )
+        return self._views[exact]
 
 
 @dataclass(frozen=True)
@@ -104,27 +107,16 @@ def _dot(coeffs, lifted):
     return sum(c * g for c, g in zip(coeffs, lifted))
 
 
-def fit_minimax(
-    samples: SampleSet,
-    degree: int,
-    exact: bool = False,
-    lift_fn: Callable[[Sequence[Number], MonomialBasis], list[Number]] = lift,
-) -> FitResult:
-    """Coefficients minimising max |f(x) - L(A, x)| over the sample set.
-
-    `lift_fn` is the basis-evaluation hook; only the monomial lift ships.
-    """
+def fit_minimax(samples: SampleSet, degree: int, exact: bool = False) -> FitResult:
+    """Coefficients minimising max |f(x) - L(A, x)| over the sample set."""
     basis = build_basis(samples.dimension, degree)
     if basis.size > len(samples):
         warnings.warn(
             f"basis size {basis.size} exceeds sample count {len(samples)}; fit is underdetermined",
             stacklevel=2,
         )
-    if exact:
-        pts, vals = samples.as_fractions()
-    else:
-        pts, vals = samples.as_floats()
-    lifts = [lift_fn(p, basis) for p in pts]
+    pts, vals = samples.view(exact)
+    lifts = [lift(p, basis) for p in pts]
 
     n = len(pts)
     nc = basis.size

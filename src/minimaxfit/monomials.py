@@ -127,10 +127,6 @@ def evaluate(model: PolynomialModel, point: Sequence[Number]) -> Number:
     return sum(c * g for c, g in zip(model.coefficients, lifted))
 
 
-def zero_model(basis: MonomialBasis) -> PolynomialModel:
-    return PolynomialModel(basis, (0,) * basis.size)
-
-
 WeightTriple = tuple[Number, Number, Number]  # (convex weight, factor, scalar value)
 
 

@@ -72,10 +72,6 @@ class IsolabilityResult:
 VerificationOutcome = Union[IntersectionCertificate, SeparationWitness]
 
 
-def _points_of(samples: SampleSet, exact: bool):
-    return samples.as_fractions()[0] if exact else samples.as_floats()[0]
-
-
 def _moment_lp(plus_lifted, minus_lifted) -> LinearProgram:
     p, q = len(plus_lifted), len(minus_lifted)
     width = len(plus_lifted[0])
@@ -168,7 +164,7 @@ def check_hull_intersection(
     degree-`degree` polynomial separating E+ from E-, normalised so the
     smaller margin is one.
     """
-    pts = _points_of(samples, exact)
+    pts = samples.view(exact)[0]
     basis = build_basis(samples.dimension, degree)
 
     if extremes.degenerate:
@@ -240,7 +236,7 @@ def caratheodory_reduce(
     """
     degree = cert.degree if degree is None else degree
     exact = cert.exact if exact is None else exact
-    pts = _points_of(samples, exact)
+    pts = samples.view(exact)[0]
     basis = build_basis(samples.dimension, degree)
     target = basis.nonconstant_count + 2
 
@@ -251,18 +247,18 @@ def caratheodory_reduce(
     def support():
         return [k for k, (_, _, w) in enumerate(entries) if w > support_tol]
 
+    # the support only shrinks, so lifting its starting members covers every round
+    lifted = {k: lift(pts[entries[k][1]], basis) for k in support()}
     while True:
         live = support()
         if len(live) <= target:
             break
         columns = []
         for k in live:
-            side, idx, _ = entries[k]
-            u = lift(pts[idx], basis)
-            if side == "+":
-                columns.append(list(u) + [1, 0])
+            if entries[k][0] == "+":
+                columns.append(list(lifted[k]) + [1, 0])
             else:
-                columns.append([-g for g in u] + [0, 1])
+                columns.append([-g for g in lifted[k]] + [0, 1])
         rows = [[col[r] for col in columns] for r in range(basis.size + 2)]
         eta = nullspace_vector(rows, exact)
         if eta is None:
@@ -288,19 +284,18 @@ def caratheodory_reduce(
                 w = Fraction(0)
             entries[k] = (side, idx, max(w, 0) if not exact else w)
 
-    plus = [(i, w) for side, i, w in entries if side == "+" and w > support_tol]
-    minus = [(i, w) for side, i, w in entries if side == "-" and w > support_tol]
-    plus_lifted = [lift(pts[i], basis) for i, _ in plus]
-    minus_lifted = [lift(pts[i], basis) for i, _ in minus]
-    residual = _moment_residual(
-        plus_lifted, minus_lifted, [w for _, w in plus], [w for _, w in minus]
-    )
+    kept = support()
+    plus = [k for k in kept if entries[k][0] == "+"]
+    minus = [k for k in kept if entries[k][0] == "-"]
+    alpha = tuple(entries[k][2] for k in plus)
+    beta = tuple(entries[k][2] for k in minus)
+    residual = _moment_residual([lifted[k] for k in plus], [lifted[k] for k in minus], alpha, beta)
     return IntersectionCertificate(
         degree,
-        tuple(i for i, _ in plus),
-        tuple(i for i, _ in minus),
-        tuple(w for _, w in plus),
-        tuple(w for _, w in minus),
+        tuple(entries[k][1] for k in plus),
+        tuple(entries[k][1] for k in minus),
+        alpha,
+        beta,
         residual,
         exact,
     )
@@ -317,7 +312,7 @@ def check_isolability(
     """
     if not extremes.plus and not extremes.minus:
         raise ValueError("both extreme sets are empty")
-    pts = _points_of(samples, exact)
+    pts = samples.view(exact)[0]
     basis = build_basis(samples.dimension, degree)
     plus_pts = [pts[i] for i in extremes.plus]
     minus_pts = [pts[i] for i in extremes.minus]
@@ -369,7 +364,7 @@ def verify_certificate(
 ) -> Number:
     """Replay certificate weights through the monomial layer; returns the residual."""
     degree = cert.degree if degree is None else degree
-    pts = _points_of(samples, cert.exact)
+    pts = samples.view(cert.exact)[0]
     basis = build_basis(samples.dimension, degree)
     plus_lifted = [lift(pts[i], basis) for i in cert.plus_indices]
     minus_lifted = [lift(pts[i], basis) for i in cert.minus_indices]

@@ -127,7 +127,7 @@ def reduce_and_verify(
         raise ValueError("degree must be at least 1")
     if not extremes.plus or not extremes.minus:
         raise ValueError("both extreme sets must be non-empty")
-    pts = samples.as_fractions()[0] if exact else samples.as_floats()[0]
+    pts = samples.view(exact)[0]
     plus0, minus0 = set(extremes.plus), set(extremes.minus)
 
     traces = []

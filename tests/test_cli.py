@@ -3,10 +3,14 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import minimaxfit
+from minimaxfit import LpFailure
 from minimaxfit.cli import (
     Expression,
     ExpressionError,
@@ -80,11 +84,20 @@ class TestExpression:
 
     def test_exact_evaluation(self):
         assert Expression("x1^2/3")( (Fraction(1, 2),), exact=True) == Fraction(1, 12)
+        assert Expression("0.1")((), exact=True) == Fraction(1, 10)
 
     def test_parse_error_carries_position(self):
-        with pytest.raises(ExpressionError) as err:
-            Expression("x1 + $")
-        assert err.value.position == 5
+        # positions index the text as written, also after a '^' (parsed as '**')
+        for text, position in [("x1 + $", 5), ("x1^2 + $", 7), ("x1^ 2 ^ 3 + )", 12)]:
+            with pytest.raises(ExpressionError) as err:
+                Expression(text)
+            assert err.value.position == position, text
+
+    def test_rejects_syntax_outside_the_grammar(self):
+        for text in ["x1**2", "+x1", "abs(x=x1)", "abs(x1, x2)", "max(x1)", "x1 // 2",
+                     "x1.real", "0x10", "x0", "abs", "x1 < 2"]:
+            with pytest.raises(ExpressionError):
+                Expression(text)
 
     def test_unknown_name(self):
         with pytest.raises(ExpressionError):
@@ -192,6 +205,47 @@ class TestRunPipeline:
             )
             code, report = run(config)
             assert code == 0, report
+        # each command writes the same section as fit does on the same input
+        for grid, degree, exact in [
+            ("-1,1;41;uniform;x1^4", 3, False),
+            ("-1,1;11;uniform;x1^4", 2, True),
+            ("-1,1:-1,1;7;uniform;x1^2*x2+x2^3", 2, False),
+            ("-1,1:-1,1;3;uniform;x1^2*x2+x2^3+x1^3", 2, True),
+        ]:
+            _, fit = run(RunConfig(command="fit", grid=grid, degree=degree, exact=exact))
+            for command, section in (("reduce", "reduction"), ("alternate", "alternation")):
+                code, report = run(RunConfig(command=command, grid=grid, degree=degree, exact=exact))
+                assert report[section] == fit[section], (grid, exact, command)
+                assert code == (0 if report[section]["verdict"] in ("pass", "vacuous") else 2)
+        # an exact fit leaves nothing to check: fit skips both stages, the commands say so
+        for exact in (False, True):
+            _, fit = run(RunConfig(command="fit", grid="-1,1;5;uniform;x1^2", degree=2, exact=exact))
+            assert fit["extremes"]["degenerate"]
+            assert "reduction" not in fit and "alternation" not in fit
+            for command, section in (("reduce", "reduction"), ("alternate", "alternation")):
+                code, report = run(RunConfig(command=command, grid="-1,1;5;uniform;x1^2",
+                                             degree=2, exact=exact))
+                assert code == 0
+                assert report[section]["verdict"] == "pass"
+                assert report[section]["note"].startswith("exact fit")
+
+
+class TestKnownLpFailures:
+    """Float-LP crashes on Baseline grids, kept until the LP kernel recovers from them."""
+
+    @pytest.mark.xfail(raises=LpFailure, strict=True,
+                       reason="moment LP of a 70-vs-70 plane split: optimal point violates row 0")
+    def test_abs_chebyshev_grid_planes(self):
+        code, report = run(RunConfig(command="fit", grid="-1,1:-1,1;21;chebyshev;abs(x1)+x2^3",
+                                     degree=4))
+        assert code == 0 and report["alternation"]["verdict"] == "pass"
+
+    @pytest.mark.xfail(raises=LpFailure, strict=True,
+                       reason="minimax LP: phase-1 simplex did not terminate")
+    def test_trivariate_uniform_grid_fit(self):
+        code, _ = run(RunConfig(command="fit", grid="-1,1:-1,1:-1,1;9;uniform;x1*x2*x3+x1^3",
+                                degree=3))
+        assert code == 0
 
 
 class TestMainEntry:
@@ -233,6 +287,28 @@ class TestMainEntry:
             "--out", str(tmp_path / "a.json"),
         ]
         assert main(args) == main(args) == 0
+
+    def test_grid_value_may_start_with_minus(self, tmp_path):
+        spec = "-1,1;11;uniform;x1^3"
+        reports = []
+        for grid_args in (["--grid", spec], [f"--grid={spec}"]):
+            out = tmp_path / "r.json"
+            assert main(["fit", *grid_args, "--degree", "2", "--out", str(out)]) == 0
+            reports.append(json.loads(out.read_text()))
+            del reports[-1]["timings"]
+        assert reports[0] == reports[1]
+        assert reports[0]["instance"]["source"] == f"grid:{spec}"
+
+    def test_python_dash_m_runs_the_cli(self):
+        src = os.path.dirname(os.path.dirname(minimaxfit.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "minimaxfit", "fit",
+             "--input", os.path.join(DATA, "parabola.csv"), "--degree", "1"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)["degree"] == 1
 
     def test_witness_report_revalidates(self, tmp_path, capsys):
         coeffs = tmp_path / "c.json"

@@ -55,6 +55,15 @@ class TestSampleSet:
         with pytest.raises(ValueError):
             SampleSet([(0.0,)], [1, 2])
 
+    def test_view_converts_once_per_arithmetic(self):
+        samples = SampleSet([(0, 0.5), (1, Fraction(1, 3))], [2, 0.25])
+        for exact, kind in ((True, Fraction), (False, float)):
+            pts, vals = samples.view(exact)
+            assert samples.view(exact) is samples.view(exact)
+            assert all(type(c) is kind for p in pts for c in p)
+            assert all(type(v) is kind for v in vals)
+            assert pts[1][1] == (Fraction(1, 3) if exact else 1 / 3)
+
 
 class TestFitMinimax:
     def test_parabola_three_points(self, parabola_samples):

@@ -22,6 +22,7 @@ from .fitting import (
     count_alternations,
     extreme_sets,
     fit_minimax,
+    partition_extremes,
 )
 from .lp import LinearProgram, LpFailure, LpSolution, solve, solve_exact, verify_farkas
 from .monomials import (
@@ -76,6 +77,7 @@ __all__ = [
     "fit_minimax",
     "compute_psi",
     "extreme_sets",
+    "partition_extremes",
     "count_alternations",
     "IntersectionCertificate",
     "SeparationWitness",

@@ -29,20 +29,21 @@ def exact_nullspace(rows: Sequence[Sequence[Number]]) -> tuple[Optional[list[Fra
     pivot_of_col: dict[int, int] = {}
     r = 0
     for c in range(ncols):
-        pivot = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
+        candidates = [i for i in range(r, len(mat)) if mat[i][c]]
+        if not candidates:
             continue
+        # the sparsest pivot row fills in least; the reduced form does not depend on the choice
+        pivot = min(candidates, key=lambda i: sum(1 for v in mat[i] if v))
         mat[r], mat[pivot] = mat[pivot], mat[r]
         pv = mat[r][c]
-        mat[r] = [v / pv for v in mat[r]]
+        prow = mat[r] = [v / pv if v else v for v in mat[r]]
+        support = [j for j, v in enumerate(prow) if v]
         for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [v - f * w for v, w in zip(mat[i], mat[r])]
+            f = mat[i][c]
+            if i != r and f:
+                row = mat[i]
+                for j in support:
+                    row[j] -= f * prow[j]
         pivot_of_col[c] = r
         r += 1
         if r == len(mat):
@@ -56,6 +57,20 @@ def exact_nullspace(rows: Sequence[Sequence[Number]]) -> tuple[Optional[list[Fra
     for c, row_idx in pivot_of_col.items():
         v[c] = -mat[row_idx][f0]
     return v, r
+
+
+def exact_solve(a: Sequence[Sequence[Number]], b: Sequence[Number]) -> Optional[list[Fraction]]:
+    """x with A x = b for square A over ``Fraction``, or None when A is singular.
+
+    A null vector of [A | -b] has a non-zero last entry exactly when A is
+    non-singular; the elimination then makes that entry one.
+    """
+    if not a:
+        return []
+    v, _ = exact_nullspace([list(row) + [-bi] for row, bi in zip(a, b)])
+    if v is None or v[-1] == 0:
+        return None
+    return v[:-1]
 
 
 def float_nullspace_vector(rows: Sequence[Sequence[float]], rtol: float = _RTOL) -> Optional[np.ndarray]:

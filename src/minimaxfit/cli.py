@@ -19,7 +19,7 @@ import operator
 import re
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence
@@ -27,11 +27,11 @@ from typing import Optional, Sequence
 from .alternation import HyperplaneSplit, HyperplaneVerdict, verify_by_hyperplanes
 from .fitting import (
     DEFAULT_REL_TOL,
-    ExtremeSets,
     SampleSet,
     compute_psi,
     extreme_sets,
     fit_minimax,
+    partition_extremes,
 )
 from .monomials import Number, PolynomialModel, build_basis
 from .monomials import evaluate  # unused here, kept because bench/tracing.py wraps cli.evaluate
@@ -446,17 +446,19 @@ def run(config: RunConfig) -> tuple[int, dict]:
     if config.coeffs:
         model = _load_model(config, samples)
         degree = model.degree
+        extremes = extreme_sets(model, samples, rel_tol=config.rel_tol)
     else:
         if config.degree is None:
             raise ValueError("--degree is required when fitting")
         degree = config.degree
         t0 = time.perf_counter()
-        model = fit_minimax(samples, degree, exact=config.exact).model
+        fit = fit_minimax(samples, degree, exact=config.exact)
         timings["fit_s"] = time.perf_counter() - t0
+        model = fit.model
+        extremes = partition_extremes(fit.residuals, rel_tol=config.rel_tol)
     report["degree"] = degree
     report["model"] = _model_to_json(model)
 
-    extremes = extreme_sets(model, samples, rel_tol=config.rel_tol)
     report["psi"] = _jnum(extremes.psi)
     report["extremes"] = {
         "plus": list(extremes.plus),
@@ -498,8 +500,7 @@ def _run_revalidate(config: RunConfig) -> tuple[int, dict]:
     with open(config.report_path) as handle:
         report = json.load(handle)
     exact = report.get("arithmetic") == "exact"
-    config.exact = exact  # ingest in the report's own arithmetic
-    samples, _ = _load_samples(config)
+    samples, _ = _load_samples(replace(config, exact=exact))  # the report's own arithmetic
     checks: dict[str, bool] = {}
 
     if report["instance"]["points"] != len(samples) or report["instance"]["dimension"] != samples.dimension:
@@ -532,13 +533,9 @@ def _run_revalidate(config: RunConfig) -> tuple[int, dict]:
         )
     if "witness" in report:
         witness = SeparationWitness(_model_from_json(report["witness"], samples.dimension), None, None)
-        extremes = ExtremeSets(
-            plus=tuple(report["extremes"]["plus"]),
-            minus=tuple(report["extremes"]["minus"]),
-            psi=_jnum_parse(report["psi"]),
-            rel_tol=config.rel_tol,
+        checks["witness_separates"] = verify_witness(
+            witness, report["extremes"]["plus"], report["extremes"]["minus"], samples
         )
-        checks["witness_separates"] = verify_witness(witness, extremes, samples)
 
     valid = all(checks.values())
     return (0 if valid else 2), {"revalidated": config.report_path, "checks": checks, "valid": valid}

@@ -165,22 +165,20 @@ def compute_psi(model: PolynomialModel, samples: SampleSet) -> Number:
     return max(abs(v - evaluate(model, p)) for p, v in zip(samples.points, samples.values))
 
 
-def extreme_sets(
-    model: PolynomialModel, samples: SampleSet, rel_tol: float = DEFAULT_REL_TOL
-) -> ExtremeSets:
+def partition_extremes(residuals: Sequence[Number], rel_tol: float = DEFAULT_REL_TOL) -> ExtremeSets:
     """Partition the maximal-deviation points by residual sign.
 
-    Index i lands in `plus` iff f(x_i) - L(A, x_i) >= (1 - rel_tol) * psi and
-    in `minus` for the mirrored condition.  When psi falls below the absolute
-    tolerance 1e-12 the model is exact on the samples; the result is flagged
-    degenerate with both sets holding every index.
+    Index i lands in `plus` iff residuals[i] >= (1 - rel_tol) * psi and in
+    `minus` for the mirrored condition, psi being the largest |residual|.
+    When psi falls below the absolute tolerance 1e-12 the model is exact on
+    the samples; the result is flagged degenerate with both sets holding
+    every index.
     """
     if not (0 <= rel_tol < 0.5):
         raise ValueError(f"rel_tol must lie in [0, 0.5), got {rel_tol}")
-    residuals = [v - evaluate(model, p) for p, v in zip(samples.points, samples.values)]
     psi = max(abs(r) for r in residuals)
     if float(psi) <= DEGENERATE_PSI:
-        every = tuple(range(len(samples)))
+        every = tuple(range(len(residuals)))
         return ExtremeSets(plus=every, minus=every, psi=psi, rel_tol=rel_tol, degenerate=True)
     exact_mode = isinstance(psi, (Fraction, int))
     band = psi * (Fraction(rel_tol) if exact_mode else rel_tol)
@@ -188,6 +186,18 @@ def extreme_sets(
     plus = tuple(i for i, r in enumerate(residuals) if r >= threshold)
     minus = tuple(i for i, r in enumerate(residuals) if -r >= threshold)
     return ExtremeSets(plus=plus, minus=minus, psi=psi, rel_tol=rel_tol)
+
+
+def extreme_sets(
+    model: PolynomialModel, samples: SampleSet, rel_tol: float = DEFAULT_REL_TOL
+) -> ExtremeSets:
+    """`partition_extremes` of the residuals f(x_i) - L(A, x_i) at the samples.
+
+    A fit already holds its residuals (`FitResult.residuals`); partitioning
+    those gives the same sets without evaluating the model again.
+    """
+    residuals = [v - evaluate(model, p) for p, v in zip(samples.points, samples.values)]
+    return partition_extremes(residuals, rel_tol)
 
 
 def count_alternations(extremes: ExtremeSets, samples: SampleSet) -> int:

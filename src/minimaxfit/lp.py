@@ -7,6 +7,15 @@ reduced costs and row residuals, and exact rationals (``Fraction``) with
 zero tolerance, used when certificate verdicts must be trusted near
 degeneracy.
 
+Exact solves run as a float-to-exact crossover (Applegate, Cook, Dash &
+Espinoza, "Exact solutions to linear programming problems", ORL 2007): the
+float simplex proposes an optimal basis, which is then solved and checked
+once over ``Fraction``: primal values non-negative, reduced costs
+non-negative, every row satisfied exactly.  A basis that fails any check, and
+every float failure or non-optimal float status, sends the LP through the
+rational simplex from scratch.  Every status an exact solve returns is thus
+decided in exact arithmetic.
+
 Infeasible solves always carry a Farkas witness so callers can turn "no
 certificate" into an explicit separating functional.  The witness lives in
 the standardised row space: original rows first, then one row per two-sided
@@ -21,6 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._linalg import exact_solve
 from .monomials import Number
 
 LESS, EQUAL, GREATER = "<=", "==", ">="
@@ -84,6 +94,8 @@ class LpSolution:
     objective_value: Optional[Number] = None
     farkas: Optional[list[Number]] = None
     iterations: int = 0
+    # optimal only: (basic column per kept standardised row, dropped redundant rows)
+    basis: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = field(default=None, repr=False, compare=False)
 
 
 def solve(lp: LinearProgram, tol: float = _TOL, max_iter: int = _MAX_ITER) -> LpSolution:
@@ -92,7 +104,22 @@ def solve(lp: LinearProgram, tol: float = _TOL, max_iter: int = _MAX_ITER) -> Lp
 
 
 def solve_exact(lp: LinearProgram, max_iter: int = _MAX_ITER) -> LpSolution:
-    """Two-phase simplex over exact rationals; status decisions carry no tolerance."""
+    """Exact rational solution; status decisions carry no tolerance.
+
+    The float simplex's optimal basis is certified over ``Fraction`` and its
+    exact vertex returned.  When the float solve fails, ends other than
+    optimal (infeasible LPs then get their Farkas witness from the rational
+    simplex), or its basis is singular or fails an exact check, the two-phase
+    simplex runs over ``Fraction`` from scratch.
+    """
+    try:
+        guess = _solve(lp, exact=False, tol=_TOL, max_iter=max_iter)
+    except (LpFailure, OverflowError, ZeroDivisionError):
+        guess = None
+    if guess is not None and guess.status == "optimal":
+        certified = _certify(lp, *guess.basis, iterations=guess.iterations)
+        if certified is not None:
+            return certified
     return _solve(lp, exact=True, tol=0.0, max_iter=max_iter)
 
 
@@ -148,31 +175,45 @@ def _substitute(lp: LinearProgram, conv):
     return col_terms, offsets, ncols, sub_rows
 
 
+def _standard_form(lp: LinearProgram, conv):
+    """Rows A = [substituted | slack] with A u = rhs over u >= 0, and the costs of u."""
+    col_terms, offsets, nstruct, sub_rows = _substitute(lp, conv)
+    nslack = sum(1 for _, rel, _ in sub_rows if rel != EQUAL)
+    rows, rhs = [], []
+    slack_at = nstruct
+    for row, rel, b in sub_rows:
+        row = row + [conv(0)] * nslack
+        if rel != EQUAL:
+            row[slack_at] = conv(1) if rel == LESS else conv(-1)
+            slack_at += 1
+        rows.append(row)
+        rhs.append(b)
+    costs = [conv(0)] * (nstruct + nslack)
+    for j, c in enumerate(lp.objective):
+        c = conv(c)
+        if c == 0:
+            continue
+        for col, sign in col_terms[j]:
+            costs[col] += c if sign > 0 else -c
+    return col_terms, offsets, rows, rhs, costs
+
+
 def _solve(lp: LinearProgram, exact: bool, tol: float, max_iter: int) -> LpSolution:
     conv = Fraction if exact else float
     dtype = object if exact else float
-    col_terms, offsets, nstruct, sub_rows = _substitute(lp, conv)
+    col_terms, offsets, rows, rhs, costs = _standard_form(lp, conv)
 
-    m = len(sub_rows)
-    nslack = sum(1 for _, rel, _ in sub_rows if rel != EQUAL)
-    ncols = nstruct + nslack + m + 1  # structural, slack, artificial, rhs
-    art0 = nstruct + nslack
+    m = len(rows)
+    art0 = len(costs)  # structural and slack columns come first
+    ncols = art0 + m + 1  # then artificial, then rhs
 
     T = np.zeros((m, ncols), dtype=dtype)
     if exact:
         T[:, :] = Fraction(0)
     factors: list[Number] = []  # std row = factor * substituted row (Farkas mapping)
-    slack_at = 0
-    for i, (row, rel, rhs) in enumerate(sub_rows):
-        for j, a in enumerate(row):
-            T[i, j] = a
-        if rel == LESS:
-            T[i, nstruct + slack_at] = conv(1)
-            slack_at += 1
-        elif rel == GREATER:
-            T[i, nstruct + slack_at] = conv(-1)
-            slack_at += 1
-        T[i, -1] = rhs
+    for i, row in enumerate(rows):
+        T[i, :art0] = row
+        T[i, -1] = rhs[i]
 
         factor = conv(1)
         if not exact:
@@ -226,15 +267,7 @@ def _solve(lp: LinearProgram, exact: bool, tol: float, max_iter: int) -> LpSolut
         basis = [b for i, b in enumerate(basis) if i not in set(drop_rows)]
 
     # phase 2: the real objective over structural columns
-    costs2 = np.zeros(ncols - 1, dtype=dtype)
-    if exact:
-        costs2[:] = Fraction(0)
-    for j, c in enumerate(lp.objective):
-        c = conv(c)
-        if c == 0:
-            continue
-        for col, sign in col_terms[j]:
-            costs2[col] += c if sign > 0 else -c
+    costs2 = np.array(costs + [conv(0)] * m, dtype=dtype)
     obj, status, it2 = _simplex(
         T, basis, costs2, barred=frozenset(artificial), tol=tol, max_iter=max_iter, phase=2
     )
@@ -243,9 +276,15 @@ def _solve(lp: LinearProgram, exact: bool, tol: float, max_iter: int) -> LpSolut
     if status != "optimal":
         raise LpFailure("phase-2 simplex did not terminate", {"status": status, "iterations": it2})
 
-    x_std = [conv(0)] * (ncols - 1)
+    x_std = [conv(0)] * art0
     for i, b in enumerate(basis):
         x_std[b] = T[i, -1]
+    return _optimal(lp, col_terms, offsets, x_std, exact, it1 + it2, (tuple(basis), tuple(drop_rows)))
+
+
+def _optimal(lp, col_terms, offsets, x_std, exact: bool, iterations: int, basis) -> LpSolution:
+    """The solution at standardised point x_std, once every original row holds."""
+    conv = Fraction if exact else float
     x = []
     for j in range(lp.num_vars):
         v = offsets[j]
@@ -256,8 +295,36 @@ def _solve(lp: LinearProgram, exact: bool, tol: float, max_iter: int) -> LpSolut
     if not exact:
         value = float(value)
 
-    _check_rows(lp, x, conv, exact, iterations=it1 + it2)
-    return LpSolution("optimal", x=x, objective_value=value, iterations=it1 + it2)
+    _check_rows(lp, x, conv, exact, iterations=iterations)
+    return LpSolution("optimal", x=x, objective_value=value, iterations=iterations, basis=basis)
+
+
+def _certify(lp: LinearProgram, basis, dropped, iterations: int) -> Optional[LpSolution]:
+    """The exact vertex of a proposed optimal basis, or None if it is not one.
+
+    Solves B x_B = b and B^T y = c_B over ``Fraction`` on the kept rows, then
+    asks for x_B >= 0, reduced costs c - A^T y >= 0 on every column, the
+    dropped rows satisfied and every original row satisfied, all exactly.
+    """
+    col_terms, offsets, rows, rhs, costs = _standard_form(lp, Fraction)
+    kept = [i for i in range(len(rows)) if i not in dropped]
+    x_b = exact_solve([[rows[i][j] for j in basis] for i in kept], [rhs[i] for i in kept])
+    y = exact_solve([[rows[i][j] for i in kept] for j in basis], [costs[j] for j in basis])
+    if x_b is None or y is None or any(v < 0 for v in x_b):
+        return None
+    x_std = [Fraction(0)] * len(costs)
+    for j, v in zip(basis, x_b):
+        x_std[j] = v
+    for j, c in enumerate(costs):
+        if c - sum(yi * rows[i][j] for yi, i in zip(y, kept) if rows[i][j]) < 0:
+            return None
+    for i in dropped:
+        if sum(a * v for a, v in zip(rows[i], x_std) if v) != rhs[i]:
+            return None
+    try:
+        return _optimal(lp, col_terms, offsets, x_std, True, iterations, (tuple(basis), tuple(dropped)))
+    except LpFailure:
+        return None
 
 
 def _check_rows(lp: LinearProgram, x, conv, exact: bool, iterations: int):

@@ -372,12 +372,9 @@ def verify_certificate(
 
 
 def verify_witness(
-    witness: SeparationWitness, extremes: ExtremeSets, samples: SampleSet
+    witness: SeparationWitness, plus: Sequence[int], minus: Sequence[int], samples: SampleSet
 ) -> bool:
-    """Replay a separating polynomial; True when the separation is strict."""
-    ok = True
-    for i in extremes.plus:
-        ok = ok and evaluate(witness.model, samples.points[i]) > 0
-    for i in extremes.minus:
-        ok = ok and evaluate(witness.model, samples.points[i]) < 0
-    return ok
+    """Replay a separating polynomial over the indexed samples; True when the separation is strict."""
+    return all(evaluate(witness.model, samples.points[i]) > 0 for i in plus) and all(
+        evaluate(witness.model, samples.points[i]) < 0 for i in minus
+    )

@@ -326,3 +326,18 @@ class TestMainEntry:
         assert code == 0
         revalidation = json.loads(capsys.readouterr().out)
         assert revalidation["checks"]["witness_separates"]
+
+    def test_report_leaves_the_config_arithmetic_alone(self, tmp_path):
+        grid = "-1,1;21;uniform;x1^3"
+        out = tmp_path / "exact.json"
+        assert main(["fit", "--grid", grid, "--degree", "2", "--exact", "--out", str(out)]) == 0
+        config = RunConfig(command="report", grid=grid, report_path=str(out))
+        code, revalidation = run(config)
+        assert code == 0 and revalidation["valid"]
+        assert config.exact is False
+        # the same config, reused for a fit, still runs in float
+        config.command, config.degree = "fit", 2
+        code, report = run(config)
+        assert code == 0
+        assert report["arithmetic"] == "float"
+        assert isinstance(report["psi"], float)

@@ -16,6 +16,7 @@ from minimaxfit import (
     count_alternations,
     extreme_sets,
     fit_minimax,
+    partition_extremes,
 )
 
 from support import build_fit_corpus, random_samples
@@ -190,6 +191,28 @@ class TestExtremeSets:
         psi = max(abs(r) for r in residuals)
         assert set(ext.plus) == {i for i, r in enumerate(residuals) if r == psi}
         assert set(ext.minus) == {i for i, r in enumerate(residuals) if -r == psi}
+
+    def test_fit_residuals_partition_like_the_model(self):
+        # the CLI partitions FitResult.residuals instead of evaluating the model again
+        for dimension, count, degree in ((1, 40, 3), (2, 30, 2)):
+            samples = random_samples(random.Random(dimension), dimension, count)
+            for exact in (False, True):
+                view = SampleSet(*samples.view(exact))
+                fit = fit_minimax(view, degree, exact=exact)
+                assert list(fit.residuals) == [
+                    v - fit.model(p) for p, v in zip(view.points, view.values)
+                ]
+                for rel_tol in (0, 1e-8, 0.1):
+                    assert partition_extremes(fit.residuals, rel_tol) == extreme_sets(
+                        fit.model, view, rel_tol
+                    )
+
+    def test_partition_of_residuals(self):
+        ext = partition_extremes([Fraction(1), Fraction(-1, 2), Fraction(-1), Fraction(99, 100)], 0.05)
+        assert (ext.plus, ext.minus, ext.psi) == ((0, 3), (2,), 1)
+        assert partition_extremes([0.0, 1e-13]).degenerate
+        with pytest.raises(ValueError):
+            partition_extremes([1.0], rel_tol=-0.1)
 
 
 class TestCountAlternations:

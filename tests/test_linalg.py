@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 
-from minimaxfit._linalg import affine_normal, exact_nullspace
+from minimaxfit._linalg import affine_normal, exact_nullspace, exact_solve
 
 
 def _rational(rng):
@@ -38,6 +38,30 @@ class TestExactNullspace:
             assert rank <= inner
             assert any(x != 0 for x in v)
             assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
+
+
+class TestExactSolve:
+    def test_square_systems_solved_or_singular(self):
+        rng = random.Random(14)
+        solved = 0
+        for _ in range(40):
+            k = rng.randint(1, 6)
+            # mostly zeros, like a simplex basis: slack columns are unit vectors
+            a = [[_rational(rng) if rng.random() < 0.4 else Fraction(0) for _ in range(k)] for _ in range(k)]
+            b = [_rational(rng) for _ in range(k)]
+            x = exact_solve(a, b)
+            if exact_nullspace(a)[1] < k:
+                assert x is None
+            else:
+                solved += 1
+                assert [sum(p * q for p, q in zip(row, x)) for row in a] == b
+        assert solved >= 10
+        assert exact_solve([], []) == []
+
+    def test_singular_with_right_side_in_or_out_of_range(self):
+        a = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
+        assert exact_solve(a, [Fraction(1), Fraction(2)]) is None
+        assert exact_solve(a, [Fraction(1), Fraction(3)]) is None
 
 
 class TestAffineNormal:

@@ -73,7 +73,7 @@ class TestHullIntersection:
         extremes = extreme_sets(bumped, samples)
         out = check_hull_intersection(extremes, samples, 1)
         assert isinstance(out, SeparationWitness)
-        assert verify_witness(out, extremes, samples)
+        assert verify_witness(out, extremes.plus, extremes.minus, samples)
 
     def test_empty_side_returns_witness_immediately(self):
         samples = SampleSet([(0.0,), (1.0,)], [0, 0])

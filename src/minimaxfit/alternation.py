@@ -5,7 +5,11 @@ For an optimal model, every hyperplane split must admit either a
 degree-reduced hull intersection of the flipped classes or a same-degree
 intersection of the on-plane sign classes.  Enumerating only the hyperplanes
 through d affinely independent extreme points suffices, which turns the
-condition into finitely many small LP checks.
+condition into finitely many small LP checks.  Many need no LP: a degree-(m-1)
+certificate with support S+, S- (convex weights matching every lifted moment)
+is, zero elsewhere, a feasible point of the moment LP of any later split whose
+flipped classes hold S+ and S- one each, either way round, as the LP is
+symmetric in its sides.  So enumeration keeps the supports it has found.
 """
 
 from __future__ import annotations
@@ -113,9 +117,17 @@ def _hull_check(pts, plus_idx, minus_idx, degree: int, exact: bool) -> Optional[
     """Whether the indexed point classes meet at `degree`; None when both are empty."""
     if not plus_idx and not minus_idx:
         return None
+    return _support(pts, plus_idx, minus_idx, degree, exact) is not None
+
+
+def _support(pts, plus_idx, minus_idx, degree: int, exact: bool):
+    """Sample indices (S+, S-) of a degree-`degree` certificate for the indexed classes, or None."""
     if not plus_idx or not minus_idx:
-        return False
-    return hulls_intersect([pts[i] for i in plus_idx], [pts[i] for i in minus_idx], degree, exact)
+        return None
+    found = hulls_intersect([pts[i] for i in plus_idx], [pts[i] for i in minus_idx], degree, exact)
+    if found is None:
+        return None
+    return frozenset(plus_idx[k] for k in found[0]), frozenset(minus_idx[k] for k in found[1])
 
 
 def check_split_condition(
@@ -176,10 +188,13 @@ def verify_by_hyperplanes(
     """Check every hyperplane through d affinely independent extreme points.
 
     Passes when each induced split satisfies the split condition; the first
-    failing split is returned as a counterexample.  Degree 1 delegates to
-    the direct hull check.  `recursive=True` (univariate, degree <= 3 only)
-    recurses the degree reduction down to the linear base case instead of
-    closing with one moment LP.
+    failing split is returned as a counterexample.  A split that contains a
+    stored degree-(m-1) support (see the module docstring) holds with no LP,
+    and point elimination runs only when degree reduction fails; verdict,
+    count and counterexample equal those of `check_split_condition` on every
+    plane.  Degree 1 delegates to the direct hull check.  `recursive=True`
+    (univariate, degree <= 3 only) recurses the degree reduction down to the
+    linear base case instead of closing with one moment LP.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
@@ -199,12 +214,13 @@ def verify_by_hyperplanes(
     pts = samples.view(exact)[0]
 
     checked = 0
+    supports: list = []  # (S+, S-) sample indices of every degree-(m-1) certificate found
     for u, a in _candidate_planes(idxs, pts, d, exact):
         sp = split(extremes, samples, u, a, exact=exact)
         if recursive:
             ok = _holds_recursive(sp, pts, degree, exact)
         else:
-            ok = check_split_condition(sp, samples, degree, exact).holds
+            ok = _holds_reusing(sp, pts, degree, exact, supports)
         checked += 1
         if not ok:
             return HyperplaneVerdict("fail", sp, checked)
@@ -213,6 +229,18 @@ def verify_by_hyperplanes(
             "vacuous", None, 0, warning="no affinely independent extreme subset"
         )
     return HyperplaneVerdict("pass", None, checked)
+
+
+def _holds_reusing(sp: HyperplaneSplit, pts, degree: int, exact: bool, supports: list) -> bool:
+    """`check_split_condition(...).holds`, with no LP where a stored support decides it."""
+    plus, minus = set(sp.plus_side), set(sp.minus_side)
+    if any(s <= plus and t <= minus or s <= minus and t <= plus for s, t in supports):
+        return True
+    found = _support(pts, sp.plus_side, sp.minus_side, degree - 1, exact)
+    if found:
+        supports.append(found)
+        return True
+    return bool(_hull_check(pts, sp.on_plane_plus, sp.on_plane_minus, degree, exact))
 
 
 def _holds_recursive(sp: HyperplaneSplit, pts, degree: int, exact: bool) -> bool:

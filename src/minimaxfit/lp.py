@@ -217,7 +217,7 @@ def _solve(lp: LinearProgram, exact: bool, tol: float, max_iter: int) -> LpSolut
 
         factor = conv(1)
         if not exact:
-            scale = max(1.0, max(abs(v) for v in T[i, : ncols - 1]), abs(T[i, -1]))
+            scale = max(1.0, np.abs(T[i, : ncols - 1]).max(), abs(T[i, -1]))
             if scale > 1.0:
                 T[i, :] = T[i, :] / scale
                 factor = factor / scale

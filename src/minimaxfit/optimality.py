@@ -142,16 +142,26 @@ def _max_margin(plus_lifted, minus_lifted, width, exact: bool):
     return sol.x[width], sol.x[:width]
 
 
-def hulls_intersect(plus_points, minus_points, degree: int, exact: bool = False) -> bool:
-    """Whether the lifted degree-`degree` hulls of two raw point lists meet."""
+def hulls_intersect(plus_points, minus_points, degree: int, exact: bool = False) -> Optional[tuple]:
+    """Where the lifted degree-`degree` hulls of two raw point lists meet, or None.
+
+    Returns (plus positions, minus positions): where in each list one
+    moment-matching solution puts strictly positive weight, taken with no
+    tolerance in either arithmetic.  Those points' hulls meet on their own.
+    None, which is falsy, when the hulls do not meet or a list is empty.
+    """
     if not plus_points or not minus_points:
-        return False
+        return None
     d = len(plus_points[0])
     basis = build_basis(d, degree)
     plus_lifted = [lift(p, basis) for p in plus_points]
     minus_lifted = [lift(p, basis) for p in minus_points]
     sol = (solve_exact if exact else solve)(_moment_lp(plus_lifted, minus_lifted))
-    return sol.status == "optimal"
+    if sol.status != "optimal":
+        return None
+    p = len(plus_points)
+    positive = [k for k, w in enumerate(sol.x) if w > 0]
+    return tuple(k for k in positive if k < p), tuple(k - p for k in positive if k >= p)
 
 
 def check_hull_intersection(

@@ -1,23 +1,32 @@
 """Hyperplane splits, split conditions, and the enumeration verdicts."""
 
+import random
+from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from minimaxfit import (
     ExtremeSets,
     IntersectionCertificate,
+    PolynomialModel,
     SampleSet,
+    build_basis,
     check_hull_intersection,
     check_split_condition,
     count_alternations,
     extreme_sets,
     fit_minimax,
+    hulls_intersect,
+    lift,
     split,
     verify_by_hyperplanes,
 )
+from minimaxfit import alternation
+from minimaxfit.alternation import _candidate_planes
 
-from support import build_fit_corpus, synthetic_univariate
+from support import build_fit_corpus, random_samples, synthetic_univariate
 
 
 @pytest.fixture(scope="module")
@@ -184,3 +193,103 @@ class TestVerifyByHyperplanes:
         ext2 = ExtremeSets(plus=(0, 3), minus=(1, 2), psi=1.0, rel_tol=0.0)
         with pytest.raises(ValueError):
             verify_by_hyperplanes(ext2, bis, 2, recursive=True)
+
+
+def _every_plane_verdict(extremes, samples, degree, exact):
+    """(verdict, planes checked, counterexample) from `check_split_condition` on every plane."""
+    pts = samples.view(exact)[0]
+    idxs = sorted(set(extremes.plus) | set(extremes.minus))
+    checked = 0
+    for u, a in _candidate_planes(idxs, pts, samples.dimension, exact):
+        sp = split(extremes, samples, u, a, exact=exact)
+        checked += 1
+        if not check_split_condition(sp, samples, degree, exact).holds:
+            return "fail", checked, sp
+    return ("pass" if checked else "vacuous"), checked, None
+
+
+def _least_squares_extremes(samples, degree, rel_tol=0.45):
+    # a model that is not minimax, with the widest band so that more points are extreme
+    basis = build_basis(samples.dimension, degree)
+    lifted = np.array([lift(p, basis) for p in samples.points])
+    coeffs, *_ = np.linalg.lstsq(lifted, np.array(samples.values), rcond=None)
+    model = PolynomialModel(basis, tuple(float(c) for c in coeffs))
+    return extreme_sets(model, samples, rel_tol)
+
+
+def _reuse_corpus(exact):
+    """(samples, extremes, degree): minimax fits in d = 2 and 3, then sets that are not optimal."""
+    fits = [(42, (2,), (2, 3), (11, 18), 2)]
+    if not exact:
+        fits += [(41, (3,), (2,), (13, 18), 1), (43, (2,), (4,), (18, 22), 1)]
+    cases = []
+    for seed, dims, degrees, point_range, count in fits:
+        for inst in build_fit_corpus(seed, count, dims, degrees, point_range):
+            cases.append((inst.samples, inst.extremes, inst.degree))
+            # one extreme point fewer: here that always leaves sets some plane fails on
+            cases.append((inst.samples, replace(inst.extremes, plus=inst.extremes.plus[1:]), inst.degree))
+    rng = random.Random(43)
+    for d, m in [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4)]:
+        samples = random_samples(rng, d, build_basis(d, m).size + 8)
+        cases.append((samples, _least_squares_extremes(samples, m), m))
+    return cases
+
+
+def _counting_hulls(monkeypatch):
+    calls = []
+    real = alternation.hulls_intersect
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(alternation, "hulls_intersect", counted)
+    return calls
+
+
+class TestCertificateReuse:
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_matches_every_plane_reference(self, exact, monkeypatch):
+        verdicts = set()
+        for samples, extremes, degree in _reuse_corpus(exact):
+            reference = _every_plane_verdict(extremes, samples, degree, exact)
+            calls = _counting_hulls(monkeypatch)
+            got = verify_by_hyperplanes(extremes, samples, degree, exact=exact)
+            monkeypatch.undo()
+            assert (got.verdict, got.planes_checked, got.counterexample) == reference
+            assert len(calls) <= got.planes_checked * 2
+            verdicts.add(got.verdict)
+        assert {"pass", "fail"} <= verdicts
+
+    def test_three_dimensional_fit_needs_few_lps(self, monkeypatch):
+        inst = build_fit_corpus(41, 1, (3,), (2,), (13, 18))[0]
+        calls = _counting_hulls(monkeypatch)
+        got = verify_by_hyperplanes(inst.extremes, inst.samples, inst.degree)
+        assert got.verdict == "pass" and got.planes_checked > 100
+        assert len(calls) < got.planes_checked / 3
+
+    def test_reused_splits_have_feasible_moment_lps(self, monkeypatch):
+        inst = build_fit_corpus(40, 1, (2,), (3,), (13, 18))[0]
+        splits = []  # [split, hulls_intersect calls it made]
+        real_split, real_hulls = alternation.split, alternation.hulls_intersect
+
+        def recorded_split(*args, **kwargs):
+            splits.append([real_split(*args, **kwargs), 0])
+            return splits[-1][0]
+
+        def counted(*args, **kwargs):
+            splits[-1][1] += 1
+            return real_hulls(*args, **kwargs)
+
+        monkeypatch.setattr(alternation, "split", recorded_split)
+        monkeypatch.setattr(alternation, "hulls_intersect", counted)
+        got = verify_by_hyperplanes(inst.extremes, inst.samples, inst.degree, exact=True)
+        monkeypatch.undo()
+        assert got.verdict == "pass"
+        reused = [sp for sp, calls in splits if calls == 0]
+        assert len(reused) >= 5
+        pts = inst.samples.view(True)[0]
+        for sp in reused:
+            plus = [pts[i] for i in sp.plus_side]
+            minus = [pts[i] for i in sp.minus_side]
+            assert hulls_intersect(plus, minus, inst.degree - 1, exact=True)

@@ -41,7 +41,6 @@ from .optimality import (
     caratheodory_reduce,
     check_hull_intersection,
     check_isolability,
-    check_linear_case,
     find_critical_point_set,
     hulls_intersect,
     verify_certificate,
@@ -84,7 +83,6 @@ __all__ = [
     "IsolabilityResult",
     "check_hull_intersection",
     "caratheodory_reduce",
-    "check_linear_case",
     "check_isolability",
     "find_critical_point_set",
     "hulls_intersect",

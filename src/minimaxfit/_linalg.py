@@ -73,36 +73,33 @@ def exact_solve(a: Sequence[Sequence[Number]], b: Sequence[Number]) -> Optional[
     return v[:-1]
 
 
-def float_nullspace_vector(rows: Sequence[Sequence[float]], rtol: float = _RTOL) -> Optional[np.ndarray]:
-    """A unit-norm v with A v ~ 0, or None when A is numerically full column rank."""
+def nullspace_vector(rows: Sequence[Sequence[Number]], exact: bool) -> Optional[list[Number]]:
+    """A non-zero v with A v = 0, or None when A has full column rank.
+
+    Float v is the last right singular vector, taken when the smallest
+    singular value is at most 1e-9 times the largest.
+    """
+    if exact:
+        return exact_nullspace(rows)[0]
     a = np.asarray(rows, dtype=float)
     if a.size == 0:
         return None
     _, sig, vh = np.linalg.svd(a)
-    ncols = a.shape[1]
-    if len(sig) < ncols:
-        return vh[-1]
-    if sig[0] == 0 or sig[-1] <= rtol * sig[0]:
-        return vh[-1]
+    if len(sig) < a.shape[1] or sig[0] == 0 or sig[-1] <= _RTOL * sig[0]:
+        return list(vh[-1])
     return None
 
 
-def nullspace_vector(rows, exact: bool):
-    if exact:
-        return exact_nullspace(rows)[0]
-    v = float_nullspace_vector(rows)
-    return None if v is None else list(v)
-
-
 def affine_normal(
-    points: Sequence[Sequence[Number]], exact: bool = False, rtol: float = _RTOL
+    points: Sequence[Sequence[Number]], exact: bool = False
 ) -> Optional[tuple[tuple[Number, ...], Number]]:
     """Hyperplane (u, a) with <u, p> = a through d points of R^d.
 
-    Returns None when the points are affinely dependent, in which case the
-    containing hyperplane is not unique.  Float normals are unit length with
-    the first significant component positive; exact normals are rational,
-    scaled so the first non-zero component equals 1.
+    Returns None when the points are affinely dependent (in float mode: the
+    smallest singular value of the differences is at most 1e-9 times the
+    largest), in which case the containing hyperplane is not unique.  Float
+    normals are unit length with the first significant component positive;
+    exact normals are rational, scaled so the first non-zero component equals 1.
     """
     d = len(points[0])
     if len(points) != d:
@@ -126,7 +123,7 @@ def affine_normal(
     base = np.asarray(points[0], dtype=float)
     diffs = np.asarray([np.asarray(p, dtype=float) - base for p in points[1:]])
     _, sig, vh = np.linalg.svd(diffs)
-    if sig[0] == 0 or sig[-1] <= rtol * sig[0]:
+    if sig[0] == 0 or sig[-1] <= _RTOL * sig[0]:
         return None
     u = vh[-1]
     lead = next((c for c in u if abs(c) > 1e-12), u[0])

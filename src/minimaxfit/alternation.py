@@ -10,6 +10,8 @@ certificate with support S+, S- (convex weights matching every lifted moment)
 is, zero elsewhere, a feasible point of the moment LP of any later split whose
 flipped classes hold S+ and S- one each, either way round, as the LP is
 symmetric in its sides.  So enumeration keeps the supports it has found.
+
+Every hull test is `hulls_intersect` on sample indices, over rows lifted once.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Optional, Sequence
 from ._linalg import affine_normal
 from .fitting import ExtremeSets, SampleSet
 from .monomials import Number
-from .optimality import check_linear_case, IntersectionCertificate, hulls_intersect
+from .optimality import IntersectionCertificate, check_hull_intersection, hulls_intersect
 
 PLANE_TOL = 1e-9
 _CANON_DECIMALS = 12
@@ -68,17 +70,15 @@ def split(
     normal: Sequence[Number],
     offset: Number,
     exact: bool = False,
-    plane_tol: float = PLANE_TOL,
 ) -> HyperplaneSplit:
     """Partition the extreme points by side of the hyperplane <u, x> = a.
 
-    Float normals are scaled to unit length before the tolerance test;
+    Float normals are scaled to unit length before the 1e-9 tolerance test;
     exact mode classifies with zero tolerance and keeps the normal rational.
     """
     if exact:
         u = [Fraction(c) for c in normal]
         a = Fraction(offset)
-        tol = 0
     else:
         u = [float(c) for c in normal]
         norm = math.sqrt(sum(c * c for c in u))
@@ -86,19 +86,19 @@ def split(
             raise ValueError("hyperplane normal must be non-zero")
         u = [c / norm for c in u]
         a = float(offset) / norm
-        tol = plane_tol
     if all(c == 0 for c in u):
         raise ValueError("hyperplane normal must be non-zero")
     if len(u) != samples.dimension:
         raise ValueError(f"normal has dimension {len(u)}, samples have {samples.dimension}")
 
-    pts = samples.view(exact)[0]
     classed = [(i, True) for i in extremes.plus] + [(i, False) for i in extremes.minus]
-    return _classify(classed, pts, u, a, tol)
+    return _classify(classed, samples, u, a, exact)
 
 
-def _classify(classed, pts, u, a, tol) -> HyperplaneSplit:
+def _classify(classed, samples: SampleSet, u, a, exact: bool) -> HyperplaneSplit:
     """Split (index, in E+) pairs by their side of <u, x> = a, flipping below the plane."""
+    pts = samples.view(exact)[0]
+    tol = 0 if exact else PLANE_TOL
     plus_side, minus_side, on_plus, on_minus = [], [], [], []
     for idx, positive_class in classed:
         s = sum(c * x for c, x in zip(u, pts[idx])) - a
@@ -113,23 +113,6 @@ def _classify(classed, pts, u, a, tol) -> HyperplaneSplit:
     )
 
 
-def _hull_check(pts, plus_idx, minus_idx, degree: int, exact: bool) -> Optional[bool]:
-    """Whether the indexed point classes meet at `degree`; None when both are empty."""
-    if not plus_idx and not minus_idx:
-        return None
-    return _support(pts, plus_idx, minus_idx, degree, exact) is not None
-
-
-def _support(pts, plus_idx, minus_idx, degree: int, exact: bool):
-    """Sample indices (S+, S-) of a degree-`degree` certificate for the indexed classes, or None."""
-    if not plus_idx or not minus_idx:
-        return None
-    found = hulls_intersect([pts[i] for i in plus_idx], [pts[i] for i in minus_idx], degree, exact)
-    if found is None:
-        return None
-    return frozenset(plus_idx[k] for k in found[0]), frozenset(minus_idx[k] for k in found[1])
-
-
 def check_split_condition(
     split_: HyperplaneSplit, samples: SampleSet, degree: int, exact: bool = False
 ) -> SplitCondition:
@@ -140,9 +123,14 @@ def check_split_condition(
     on-plane sign classes to meet.  A test whose two input sets are both
     empty is not applicable (None) rather than false.
     """
-    pts = samples.view(exact)[0]
-    reduction = _hull_check(pts, split_.plus_side, split_.minus_side, degree - 1, exact)
-    elimination = _hull_check(pts, split_.on_plane_plus, split_.on_plane_minus, degree, exact)
+
+    def meet(plus, minus, m) -> Optional[bool]:
+        if not plus and not minus:
+            return None
+        return hulls_intersect(samples, plus, minus, m, exact) is not None
+
+    reduction = meet(split_.plus_side, split_.minus_side, degree - 1)
+    elimination = meet(split_.on_plane_plus, split_.on_plane_minus, degree)
     if reduction:
         via: Optional[str] = "degree_reduction"
     elif elimination:
@@ -164,9 +152,10 @@ def _canonical_key(u, a, exact: bool):
     return tuple(round(float(c), _CANON_DECIMALS) for c in list(u) + [a])
 
 
-def _candidate_planes(idxs, pts, d, exact):
+def _candidate_planes(idxs, samples: SampleSet, exact: bool):
+    pts = samples.view(exact)[0]
     seen = set()
-    for combo in combinations(idxs, d):
+    for combo in combinations(idxs, samples.dimension):
         geom = affine_normal([pts[i] for i in combo], exact=exact)
         if geom is None:
             continue  # affinely dependent subset: plane not unique, excluded
@@ -199,7 +188,7 @@ def verify_by_hyperplanes(
     if degree < 1:
         raise ValueError("degree must be at least 1")
     if degree == 1:
-        outcome = check_linear_case(extremes, samples, exact)
+        outcome = check_hull_intersection(extremes, samples, 1, exact)
         verdict = "pass" if isinstance(outcome, IntersectionCertificate) else "fail"
         return HyperplaneVerdict(verdict, None, 0, warning="degree 1: direct hull check")
     if recursive and (samples.dimension != 1 or degree > 3):
@@ -211,16 +200,15 @@ def verify_by_hyperplanes(
         return HyperplaneVerdict(
             "vacuous", None, 0, warning=f"fewer than d = {d} extreme points"
         )
-    pts = samples.view(exact)[0]
 
     checked = 0
     supports: list = []  # (S+, S-) sample indices of every degree-(m-1) certificate found
-    for u, a in _candidate_planes(idxs, pts, d, exact):
+    for u, a in _candidate_planes(idxs, samples, exact):
         sp = split(extremes, samples, u, a, exact=exact)
         if recursive:
-            ok = _holds_recursive(sp, pts, degree, exact)
+            ok = _holds_recursive(sp, samples, degree, exact)
         else:
-            ok = _holds_reusing(sp, pts, degree, exact, supports)
+            ok = _holds_reusing(sp, samples, degree, exact, supports)
         checked += 1
         if not ok:
             return HyperplaneVerdict("fail", sp, checked)
@@ -231,34 +219,33 @@ def verify_by_hyperplanes(
     return HyperplaneVerdict("pass", None, checked)
 
 
-def _holds_reusing(sp: HyperplaneSplit, pts, degree: int, exact: bool, supports: list) -> bool:
+def _holds_reusing(sp: HyperplaneSplit, samples: SampleSet, degree: int, exact: bool, supports: list) -> bool:
     """`check_split_condition(...).holds`, with no LP where a stored support decides it."""
     plus, minus = set(sp.plus_side), set(sp.minus_side)
     if any(s <= plus and t <= minus or s <= minus and t <= plus for s, t in supports):
         return True
-    found = _support(pts, sp.plus_side, sp.minus_side, degree - 1, exact)
+    found = hulls_intersect(samples, sp.plus_side, sp.minus_side, degree - 1, exact)
     if found:
         supports.append(found)
         return True
-    return bool(_hull_check(pts, sp.on_plane_plus, sp.on_plane_minus, degree, exact))
+    return hulls_intersect(samples, sp.on_plane_plus, sp.on_plane_minus, degree, exact) is not None
 
 
-def _holds_recursive(sp: HyperplaneSplit, pts, degree: int, exact: bool) -> bool:
-    if _hull_check(pts, sp.on_plane_plus, sp.on_plane_minus, degree, exact):
+def _holds_recursive(sp: HyperplaneSplit, samples: SampleSet, degree: int, exact: bool) -> bool:
+    if hulls_intersect(samples, sp.on_plane_plus, sp.on_plane_minus, degree, exact):
         return True
-    return _verify_level(set(sp.plus_side), set(sp.minus_side), pts, degree - 1, exact)
+    return _verify_level(set(sp.plus_side), set(sp.minus_side), samples, degree - 1, exact)
 
 
-def _verify_level(plus, minus, pts, degree: int, exact: bool) -> bool:
+def _verify_level(plus, minus, samples: SampleSet, degree: int, exact: bool) -> bool:
     if not plus or not minus:
         return False
     if degree == 1:
-        return _hull_check(pts, sorted(plus), sorted(minus), 1, exact)
+        return hulls_intersect(samples, sorted(plus), sorted(minus), 1, exact) is not None
     idxs = sorted(plus | minus)
-    d = len(pts[idxs[0]])
     classed = [(i, i not in minus) for i in idxs]  # a point in both classes counts as E-
-    for u, a in _candidate_planes(idxs, pts, d, exact):
-        sp = _classify(classed, pts, u, a, 0 if exact else PLANE_TOL)
-        if not _holds_recursive(sp, pts, degree, exact):
+    for u, a in _candidate_planes(idxs, samples, exact):
+        sp = _classify(classed, samples, u, a, exact)
+        if not _holds_recursive(sp, samples, degree, exact):
             return False
     return True

@@ -11,6 +11,10 @@ small dense problems.
 
 Residuals follow the convention r(x) = f(x) - L(A, x), so the positive
 extreme set holds points where the target sits above the model.
+
+`SampleSet.lifted` is the one place a sample point is lifted; the fit and
+every verifier read their rows from it.  Rows are made on first request, once
+per (degree, arithmetic), so checking the extreme points lifts only those.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .lp import LinearProgram, LpFailure, solve, solve_exact
-from .monomials import Number, PolynomialModel, build_basis, evaluate, lift
+from .monomials import Number, PolynomialModel, build_basis, dot, evaluate, lift
 
 DUPLICATE_TOL = 1e-12
 DEGENERATE_PSI = 1e-12
@@ -54,6 +58,7 @@ class SampleSet:
         self.points: tuple[tuple[Number, ...], ...] = tuple(pts)
         self.values: tuple[Number, ...] = tuple(vals)
         self._views: dict[bool, tuple] = {}
+        self._lifted: dict[tuple[int, bool], tuple] = {}  # (degree, exact) -> (basis, rows)
 
     @staticmethod
     def _check_duplicates(pts):
@@ -84,6 +89,21 @@ class SampleSet:
             )
         return self._views[exact]
 
+    def lifted(self, indices: Sequence[int], degree: int, exact: bool) -> list[tuple[Number, ...]]:
+        """Rows lift(x_i) of the `view(exact)` points over the degree-`degree` basis, i in `indices`.
+
+        Each row is computed the first time it is asked for at this degree
+        and arithmetic, then shared by every later caller.
+        """
+        if (degree, exact) not in self._lifted:
+            self._lifted[degree, exact] = (build_basis(self.dimension, degree), [None] * len(self.points))
+        basis, rows = self._lifted[degree, exact]
+        pts = self.view(exact)[0]
+        for i in indices:
+            if rows[i] is None:
+                rows[i] = tuple(lift(pts[i], basis))
+        return [rows[i] for i in indices]
+
 
 @dataclass(frozen=True)
 class FitResult:
@@ -103,10 +123,6 @@ class ExtremeSets:
     degenerate: bool = False
 
 
-def _dot(coeffs, lifted):
-    return sum(c * g for c, g in zip(coeffs, lifted))
-
-
 def fit_minimax(samples: SampleSet, degree: int, exact: bool = False) -> FitResult:
     """Coefficients minimising max |f(x) - L(A, x)| over the sample set."""
     basis = build_basis(samples.dimension, degree)
@@ -115,10 +131,10 @@ def fit_minimax(samples: SampleSet, degree: int, exact: bool = False) -> FitResu
             f"basis size {basis.size} exceeds sample count {len(samples)}; fit is underdetermined",
             stacklevel=2,
         )
-    pts, vals = samples.view(exact)
-    lifts = [lift(p, basis) for p in pts]
+    vals = samples.view(exact)[1]
+    n = len(vals)
+    lifts = samples.lifted(range(n), degree, exact)
 
-    n = len(pts)
     nc = basis.size
     objective = [0] * nc + [1]
     bounds = [(None, None)] * nc + [(0, None)]
@@ -147,7 +163,7 @@ def fit_minimax(samples: SampleSet, degree: int, exact: bool = False) -> FitResu
         coeffs = sol.x[:nc]
         z = sol.x[nc]
 
-        residuals = [vals[i] - _dot(coeffs, lifts[i]) for i in range(n)]
+        residuals = [vals[i] - dot(coeffs, lifts[i]) for i in range(n)]
         worst_i = max(range(n), key=lambda i: (abs(residuals[i]), -i))
         worst = abs(residuals[worst_i])
         slack = 0 if exact else 1e-9 * max(1.0, float(z)) + 1e-12

@@ -98,12 +98,12 @@ class LpSolution:
     basis: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = field(default=None, repr=False, compare=False)
 
 
-def solve(lp: LinearProgram, tol: float = _TOL, max_iter: int = _MAX_ITER) -> LpSolution:
+def solve(lp: LinearProgram) -> LpSolution:
     """Two-phase simplex in float64.  Deterministic (Bland's rule)."""
-    return _solve(lp, exact=False, tol=tol, max_iter=max_iter)
+    return _solve(lp, exact=False)
 
 
-def solve_exact(lp: LinearProgram, max_iter: int = _MAX_ITER) -> LpSolution:
+def solve_exact(lp: LinearProgram) -> LpSolution:
     """Exact rational solution; status decisions carry no tolerance.
 
     The float simplex's optimal basis is certified over ``Fraction`` and its
@@ -113,14 +113,14 @@ def solve_exact(lp: LinearProgram, max_iter: int = _MAX_ITER) -> LpSolution:
     simplex runs over ``Fraction`` from scratch.
     """
     try:
-        guess = _solve(lp, exact=False, tol=_TOL, max_iter=max_iter)
+        guess = _solve(lp, exact=False)
     except (LpFailure, OverflowError, ZeroDivisionError):
         guess = None
     if guess is not None and guess.status == "optimal":
         certified = _certify(lp, *guess.basis, iterations=guess.iterations)
         if certified is not None:
             return certified
-    return _solve(lp, exact=True, tol=0.0, max_iter=max_iter)
+    return _solve(lp, exact=True)
 
 
 # --- standardisation -------------------------------------------------------
@@ -198,7 +198,7 @@ def _standard_form(lp: LinearProgram, conv):
     return col_terms, offsets, rows, rhs, costs
 
 
-def _solve(lp: LinearProgram, exact: bool, tol: float, max_iter: int) -> LpSolution:
+def _solve(lp: LinearProgram, exact: bool) -> LpSolution:
     conv = Fraction if exact else float
     dtype = object if exact else float
     col_terms, offsets, rows, rhs, costs = _standard_form(lp, conv)
@@ -236,11 +236,11 @@ def _solve(lp: LinearProgram, exact: bool, tol: float, max_iter: int) -> LpSolut
         costs1[:] = Fraction(0)
     for j in artificial:
         costs1[j] = conv(1)
-    obj, status, it1 = _simplex(T, basis, costs1, barred=frozenset(), tol=tol, max_iter=max_iter, phase=1)
+    obj, status, it1 = _simplex(T, basis, costs1, barred=frozenset(), phase=1)
     if status != "optimal":
         raise LpFailure("phase-1 simplex did not terminate", {"status": status, "iterations": it1})
     infeas = sum(T[i, -1] for i in range(m) if basis[i] in artificial)
-    if infeas > (0 if exact else tol):
+    if infeas > (0 if exact else _TOL):
         farkas = [(conv(1) - obj[art0 + i]) * factors[i] for i in range(m)]
         if not exact:
             farkas = [float(v) for v in farkas]
@@ -254,7 +254,7 @@ def _solve(lp: LinearProgram, exact: bool, tol: float, max_iter: int) -> LpSolut
         pivot_col = None
         for j in range(art0):
             entry = T[i, j]
-            if (entry != 0) if exact else (abs(entry) > tol):
+            if (entry != 0) if exact else (abs(entry) > _TOL):
                 pivot_col = j
                 break
         if pivot_col is None:
@@ -268,9 +268,7 @@ def _solve(lp: LinearProgram, exact: bool, tol: float, max_iter: int) -> LpSolut
 
     # phase 2: the real objective over structural columns
     costs2 = np.array(costs + [conv(0)] * m, dtype=dtype)
-    obj, status, it2 = _simplex(
-        T, basis, costs2, barred=frozenset(artificial), tol=tol, max_iter=max_iter, phase=2
-    )
+    obj, status, it2 = _simplex(T, basis, costs2, barred=frozenset(artificial), phase=2)
     if status == "unbounded":
         return LpSolution("unbounded", iterations=it1 + it2)
     if status != "optimal":
@@ -353,10 +351,11 @@ def _pivot(T: np.ndarray, row: int, col: int):
     T -= np.outer(column, T[row, :])
 
 
-def _simplex(T, basis, costs, barred, tol, max_iter, phase):
+def _simplex(T, basis, costs, barred, phase):
     """Minimise costs.x from the current basic feasible point.  Bland's rule."""
     m, ncols = T.shape
     exact = T.dtype == object
+    tol = _TOL
     obj = costs.copy()
     for i in range(m):
         cb = costs[basis[i]]
@@ -406,14 +405,14 @@ def _simplex(T, basis, costs, barred, tol, max_iter, phase):
             obj = obj - red * T[leaving, : ncols - 1]
 
         it += 1
-        if it > max_iter:
+        if it > _MAX_ITER:
             raise LpFailure(
-                f"simplex exceeded {max_iter} iterations in phase {phase}",
+                f"simplex exceeded {_MAX_ITER} iterations in phase {phase}",
                 {"phase": phase, "iterations": it, "rows": m, "cols": ncols - 1},
             )
 
 
-def verify_farkas(lp: LinearProgram, farkas: Sequence[Number], exact: bool = False, tol: float = _TOL) -> bool:
+def verify_farkas(lp: LinearProgram, farkas: Sequence[Number], exact: bool = False) -> bool:
     """Check an infeasibility witness against the standardised encoding.
 
     The witness `y` must combine the substituted rows (original rows first,
@@ -426,7 +425,7 @@ def verify_farkas(lp: LinearProgram, farkas: Sequence[Number], exact: bool = Fal
     if len(farkas) != len(sub_rows):
         return False
     y = [conv(v) for v in farkas]
-    slack = 0 if exact else tol
+    slack = 0 if exact else _TOL
     for j in range(ncols):
         combo = sum(yi * row[j] for yi, (row, _, _) in zip(y, sub_rows))
         if combo > slack:
@@ -437,4 +436,4 @@ def verify_farkas(lp: LinearProgram, farkas: Sequence[Number], exact: bool = Fal
         if rel == GREATER and yi < -slack:
             return False
     total = sum(yi * rhs for yi, (_, _, rhs) in zip(y, sub_rows))
-    return total > (0 if exact else tol)
+    return total > (0 if exact else _TOL)

@@ -121,10 +121,14 @@ class PolynomialModel:
         return evaluate(self, point)
 
 
+def dot(coeffs: Sequence[Number], lifted: Sequence[Number]) -> Number:
+    """Inner product of a coefficient vector with a lifted point."""
+    return sum(c * g for c, g in zip(coeffs, lifted))
+
+
 def evaluate(model: PolynomialModel, point: Sequence[Number]) -> Number:
     """Polynomial value: inner product of the coefficients with lift(point)."""
-    lifted = lift(point, model.basis)
-    return sum(c * g for c, g in zip(model.coefficients, lifted))
+    return dot(model.coefficients, lift(point, model.basis))
 
 
 WeightTriple = tuple[Number, Number, Number]  # (convex weight, factor, scalar value)

@@ -7,6 +7,9 @@ infeasible, the Farkas multipliers assemble into a polynomial of the same
 degree that strictly separates the two extreme sets, which is the classical
 separability (isolability) view of non-optimality.  Both views are exposed
 and must agree; tests lean on that cross-check.
+
+Every verifier reads its lifted rows from `SampleSet.lifted`, and
+`hulls_intersect` is the one indexed hull test of reduction and alternation.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from typing import Optional, Sequence, Union
 from ._linalg import nullspace_vector
 from .fitting import ExtremeSets, SampleSet
 from .lp import LinearProgram, LpFailure, solve, solve_exact
-from .monomials import MonomialBasis, Number, PolynomialModel, build_basis, evaluate, lift
+from .monomials import MonomialBasis, Number, PolynomialModel, build_basis, dot, evaluate
+from .monomials import lift  # unused here, kept because bench/tracing.py counts optimality.lift
 
 MOMENT_TOL = 1e-8
 ISOLABLE_MARGIN = 1e-9
@@ -96,15 +100,15 @@ def _moment_residual(plus_lifted, minus_lifted, alpha, beta) -> Number:
     return worst
 
 
-def _margins(model: PolynomialModel, plus_pts, minus_pts):
-    plus_margin = min((evaluate(model, x) for x in plus_pts), default=None)
-    minus_margin = max((evaluate(model, y) for y in minus_pts), default=None)
+def _margins(model: PolynomialModel, plus_lifted, minus_lifted):
+    plus_margin = min((dot(model.coefficients, u) for u in plus_lifted), default=None)
+    minus_margin = max((dot(model.coefficients, v) for v in minus_lifted), default=None)
     return plus_margin, minus_margin
 
 
-def _normalized_witness(coeffs, basis, plus_pts, minus_pts) -> Optional[SeparationWitness]:
+def _normalized_witness(coeffs, basis, plus_lifted, minus_lifted) -> Optional[SeparationWitness]:
     model = PolynomialModel(basis, tuple(coeffs))
-    plus_margin, minus_margin = _margins(model, plus_pts, minus_pts)
+    plus_margin, minus_margin = _margins(model, plus_lifted, minus_lifted)
     gaps = []
     if plus_margin is not None:
         gaps.append(plus_margin)
@@ -114,15 +118,15 @@ def _normalized_witness(coeffs, basis, plus_pts, minus_pts) -> Optional[Separati
     if t <= 0:
         return None
     scaled = PolynomialModel(basis, tuple(c / t for c in coeffs))
-    plus_margin, minus_margin = _margins(scaled, plus_pts, minus_pts)
+    plus_margin, minus_margin = _margins(scaled, plus_lifted, minus_lifted)
     return SeparationWitness(scaled, plus_margin, minus_margin)
 
 
-def _constant_witness(basis: MonomialBasis, sign: int, plus_pts, minus_pts) -> SeparationWitness:
+def _constant_witness(basis: MonomialBasis, sign: int, plus_lifted, minus_lifted) -> SeparationWitness:
     coeffs = [0] * basis.size
     coeffs[0] = sign
     model = PolynomialModel(basis, tuple(coeffs))
-    plus_margin, minus_margin = _margins(model, plus_pts, minus_pts)
+    plus_margin, minus_margin = _margins(model, plus_lifted, minus_lifted)
     return SeparationWitness(model, plus_margin, minus_margin)
 
 
@@ -142,26 +146,32 @@ def _max_margin(plus_lifted, minus_lifted, width, exact: bool):
     return sol.x[width], sol.x[:width]
 
 
-def hulls_intersect(plus_points, minus_points, degree: int, exact: bool = False) -> Optional[tuple]:
-    """Where the lifted degree-`degree` hulls of two raw point lists meet, or None.
+def hulls_intersect(
+    samples: SampleSet, plus: Sequence[int], minus: Sequence[int], degree: int, exact: bool = False
+) -> Optional[tuple[frozenset, frozenset]]:
+    """Where the lifted degree-`degree` hulls of two indexed sample classes meet, or None.
 
-    Returns (plus positions, minus positions): where in each list one
-    moment-matching solution puts strictly positive weight, taken with no
-    tolerance in either arithmetic.  Those points' hulls meet on their own.
-    None, which is falsy, when the hulls do not meet or a list is empty.
+    Returns (S+, S-), the sample indices on which one moment-matching
+    solution puts strictly positive weight, taken with no tolerance in either
+    arithmetic; those points' hulls meet on their own.  A sample in both
+    classes is such a solution by itself (weight one on each side matches
+    every moment), so it is returned with no LP.  None, which is falsy, when
+    the hulls do not meet or a class is empty.
     """
-    if not plus_points or not minus_points:
+    if not plus or not minus:
         return None
-    d = len(plus_points[0])
-    basis = build_basis(d, degree)
-    plus_lifted = [lift(p, basis) for p in plus_points]
-    minus_lifted = [lift(p, basis) for p in minus_points]
+    shared = set(plus).intersection(minus)
+    if shared:
+        i = min(shared)
+        return frozenset((i,)), frozenset((i,))
+    plus_lifted = samples.lifted(plus, degree, exact)
+    minus_lifted = samples.lifted(minus, degree, exact)
     sol = (solve_exact if exact else solve)(_moment_lp(plus_lifted, minus_lifted))
     if sol.status != "optimal":
         return None
-    p = len(plus_points)
+    p = len(plus)
     positive = [k for k, w in enumerate(sol.x) if w > 0]
-    return tuple(k for k in positive if k < p), tuple(k - p for k in positive if k >= p)
+    return frozenset(plus[k] for k in positive if k < p), frozenset(minus[k - p] for k in positive if k >= p)
 
 
 def check_hull_intersection(
@@ -174,7 +184,6 @@ def check_hull_intersection(
     degree-`degree` polynomial separating E+ from E-, normalised so the
     smaller margin is one.
     """
-    pts = samples.view(exact)[0]
     basis = build_basis(samples.dimension, degree)
 
     if extremes.degenerate:
@@ -184,15 +193,11 @@ def check_hull_intersection(
         return IntersectionCertificate(
             degree, tuple(extremes.plus), tuple(extremes.minus), alpha, beta, 0, exact
         )
-    plus_pts = [pts[i] for i in extremes.plus]
-    minus_pts = [pts[i] for i in extremes.minus]
-    if not extremes.plus:
-        return _constant_witness(basis, -1, plus_pts, minus_pts)
-    if not extremes.minus:
-        return _constant_witness(basis, 1, plus_pts, minus_pts)
+    plus_lifted = samples.lifted(extremes.plus, degree, exact)
+    minus_lifted = samples.lifted(extremes.minus, degree, exact)
+    if not extremes.plus or not extremes.minus:
+        return _constant_witness(basis, 1 if extremes.plus else -1, plus_lifted, minus_lifted)
 
-    plus_lifted = [lift(p, basis) for p in plus_pts]
-    minus_lifted = [lift(p, basis) for p in minus_pts]
     sol = (solve_exact if exact else solve)(_moment_lp(plus_lifted, minus_lifted))
     if sol.status == "optimal":
         p = len(plus_lifted)
@@ -210,12 +215,12 @@ def check_hull_intersection(
     lam_plus, lam_minus = y[0], y[1]
     half = Fraction(1, 2) if exact else 0.5
     coeffs = [-(lam_plus - lam_minus) * half] + [-ck for ck in y[2:]]
-    witness = _normalized_witness(coeffs, basis, plus_pts, minus_pts)
+    witness = _normalized_witness(coeffs, basis, plus_lifted, minus_lifted)
     if witness is None:
         # float-mode Farkas too noisy to give strict margins; fall back to the
         # margin-maximising LP, which must separate if the moment LP is infeasible
         t, coeffs = _max_margin(plus_lifted, minus_lifted, basis.size, exact)
-        witness = _normalized_witness(coeffs, basis, plus_pts, minus_pts)
+        witness = _normalized_witness(coeffs, basis, plus_lifted, minus_lifted)
         if witness is None:
             raise LpFailure(
                 "moment system infeasible but no strict separator found (degenerate instance)",
@@ -224,29 +229,15 @@ def check_hull_intersection(
     return witness
 
 
-def check_linear_case(
-    extremes: ExtremeSets, samples: SampleSet, exact: bool = False
-) -> VerificationOutcome:
-    """Hull intersection of the extreme sets directly in R^d (degree 1)."""
-    return check_hull_intersection(extremes, samples, 1, exact)
-
-
-def caratheodory_reduce(
-    cert: IntersectionCertificate,
-    samples: SampleSet,
-    degree: Optional[int] = None,
-    exact: Optional[bool] = None,
-) -> IntersectionCertificate:
+def caratheodory_reduce(cert: IntersectionCertificate, samples: SampleSet) -> IntersectionCertificate:
     """Equivalent certificate supported on at most n_m + 2 points in total.
 
-    Iterates affine-dependence elimination on the combined lifted system:
-    while the support is too large, a null direction of the active columns
-    shifts weight until some entry hits zero.  Moments and the per-side
-    normalisations are preserved.
+    Iterates affine-dependence elimination on the combined lifted system, at
+    the certificate's degree and in its arithmetic: while the support is too
+    large, a null direction of the active columns shifts weight until some
+    entry hits zero.  Moments and the per-side normalisations are preserved.
     """
-    degree = cert.degree if degree is None else degree
-    exact = cert.exact if exact is None else exact
-    pts = samples.view(exact)[0]
+    degree, exact = cert.degree, cert.exact
     basis = build_basis(samples.dimension, degree)
     target = basis.nonconstant_count + 2
 
@@ -257,8 +248,9 @@ def caratheodory_reduce(
     def support():
         return [k for k, (_, _, w) in enumerate(entries) if w > support_tol]
 
-    # the support only shrinks, so lifting its starting members covers every round
-    lifted = {k: lift(pts[entries[k][1]], basis) for k in support()}
+    # the support only shrinks, so the rows of its starting members cover every round
+    start = support()
+    lifted = dict(zip(start, samples.lifted([entries[k][1] for k in start], degree, exact)))
     while True:
         live = support()
         if len(live) <= target:
@@ -316,23 +308,20 @@ def check_isolability(
 ) -> IsolabilityResult:
     """Strict separability of E+ and E- by a polynomial of the given degree.
 
-    Maximises the margin t subject to <A, lift(x)> >= t on E+, <= -t on E-
+    Maximises the margin t subject to L(A, x) >= t on E+, <= -t on E-
     and |A|_inf <= 1; the sets are isolable when the optimum exceeds 1e-9
     (exactly positive in rational mode).
     """
     if not extremes.plus and not extremes.minus:
         raise ValueError("both extreme sets are empty")
-    pts = samples.view(exact)[0]
     basis = build_basis(samples.dimension, degree)
-    plus_pts = [pts[i] for i in extremes.plus]
-    minus_pts = [pts[i] for i in extremes.minus]
-    plus_lifted = [lift(p, basis) for p in plus_pts]
-    minus_lifted = [lift(p, basis) for p in minus_pts]
+    plus_lifted = samples.lifted(extremes.plus, degree, exact)
+    minus_lifted = samples.lifted(extremes.minus, degree, exact)
     t, coeffs = _max_margin(plus_lifted, minus_lifted, basis.size, exact)
     isolable = (t > 0) if exact else (t > ISOLABLE_MARGIN)
     witness = None
     if isolable:
-        witness = _normalized_witness(coeffs, basis, plus_pts, minus_pts)
+        witness = _normalized_witness(coeffs, basis, plus_lifted, minus_lifted)
     return IsolabilityResult(isolable=isolable, margin=t, witness=witness)
 
 
@@ -369,15 +358,10 @@ def find_critical_point_set(
     return sorted(plus | minus)
 
 
-def verify_certificate(
-    cert: IntersectionCertificate, samples: SampleSet, degree: Optional[int] = None
-) -> Number:
-    """Replay certificate weights through the monomial layer; returns the residual."""
-    degree = cert.degree if degree is None else degree
-    pts = samples.view(cert.exact)[0]
-    basis = build_basis(samples.dimension, degree)
-    plus_lifted = [lift(pts[i], basis) for i in cert.plus_indices]
-    minus_lifted = [lift(pts[i], basis) for i in cert.minus_indices]
+def verify_certificate(cert: IntersectionCertificate, samples: SampleSet) -> Number:
+    """Replay certificate weights over the lifted samples; returns the worst moment residual."""
+    plus_lifted = samples.lifted(cert.plus_indices, cert.degree, cert.exact)
+    minus_lifted = samples.lifted(cert.minus_indices, cert.degree, cert.exact)
     return _moment_residual(plus_lifted, minus_lifted, cert.alpha, cert.beta)
 
 

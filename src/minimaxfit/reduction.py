@@ -7,6 +7,11 @@ must intersect in plain R^d (or one side must have been emptied, which
 passes vacuously).  The underlying shift identity is valid for every legal
 (dimension, variant) choice, so necessity demands that every branch pass;
 the exhaustive strategy enumerates them all.
+
+The closing test runs `hulls_intersect` on the survivors' own coordinates:
+each step maps one coordinate of every survivor by the same affine bijection
+(x -> x - delta, or top - x), which maps hulls onto hulls and so cannot change
+whether degree-1 hulls meet.  The shifted coordinates only decide removals.
 """
 
 from __future__ import annotations
@@ -73,7 +78,8 @@ def _branches(strategy: Strategy, dimension: int, degree: int):
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def _run_branch(branch, plus0, minus0, pts, degree, exact):
+def _run_branch(branch, plus0, minus0, samples: SampleSet, degree, exact):
+    pts = samples.view(exact)[0]
     coords = {i: list(pts[i]) for i in plus0 | minus0}
     plus, minus = set(plus0), set(minus0)
     mcur = degree
@@ -105,9 +111,7 @@ def _run_branch(branch, plus0, minus0, pts, degree, exact):
     if not plus or not minus:
         verdict = "vacuous"
     else:
-        plus_pts = [tuple(coords[i]) for i in sorted(plus)]
-        minus_pts = [tuple(coords[i]) for i in sorted(minus)]
-        verdict = "pass" if hulls_intersect(plus_pts, minus_pts, 1, exact) else "fail"
+        verdict = "pass" if hulls_intersect(samples, sorted(plus), sorted(minus), 1, exact) else "fail"
     return ReductionTrace(tuple((j + 1, v) for j, v in branch), tuple(steps), verdict)
 
 
@@ -127,14 +131,13 @@ def reduce_and_verify(
         raise ValueError("degree must be at least 1")
     if not extremes.plus or not extremes.minus:
         raise ValueError("both extreme sets must be non-empty")
-    pts = samples.view(exact)[0]
     plus0, minus0 = set(extremes.plus), set(extremes.minus)
 
     traces = []
     vacuous = 0
     any_fail = False
     for branch in _branches(strategy, samples.dimension, degree):
-        trace = _run_branch(branch, plus0, minus0, pts, degree, exact)
+        trace = _run_branch(branch, plus0, minus0, samples, degree, exact)
         traces.append(trace)
         if trace.verdict == "fail":
             any_fail = True

@@ -3,6 +3,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from minimaxfit import (
     ExtremeSets,
     IntersectionCertificate,
+    LpFailure,
     PolynomialModel,
     SampleSet,
     build_basis,
@@ -23,7 +25,8 @@ from minimaxfit import (
     split,
     verify_by_hyperplanes,
 )
-from minimaxfit import alternation
+from minimaxfit import alternation, optimality
+from minimaxfit._linalg import affine_normal
 from minimaxfit.alternation import _candidate_planes
 
 from support import build_fit_corpus, random_samples, synthetic_univariate
@@ -197,10 +200,9 @@ class TestVerifyByHyperplanes:
 
 def _every_plane_verdict(extremes, samples, degree, exact):
     """(verdict, planes checked, counterexample) from `check_split_condition` on every plane."""
-    pts = samples.view(exact)[0]
     idxs = sorted(set(extremes.plus) | set(extremes.minus))
     checked = 0
-    for u, a in _candidate_planes(idxs, pts, samples.dimension, exact):
+    for u, a in _candidate_planes(idxs, samples, exact):
         sp = split(extremes, samples, u, a, exact=exact)
         checked += 1
         if not check_split_condition(sp, samples, degree, exact).holds:
@@ -240,7 +242,7 @@ def _counting_hulls(monkeypatch):
     real = alternation.hulls_intersect
 
     def counted(*args, **kwargs):
-        calls.append(args[2])
+        calls.append(args[3])
         return real(*args, **kwargs)
 
     monkeypatch.setattr(alternation, "hulls_intersect", counted)
@@ -288,8 +290,32 @@ class TestCertificateReuse:
         assert got.verdict == "pass"
         reused = [sp for sp, calls in splits if calls == 0]
         assert len(reused) >= 5
-        pts = inst.samples.view(True)[0]
         for sp in reused:
-            plus = [pts[i] for i in sp.plus_side]
-            minus = [pts[i] for i in sp.minus_side]
-            assert hulls_intersect(plus, minus, inst.degree - 1, exact=True)
+            assert hulls_intersect(inst.samples, sp.plus_side, sp.minus_side, inst.degree - 1, exact=True)
+
+
+def test_shared_points_meet_without_an_lp(monkeypatch):
+    """Every index in both classes: each split's two sides share a point, so every plane holds.
+
+    The float moment LP of such splits can fail (a 3-D degenerate least-squares
+    model raised "optimal point violates row 0"); a shared point needs no LP.
+    """
+
+    def no_lp(lp):
+        raise LpFailure("no moment LP expected")
+
+    monkeypatch.setattr(optimality, "solve", no_lp)
+    rng = random.Random(43)
+    for d, m in [(1, 3), (2, 3), (3, 4)]:
+        samples = random_samples(rng, d, 10)
+        every = tuple(range(len(samples)))
+        extremes = ExtremeSets(plus=every, minus=every, psi=0.0, rel_tol=1e-8, degenerate=True)
+        planes = 0
+        for combo in combinations(every, d):
+            geom = affine_normal([samples.points[i] for i in combo])
+            if geom is None:
+                continue
+            sp = split(extremes, samples, *geom)
+            assert check_split_condition(sp, samples, m).holds
+            planes += 1
+        assert planes > 0

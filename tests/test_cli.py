@@ -1,5 +1,6 @@
 """CSV ingestion, grid generation, the expression parser, and CLI runs."""
 
+import importlib.util
 import json
 import math
 import os
@@ -10,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import minimaxfit
-from minimaxfit import LpFailure
+from minimaxfit import LpFailure, fitting
 from minimaxfit.cli import (
     Expression,
     ExpressionError,
@@ -229,6 +230,25 @@ class TestRunPipeline:
                 assert report[section]["verdict"] == "pass"
                 assert report[section]["note"].startswith("exact fit")
 
+    @pytest.mark.parametrize("shift", [0.0, 0.05])
+    def test_verify_lifts_only_the_extreme_points(self, tmp_path, monkeypatch, shift):
+        # shift 0: the fit's own model (certificate); 0.05: a non-optimal one (witness)
+        grid = "-1,1:-1,1;9;uniform;x1^3*x2+x2^4"
+        _, fit = run(RunConfig(command="fit", grid=grid, degree=3))
+        model = dict(fit["model"], coefficients=[fit["model"]["coefficients"][0] + shift]
+                     + fit["model"]["coefficients"][1:])
+        coeffs = tmp_path / "c.json"
+        coeffs.write_text(json.dumps(model))
+        lifted = []
+        real = fitting.lift
+        monkeypatch.setattr(fitting, "lift", lambda p, basis: lifted.append(p) or real(p, basis))
+        code, report = run(RunConfig(command="verify", grid=grid, coeffs=str(coeffs)))
+        assert code == (0 if shift == 0 else 2)
+        pts = parse_grid_spec(grid).view(False)[0]
+        extremes = set(report["extremes"]["plus"]) | set(report["extremes"]["minus"])
+        assert sorted(lifted) == sorted(pts[i] for i in extremes)
+        assert len(lifted) < len(pts) / 4
+
 
 class TestKnownLpFailures:
     """Float-LP crashes on Baseline grids, kept until the LP kernel recovers from them."""
@@ -341,3 +361,14 @@ class TestMainEntry:
         assert code == 0
         assert report["arithmetic"] == "float"
         assert isinstance(report["psi"], float)
+
+
+def test_traced_names_resolve():
+    """Every binding the benchmark's tracer wraps exists, and so does the entry it runs."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, attr, _ in tracing.SPANS + tracing.COUNTERS:
+        assert callable(getattr(importlib.import_module(f"minimaxfit.{module}"), attr, None)), (module, attr)
+    assert callable(minimaxfit.cli.run)

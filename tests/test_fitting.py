@@ -12,12 +12,16 @@ from minimaxfit import (
     SampleSet,
     build_basis,
     check_hull_intersection,
+    check_isolability,
     compute_psi,
     count_alternations,
     extreme_sets,
     fit_minimax,
+    lift,
     partition_extremes,
+    verify_by_hyperplanes,
 )
+from minimaxfit import fitting
 
 from support import build_fit_corpus, random_samples
 
@@ -64,6 +68,43 @@ class TestSampleSet:
             assert all(type(c) is kind for p in pts for c in p)
             assert all(type(v) is kind for v in vals)
             assert pts[1][1] == (Fraction(1, 3) if exact else 1 / 3)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_lifted_rows_equal_lift_bit_for_bit(self, exact):
+        def bits(row):
+            return [(type(v), v.hex() if isinstance(v, float) else v) for v in row]
+
+        samples = random_samples(random.Random(5), 2, 12)
+        pts = samples.view(exact)[0]
+        order = [7, 0, 11, 3, 7]
+        for degree in (0, 1, 3):
+            basis = build_basis(2, degree)
+            rows = samples.lifted(order, degree, exact)
+            assert [bits(r) for r in rows] == [bits(lift(pts[i], basis)) for i in order]
+
+    def test_lifts_each_point_once_per_degree_and_arithmetic(self, monkeypatch):
+        calls = []
+        real = fitting.lift
+
+        def counted(point, basis):
+            calls.append((type(point[0]), point, basis.degree))
+            return real(point, basis)
+
+        monkeypatch.setattr(fitting, "lift", counted)
+        samples = random_samples(random.Random(6), 2, 14)
+        fit = fit_minimax(samples, 2)
+        assert len(calls) == len(samples)
+        extremes = partition_extremes(fit.residuals)
+        check_hull_intersection(extremes, samples, 2)
+        check_isolability(extremes, samples, 2)
+        assert len(calls) == len(samples)  # the verifiers reuse the fit's rows
+        verify_by_hyperplanes(extremes, samples, 2)
+        for exact in (False, True):
+            for degree in (1, 2):
+                samples.lifted([3, 1, 3], degree, exact)
+                samples.lifted(range(len(samples)), degree, exact)
+        assert len(calls) == 4 * len(samples)
+        assert len(set(calls)) == len(calls)
 
 
 class TestFitMinimax:

@@ -166,7 +166,7 @@ def test_row_width_validation():
 
 
 def _from_scratch(lp):
-    return lp_module._solve(lp, exact=True, tol=0.0, max_iter=lp_module._MAX_ITER)
+    return lp_module._solve(lp, exact=True)
 
 
 def _holds_exactly(lp, x):
@@ -250,10 +250,10 @@ def test_crossover_matches_rational_simplex(exact_corpus):
 def test_failed_float_guess_falls_back(monkeypatch, exact_corpus, error):
     real = lp_module._solve
 
-    def float_fails(lp, exact, tol, max_iter):
+    def float_fails(lp, exact):
         if not exact:
             raise error
-        return real(lp, exact, tol, max_iter)
+        return real(lp, exact)
 
     monkeypatch.setattr(lp_module, "_solve", float_fails)
     for lp, ref in exact_corpus[::6]:
@@ -268,10 +268,10 @@ def _wrong_basis_guess(monkeypatch, pick_basis):
     real = lp_module._solve
     fallbacks = []
 
-    def guess(lp, exact, tol, max_iter):
+    def guess(lp, exact):
         if exact:
             fallbacks.append(lp)
-            return real(lp, exact, tol, max_iter)
+            return real(lp, exact)
         basis = pick_basis(lp, len(lp_module._standard_form(lp, float)[2]))
         return lp_module.LpSolution("optimal", x=[0.0] * lp.num_vars, basis=basis)
 

@@ -15,7 +15,6 @@ from minimaxfit import (
     caratheodory_reduce,
     check_hull_intersection,
     check_isolability,
-    check_linear_case,
     extreme_sets,
     find_critical_point_set,
     fit_minimax,
@@ -142,18 +141,18 @@ class TestLinearCase:
     def test_point_inside_interval(self):
         samples = SampleSet([(-0.5,), (1.0,), (0.5,)], [0, 0, 0])
         extremes = ExtremeSets(plus=(0, 1), minus=(2,), psi=1.0, rel_tol=0.0)
-        out = check_linear_case(extremes, samples)
+        out = check_hull_intersection(extremes, samples, 1)
         assert isinstance(out, IntersectionCertificate)
 
     def test_distinct_singletons_separable(self):
         samples = SampleSet([(0.0, 0.0), (1.0, 1.0)], [0, 0])
         extremes = ExtremeSets(plus=(0,), minus=(1,), psi=1.0, rel_tol=0.0)
-        assert isinstance(check_linear_case(extremes, samples), SeparationWitness)
+        assert isinstance(check_hull_intersection(extremes, samples, 1), SeparationWitness)
 
     def test_shared_point_certificate(self):
         samples = SampleSet([(0.3, 0.7)], [0])
         extremes = ExtremeSets(plus=(0,), minus=(0,), psi=1.0, rel_tol=0.0)
-        cert = check_linear_case(extremes, samples, exact=True)
+        cert = check_hull_intersection(extremes, samples, 1, exact=True)
         assert isinstance(cert, IntersectionCertificate)
         assert cert.alpha == (1,) and cert.beta == (1,)
 

@@ -1,5 +1,6 @@
 """Point-reduction necessary-condition checks and their trace contracts."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from minimaxfit import (
     check_hull_intersection,
     extreme_sets,
     fit_minimax,
+    hulls_intersect,
     reduce_and_verify,
 )
 
@@ -173,3 +175,50 @@ class TestCorpusProperties:
             if alternating and n >= m + 1:
                 assert cert_pass == red_pass, signs
         print(f"univariate reduction/certificate agreement: {agree}/{total}")
+
+
+def _shifted_survivors(samples, extremes, trace):
+    """A branch's survivors at their shifted coordinates, replayed from the trace's deltas.
+
+    Returns (SampleSet of the survivors, plus positions, minus positions).
+    """
+    pts = samples.view(True)[0]
+    plus, minus = set(extremes.plus), set(extremes.minus)
+    coords = {i: list(pts[i]) for i in plus | minus}
+    for step in trace.steps:
+        j = step.dimension - 1
+        for i in plus | minus:
+            # min: x - delta; max, where delta = -top: top - x
+            x = coords[i][j]
+            coords[i][j] = x - step.delta if step.variant == "min" else -step.delta - x
+        assert {i for i in plus | minus if coords[i][j] == 0} == set(step.removed)
+        plus -= set(step.removed)
+        minus -= set(step.removed)
+    survivors = sorted(plus | minus)
+    position = {i: k for k, i in enumerate(survivors)}
+    shifted = SampleSet([coords[i] for i in survivors], [0] * len(survivors)) if survivors else None
+    return shifted, [position[i] for i in sorted(plus)], [position[i] for i in sorted(minus)]
+
+
+def test_closing_test_is_invariant_under_the_shifts():
+    """Each branch's verdict, taken on the unshifted samples, equals the hull test of its shifted survivors."""
+    corpus = build_fit_corpus(seed=814, count=12, dims=(1, 2, 3), degrees=(2, 3), point_range=(8, 18))
+    seen = set()
+    for inst in corpus:
+        ext = inst.extremes
+        if ext.degenerate or not ext.plus or not ext.minus:
+            continue
+        # the optimal sets, then sets with one extreme point fewer, which some branches fail on
+        for extremes in (ext, replace(ext, plus=ext.plus[1:]), replace(ext, minus=ext.minus[1:])):
+            if not extremes.plus or not extremes.minus:
+                continue
+            report = reduce_and_verify(extremes, inst.samples, inst.degree, exact=True)
+            for trace in report.traces:
+                shifted, plus, minus = _shifted_survivors(inst.samples, extremes, trace)
+                seen.add(trace.verdict)
+                if trace.verdict == "vacuous":
+                    assert not plus or not minus
+                    continue
+                meet = hulls_intersect(shifted, plus, minus, 1, exact=True) is not None
+                assert meet == (trace.verdict == "pass"), trace
+    assert {"pass", "fail"} <= seen

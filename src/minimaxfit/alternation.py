@@ -92,11 +92,6 @@ def split(
         raise ValueError(f"normal has dimension {len(u)}, samples have {samples.dimension}")
 
     classed = [(i, True) for i in extremes.plus] + [(i, False) for i in extremes.minus]
-    return _classify(classed, samples, u, a, exact)
-
-
-def _classify(classed, samples: SampleSet, u, a, exact: bool) -> HyperplaneSplit:
-    """Split (index, in E+) pairs by their side of <u, x> = a, flipping below the plane."""
     pts = samples.view(exact)[0]
     tol = 0 if exact else PLANE_TOL
     plus_side, minus_side, on_plus, on_minus = [], [], [], []
@@ -172,7 +167,6 @@ def verify_by_hyperplanes(
     samples: SampleSet,
     degree: int,
     exact: bool = False,
-    recursive: bool = False,
 ) -> HyperplaneVerdict:
     """Check every hyperplane through d affinely independent extreme points.
 
@@ -181,9 +175,7 @@ def verify_by_hyperplanes(
     stored degree-(m-1) support (see the module docstring) holds with no LP,
     and point elimination runs only when degree reduction fails; verdict,
     count and counterexample equal those of `check_split_condition` on every
-    plane.  Degree 1 delegates to the direct hull check.  `recursive=True`
-    (univariate, degree <= 3 only) recurses the degree reduction down to the
-    linear base case instead of closing with one moment LP.
+    plane.  Degree 1 delegates to the direct hull check.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
@@ -191,8 +183,6 @@ def verify_by_hyperplanes(
         outcome = check_hull_intersection(extremes, samples, 1, exact)
         verdict = "pass" if isinstance(outcome, IntersectionCertificate) else "fail"
         return HyperplaneVerdict(verdict, None, 0, warning="degree 1: direct hull check")
-    if recursive and (samples.dimension != 1 or degree > 3):
-        raise ValueError("full recursion is supported for d = 1, degree <= 3 only")
 
     d = samples.dimension
     idxs = sorted(set(extremes.plus) | set(extremes.minus))
@@ -205,12 +195,8 @@ def verify_by_hyperplanes(
     supports: list = []  # (S+, S-) sample indices of every degree-(m-1) certificate found
     for u, a in _candidate_planes(idxs, samples, exact):
         sp = split(extremes, samples, u, a, exact=exact)
-        if recursive:
-            ok = _holds_recursive(sp, samples, degree, exact)
-        else:
-            ok = _holds_reusing(sp, samples, degree, exact, supports)
         checked += 1
-        if not ok:
+        if not _holds_reusing(sp, samples, degree, exact, supports):
             return HyperplaneVerdict("fail", sp, checked)
     if checked == 0:
         return HyperplaneVerdict(
@@ -230,22 +216,3 @@ def _holds_reusing(sp: HyperplaneSplit, samples: SampleSet, degree: int, exact: 
         return True
     return hulls_intersect(samples, sp.on_plane_plus, sp.on_plane_minus, degree, exact) is not None
 
-
-def _holds_recursive(sp: HyperplaneSplit, samples: SampleSet, degree: int, exact: bool) -> bool:
-    if hulls_intersect(samples, sp.on_plane_plus, sp.on_plane_minus, degree, exact):
-        return True
-    return _verify_level(set(sp.plus_side), set(sp.minus_side), samples, degree - 1, exact)
-
-
-def _verify_level(plus, minus, samples: SampleSet, degree: int, exact: bool) -> bool:
-    if not plus or not minus:
-        return False
-    if degree == 1:
-        return hulls_intersect(samples, sorted(plus), sorted(minus), 1, exact) is not None
-    idxs = sorted(plus | minus)
-    classed = [(i, i not in minus) for i in idxs]  # a point in both classes counts as E-
-    for u, a in _candidate_planes(idxs, samples, exact):
-        sp = _classify(classed, samples, u, a, exact)
-        if not _holds_recursive(sp, samples, degree, exact):
-            return False
-    return True

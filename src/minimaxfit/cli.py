@@ -67,7 +67,10 @@ def _power(left: Number, right: Number) -> Number:
         right = int(right)
     if isinstance(right, float) and right.is_integer():
         right = int(right)
-    return left**right
+    try:
+        return left**right
+    except OverflowError:
+        raise OverflowError(f"{left}^{right} is out of float range") from None
 
 
 _OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
@@ -163,8 +166,11 @@ def _parse_number(cell: str, exact: bool) -> Number:
         try:
             return Fraction(cell)
         except (ValueError, ZeroDivisionError):
-            return Fraction(float(cell))
-    return float(cell)
+            pass
+    x = float(cell)
+    if not math.isfinite(x):
+        raise ValueError(f"{cell!r} is not a finite number")
+    return Fraction(x) if exact else x
 
 
 def ingest(path: str, exact: bool = False) -> SampleSet:
@@ -598,10 +604,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             report_path=getattr(ns, "report_path", None),
         )
         code, report = run(config)
-    except (OSError, ValueError, KeyError, ZeroDivisionError, RuntimeError) as err:
+        text = json.dumps(report, indent=2, allow_nan=False)
+    except (OSError, ValueError, KeyError, ArithmeticError, RuntimeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    text = json.dumps(report, indent=2)
     if config.out:
         with open(config.out, "w") as handle:
             handle.write(text + "\n")

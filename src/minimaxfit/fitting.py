@@ -13,31 +13,45 @@ Residuals follow the convention r(x) = f(x) - L(A, x), so the positive
 extreme set holds points where the target sits above the model.
 
 `SampleSet.lifted` is the one place a sample point is lifted; the fit and
-every verifier read their rows from it.  Rows are made on first request, once
-per (degree, arithmetic), so checking the extreme points lifts only those.
+every verifier read their rows from it.  Exact rows are made on first
+request, once per degree, so checking the extreme points lifts only those.
+Float rows are rows of one float64 matrix per degree (`lift_matrix`), and
+every float residual pass is `dot_rows` over it: the fit's working-set loop
+(worst point by `np.argmax`, whose first-index rule is the tie rule of the
+exact loop), and `extreme_sets` and `compute_psi` when every sample
+coordinate and value is a Python float.  The matrix repeats `lift` and `dot`
+bit for bit (see `monomials`), so both forms give the same residuals.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence
 
+import numpy as np
+
 from .lp import LinearProgram, LpFailure, solve, solve_exact
-from .monomials import Number, PolynomialModel, build_basis, dot, evaluate, lift
+from .monomials import Number, PolynomialModel, build_basis, dot, dot_rows, evaluate, lift, lift_matrix
 
 DUPLICATE_TOL = 1e-12
 DEGENERATE_PSI = 1e-12
 DEFAULT_REL_TOL = 1e-8
 
 
+def _finite(x: Number) -> bool:
+    return isinstance(x, (int, Fraction)) or math.isfinite(x)  # no float() of a huge rational
+
+
 class SampleSet:
     """Finite set of d-dimensional points with target values f(x).
 
-    Points must be pairwise distinct (coordinate tolerance 1e-12).  Values
-    may be ints, floats or Fractions; exact-mode operations convert through
-    ``Fraction`` without loss.
+    Points must be pairwise distinct (coordinate tolerance 1e-12) and every
+    coordinate and value finite.  Values may be ints, floats or Fractions;
+    exact-mode operations convert through ``Fraction`` without loss.
     """
 
     def __init__(self, points: Sequence[Sequence[Number]], values: Sequence[Number]):
@@ -47,18 +61,27 @@ class SampleSet:
         d = len(pts[0])
         if d < 1:
             raise ValueError("points must have at least one coordinate")
-        for k, p in enumerate(pts):
-            if len(p) != d:
-                raise ValueError(f"point {k} has dimension {len(p)}, expected {d}")
         vals = list(values)
         if len(vals) != len(pts):
             raise ValueError(f"{len(vals)} values for {len(pts)} points")
+        for k, p in enumerate(pts):
+            if len(p) != d:
+                raise ValueError(f"point {k} has dimension {len(p)}, expected {d}")
+        flat = list(chain(*pts, vals))
+        # Python floats only: then the float view is the samples themselves
+        self._floats = set(map(type, flat)) == {float}
+        if not (np.isfinite(flat).all() if self._floats else all(map(_finite, flat))):
+            bad = next(k for k, x in enumerate(flat) if not _finite(x))
+            if bad < len(pts) * d:
+                raise ValueError(f"point {bad // d} has a coordinate that is not finite: {pts[bad // d]}")
+            raise ValueError(f"value {bad - len(pts) * d} is not finite: {flat[bad]}")
         self._check_duplicates(pts)
         self.dimension = d
         self.points: tuple[tuple[Number, ...], ...] = tuple(pts)
         self.values: tuple[Number, ...] = tuple(vals)
         self._views: dict[bool, tuple] = {}
         self._lifted: dict[tuple[int, bool], tuple] = {}  # (degree, exact) -> (basis, rows)
+        self._matrices: dict[int, np.ndarray] = {}  # degree -> float lift_matrix
 
     @staticmethod
     def _check_duplicates(pts):
@@ -89,19 +112,27 @@ class SampleSet:
             )
         return self._views[exact]
 
+    def lifted_matrix(self, degree: int) -> np.ndarray:
+        """`lift_matrix` of the float view over the degree-`degree` basis, built once."""
+        if degree not in self._matrices:
+            self._matrices[degree] = lift_matrix(self.view(False)[0], build_basis(self.dimension, degree))
+        return self._matrices[degree]
+
     def lifted(self, indices: Sequence[int], degree: int, exact: bool) -> list[tuple[Number, ...]]:
         """Rows lift(x_i) of the `view(exact)` points over the degree-`degree` basis, i in `indices`.
 
-        Each row is computed the first time it is asked for at this degree
-        and arithmetic, then shared by every later caller.
+        Exact rows are lifted the first time they are asked for; float rows
+        are read from `lifted_matrix`.  Either way a row is made once per
+        degree and arithmetic, then shared by every later caller.
         """
         if (degree, exact) not in self._lifted:
             self._lifted[degree, exact] = (build_basis(self.dimension, degree), [None] * len(self.points))
         basis, rows = self._lifted[degree, exact]
-        pts = self.view(exact)[0]
+        pts = self.view(True)[0] if exact else None
+        matrix = None if exact else self.lifted_matrix(degree)
         for i in indices:
             if rows[i] is None:
-                rows[i] = tuple(lift(pts[i], basis))
+                rows[i] = tuple(lift(pts[i], basis)) if exact else tuple(matrix[i].tolist())
         return [rows[i] for i in indices]
 
 
@@ -133,7 +164,10 @@ def fit_minimax(samples: SampleSet, degree: int, exact: bool = False) -> FitResu
         )
     vals = samples.view(exact)[1]
     n = len(vals)
-    lifts = samples.lifted(range(n), degree, exact)
+    if exact:
+        lifts = samples.lifted(range(n), degree, True)
+    else:
+        matrix, targets = samples.lifted_matrix(degree), np.array(vals)
 
     nc = basis.size
     objective = [0] * nc + [1]
@@ -146,12 +180,10 @@ def fit_minimax(samples: SampleSet, degree: int, exact: bool = False) -> FitResu
     else:
         working = {round(i * (n - 1) / (k0 - 1)) for i in range(k0)}
 
-    coeffs: list[Number] = []
-    residuals: list[Number] = []
     while True:
         rows = []
-        for i in sorted(working):
-            u = lifts[i]
+        order = sorted(working)
+        for i, u in zip(order, samples.lifted(order, degree, exact)):
             rows.append((list(u) + [-1], "<=", vals[i]))
             rows.append(([-g for g in u] + [-1], "<=", -vals[i]))
         sol = lp_solve(LinearProgram(objective, rows, bounds))
@@ -163,22 +195,35 @@ def fit_minimax(samples: SampleSet, degree: int, exact: bool = False) -> FitResu
         coeffs = sol.x[:nc]
         z = sol.x[nc]
 
-        residuals = [vals[i] - dot(coeffs, lifts[i]) for i in range(n)]
-        worst_i = max(range(n), key=lambda i: (abs(residuals[i]), -i))
-        worst = abs(residuals[worst_i])
+        if exact:
+            residuals = [vals[i] - dot(coeffs, lifts[i]) for i in range(n)]
+            worst_i = max(range(n), key=lambda i: (abs(residuals[i]), -i))
+            worst = abs(residuals[worst_i])
+        else:
+            residuals = targets - dot_rows(matrix, coeffs)
+            worst_i = int(np.argmax(np.abs(residuals)))
+            worst = float(abs(residuals[worst_i]))
         slack = 0 if exact else 1e-9 * max(1.0, float(z)) + 1e-12
         if worst <= z + slack or worst_i in working:
             break
         working.add(worst_i)
 
     model = PolynomialModel(basis, tuple(coeffs))
-    psi = max(abs(r) for r in residuals)
-    return FitResult(model=model, psi=psi, residuals=tuple(residuals))
+    residuals = tuple(residuals if exact else residuals.tolist())
+    return FitResult(model=model, psi=worst, residuals=residuals)
+
+
+def _model_residuals(model: PolynomialModel, samples: SampleSet) -> list[Number]:
+    """f(x_i) - L(A, x_i) at every sample, over `lifted_matrix` when the samples are Python floats."""
+    if not samples._floats or model.basis.dimension != samples.dimension:
+        return [v - evaluate(model, p) for p, v in zip(samples.points, samples.values)]
+    fitted = dot_rows(samples.lifted_matrix(model.degree), model.coefficients)
+    return (np.array(samples.values) - fitted).tolist()
 
 
 def compute_psi(model: PolynomialModel, samples: SampleSet) -> Number:
     """Uniform error max |f(x) - L(A, x)| over the samples."""
-    return max(abs(v - evaluate(model, p)) for p, v in zip(samples.points, samples.values))
+    return max(map(abs, _model_residuals(model, samples)))
 
 
 def partition_extremes(residuals: Sequence[Number], rel_tol: float = DEFAULT_REL_TOL) -> ExtremeSets:
@@ -212,8 +257,7 @@ def extreme_sets(
     A fit already holds its residuals (`FitResult.residuals`); partitioning
     those gives the same sets without evaluating the model again.
     """
-    residuals = [v - evaluate(model, p) for p, v in zip(samples.points, samples.values)]
-    return partition_extremes(residuals, rel_tol)
+    return partition_extremes(_model_residuals(model, samples), rel_tol)
 
 
 def count_alternations(extremes: ExtremeSets, samples: SampleSet) -> int:

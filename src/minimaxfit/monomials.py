@@ -3,6 +3,14 @@
 All types are immutable and all operations are pure; they work uniformly over
 floats and exact rationals (``fractions.Fraction``), which is what makes the
 exact certificate mode of the higher layers possible.
+
+Float mode also has a whole-sample form: `lift_matrix` stacks `lift` of
+every point into one float64 array and `dot_rows` takes `dot` of every row.
+Both give the per-point results bit for bit, by keeping their operations and
+order: each power is Python's ``x ** e`` (numpy's vectorised pow differs in
+the last bit for some values once e >= 3), each monomial multiplies its
+powers in coordinate order, and the dot adds its terms left to right from
+zero (``matrix @ c`` leaves the order of the sum to BLAS).
 """
 
 from __future__ import annotations
@@ -12,6 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Sequence, Union
+
+import numpy as np
 
 Number = Union[int, float, Fraction]
 
@@ -99,6 +109,30 @@ def lift(point: Sequence[Number], basis: MonomialBasis) -> list[Number]:
     return [e.value_at(point) for e in basis.exponents]
 
 
+def lift_matrix(points: Sequence[Sequence[float]], basis: MonomialBasis) -> np.ndarray:
+    """Float64 array whose row i equals lift(points[i], basis) bit for bit.
+
+    The constant column holds 1.0 where `lift` gives int 1.  Each other
+    column is built like `ExponentVector.value_at`: the Python powers x_k ** e_k,
+    one list per coordinate and power, multiplied in coordinate order.
+    """
+    coords = list(zip(*points))
+    if len(coords) != basis.dimension:
+        raise ValueError(f"points have dimension {len(coords)}, basis expects {basis.dimension}")
+    powers: dict[tuple[int, int], np.ndarray] = {}
+    matrix = np.ones((len(points), basis.size))
+    for j, ev in enumerate(basis.exponents):
+        column = None
+        for k, e in enumerate(ev.exponents):
+            if e:
+                if (k, e) not in powers:
+                    powers[k, e] = np.array([x**e for x in coords[k]], dtype=float)
+                column = powers[k, e] if column is None else column * powers[k, e]
+        if column is not None:
+            matrix[:, j] = column
+    return matrix
+
+
 @dataclass(frozen=True)
 class PolynomialModel:
     """Coefficient vector over a monomial basis, constant coefficient first."""
@@ -122,8 +156,23 @@ class PolynomialModel:
 
 
 def dot(coeffs: Sequence[Number], lifted: Sequence[Number]) -> Number:
-    """Inner product of a coefficient vector with a lifted point."""
-    return sum(c * g for c, g in zip(coeffs, lifted))
+    """Inner product of a coefficient vector with a lifted point, summed left to right.
+
+    A plain loop, not ``sum``, whose float path compensates its rounding from
+    Python 3.12 on; `dot_rows` repeats this order.
+    """
+    total: Number = 0
+    for c, g in zip(coeffs, lifted):
+        total = total + c * g
+    return total
+
+
+def dot_rows(matrix: np.ndarray, coeffs: Sequence[Number]) -> np.ndarray:
+    """`dot` of the coefficients with every row of a `lift_matrix`, bit for bit."""
+    total = np.zeros(matrix.shape[0])
+    for j, c in enumerate(coeffs):
+        total += float(c) * matrix[:, j]
+    return total
 
 
 def evaluate(model: PolynomialModel, point: Sequence[Number]) -> Number:

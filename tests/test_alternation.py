@@ -174,29 +174,6 @@ class TestVerifyByHyperplanes:
             checked += 1
         assert checked >= 20
 
-    def test_recursive_flag_agrees_with_default(self):
-        import random
-
-        rng = random.Random(78)
-        for _ in range(15):
-            m = rng.randint(2, 3)
-            n = rng.randint(m + 2, m + 4)
-            signs = "".join(rng.choice("+-") for _ in range(n))
-            if "+" not in signs or "-" not in signs:
-                continue
-            samples, extremes = synthetic_univariate(signs)
-            default = verify_by_hyperplanes(extremes, samples, m)
-            recursive = verify_by_hyperplanes(extremes, samples, m, recursive=True)
-            assert default.verdict == recursive.verdict, (signs, m)
-
-    def test_recursive_flag_scope(self, cubic_extremes):
-        samples, extremes = cubic_extremes
-        pts = [(-1, -1), (-1, 1), (1, -1), (1, 1)]
-        bis = SampleSet(pts, [x * y for x, y in pts])
-        ext2 = ExtremeSets(plus=(0, 3), minus=(1, 2), psi=1.0, rel_tol=0.0)
-        with pytest.raises(ValueError):
-            verify_by_hyperplanes(ext2, bis, 2, recursive=True)
-
 
 def _every_plane_verdict(extremes, samples, degree, exact):
     """(verdict, planes checked, counterexample) from `check_split_condition` on every plane."""

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import minimaxfit
-from minimaxfit import LpFailure, fitting
+from minimaxfit import LpFailure, build_basis, fitting, monomials, optimality
 from minimaxfit.cli import (
     Expression,
     ExpressionError,
@@ -68,6 +68,19 @@ class TestIngest:
         path.write_text("x1,f\n1,2\n3,4,5\n")
         with pytest.raises(ValueError, match="w.csv:3"):
             ingest(str(path))
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e400"])
+    def test_non_finite_cell_reports_line(self, tmp_path, exact, cell):
+        for text in (f"x1,f\n1,2\n{cell},3\n", f"x1,f\n1,2\n2,{cell}\n"):
+            path = tmp_path / "nf.csv"
+            path.write_text(text)
+            if exact and cell == "1e400":  # a finite rational
+                if text.endswith(f"{cell}\n"):
+                    assert max(ingest(str(path), exact=True).values) == 10**400
+                continue
+            with pytest.raises(ValueError, match="nf.csv:3: .* is not a finite number"):
+                ingest(str(path), exact=exact)
 
 
 class TestExpression:
@@ -232,22 +245,43 @@ class TestRunPipeline:
 
     @pytest.mark.parametrize("shift", [0.0, 0.05])
     def test_verify_lifts_only_the_extreme_points(self, tmp_path, monkeypatch, shift):
-        # shift 0: the fit's own model (certificate); 0.05: a non-optimal one (witness)
+        # shift 0: the fit's own model (certificate); 0.05: a non-optimal one (witness).
+        # Float rows are rows of one matrix per degree: only the extreme rows are
+        # handed out, each equal to lift() bit for bit, and no point is evaluated alone.
         grid = "-1,1:-1,1;9;uniform;x1^3*x2+x2^4"
         _, fit = run(RunConfig(command="fit", grid=grid, degree=3))
         model = dict(fit["model"], coefficients=[fit["model"]["coefficients"][0] + shift]
                      + fit["model"]["coefficients"][1:])
         coeffs = tmp_path / "c.json"
         coeffs.write_text(json.dumps(model))
-        lifted = []
-        real = fitting.lift
-        monkeypatch.setattr(fitting, "lift", lambda p, basis: lifted.append(p) or real(p, basis))
+        lifted, handed, matrices, evaluated = [], {}, [], []
+        real_lift, real_matrix, real_rows = fitting.lift, fitting.lift_matrix, fitting.SampleSet.lifted
+
+        def rows(samples, indices, degree, exact):
+            out = real_rows(samples, indices, degree, exact)
+            handed.update(((i, degree, exact), row) for i, row in zip(indices, out))
+            return out
+
+        monkeypatch.setattr(fitting, "lift", lambda p, basis: lifted.append(p) or real_lift(p, basis))
+        monkeypatch.setattr(fitting, "lift_matrix",
+                            lambda pts, basis: matrices.append(basis.degree) or real_matrix(pts, basis))
+        monkeypatch.setattr(fitting.SampleSet, "lifted", rows)
+        for module in (monomials, fitting, optimality, minimaxfit.cli):
+            real_eval = getattr(module, "evaluate")
+            monkeypatch.setattr(module, "evaluate",
+                                lambda m, p, real_eval=real_eval: evaluated.append(p) or real_eval(m, p))
         code, report = run(RunConfig(command="verify", grid=grid, coeffs=str(coeffs)))
         assert code == (0 if shift == 0 else 2)
+        assert (lifted, evaluated, matrices) == ([], [], [3])
         pts = parse_grid_spec(grid).view(False)[0]
         extremes = set(report["extremes"]["plus"]) | set(report["extremes"]["minus"])
-        assert sorted(lifted) == sorted(pts[i] for i in extremes)
-        assert len(lifted) < len(pts) / 4
+        assert sorted({i for i, _, _ in handed}) == sorted(extremes)
+        assert len(extremes) < len(pts) / 4
+        basis = build_basis(2, 3)
+        for (i, degree, exact), row in handed.items():
+            assert (degree, exact) == (3, False)
+            expected = [1.0] + real_lift(pts[i], basis)[1:]
+            assert [v.hex() for v in row] == [v.hex() for v in expected]
 
 
 class TestKnownLpFailures:
@@ -291,6 +325,28 @@ class TestMainEntry:
     def test_missing_input_is_an_error(self, capsys):
         assert main(["fit", "--input", "/nonexistent.csv", "--degree", "1"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["--input", "NAN_CSV"],
+        ["--grid", "-1,1;5;uniform;1e400*x1"],
+        ["--grid", "-1,1;5;uniform;10^400"],
+    ])
+    def test_non_finite_input_is_an_error(self, tmp_path, capsys, args):
+        nan_csv = tmp_path / "nan.csv"
+        nan_csv.write_text("x1,f\n0,1\n0.5,nan\n1,2\n")
+        args = [str(nan_csv) if a == "NAN_CSV" else a for a in args]
+        assert main(["fit", *args, "--degree", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "Traceback" not in err
+        if args[0] == "--input":
+            assert "nan.csv:3" in err
+
+    def test_report_never_holds_nan(self, monkeypatch, capsys):
+        # NaN is not JSON: a report that would hold one is an error, not a file
+        monkeypatch.setattr(minimaxfit.cli, "run", lambda config: (0, {"psi": math.nan}))
+        assert main(["fit", "--input", os.path.join(DATA, "parabola.csv"), "--degree", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
 
     def test_perturbed_verify_exits_two(self, tmp_path):
         coeffs = tmp_path / "c.json"

@@ -1,5 +1,6 @@
 """Minimax fitting, the uniform error functional, and extreme sets."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -60,6 +61,16 @@ class TestSampleSet:
         with pytest.raises(ValueError):
             SampleSet([(0.0,)], [1, 2])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_with_its_index(self, bad):
+        with pytest.raises(ValueError, match=r"point 2 has a coordinate that is not finite"):
+            SampleSet([(0.0, 1.0), (1.0, 1.0), (2.0, bad)], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match=r"value 1 is not finite"):
+            SampleSet([(0.0,), (1.0,), (2.0,)], [1.0, bad, 3.0])
+        with pytest.raises(ValueError, match=r"value 0 is not finite"):
+            SampleSet([(Fraction(1, 3),), (1,)], [bad, Fraction(10**400)])
+        SampleSet([(Fraction(1, 3),), (1,)], [Fraction(10**400), 10**400])  # huge rationals are finite
+
     def test_view_converts_once_per_arithmetic(self):
         samples = SampleSet([(0, 0.5), (1, Fraction(1, 3))], [2, 0.25])
         for exact, kind in ((True, Fraction), (False, float)):
@@ -74,37 +85,54 @@ class TestSampleSet:
         def bits(row):
             return [(type(v), v.hex() if isinstance(v, float) else v) for v in row]
 
+        def lifted(point, basis):
+            row = lift(point, basis)
+            if not exact:  # float rows come from the float matrix, whose constant column is 1.0
+                assert type(row[0]) is int
+                row[0] = 1.0
+            return row
+
         samples = random_samples(random.Random(5), 2, 12)
         pts = samples.view(exact)[0]
         order = [7, 0, 11, 3, 7]
         for degree in (0, 1, 3):
             basis = build_basis(2, degree)
             rows = samples.lifted(order, degree, exact)
-            assert [bits(r) for r in rows] == [bits(lift(pts[i], basis)) for i in order]
+            assert [bits(r) for r in rows] == [bits(lifted(pts[i], basis)) for i in order]
 
     def test_lifts_each_point_once_per_degree_and_arithmetic(self, monkeypatch):
-        calls = []
-        real = fitting.lift
+        # exact rows are lifted point by point; float rows come from one matrix per degree
+        calls, matrices = [], []
+        real, real_matrix = fitting.lift, fitting.lift_matrix
 
         def counted(point, basis):
             calls.append((type(point[0]), point, basis.degree))
             return real(point, basis)
 
+        def counted_matrix(points, basis):
+            matrices.append(basis.degree)
+            return real_matrix(points, basis)
+
         monkeypatch.setattr(fitting, "lift", counted)
+        monkeypatch.setattr(fitting, "lift_matrix", counted_matrix)
         samples = random_samples(random.Random(6), 2, 14)
-        fit = fit_minimax(samples, 2)
-        assert len(calls) == len(samples)
-        extremes = partition_extremes(fit.residuals)
-        check_hull_intersection(extremes, samples, 2)
-        check_isolability(extremes, samples, 2)
-        assert len(calls) == len(samples)  # the verifiers reuse the fit's rows
+        for exact in (True, False):
+            fit = fit_minimax(samples, 2, exact=exact)
+            assert (len(calls), matrices) == (len(samples), [] if exact else [2])
+            extremes = partition_extremes(fit.residuals)
+            check_hull_intersection(extremes, samples, 2, exact)
+            check_isolability(extremes, samples, 2, exact)
+            # the verifiers reuse the fit's rows
+            assert (len(calls), matrices) == (len(samples), [] if exact else [2])
         verify_by_hyperplanes(extremes, samples, 2)
         for exact in (False, True):
             for degree in (1, 2):
                 samples.lifted([3, 1, 3], degree, exact)
                 samples.lifted(range(len(samples)), degree, exact)
-        assert len(calls) == 4 * len(samples)
+        assert len(calls) == 2 * len(samples)
         assert len(set(calls)) == len(calls)
+        assert {kind for kind, _, _ in calls} == {Fraction}
+        assert sorted(matrices) == [1, 2]  # one float matrix per degree
 
 
 class TestFitMinimax:
@@ -142,6 +170,51 @@ class TestFitMinimax:
         samples = SampleSet([(0.0,), (1.0,)], [1.0, 2.0])
         with pytest.warns(UserWarning, match="underdetermined"):
             fit_minimax(samples, 3)
+
+    def test_float_residuals_equal_ordered_dot_bit_for_bit(self):
+        # the float matrix path against v - (c_0 g_0 + c_1 g_1 + ...) summed left to right
+        def reference(coeffs, basis, samples):
+            out = []
+            for p, v in zip(samples.points, samples.values):
+                total = 0
+                for c, g in zip(coeffs, lift(p, basis)):
+                    total = total + c * g
+                out.append(v - total)
+            return out
+
+        rng = random.Random(3)
+        for dimension, count, degree in ((1, 300, 5), (2, 120, 3), (3, 80, 2)):
+            samples = random_samples(rng, dimension, count)
+            fit = fit_minimax(samples, degree)
+            expected = reference(fit.model.coefficients, fit.model.basis, samples)
+            assert [r.hex() for r in fit.residuals] == [r.hex() for r in expected]
+            assert fit.psi.hex() == max(map(abs, expected)).hex()
+            draws = (lambda: rng.randint(-3, 3), lambda: rng.uniform(-1, 1),
+                     lambda: Fraction(rng.randint(-50, 50), rng.randint(1, 13)))
+            for draw in draws:
+                model = PolynomialModel(fit.model.basis, tuple(draw() for _ in range(fit.model.basis.size)))
+                expected = reference(model.coefficients, model.basis, samples)
+                psi = max(map(abs, expected))
+                assert type(psi) is float and compute_psi(model, samples).hex() == psi.hex()
+                assert extreme_sets(model, samples, 0.01) == partition_extremes(expected, 0.01)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_worst_point_tie_takes_lowest_index(self, monkeypatch, exact):
+        # zero on the 8 starting points, 1 on the 7 between them: the first LP
+        # gives the zero line, and all seven tie as worst; the lowest index joins
+        points = [(Fraction(k, 7) - 1,) for k in range(15)]
+        samples = SampleSet(points, [k % 2 for k in range(15)])
+        working_sets = []
+        real = fitting.solve_exact if exact else fitting.solve
+
+        def recorded(lp):
+            working_sets.append(sorted(round(float(u[1]) * 7) + 7 for u, _, _ in lp.rows if u[0] > 0))
+            return real(lp)
+
+        monkeypatch.setattr(fitting, "solve_exact" if exact else "solve", recorded)
+        fit_minimax(samples, 1, exact=exact)
+        assert working_sets[0] == list(range(0, 15, 2))
+        assert working_sets[1] == sorted(working_sets[0] + [1])
 
     def test_psi_is_max_abs_residual(self, parabola_samples):
         fit = fit_minimax(parabola_samples, 1)

@@ -1,8 +1,11 @@
 """Basis construction, lifting, evaluation, and the weighted shift identity."""
 
 import math
+import random
 from fractions import Fraction
+from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,6 +17,7 @@ from minimaxfit import (
     lift,
     shift_monomial_weights,
 )
+from minimaxfit.monomials import dot, dot_rows, lift_matrix
 
 
 class TestBuildBasis:
@@ -125,6 +129,67 @@ class TestEvaluate:
     def test_coefficient_count_enforced(self):
         with pytest.raises(ValueError):
             PolynomialModel(build_basis(1, 2), (1.0, 2.0))
+
+
+def _point_sets(d: int):
+    """Uniform grid, Chebyshev grid and seeded random points in d dimensions."""
+    res = {1: 41, 2: 9, 3: 5}[d]
+    uniform = [float(-1 + Fraction(2 * k, res - 1)) for k in range(res)]
+    chebyshev = sorted(math.cos(math.pi * k / (res - 1)) for k in range(res))
+    rng = random.Random(d)
+    scattered = [tuple(rng.uniform(-3, 3) for _ in range(d)) for _ in range(40)]
+    scattered += [(0.0,) * d, (-0.0,) * d, (-0.0,) + (-2.5,) * (d - 1), (-1.7,) * d]
+    return [list(product(uniform, repeat=d)), list(product(chebyshev, repeat=d)), scattered]
+
+
+def _ordered_dot(coeffs, row):
+    """Reference inner product: terms added left to right from int 0."""
+    total = 0
+    for c, g in zip(coeffs, row):
+        total = total + c * g
+    return total
+
+
+class TestLiftMatrix:
+    """`lift_matrix` and `dot_rows` repeat `lift` and `dot` bit for bit.
+
+    These fail if the matrix powers come from numpy's ``**`` (its vectorised
+    pow differs from Python's in the last bit for some values) or if the rows
+    are summed by ``matrix @ coeffs`` (BLAS picks its own order).
+    """
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_rows_equal_lift_bit_for_bit(self, d):
+        for points in _point_sets(d):
+            for degree in range(7):
+                basis = build_basis(d, degree)
+                matrix = lift_matrix(points, basis)
+                assert matrix.shape == (len(points), basis.size)
+                for point, row in zip(points, matrix.tolist()):
+                    expected = lift(point, basis)
+                    assert expected[0] == 1 and type(expected[0]) is int
+                    assert [v.hex() for v in row] == [float(v).hex() for v in expected]
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            lift_matrix([(1.0, 2.0)], build_basis(1, 2))
+
+    @pytest.mark.parametrize("kind", [int, float, Fraction])
+    def test_residuals_equal_ordered_dot_bit_for_bit(self, kind):
+        rng = random.Random(11)
+        draw = {int: lambda: rng.randint(-9, 9), float: lambda: rng.uniform(-5, 5),
+                Fraction: lambda: Fraction(rng.randint(-99, 99), rng.randint(1, 37))}[kind]
+        for d in (1, 2, 3):
+            for points in _point_sets(d):
+                values = [rng.uniform(-2, 2) for _ in points]
+                for degree in (0, 1, 3, 6):
+                    basis = build_basis(d, degree)
+                    coeffs = [draw() for _ in range(basis.size)]
+                    got = np.array(values) - dot_rows(lift_matrix(points, basis), coeffs)
+                    reference = [v - _ordered_dot(coeffs, lift(p, basis)) for p, v in zip(points, values)]
+                    assert [float(r).hex() for r in reference] == [r.hex() for r in got.tolist()]
+                    assert all(dot(coeffs, lift(p, basis)) == _ordered_dot(coeffs, lift(p, basis))
+                               for p in points[:5])
 
 
 class TestShiftIdentity:

@@ -7,7 +7,13 @@ The fit solves the linear program
 via a working-set loop: solve the LP on a subset, add the worst violator,
 repeat until no sample deviates beyond the subset optimum.  At termination
 the model is optimal for the full set, and the LP kernel only ever sees
-small dense problems.
+small dense problems.  In float mode each round appends the new point's two
+rows to the last round's LP and starts the solve from its optimal basis
+(``start`` of `lp.solve`), so the two-phase simplex runs in the first round
+only, and wherever that warm start gives up.  Exact fits solve every round
+from scratch on the working set in sorted order: where the minimax
+coefficients are not unique (a symmetric 2-D grid), a warm basis or another
+row order certifies another optimum of the same psi.
 
 Residuals follow the convention r(x) = f(x) - L(A, x), so the positive
 extreme set holds points where the target sits above the model.
@@ -75,7 +81,7 @@ class SampleSet:
             if bad < len(pts) * d:
                 raise ValueError(f"point {bad // d} has a coordinate that is not finite: {pts[bad // d]}")
             raise ValueError(f"value {bad - len(pts) * d} is not finite: {flat[bad]}")
-        self._check_duplicates(pts)
+        self._check_duplicates(pts, self._floats)
         self.dimension = d
         self.points: tuple[tuple[Number, ...], ...] = tuple(pts)
         self.values: tuple[Number, ...] = tuple(vals)
@@ -84,8 +90,14 @@ class SampleSet:
         self._matrices: dict[int, np.ndarray] = {}  # degree -> float lift_matrix
 
     @staticmethod
-    def _check_duplicates(pts):
-        keyed = sorted((tuple(float(c) for c in p), k) for k, p in enumerate(pts))
+    def _check_duplicates(pts, floats: bool):
+        keys = pts
+        if not floats:
+            try:
+                keys = [tuple(map(float, p)) for p in pts]  # rational arithmetic is slow
+            except OverflowError:  # a finite rational beyond float range: compare exactly
+                pass
+        keyed = sorted((p, k) for k, p in enumerate(keys))
         for a in range(len(keyed)):
             pa, ia = keyed[a]
             for b in range(a + 1, len(keyed)):
@@ -180,13 +192,15 @@ def fit_minimax(samples: SampleSet, degree: int, exact: bool = False) -> FitResu
     else:
         working = {round(i * (n - 1) / (k0 - 1)) for i in range(k0)}
 
+    def rows_of(indices):
+        for i, u in zip(indices, samples.lifted(indices, degree, exact)):
+            yield (list(u) + [-1], "<=", vals[i])
+            yield ([-g for g in u] + [-1], "<=", -vals[i])
+
+    rows = list(rows_of(sorted(working)))
+    start = None
     while True:
-        rows = []
-        order = sorted(working)
-        for i, u in zip(order, samples.lifted(order, degree, exact)):
-            rows.append((list(u) + [-1], "<=", vals[i]))
-            rows.append(([-g for g in u] + [-1], "<=", -vals[i]))
-        sol = lp_solve(LinearProgram(objective, rows, bounds))
+        sol = lp_solve(LinearProgram(objective, rows, bounds), start=start)
         if sol.status != "optimal":
             raise LpFailure(
                 f"minimax LP came back {sol.status}",
@@ -207,6 +221,11 @@ def fit_minimax(samples: SampleSet, degree: int, exact: bool = False) -> FitResu
         if worst <= z + slack or worst_i in working:
             break
         working.add(worst_i)
+        if exact:  # every round afresh on sorted rows (see the module docstring)
+            rows = list(rows_of(sorted(working)))
+        else:
+            rows += rows_of([worst_i])
+            start = sol
 
     model = PolynomialModel(basis, tuple(coeffs))
     residuals = tuple(residuals if exact else residuals.tolist())

@@ -16,6 +16,15 @@ every float failure or non-optimal float status, sends the LP through the
 rational simplex from scratch.  Every status an exact solve returns is thus
 decided in exact arithmetic.
 
+A float solve may start from the optimal basis of an LP whose rows are the
+leading rows of its own (``start``), as the working-set loop of the minimax
+fit makes them round after round; Stiefel's exchange is this simplex on the
+same LP.  The appended rows enter with their slacks basic, which leaves the
+basis dual feasible, so a dual simplex restores primal feasibility and no
+phase 1 runs.  A warm start returns only an optimal point that passed the
+same row check as a cold one; anything else sends the LP through the
+two-phase simplex from scratch, which decides every other status.
+
 Infeasible solves always carry a Farkas witness so callers can turn "no
 certificate" into an explicit separating functional.  The witness lives in
 the standardised row space: original rows first, then one row per two-sided
@@ -93,27 +102,38 @@ class LpSolution:
     x: Optional[list[Number]] = None
     objective_value: Optional[Number] = None
     farkas: Optional[list[Number]] = None
-    iterations: int = 0
+    iterations: int = 0  # pivots of the whole call, an abandoned warm start's included
     # optimal only: (basic column per kept standardised row, dropped redundant rows)
     basis: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = field(default=None, repr=False, compare=False)
 
 
-def solve(lp: LinearProgram) -> LpSolution:
-    """Two-phase simplex in float64.  Deterministic (Bland's rule)."""
-    return _solve(lp, exact=False)
+def solve(lp: LinearProgram, start: Optional[LpSolution] = None) -> LpSolution:
+    """Simplex in float64.  Deterministic (Bland's rule).
+
+    Without `start`, the two-phase simplex runs from scratch.  `start` is an
+    optimal solution of an LP whose rows are the leading rows of `lp`, with
+    the same objective and bounds; the solve then begins at its basis (see
+    `_warm`) and runs from scratch only when that attempt cannot finish.
+    """
+    solution, spent = _warm(lp, start) if start is not None else (None, 0)
+    if solution is None:
+        solution = _solve(lp, exact=False)
+        solution.iterations += spent
+    return solution
 
 
-def solve_exact(lp: LinearProgram) -> LpSolution:
+def solve_exact(lp: LinearProgram, start: Optional[LpSolution] = None) -> LpSolution:
     """Exact rational solution; status decisions carry no tolerance.
 
     The float simplex's optimal basis is certified over ``Fraction`` and its
     exact vertex returned.  When the float solve fails, ends other than
     optimal (infeasible LPs then get their Farkas witness from the rational
     simplex), or its basis is singular or fails an exact check, the two-phase
-    simplex runs over ``Fraction`` from scratch.
+    simplex runs over ``Fraction`` from scratch.  `start` is passed to the
+    float solve only, as in `solve`.
     """
     try:
-        guess = _solve(lp, exact=False)
+        guess = solve(lp, start)
     except (LpFailure, OverflowError, ZeroDivisionError):
         guess = None
     if guess is not None and guess.status == "optimal":
@@ -278,6 +298,80 @@ def _solve(lp: LinearProgram, exact: bool) -> LpSolution:
     for i, b in enumerate(basis):
         x_std[b] = T[i, -1]
     return _optimal(lp, col_terms, offsets, x_std, exact, it1 + it2, (tuple(basis), tuple(drop_rows)))
+
+
+def _warm(lp: LinearProgram, start: LpSolution) -> tuple[Optional[LpSolution], int]:
+    """The float solve from `start`'s basis and the pivots it made; no solution when it cannot finish.
+
+    `start`'s basis plus the slack of every appended row is a basis of `lp`
+    with the same duals (the new slacks cost nothing), so its reduced costs
+    stay non-negative and only appended rows can be primal infeasible.  The
+    tableau B^-1 [A | b] comes from one dense solve of the standardised rows,
+    with no pivots.  A dual simplex then restores primal feasibility with
+    Bland's rule for the dual: the infeasible row with the smallest basic
+    column leaves, and the column of minimum ratio enters, ties going to the
+    smallest column.  The primal simplex and the row check finish as in
+    `_solve`.  No solution on an appended "==" row, a singular basis, a
+    negative reduced cost, a dual step without an entering column (the LP
+    may be infeasible, and the cold solve finds its Farkas witness), the
+    iteration cap or an `LpFailure`.
+    """
+    if start.basis is None:  # not optimal
+        return None, 0
+    col_terms, offsets, rows, rhs, costs = _standard_form(lp, float)
+    old_basis, old_dropped = start.basis
+    prefix = len(old_basis) + len(old_dropped) - (len(rows) - lp.num_rows)  # rows of `start`'s LP
+    if not 0 <= prefix <= lp.num_rows or any(rel == EQUAL for _, rel, _ in lp.rows[prefix:]):
+        return None, 0
+    added = lp.num_rows - prefix
+    # the appended rows' slacks and rows come after the prefix's own; bound rows and their slacks move up
+    first_new = sum(map(len, col_terms)) + sum(rel != EQUAL for _, rel, _ in lp.rows[:prefix])
+    basis = [j if j < first_new else j + added for j in old_basis] + list(range(first_new, first_new + added))
+    dropped = tuple(i if i < prefix else i + added for i in old_dropped)
+
+    A = np.array([row + [b] for i, (row, b) in enumerate(zip(rows, rhs)) if i not in dropped], dtype=float)
+    A = A.reshape(len(basis), len(costs) + 1)
+    A /= np.maximum(1.0, np.abs(A).max(axis=1))[:, None]  # as `_solve` scales its rows
+    try:
+        T = np.linalg.solve(A[:, basis], A)
+    except np.linalg.LinAlgError:
+        return None, 0
+    T[:, basis] = np.eye(len(basis))
+    c = np.array(costs, dtype=float)
+    obj = c - c[basis] @ T[:, :-1]
+    if not np.isfinite(T).all() or (obj < -_TOL).any():
+        return None, 0
+
+    it = 0
+    while True:
+        infeasible = np.flatnonzero(T[:, -1] < -_TOL)
+        if not infeasible.size:
+            break
+        leaving = min(infeasible, key=basis.__getitem__)
+        row = T[leaving, :-1]
+        cols = np.flatnonzero(row < -_TOL)
+        if not cols.size or it >= _MAX_ITER:
+            return None, it
+        ratios = obj[cols] / -row[cols]
+        best = ratios.min()
+        entering = int(cols[np.argmax(ratios <= best + _TOL * max(1.0, abs(best)))])
+        _pivot(T, leaving, entering)
+        basis[leaving] = entering
+        obj = obj - obj[entering] * T[leaving, :-1]
+        it += 1
+    try:
+        _, status, it2 = _simplex(T, basis, c, barred=frozenset(), phase=2)
+    except LpFailure as err:
+        return None, it + err.diagnostics["iterations"]
+    it += it2
+    if status != "optimal":
+        return None, it
+    x_std = np.zeros(len(costs))
+    x_std[basis] = T[:, -1]
+    try:
+        return _optimal(lp, col_terms, offsets, x_std.tolist(), False, it, (tuple(basis), dropped)), it
+    except LpFailure:
+        return None, it
 
 
 def _optimal(lp, col_terms, offsets, x_std, exact: bool, iterations: int, basis) -> LpSolution:

@@ -82,6 +82,11 @@ class TestIngest:
             with pytest.raises(ValueError, match="nf.csv:3: .* is not a finite number"):
                 ingest(str(path), exact=exact)
 
+    def test_exact_mode_takes_a_coordinate_beyond_float_range(self, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("x1,f\n1,2\n1e400,3\n")
+        assert ingest(str(path), exact=True).points[1] == (10**400,)
+
 
 class TestExpression:
     def test_polynomial(self):

@@ -23,6 +23,7 @@ from minimaxfit import (
     verify_by_hyperplanes,
 )
 from minimaxfit import fitting
+import minimaxfit.lp as lp_module
 
 from support import build_fit_corpus, random_samples
 
@@ -52,6 +53,12 @@ class TestSampleSet:
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError, match="duplicate"):
             SampleSet([(0.0,), (1e-13,)], [1, 2])
+
+    def test_huge_rational_coordinates(self):
+        huge = Fraction(10**400)
+        SampleSet([(huge,), (huge + 1,), (Fraction(-1, 3),)], [0, 1, 2])  # float(huge) overflows
+        with pytest.raises(ValueError, match="duplicate points at indices 0 and 2"):
+            SampleSet([(huge, 1), (-huge, 1), (huge, Fraction(1) + Fraction(1, 10**13))], [0, 1, 2])
 
     def test_rejects_inconsistent_dimension(self):
         with pytest.raises(ValueError):
@@ -207,14 +214,34 @@ class TestFitMinimax:
         working_sets = []
         real = fitting.solve_exact if exact else fitting.solve
 
-        def recorded(lp):
+        def recorded(lp, start=None):
             working_sets.append(sorted(round(float(u[1]) * 7) + 7 for u, _, _ in lp.rows if u[0] > 0))
-            return real(lp)
+            return real(lp, start=start)
 
         monkeypatch.setattr(fitting, "solve_exact" if exact else "solve", recorded)
         fit_minimax(samples, 1, exact=exact)
         assert working_sets[0] == list(range(0, 15, 2))
         assert working_sets[1] == sorted(working_sets[0] + [1])
+
+    def test_rounds_after_the_first_start_warm(self, monkeypatch):
+        samples = random_samples(random.Random(8), 1, 200)
+        real_solve, real_cold = fitting.solve, lp_module._solve
+        starts, cold = [], []
+
+        def round_(lp, start=None):
+            starts.append(start)
+            return real_solve(lp, start=start)
+
+        def counted(lp, exact):
+            cold.append(exact)
+            return real_cold(lp, exact)
+
+        monkeypatch.setattr(fitting, "solve", round_)
+        monkeypatch.setattr(lp_module, "_solve", counted)
+        fit = fit_minimax(samples, 4)
+        assert len(starts) >= 2 and starts[0] is None and None not in starts[1:]
+        assert cold == [False]  # one two-phase solve, in the first round
+        assert fit.psi == pytest.approx(float(fit_minimax(samples, 4, exact=True).psi), rel=1e-12)
 
     def test_psi_is_max_abs_residual(self, parabola_samples):
         fit = fit_minimax(parabola_samples, 1)

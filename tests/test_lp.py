@@ -327,3 +327,174 @@ def test_exact_baseline_rows_are_pinned(grid, degree, psi, coefficients):
     assert code == 0
     assert report["psi"] == psi
     assert report["model"]["coefficients"] == coefficients
+
+
+# --- warm starts: a prefix's optimal basis against the cold two-phase solve --
+
+
+def _prefix(lp, count):
+    return LinearProgram(lp.objective, lp.rows[:count], lp.bounds)
+
+
+def _appended(lp, rows):
+    return LinearProgram(lp.objective, list(lp.rows) + list(rows), lp.bounds)
+
+
+def _as_float(lp):
+    return LinearProgram(
+        [float(c) for c in lp.objective],
+        [([float(a) for a in coeffs], rel, float(rhs)) for coeffs, rel, rhs in lp.rows],
+        [(None if lo is None else float(lo), None if hi is None else float(hi)) for lo, hi in lp.bounds],
+    )
+
+
+def _warm_pairs():
+    """Seeded (prefix, full) LP pairs over Fraction; `full` appends "<=" and ">=" rows to `prefix`.
+
+    Minimax LPs cut after any sample, as the working-set loop grows them;
+    moment LPs (all "==") with weight caps appended; margin LPs, whose
+    two-sided bounds put bound rows and slacks after the appended ones; and
+    random rational LPs with random inequalities appended.
+    """
+    rng = random.Random(1959)
+    pairs = []
+    for _ in range(16):
+        d = rng.choice([1, 2])
+        full = _minimax_lp(random_samples(rng, d, rng.randint(5, 12)), rng.randint(1, 3 if d == 1 else 2))
+        pairs.append((_prefix(full, 2 * rng.randint(0, full.num_rows // 2 - 1)), full))
+    for inst in build_fit_corpus(5, 12, dims=(1, 2), degrees=(1, 2), point_range=(8, 20)):
+        basis = build_basis(inst.samples.dimension, inst.degree)
+        pts = inst.samples.view(True)[0]
+        plus = [lift(pts[i], basis) for i in inst.extremes.plus]
+        minus = [lift(pts[i], basis) for i in inst.extremes.minus]
+        moment = _moment_lp(plus, minus)
+        n = moment.num_vars
+        caps = [([int(j == i) for j in range(n)], "<=", Fraction(rng.randint(1, 4), 4))
+                for i in rng.sample(range(n), min(n, 3))]
+        margin = _margin_lp(plus, minus)
+        pairs += [(moment, _appended(moment, caps)), (_prefix(margin, rng.randint(0, margin.num_rows - 1)), margin)]
+    for _ in range(40):
+        lp = _random_rational_lp(rng)
+        extra = [([Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(lp.num_vars)],
+                  rng.choice(["<=", ">="]), Fraction(rng.randint(-8, 8), rng.randint(1, 3)))
+                 for _ in range(rng.randint(1, 3))]
+        pairs.append((lp, _appended(lp, extra)))
+    return pairs
+
+
+@pytest.fixture
+def cold_solves(monkeypatch):
+    """The arithmetic of every `lp._solve` call from here on."""
+    real, calls = lp_module._solve, []
+
+    def counted(lp, exact):
+        calls.append(exact)
+        return real(lp, exact)
+
+    monkeypatch.setattr(lp_module, "_solve", counted)
+    return calls
+
+
+def test_warm_start_matches_cold_solve(cold_solves):
+    outcomes = set()
+    warm_pivots = cold_pivots = 0
+    for prefix, full in _warm_pairs():
+        prefix, full = _as_float(prefix), _as_float(full)
+        start = solve(prefix)
+        if start.status != "optimal":
+            continue
+        cold = solve(full)
+        cold_solves.clear()
+        warm = solve(full, start=start)
+        assert warm.status == cold.status
+        outcomes.add(cold.status)
+        if cold.status == "infeasible":  # no entering column in the dual simplex: the cold solve decides
+            assert cold_solves == [False]
+            assert verify_farkas(full, warm.farkas)
+            continue
+        assert cold_solves == []  # the warm start finished on its own
+        assert abs(warm.objective_value - cold.objective_value) <= 1e-9 * max(1.0, abs(cold.objective_value))
+        for coeffs, rel, rhs in full.rows:
+            gap = sum(a * x for a, x in zip(coeffs, warm.x)) - rhs
+            slack = 1e-9 * max(1.0, max(map(abs, coeffs), default=0.0), abs(rhs))
+            assert {"<=": gap <= slack, "==": abs(gap) <= slack, ">=": gap >= -slack}[rel]
+        assert all((lo is None or v >= lo - 1e-9) and (hi is None or v <= hi + 1e-9)
+                   for v, (lo, hi) in zip(warm.x, full.bounds))
+        warm_pivots += warm.iterations
+        cold_pivots += cold.iterations
+    assert outcomes == {"optimal", "infeasible"}
+    assert warm_pivots < cold_pivots / 2
+
+
+def test_warm_exact_solve_matches_cold():
+    seen = 0
+    for prefix, full in _warm_pairs():
+        start = solve_exact(prefix)
+        if start.status != "optimal":
+            continue
+        got, ref = solve_exact(full, start=start), solve_exact(full)
+        assert (got.status, got.x, got.objective_value, got.farkas) == (
+            ref.status, ref.x, ref.objective_value, ref.farkas
+        )
+        seen += 1
+    assert seen >= 50
+
+
+def _fell_back(full, start, cold_solves):
+    """solve(full, start) made one cold solve and returned exactly its answer."""
+    cold_solves.clear()
+    got = solve(full, start=start)
+    ref = lp_module._solve(full, exact=False)
+    assert cold_solves == [False, False]  # the fallback, then `ref`
+    assert (got.status, got.x, got.objective_value, got.farkas) == (ref.status, ref.x, ref.objective_value, ref.farkas)
+    return got, ref
+
+
+_BOX = LinearProgram([1], [([1], ">=", 1), ([1], "<=", 3)], [(0, None)])  # min x over 1 <= x <= 3
+
+
+def test_appended_equality_row_falls_back(cold_solves):
+    _fell_back(_appended(_BOX, [([1], "==", 2)]), solve(_BOX), cold_solves)
+
+
+def test_singular_start_basis_falls_back(cold_solves):
+    start = solve(_BOX)
+    start.basis = ((0,) * len(start.basis[0]), start.basis[1])
+    _fell_back(_appended(_BOX, [([1], "<=", 2)]), start, cold_solves)
+
+
+def test_dual_infeasible_start_falls_back(cold_solves):
+    # the optimal basis of max x is primal feasible for min x, with reduced cost -1 on the "<=" slack
+    start = solve(LinearProgram([-1], _BOX.rows, _BOX.bounds))
+    assert start.x == [pytest.approx(3.0)]
+    _fell_back(_appended(_BOX, [([1], "<=", 5)]), start, cold_solves)
+
+
+def test_warm_lp_failure_falls_back_and_counts_its_pivots(monkeypatch, cold_solves):
+    samples = random_samples(random.Random(4), 1, 12)
+    full = _as_float(_minimax_lp(samples, 2))
+    start = solve(_prefix(full, 12))
+    warm, spent = lp_module._warm(full, start)
+    assert warm is not None and spent > 0
+    real, checks = lp_module._check_rows, []
+
+    def first_check_fails(lp, x, conv, exact, iterations):
+        checks.append(iterations)
+        if len(checks) == 1:
+            raise LpFailure("optimal point violates row 0")
+        return real(lp, x, conv, exact, iterations=iterations)
+
+    monkeypatch.setattr(lp_module, "_check_rows", first_check_fails)
+    got, ref = _fell_back(full, start, cold_solves)
+    assert checks[0] == spent
+    assert got.iterations == ref.iterations + spent
+
+
+def test_dropped_bound_row_moves_up_with_the_appended_rows():
+    # x == 2 with 0 <= x <= 3: standardised rows x == 2, then the bound row x + s = 3.
+    # A start that dropped the bound row must drop it again behind the appended row x >= 1.
+    prefix = LinearProgram([1], [([1], "==", 2)], [(0, 3)])
+    full = _appended(prefix, [([1], ">=", 1)])
+    start = lp_module.LpSolution("optimal", basis=((0,), (1,)))
+    warm, spent = lp_module._warm(full, start)
+    assert (warm.x, warm.basis, spent) == ([2.0], ((0, 1), (2,)), 0)

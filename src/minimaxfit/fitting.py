@@ -184,7 +184,6 @@ def fit_minimax(samples: SampleSet, degree: int, exact: bool = False) -> FitResu
     nc = basis.size
     objective = [0] * nc + [1]
     bounds = [(None, None)] * nc + [(0, None)]
-    lp_solve = solve_exact if exact else solve
 
     k0 = min(n, 2 * (nc + 2))
     if k0 <= 1:
@@ -200,7 +199,8 @@ def fit_minimax(samples: SampleSet, degree: int, exact: bool = False) -> FitResu
     rows = list(rows_of(sorted(working)))
     start = None
     while True:
-        sol = lp_solve(LinearProgram(objective, rows, bounds), start=start)
+        lp = LinearProgram(objective, rows, bounds)
+        sol = solve_exact(lp) if exact else solve(lp, start=start)
         if sol.status != "optimal":
             raise LpFailure(
                 f"minimax LP came back {sol.status}",

@@ -122,18 +122,17 @@ def solve(lp: LinearProgram, start: Optional[LpSolution] = None) -> LpSolution:
     return solution
 
 
-def solve_exact(lp: LinearProgram, start: Optional[LpSolution] = None) -> LpSolution:
+def solve_exact(lp: LinearProgram) -> LpSolution:
     """Exact rational solution; status decisions carry no tolerance.
 
     The float simplex's optimal basis is certified over ``Fraction`` and its
     exact vertex returned.  When the float solve fails, ends other than
     optimal (infeasible LPs then get their Farkas witness from the rational
     simplex), or its basis is singular or fails an exact check, the two-phase
-    simplex runs over ``Fraction`` from scratch.  `start` is passed to the
-    float solve only, as in `solve`.
+    simplex runs over ``Fraction`` from scratch.
     """
     try:
-        guess = solve(lp, start)
+        guess = _solve(lp, exact=False)
     except (LpFailure, OverflowError, ZeroDivisionError):
         guess = None
     if guess is not None and guess.status == "optimal":

@@ -248,6 +248,19 @@ class TestRunPipeline:
                 assert report[section]["verdict"] == "pass"
                 assert report[section]["note"].startswith("exact fit")
 
+    @pytest.mark.parametrize("nodes", ["uniform", "chebyshev"])
+    def test_warm_float_fit_on_a_symmetric_grid_is_optimal(self, nodes):
+        # the minimax coefficients are not unique here: the warm-started float
+        # fit may return another optimum than the exact one, of the same psi
+        grid = f"-1,1:-1,1;5;{nodes};x1^2*x2+x2^3"
+        reports = [run(RunConfig(command="fit", grid=grid, degree=2, exact=exact)) for exact in (False, True)]
+        for code, report in reports:
+            assert code == 0
+            assert report["reduction"]["verdict"] == "pass"
+            assert report["alternation"]["verdict"] == "pass"
+        (_, fit), (_, exact_fit) = reports
+        assert fit["psi"] == pytest.approx(float(Fraction(exact_fit["psi"])), rel=1e-12)
+
     @pytest.mark.parametrize("shift", [0.0, 0.05])
     def test_verify_lifts_only_the_extreme_points(self, tmp_path, monkeypatch, shift):
         # shift 0: the fit's own model (certificate); 0.05: a non-optimal one (witness).

@@ -214,9 +214,9 @@ class TestFitMinimax:
         working_sets = []
         real = fitting.solve_exact if exact else fitting.solve
 
-        def recorded(lp, start=None):
+        def recorded(lp, **kwargs):
             working_sets.append(sorted(round(float(u[1]) * 7) + 7 for u, _, _ in lp.rows if u[0] > 0))
-            return real(lp, start=start)
+            return real(lp, **kwargs)
 
         monkeypatch.setattr(fitting, "solve_exact" if exact else "solve", recorded)
         fit_minimax(samples, 1, exact=exact)

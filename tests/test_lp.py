@@ -426,20 +426,6 @@ def test_warm_start_matches_cold_solve(cold_solves):
     assert warm_pivots < cold_pivots / 2
 
 
-def test_warm_exact_solve_matches_cold():
-    seen = 0
-    for prefix, full in _warm_pairs():
-        start = solve_exact(prefix)
-        if start.status != "optimal":
-            continue
-        got, ref = solve_exact(full, start=start), solve_exact(full)
-        assert (got.status, got.x, got.objective_value, got.farkas) == (
-            ref.status, ref.x, ref.objective_value, ref.farkas
-        )
-        seen += 1
-    assert seen >= 50
-
-
 def _fell_back(full, start, cold_solves):
     """solve(full, start) made one cold solve and returned exactly its answer."""
     cold_solves.clear()

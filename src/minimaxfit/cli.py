@@ -13,16 +13,21 @@ from __future__ import annotations
 import argparse
 import ast
 import csv
+import functools
+import io
 import json
 import math
 import operator
 import re
 import sys
 import time
+import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .alternation import HyperplaneSplit, HyperplaneVerdict, verify_by_hyperplanes
 from .fitting import (
@@ -173,8 +178,33 @@ def _parse_number(cell: str, exact: bool) -> Number:
     return Fraction(x) if exact else x
 
 
+def _bulk_floats(body: str, d: int) -> Optional[tuple[list, list]]:
+    """Points and values of the CSV rows `body` read by numpy, or None to read them cell by cell.
+
+    Only a table of at least one row, exactly d+1 columns and finite entries
+    is taken; anything else (an empty cell, a quote, a ragged row, ``nan``,
+    ``1e400``, a warning such as "input contained no data") returns None.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2, dtype=float)
+    except (ValueError, UserWarning):
+        return None
+    if not (len(table) and table.shape[1] == d + 1 and np.isfinite(table).all()):
+        return None
+    return table[:, :d].tolist(), table[:, d].tolist()
+
+
 def ingest(path: str, exact: bool = False) -> SampleSet:
-    """Read a CSV with header x1..xd,f into a validated sample set."""
+    """Read a CSV with header x1..xd,f into a validated sample set.
+
+    The header is read with ``csv``.  In float mode numpy then reads the
+    rows in bulk (`_bulk_floats`); a body it does not take whole, and every
+    exact body, goes through the reader below cell by cell.  So every error,
+    with its ``file:line``, comes from that reader, which is also the only
+    one that parses cells to ``Fraction``.
+    """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         try:
@@ -188,8 +218,13 @@ def ingest(path: str, exact: bool = False) -> SampleSet:
         expected = [f"x{i + 1}" for i in range(d)]
         if header[:-1] != expected:
             raise ValueError(f"{path}: coordinate columns must be named {expected}, got {header[:-1]}")
+        body = handle.read()
+    table = None if exact else _bulk_floats(body, d)
+    if table is not None:
+        points, values = table
+    else:
         points, values = [], []
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
             if not row or all(not c.strip() for c in row):
                 continue
             if len(row) != d + 1:
@@ -550,6 +585,7 @@ def _run_revalidate(config: RunConfig) -> tuple[int, dict]:
 # --- argument parsing ---------------------------------------------------------
 
 
+@functools.cache  # one parser per process; parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="minimaxfit",
@@ -588,8 +624,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # bound) for an option, so hand the grid spec over joined to its flag
         k = argv.index("--grid")
         argv[k:k + 2] = [f"--grid={argv[k + 1]}"]
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
+    ns = _build_parser().parse_args(argv)
     try:
         config = RunConfig(
             command=ns.command,

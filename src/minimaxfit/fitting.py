@@ -81,31 +81,45 @@ class SampleSet:
             if bad < len(pts) * d:
                 raise ValueError(f"point {bad // d} has a coordinate that is not finite: {pts[bad // d]}")
             raise ValueError(f"value {bad - len(pts) * d} is not finite: {flat[bad]}")
-        self._check_duplicates(pts, self._floats)
+        self._check_duplicates(pts)
         self.dimension = d
         self.points: tuple[tuple[Number, ...], ...] = tuple(pts)
         self.values: tuple[Number, ...] = tuple(vals)
-        self._views: dict[bool, tuple] = {}
+        # Python floats are their own float view: no second float() copy
+        self._views: dict[bool, tuple] = {False: (self.points, self.values)} if self._floats else {}
         self._lifted: dict[tuple[int, bool], tuple] = {}  # (degree, exact) -> (basis, rows)
         self._matrices: dict[int, np.ndarray] = {}  # degree -> float lift_matrix
 
     @staticmethod
-    def _check_duplicates(pts, floats: bool):
-        keys = pts
-        if not floats:
-            try:
-                keys = [tuple(map(float, p)) for p in pts]  # rational arithmetic is slow
-            except OverflowError:  # a finite rational beyond float range: compare exactly
-                pass
-        keyed = sorted((p, k) for k, p in enumerate(keys))
-        for a in range(len(keyed)):
-            pa, ia = keyed[a]
-            for b in range(a + 1, len(keyed)):
-                pb, ib = keyed[b]
-                if pb[0] - pa[0] > DUPLICATE_TOL:
-                    break
-                if all(abs(x - y) <= DUPLICATE_TOL for x, y in zip(pa, pb)):
-                    raise ValueError(f"duplicate points at indices {min(ia, ib)} and {max(ia, ib)}")
+    def _check_duplicates(pts):
+        """Raise on the first pair of points within DUPLICATE_TOL in every coordinate.
+
+        The keys are sorted lexicographically, ties by index.  Offset k then
+        compares row a with row a+k of the sorted keys, for every a whose
+        first-coordinate gap x[a+k, 0] - x[a, 0] is within the tolerance; that
+        gap only grows with k, so the offsets stop at the first empty window.
+        The pair reported is the first in sorted order (smallest a, then
+        smallest k), the one a scan of a against each later row would meet
+        first.  The keys are the float64 values of the coordinates; a finite
+        rational beyond float range makes them an object array, compared exactly.
+        """
+        try:
+            keys = np.array(pts, dtype=float)
+        except OverflowError:
+            keys = np.array(pts, dtype=object)
+        order = np.lexsort(keys.T[::-1])
+        keys = keys[order]
+        first = None  # (a, k) of the first duplicate pair in sorted order
+        for k in range(1, len(keys)):
+            a = np.flatnonzero(keys[k:, 0] - keys[:-k, 0] <= DUPLICATE_TOL)
+            if not a.size:
+                break
+            same = a[(abs(keys[a + k] - keys[a]) <= DUPLICATE_TOL).all(axis=1)]
+            if same.size and (first is None or same[0] < first[0]):
+                first = (same[0], k)
+        if first is not None:
+            ia, ib = sorted(order[[first[0], first[0] + first[1]]].tolist())
+            raise ValueError(f"duplicate points at indices {ia} and {ib}")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -114,7 +128,10 @@ class SampleSet:
         """Points and values as ``Fraction`` (exact) or ``float``, converted on first use.
 
         Every verifier reads the samples through this view, so repeated calls
-        (one per candidate hyperplane, say) share one conversion.
+        (one per candidate hyperplane, say) share one conversion.  When every
+        coordinate and value is a Python float already (`ingest`, float
+        `generate_grid`), the float view is ``(self.points, self.values)``
+        itself, with no copy.
         """
         if exact not in self._views:
             conv = Fraction if exact else float

@@ -40,7 +40,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._linalg import exact_solve
-from .monomials import Number
+from .monomials import Number, dot_rows
 
 LESS, EQUAL, GREATER = "<=", "==", ">="
 _RELATIONS = (LESS, EQUAL, GREATER)
@@ -419,22 +419,33 @@ def _certify(lp: LinearProgram, basis, dropped, iterations: int) -> Optional[LpS
 
 
 def _check_rows(lp: LinearProgram, x, conv, exact: bool, iterations: int):
-    # defensive residual check; the 1e-9 contract itself is asserted in tests
-    for k, (coeffs, rel, rhs) in enumerate(lp.rows):
-        lhs = sum(conv(a) * xj for a, xj in zip(coeffs, x))
-        resid = lhs - conv(rhs)
-        scale = max(1.0, max((abs(float(a)) for a in coeffs), default=0.0), abs(float(rhs)))
-        slack = 0 if exact else 1e-7 * scale
-        bad = (
-            (rel == EQUAL and abs(resid) > slack)
-            or (rel == LESS and resid > slack)
-            or (rel == GREATER and resid < -slack)
+    """Raise `LpFailure` at the first original row that the point x breaks.
+
+    A defensive residual check; the 1e-9 contract itself is asserted in
+    tests.  All rows are checked at once: `dot_rows` sums the columns left to
+    right in float64 (``conv`` float), or over ``Fraction`` in an object
+    array, so each float residual is bit for bit that of a per-row ``sum``
+    (Python 3.11).  A float row may miss by 1e-7 times the largest of 1,
+    its |coefficients| and |rhs|; an exact row not at all.
+    """
+    if not lp.rows:
+        return
+    coeffs, rels, rhs = zip(*lp.rows)
+    if exact:  # Fraction entries, so that no float enters an exact sum
+        coeffs, rhs = [[conv(a) for a in row] for row in coeffs], [conv(b) for b in rhs]
+    dtype = object if exact else float
+    matrix, rhs = np.array(coeffs, dtype=dtype), np.array(rhs, dtype=dtype)
+    resid = dot_rows(matrix, x) - rhs
+    slack = 0 if exact else 1e-7 * np.maximum(np.abs(matrix).max(axis=1, initial=1.0), np.abs(rhs))
+    rels = np.array(rels)
+    bad = (((rels == EQUAL) & (abs(resid) > slack)) | ((rels == LESS) & (resid > slack))
+           | ((rels == GREATER) & (resid < -slack)))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise LpFailure(
+            f"optimal point violates row {k} by {float(resid[k]):.3e}",
+            {"row": k, "residual": float(resid[k]), "iterations": iterations},
         )
-        if bad:
-            raise LpFailure(
-                f"optimal point violates row {k} by {float(resid):.3e}",
-                {"row": k, "residual": float(resid), "iterations": iterations},
-            )
 
 
 def _pivot(T: np.ndarray, row: int, col: int):

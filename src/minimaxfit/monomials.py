@@ -168,10 +168,14 @@ def dot(coeffs: Sequence[Number], lifted: Sequence[Number]) -> Number:
 
 
 def dot_rows(matrix: np.ndarray, coeffs: Sequence[Number]) -> np.ndarray:
-    """`dot` of the coefficients with every row of a `lift_matrix`, bit for bit."""
-    total = np.zeros(matrix.shape[0])
+    """`dot` of the coefficients with every row of a matrix, bit for bit.
+
+    The matrix is float64 (a `lift_matrix`, say), or an object array of
+    ``Fraction``, whose sums are then exact.
+    """
+    total = np.zeros(matrix.shape[0], dtype=matrix.dtype)
     for j, c in enumerate(coeffs):
-        total += float(c) * matrix[:, j]
+        total += matrix.dtype.type(c) * matrix[:, j]
     return total
 
 

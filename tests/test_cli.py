@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import minimaxfit
-from minimaxfit import LpFailure, build_basis, fitting, monomials, optimality
+from minimaxfit import LpFailure, build_basis, cli, fitting, monomials, optimality
 from minimaxfit.cli import (
     Expression,
     ExpressionError,
@@ -86,6 +86,95 @@ class TestIngest:
         path = tmp_path / "huge.csv"
         path.write_text("x1,f\n1,2\n1e400,3\n")
         assert ingest(str(path), exact=True).points[1] == (10**400,)
+
+
+# Bodies after the header, for d = 1 and d = 2.  Each is read by numpy and,
+# with `_bulk_floats` switched off, cell by cell; see TestBulkIngest.
+_BODIES = {
+    "plain": ["1,2\n3,4\n", "1,2,3\n4,5,6\n"],
+    "blank lines": ["\n1,2\n\n\n3,4\n\n", "1,2,3\n\n4,5,6\n"],
+    "whitespace lines": ["1,2\n   \n3,4\n\t\n", "1,2,3\n \x0c \n4,5,6\n"],
+    "empty cells": ["1,2\n,\n3,4\n", "1,2,3\n , ,\t\n4,5,6\n"],
+    "empty cell in a row": ["1,\n", "1,,3\n"],
+    "quoted cells": ['"1",2\n3,4\n', '1,"2",3\n"4","5","6"\n'],
+    "quoted comma": ['"1,5",2\n', '1,"2,5",3\n'],
+    "underscores": ["1_0,2\n3,4\n", "1,2_0,3\n"],
+    "unicode digits": ["\u0661,2\n3,4\n", "1,2,\u0663\n"],
+    "whitespace": [" 1 ,\t2\t\n3 , 4\n", "\xa01,\u20032,3\x1c\n4,5,6 \x0b\n"],
+    "crlf": ["1,2\r\n3,4\r\n", "1,2,3\r\n\r\n4,5,6\r\n"],
+    "bare cr": ["1,2\r3,4\r", "1,2,3\r4,5,6\r"],
+    "comment line": ["# note\n1,2\n", "1,2,3\n#4,5,6\n"],
+    "trailing comma": ["1,2,\n3,4,\n", "1,2,3,\n"],
+    "ragged": ["1,2\n3\n", "1,2,3\n4,5\n"],
+    "too wide": ["1,2,3\n", "1,2,3,4\n"],
+    "header only": ["", ""],
+    "blank body": ["\n\n", " \n"],
+    "nan x1": ["nan,2\n", "nan,2,3\n"],
+    "nan x2": ["1,2\n", "1,nan,3\n"],
+    "nan f": ["1,nan\n", "1,2,nan\n"],
+    "inf x1": ["-inf,2\n", "inf,2,3\n"],
+    "inf x2": ["1,2\n", "1,Infinity,3\n"],
+    "inf f": ["1,inf\n", "1,2,-Infinity\n"],
+    "1e400 x1": ["1e400,2\n", "1e400,2,3\n"],
+    "1e400 x2": ["1,2\n", "1,-1e400,3\n"],
+    "1e400 f": ["1,1e400\n", "1,2,1e400\n"],
+    "subnormals": ["5e-324,2.2250738585072009e-308\n1,-4.9406564584124654e-324\n2,1e-320\n",
+                   "5e-324,-1e-310,2.225073858507201e-308\n"],
+    "17 digits": ["0.10000000000000001,1.2345678901234567\n0.30000000000000004,-9.8765432109876543\n",
+                  "0.10000000000000001,0.20000000000000001,9007199254740993\n"],
+    "more than 17 digits": [
+        "1.00000000000000011102230246251565404236316680908203125,"
+        "1.00000000000000011102230246251565404236316680908203126\n3,4\n",
+        "0.1000000000000000055511151231257827021181583404541015625,"
+        "2.00000000000000000000000000000000000001,12345678901234567890123\n"],
+    "signed zeros": ["-0,1\n+0.0,2\n", "-0.0,0,-0\n"],
+    "duplicates": ["1,2\n1,3\n", "0,0,1\n1,1,2\n0,1e-13,3\n"],
+    "other syntax": ["1d5,2\n0x10,3\n", "1e,2,3\n"],
+}
+
+
+class TestBulkIngest:
+    """The numpy path of float `ingest` against the cell-by-cell reader."""
+
+    @staticmethod
+    def _read(path, monkeypatch, bulk):
+        with monkeypatch.context() as patch:
+            if not bulk:
+                patch.setattr(cli, "_bulk_floats", lambda body, d: None)
+            try:
+                samples = ingest(str(path))
+            except ValueError as err:
+                return "error", str(err)
+        hexed = [[c.hex() for c in p] for p in samples.points], [v.hex() for v in samples.values]
+        assert all(type(c) is float for p in samples.points for c in p)
+        assert all(type(v) is float for v in samples.values)
+        return "samples", hexed
+
+    @pytest.mark.parametrize("name", sorted(_BODIES))
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_matches_the_cell_reader(self, tmp_path, monkeypatch, name, d):
+        path = tmp_path / "body.csv"
+        header = ",".join([f"x{i + 1}" for i in range(d)] + ["f"])
+        with open(path, "w", newline="") as handle:
+            handle.write(header + "\r\n" + _BODIES[name][d - 1])
+        assert self._read(path, monkeypatch, True) == self._read(path, monkeypatch, False)
+
+    def test_clean_bodies_take_the_bulk_path(self, tmp_path, monkeypatch):
+        taken, real = [], cli._bulk_floats
+
+        def recorded(body, d):
+            taken.append(real(body, d))
+            return taken[-1]
+
+        monkeypatch.setattr(cli, "_bulk_floats", recorded)
+        for name in ("plain", "blank lines", "crlf", "subnormals", "17 digits", "more than 17 digits"):
+            for d, body in enumerate(_BODIES[name], start=1):
+                path = tmp_path / "clean.csv"
+                path.write_text(",".join([f"x{i + 1}" for i in range(d)] + ["f"]) + "\n" + body)
+                ingest(str(path))
+                assert taken[-1] is not None, (name, d)
+        ingest(str(path), exact=True)  # exact bodies are read cell by cell
+        assert len(taken) == 12
 
 
 class TestExpression:
@@ -339,6 +428,29 @@ class TestMainEntry:
         revalidation = json.loads(capsys.readouterr().out)
         assert revalidation["valid"]
         assert revalidation["checks"]["certificate_moments"]
+
+    def test_parser_is_built_once_and_parses_afresh(self, tmp_path):
+        # one cached parser serves every call; no command's flags leak into the next
+        fresh = cli._build_parser.__wrapped__
+        csv_path = os.path.join(DATA, "parabola.csv")
+        coeffs = tmp_path / "c.json"
+        coeffs.write_text(json.dumps({"degree": 1, "coefficients": [0.5, 0]}))
+        calls = [
+            ["verify", "--input", csv_path, "--coeffs", str(coeffs), "--exact", "--rel-tol", "0.1"],
+            ["fit", "--input", csv_path, "--degree", "2"],
+            ["reduce", "--grid=-1,1;5;uniform;x1^2", "--degree", "1", "--strategy", "single"],
+            ["report", "--report", "r.json", "--input", csv_path],
+            ["fit", "--input", csv_path, "--degree", "1", "--out", "o.json"],
+        ]
+        for argv in calls:
+            assert vars(cli._build_parser().parse_args(argv)) == vars(fresh().parse_args(argv))
+        assert cli._build_parser() is cli._build_parser()
+        out = tmp_path / "fit.json"
+        assert main(calls[0] + ["--out", str(out)]) == 0
+        assert json.loads(out.read_text())["arithmetic"] == "exact"
+        assert main(calls[1][:-2] + ["--degree", "1", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert (report["arithmetic"], report["degree"], "isolability" in report) == ("float", 1, False)
 
     def test_missing_input_is_an_error(self, capsys):
         assert main(["fit", "--input", "/nonexistent.csv", "--degree", "1"]) == 1

@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -59,6 +60,67 @@ class TestSampleSet:
         SampleSet([(huge,), (huge + 1,), (Fraction(-1, 3),)], [0, 1, 2])  # float(huge) overflows
         with pytest.raises(ValueError, match="duplicate points at indices 0 and 2"):
             SampleSet([(huge, 1), (-huge, 1), (huge, Fraction(1) + Fraction(1, 10**13))], [0, 1, 2])
+
+    @staticmethod
+    def _loop_duplicates(pts):
+        """The pair loop `_check_duplicates` replaced: the message it raised, or None."""
+        try:
+            keys = [tuple(map(float, p)) for p in pts]
+        except OverflowError:
+            keys = [tuple(p) for p in pts]
+        keyed = sorted((p, k) for k, p in enumerate(keys))
+        for a in range(len(keyed)):
+            pa, ia = keyed[a]
+            for b in range(a + 1, len(keyed)):
+                pb, ib = keyed[b]
+                if pb[0] - pa[0] > fitting.DUPLICATE_TOL:
+                    break
+                if all(abs(x - y) <= fitting.DUPLICATE_TOL for x, y in zip(pa, pb)):
+                    return f"duplicate points at indices {min(ia, ib)} and {max(ia, ib)}"
+        return None
+
+    def _assert_like_the_loop(self, pts):
+        try:
+            SampleSet._check_duplicates(pts)
+            got = None
+        except ValueError as err:
+            got = str(err)
+        assert got == self._loop_duplicates(pts), pts
+        return got
+
+    def test_duplicate_check_matches_the_pair_loop(self):
+        tol = fitting.DUPLICATE_TOL
+        cases = [
+            [(0.0,), (1e-12,)], [(0.0,), (1.0000000000000002e-12,)], [(1.0, 0.0), (1.0, 1e-12)],
+            [(-0.0, 0.0), (0.0, -0.0)], [(0.0, 1.0), (-0.0, 1.0), (0.0, -0.0)],
+            [(0, 0), (5e-13, -1), (1e-12, 0)],  # the pair is not adjacent in sort order
+            [(3.0, 1.0), (0.0, 0.0), (2.0, 2.0), (3.0, 1.0 + tol), (0.0, 1e-13), (2.0, 2.0)],
+            [(1, 0, 0), (0, 0, 0), (1, 0, 5e-13), (0, 0, 0), (1, 1e-13, 0)],
+            [(Fraction(1, 3), Fraction(1)), (Fraction(1, 3) + Fraction(1, 10**13), 1), (0, 1)],
+            [(Fraction(1, 3),), (Fraction(1, 3) + Fraction(1, 10**12),), (Fraction(2, 3),)],
+            [(Fraction(10**400), 1), (Fraction(-10**400), 1), (Fraction(10**400), Fraction(1) + Fraction(1, 10**13))],
+            [(10**400, 0), (10**400 + 1, 0), (Fraction(-1, 3), 5)],
+            [(10**400, Fraction(1, 10**13)), (10**400, 0), (-10**400, 0), (-10**400, Fraction(1, 10**12))],
+        ]
+        for pts in cases:
+            self._assert_like_the_loop(pts)
+        assert self._assert_like_the_loop(cases[5]) == "duplicate points at indices 0 and 2"
+        assert self._assert_like_the_loop(cases[6]) == "duplicate points at indices 1 and 4"
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_duplicate_check_matches_the_pair_loop_on_seeded_grids(self, d):
+        rng = random.Random(d)
+        side = {1: 60, 2: 9, 3: 5}[d]
+        for trial in range(40):
+            axes = [sorted(rng.sample(range(-50, 50), side)) for _ in range(d)]
+            scale = rng.choice([1.0, 1e-12, 3e-13, 0.1])
+            pts = [tuple(scale * c for c in p) for p in product(*axes)]
+            rng.shuffle(pts)
+            for _ in range(rng.choice([0, 0, 1, 3])):  # near copies: several pairs, same report
+                p = rng.choice(pts)
+                pts.insert(rng.randrange(len(pts) + 1),
+                           tuple(c + rng.choice([0.0, -0.0, 5e-13, -1e-12, 2e-12]) for c in p))
+            self._assert_like_the_loop(pts)
 
     def test_rejects_inconsistent_dimension(self):
         with pytest.raises(ValueError):

@@ -484,3 +484,69 @@ def test_dropped_bound_row_moves_up_with_the_appended_rows():
     start = lp_module.LpSolution("optimal", basis=((0,), (1,)))
     warm, spent = lp_module._warm(full, start)
     assert (warm.x, warm.basis, spent) == ([2.0], ((0, 1), (2,)), 0)
+
+
+def _loop_check_rows(lp, x, exact):
+    """The per-row check `_check_rows` replaced: (row, residual) of the first broken row, or None.
+
+    Its ``sum`` was this left-to-right loop on Python 3.11 (3.12 compensates float sums).
+    """
+    conv = Fraction if exact else float
+    for k, (coeffs, rel, rhs) in enumerate(lp.rows):
+        lhs = 0
+        for a, xj in zip(coeffs, x):
+            lhs = lhs + conv(a) * xj
+        resid = lhs - conv(rhs)
+        scale = max(1.0, max((abs(float(a)) for a in coeffs), default=0.0), abs(float(rhs)))
+        slack = 0 if exact else 1e-7 * scale
+        if ((rel == "==" and abs(resid) > slack) or (rel == "<=" and resid > slack)
+                or (rel == ">=" and resid < -slack)):
+            return k, resid
+    return None
+
+
+def _check_rows_outcome(lp, x, exact):
+    conv = Fraction if exact else float
+    try:
+        lp_module._check_rows(lp, x, conv, exact, iterations=7)
+    except LpFailure as err:
+        assert err.diagnostics["iterations"] == 7
+        return err.diagnostics["row"], err.diagnostics["residual"], str(err)
+    return None
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_check_rows_matches_the_row_loop(exact):
+    rng = random.Random(31)
+    conv = Fraction if exact else float
+
+    def number():
+        v = rng.choice([rng.uniform(-1, 1), rng.uniform(-1e3, 1e3), rng.randint(-5, 5), 0.0, 1e-9])
+        return Fraction(v).limit_denominator(10**6) if exact and rng.random() < 0.5 else v
+
+    for trial in range(300):
+        n, m = rng.randint(1, 9), rng.randint(1, 12)
+        x = [conv(number()) for _ in range(n)]
+        rows = []
+        for _ in range(m):
+            coeffs = [number() for _ in range(n)]
+            lhs = sum(conv(a) * xj for a, xj in zip(coeffs, x))
+            # rhs near lhs: most rows hold, some miss by about the float slack
+            rhs = float(lhs) + rng.choice([0.0, 0.0, 1e-6, -1e-6, 1e-8, -1e-3]) * max(1.0, abs(float(lhs)))
+            rows.append((coeffs, rng.choice(["<=", "==", ">="]), rhs))
+        lp = LinearProgram([0] * n, rows)
+        ref = _loop_check_rows(lp, x, exact)
+        got = _check_rows_outcome(lp, x, exact)
+        if ref is None:
+            assert got is None, trial
+        else:
+            k, resid = ref
+            assert got == (k, float(resid), f"optimal point violates row {k} by {float(resid):.3e}"), trial
+        # one "== 0" row per coefficient row exposes its whole float sum, bit for bit
+        for coeffs, _, _ in rows:
+            single = LinearProgram([0] * n, [(coeffs, "==", 0)])
+            ref, got = _loop_check_rows(single, x, exact), _check_rows_outcome(single, x, exact)
+            assert (ref is None) == (got is None)
+            if ref is not None:
+                assert float(ref[1]).hex() == got[1].hex()
+    assert _check_rows_outcome(LinearProgram([1], []), [conv(2)], exact) is None

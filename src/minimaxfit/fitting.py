@@ -16,7 +16,12 @@ coefficients are not unique (a symmetric 2-D grid), a warm basis or another
 row order certifies another optimum of the same psi.
 
 Residuals follow the convention r(x) = f(x) - L(A, x), so the positive
-extreme set holds points where the target sits above the model.
+extreme set holds points where the target sits above the model.  An exact
+fit takes them over integers: each sample's row (lift(x_i), f(x_i)) is
+written once per fit as integers over the lcm D_i of its denominators
+(`_integer_rows`), each round's coefficients as integers p over their lcm
+q, and r_i = (q V_i - p . N_i) / (q D_i) is one ``Fraction`` per sample,
+the value `dot` would give.
 
 `SampleSet.lifted` is the one place a sample point is lifted; the fit and
 every verifier read their rows from it.  Exact rows are made on first
@@ -36,12 +41,13 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from operator import mul
 from typing import Sequence
 
 import numpy as np
 
 from .lp import LinearProgram, LpFailure, solve, solve_exact
-from .monomials import Number, PolynomialModel, build_basis, dot, dot_rows, evaluate, lift, lift_matrix
+from .monomials import Number, PolynomialModel, build_basis, dot_rows, evaluate, lift, lift_matrix
 
 DUPLICATE_TOL = 1e-12
 DEGENERATE_PSI = 1e-12
@@ -194,7 +200,7 @@ def fit_minimax(samples: SampleSet, degree: int, exact: bool = False) -> FitResu
     vals = samples.view(exact)[1]
     n = len(vals)
     if exact:
-        lifts = samples.lifted(range(n), degree, True)
+        table = _integer_rows(samples.lifted(range(n), degree, True), vals)
     else:
         matrix, targets = samples.lifted_matrix(degree), np.array(vals)
 
@@ -227,7 +233,7 @@ def fit_minimax(samples: SampleSet, degree: int, exact: bool = False) -> FitResu
         z = sol.x[nc]
 
         if exact:
-            residuals = [vals[i] - dot(coeffs, lifts[i]) for i in range(n)]
+            residuals = _integer_residuals(table, coeffs)
             worst_i = max(range(n), key=lambda i: (abs(residuals[i]), -i))
             worst = abs(residuals[worst_i])
         else:
@@ -247,6 +253,28 @@ def fit_minimax(samples: SampleSet, degree: int, exact: bool = False) -> FitResu
     model = PolynomialModel(basis, tuple(coeffs))
     residuals = tuple(residuals if exact else residuals.tolist())
     return FitResult(model=model, psi=worst, residuals=residuals)
+
+
+def _integer_rows(lifts: Sequence[Sequence[Number]], vals: Sequence[Number]) -> list[tuple]:
+    """Each exact row (lift(x_i), f(x_i)) as (N_i, V_i, D_i): integers N_i, V_i over its lcm denominator D_i."""
+    table = []
+    for u, v in zip(lifts, vals):
+        den = math.lcm(v.denominator, *(g.denominator for g in u))
+        row = tuple(g.numerator * (den // g.denominator) for g in u)
+        table.append((row, v.numerator * (den // v.denominator), den))
+    return table
+
+
+def _integer_residuals(table, coeffs: Sequence[Number]) -> list[Fraction]:
+    """f(x_i) - dot(coeffs, lift(x_i)) at every row of `_integer_rows`, exactly.
+
+    With the coefficients as integers p over their lcm denominator q, the
+    residual is (q V_i - p . N_i) / (q D_i): integer sums and one ``Fraction``
+    normalisation per row, where `dot` normalises twice per term.
+    """
+    q = math.lcm(*(c.denominator for c in coeffs))
+    p = [c.numerator * (q // c.denominator) for c in coeffs]
+    return [Fraction(q * v - sum(map(mul, p, row)), q * den) for row, v, den in table]
 
 
 def _model_residuals(model: PolynomialModel, samples: SampleSet) -> list[Number]:
@@ -274,7 +302,7 @@ def partition_extremes(residuals: Sequence[Number], rel_tol: float = DEFAULT_REL
     if not (0 <= rel_tol < 0.5):
         raise ValueError(f"rel_tol must lie in [0, 0.5), got {rel_tol}")
     psi = max(abs(r) for r in residuals)
-    if float(psi) <= DEGENERATE_PSI:
+    if psi <= DEGENERATE_PSI:  # exact for a Fraction, also one beyond float range
         every = tuple(range(len(residuals)))
         return ExtremeSets(plus=every, minus=every, psi=psi, rel_tol=rel_tol, degenerate=True)
     exact_mode = isinstance(psi, (Fraction, int))

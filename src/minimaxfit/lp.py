@@ -14,7 +14,12 @@ once over ``Fraction``: primal values non-negative, reduced costs
 non-negative, every row satisfied exactly.  A basis that fails any check, and
 every float failure or non-optimal float status, sends the LP through the
 rational simplex from scratch.  Every status an exact solve returns is thus
-decided in exact arithmetic.
+decided in exact arithmetic.  The certificate solves only the basis's
+structural block (see `_certify`): a basic slack is a unit column, so
+B x_B = b and B^T y = c_B over all m kept rows reduce to two k x k systems
+over the k basic structural columns, k at most one more than a fit's
+coefficients.  A non-singular system has one solution, so the block gives
+the vertex the m x m solves would.
 
 A float solve may start from the optimal basis of an LP whose rows are the
 leading rows of its own (``start``), as the working-set loop of the minimax
@@ -183,7 +188,8 @@ def _substitute(lp: LinearProgram, conv):
             a = conv(a)
             if a == 0:
                 continue
-            shift += a * offsets[j]
+            if offsets[j]:  # zero for every free variable and every lower bound 0
+                shift += a * offsets[j]
             for col, sign in col_terms[j]:
                 row[col] += a if sign > 0 else -a
         sub_rows.append((row, rel, conv(rhs) - shift))
@@ -396,18 +402,44 @@ def _certify(lp: LinearProgram, basis, dropped, iterations: int) -> Optional[LpS
     Solves B x_B = b and B^T y = c_B over ``Fraction`` on the kept rows, then
     asks for x_B >= 0, reduced costs c - A^T y >= 0 on every column, the
     dropped rows satisfied and every original row satisfied, all exactly.
+
+    B is solved on its structural block.  A basic slack is the unit column
+    +-e_i of its own row i, so with the rows T whose slack is not basic
+    first and the basic structural columns S first, B = [[B_TS, 0],
+    [B_RS, +-I]].  B is singular exactly when B_TS is (|T| = |S| for a
+    square basis of distinct columns), or when a basic slack belongs to a
+    dropped row (a zero column).  Otherwise B_TS x_S = b_T and
+    B_TS^T y_T = c_S are k x k solves, k = |S| (at most one more than the
+    number of coefficients in a fit LP), each basic slack is
+    +-(b_i - a_i . x_S), and y is zero on the rows R of the basic slacks,
+    which cost nothing.  These x_B and y solve the full systems, whose
+    solutions are unique, so the vertex certified is the one the dense
+    m x m solves would give.
     """
     col_terms, offsets, rows, rhs, costs = _standard_form(lp, Fraction)
+    nstruct = sum(map(len, col_terms))
+    slack_row = [i for i, row in enumerate(rows) if any(row[nstruct:])]  # the row of slack column nstruct + s
     kept = [i for i in range(len(rows)) if i not in dropped]
-    x_b = exact_solve([[rows[i][j] for j in basis] for i in kept], [rhs[i] for i in kept])
-    y = exact_solve([[rows[i][j] for i in kept] for j in basis], [costs[j] for j in basis])
-    if x_b is None or y is None or any(v < 0 for v in x_b):
+    if len(basis) != len(kept) or len(set(basis)) != len(basis):
+        return None  # not square, or two equal columns
+    struct = [j for j in basis if j < nstruct]
+    slack_of = {slack_row[j - nstruct]: j for j in basis if j >= nstruct}  # row -> its basic slack
+    if any(i in dropped for i in slack_of):
+        return None
+    tight = [i for i in kept if i not in slack_of]
+    x_s = exact_solve([[rows[i][j] for j in struct] for i in tight], [rhs[i] for i in tight])
+    y = exact_solve([[rows[i][j] for i in tight] for j in struct], [costs[j] for j in struct])
+    if x_s is None or y is None:
         return None
     x_std = [Fraction(0)] * len(costs)
-    for j, v in zip(basis, x_b):
+    for j, v in zip(struct, x_s):
         x_std[j] = v
+    for i, j in slack_of.items():  # the slack's entry is +-1, its own inverse
+        x_std[j] = (rhs[i] - sum(rows[i][c] * v for c, v in zip(struct, x_s) if v)) * rows[i][j]
+    if any(x_std[j] < 0 for j in basis):
+        return None
     for j, c in enumerate(costs):
-        if c - sum(yi * rows[i][j] for yi, i in zip(y, kept) if rows[i][j]) < 0:
+        if c - sum(yi * rows[i][j] for yi, i in zip(y, tight) if yi and rows[i][j]) < 0:
             return None
     for i in dropped:
         if sum(a * v for a, v in zip(rows[i], x_std) if v) != rhs[i]:

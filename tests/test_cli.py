@@ -471,6 +471,16 @@ class TestMainEntry:
         if args[0] == "--input":
             assert "nan.csv:3" in err
 
+    def test_exact_fit_with_psi_beyond_float_range(self, tmp_path):
+        # psi near 10**400 / 2: the degenerate-psi test compares it with 1e-12 exactly, not through float()
+        path, out = tmp_path / "huge.csv", tmp_path / "r.json"
+        path.write_text(f"x1,f\n0,1\n1,{10**400}\n2,3\n3,5\n")
+        assert main(["fit", "--input", str(path), "--degree", "1", "--exact", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert isinstance(report["psi"], str) and Fraction(report["psi"]) > 10**399
+        assert report["extremes"]["degenerate"] is False
+        assert report["reduction"]["verdict"] == report["alternation"]["verdict"] == "pass"
+
     def test_report_never_holds_nan(self, monkeypatch, capsys):
         # NaN is not JSON: a report that would hold one is an error, not a file
         monkeypatch.setattr(minimaxfit.cli, "run", lambda config: (0, {"psi": math.nan}))

@@ -24,6 +24,7 @@ from minimaxfit import (
     verify_by_hyperplanes,
 )
 from minimaxfit import fitting
+from minimaxfit.monomials import dot
 import minimaxfit.lp as lp_module
 
 from support import build_fit_corpus, random_samples
@@ -335,6 +336,29 @@ class TestFitMinimax:
             if ext.degenerate:
                 continue
             assert count_alternations(ext, samples) >= m + 2
+
+
+_RATIONALS = st.one_of(
+    st.integers(-50, 50),
+    st.fractions(max_denominator=10**6).filter(lambda q: abs(q) < 10**6),
+    st.builds(Fraction, st.integers(-10**400, 10**400), st.integers(1, 10**40)),  # beyond float range
+    st.builds(Fraction, st.integers(-10, 10), st.integers(1, 10**400)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 3), st.data())
+def test_integer_residuals_equal_the_dot_path(d, degree, data):
+    basis = build_basis(d, degree)
+    n = data.draw(st.integers(1, 6))
+    lifts = [lift(data.draw(st.lists(_RATIONALS, min_size=d, max_size=d)), basis) for _ in range(n)]
+    vals = data.draw(st.lists(_RATIONALS, min_size=n, max_size=n))
+    table = fitting._integer_rows(lifts, vals)
+    for coeffs in (data.draw(st.lists(_RATIONALS, min_size=basis.size, max_size=basis.size)),
+                   [0] * basis.size, [Fraction(-k, 3) for k in range(basis.size)]):
+        got = fitting._integer_residuals(table, coeffs)
+        assert got == [v - dot(coeffs, u) for u, v in zip(lifts, vals)]
+        assert all(type(r) is Fraction for r in got)
 
 
 class TestComputePsi:

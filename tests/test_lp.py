@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import minimaxfit.lp as lp_module
 from minimaxfit import LinearProgram, LpFailure, build_basis, lift, solve, solve_exact, verify_farkas
+from minimaxfit._linalg import exact_solve
 from minimaxfit.cli import RunConfig, run
 from minimaxfit.optimality import _moment_lp
 
@@ -314,6 +315,106 @@ def test_random_float_bases_never_change_the_answer(monkeypatch, exact_corpus):
     for lp, ref in exact_corpus[::2]:
         _assert_same_exact_answer(lp, solve_exact(lp), ref)
     assert fallbacks  # most random bases are rejected
+
+
+def _dense_certify(lp, basis, dropped, iterations):
+    """The m x m `_certify` the structural-block one replaced: both solves over the whole basis."""
+    col_terms, offsets, rows, rhs, costs = lp_module._standard_form(lp, Fraction)
+    kept = [i for i in range(len(rows)) if i not in dropped]
+    x_b = exact_solve([[rows[i][j] for j in basis] for i in kept], [rhs[i] for i in kept])
+    y = exact_solve([[rows[i][j] for i in kept] for j in basis], [costs[j] for j in basis])
+    if x_b is None or y is None or any(v < 0 for v in x_b):
+        return None
+    x_std = [Fraction(0)] * len(costs)
+    for j, v in zip(basis, x_b):
+        x_std[j] = v
+    for j, c in enumerate(costs):
+        if c - sum(yi * rows[i][j] for yi, i in zip(y, kept) if rows[i][j]) < 0:
+            return None
+    for i in dropped:
+        if sum(a * v for a, v in zip(rows[i], x_std) if v) != rhs[i]:
+            return None
+    try:
+        return lp_module._optimal(lp, col_terms, offsets, x_std, True, iterations, (tuple(basis), tuple(dropped)))
+    except LpFailure:
+        return None
+
+
+def _candidate_bases(lp, rng):
+    """(basis, dropped rows) pairs, each with one column per kept row, for `lp`.
+
+    The float solver's basis and neighbours of it with one column swapped
+    (often another vertex, or a singular basis with a duplicate column),
+    the float basis with a row of a basic slack dropped and that slack gone
+    (the dropped row then holds only where the slack was zero), uniformly
+    random columns, and random rows dropped, their basis now and then
+    holding a dropped row's slack.
+    """
+    col_terms, _, rows, _, costs = lp_module._standard_form(lp, float)
+    nstruct, m, ncols = sum(map(len, col_terms)), len(rows), len(costs)
+    slack_of = dict(zip((i for i, row in enumerate(rows) if any(row[nstruct:])), range(nstruct, ncols)))
+    out = []
+    guess = lp_module._solve(lp, exact=False)
+    if guess.status == "optimal":
+        out.append(guess.basis)
+        for _ in range(4):
+            basis = list(guess.basis[0])
+            if basis:
+                basis[rng.randrange(len(basis))] = rng.randrange(ncols)
+            out.append((tuple(basis), guess.basis[1]))
+        basis, dropped = guess.basis
+        kept = [i for i in range(m) if i not in dropped]
+        loose = [k for k, i in enumerate(kept) if slack_of.get(i) == basis[k]]
+        if loose:
+            k = rng.choice(loose)
+            out.append((basis[:k] + basis[k + 1:], tuple(sorted(dropped + (kept[k],)))))
+    out.append((tuple(rng.randrange(ncols) for _ in range(m)), ()))
+    for _ in range(2):
+        dropped = tuple(sorted(rng.sample(range(m), rng.randint(1, m)))) if m else ()
+        basis = [rng.randrange(ncols) for _ in range(m - len(dropped))]
+        droppable = [slack_of[i] for i in dropped if i in slack_of]
+        if basis and droppable and rng.random() < 0.5:
+            basis[rng.randrange(len(basis))] = rng.choice(droppable)
+        out.append((tuple(basis), dropped))
+    return out
+
+
+def test_block_certificate_matches_the_dense_one(exact_corpus):
+    rng = random.Random(41)
+    certified = rejected = 0
+    for lp, _ in exact_corpus:
+        for basis, dropped in _candidate_bases(lp, rng):
+            got = lp_module._certify(lp, basis, dropped, iterations=3)
+            ref = _dense_certify(lp, basis, dropped, iterations=3)
+            assert (got is None) == (ref is None), (basis, dropped)
+            if ref is None:
+                rejected += 1
+                continue
+            certified += 1
+            assert (got.x, got.objective_value, got.basis) == (ref.x, ref.objective_value, ref.basis)
+            assert all(type(v) is Fraction for v in got.x)
+    assert certified > 100 and rejected > 100
+
+
+@pytest.mark.parametrize("cost, rhs, basis, dropped, x", [
+    (1, 1, (0, 2), (), [1]),  # the optimal vertex: x = 1 on the ">=" row, bound slack 2
+    (1, 1, (0, 1), (), None),  # x = 3 on the bound row: feasible, but the bound slack's reduced cost is -1
+    (1, 1, (0, 0), (), None),  # a duplicate column
+    (1, 1, (0, 1, 2), (), None),  # three columns for two kept rows
+    (1, 0, (0, 2), (), [0]),
+    # each basic value below is feasible and each reduced cost non-negative, but B is not invertible
+    (1, 0, (2, 2), (), None),  # the bound slack twice
+    (1, 0, (2,), (1,), None),  # the slack of the dropped bound row: a zero column
+    (0, 0, (0, 1, 2), (), None),
+])
+def test_block_certificate_on_a_box(cost, rhs, basis, dropped, x):
+    # min cost * x s.t. x >= rhs, 0 <= x <= 3: rows u - s1 = rhs and u + s2 = 3 over columns u, s1, s2
+    lp = LinearProgram([cost], [([1], ">=", rhs)], [(0, 3)])
+    got = lp_module._certify(lp, basis, dropped, iterations=0)
+    assert (got and got.x) == x
+    if len(basis) + len(dropped) == 2:
+        ref = _dense_certify(lp, basis, dropped, iterations=0)
+        assert (ref and ref.x) == x
 
 
 @pytest.mark.parametrize("grid, degree, psi, coefficients", [

@@ -7,13 +7,15 @@ The fit solves the linear program
 via a working-set loop: solve the LP on a subset, add the worst violator,
 repeat until no sample deviates beyond the subset optimum.  At termination
 the model is optimal for the full set, and the LP kernel only ever sees
-small dense problems.  In float mode each round appends the new point's two
-rows to the last round's LP and starts the solve from its optimal basis
-(``start`` of `lp.solve`), so the two-phase simplex runs in the first round
-only, and wherever that warm start gives up.  Exact fits solve every round
-from scratch on the working set in sorted order: where the minimax
-coefficients are not unique (a symmetric 2-D grid), a warm basis or another
-row order certifies another optimum of the same psi.
+small dense problems.  In float mode no round runs phase 1: the first
+round's LP has no "==" row and costs only z >= 0, so `lp.solve` starts it
+from the basis of every row's slack, and each later round appends the new
+point's two rows to the last round's LP and starts from its optimal basis
+(``start`` of `lp.solve`), standardising only those two rows.  The
+two-phase simplex runs only where such a start gives up.  Exact fits solve
+every round from scratch on the working set in sorted order: where the
+minimax coefficients are not unique (a symmetric 2-D grid), a warm basis or
+another row order certifies another optimum of the same psi.
 
 Residuals follow the convention r(x) = f(x) - L(A, x), so the positive
 extreme set holds points where the target sits above the model.  An exact
@@ -26,12 +28,15 @@ the value `dot` would give.
 `SampleSet.lifted` is the one place a sample point is lifted; the fit and
 every verifier read their rows from it.  Exact rows are made on first
 request, once per degree, so checking the extreme points lifts only those.
-Float rows are rows of one float64 matrix per degree (`lift_matrix`), and
-every float residual pass is `dot_rows` over it: the fit's working-set loop
-(worst point by `np.argmax`, whose first-index rule is the tie rule of the
-exact loop), and `extreme_sets` and `compute_psi` when every sample
-coordinate and value is a Python float.  The matrix repeats `lift` and `dot`
-bit for bit (see `monomials`), so both forms give the same residuals.
+Float rows are rows of a degree's float64 matrix (`lift_matrix`) once
+that is built; before, `lift_matrix` makes only the rows asked for, which
+are the same rows bit for bit (reduction and alternation at degrees 1 and
+m-1 ask for a few).  Every float residual pass is `dot_rows` over a full
+matrix: the fit's working-set loop (worst point by `np.argmax`, whose
+first-index rule is the tie rule of the exact loop), and `extreme_sets` and
+`compute_psi` when every sample coordinate and value is a Python float.
+The matrix repeats `lift` and `dot` bit for bit (see `monomials`), so both
+forms give the same residuals.
 """
 
 from __future__ import annotations
@@ -156,18 +161,27 @@ class SampleSet:
     def lifted(self, indices: Sequence[int], degree: int, exact: bool) -> list[tuple[Number, ...]]:
         """Rows lift(x_i) of the `view(exact)` points over the degree-`degree` basis, i in `indices`.
 
-        Exact rows are lifted the first time they are asked for; float rows
-        are read from `lifted_matrix`.  Either way a row is made once per
-        degree and arithmetic, then shared by every later caller.
+        Exact rows are lifted the first time they are asked for.  Float rows
+        are read from `lifted_matrix` once it is built (the fit's degree);
+        other float rows are lifted on request by `lift_matrix` over just
+        those points, which gives the matrix's rows bit for bit (it works row
+        by row).  Either way a row is made once per degree and arithmetic,
+        then shared by every later caller.
         """
         if (degree, exact) not in self._lifted:
             self._lifted[degree, exact] = (build_basis(self.dimension, degree), [None] * len(self.points))
         basis, rows = self._lifted[degree, exact]
-        pts = self.view(True)[0] if exact else None
-        matrix = None if exact else self.lifted_matrix(degree)
-        for i in indices:
-            if rows[i] is None:
-                rows[i] = tuple(lift(pts[i], basis)) if exact else tuple(matrix[i].tolist())
+        missing = [i for i in dict.fromkeys(indices) if rows[i] is None]
+        if missing:
+            pts = self.view(exact)[0]
+            if exact:
+                new = [lift(pts[i], basis) for i in missing]
+            elif degree in self._matrices:
+                new = self._matrices[degree][missing].tolist()
+            else:
+                new = lift_matrix([pts[i] for i in missing], basis).tolist()
+            for i, row in zip(missing, new):
+                rows[i] = tuple(row)
         return [rows[i] for i in indices]
 
 
@@ -297,19 +311,29 @@ def partition_extremes(residuals: Sequence[Number], rel_tol: float = DEFAULT_REL
     `minus` for the mirrored condition, psi being the largest |residual|.
     When psi falls below the absolute tolerance 1e-12 the model is exact on
     the samples; the result is flagged degenerate with both sets holding
-    every index.
+    every index.  Residuals that are all Python floats (a float fit's) are
+    compared in one float64 array, with the same psi, threshold and sets.
     """
     if not (0 <= rel_tol < 0.5):
         raise ValueError(f"rel_tol must lie in [0, 0.5), got {rel_tol}")
-    psi = max(abs(r) for r in residuals)
+    floats = set(map(type, residuals)) == {float}
+    if floats:  # the same comparisons over one float64 array
+        residuals = np.array(residuals)
+        psi = float(np.abs(residuals).max())
+    else:
+        psi = max(abs(r) for r in residuals)
     if psi <= DEGENERATE_PSI:  # exact for a Fraction, also one beyond float range
         every = tuple(range(len(residuals)))
         return ExtremeSets(plus=every, minus=every, psi=psi, rel_tol=rel_tol, degenerate=True)
     exact_mode = isinstance(psi, (Fraction, int))
     band = psi * (Fraction(rel_tol) if exact_mode else rel_tol)
     threshold = psi - band
-    plus = tuple(i for i, r in enumerate(residuals) if r >= threshold)
-    minus = tuple(i for i, r in enumerate(residuals) if -r >= threshold)
+    if floats:
+        plus = tuple(np.flatnonzero(residuals >= threshold).tolist())
+        minus = tuple(np.flatnonzero(-residuals >= threshold).tolist())
+    else:
+        plus = tuple(i for i, r in enumerate(residuals) if r >= threshold)
+        minus = tuple(i for i, r in enumerate(residuals) if -r >= threshold)
     return ExtremeSets(plus=plus, minus=minus, psi=psi, rel_tol=rel_tol)
 
 

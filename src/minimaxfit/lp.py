@@ -1,4 +1,4 @@
-"""Self-contained dense linear programming: two-phase simplex with Bland's rule.
+"""Self-contained dense linear programming: two-phase and dual simplex with anti-cycling rules.
 
 The LPs in this package are small (at most a few hundred variables), so a
 dense tableau with anti-cycling pivoting is the robust choice.  One
@@ -19,16 +19,23 @@ structural block (see `_certify`): a basic slack is a unit column, so
 B x_B = b and B^T y = c_B over all m kept rows reduce to two k x k systems
 over the k basic structural columns, k at most one more than a fit's
 coefficients.  A non-singular system has one solution, so the block gives
-the vertex the m x m solves would.
+the vertex the m x m solves would.  The float guess is always the two-phase
+solve from scratch.
 
-A float solve may start from the optimal basis of an LP whose rows are the
-leading rows of its own (``start``), as the working-set loop of the minimax
-fit makes them round after round; Stiefel's exchange is this simplex on the
-same LP.  The appended rows enter with their slacks basic, which leaves the
-basis dual feasible, so a dual simplex restores primal feasibility and no
-phase 1 runs.  A warm start returns only an optimal point that passed the
-same row check as a cold one; anything else sends the LP through the
-two-phase simplex from scratch, which decides every other status.
+A float solve runs no phase 1 when it has a dual feasible basis to start
+from, and then a dual simplex restores primal feasibility (Koberstein, "The
+dual simplex method", PhD thesis, Paderborn 2005).  There are two such
+starts.  When no row is "==" and no standardised column costs less than
+zero, as in the minimax LP of a fit, every row's slack is basic and the
+basis is dual feasible as it stands.  When ``start`` is the optimal solution
+of an LP whose rows are the leading rows of this one, as the working-set
+loop of the minimax fit makes them round after round, its basis plus the
+appended rows' slacks is (Stiefel's exchange is this simplex on the same
+LP).  Every float optimal solution carries its LP's scaled standardised rows,
+so a warm round standardises only the rows it appends.  A dual start returns
+only an optimal point that passed the same row check as a cold one; anything
+else sends the LP through the two-phase simplex from scratch, which decides
+every other status.
 
 Infeasible solves always carry a Farkas witness so callers can turn "no
 certificate" into an explicit separating functional.  The witness lives in
@@ -110,17 +117,23 @@ class LpSolution:
     iterations: int = 0  # pivots of the whole call, an abandoned warm start's included
     # optimal only: (basic column per kept standardised row, dropped redundant rows)
     basis: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = field(default=None, repr=False, compare=False)
+    # float optimal only: the LP's scaled standardised rows [A | b], dropped rows included (see `_warm`)
+    _rows: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
 
 def solve(lp: LinearProgram, start: Optional[LpSolution] = None) -> LpSolution:
-    """Simplex in float64.  Deterministic (Bland's rule).
+    """Simplex in float64.  Deterministic.
 
-    Without `start`, the two-phase simplex runs from scratch.  `start` is an
-    optimal solution of an LP whose rows are the leading rows of `lp`, with
-    the same objective and bounds; the solve then begins at its basis (see
-    `_warm`) and runs from scratch only when that attempt cannot finish.
+    `start`, if given, is an optimal solution of an LP whose rows are the
+    leading rows of `lp`, with the same objective and bounds; the solve then
+    begins at its basis.  Without `start`, the solve begins at the basis of
+    every row's slack when that basis is dual feasible (no "==" row, no
+    negative standardised cost).  Either way a dual simplex runs (see
+    `_warm`), and the two-phase simplex from scratch runs only when there is
+    no such start or that attempt cannot finish; `iterations` then counts
+    the abandoned attempt's pivots too.
     """
-    solution, spent = _warm(lp, start) if start is not None else (None, 0)
+    solution, spent = _warm(lp, start)
     if solution is None:
         solution = _solve(lp, exact=False)
         solution.iterations += spent
@@ -154,12 +167,13 @@ def solve_exact(lp: LinearProgram) -> LpSolution:
 # row after the original rows.
 
 
-def _substitute(lp: LinearProgram, conv):
+def _columns(bounds, conv):
+    """Per variable its standardised (column, sign) terms and offset, the two-sided bounds, the column count."""
     col_terms: list[list[tuple[int, int]]] = []  # per variable: [(column, sign)]
     offsets: list[Number] = []
     bound_rows: list[tuple[int, Number]] = []  # (column, upper bound on that column)
     ncols = 0
-    for lo, hi in lp.bounds:
+    for lo, hi in bounds:
         if lo is not None:
             lo = conv(lo)
         if hi is not None:
@@ -178,10 +192,14 @@ def _substitute(lp: LinearProgram, conv):
             col_terms.append([(ncols, 1), (ncols + 1, -1)])
             offsets.append(conv(0))
             ncols += 2
+    return col_terms, offsets, bound_rows, ncols
 
+
+def _substitute_rows(rows, col_terms, offsets, ncols: int, conv) -> list[tuple[list[Number], str, Number]]:
+    """Each row (coeffs, rel, rhs) over the standardised columns, the offsets moved to the rhs."""
     zero = conv(0)
-    sub_rows: list[tuple[list[Number], str, Number]] = []
-    for coeffs, rel, rhs in lp.rows:
+    sub_rows = []
+    for coeffs, rel, rhs in rows:
         row = [zero] * ncols
         shift = conv(0)
         for j, a in enumerate(coeffs):
@@ -193,11 +211,29 @@ def _substitute(lp: LinearProgram, conv):
             for col, sign in col_terms[j]:
                 row[col] += a if sign > 0 else -a
         sub_rows.append((row, rel, conv(rhs) - shift))
+    return sub_rows
+
+
+def _substitute(lp: LinearProgram, conv):
+    col_terms, offsets, bound_rows, ncols = _columns(lp.bounds, conv)
+    sub_rows = _substitute_rows(lp.rows, col_terms, offsets, ncols, conv)
     for col, ub in bound_rows:
-        row = [zero] * ncols
+        row = [conv(0)] * ncols
         row[col] = conv(1)
         sub_rows.append((row, LESS, ub))
     return col_terms, offsets, ncols, sub_rows
+
+
+def _costs(objective, col_terms, ncols: int, conv) -> list[Number]:
+    """The cost of each of `ncols` standardised columns (slacks cost nothing)."""
+    costs = [conv(0)] * ncols
+    for j, c in enumerate(objective):
+        c = conv(c)
+        if c == 0:
+            continue
+        for col, sign in col_terms[j]:
+            costs[col] += c if sign > 0 else -c
+    return costs
 
 
 def _standard_form(lp: LinearProgram, conv):
@@ -213,14 +249,14 @@ def _standard_form(lp: LinearProgram, conv):
             slack_at += 1
         rows.append(row)
         rhs.append(b)
-    costs = [conv(0)] * (nstruct + nslack)
-    for j, c in enumerate(lp.objective):
-        c = conv(c)
-        if c == 0:
-            continue
-        for col, sign in col_terms[j]:
-            costs[col] += c if sign > 0 else -c
-    return col_terms, offsets, rows, rhs, costs
+    return col_terms, offsets, rows, rhs, _costs(lp.objective, col_terms, nstruct + nslack, conv)
+
+
+def _scaled(rows, rhs, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The float rows [A | b], each divided by the largest of 1 and its |entries|, and those divisors."""
+    A = np.array([row + [b] for row, b in zip(rows, rhs)], dtype=float).reshape(len(rows), width)
+    scale = np.maximum(1.0, np.abs(A).max(axis=1))
+    return A / scale[:, None], scale
 
 
 def _solve(lp: LinearProgram, exact: bool) -> LpSolution:
@@ -235,21 +271,19 @@ def _solve(lp: LinearProgram, exact: bool) -> LpSolution:
     T = np.zeros((m, ncols), dtype=dtype)
     if exact:
         T[:, :] = Fraction(0)
-    factors: list[Number] = []  # std row = factor * substituted row (Farkas mapping)
-    for i, row in enumerate(rows):
-        T[i, :art0] = row
-        T[i, -1] = rhs[i]
-
-        factor = conv(1)
-        if not exact:
-            scale = max(1.0, np.abs(T[i, : ncols - 1]).max(), abs(T[i, -1]))
-            if scale > 1.0:
-                T[i, :] = T[i, :] / scale
-                factor = factor / scale
+        standard = None
+        for i, row in enumerate(rows):
+            T[i, :art0] = row
+            T[i, -1] = rhs[i]
+        factors: list[Number] = [Fraction(1)] * m  # std row = factor * substituted row (Farkas mapping)
+    else:
+        standard, scale = _scaled(rows, rhs, art0 + 1)
+        T[:, :art0], T[:, -1] = standard[:, :-1], standard[:, -1]
+        factors = (1.0 / scale).tolist()
+    for i in range(m):
         if T[i, -1] < 0:
             T[i, :] = -T[i, :]
-            factor = -factor
-        factors.append(factor)
+            factors[i] = -factors[i]
         T[i, art0 + i] = conv(1)
 
     basis = [art0 + i for i in range(m)]
@@ -302,41 +336,82 @@ def _solve(lp: LinearProgram, exact: bool) -> LpSolution:
     x_std = [conv(0)] * art0
     for i, b in enumerate(basis):
         x_std[b] = T[i, -1]
-    return _optimal(lp, col_terms, offsets, x_std, exact, it1 + it2, (tuple(basis), tuple(drop_rows)))
+    return _optimal(lp, col_terms, offsets, x_std, exact, it1 + it2, (tuple(basis), tuple(drop_rows)), standard)
 
 
-def _warm(lp: LinearProgram, start: LpSolution) -> tuple[Optional[LpSolution], int]:
-    """The float solve from `start`'s basis and the pivots it made; no solution when it cannot finish.
+def _slack_basis_dual_feasible(lp: LinearProgram) -> bool:
+    """Whether the basis of every row's slack is a dual feasible start: no "==" row, no negative cost."""
+    if any(rel == EQUAL for _, rel, _ in lp.rows):
+        return False
+    col_terms = _columns(lp.bounds, float)[0]
+    return all(c * sign >= 0 for c, terms in zip(lp.objective, col_terms) for _, sign in terms)
 
-    `start`'s basis plus the slack of every appended row is a basis of `lp`
-    with the same duals (the new slacks cost nothing), so its reduced costs
-    stay non-negative and only appended rows can be primal infeasible.  The
-    tableau B^-1 [A | b] comes from one dense solve of the standardised rows,
-    with no pivots.  A dual simplex then restores primal feasibility with
-    Bland's rule for the dual: the infeasible row with the smallest basic
-    column leaves, and the column of minimum ratio enters, ties going to the
-    smallest column.  The primal simplex and the row check finish as in
-    `_solve`.  No solution on an appended "==" row, a singular basis, a
-    negative reduced cost, a dual step without an entering column (the LP
-    may be infeasible, and the cold solve finds its Farkas witness), the
-    iteration cap or an `LpFailure`.
+
+def _dual_start(lp: LinearProgram, start: Optional[LpSolution]):
+    """A dual feasible start of `lp` for `_warm`, or None.
+
+    Returns the variables' columns and offsets, the scaled standardised rows
+    [A | b] (dropped rows included), the costs, a basis and the dropped rows.
+    Without `start`, every row enters with its slack basic, which is dual
+    feasible when no row is "==" and no standardised column costs less than
+    zero (`_slack_basis_dual_feasible`, checked before any tableau work).
+    With `start`, its basis plus the slack of every appended row is a basis
+    of `lp` with the same duals (the new slacks cost nothing), so its
+    reduced costs stay non-negative and only appended rows can be primal
+    infeasible.  `start` carries the scaled standardised rows of its LP, and
+    only the appended rows are standardised here: they go in after the
+    prefix's rows, their slack columns after the prefix's slacks, so bound
+    rows and their slacks move up.  Each row is the one a rebuild of every
+    row would give, bit for bit.  None without carried rows or on an
+    appended "==" row.
     """
-    if start.basis is None:  # not optimal
-        return None, 0
-    col_terms, offsets, rows, rhs, costs = _standard_form(lp, float)
+    if start is None:
+        if not _slack_basis_dual_feasible(lp):
+            return None
+        col_terms, offsets, rows, rhs, costs = _standard_form(lp, float)
+        nstruct = sum(map(len, col_terms))
+        standard = _scaled(rows, rhs, len(costs) + 1)[0]
+        return col_terms, offsets, standard, costs, list(range(nstruct, nstruct + len(rows))), ()
+    carried = start._rows
+    if start.basis is None or carried is None:  # not optimal, or not a float solve
+        return None
+    col_terms, offsets, bound_rows, nstruct = _columns(lp.bounds, float)
     old_basis, old_dropped = start.basis
-    prefix = len(old_basis) + len(old_dropped) - (len(rows) - lp.num_rows)  # rows of `start`'s LP
+    prefix = len(carried) - len(bound_rows)  # rows of `start`'s LP
     if not 0 <= prefix <= lp.num_rows or any(rel == EQUAL for _, rel, _ in lp.rows[prefix:]):
-        return None, 0
+        return None
     added = lp.num_rows - prefix
-    # the appended rows' slacks and rows come after the prefix's own; bound rows and their slacks move up
-    first_new = sum(map(len, col_terms)) + sum(rel != EQUAL for _, rel, _ in lp.rows[:prefix])
+    first_new = nstruct + sum(rel != EQUAL for _, rel, _ in lp.rows[:prefix])  # the first appended slack
+    width = carried.shape[1] + added
+    new = np.zeros((added, width))
+    for k, (row, rel, b) in enumerate(_substitute_rows(lp.rows[prefix:], col_terms, offsets, nstruct, float)):
+        new[k, :nstruct], new[k, first_new + k], new[k, -1] = row, 1.0 if rel == LESS else -1.0, b
+    standard = np.zeros((len(carried) + added, width))
+    old_rows = np.r_[:prefix, prefix + added:len(standard)]
+    standard[np.ix_(old_rows, np.r_[:first_new, first_new + added:width])] = carried
+    standard[prefix:prefix + added] = new / np.maximum(1.0, np.abs(new).max(axis=1))[:, None]  # as `_scaled`
     basis = [j if j < first_new else j + added for j in old_basis] + list(range(first_new, first_new + added))
     dropped = tuple(i if i < prefix else i + added for i in old_dropped)
+    return col_terms, offsets, standard, _costs(lp.objective, col_terms, width - 1, float), basis, dropped
 
-    A = np.array([row + [b] for i, (row, b) in enumerate(zip(rows, rhs)) if i not in dropped], dtype=float)
-    A = A.reshape(len(basis), len(costs) + 1)
-    A /= np.maximum(1.0, np.abs(A).max(axis=1))[:, None]  # as `_solve` scales its rows
+
+def _warm(lp: LinearProgram, start: Optional[LpSolution]) -> tuple[Optional[LpSolution], int]:
+    """The float solve by dual simplex from a dual feasible basis, and its pivots; no solution when it cannot finish.
+
+    The basis and the scaled standardised rows come from `_dual_start`, the
+    tableau B^-1 [A | b] from one dense solve of the kept rows, with no
+    pivots.  In the dual simplex `_leaving_row` picks the row that leaves,
+    and the column of minimum ratio enters, ties going to the smallest
+    column.  The primal simplex and the row check finish as in `_solve`.  No solution without a start, on a singular basis, a negative
+    reduced cost, a dual step without an entering column (the LP may be
+    infeasible, and the cold solve finds its Farkas witness), the iteration
+    cap or an `LpFailure`.
+    """
+    begun = _dual_start(lp, start)
+    if begun is None:
+        return None, 0
+    col_terms, offsets, standard, costs, basis, dropped = begun
+    A = np.delete(standard, dropped, axis=0) if dropped else standard
     try:
         T = np.linalg.solve(A[:, basis], A)
     except np.linalg.LinAlgError:
@@ -352,7 +427,7 @@ def _warm(lp: LinearProgram, start: LpSolution) -> tuple[Optional[LpSolution], i
         infeasible = np.flatnonzero(T[:, -1] < -_TOL)
         if not infeasible.size:
             break
-        leaving = min(infeasible, key=basis.__getitem__)
+        leaving = _leaving_row(T, basis, infeasible, it)
         row = T[leaving, :-1]
         cols = np.flatnonzero(row < -_TOL)
         if not cols.size or it >= _MAX_ITER:
@@ -374,13 +449,26 @@ def _warm(lp: LinearProgram, start: LpSolution) -> tuple[Optional[LpSolution], i
     x_std = np.zeros(len(costs))
     x_std[basis] = T[:, -1]
     try:
-        return _optimal(lp, col_terms, offsets, x_std.tolist(), False, it, (tuple(basis), dropped)), it
+        return _optimal(lp, col_terms, offsets, x_std.tolist(), False, it, (tuple(basis), dropped), standard), it
     except LpFailure:
         return None, it
 
 
-def _optimal(lp, col_terms, offsets, x_std, exact: bool, iterations: int, basis) -> LpSolution:
-    """The solution at standardised point x_std, once every original row holds."""
+def _leaving_row(T: np.ndarray, basis: list[int], infeasible: np.ndarray, step: int) -> int:
+    """The row that leaves at dual simplex step `step`, among the `infeasible` rows of tableau T.
+
+    For the first m steps (m rows) the row of largest infeasibility, ties
+    going to the smallest basic column; from then on the row with the
+    smallest basic column (Bland's rule for the dual), so the solve ends.
+    """
+    if step < len(basis):
+        values = T[infeasible, -1]
+        infeasible = infeasible[values == values.min()]
+    return min(infeasible, key=basis.__getitem__)
+
+
+def _optimal(lp, col_terms, offsets, x_std, exact: bool, iterations: int, basis, standard=None) -> LpSolution:
+    """The solution at standardised point x_std, once every original row holds; `standard` rides along."""
     conv = Fraction if exact else float
     x = []
     for j in range(lp.num_vars):
@@ -393,7 +481,7 @@ def _optimal(lp, col_terms, offsets, x_std, exact: bool, iterations: int, basis)
         value = float(value)
 
     _check_rows(lp, x, conv, exact, iterations=iterations)
-    return LpSolution("optimal", x=x, objective_value=value, iterations=iterations, basis=basis)
+    return LpSolution("optimal", x=x, objective_value=value, iterations=iterations, basis=basis, _rows=standard)
 
 
 def _certify(lp: LinearProgram, basis, dropped, iterations: int) -> Optional[LpSolution]:

@@ -392,7 +392,7 @@ class TestRunPipeline:
 
 
 class TestKnownLpFailures:
-    """Float-LP crashes on Baseline grids, kept until the LP kernel recovers from them."""
+    """Float-LP crashes: the ones the LP kernel recovers from now, and the one still open (strict xfail)."""
 
     @pytest.mark.xfail(raises=LpFailure, strict=True,
                        reason="moment LP of a 70-vs-70 plane split: optimal point violates row 0")
@@ -401,12 +401,20 @@ class TestKnownLpFailures:
                                      degree=4))
         assert code == 0 and report["alternation"]["verdict"] == "pass"
 
-    @pytest.mark.xfail(raises=LpFailure, strict=True,
-                       reason="minimax LP: phase-1 simplex did not terminate")
     def test_trivariate_uniform_grid_fit(self):
-        code, _ = run(RunConfig(command="fit", grid="-1,1:-1,1:-1,1;9;uniform;x1*x2*x3+x1^3",
-                                degree=3))
+        # its first minimax LP once failed with "phase-1 simplex did not terminate"; the target is cubic
+        code, report = run(RunConfig(command="fit", grid="-1,1:-1,1:-1,1;9;uniform;x1*x2*x3+x1^3",
+                                     degree=3))
         assert code == 0
+        assert report["extremes"]["degenerate"] and report["psi"] <= 1e-12
+
+    def test_chebyshev_grid_fit_needs_no_phase_1(self, tmp_path):
+        # a 2,001-point Chebyshev fit at m=5 whose first round once exited 1 in phase 1
+        out = tmp_path / "report.json"
+        grid = "-1,1;2001;chebyshev;2 + 5*x1^2 + 3*x1^3 + -4*x1^4 + -5*x1^5 + -2*x1^6"
+        assert main(["fit", "--grid", grid, "--degree", "5", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert (report["reduction"]["verdict"], report["alternation"]["verdict"]) == ("pass", "pass")
 
 
 class TestMainEntry:

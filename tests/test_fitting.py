@@ -5,10 +5,12 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from minimaxfit import (
+    ExtremeSets,
     IntersectionCertificate,
     PolynomialModel,
     SampleSet,
@@ -24,6 +26,7 @@ from minimaxfit import (
     verify_by_hyperplanes,
 )
 from minimaxfit import fitting
+from minimaxfit.cli import parse_grid_spec
 from minimaxfit.monomials import dot
 import minimaxfit.lp as lp_module
 
@@ -171,7 +174,8 @@ class TestSampleSet:
             assert [bits(r) for r in rows] == [bits(lifted(pts[i], basis)) for i in order]
 
     def test_lifts_each_point_once_per_degree_and_arithmetic(self, monkeypatch):
-        # exact rows are lifted point by point; float rows come from one matrix per degree
+        # exact rows are lifted point by point; float rows come from one matrix at the fit's
+        # degree, and at any other degree from `lift_matrix` over just the rows asked for
         calls, matrices = [], []
         real, real_matrix = fitting.lift, fitting.lift_matrix
 
@@ -180,7 +184,7 @@ class TestSampleSet:
             return real(point, basis)
 
         def counted_matrix(points, basis):
-            matrices.append(basis.degree)
+            matrices.append((basis.degree, tuple(points)))
             return real_matrix(points, basis)
 
         monkeypatch.setattr(fitting, "lift", counted)
@@ -188,13 +192,15 @@ class TestSampleSet:
         samples = random_samples(random.Random(6), 2, 14)
         for exact in (True, False):
             fit = fit_minimax(samples, 2, exact=exact)
-            assert (len(calls), matrices) == (len(samples), [] if exact else [2])
+            full = [] if exact else [(2, samples.points)]
+            assert (len(calls), matrices) == (len(samples), full)
             extremes = partition_extremes(fit.residuals)
             check_hull_intersection(extremes, samples, 2, exact)
             check_isolability(extremes, samples, 2, exact)
             # the verifiers reuse the fit's rows
-            assert (len(calls), matrices) == (len(samples), [] if exact else [2])
-        verify_by_hyperplanes(extremes, samples, 2)
+            assert (len(calls), matrices) == (len(samples), full)
+        verify_by_hyperplanes(extremes, samples, 2)  # degree-1 rows of some extreme points
+        assert 0 < sum(len(points) for degree, points in matrices if degree == 1) < len(samples)
         for exact in (False, True):
             for degree in (1, 2):
                 samples.lifted([3, 1, 3], degree, exact)
@@ -202,7 +208,10 @@ class TestSampleSet:
         assert len(calls) == 2 * len(samples)
         assert len(set(calls)) == len(calls)
         assert {kind for kind, _, _ in calls} == {Fraction}
-        assert sorted(matrices) == [1, 2]  # one float matrix per degree
+        # each float row lifted once per degree: one full matrix at degree 2, only the rows asked for at degree 1
+        rows = [(degree, p) for degree, points in matrices for p in points]
+        assert len(set(rows)) == len(rows) == 2 * len(samples)
+        assert [points for degree, points in matrices if degree == 2] == [samples.points]
 
 
 class TestFitMinimax:
@@ -303,7 +312,7 @@ class TestFitMinimax:
         monkeypatch.setattr(lp_module, "_solve", counted)
         fit = fit_minimax(samples, 4)
         assert len(starts) >= 2 and starts[0] is None and None not in starts[1:]
-        assert cold == [False]  # one two-phase solve, in the first round
+        assert cold == []  # no two-phase solve: the first round starts from its all-slack basis
         assert fit.psi == pytest.approx(float(fit_minimax(samples, 4, exact=True).psi), rel=1e-12)
 
     def test_psi_is_max_abs_residual(self, parabola_samples):
@@ -336,6 +345,52 @@ class TestFitMinimax:
             if ext.degenerate:
                 continue
             assert count_alternations(ext, samples) >= m + 2
+
+
+def _highs_psi(samples, degree):
+    """The HiGHS optimum of a 1-D minimax LP, polished on its active rows as the benchmark oracle does.
+
+    The polish solves the equalities of the rows HiGHS reports active, so the
+    extreme points reproduce psi to rounding error.
+    """
+    from scipy.optimize import linprog
+
+    x, f = np.array([p[0] for p in samples.points]), np.array(samples.values)
+    a = np.vander(x, degree + 1, increasing=True)
+    n, nc = a.shape
+    ones = np.ones((n, 1))
+    res = linprog(np.r_[np.zeros(nc), 1.0], A_ub=np.vstack([np.hstack([a, -ones]), np.hstack([-a, -ones])]),
+                  b_ub=np.r_[f, -f], bounds=[(None, None)] * nc + [(0, None)], method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10})
+    assert res.status == 0, res.message
+    psi = res.x[nc]
+    active = np.flatnonzero(np.abs(res.ineqlin.marginals) > 1e-12)
+    if active.size:
+        rows, sign = active % n, np.where(active < n, 1.0, -1.0)
+        sol = np.linalg.lstsq(np.hstack([a[rows], sign[:, None]]), f[rows], rcond=None)[0]
+        polished = np.max(np.abs(f - a @ sol[:nc]))
+        if polished <= psi * (1 + 1e-9) + 1e-12:
+            psi = polished
+    return float(psi)
+
+
+def test_float_fits_agree_with_highs():
+    # seeded 1-D targets of degree m+1..m+2 on 2,001-point grids, the Chebyshev ones at m = 5 and 6 included,
+    # and the Chebyshev sextic whose first round once failed in phase 1
+    pytest.importorskip("scipy")
+    rng = random.Random(1708)
+    specs = ["-1,1;2001;chebyshev;2 + 5*x1^2 + 3*x1^3 + -4*x1^4 + -5*x1^5 + -2*x1^6@5"]
+    for m in range(1, 7):
+        for nodes in ("chebyshev", "uniform") + (("chebyshev",) * 2 if m >= 5 else ()):
+            top = m + rng.randint(1, 2)  # with a non-zero coefficient, so that psi > 0
+            terms = [f"{rng.randint(-5, 5)}*x1^{k}" for k in range(top)] + [f"{rng.choice([-5, -2, 1, 3])}*x1^{top}"]
+            specs.append(f"-1,1;2001;{nodes};{' + '.join(terms)}@{m}")
+    for spec in specs:
+        grid, m = spec.rsplit("@", 1)
+        samples = parse_grid_spec(grid)
+        fit = fit_minimax(samples, int(m))
+        ref = _highs_psi(samples, int(m))
+        assert abs(fit.psi - ref) <= 1e-11 * ref, (spec, fit.psi, ref)
 
 
 _RATIONALS = st.one_of(
@@ -382,6 +437,18 @@ class TestComputePsi:
         lhs = compute_psi(mid, parabola_samples)
         rhs = (compute_psi(ma, parabola_samples) + compute_psi(mb, parabola_samples)) / 2
         assert lhs <= rhs + 1e-12
+
+
+def _generator_partition(residuals, rel_tol):
+    """`partition_extremes` as it was before float residuals went through numpy: one generator per set."""
+    psi = max(abs(r) for r in residuals)
+    if psi <= 1e-12:
+        every = tuple(range(len(residuals)))
+        return ExtremeSets(plus=every, minus=every, psi=psi, rel_tol=rel_tol, degenerate=True)
+    threshold = psi - psi * (Fraction(rel_tol) if isinstance(psi, (Fraction, int)) else rel_tol)
+    plus = tuple(i for i, r in enumerate(residuals) if r >= threshold)
+    minus = tuple(i for i, r in enumerate(residuals) if -r >= threshold)
+    return ExtremeSets(plus=plus, minus=minus, psi=psi, rel_tol=rel_tol)
 
 
 class TestExtremeSets:
@@ -440,6 +507,26 @@ class TestExtremeSets:
         assert partition_extremes([0.0, 1e-13]).degenerate
         with pytest.raises(ValueError):
             partition_extremes([1.0], rel_tol=-0.1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_float_residuals_partition_as_the_generators_do(self, data):
+        # Python-float residuals are partitioned in numpy; any other number keeps the generators
+        psi = data.draw(st.sampled_from([1e-13, 1.0, 0.03125]) | st.floats(1e-14, 1e6))
+        rel_tol = data.draw(st.sampled_from([0.0, 1e-8, 0.1]) | st.floats(0.0, 0.49))
+        threshold = psi - psi * rel_tol
+        ties = [psi, threshold, math.nextafter(threshold, 0.0), math.nextafter(threshold, math.inf)]
+        values = st.sampled_from(ties + [-v for v in ties] + [0.0, -0.0]) | st.floats(-psi, psi)
+        residuals = data.draw(st.lists(values, min_size=1, max_size=30)) + [data.draw(st.sampled_from([psi, -psi]))]
+        residuals = data.draw(st.permutations(residuals))
+        if data.draw(st.booleans()):  # mixed input: some entries as int or exact Fraction
+            kinds = data.draw(st.lists(st.sampled_from([float, Fraction, round]), min_size=len(residuals),
+                                       max_size=len(residuals)))
+            residuals = [kind(r) for kind, r in zip(kinds, residuals)]
+        got, ref = partition_extremes(residuals, rel_tol), _generator_partition(residuals, rel_tol)
+        assert got == ref
+        assert type(got.psi) is type(ref.psi)
+        assert {type(i) for i in got.plus + got.minus} <= {int}
 
 
 class TestCountAlternations:

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -582,7 +583,8 @@ def test_dropped_bound_row_moves_up_with_the_appended_rows():
     # A start that dropped the bound row must drop it again behind the appended row x >= 1.
     prefix = LinearProgram([1], [([1], "==", 2)], [(0, 3)])
     full = _appended(prefix, [([1], ">=", 1)])
-    start = lp_module.LpSolution("optimal", basis=((0,), (1,)))
+    standard = np.array([[1.0, 0.0, 2.0], [1 / 3, 1 / 3, 1.0]])  # [A | b] of the prefix, the bound row scaled by 3
+    start = lp_module.LpSolution("optimal", basis=((0,), (1,)), _rows=standard)
     warm, spent = lp_module._warm(full, start)
     assert (warm.x, warm.basis, spent) == ([2.0], ((0, 1), (2,)), 0)
 
@@ -651,3 +653,136 @@ def test_check_rows_matches_the_row_loop(exact):
             if ref is not None:
                 assert float(ref[1]).hex() == got[1].hex()
     assert _check_rows_outcome(LinearProgram([1], []), [conv(2)], exact) is None
+
+
+# --- dual starts: the all-slack basis, carried rows and the dual pricing rule --
+
+
+def _rebuilt_start(lp, start):
+    """Kept rows, basis, dropped rows and tableau at `start`'s basis from a rebuild of every row.
+
+    This is how a warm start made its tableau before rows were carried:
+    `_standard_form` over all rows, each kept row scaled, one dense solve.
+    """
+    col_terms, offsets, rows, rhs, costs = lp_module._standard_form(lp, float)
+    old_basis, old_dropped = start.basis
+    prefix = len(old_basis) + len(old_dropped) - (len(rows) - lp.num_rows)
+    added = lp.num_rows - prefix
+    first_new = sum(map(len, col_terms)) + sum(rel != "==" for _, rel, _ in lp.rows[:prefix])
+    basis = [j if j < first_new else j + added for j in old_basis] + list(range(first_new, first_new + added))
+    dropped = tuple(i if i < prefix else i + added for i in old_dropped)
+    A = np.array([row + [b] for i, (row, b) in enumerate(zip(rows, rhs)) if i not in dropped], dtype=float)
+    A = A.reshape(len(basis), len(costs) + 1)
+    A /= np.maximum(1.0, np.abs(A).max(axis=1))[:, None]
+    return A, basis, dropped, np.linalg.solve(A[:, basis], A)
+
+
+def _with_a_redundant_row(prefix, full):
+    """The pair with a copy of the prefix's first "==" row added to the prefix, or None without one."""
+    copy = next((row for row in prefix.rows if row[1] == "=="), None)
+    if copy is None:
+        return None
+    rows = list(prefix.rows) + [copy]
+    return (LinearProgram(prefix.objective, rows, prefix.bounds),
+            LinearProgram(full.objective, rows + list(full.rows[prefix.num_rows:]), full.bounds))
+
+
+def test_carried_rows_give_the_rebuilt_tableau_bit_for_bit():
+    pairs = _warm_pairs()
+    pairs += [pair for pair in map(lambda p: _with_a_redundant_row(*p), pairs) if pair is not None]
+    seen = {"compared": 0, "bound rows": 0, "dropped rows": 0, "rowless starts": 0}
+    for prefix, full in pairs:
+        prefix, full = _as_float(prefix), _as_float(full)
+        started = solve(prefix)  # rowless when the prefix allows it, else two-phase
+        seen["rowless starts"] += lp_module._slack_basis_dual_feasible(prefix) and started.status == "optimal"
+        for start in (started, lp_module._solve(prefix, exact=False)):
+            if start.status != "optimal":
+                continue
+            begun = lp_module._dual_start(full, start)
+            if begun is None:
+                assert any(rel == "==" for _, rel, _ in full.rows[prefix.num_rows:])
+                continue
+            _, _, standard, _, basis, dropped = begun
+            A, ref_basis, ref_dropped, T = _rebuilt_start(full, start)
+            assert (basis, dropped) == (ref_basis, ref_dropped)
+            kept = np.delete(standard, dropped, axis=0)
+            assert kept.tobytes() == A.tobytes()  # every bit, signed zeros included
+            assert np.linalg.solve(kept[:, basis], kept).tobytes() == T.tobytes()
+            seen["compared"] += 1
+            seen["bound rows"] += any(hi is not None and lo is not None for lo, hi in full.bounds)
+            seen["dropped rows"] += bool(dropped)
+    assert min(seen.values()) >= 10, seen
+
+
+def _dual_feasible_by_hand(lp):
+    """No "==" row and no standardised column of negative cost, read off the objective and bounds."""
+    if any(rel == "==" for _, rel, _ in lp.rows):
+        return False
+    for c, (lo, hi) in zip(lp.objective, lp.bounds):
+        if (lo is not None and c < 0) or (lo is None and hi is not None and c > 0) or (lo is hi is None and c):
+            return False
+    return True
+
+
+def test_rowless_start_exactly_when_the_slack_basis_is_dual_feasible(monkeypatch, cold_solves):
+    real_form, forms = lp_module._standard_form, []
+    monkeypatch.setattr(lp_module, "_standard_form", lambda lp, conv: forms.append(conv) or real_form(lp, conv))
+    kinds = {True: 0, False: 0}
+    for lp in map(_as_float, _exact_corpus()):
+        rowless = _dual_feasible_by_hand(lp)
+        assert lp_module._slack_basis_dual_feasible(lp) == rowless
+        ref = lp_module._solve(lp, exact=False)
+        cold_solves.clear()
+        forms.clear()
+        got = solve(lp)
+        assert got.status == ref.status
+        if not rowless:  # straight to the two-phase solve: no tableau work before it, no pivots spent
+            assert (cold_solves, forms) == ([False], [float])
+            assert (got.x, got.iterations) == (ref.x, ref.iterations)
+        elif ref.status == "optimal":  # the dual simplex from the all-slack basis finishes on its own
+            assert cold_solves == []
+            assert abs(got.objective_value - ref.objective_value) <= 1e-9 * max(1.0, abs(ref.objective_value))
+        else:
+            assert cold_solves == [False] and verify_farkas(lp, got.farkas)
+        kinds[rowless] += 1
+    assert min(kinds.values()) >= 20, kinds
+    # the minimax LPs of a fit start rowless; moment ("==" rows) and margin LPs (free t at cost -1) never do
+    samples = random_samples(random.Random(3), 1, 9)
+    assert _dual_feasible_by_hand(_minimax_lp(samples, 2))
+    lifted = samples.lifted(range(9), 1, True)
+    assert not lp_module._slack_basis_dual_feasible(_moment_lp(lifted[:4], lifted[4:]))
+    assert not lp_module._slack_basis_dual_feasible(_margin_lp(lifted[:4], lifted[4:]))
+
+
+def test_dual_rule_turns_to_blands_rule_after_m_steps(monkeypatch):
+    T = np.array([[0.5, -1.0], [0.5, -3.0], [0.5, -3.0], [0.5, 2.0]])  # last column: the basic values
+    basis, infeasible = [1, 7, 5, 0], np.array([0, 1, 2])
+    # largest infeasibility for steps 0..3 (m = 4), ties to the smallest basic column; then the smallest basic column
+    assert [lp_module._leaving_row(T, basis, infeasible, step) for step in (0, 3, 4, 9)] == [2, 2, 0, 0]
+
+    real, steps = lp_module._leaving_row, []
+
+    def recorded(T, basis, infeasible, step):
+        row = real(T, basis, infeasible, step)
+        values = T[infeasible, -1]
+        if step < len(basis):
+            assert T[row, -1] == values.min()
+        else:
+            assert basis[row] == min(basis[i] for i in infeasible)
+        steps.append((step, len(basis)))
+        return row
+
+    monkeypatch.setattr(lp_module, "_leaving_row", recorded)
+    for prefix, full in _warm_pairs():
+        prefix, full = _as_float(prefix), _as_float(full)
+        start = solve(prefix)
+        if start.status == "optimal":
+            solve(full, start=start)
+    assert steps and all(step < m for step, m in steps)  # these finish within m dual steps
+    # a rowless start that needs 6 dual steps on its 4 rows (found by a seeded search)
+    rows = [([0, 2, 5, -3], ">=", -1), ([-4, -1, 5, 4], "<=", 3), ([-3, 5, 3, -1], "<=", -4), ([-5, 3, 4, 5], ">=", 6)]
+    lp = LinearProgram([3, 2, 1, 0], rows, [(0, None)] * 4)
+    steps.clear()
+    got = solve(lp)
+    assert steps == [(k, 4) for k in range(6)]
+    assert got.objective_value == pytest.approx(solve_exact(lp).objective_value, rel=1e-9)

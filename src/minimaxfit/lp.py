@@ -7,35 +7,32 @@ reduced costs and row residuals, and exact rationals (``Fraction``) with
 zero tolerance, used when certificate verdicts must be trusted near
 degeneracy.
 
-Exact solves run as a float-to-exact crossover (Applegate, Cook, Dash &
-Espinoza, "Exact solutions to linear programming problems", ORL 2007): the
-float simplex proposes an optimal basis, which is then solved and checked
-once over ``Fraction``: primal values non-negative, reduced costs
-non-negative, every row satisfied exactly.  A basis that fails any check, and
-every float failure or non-optimal float status, sends the LP through the
-rational simplex from scratch.  Every status an exact solve returns is thus
-decided in exact arithmetic.  The certificate solves only the basis's
-structural block (see `_certify`): a basic slack is a unit column, so
-B x_B = b and B^T y = c_B over all m kept rows reduce to two k x k systems
-over the k basic structural columns, k at most one more than a fit's
-coefficients.  A non-singular system has one solution, so the block gives
-the vertex the m x m solves would.  The float guess is always the two-phase
-solve from scratch.
+Every simplex solve ends in one routine, `_finish`: the primal simplex from
+a primal feasible tableau, the point in the original variables, and a check
+of every original row.  The tableau comes from the two-phase simplex from
+scratch (`_solve`, in either arithmetic, its artificial columns dropped
+after phase 1) or, in float64, from a dual feasible basis by the dual
+simplex (`_warm`; Koberstein, "The dual simplex method", PhD thesis,
+Paderborn 2005).  Two bases are dual feasible as they stand: every row's
+slack, when no row is "==" and no standardised column costs less than zero,
+as in a fit's minimax LP; and the optimal basis of an LP whose rows lead
+this one's, plus the appended rows' slacks, as a fit's working-set rounds
+make them (Stiefel's exchange is this simplex on the same LP).  A float
+optimal solution carries its scaled standardised rows, so a warm round
+standardises only the rows it appends.  A dual start that cannot finish
+leaves the LP to the two-phase simplex, which decides every other status.
+A cold float point that breaks a row refactors: its final basis and scaled
+rows go to `_warm` with no rows appended, which solves B^-1 [A | b] afresh
+and finishes from there; the failure stands only if that fails too.
 
-A float solve runs no phase 1 when it has a dual feasible basis to start
-from, and then a dual simplex restores primal feasibility (Koberstein, "The
-dual simplex method", PhD thesis, Paderborn 2005).  There are two such
-starts.  When no row is "==" and no standardised column costs less than
-zero, as in the minimax LP of a fit, every row's slack is basic and the
-basis is dual feasible as it stands.  When ``start`` is the optimal solution
-of an LP whose rows are the leading rows of this one, as the working-set
-loop of the minimax fit makes them round after round, its basis plus the
-appended rows' slacks is (Stiefel's exchange is this simplex on the same
-LP).  Every float optimal solution carries its LP's scaled standardised rows,
-so a warm round standardises only the rows it appends.  A dual start returns
-only an optimal point that passed the same row check as a cold one; anything
-else sends the LP through the two-phase simplex from scratch, which decides
-every other status.
+Exact solves run as a float-to-exact crossover (Applegate, Cook, Dash &
+Espinoza, "Exact solutions to linear programming problems", ORL 2007): a
+float guess proposes an optimal basis, which is solved and checked once
+over ``Fraction`` on its k x k block of basic structural columns (see
+`_certify`).  The guess is the two-phase solve, or the all-slack dual start
+when that raises.  Every other outcome sends the LP through the rational
+simplex from scratch, so every status an exact solve returns is decided in
+exact arithmetic.
 
 Infeasible solves always carry a Farkas witness so callers can turn "no
 certificate" into an explicit separating functional.  The witness lives in
@@ -114,7 +111,7 @@ class LpSolution:
     x: Optional[list[Number]] = None
     objective_value: Optional[Number] = None
     farkas: Optional[list[Number]] = None
-    iterations: int = 0  # pivots of the whole call, an abandoned warm start's included
+    iterations: int = 0  # pivots of the whole call: an abandoned warm start's and a refactor's included
     # optimal only: (basic column per kept standardised row, dropped redundant rows)
     basis: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = field(default=None, repr=False, compare=False)
     # float optimal only: the LP's scaled standardised rows [A | b], dropped rows included (see `_warm`)
@@ -125,13 +122,11 @@ def solve(lp: LinearProgram, start: Optional[LpSolution] = None) -> LpSolution:
     """Simplex in float64.  Deterministic.
 
     `start`, if given, is an optimal solution of an LP whose rows are the
-    leading rows of `lp`, with the same objective and bounds; the solve then
-    begins at its basis.  Without `start`, the solve begins at the basis of
-    every row's slack when that basis is dual feasible (no "==" row, no
-    negative standardised cost).  Either way a dual simplex runs (see
-    `_warm`), and the two-phase simplex from scratch runs only when there is
-    no such start or that attempt cannot finish; `iterations` then counts
-    the abandoned attempt's pivots too.
+    leading rows of `lp`, with the same objective and bounds.  The dual
+    simplex (`_warm`) begins at its basis, or without `start` at the basis of
+    every row's slack when that is dual feasible; the two-phase simplex runs
+    when there is no such start or it cannot finish.  `iterations` counts
+    the pivots of every attempt, an abandoned dual start's and a refactor's.
     """
     solution, spent = _warm(lp, start)
     if solution is None:
@@ -144,15 +139,19 @@ def solve_exact(lp: LinearProgram) -> LpSolution:
     """Exact rational solution; status decisions carry no tolerance.
 
     The float simplex's optimal basis is certified over ``Fraction`` and its
-    exact vertex returned.  When the float solve fails, ends other than
-    optimal (infeasible LPs then get their Farkas witness from the rational
-    simplex), or its basis is singular or fails an exact check, the two-phase
-    simplex runs over ``Fraction`` from scratch.
+    exact vertex returned.  The guess is the two-phase solve from scratch,
+    or the dual simplex from the all-slack basis when that raises and the LP
+    has that start.  Without an optimal guess (infeasible LPs then get their
+    Farkas witness from the rational simplex), or when its basis is singular
+    or fails an exact check, the two-phase simplex runs over ``Fraction``.
     """
     try:
         guess = _solve(lp, exact=False)
     except (LpFailure, OverflowError, ZeroDivisionError):
-        guess = None
+        try:
+            guess = _warm(lp, None)[0]
+        except (OverflowError, ZeroDivisionError):
+            guess = None
     if guess is not None and guess.status == "optimal":
         certified = _certify(lp, *guess.basis, iterations=guess.iterations)
         if certified is not None:
@@ -260,8 +259,10 @@ def _scaled(rows, rhs, width: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _solve(lp: LinearProgram, exact: bool) -> LpSolution:
+    """The two-phase simplex from scratch; a float point that breaks a row refactors (see `_warm`)."""
     conv = Fraction if exact else float
     dtype = object if exact else float
+    tol = 0 if exact else _TOL
     col_terms, offsets, rows, rhs, costs = _standard_form(lp, conv)
 
     m = len(rows)
@@ -285,58 +286,43 @@ def _solve(lp: LinearProgram, exact: bool) -> LpSolution:
             T[i, :] = -T[i, :]
             factors[i] = -factors[i]
         T[i, art0 + i] = conv(1)
-
     basis = [art0 + i for i in range(m)]
-    artificial = set(range(art0, art0 + m))
 
     # phase 1: minimise the sum of artificials
-    costs1 = np.zeros(ncols - 1, dtype=dtype)
-    if exact:
-        costs1[:] = Fraction(0)
-    for j in artificial:
-        costs1[j] = conv(1)
-    obj, status, it1 = _simplex(T, basis, costs1, barred=frozenset(), phase=1)
+    costs1 = np.full(ncols - 1, conv(0), dtype=dtype)
+    costs1[art0:] = conv(1)
+    obj, status, it = _simplex(T, basis, costs1, tol, phase=1)
     if status != "optimal":
-        raise LpFailure("phase-1 simplex did not terminate", {"status": status, "iterations": it1})
-    infeas = sum(T[i, -1] for i in range(m) if basis[i] in artificial)
-    if infeas > (0 if exact else _TOL):
+        raise LpFailure("phase-1 simplex did not terminate", {"status": status, "iterations": it})
+    if sum(T[i, -1] for i in range(m) if basis[i] >= art0) > tol:
         farkas = [(conv(1) - obj[art0 + i]) * factors[i] for i in range(m)]
         if not exact:
             farkas = [float(v) for v in farkas]
-        return LpSolution("infeasible", farkas=farkas, iterations=it1)
+        return LpSolution("infeasible", farkas=farkas, iterations=it)
 
     # drive artificials out of the basis; remove rows that turn out redundant
-    drop_rows = []
+    dropped = []
     for i in range(m):
-        if basis[i] not in artificial:
-            continue
-        pivot_col = None
-        for j in range(art0):
-            entry = T[i, j]
-            if (entry != 0) if exact else (abs(entry) > _TOL):
-                pivot_col = j
-                break
-        if pivot_col is None:
-            drop_rows.append(i)
-        else:
-            _pivot(T, i, pivot_col)
-            basis[i] = pivot_col
-    if drop_rows:
-        T = np.delete(T, drop_rows, axis=0)
-        basis = [b for i, b in enumerate(basis) if i not in set(drop_rows)]
-
-    # phase 2: the real objective over structural columns
-    costs2 = np.array(costs + [conv(0)] * m, dtype=dtype)
-    obj, status, it2 = _simplex(T, basis, costs2, barred=frozenset(artificial), phase=2)
-    if status == "unbounded":
-        return LpSolution("unbounded", iterations=it1 + it2)
-    if status != "optimal":
-        raise LpFailure("phase-2 simplex did not terminate", {"status": status, "iterations": it2})
-
-    x_std = [conv(0)] * art0
-    for i, b in enumerate(basis):
-        x_std[b] = T[i, -1]
-    return _optimal(lp, col_terms, offsets, x_std, exact, it1 + it2, (tuple(basis), tuple(drop_rows)), standard)
+        if basis[i] >= art0:
+            for j in range(art0):
+                if abs(T[i, j]) > tol:
+                    _pivot(T, i, j)
+                    basis[i] = j
+                    break
+            else:
+                dropped.append(i)
+    if dropped:
+        T = np.delete(T, dropped, axis=0)
+        basis = [b for i, b in enumerate(basis) if i not in dropped]
+    T = np.concatenate((T[:, :art0], T[:, -1:]), axis=1)  # phase 2 has no artificial columns
+    try:
+        return _finish(lp, col_terms, offsets, T, basis, dropped, np.array(costs, dtype=dtype), it, standard)
+    except LpFailure as err:  # `_warm` refactors a float tableau; an exact one carries no scaled rows
+        refactored = _warm(lp, LpSolution("optimal", basis=(tuple(basis), tuple(dropped)), _rows=standard))[0]
+        if refactored is None:
+            raise
+        refactored.iterations += err.diagnostics["iterations"]
+        return refactored
 
 
 def _slack_basis_dual_feasible(lp: LinearProgram) -> bool:
@@ -402,10 +388,12 @@ def _warm(lp: LinearProgram, start: Optional[LpSolution]) -> tuple[Optional[LpSo
     tableau B^-1 [A | b] from one dense solve of the kept rows, with no
     pivots.  In the dual simplex `_leaving_row` picks the row that leaves,
     and the column of minimum ratio enters, ties going to the smallest
-    column.  The primal simplex and the row check finish as in `_solve`.  No solution without a start, on a singular basis, a negative
-    reduced cost, a dual step without an entering column (the LP may be
-    infeasible, and the cold solve finds its Farkas witness), the iteration
-    cap or an `LpFailure`.
+    column.  `_finish` runs the primal simplex and the row check.
+
+    No solution without a start, on a singular basis, a negative reduced
+    cost, a dual step without an entering column (the LP may be infeasible,
+    and the cold solve finds its Farkas witness), the iteration cap, an end
+    other than optimal or an `LpFailure`.
     """
     begun = _dual_start(lp, start)
     if begun is None:
@@ -440,18 +428,10 @@ def _warm(lp: LinearProgram, start: Optional[LpSolution]) -> tuple[Optional[LpSo
         obj = obj - obj[entering] * T[leaving, :-1]
         it += 1
     try:
-        _, status, it2 = _simplex(T, basis, c, barred=frozenset(), phase=2)
+        solution = _finish(lp, col_terms, offsets, T, basis, dropped, c, it, standard)
     except LpFailure as err:
-        return None, it + err.diagnostics["iterations"]
-    it += it2
-    if status != "optimal":
-        return None, it
-    x_std = np.zeros(len(costs))
-    x_std[basis] = T[:, -1]
-    try:
-        return _optimal(lp, col_terms, offsets, x_std.tolist(), False, it, (tuple(basis), dropped), standard), it
-    except LpFailure:
-        return None, it
+        return None, err.diagnostics["iterations"]
+    return (solution if solution.status == "optimal" else None), solution.iterations
 
 
 def _leaving_row(T: np.ndarray, basis: list[int], infeasible: np.ndarray, step: int) -> int:
@@ -467,6 +447,30 @@ def _leaving_row(T: np.ndarray, basis: list[int], infeasible: np.ndarray, step: 
     return min(infeasible, key=basis.__getitem__)
 
 
+def _finish(lp, col_terms, offsets, T, basis, dropped, costs, iterations: int, standard=None) -> LpSolution:
+    """Every simplex solve ends here: phase 2 from a primal feasible tableau, then the point and the row check.
+
+    T is B^-1 [A | b] over the standardised columns, `costs` their costs (an
+    array) and `dropped` the redundant rows left out of T; zero tolerance over
+    ``Fraction`` (object T), else 1e-9.  An `LpFailure` (the iteration cap, a
+    broken row) carries the pivots of the whole call, `iterations` of them
+    made before this one.  The scaled rows of a float solve, `standard`, ride
+    along on its optimal solution.
+    """
+    exact = T.dtype == object
+    try:
+        _, status, iterations = _simplex(T, basis, costs, 0 if exact else _TOL, phase=2, it=iterations)
+        if status == "unbounded":
+            return LpSolution("unbounded", iterations=iterations)
+        x_std = [0] * len(costs)  # an int zero adds exactly to a float or a Fraction
+        for i, j in enumerate(basis):
+            x_std[j] = T[i, -1]
+        return _optimal(lp, col_terms, offsets, x_std, exact, iterations, (tuple(basis), tuple(dropped)), standard)
+    except LpFailure as err:
+        err.diagnostics.setdefault("iterations", iterations)
+        raise
+
+
 def _optimal(lp, col_terms, offsets, x_std, exact: bool, iterations: int, basis, standard=None) -> LpSolution:
     """The solution at standardised point x_std, once every original row holds; `standard` rides along."""
     conv = Fraction if exact else float
@@ -476,10 +480,7 @@ def _optimal(lp, col_terms, offsets, x_std, exact: bool, iterations: int, basis,
         for col, sign in col_terms[j]:
             v = v + (x_std[col] if sign > 0 else -x_std[col])
         x.append(v if exact else float(v))
-    value = sum(conv(c) * xj for c, xj in zip(lp.objective, x))
-    if not exact:
-        value = float(value)
-
+    value = conv(sum(conv(c) * xj for c, xj in zip(lp.objective, x)))
     _check_rows(lp, x, conv, exact, iterations=iterations)
     return LpSolution("optimal", x=x, objective_value=value, iterations=iterations, basis=basis, _rows=standard)
 
@@ -575,25 +576,26 @@ def _pivot(T: np.ndarray, row: int, col: int):
     T -= np.outer(column, T[row, :])
 
 
-def _simplex(T, basis, costs, barred, phase):
-    """Minimise costs.x from the current basic feasible point.  Bland's rule."""
+def _simplex(T, basis, costs, tol, phase: int, it: int = 0):
+    """Minimise costs.x from the basic feasible point of tableau T by Bland's rule, `it` pivots made so far.
+
+    Entries within `tol` of zero are zero (0 over ``Fraction``, else 1e-9,
+    and ratios within 1e-9 relative tie).  Returns the reduced costs,
+    "optimal" or "unbounded", and the pivots so far; raises `LpFailure`
+    after `_MAX_ITER` pivots of its own.
+    """
     m, ncols = T.shape
-    exact = T.dtype == object
-    tol = _TOL
     obj = costs.copy()
     for i in range(m):
         cb = costs[basis[i]]
         if cb != 0:
             obj = obj - cb * T[i, : ncols - 1]
 
-    it = 0
+    cap = it + _MAX_ITER
     while True:
         entering = None
         for j in range(ncols - 1):
-            if j in barred:
-                continue
-            v = obj[j]
-            if (v < 0) if exact else (v < -tol):
+            if obj[j] < -tol:
                 entering = j
                 break
         if entering is None:
@@ -603,22 +605,17 @@ def _simplex(T, basis, costs, barred, phase):
         leaving = None
         for i in range(m):
             a = T[i, entering]
-            positive = (a > 0) if exact else (a > tol)
-            if not positive:
+            if not a > tol:
                 continue
             ratio = T[i, -1] / a
             if best_ratio is None:
                 best_ratio, leaving = ratio, i
                 continue
-            if exact:
-                if ratio < best_ratio or (ratio == best_ratio and basis[i] < basis[leaving]):
-                    best_ratio, leaving = ratio, i
-            else:
-                near = abs(ratio - best_ratio) <= tol * max(1.0, abs(best_ratio))
-                if ratio < best_ratio - tol * max(1.0, abs(best_ratio)):
-                    best_ratio, leaving = ratio, i
-                elif near and basis[i] < basis[leaving]:
-                    leaving = i
+            margin = tol * max(1, abs(best_ratio))
+            if ratio < best_ratio - margin:
+                best_ratio, leaving = ratio, i
+            elif abs(ratio - best_ratio) <= margin and basis[i] < basis[leaving]:
+                leaving = i
         if leaving is None:
             return obj, "unbounded", it
 
@@ -629,7 +626,7 @@ def _simplex(T, basis, costs, barred, phase):
             obj = obj - red * T[leaving, : ncols - 1]
 
         it += 1
-        if it > _MAX_ITER:
+        if it > cap:
             raise LpFailure(
                 f"simplex exceeded {_MAX_ITER} iterations in phase {phase}",
                 {"phase": phase, "iterations": it, "rows": m, "cols": ncols - 1},

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import minimaxfit
-from minimaxfit import LpFailure, build_basis, cli, fitting, monomials, optimality
+from minimaxfit import build_basis, cli, fitting, monomials, optimality
 from minimaxfit.cli import (
     Expression,
     ExpressionError,
@@ -392,14 +392,22 @@ class TestRunPipeline:
 
 
 class TestKnownLpFailures:
-    """Float-LP crashes: the ones the LP kernel recovers from now, and the one still open (strict xfail)."""
+    """LP crashes the kernel recovers from now: a drifted float tableau refactors, a failed guess starts rowless."""
 
-    @pytest.mark.xfail(raises=LpFailure, strict=True,
-                       reason="moment LP of a 70-vs-70 plane split: optimal point violates row 0")
     def test_abs_chebyshev_grid_planes(self):
+        # nine moment LPs of its plane splits (11 rows) once ended "optimal point violates row 0"
         code, report = run(RunConfig(command="fit", grid="-1,1:-1,1;21;chebyshev;abs(x1)+x2^3",
                                      degree=4))
-        assert code == 0 and report["alternation"]["verdict"] == "pass"
+        assert code == 0
+        assert (report["reduction"]["verdict"], report["alternation"]["verdict"]) == ("pass", "pass")
+
+    def test_exact_trivariate_uniform_grid_fit(self):
+        # the float guess of its first minimax LP (88 rows) fails in phase 1; the rowless dual start
+        # proposes the basis instead of a rational simplex from scratch that ran for minutes
+        code, report = run(RunConfig(command="fit", grid="-1,1:-1,1:-1,1;9;uniform;x1*x2*x3+x1^3",
+                                     degree=3, exact=True))
+        assert code == 0
+        assert report["extremes"]["degenerate"] is True and Fraction(report["psi"]) == 0
 
     def test_trivariate_uniform_grid_fit(self):
         # its first minimax LP once failed with "phase-1 simplex did not terminate"; the target is cubic

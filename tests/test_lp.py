@@ -786,3 +786,108 @@ def test_dual_rule_turns_to_blands_rule_after_m_steps(monkeypatch):
     got = solve(lp)
     assert steps == [(k, 4) for k in range(6)]
     assert got.objective_value == pytest.approx(solve_exact(lp).objective_value, rel=1e-9)
+
+
+# --- refactoring: a cold float point that breaks a row restarts from its final basis --
+
+
+def _fitted_moment_and_margin_lps(exact):
+    """The moment and the margin LP of the first fitted 2-D extreme sets of both signs."""
+    for inst in build_fit_corpus(5, 12, dims=(2,), degrees=(2,), point_range=(8, 20)):
+        plus = inst.samples.lifted(inst.extremes.plus, 2, exact)
+        minus = inst.samples.lifted(inst.extremes.minus, 2, exact)
+        if plus and minus:
+            return {"moment": _moment_lp(plus, minus), "margin": _margin_lp(plus, minus)}
+
+
+def _checks_failing_once(monkeypatch, exact):
+    """Make the first `_check_rows` call in the given arithmetic fail; returns each call's (exact, iterations)."""
+    real, calls = lp_module._check_rows, []
+
+    def fails_once(lp, x, conv, arith, iterations):
+        first = arith == exact and all(a != exact for a, _ in calls)
+        calls.append((arith, iterations))
+        if first:
+            raise LpFailure("optimal point violates row 0")  # no diagnostics: `_finish` adds the pivots
+        return real(lp, x, conv, arith, iterations=iterations)
+
+    monkeypatch.setattr(lp_module, "_check_rows", fails_once)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["moment", "margin"])
+def test_broken_row_refactors_at_the_final_basis(monkeypatch, cold_solves, kind):
+    lp = _fitted_moment_and_margin_lps(exact=False)[kind]
+    assert not lp_module._slack_basis_dual_feasible(lp)  # so `solve` goes straight to the two-phase simplex
+    ref = solve(lp)
+    assert ref.status == "optimal" and ref.iterations > 0
+    calls = _checks_failing_once(monkeypatch, exact=False)
+    cold_solves.clear()
+    got = solve(lp)
+    assert cold_solves == [False]  # no second cold solve: `_warm` finished from the cold basis
+    assert [arith for arith, _ in calls] == [False, False]
+    assert calls[0][1] == ref.iterations
+    assert got.iterations == calls[0][1] + calls[1][1]  # the cold pivots, then the refactor's
+    assert got.status == ref.status
+    assert max(abs(a - b) for a, b in zip(got.x, ref.x)) <= 1e-9
+
+
+@pytest.mark.parametrize("kind", ["moment", "margin"])
+def test_broken_exact_row_reaches_the_rational_simplex(monkeypatch, cold_solves, kind):
+    lp = _fitted_moment_and_margin_lps(exact=True)[kind]
+    ref = _from_scratch(lp)
+    _checks_failing_once(monkeypatch, exact=True)
+    with pytest.raises(LpFailure):  # exact arithmetic has no refactor: the failure stands
+        lp_module._solve(lp, exact=True)
+    calls = _checks_failing_once(monkeypatch, exact=True)
+    cold_solves.clear()
+    got = solve_exact(lp)  # the certificate's check fails, so the rational simplex answers
+    assert cold_solves == [False, True]
+    assert [arith for arith, _ in calls] == [False, True, True]
+    assert (got.status, got.x, got.objective_value) == (ref.status, ref.x, ref.objective_value)
+
+
+# --- a differential test against HiGHS --------------------------------------
+
+
+def _highs(lp):
+    """The status and objective of a float LP by scipy's HiGHS."""
+    from scipy.optimize import linprog
+
+    rows = {"<=": ([], []), "==": ([], [])}
+    for coeffs, rel, rhs in lp.rows:
+        sign = -1.0 if rel == ">=" else 1.0
+        a, b = rows["==" if rel == "==" else "<="]
+        a.append([sign * c for c in coeffs])
+        b.append(sign * rhs)
+    (a_ub, b_ub), (a_eq, b_eq) = rows["<="], rows["=="]
+    res = linprog(lp.objective, A_ub=a_ub or None, b_ub=b_ub or None, A_eq=a_eq or None, b_eq=b_eq or None,
+                  bounds=list(lp.bounds), method="highs")
+    assert res.status in (0, 2, 3), res.message
+    return {0: "optimal", 2: "infeasible", 3: "unbounded"}[res.status], res.fun
+
+
+def test_float_solve_agrees_with_highs():
+    # the minimax, moment and margin LPs of fitted instances; a moment LP that drops one sign's
+    # first extreme point is often infeasible
+    pytest.importorskip("scipy")
+    seen = {}
+    corpus = build_fit_corpus(5, 12, dims=(1, 2), degrees=(1, 2), point_range=(8, 20))
+    corpus += build_fit_corpus(17, 12, dims=(1, 2, 3), degrees=(1, 2, 3), point_range=(10, 30))
+    for inst in corpus:
+        lps = [("minimax", _minimax_lp(inst.samples, inst.degree))]
+        plus = inst.samples.lifted(inst.extremes.plus, inst.degree, True)
+        minus = inst.samples.lifted(inst.extremes.minus, inst.degree, True)
+        if plus and minus:
+            lps += [("moment", _moment_lp(plus, minus)), ("margin", _margin_lp(plus, minus))]
+            lps += [("moment", _moment_lp(plus[1:], minus))] if len(plus) > 1 else []
+            lps += [("moment", _moment_lp(plus, minus[1:]))] if len(minus) > 1 else []
+        for kind, lp in lps:
+            lp = _as_float(lp)
+            got = solve(lp)
+            status, value = _highs(lp)
+            assert got.status == status, (kind, status)
+            if status == "optimal":
+                assert got.objective_value == pytest.approx(value, rel=1e-7, abs=1e-12), kind
+            seen.setdefault(kind, set()).add(status)
+    assert seen == {"minimax": {"optimal"}, "moment": {"optimal", "infeasible"}, "margin": {"optimal"}}

@@ -1,11 +1,11 @@
 """Hyperplane sign-splitting: the multivariate generalisation of alternation.
 
-A hyperplane flips the deviation sign of everything on its negative side.
-For an optimal model, every hyperplane split must admit either a
-degree-reduced hull intersection of the flipped classes or a same-degree
-intersection of the on-plane sign classes.  Enumerating only the hyperplanes
-through d affinely independent extreme points suffices, which turns the
-condition into finitely many small LP checks.  Many need no LP: a degree-(m-1)
+A hyperplane flips the deviation sign of everything on its negative side.  For
+an optimal model, every hyperplane split must admit either a degree-reduced
+hull intersection of the flipped classes or a same-degree intersection of the
+on-plane sign classes.  Enumerating only the hyperplanes through d affinely
+independent extreme points suffices, which turns the condition into finitely
+many hull checks, small LPs in d > 1.  Many need no LP: a degree-(m-1)
 certificate with support S+, S- (convex weights matching every lifted moment)
 is, zero elsewhere, a feasible point of the moment LP of any later split whose
 flipped classes hold S+ and S- one each, either way round, as the LP is

@@ -45,8 +45,8 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from operator import mul
+from itertools import chain, groupby
+from operator import itemgetter, mul
 from typing import Sequence
 
 import numpy as np
@@ -348,22 +348,22 @@ def extreme_sets(
     return partition_extremes(_model_residuals(model, samples), rel_tol)
 
 
+def sign_blocks(points, plus: Sequence[int], minus: Sequence[int]) -> list[tuple[int, bool]]:
+    """(i, i in minus) of the first point of each maximal same-sign block of 1-D points.
+
+    Sorted by coordinate, plus before minus at an equal one; Python compares
+    int, float and Fraction exactly, so no coordinate is converted.
+    """
+    tagged = sorted([(points[i][0], False, i) for i in plus] + [(points[i][0], True, i) for i in minus])
+    return [(next(block)[2], side) for side, block in groupby(tagged, key=itemgetter(1))]
+
+
 def count_alternations(extremes: ExtremeSets, samples: SampleSet) -> int:
     """Length of the longest sign-alternating run of extreme points (d = 1).
 
-    Extreme points are sorted by coordinate; the count equals the number of
-    maximal blocks of equal deviation sign.  Not meaningful for degenerate
-    (exact-fit) extreme sets.
+    The number of `sign_blocks` of the extreme points, over the samples' own
+    coordinates.  Not meaningful for degenerate (exact-fit) extreme sets.
     """
     if samples.dimension != 1:
         raise ValueError("alternation counting is defined for one-dimensional samples only")
-    tagged = [(float(samples.points[i][0]), 1) for i in extremes.plus]
-    tagged += [(float(samples.points[i][0]), -1) for i in extremes.minus]
-    if not tagged:
-        return 0
-    tagged.sort(key=lambda t: (t[0], -t[1]))
-    count = 1
-    for (_, a), (_, b) in zip(tagged, tagged[1:]):
-        if a != b:
-            count += 1
-    return count
+    return len(sign_blocks(samples.points, extremes.plus, extremes.minus))

@@ -9,7 +9,8 @@ separability (isolability) view of non-optimality.  Both views are exposed
 and must agree; tests lean on that cross-check.
 
 Every verifier reads its lifted rows from `SampleSet.lifted`, and
-`hulls_intersect` is the one indexed hull test of reduction and alternation.
+`hulls_intersect` is the one indexed hull test of reduction and alternation;
+on a line it counts sign blocks instead (discrete alternation, Cheney 1966).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from ._linalg import nullspace_vector
-from .fitting import ExtremeSets, SampleSet
+from .fitting import ExtremeSets, SampleSet, sign_blocks
 from .lp import LinearProgram, LpFailure, solve, solve_exact
 from .monomials import MonomialBasis, Number, PolynomialModel, build_basis, dot, evaluate
 from .monomials import lift  # unused here, kept because bench/tracing.py counts optimality.lift
@@ -155,8 +156,12 @@ def hulls_intersect(
     solution puts strictly positive weight, taken with no tolerance in either
     arithmetic; those points' hulls meet on their own.  A sample in both
     classes is such a solution by itself (weight one on each side matches
-    every moment), so it is returned with no LP.  None, which is falsy, when
-    the hulls do not meet or a class is empty.
+    every moment), so it is returned with no LP.  On a line, so is the first
+    point of each of the first k+2 `sign_blocks` (k = `degree`): their divided
+    difference (sum w_j p(x_j) = 0 for deg p <= k) has every w_j nonzero and
+    alternating in sign, as the blocks do; fewer blocks admit a separating
+    polynomial (at most k sign changes).  None, which is falsy, when the hulls
+    do not meet or a class is empty.
     """
     if not plus or not minus:
         return None
@@ -164,6 +169,11 @@ def hulls_intersect(
     if shared:
         i = min(shared)
         return frozenset((i,)), frozenset((i,))
+    if samples.dimension == 1:
+        blocks = sign_blocks(samples.view(exact)[0], plus, minus)[: degree + 2]
+        if len(blocks) < degree + 2:
+            return None
+        return frozenset(i for i, neg in blocks if not neg), frozenset(i for i, neg in blocks if neg)
     plus_lifted = samples.lifted(plus, degree, exact)
     minus_lifted = samples.lifted(minus, degree, exact)
     sol = (solve_exact if exact else solve)(_moment_lp(plus_lifted, minus_lifted))

@@ -8,10 +8,10 @@ passes vacuously).  The underlying shift identity is valid for every legal
 (dimension, variant) choice, so necessity demands that every branch pass;
 the exhaustive strategy enumerates them all.
 
-The closing test runs `hulls_intersect` on the survivors' own coordinates:
-each step maps one coordinate of every survivor by the same affine bijection
-(x -> x - delta, or top - x), which maps hulls onto hulls and so cannot change
-whether degree-1 hulls meet.  The shifted coordinates only decide removals.
+The closing test, `hulls_intersect` (no LP on a line), runs on the survivors'
+own coordinates: each step maps one coordinate of every survivor by the same
+affine bijection (x -> x - delta, or top - x), which maps hulls onto hulls and
+so cannot change whether degree-1 hulls meet; shifts only decide removals.
 """
 
 from __future__ import annotations

@@ -197,8 +197,8 @@ def _least_squares_extremes(samples, degree, rel_tol=0.45):
 
 
 def _reuse_corpus(exact):
-    """(samples, extremes, degree): minimax fits in d = 2 and 3, then sets that are not optimal."""
-    fits = [(42, (2,), (2, 3), (11, 18), 2)]
+    """(samples, extremes, degree): minimax fits in d = 1, 2 and 3, then sets that are not optimal."""
+    fits = [(42, (2,), (2, 3), (11, 18), 2), (44, (1,), (2, 3, 4), (10, 25), 3)]
     if not exact:
         fits += [(41, (3,), (2,), (13, 18), 1), (43, (2,), (4,), (18, 22), 1)]
     cases = []
@@ -208,7 +208,7 @@ def _reuse_corpus(exact):
             # one extreme point fewer: here that always leaves sets some plane fails on
             cases.append((inst.samples, replace(inst.extremes, plus=inst.extremes.plus[1:]), inst.degree))
     rng = random.Random(43)
-    for d, m in [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4)]:
+    for d, m in [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (1, 3), (1, 5)]:
         samples = random_samples(rng, d, build_basis(d, m).size + 8)
         cases.append((samples, _least_squares_extremes(samples, m), m))
     return cases

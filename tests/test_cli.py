@@ -337,6 +337,21 @@ class TestRunPipeline:
                 assert report[section]["verdict"] == "pass"
                 assert report[section]["note"].startswith("exact fit")
 
+    @pytest.mark.parametrize("grid, degree, exact", [
+        ("-1,1;201;uniform;x1^5+x1^2", 3, False),
+        ("-1,1;41;chebyshev;x1^4+x1^3", 2, True),
+    ])
+    def test_one_dimensional_fit_solves_one_moment_lp(self, grid, degree, exact, monkeypatch):
+        # on a line reduction and alternation count sign blocks; only the certificate runs the LP
+        calls = []
+        real = optimality._moment_lp
+        monkeypatch.setattr(optimality, "_moment_lp", lambda *rows: calls.append(rows) or real(*rows))
+        code, report = run(RunConfig(command="fit", grid=grid, degree=degree, exact=exact))
+        assert code == 0 and "alpha" in report["certificate"]
+        assert report["reduction"]["verdict"] == "pass" and len(report["reduction"]["traces"]) > 1
+        assert report["alternation"]["verdict"] == "pass" and report["alternation"]["planes_checked"] > 0
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("nodes", ["uniform", "chebyshev"])
     def test_warm_float_fit_on_a_symmetric_grid_is_optimal(self, nodes):
         # the minimax coefficients are not unique here: the warm-started float

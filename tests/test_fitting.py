@@ -546,3 +546,14 @@ class TestCountAlternations:
         ext = extreme_sets(fit.model, xy_corners)
         with pytest.raises(ValueError):
             count_alternations(ext, xy_corners)
+
+    def test_coordinates_beyond_float_range(self):
+        samples = SampleSet([(Fraction(10**400) + k,) for k in range(3)], [0, 0, 0])
+        ext = ExtremeSets(plus=(0, 2), minus=(1,), psi=1, rel_tol=0)
+        assert count_alternations(ext, samples) == 3
+
+    def test_plus_before_minus_at_a_shared_point(self):
+        # with minus first at the shared coordinate, each would count 2
+        samples = SampleSet([(0,), (1,)], [0, 0])
+        assert count_alternations(ExtremeSets(plus=(0, 1), minus=(0,), psi=1, rel_tol=0), samples) == 3
+        assert count_alternations(ExtremeSets(plus=(1,), minus=(0, 1), psi=1, rel_tol=0), samples) == 3

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minimaxfit import (
     ExtremeSets,
@@ -18,9 +19,12 @@ from minimaxfit import (
     extreme_sets,
     find_critical_point_set,
     fit_minimax,
+    hulls_intersect,
     verify_certificate,
     verify_witness,
 )
+from minimaxfit.lp import solve, solve_exact
+from minimaxfit.optimality import _moment_lp
 
 from support import build_fit_corpus
 
@@ -235,3 +239,36 @@ class TestShiftInvariance:
                 inst.samples.values,
             )
             assert abs(verify_certificate(out, moved)) <= 1e-8
+
+
+def _moment_lp_meets(samples, plus, minus, degree, exact):
+    if not plus or not minus:
+        return False
+    lp = _moment_lp(samples.lifted(plus, degree, exact), samples.lifted(minus, degree, exact))
+    return (solve_exact if exact else solve)(lp).status == "optimal"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_one_dimensional_hulls_meet_as_the_moment_lp_says(data):
+    """The sign-block rule of `hulls_intersect` on a line against the moment LP, in both arithmetics."""
+    exact = data.draw(st.booleans())
+    degree = data.draw(st.integers(0, 6))
+    coords = data.draw(st.lists(st.integers(-20, 20), min_size=1, max_size=12, unique=True))
+    samples = SampleSet([(Fraction(c, 20) if exact else c / 20,) for c in coords], [0] * len(coords))
+    indices = st.lists(st.integers(0, len(coords) - 1), unique=True, max_size=len(coords))
+    plus, minus = data.draw(indices), data.draw(indices)  # either may be empty, one point, or share one
+    if data.draw(st.booleans()):  # disjoint classes, as every split hands over
+        minus = [i for i in minus if i not in plus]
+    got = hulls_intersect(samples, plus, minus, degree, exact)
+    assert (got is not None) == _moment_lp_meets(samples, plus, minus, degree, exact)
+    if got is None:
+        return
+    support_plus, support_minus = sorted(got[0]), sorted(got[1])
+    assert set(support_plus) <= set(plus) and set(support_minus) <= set(minus)
+    shared = set(plus) & set(minus)
+    assert len(support_plus) + len(support_minus) == (2 if shared else degree + 2)
+    # the support meets on its own, with every weight strictly positive
+    lifted = [samples.lifted(side, degree, True) for side in (support_plus, support_minus)]
+    sol = solve_exact(_moment_lp(*lifted))
+    assert sol.status == "optimal" and all(w > 0 for w in sol.x)

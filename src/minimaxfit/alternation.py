@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 from ._linalg import affine_normal
 from .fitting import ExtremeSets, SampleSet
 from .monomials import Number
-from .optimality import IntersectionCertificate, check_hull_intersection, hulls_intersect
+from .optimality import hulls_intersect
 
 PLANE_TOL = 1e-9
 _CANON_DECIMALS = 12
@@ -175,13 +175,14 @@ def verify_by_hyperplanes(
     stored degree-(m-1) support (see the module docstring) holds with no LP,
     and point elimination runs only when degree reduction fails; verdict,
     count and counterexample equal those of `check_split_condition` on every
-    plane.  Degree 1 delegates to the direct hull check.
+    plane.  Degree 1 asks `hulls_intersect` whether the degree-1 hulls of E+
+    and E- meet, which is the certificate's verdict with no moment LP on a line.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
     if degree == 1:
-        outcome = check_hull_intersection(extremes, samples, 1, exact)
-        verdict = "pass" if isinstance(outcome, IntersectionCertificate) else "fail"
+        met = hulls_intersect(samples, extremes.plus, extremes.minus, 1, exact) is not None
+        verdict = "pass" if met else "fail"
         return HyperplaneVerdict(verdict, None, 0, warning="degree 1: direct hull check")
 
     d = samples.dimension

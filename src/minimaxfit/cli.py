@@ -178,8 +178,8 @@ def _parse_number(cell: str, exact: bool) -> Number:
     return Fraction(x) if exact else x
 
 
-def _bulk_floats(body: str, d: int) -> Optional[tuple[list, list]]:
-    """Points and values of the CSV rows `body` read by numpy, or None to read them cell by cell.
+def _bulk_floats(body: str, d: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Points (n x d) and values (n) of the CSV rows `body` as float64 arrays, or None to read them cell by cell.
 
     Only a table of at least one row, exactly d+1 columns and finite entries
     is taken; anything else (an empty cell, a quote, a ragged row, ``nan``,
@@ -193,14 +193,15 @@ def _bulk_floats(body: str, d: int) -> Optional[tuple[list, list]]:
         return None
     if not (len(table) and table.shape[1] == d + 1 and np.isfinite(table).all()):
         return None
-    return table[:, :d].tolist(), table[:, d].tolist()
+    return table[:, :d], table[:, d]
 
 
 def ingest(path: str, exact: bool = False) -> SampleSet:
     """Read a CSV with header x1..xd,f into a validated sample set.
 
     The header is read with ``csv``.  In float mode numpy then reads the
-    rows in bulk (`_bulk_floats`); a body it does not take whole, and every
+    rows in bulk (`_bulk_floats`) into the float64 table that `SampleSet`
+    keeps as it is; a body it does not take whole, and every
     exact body, goes through the reader below cell by cell.  So every error,
     with its ``file:line``, comes from that reader, which is also the only
     one that parses cells to ``Fraction``.
@@ -639,7 +640,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             report_path=getattr(ns, "report_path", None),
         )
         code, report = run(config)
-        text = json.dumps(report, indent=2, allow_nan=False)
+        text = json.dumps(report, allow_nan=False)  # no indent: the C encoder
     except (OSError, ValueError, KeyError, ArithmeticError, RuntimeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

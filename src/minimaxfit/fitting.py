@@ -4,17 +4,30 @@ The fit solves the linear program
 
     minimise z  s.t.  -z <= f(x_i) - <A, lift(x_i)> <= z   for every sample,
 
-via a working-set loop: solve the LP on a subset, add the worst violator,
-repeat until no sample deviates beyond the subset optimum.  At termination
-the model is optimal for the full set, and the LP kernel only ever sees
-small dense problems.  In float mode no round runs phase 1: the first
-round's LP has no "==" row and costs only z >= 0, so `lp.solve` starts it
-from the basis of every row's slack, and each later round appends the new
-point's two rows to the last round's LP and starts from its optimal basis
-(``start`` of `lp.solve`), standardising only those two rows.  The
-two-phase simplex runs only where such a start gives up.  Exact fits solve
-every round from scratch on the working set in sorted order: where the
-minimax coefficients are not unique (a symmetric 2-D grid), a warm basis or
+via a working-set loop: solve the LP on a subset, add the samples that
+deviate beyond the subset optimum z, repeat until none does.  At
+termination the model is optimal for the full set, and the LP kernel only
+ever sees small dense problems.  A round stops the loop when its worst
+sample (largest |r|, the first index among ties) deviates by at most z
+(plus a slack of about 1e-9 z in float), or is in the working set already.
+Otherwise, in d > 1 it adds that sample alone (single exchange).  In 1-D
+it adds the largest-|r| sample of every sign run of the residual, in
+coordinate order, that reaches beyond z, the worst sample among them
+(Stiefel's multiple exchange, "Numerical methods of Tchebycheff
+approximation", 1959): the optimum's extreme points alternate in sign,
+so a round brings a candidate for each of them at once, and fits take
+fewer rounds.  The stopping test is the same, so the result is the
+minimax fit either way; in 1-D that fit is unique (Haar), so exact fits
+give the same coefficients as with single exchange.
+
+In float mode no round runs phase 1: the first round's LP has no "==" row
+and costs only z >= 0, so `lp.solve` starts it from the basis of every
+row's slack, and each later round appends the new samples' rows to the
+last round's LP and starts from its optimal basis (``start`` of
+`lp.solve`), standardising only those rows.  The two-phase simplex runs
+only where such a start gives up.  Exact fits solve every round from
+scratch on the working set in sorted order: where the minimax
+coefficients are not unique (a symmetric 2-D grid), a warm basis or
 another row order certifies another optimum of the same psi.
 
 Residuals follow the convention r(x) = f(x) - L(A, x), so the positive
@@ -28,15 +41,17 @@ the value `dot` would give.
 `SampleSet.lifted` is the one place a sample point is lifted; the fit and
 every verifier read their rows from it.  Exact rows are made on first
 request, once per degree, so checking the extreme points lifts only those.
-Float rows are rows of a degree's float64 matrix (`lift_matrix`) once
-that is built; before, `lift_matrix` makes only the rows asked for, which
-are the same rows bit for bit (reduction and alternation at degrees 1 and
-m-1 ask for a few).  Every float residual pass is `dot_rows` over a full
-matrix: the fit's working-set loop (worst point by `np.argmax`, whose
-first-index rule is the tie rule of the exact loop), and `extreme_sets` and
-`compute_psi` when every sample coordinate and value is a Python float.
-The matrix repeats `lift` and `dot` bit for bit (see `monomials`), so both
-forms give the same residuals.
+Float rows are rows of a degree's float64 matrix (`lift_matrix` of the
+samples' float64 table `SampleSet.xy`) once that is built; before,
+`lift_matrix` makes only the rows asked for, which are the same rows bit
+for bit (reduction and alternation at degrees 1 and m-1 ask for a few).
+Every float residual pass is `dot_rows` over a full matrix, against the
+table's values `SampleSet.f`: the fit's working-set loop, and
+`extreme_sets` and `compute_psi` when every sample coordinate and value is
+a float.  The matrix repeats `lift` and `dot` bit for bit (see
+`monomials`), so both forms give the same residuals.  The exact loop keeps
+its residuals in an object array of ``Fraction``, so the same numpy calls
+pick its worst sample and its runs, comparing exactly.
 """
 
 from __future__ import annotations
@@ -47,7 +62,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, groupby
 from operator import itemgetter, mul
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -69,35 +84,55 @@ class SampleSet:
     Points must be pairwise distinct (coordinate tolerance 1e-12) and every
     coordinate and value finite.  Values may be ints, floats or Fractions;
     exact-mode operations convert through ``Fraction`` without loss.
+
+    When every coordinate and value is a float (an (n, d) and an (n,) float64
+    array, as `ingest` reads them, or Python floats), the samples are also
+    kept as the float64 table `xy` (n x d) and `f` (n), on which the checks
+    here, `lifted_matrix`, the fit's targets and every float residual pass
+    run; `xy` and `f` are None otherwise.  `points` and `values` are tuples
+    of Python numbers in either case, for the verifiers.
     """
 
     def __init__(self, points: Sequence[Sequence[Number]], values: Sequence[Number]):
-        pts = [tuple(p) for p in points]
-        if not pts:
+        arrays = (isinstance(points, np.ndarray) and points.ndim == 2 and points.dtype == float
+                  and isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype == float)
+        pts = [] if arrays else [tuple(p) for p in points]
+        vals = values if arrays else list(values)
+        n = len(points) if arrays else len(pts)
+        if not n:
             raise ValueError("sample set must contain at least one point")
-        d = len(pts[0])
+        d = points.shape[1] if arrays else len(pts[0])
         if d < 1:
             raise ValueError("points must have at least one coordinate")
-        vals = list(values)
-        if len(vals) != len(pts):
-            raise ValueError(f"{len(vals)} values for {len(pts)} points")
+        if len(vals) != n:
+            raise ValueError(f"{len(vals)} values for {n} points")
         for k, p in enumerate(pts):
             if len(p) != d:
                 raise ValueError(f"point {k} has dimension {len(p)}, expected {d}")
-        flat = list(chain(*pts, vals))
-        # Python floats only: then the float view is the samples themselves
-        self._floats = set(map(type, flat)) == {float}
-        if not (np.isfinite(flat).all() if self._floats else all(map(_finite, flat))):
-            bad = next(k for k, x in enumerate(flat) if not _finite(x))
-            if bad < len(pts) * d:
-                raise ValueError(f"point {bad // d} has a coordinate that is not finite: {pts[bad // d]}")
-            raise ValueError(f"value {bad - len(pts) * d} is not finite: {flat[bad]}")
-        self._check_duplicates(pts)
+        self.xy: Optional[np.ndarray] = None
+        self.f: Optional[np.ndarray] = None
+        if arrays or set(map(type, chain(*pts, vals))) == {float}:
+            self.xy, self.f = np.array(points if arrays else pts), np.array(vals)
+            bad_points = np.flatnonzero(~np.isfinite(self.xy).all(axis=1))
+            bad_values = np.flatnonzero(~np.isfinite(self.f))
+        else:
+            bad_points = [k for k, p in enumerate(pts) if not all(map(_finite, p))]
+            bad_values = [k for k, v in enumerate(vals) if not _finite(v)]
+        if len(bad_points):
+            k = int(bad_points[0])
+            point = tuple(self.xy[k].tolist()) if arrays else pts[k]
+            raise ValueError(f"point {k} has a coordinate that is not finite: {point}")
+        if len(bad_values):
+            k = int(bad_values[0])
+            raise ValueError(f"value {k} is not finite: {vals[k]}")
+        self._check_duplicates(pts if self.xy is None else self.xy)
         self.dimension = d
+        if arrays:  # the same Python floats a list of them would have given
+            pts, vals = map(tuple, self.xy.tolist()), self.f.tolist()
         self.points: tuple[tuple[Number, ...], ...] = tuple(pts)
         self.values: tuple[Number, ...] = tuple(vals)
         # Python floats are their own float view: no second float() copy
-        self._views: dict[bool, tuple] = {False: (self.points, self.values)} if self._floats else {}
+        self._views: dict[bool, tuple] = {False: (self.points, self.values)} if self.xy is not None else {}
         self._lifted: dict[tuple[int, bool], tuple] = {}  # (degree, exact) -> (basis, rows)
         self._matrices: dict[int, np.ndarray] = {}  # degree -> float lift_matrix
 
@@ -153,9 +188,10 @@ class SampleSet:
         return self._views[exact]
 
     def lifted_matrix(self, degree: int) -> np.ndarray:
-        """`lift_matrix` of the float view over the degree-`degree` basis, built once."""
+        """`lift_matrix` of `xy` (else of the float view) over the degree-`degree` basis, built once."""
         if degree not in self._matrices:
-            self._matrices[degree] = lift_matrix(self.view(False)[0], build_basis(self.dimension, degree))
+            pts = self.view(False)[0] if self.xy is None else self.xy
+            self._matrices[degree] = lift_matrix(pts, build_basis(self.dimension, degree))
         return self._matrices[degree]
 
     def lifted(self, indices: Sequence[int], degree: int, exact: bool) -> list[tuple[Number, ...]]:
@@ -189,7 +225,8 @@ class SampleSet:
 class FitResult:
     model: PolynomialModel
     psi: Number  # max |residual|, by construction from the residuals
-    residuals: tuple[Number, ...]  # f(x_i) - L(A, x_i), aligned with the samples
+    # f(x_i) - L(A, x_i), aligned with the samples: read-only float64 (float fit) or Fraction objects (exact)
+    residuals: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -216,7 +253,11 @@ def fit_minimax(samples: SampleSet, degree: int, exact: bool = False) -> FitResu
     if exact:
         table = _integer_rows(samples.lifted(range(n), degree, True), vals)
     else:
-        matrix, targets = samples.lifted_matrix(degree), np.array(vals)
+        matrix = samples.lifted_matrix(degree)
+        targets = np.array(vals) if samples.f is None else samples.f
+    if samples.dimension == 1:  # multiple exchange runs over the samples in coordinate order
+        coords = np.array([x for x, in samples.points], dtype=object) if samples.xy is None else samples.xy[:, 0]
+        order = np.argsort(coords, kind="stable")
 
     nc = basis.size
     objective = [0] * nc + [1]
@@ -246,27 +287,48 @@ def fit_minimax(samples: SampleSet, degree: int, exact: bool = False) -> FitResu
         coeffs = sol.x[:nc]
         z = sol.x[nc]
 
-        if exact:
-            residuals = _integer_residuals(table, coeffs)
-            worst_i = max(range(n), key=lambda i: (abs(residuals[i]), -i))
-            worst = abs(residuals[worst_i])
+        if exact:  # Fractions in an object array: the same numpy calls compare them exactly
+            residuals = np.array(_integer_residuals(table, coeffs), dtype=object)
         else:
             residuals = targets - dot_rows(matrix, coeffs)
-            worst_i = int(np.argmax(np.abs(residuals)))
-            worst = float(abs(residuals[worst_i]))
+        size = np.abs(residuals)
+        worst_i = int(np.argmax(size))  # the first index of the largest |r|
+        worst = size[worst_i] if exact else float(size[worst_i])
         slack = 0 if exact else 1e-9 * max(1.0, float(z)) + 1e-12
         if worst <= z + slack or worst_i in working:
             break
-        working.add(worst_i)
+        if samples.dimension == 1:
+            new = [i for i in _run_peaks(residuals[order], order, z + slack) if i not in working]
+        else:
+            new = [worst_i]
+        working.update(new)
         if exact:  # every round afresh on sorted rows (see the module docstring)
             rows = list(rows_of(sorted(working)))
         else:
-            rows += rows_of([worst_i])
+            rows += rows_of(new)
             start = sol
 
-    model = PolynomialModel(basis, tuple(coeffs))
-    residuals = tuple(residuals if exact else residuals.tolist())
-    return FitResult(model=model, psi=worst, residuals=residuals)
+    residuals.flags.writeable = False
+    return FitResult(model=PolynomialModel(basis, tuple(coeffs)), psi=worst, residuals=residuals)
+
+
+def _run_peaks(residuals: np.ndarray, indices: np.ndarray, bound: Number) -> list[int]:
+    """Stiefel's multiple exchange: the sample of largest |r| in each sign run of 1-D residuals above `bound`.
+
+    `residuals` are those of the samples `indices`, in coordinate order.  The
+    samples of nonzero residual split, in that order, into maximal same-sign
+    runs, as `sign_blocks` splits extreme points (a zero residual splits no
+    run).  Each run whose largest |r| exceeds `bound` gives its sample of
+    largest |r|, the lowest index among ties, so the worst sample of all is
+    one of them.
+    """
+    live = residuals != 0
+    residuals, indices = residuals[live], indices[live]
+    size, neg = np.abs(residuals), residuals < 0
+    starts = np.flatnonzero(np.concatenate(([True], neg[1:] != neg[:-1])))
+    ends = np.append(starts[1:], len(indices))
+    peaks = np.maximum.reduceat(size, starts)
+    return [int(indices[a:b][size[a:b] == p].min()) for a, b, p in zip(starts, ends, peaks) if p > bound]
 
 
 def _integer_rows(lifts: Sequence[Sequence[Number]], vals: Sequence[Number]) -> list[tuple]:
@@ -291,17 +353,19 @@ def _integer_residuals(table, coeffs: Sequence[Number]) -> list[Fraction]:
     return [Fraction(q * v - sum(map(mul, p, row)), q * den) for row, v, den in table]
 
 
-def _model_residuals(model: PolynomialModel, samples: SampleSet) -> list[Number]:
-    """f(x_i) - L(A, x_i) at every sample, over `lifted_matrix` when the samples are Python floats."""
-    if not samples._floats or model.basis.dimension != samples.dimension:
+def _model_residuals(model: PolynomialModel, samples: SampleSet) -> Sequence[Number]:
+    """f(x_i) - L(A, x_i) at every sample: a float64 array over `lifted_matrix` and `f` when the samples are floats."""
+    if samples.xy is None or model.basis.dimension != samples.dimension:
         return [v - evaluate(model, p) for p, v in zip(samples.points, samples.values)]
-    fitted = dot_rows(samples.lifted_matrix(model.degree), model.coefficients)
-    return (np.array(samples.values) - fitted).tolist()
+    return samples.f - dot_rows(samples.lifted_matrix(model.degree), model.coefficients)
 
 
 def compute_psi(model: PolynomialModel, samples: SampleSet) -> Number:
     """Uniform error max |f(x) - L(A, x)| over the samples."""
-    return max(map(abs, _model_residuals(model, samples)))
+    residuals = _model_residuals(model, samples)
+    if isinstance(residuals, np.ndarray):
+        return float(np.abs(residuals).max())
+    return max(map(abs, residuals))
 
 
 def partition_extremes(residuals: Sequence[Number], rel_tol: float = DEFAULT_REL_TOL) -> ExtremeSets:
@@ -311,14 +375,15 @@ def partition_extremes(residuals: Sequence[Number], rel_tol: float = DEFAULT_REL
     `minus` for the mirrored condition, psi being the largest |residual|.
     When psi falls below the absolute tolerance 1e-12 the model is exact on
     the samples; the result is flagged degenerate with both sets holding
-    every index.  Residuals that are all Python floats (a float fit's) are
-    compared in one float64 array, with the same psi, threshold and sets.
+    every index.  Residuals in a float64 array, or all Python floats (a
+    float fit's), are compared in one float64 array, with the same psi,
+    threshold and sets.
     """
     if not (0 <= rel_tol < 0.5):
         raise ValueError(f"rel_tol must lie in [0, 0.5), got {rel_tol}")
-    floats = set(map(type, residuals)) == {float}
+    floats = residuals.dtype == float if isinstance(residuals, np.ndarray) else set(map(type, residuals)) == {float}
     if floats:  # the same comparisons over one float64 array
-        residuals = np.array(residuals)
+        residuals = np.asarray(residuals)
         psi = float(np.abs(residuals).max())
     else:
         psi = max(abs(r) for r in residuals)

@@ -109,14 +109,16 @@ def lift(point: Sequence[Number], basis: MonomialBasis) -> list[Number]:
     return [e.value_at(point) for e in basis.exponents]
 
 
-def lift_matrix(points: Sequence[Sequence[float]], basis: MonomialBasis) -> np.ndarray:
+def lift_matrix(points: Union[np.ndarray, Sequence[Sequence[float]]], basis: MonomialBasis) -> np.ndarray:
     """Float64 array whose row i equals lift(points[i], basis) bit for bit.
 
-    The constant column holds 1.0 where `lift` gives int 1.  Each other
-    column is built like `ExponentVector.value_at`: the Python powers x_k ** e_k,
-    one list per coordinate and power, multiplied in coordinate order.
+    `points` is an (n, d) float64 table (`SampleSet.xy`) or a sequence of
+    float points.  The constant column holds 1.0 where `lift` gives int 1.
+    Each other column is built like `ExponentVector.value_at`: the Python
+    powers x_k ** e_k of one column of the table, as a list of Python floats,
+    multiplied in coordinate order.
     """
-    coords = list(zip(*points))
+    coords = np.array(points, dtype=float, ndmin=2).T.tolist()
     if len(coords) != basis.dimension:
         raise ValueError(f"points have dimension {len(coords)}, basis expects {basis.dimension}")
     powers: dict[tuple[int, int], np.ndarray] = {}

@@ -340,16 +340,24 @@ class TestRunPipeline:
     @pytest.mark.parametrize("grid, degree, exact", [
         ("-1,1;201;uniform;x1^5+x1^2", 3, False),
         ("-1,1;41;chebyshev;x1^4+x1^3", 2, True),
+        ("-1,1;201;uniform;x1^3+x1^2", 1, False),
+        ("-1,1;41;chebyshev;x1^3+x1^2", 1, True),
     ])
     def test_one_dimensional_fit_solves_one_moment_lp(self, grid, degree, exact, monkeypatch):
-        # on a line reduction and alternation count sign blocks; only the certificate runs the LP
+        # on a line reduction and alternation count sign blocks; only the certificate runs the LP,
+        # also at degree 1, where alternation is the direct hull check
         calls = []
         real = optimality._moment_lp
         monkeypatch.setattr(optimality, "_moment_lp", lambda *rows: calls.append(rows) or real(*rows))
         code, report = run(RunConfig(command="fit", grid=grid, degree=degree, exact=exact))
         assert code == 0 and "alpha" in report["certificate"]
-        assert report["reduction"]["verdict"] == "pass" and len(report["reduction"]["traces"]) > 1
-        assert report["alternation"]["verdict"] == "pass" and report["alternation"]["planes_checked"] > 0
+        assert report["reduction"]["verdict"] == "pass"
+        assert len(report["reduction"]["traces"]) >= (2 if degree > 1 else 1)
+        assert report["alternation"]["verdict"] == "pass"
+        if degree == 1:
+            assert report["alternation"]["warning"] == "degree 1: direct hull check"
+        else:
+            assert report["alternation"]["planes_checked"] > 0
         assert len(calls) == 1
 
     @pytest.mark.parametrize("nodes", ["uniform", "chebyshev"])

@@ -1,9 +1,12 @@
 """Minimax fitting, the uniform error functional, and extreme sets."""
 
 import math
+import os
 import random
+import tempfile
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,9 +28,9 @@ from minimaxfit import (
     partition_extremes,
     verify_by_hyperplanes,
 )
-from minimaxfit import fitting
-from minimaxfit.cli import parse_grid_spec
-from minimaxfit.monomials import dot
+from minimaxfit import cli, fitting
+from minimaxfit.cli import ingest, parse_grid_spec
+from minimaxfit.monomials import dot, dot_rows
 import minimaxfit.lp as lp_module
 
 from support import build_fit_corpus, random_samples
@@ -184,7 +187,7 @@ class TestSampleSet:
             return real(point, basis)
 
         def counted_matrix(points, basis):
-            matrices.append((basis.degree, tuple(points)))
+            matrices.append((basis.degree, tuple(map(tuple, np.asarray(points).tolist()))))
             return real_matrix(points, basis)
 
         monkeypatch.setattr(fitting, "lift", counted)
@@ -212,6 +215,61 @@ class TestSampleSet:
         rows = [(degree, p) for degree, points in matrices for p in points]
         assert len(set(rows)) == len(rows) == 2 * len(samples)
         assert [points for degree, points in matrices if degree == 2] == [samples.points]
+
+
+_TABLE_FLOATS = st.one_of(st.floats(-4, 4), st.sampled_from([0.0, -0.0, 5e-324, 1e-13, -1e-12, 1.0, 1 / 3]))
+
+
+def _built(points, values):
+    """A SampleSet, or the message of the ValueError it raised."""
+    try:
+        return SampleSet(points, values)
+    except ValueError as err:
+        return str(err)
+
+
+def _float_bits(samples):
+    return ([[c.hex() for c in p] for p in samples.points], [v.hex() for v in samples.values],
+            samples.xy.tobytes(), samples.f.tobytes())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_float64_table_equals_python_floats(d, data):
+    # the same samples, given as (n, d) and (n,) float64 arrays or as Python floats: the same
+    # points, values and table bit for bit, lifted matrices byte for byte, the same errors
+    n = data.draw(st.integers(1, 10))
+    pts = data.draw(st.lists(st.tuples(*[_TABLE_FLOATS] * d), min_size=n, max_size=n))
+    vals = data.draw(st.lists(_TABLE_FLOATS, min_size=n, max_size=n))
+    if data.draw(st.integers(0, 3)) == 0:  # one entry not finite, now and then
+        k, bad = data.draw(st.integers(0, n * (d + 1) - 1)), data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        if k < n * d:
+            pts[k // d] = pts[k // d][:k % d] + (bad,) + pts[k // d][k % d + 1:]
+        else:
+            vals[k - n * d] = bad
+    from_lists = _built(pts, vals)
+    from_arrays = _built(np.array(pts, dtype=float), np.array(vals, dtype=float))
+    if all(map(math.isfinite, chain(*pts, vals))):  # the duplicate check of the same numbers as Fractions
+        exact = _built([tuple(map(Fraction, p)) for p in pts], list(map(Fraction, vals)))
+        assert [x for x in (exact, from_lists) if isinstance(x, str)] in ([], [exact, exact])
+    if isinstance(from_lists, str):
+        assert from_arrays == from_lists
+        return
+    assert all(type(c) is float for p in from_arrays.points for c in p)
+    assert all(type(v) is float for v in from_arrays.values)
+    assert _float_bits(from_arrays) == _float_bits(from_lists)
+    for degree in range(7):
+        assert from_arrays.lifted_matrix(degree).tobytes() == from_lists.lifted_matrix(degree).tobytes()
+    # a clean CSV: numpy's bulk read hands `SampleSet` its arrays, the cell reader Python floats
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "samples.csv")
+        with open(path, "w") as handle:
+            handle.write(",".join([f"x{k + 1}" for k in range(d)] + ["f"]) + "\n")
+            handle.writelines(",".join(map(repr, p + (v,))) + "\n" for p, v in zip(pts, vals))
+        bulk = ingest(path)
+        with mock.patch.object(cli, "_bulk_floats", lambda body, d: None):
+            cells = ingest(path)
+    assert _float_bits(bulk) == _float_bits(cells) == _float_bits(from_lists)
 
 
 class TestFitMinimax:
@@ -278,22 +336,27 @@ class TestFitMinimax:
                 assert extreme_sets(model, samples, 0.01) == partition_extremes(expected, 0.01)
 
     @pytest.mark.parametrize("exact", [False, True])
-    def test_worst_point_tie_takes_lowest_index(self, monkeypatch, exact):
-        # zero on the 8 starting points, 1 on the 7 between them: the first LP
-        # gives the zero line, and all seven tie as worst; the lowest index joins
-        points = [(Fraction(k, 7) - 1,) for k in range(15)]
-        samples = SampleSet(points, [k % 2 for k in range(15)])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_each_sign_run_adds_its_peak_lowest_index_first(self, monkeypatch, reverse, exact):
+        # zero on the 8 starting points (the even indices), so the first LP gives the zero line.
+        # The odd points make a plus run {1, 3, 5, 7} whose peak 1 ties at 1 and 3, and a minus
+        # run {9, 11, 13} tied at -1: each run joins with its lowest index, also when the
+        # indices run against the coordinate (reverse), where 1 and 9 are last in their runs
+        xs = [Fraction(k, 7) - 1 for k in range(15)][::-1 if reverse else 1]
+        half = Fraction(1, 2)
+        samples = SampleSet([(x,) for x in xs], [0, 1, 0, 1, 0, half, 0, half, 0, -1, 0, -1, 0, -1, 0])
         working_sets = []
         real = fitting.solve_exact if exact else fitting.solve
 
         def recorded(lp, **kwargs):
-            working_sets.append(sorted(round(float(u[1]) * 7) + 7 for u, _, _ in lp.rows if u[0] > 0))
+            ks = [round((float(u[1]) + 1) * 7) for u, _, _ in lp.rows if u[0] > 0]
+            working_sets.append(sorted(14 - k if reverse else k for k in ks))
             return real(lp, **kwargs)
 
         monkeypatch.setattr(fitting, "solve_exact" if exact else "solve", recorded)
         fit_minimax(samples, 1, exact=exact)
         assert working_sets[0] == list(range(0, 15, 2))
-        assert working_sets[1] == sorted(working_sets[0] + [1])
+        assert working_sets[1] == sorted(working_sets[0] + [1, 9])
 
     def test_rounds_after_the_first_start_warm(self, monkeypatch):
         samples = random_samples(random.Random(8), 1, 200)
@@ -391,6 +454,95 @@ def test_float_fits_agree_with_highs():
         fit = fit_minimax(samples, int(m))
         ref = _highs_psi(samples, int(m))
         assert abs(fit.psi - ref) <= 1e-11 * ref, (spec, fit.psi, ref)
+
+
+def _single_exchange_fit(samples, degree, exact):
+    """The working-set loop with single exchange in every dimension, and its rounds.
+
+    Each round adds only the worst sample (largest |r|, the lowest index
+    among ties) until it deviates by at most z (plus the float slack) or is
+    in the working set already: the reference for the 1-D multiple exchange
+    of `fit_minimax`, which `fit_minimax` still runs in d > 1.
+    """
+    basis = build_basis(samples.dimension, degree)
+    vals = samples.view(exact)[1]
+    n, nc = len(vals), basis.size
+    if exact:
+        table = fitting._integer_rows(samples.lifted(range(n), degree, True), vals)
+    else:
+        matrix, targets = samples.lifted_matrix(degree), np.array(vals)
+    k0 = min(n, 2 * (nc + 2))
+    working = {0} if k0 <= 1 else {round(i * (n - 1) / (k0 - 1)) for i in range(k0)}
+
+    def rows_of(indices):
+        for i, u in zip(indices, samples.lifted(indices, degree, exact)):
+            yield (list(u) + [-1], "<=", vals[i])
+            yield ([-g for g in u] + [-1], "<=", -vals[i])
+
+    rows, start, rounds = list(rows_of(sorted(working))), None, 0
+    bounds = [(None, None)] * nc + [(0, None)]
+    while True:
+        lp = lp_module.LinearProgram([0] * nc + [1], rows, bounds)
+        sol = lp_module.solve_exact(lp) if exact else lp_module.solve(lp, start=start)
+        rounds += 1
+        assert sol.status == "optimal"
+        coeffs, z = sol.x[:nc], sol.x[nc]
+        if exact:
+            residuals = fitting._integer_residuals(table, coeffs)
+            worst_i = max(range(n), key=lambda i: (abs(residuals[i]), -i))
+            worst = abs(residuals[worst_i])
+        else:
+            residuals = targets - dot_rows(matrix, coeffs)
+            worst_i = int(np.argmax(np.abs(residuals)))
+            worst = float(abs(residuals[worst_i]))
+        slack = 0 if exact else 1e-9 * max(1.0, float(z)) + 1e-12
+        if worst <= z + slack or worst_i in working:
+            break
+        working.add(worst_i)
+        if exact:
+            rows = list(rows_of(sorted(working)))
+        else:
+            rows += rows_of([worst_i])
+            start = sol
+    residuals = tuple(residuals if exact else residuals.tolist())
+    return fitting.FitResult(PolynomialModel(basis, tuple(coeffs)), worst, residuals), rounds
+
+
+def _exchange_corpus():
+    """Seeded 1-D (grid, m, exact): float 2,001-point grids at m = 1-6, exact 101/201-point ones at m = 2-3."""
+    rng = random.Random(1959)
+    for m, nodes, exact in ([(m, nodes, False) for m in range(1, 7) for nodes in ("uniform", "chebyshev")]
+                            + [(m, n, True) for m in (2, 3) for n in (101, 201)]):
+        top = m + rng.randint(1, 2)
+        terms = [f"{rng.randint(-5, 5)}*x1^{k}" for k in range(top)] + [f"{rng.choice([-5, -2, 1, 3])}*x1^{top}"]
+        if rng.random() < 1 / 3:
+            terms.append(f"{rng.randint(1, 3)}*abs(x1)")
+        grid = f"-1,1;{nodes};uniform" if exact else f"-1,1;2001;{nodes}"
+        yield f"{grid};{' + '.join(terms)}", m, exact
+
+
+def test_multiple_exchange_matches_single_exchange_in_fewer_rounds(monkeypatch):
+    # 1-D best approximations are unique (Haar): adding every sign run's peak per round changes
+    # the path, not the fit; exact coefficients are identical, float psi agrees to rounding
+    rounds = []
+    for name in ("solve", "solve_exact"):
+        real = getattr(fitting, name)
+        monkeypatch.setattr(fitting, name, lambda lp, real=real, **kw: rounds.append(1) or real(lp, **kw))
+    single_total = multiple_total = 0
+    for grid, m, exact in _exchange_corpus():
+        samples = parse_grid_spec(grid, exact=exact)
+        single, single_rounds = _single_exchange_fit(samples, m, exact)
+        rounds.clear()
+        fit = fit_minimax(samples, m, exact=exact)
+        assert len(rounds) <= single_rounds, grid
+        single_total, multiple_total = single_total + single_rounds, multiple_total + len(rounds)
+        got, expected = partition_extremes(fit.residuals), partition_extremes(single.residuals)
+        assert (got.plus, got.minus) == (expected.plus, expected.minus), grid
+        if exact:
+            assert fit.model == single.model and fit.psi == single.psi, grid
+        else:
+            assert fit.psi == pytest.approx(single.psi, rel=1e-12, abs=0), grid
+    assert multiple_total < single_total
 
 
 _RATIONALS = st.one_of(

@@ -1,7 +1,9 @@
-"""Null-space and hyperplane helpers shared by the certificate machinery.
+"""Exact elimination for the LP's certification and hyperplanes for alternation.
 
-Float paths go through SVD; exact paths run Gaussian elimination over
-``Fraction`` so verdicts near degeneracy carry no rounding.
+`exact_solve` solves a basis block over ``Fraction`` for `lp._certify`;
+`affine_normal` gives the hyperplane through d points, by SVD in float and
+by Gaussian elimination over ``Fraction`` in exact mode, so verdicts near
+degeneracy carry no rounding.
 """
 
 from __future__ import annotations
@@ -71,23 +73,6 @@ def exact_solve(a: Sequence[Sequence[Number]], b: Sequence[Number]) -> Optional[
     if v is None or v[-1] == 0:
         return None
     return v[:-1]
-
-
-def nullspace_vector(rows: Sequence[Sequence[Number]], exact: bool) -> Optional[list[Number]]:
-    """A non-zero v with A v = 0, or None when A has full column rank.
-
-    Float v is the last right singular vector, taken when the smallest
-    singular value is at most 1e-9 times the largest.
-    """
-    if exact:
-        return exact_nullspace(rows)[0]
-    a = np.asarray(rows, dtype=float)
-    if a.size == 0:
-        return None
-    _, sig, vh = np.linalg.svd(a)
-    if len(sig) < a.shape[1] or sig[0] == 0 or sig[-1] <= _RTOL * sig[0]:
-        return list(vh[-1])
-    return None
 
 
 def affine_normal(

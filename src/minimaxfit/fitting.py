@@ -49,9 +49,10 @@ Every float residual pass is `dot_rows` over a full matrix, against the
 table's values `SampleSet.f`: the fit's working-set loop, and
 `extreme_sets` and `compute_psi` when every sample coordinate and value is
 a float.  The matrix repeats `lift` and `dot` bit for bit (see
-`monomials`), so both forms give the same residuals.  The exact loop keeps
-its residuals in an object array of ``Fraction``, so the same numpy calls
-pick its worst sample and its runs, comparing exactly.
+`monomials`), so both forms give the same residuals.  The exact loop, and
+every residual pass over other samples, keeps its residuals in an object
+array (of ``Fraction`` in exact mode), so the same numpy calls pick the
+worst sample, the runs and the extreme sets, comparing exactly.
 """
 
 from __future__ import annotations
@@ -353,19 +354,21 @@ def _integer_residuals(table, coeffs: Sequence[Number]) -> list[Fraction]:
     return [Fraction(q * v - sum(map(mul, p, row)), q * den) for row, v, den in table]
 
 
-def _model_residuals(model: PolynomialModel, samples: SampleSet) -> Sequence[Number]:
-    """f(x_i) - L(A, x_i) at every sample: a float64 array over `lifted_matrix` and `f` when the samples are floats."""
+def _model_residuals(model: PolynomialModel, samples: SampleSet) -> np.ndarray:
+    """f(x_i) - L(A, x_i) at every sample: float64 over `lifted_matrix` and `f` when the samples are floats, else objects."""
     if samples.xy is None or model.basis.dimension != samples.dimension:
-        return [v - evaluate(model, p) for p, v in zip(samples.points, samples.values)]
+        return np.array([v - evaluate(model, p) for p, v in zip(samples.points, samples.values)], dtype=object)
     return samples.f - dot_rows(samples.lifted_matrix(model.degree), model.coefficients)
+
+
+def _largest_magnitude(residuals: np.ndarray) -> Number:
+    """max |r| as a Python number: a float over float64, else the first largest |r| as it is."""
+    return np.abs(residuals).max(keepdims=True).item()
 
 
 def compute_psi(model: PolynomialModel, samples: SampleSet) -> Number:
     """Uniform error max |f(x) - L(A, x)| over the samples."""
-    residuals = _model_residuals(model, samples)
-    if isinstance(residuals, np.ndarray):
-        return float(np.abs(residuals).max())
-    return max(map(abs, residuals))
+    return _largest_magnitude(_model_residuals(model, samples))
 
 
 def partition_extremes(residuals: Sequence[Number], rel_tol: float = DEFAULT_REL_TOL) -> ExtremeSets:
@@ -375,30 +378,21 @@ def partition_extremes(residuals: Sequence[Number], rel_tol: float = DEFAULT_REL
     `minus` for the mirrored condition, psi being the largest |residual|.
     When psi falls below the absolute tolerance 1e-12 the model is exact on
     the samples; the result is flagged degenerate with both sets holding
-    every index.  Residuals in a float64 array, or all Python floats (a
-    float fit's), are compared in one float64 array, with the same psi,
-    threshold and sets.
+    every index.  A float64 array is compared as it is; any other residuals
+    go into an object array, so each number keeps its own type and Python's
+    comparisons (psi of [1.5, 2] is the int 2).
     """
     if not (0 <= rel_tol < 0.5):
         raise ValueError(f"rel_tol must lie in [0, 0.5), got {rel_tol}")
-    floats = residuals.dtype == float if isinstance(residuals, np.ndarray) else set(map(type, residuals)) == {float}
-    if floats:  # the same comparisons over one float64 array
-        residuals = np.asarray(residuals)
-        psi = float(np.abs(residuals).max())
-    else:
-        psi = max(abs(r) for r in residuals)
+    if not (isinstance(residuals, np.ndarray) and residuals.dtype == float):
+        residuals = np.array(residuals, dtype=object)
+    psi = _largest_magnitude(residuals)
     if psi <= DEGENERATE_PSI:  # exact for a Fraction, also one beyond float range
         every = tuple(range(len(residuals)))
         return ExtremeSets(plus=every, minus=every, psi=psi, rel_tol=rel_tol, degenerate=True)
-    exact_mode = isinstance(psi, (Fraction, int))
-    band = psi * (Fraction(rel_tol) if exact_mode else rel_tol)
-    threshold = psi - band
-    if floats:
-        plus = tuple(np.flatnonzero(residuals >= threshold).tolist())
-        minus = tuple(np.flatnonzero(-residuals >= threshold).tolist())
-    else:
-        plus = tuple(i for i, r in enumerate(residuals) if r >= threshold)
-        minus = tuple(i for i, r in enumerate(residuals) if -r >= threshold)
+    threshold = psi - psi * (Fraction(rel_tol) if isinstance(psi, (Fraction, int)) else rel_tol)
+    plus = tuple(np.flatnonzero(residuals >= threshold).tolist())
+    minus = tuple(np.flatnonzero(-residuals >= threshold).tolist())
     return ExtremeSets(plus=plus, minus=minus, psi=psi, rel_tol=rel_tol)
 
 

@@ -213,16 +213,6 @@ def _substitute_rows(rows, col_terms, offsets, ncols: int, conv) -> list[tuple[l
     return sub_rows
 
 
-def _substitute(lp: LinearProgram, conv):
-    col_terms, offsets, bound_rows, ncols = _columns(lp.bounds, conv)
-    sub_rows = _substitute_rows(lp.rows, col_terms, offsets, ncols, conv)
-    for col, ub in bound_rows:
-        row = [conv(0)] * ncols
-        row[col] = conv(1)
-        sub_rows.append((row, LESS, ub))
-    return col_terms, offsets, ncols, sub_rows
-
-
 def _costs(objective, col_terms, ncols: int, conv) -> list[Number]:
     """The cost of each of `ncols` standardised columns (slacks cost nothing)."""
     costs = [conv(0)] * ncols
@@ -236,8 +226,16 @@ def _costs(objective, col_terms, ncols: int, conv) -> list[Number]:
 
 
 def _standard_form(lp: LinearProgram, conv):
-    """Rows A = [substituted | slack] with A u = rhs over u >= 0, and the costs of u."""
-    col_terms, offsets, nstruct, sub_rows = _substitute(lp, conv)
+    """Rows A = [substituted | slack] with A u = rhs over u >= 0, and the costs of u.
+
+    The original rows come first, then one "<=" row per two-sided bound.
+    """
+    col_terms, offsets, bound_rows, nstruct = _columns(lp.bounds, conv)
+    sub_rows = _substitute_rows(lp.rows, col_terms, offsets, nstruct, conv)
+    for col, ub in bound_rows:
+        row = [conv(0)] * nstruct
+        row[col] = conv(1)
+        sub_rows.append((row, LESS, ub))
     nslack = sum(1 for _, rel, _ in sub_rows if rel != EQUAL)
     rows, rhs = [], []
     slack_at = nstruct
@@ -636,25 +634,19 @@ def _simplex(T, basis, costs, tol, phase: int, it: int = 0):
 def verify_farkas(lp: LinearProgram, farkas: Sequence[Number], exact: bool = False) -> bool:
     """Check an infeasibility witness against the standardised encoding.
 
-    The witness `y` must combine the substituted rows (original rows first,
-    then the two-sided-bound rows) into a contradiction over non-negative
-    columns: y.A <= 0 componentwise, y(<= rows) <= 0, y(>= rows) >= 0, and
-    y.b > 0.
+    The witness `y` must combine the standardised rows A u = b over u >= 0
+    (original rows first, then the two-sided-bound rows) into a
+    contradiction: y.A <= 0 on every column and y.b > 0.  A slack column
+    carries its row's relation, so this asks y <= 0 of a "<=" row and
+    y >= 0 of a ">=" row.
     """
     conv = Fraction if exact else float
-    _, _, ncols, sub_rows = _substitute(lp, conv)
-    if len(farkas) != len(sub_rows):
+    _, _, rows, rhs, costs = _standard_form(lp, conv)
+    if len(farkas) != len(rows):
         return False
     y = [conv(v) for v in farkas]
-    slack = 0 if exact else _TOL
-    for j in range(ncols):
-        combo = sum(yi * row[j] for yi, (row, _, _) in zip(y, sub_rows))
-        if combo > slack:
+    tol = 0 if exact else _TOL
+    for j in range(len(costs)):
+        if sum(yi * row[j] for yi, row in zip(y, rows)) > tol:
             return False
-    for yi, (_, rel, _) in zip(y, sub_rows):
-        if rel == LESS and yi > slack:
-            return False
-        if rel == GREATER and yi < -slack:
-            return False
-    total = sum(yi * rhs for yi, (_, _, rhs) in zip(y, sub_rows))
-    return total > (0 if exact else _TOL)
+    return sum(yi * b for yi, b in zip(y, rhs)) > tol

@@ -11,6 +11,13 @@ and must agree; tests lean on that cross-check.
 Every verifier reads its lifted rows from `SampleSet.lifted`, and
 `hulls_intersect` is the one indexed hull test of reduction and alternation;
 on a line it counts sign blocks instead (discrete alternation, Cheney 1966).
+
+The moment LP has n_m + 2 rows, so a vertex of it puts positive weight on
+at most n_m + 2 points, and those weights sit on linearly independent lifted
+columns, so they are the only moment-matching weights on their points.  The
+first fact is Caratheodory's bound (`caratheodory_reduce`); the second makes
+the support a minimal non-isolable set (`find_critical_point_set`).  Neither
+needs an algorithm of its own.
 """
 
 from __future__ import annotations
@@ -20,7 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from ._linalg import nullspace_vector
 from .fitting import ExtremeSets, SampleSet, sign_blocks
 from .lp import LinearProgram, LpFailure, solve, solve_exact
 from .monomials import MonomialBasis, Number, PolynomialModel, build_basis, dot, evaluate
@@ -28,7 +34,6 @@ from .monomials import lift  # unused here, kept because bench/tracing.py counts
 
 MOMENT_TOL = 1e-8
 ISOLABLE_MARGIN = 1e-9
-_SUPPORT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -242,75 +247,34 @@ def check_hull_intersection(
 def caratheodory_reduce(cert: IntersectionCertificate, samples: SampleSet) -> IntersectionCertificate:
     """Equivalent certificate supported on at most n_m + 2 points in total.
 
-    Iterates affine-dependence elimination on the combined lifted system, at
-    the certificate's degree and in its arithmetic: while the support is too
-    large, a null direction of the active columns shifts weight until some
-    entry hits zero.  Moments and the per-side normalisations are preserved.
+    The moment LP (`_moment_lp`) has n_m + 2 rows, so any vertex of it puts
+    positive weight on at most n_m + 2 points (Caratheodory's theorem in the
+    lifted space).  When the certificate's positive support is larger, the
+    reduced certificate is the vertex of that LP over the support, solved in
+    the certificate's arithmetic; otherwise it is the positive entries as
+    given.  A support on which the LP finds no moment-matching weights warns
+    and returns the input certificate.
     """
     degree, exact = cert.degree, cert.exact
-    basis = build_basis(samples.dimension, degree)
-    target = basis.nonconstant_count + 2
-
-    entries = [("+", i, w) for i, w in zip(cert.plus_indices, cert.alpha)]
-    entries += [("-", i, w) for i, w in zip(cert.minus_indices, cert.beta)]
-    support_tol = 0 if exact else _SUPPORT_TOL
-
-    def support():
-        return [k for k, (_, _, w) in enumerate(entries) if w > support_tol]
-
-    # the support only shrinks, so the rows of its starting members cover every round
-    start = support()
-    lifted = dict(zip(start, samples.lifted([entries[k][1] for k in start], degree, exact)))
-    while True:
-        live = support()
-        if len(live) <= target:
-            break
-        columns = []
-        for k in live:
-            if entries[k][0] == "+":
-                columns.append(list(lifted[k]) + [1, 0])
-            else:
-                columns.append([-g for g in lifted[k]] + [0, 1])
-        rows = [[col[r] for col in columns] for r in range(basis.size + 2)]
-        eta = nullspace_vector(rows, exact)
-        if eta is None:
-            warnings.warn("support reduction found no affine dependence; returning input certificate")
+    plus = [(i, w) for i, w in zip(cert.plus_indices, cert.alpha) if w > 0]
+    minus = [(i, w) for i, w in zip(cert.minus_indices, cert.beta) if w > 0]
+    if len(plus) + len(minus) > build_basis(samples.dimension, degree).nonconstant_count + 2:
+        lp = _moment_lp(
+            samples.lifted([i for i, _ in plus], degree, exact), samples.lifted([i for i, _ in minus], degree, exact)
+        )
+        sol = (solve_exact if exact else solve)(lp)
+        if sol.status != "optimal":
+            warnings.warn("support reduction found no moment-matching weights; returning input certificate")
             return cert
-        if all(e <= 0 for e in eta):
-            eta = [-e for e in eta]
-        steps = [
-            (entries[k][2] / e, k, pos)
-            for pos, (k, e) in enumerate(zip(live, eta))
-            if e > 0
-        ]
-        if not steps:
-            warnings.warn("degenerate null direction during support reduction; returning input certificate")
-            return cert
-        tau = min(s[0] for s in steps)
-        for pos, k in enumerate(live):
-            side, idx, w = entries[k]
-            w = w - tau * eta[pos]
-            if not exact and abs(w) <= _SUPPORT_TOL:
-                w = 0
-            if exact and w < 0:
-                w = Fraction(0)
-            entries[k] = (side, idx, max(w, 0) if not exact else w)
-
-    kept = support()
-    plus = [k for k in kept if entries[k][0] == "+"]
-    minus = [k for k in kept if entries[k][0] == "-"]
-    alpha = tuple(entries[k][2] for k in plus)
-    beta = tuple(entries[k][2] for k in minus)
-    residual = _moment_residual([lifted[k] for k in plus], [lifted[k] for k in minus], alpha, beta)
-    return IntersectionCertificate(
-        degree,
-        tuple(entries[k][1] for k in plus),
-        tuple(entries[k][1] for k in minus),
-        alpha,
-        beta,
-        residual,
-        exact,
+        p = len(plus)
+        plus = [(i, w) for (i, _), w in zip(plus, sol.x[:p]) if w > 0]
+        minus = [(i, w) for (i, _), w in zip(minus, sol.x[p:]) if w > 0]
+    plus_indices, alpha = tuple(i for i, _ in plus), tuple(w for _, w in plus)
+    minus_indices, beta = tuple(i for i, _ in minus), tuple(w for _, w in minus)
+    residual = _moment_residual(
+        samples.lifted(plus_indices, degree, exact), samples.lifted(minus_indices, degree, exact), alpha, beta
     )
+    return IntersectionCertificate(degree, plus_indices, minus_indices, alpha, beta, residual, exact)
 
 
 def check_isolability(
@@ -338,34 +302,20 @@ def check_isolability(
 def find_critical_point_set(
     extremes: ExtremeSets, samples: SampleSet, degree: int, exact: bool = False
 ) -> Optional[list[int]]:
-    """A minimal non-isolable extreme subset, or None when already isolable.
+    """A minimal non-isolable extreme subset, sorted, or None when E+ and E- are isolable.
 
-    Greedy with index-order tie-breaking: walk the extreme indices once and
-    drop every point whose removal keeps the remainder non-isolable.  In the
-    result, deleting any single member restores isolability.
+    The union of the two supports `hulls_intersect` returns, so no LP runs
+    beyond its own.  In d > 1 they are a vertex of the moment LP: its
+    positive weights sit on linearly independent lifted columns, so they
+    are the only moment-matching weights on their points, and dropping any
+    one point leaves hulls that do not meet.  On a line they are the k+2
+    sign-block points, any k+1 of which change sign at most k times, and a
+    point in both sets is non-isolable on its own.
     """
-    base = check_isolability(extremes, samples, degree, exact)
-    if base.isolable:
-        return None
-    plus = set(extremes.plus)
-    minus = set(extremes.minus)
-
-    def isolable_without(idx: int) -> bool:
-        trial = ExtremeSets(
-            plus=tuple(sorted(plus - {idx})),
-            minus=tuple(sorted(minus - {idx})),
-            psi=extremes.psi,
-            rel_tol=extremes.rel_tol,
-        )
-        if not trial.plus and not trial.minus:
-            return True  # nothing left to separate
-        return check_isolability(trial, samples, degree, exact).isolable
-
-    for idx in sorted(plus | minus):
-        if not isolable_without(idx):
-            plus.discard(idx)
-            minus.discard(idx)
-    return sorted(plus | minus)
+    if not extremes.plus and not extremes.minus:
+        raise ValueError("both extreme sets are empty")
+    meet = hulls_intersect(samples, extremes.plus, extremes.minus, degree, exact)
+    return None if meet is None else sorted(meet[0] | meet[1])
 
 
 def verify_certificate(cert: IntersectionCertificate, samples: SampleSet) -> Number:

@@ -31,6 +31,17 @@ def test_conflicting_rows_are_infeasible_with_farkas():
     assert verify_farkas(lp, sol.farkas)
 
 
+@pytest.mark.parametrize("exact", [False, True])
+def test_farkas_check_rejects_each_broken_condition(exact):
+    # x >= 0 with x == -1: y = (-1, 0) combines the rows into 0 <= -1; each wrong y breaks one condition
+    for rel, rhs, wrong in (("<=", 5, [-1, 0.5]), (">=", -3, [-1, -0.5]), ("==", 5, [-1, 2])):
+        lp = LinearProgram([0], [([1], "==", -1), ([1], rel, rhs)], [(0, None)])
+        assert verify_farkas(lp, [-1, 0], exact)
+        assert not verify_farkas(lp, wrong, exact)  # a slack column of the relation, else the structural one
+        assert not verify_farkas(lp, [0, 0], exact)  # y.b = 0
+        assert not verify_farkas(lp, [-1], exact)  # one entry per standardised row
+
+
 def test_free_unconstrained_minimization_is_unbounded():
     assert solve(LinearProgram([-1.0], [])).status == "unbounded"
 

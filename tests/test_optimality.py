@@ -1,8 +1,10 @@
 """Certificates, witnesses, support reduction, and the separability view."""
 
+import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,6 +25,9 @@ from minimaxfit import (
     verify_certificate,
     verify_witness,
 )
+from minimaxfit import optimality
+from minimaxfit.fitting import DEFAULT_REL_TOL
+from minimaxfit._linalg import exact_solve
 from minimaxfit.lp import solve, solve_exact
 from minimaxfit.optimality import _moment_lp
 
@@ -140,6 +145,89 @@ class TestCaratheodoryReduce:
             assert reduced.support_size <= min(out.support_size, basis.nonconstant_count + 2)
             assert abs(verify_certificate(reduced, inst.samples)) <= 1e-7
 
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    def test_constructed_certificates_reduce_in_one_moment_lp(self, dimension, exact, monkeypatch):
+        calls = _recorded(monkeypatch, "_moment_lp")
+        rng = random.Random(100 * dimension + exact)
+        for degree in (1, 2, 3) if dimension == 1 else (1, 2):
+            for _ in range(8):
+                cert, samples = _constructed_certificate(rng, dimension, degree, exact)
+                target = build_basis(dimension, degree).nonconstant_count + 2
+                assert cert.support_size > target
+                calls.clear()
+                reduced = caratheodory_reduce(cert, samples)
+                assert len(calls) == 1
+                assert reduced.support_size == len(reduced.alpha) + len(reduced.beta) <= target
+                assert set(reduced.plus_indices) <= set(cert.plus_indices)
+                assert set(reduced.minus_indices) <= set(cert.minus_indices)
+                assert all(w > 0 for w in reduced.alpha + reduced.beta)
+                residual = verify_certificate(reduced, samples)
+                assert reduced.moment_residual == residual
+                if exact:
+                    assert sum(reduced.alpha) == sum(reduced.beta) == 1 and residual == 0
+                else:
+                    assert abs(sum(reduced.alpha) - 1) <= 1e-9 and abs(sum(reduced.beta) - 1) <= 1e-9
+                    assert residual <= 1e-9
+
+    def test_support_without_matching_weights_warns_and_returns_input(self):
+        # five points on a line at degree 1 (target 3), but the minus point lies outside E+'s hull
+        samples = SampleSet([(Fraction(k),) for k in range(5)], [0] * 5)
+        cert = IntersectionCertificate(
+            1, (0, 1, 2, 3), (4,), (Fraction(1, 4),) * 4, (Fraction(1),), Fraction(5, 2), exact=True
+        )
+        with pytest.warns(UserWarning, match="no moment-matching weights"):
+            assert caratheodory_reduce(cert, samples) is cert
+
+
+def _constructed_certificate(rng, dimension, degree, exact):
+    """A certificate on n_m + 3 to n_m + 6 random points, every weight positive, moments matched.
+
+    A null vector c of the lifted columns (sum c_i lift(x_i) = 0, so sum c_i = 0)
+    splits by sign into the two sides.  Its last entries are random and
+    non-zero; its first n_m + 1 solve the square system that makes it null.
+    """
+    width = build_basis(dimension, degree).size
+    while True:
+        count = width + rng.randint(2, 5)
+        if exact:
+            points = {tuple(Fraction(rng.randint(-60, 60), 30) for _ in range(dimension)) for _ in range(count)}
+        else:
+            points = {tuple(rng.uniform(-1, 1) for _ in range(dimension)) for _ in range(count)}
+        points = sorted(points)
+        if len(points) != count:
+            continue
+        samples = SampleSet(points, [0] * count)
+        columns = samples.lifted(range(count), degree, exact)
+        free = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9)) for _ in range(count - width)]
+        if not exact:
+            free = [float(c) for c in free]
+        rhs = [-sum(c * u[k] for c, u in zip(free, columns[width:])) for k in range(width)]
+        block = [[u[k] for u in columns[:width]] for k in range(width)]
+        if exact:
+            solved = exact_solve(block, rhs)
+        else:
+            a = np.array(block)
+            solved = None if np.linalg.cond(a) > 1e8 else np.linalg.solve(a, np.array(rhs)).tolist()
+        if solved is None or not all(solved):
+            continue
+        c = solved + free
+        total = sum(w for w in c if w > 0)
+        plus = [(i, w / total) for i, w in enumerate(c) if w > 0]
+        minus = [(i, -w / total) for i, w in enumerate(c) if w < 0]
+        cert = IntersectionCertificate(
+            degree,
+            tuple(i for i, _ in plus),
+            tuple(i for i, _ in minus),
+            tuple(w for _, w in plus),
+            tuple(w for _, w in minus),
+            0,
+            exact,
+        )
+        if not exact and verify_certificate(cert, samples) > 1e-12:
+            continue
+        return cert, samples
+
 
 class TestLinearCase:
     def test_point_inside_interval(self):
@@ -207,20 +295,62 @@ class TestCriticalPointSet:
         assert crit == [0, 1, 2, 3]
 
     def test_deleting_any_member_restores_isolability(self):
-        corpus = build_fit_corpus(seed=70, count=6, dims=(1,), degrees=(1, 2), point_range=(6, 14))
-        for inst in corpus:
-            if inst.extremes.degenerate:
+        corpus = build_fit_corpus(seed=70, count=12, dims=(1, 2), degrees=(1, 2), point_range=(6, 14))
+        checked = proper = 0
+        for inst, exact, rel_tol in itertools.product(corpus, (False, True), (DEFAULT_REL_TOL, 0.25)):
+            samples, extremes = _instance_in(inst, exact, rel_tol)  # the wide band holds spare points
+            if extremes.degenerate:
                 continue
-            crit = find_critical_point_set(inst.extremes, inst.samples, inst.degree)
+            crit = find_critical_point_set(extremes, samples, inst.degree, exact)
             assert crit is not None
+            proper += len(crit) < len(set(extremes.plus + extremes.minus))
+            whole = ExtremeSets(
+                plus=tuple(i for i in crit if i in extremes.plus),
+                minus=tuple(i for i in crit if i in extremes.minus),
+                psi=extremes.psi,
+                rel_tol=extremes.rel_tol,
+            )
+            assert not check_isolability(whole, samples, inst.degree, exact).isolable
             for idx in crit:
                 trimmed = ExtremeSets(
-                    plus=tuple(i for i in crit if i != idx and i in inst.extremes.plus),
-                    minus=tuple(i for i in crit if i != idx and i in inst.extremes.minus),
-                    psi=inst.extremes.psi,
-                    rel_tol=inst.extremes.rel_tol,
+                    plus=tuple(i for i in crit if i != idx and i in extremes.plus),
+                    minus=tuple(i for i in crit if i != idx and i in extremes.minus),
+                    psi=extremes.psi,
+                    rel_tol=extremes.rel_tol,
                 )
-                assert check_isolability(trimmed, inst.samples, inst.degree).isolable
+                assert check_isolability(trimmed, samples, inst.degree, exact).isolable
+            checked += samples.dimension == 2
+        assert checked >= 12 and proper >= 12
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_runs_no_margin_lp_and_at_most_one_moment_lp(self, exact, monkeypatch):
+        moment_lps, margin_lps = _recorded(monkeypatch, "_moment_lp"), _recorded(monkeypatch, "_max_margin")
+        corpus = build_fit_corpus(seed=71, count=10, dims=(1, 2), degrees=(1, 2), point_range=(6, 14))
+        for inst in corpus:
+            samples, extremes = _instance_in(inst, exact)
+            moment_lps.clear()
+            find_critical_point_set(extremes, samples, inst.degree, exact)
+            assert len(moment_lps) <= (0 if samples.dimension == 1 else 1) and not margin_lps
+
+
+def _recorded(monkeypatch, name):
+    """The arguments of every later call of `optimality.<name>`, which still runs."""
+    calls, real = [], getattr(optimality, name)
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(optimality, name, recording)
+    return calls
+
+
+def _instance_in(inst, exact, rel_tol=DEFAULT_REL_TOL):
+    """The corpus instance's samples and extreme sets, refitted over ``Fraction`` when `exact`."""
+    if not exact:
+        return inst.samples, extreme_sets(inst.fit.model, inst.samples, rel_tol)
+    samples = SampleSet(*inst.samples.view(True))
+    return samples, extreme_sets(fit_minimax(samples, inst.degree, exact=True).model, samples, rel_tol)
 
 
 class TestShiftInvariance:

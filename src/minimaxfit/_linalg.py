@@ -3,7 +3,8 @@
 `exact_solve` solves a basis block over ``Fraction`` for `lp._certify`;
 `affine_normal` gives the hyperplane through d points, by SVD in float and
 by Gaussian elimination over ``Fraction`` in exact mode, so verdicts near
-degeneracy carry no rounding.
+degeneracy carry no rounding.  `affine_normals` gives the float hyperplanes
+of a whole batch of d-point sets at once, each bit for bit `affine_normal`'s.
 """
 
 from __future__ import annotations
@@ -85,6 +86,10 @@ def affine_normal(
     largest), in which case the containing hyperplane is not unique.  Float
     normals are unit length with the first significant component positive;
     exact normals are rational, scaled so the first non-zero component equals 1.
+
+    `verify_by_hyperplanes` calls the exact branch for every candidate plane
+    and takes its float planes from `affine_normals`; the float branch is
+    the one-plane reference that `affine_normals` is tested against.
     """
     d = len(points[0])
     if len(points) != d:
@@ -117,3 +122,24 @@ def affine_normal(
     a = float(np.mean([np.dot(u, np.asarray(p, dtype=float)) for p in points]))
     return tuple(float(c) for c in u), a
 
+
+def affine_normals(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Float `affine_normal` of a batch: (u, a, unique) for a (B, d, d) array of B sets of d points.
+
+    Row b of u and a is bit for bit what `affine_normal` returns for
+    ``points[b]`` wherever ``unique[b]`` holds, and ``unique[b]`` is False
+    exactly where it returns None.  One batched SVD runs the same LAPACK
+    routine on the same differences, and each offset is the mean of the same
+    dot products: a vector-by-vector `np.matmul` takes the dot kernel of
+    `np.dot`, whose sums another order or `einsum` would not reproduce.
+    """
+    count, d = points.shape[:2]
+    if d == 1:
+        return np.ones((count, 1)), points[:, 0, 0].copy(), np.ones(count, dtype=bool)
+    _, sig, vh = np.linalg.svd(points[:, 1:] - points[:, :1])
+    unique = sig[:, -1] > _RTOL * sig[:, 0]  # false also where sig[0] == 0, as sig is non-negative
+    u = vh[:, -1]
+    lead = u[np.arange(count), np.argmax(np.abs(u) > 1e-12, axis=1)]  # no such entry: the first
+    u = np.where((lead < 0)[:, None], -u, u)
+    a = np.add.reduce(np.matmul(points[:, :, None, :], u[:, None, :, None])[:, :, 0, 0], axis=1) / d  # np.mean
+    return u, a, unique

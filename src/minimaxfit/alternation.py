@@ -5,30 +5,45 @@ an optimal model, every hyperplane split must admit either a degree-reduced
 hull intersection of the flipped classes or a same-degree intersection of the
 on-plane sign classes.  Enumerating only the hyperplanes through d affinely
 independent extreme points suffices, which turns the condition into finitely
-many hull checks, small LPs in d > 1.  Many need no LP: a degree-(m-1)
-certificate with support S+, S- (convex weights matching every lifted moment)
-is, zero elsewhere, a feasible point of the moment LP of any later split whose
-flipped classes hold S+ and S- one each, either way round, as the LP is
-symmetric in its sides.  So enumeration keeps the supports it has found.
+many hull checks, small LPs in d > 1.
+
+`verify_by_hyperplanes` takes the d-point combinations in batches: a small
+first batch, so that a split failing early classifies few planes, then
+batches of a fixed size, so that memory stays bounded.  A float batch gets
+its planes from one batched SVD (`affine_normals`, bit for bit
+`affine_normal`'s); an exact one from `affine_normal` per combination.  One
+sign matrix sign(X U^T - a) of the extreme points X against the batch's
+planes classifies them all as `split` classifies one: a float plane scaled
+to a unit normal with `PLANE_TOL`, an exact one with no tolerance.
+
+Many splits need no LP: a degree-(m-1) certificate with support S+, S-
+(convex weights matching every lifted moment) is, zero elsewhere, a feasible
+point of the moment LP of any later split whose flipped classes hold S+ and
+S- one each, either way round, as the LP is symmetric in its sides.  So each
+support found marks, as a boolean mask over the batch, every plane whose
+flipped classes contain it, and a marked plane holds with no LP.
 
 Every hull test is `hulls_intersect` on sample indices, over rows lifted once.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Optional, Sequence
 
-from ._linalg import affine_normal
+import numpy as np
+
+from ._linalg import affine_normal, affine_normals
 from .fitting import ExtremeSets, SampleSet
 from .monomials import Number
 from .optimality import hulls_intersect
 
 PLANE_TOL = 1e-9
-_CANON_DECIMALS = 12
+_CANON_DECIMALS = 12  # a float plane's key: its normal and offset rounded to this many decimals
+_FIRST_BATCH = 16  # combinations in the first batch
+_BATCH = 2048  # combinations in every later batch
 
 
 @dataclass(frozen=True)
@@ -76,36 +91,20 @@ def split(
     Float normals are scaled to unit length before the 1e-9 tolerance test;
     exact mode classifies with zero tolerance and keeps the normal rational.
     """
-    if exact:
-        u = [Fraction(c) for c in normal]
-        a = Fraction(offset)
-    else:
-        u = [float(c) for c in normal]
-        norm = math.sqrt(sum(c * c for c in u))
-        if norm == 0:
-            raise ValueError("hyperplane normal must be non-zero")
-        u = [c / norm for c in u]
-        a = float(offset) / norm
-    if all(c == 0 for c in u):
+    conv = Fraction if exact else float
+    u = [conv(c) for c in normal]
+    if not any(u):
         raise ValueError("hyperplane normal must be non-zero")
     if len(u) != samples.dimension:
         raise ValueError(f"normal has dimension {len(u)}, samples have {samples.dimension}")
-
-    classed = [(i, True) for i in extremes.plus] + [(i, False) for i in extremes.minus]
+    dtype = object if exact else float
+    normals, offsets = np.array([u], dtype=dtype), np.array([conv(offset)], dtype=dtype)
+    if not exact:
+        normals, offsets = _unit(normals, offsets)
+    rows, sign = _rows(extremes)
     pts = samples.view(exact)[0]
-    tol = 0 if exact else PLANE_TOL
-    plus_side, minus_side, on_plus, on_minus = [], [], [], []
-    for idx, positive_class in classed:
-        s = sum(c * x for c, x in zip(u, pts[idx])) - a
-        if abs(s) <= tol:
-            (on_plus if positive_class else on_minus).append(idx)
-        elif (s > 0) == positive_class:
-            plus_side.append(idx)
-        else:
-            minus_side.append(idx)
-    return HyperplaneSplit(
-        tuple(u), a, tuple(plus_side), tuple(minus_side), tuple(on_plus), tuple(on_minus)
-    )
+    side = _sides(np.array([pts[i] for i in rows], dtype=dtype).reshape(len(rows), len(u)), normals, offsets, exact)
+    return HyperplaneSplit(tuple(normals[0].tolist()), offsets.tolist()[0], *_classes(rows, side[:, 0] * sign, sign))
 
 
 def check_split_condition(
@@ -140,28 +139,6 @@ def check_split_condition(
     )
 
 
-def _canonical_key(u, a, exact: bool):
-    if exact:
-        lead = next(c for c in u if c != 0)
-        return (tuple(c / lead for c in u), a / lead)
-    return tuple(round(float(c), _CANON_DECIMALS) for c in list(u) + [a])
-
-
-def _candidate_planes(idxs, samples: SampleSet, exact: bool):
-    pts = samples.view(exact)[0]
-    seen = set()
-    for combo in combinations(idxs, samples.dimension):
-        geom = affine_normal([pts[i] for i in combo], exact=exact)
-        if geom is None:
-            continue  # affinely dependent subset: plane not unique, excluded
-        u, a = geom
-        key = _canonical_key(u, a, exact)
-        if key in seen:
-            continue
-        seen.add(key)
-        yield u, a
-
-
 def verify_by_hyperplanes(
     extremes: ExtremeSets,
     samples: SampleSet,
@@ -171,12 +148,15 @@ def verify_by_hyperplanes(
     """Check every hyperplane through d affinely independent extreme points.
 
     Passes when each induced split satisfies the split condition; the first
-    failing split is returned as a counterexample.  A split that contains a
-    stored degree-(m-1) support (see the module docstring) holds with no LP,
-    and point elimination runs only when degree reduction fails; verdict,
-    count and counterexample equal those of `check_split_condition` on every
-    plane.  Degree 1 asks `hulls_intersect` whether the degree-1 hulls of E+
-    and E- meet, which is the certificate's verdict with no moment LP on a line.
+    failing split is returned as a counterexample, equal to `split` of the
+    first combination's `affine_normal` plane.  Planes go in the order of
+    the combinations, each counted once.  A split whose flipped classes
+    contain a degree-(m-1) support found before (see the module docstring)
+    holds with no LP, and point elimination runs only when degree reduction
+    fails; verdict, count and counterexample equal those of
+    `check_split_condition` on every plane.  Degree 1 asks `hulls_intersect`
+    whether the degree-1 hulls of E+ and E- meet, which is the certificate's
+    verdict with no moment LP on a line.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
@@ -192,13 +172,47 @@ def verify_by_hyperplanes(
             "vacuous", None, 0, warning=f"fewer than d = {d} extreme points"
         )
 
+    points = [samples.view(exact)[0][i] for i in idxs]
+    coords = np.array(points, dtype=object if exact else float)
+    place = {i: k for k, i in enumerate(idxs)}
+    in_plus, in_minus = (np.array([[i in cls] for i in idxs]) for cls in map(set, (extremes.plus, extremes.minus)))
+    rows, sign = _rows(extremes)
+    at = [place[i] for i in rows]
+    n = len(idxs)
+    seen: set = set()
+    supports: list = []  # rows of `_contains`'s stack for every degree-(m-1) support found
     checked = 0
-    supports: list = []  # (S+, S-) sample indices of every degree-(m-1) certificate found
-    for u, a in _candidate_planes(idxs, samples, exact):
-        sp = split(extremes, samples, u, a, exact=exact)
-        checked += 1
-        if not _holds_reusing(sp, samples, degree, exact, supports):
-            return HyperplaneVerdict("fail", sp, checked)
+    combos = combinations(range(len(idxs)), d)
+    size = _FIRST_BATCH
+    while batch := list(islice(combos, size)):
+        size = _BATCH
+        batch, normals, offsets = _new_planes(batch, points, coords, exact, seen)
+        if not batch:
+            continue
+        side = _sides(coords, normals, offsets, exact)
+        flipped = side[at] * sign[:, None]
+        classes = None  # built when a support is first applied to this batch
+        reused = np.zeros(len(batch), dtype=bool)
+        for support in supports:
+            classes = _point_classes(side, in_plus, in_minus) if classes is None else classes
+            reused |= _contains(classes, support)
+        for j in range(len(batch)):
+            checked += 1
+            if reused[j]:
+                continue
+            plus_side, minus_side, on_plus, on_minus = _classes(rows, flipped[:, j], sign)
+            found = hulls_intersect(samples, plus_side, minus_side, degree - 1, exact)
+            if found:
+                s, t = ([place[i] for i in members] for members in found)
+                supports.append(np.array([s + [n + k for k in t], [n + k for k in s] + t]))
+                if j + 1 < len(batch):
+                    classes = _point_classes(side, in_plus, in_minus) if classes is None else classes
+                    reused |= _contains(classes, supports[-1])
+                continue
+            if hulls_intersect(samples, on_plus, on_minus, degree, exact) is None:
+                counterexample = HyperplaneSplit(tuple(normals[j].tolist()), offsets.tolist()[j],
+                                                 plus_side, minus_side, on_plus, on_minus)
+                return HyperplaneVerdict("fail", counterexample, checked)
     if checked == 0:
         return HyperplaneVerdict(
             "vacuous", None, 0, warning="no affinely independent extreme subset"
@@ -206,14 +220,85 @@ def verify_by_hyperplanes(
     return HyperplaneVerdict("pass", None, checked)
 
 
-def _holds_reusing(sp: HyperplaneSplit, samples: SampleSet, degree: int, exact: bool, supports: list) -> bool:
-    """`check_split_condition(...).holds`, with no LP where a stored support decides it."""
-    plus, minus = set(sp.plus_side), set(sp.minus_side)
-    if any(s <= plus and t <= minus or s <= minus and t <= plus for s, t in supports):
-        return True
-    found = hulls_intersect(samples, sp.plus_side, sp.minus_side, degree - 1, exact)
-    if found:
-        supports.append(found)
-        return True
-    return hulls_intersect(samples, sp.on_plane_plus, sp.on_plane_minus, degree, exact) is not None
+def _new_planes(batch, points, coords, exact: bool, seen: set):
+    """The combinations of `batch` whose plane is unique and not in `seen`, with their normals and offsets.
 
+    A plane's key is its exact normal and offset (the first non-zero
+    component of the normal is 1), or the float ones rounded to
+    `_CANON_DECIMALS` decimals; each new key goes into `seen`.
+    """
+    if exact:
+        keys = [affine_normal([points[k] for k in combo], exact=True) for combo in batch]
+    else:
+        normals, offsets, unique = affine_normals(coords[np.array(batch)])
+        keys = [tuple([round(v, _CANON_DECIMALS) for v in u + [a]]) if ok else None
+                for u, a, ok in zip(normals.tolist(), offsets.tolist(), unique.tolist())]
+    kept = []
+    for k, key in enumerate(keys):
+        if key is not None and key not in seen:
+            seen.add(key)
+            kept.append(k)
+    if not kept:
+        return [], None, None
+    if exact:
+        normals = np.array([keys[k][0] for k in kept], dtype=object)
+        offsets = np.array([keys[k][1] for k in kept], dtype=object)
+    else:
+        normals, offsets = _unit(normals[kept], offsets[kept])
+    return [batch[k] for k in kept], normals, offsets
+
+
+def _unit(normals: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Float planes scaled to unit normals, the norm's squares summed over the coordinates in order."""
+    norm = normals[:, 0] * normals[:, 0]
+    for k in range(1, normals.shape[1]):
+        norm = norm + normals[:, k] * normals[:, k]
+    norm = np.sqrt(norm)
+    return normals / norm[:, None], offsets / norm
+
+
+def _sides(points: np.ndarray, normals: np.ndarray, offsets: np.ndarray, exact: bool) -> np.ndarray:
+    """sign(<u, x> - a) of each point (rows) against each plane (columns): 0 within `PLANE_TOL`, or exactly 0.
+
+    The sum runs over the coordinates in order, so a float value does not
+    depend on how many points or planes there are.
+    """
+    s = points[:, :1] * normals[:, 0]
+    for k in range(1, normals.shape[1]):
+        s = s + points[:, k:k + 1] * normals[:, k]
+    s = s - offsets
+    tol = 0 if exact else PLANE_TOL
+    return (s > tol).astype(np.int8) - (s < -tol)
+
+
+def _rows(extremes: ExtremeSets) -> tuple[list, np.ndarray]:
+    """The extreme points once per class they are in, E+ first, and each row's class sign (+1 for E+, -1 for E-)."""
+    rows = list(extremes.plus) + list(extremes.minus)
+    return rows, np.where(np.arange(len(rows)) < len(extremes.plus), 1, -1).astype(np.int8)
+
+
+def _classes(rows: list, flipped: np.ndarray, sign: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """A plane's (plus_side, minus_side, on_plane_plus, on_plane_minus) from its flipped sides of the rows.
+
+    A row's flipped side is its side of the plane times its class sign.
+    """
+    classes: tuple[list, ...] = ([], [], [], [])
+    for i, f, c in zip(rows, flipped.tolist(), sign.tolist()):
+        classes[(0 if f > 0 else 1) if f else (2 if c > 0 else 3)].append(i)
+    return tuple(map(tuple, classes))
+
+
+def _point_classes(side: np.ndarray, in_plus: np.ndarray, in_minus: np.ndarray) -> np.ndarray:
+    """Which points each plane puts in its flipped plus class (rows 0..n-1) and its flipped minus class (n..2n-1)."""
+    up, down = side == 1, side == -1
+    return np.concatenate((up & in_plus | down & in_minus, down & in_plus | up & in_minus))
+
+
+def _contains(classes: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """The planes whose flipped classes hold S+ and S- one each, either way round.
+
+    `classes` stacks each plane's flipped plus class over its flipped minus
+    class; the support's two rows index S+ in the first and S- in the
+    second, and the other way round.
+    """
+    return np.logical_and.reduce(classes[support], axis=1).any(axis=0)

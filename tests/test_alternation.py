@@ -1,15 +1,17 @@
 """Hyperplane splits, split conditions, and the enumeration verdicts."""
 
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
 from minimaxfit import (
     ExtremeSets,
+    HyperplaneSplit,
     IntersectionCertificate,
     LpFailure,
     PolynomialModel,
@@ -26,8 +28,7 @@ from minimaxfit import (
     verify_by_hyperplanes,
 )
 from minimaxfit import alternation, optimality
-from minimaxfit._linalg import affine_normal
-from minimaxfit.alternation import _candidate_planes
+from minimaxfit._linalg import affine_normal, affine_normals
 
 from support import build_fit_corpus, random_samples, synthetic_univariate
 
@@ -175,12 +176,53 @@ class TestVerifyByHyperplanes:
         assert checked >= 20
 
 
+def _candidate_planes(idxs, samples, exact):
+    """(u, a) of each distinct plane through d affinely independent points, one `affine_normal` per combination."""
+    pts = samples.view(exact)[0]
+    seen = set()
+    for combo in combinations(idxs, samples.dimension):
+        geom = affine_normal([pts[i] for i in combo], exact=exact)
+        if geom is None:
+            continue  # affinely dependent subset: plane not unique, excluded
+        u, a = geom
+        if exact:
+            lead = next(c for c in u if c != 0)
+            key = (tuple(c / lead for c in u), a / lead)
+        else:
+            key = tuple(round(float(c), 12) for c in list(u) + [a])
+        if key in seen:
+            continue
+        seen.add(key)
+        yield u, a
+
+
+def _scalar_split(extremes, samples, normal, offset, exact):
+    """`split` one point at a time: a float plane scaled to unit length, then each <u, x> - a as a Python sum."""
+    if exact:
+        u, a = [Fraction(c) for c in normal], Fraction(offset)
+    else:
+        norm = math.sqrt(sum(float(c) * float(c) for c in normal))
+        u, a = [float(c) / norm for c in normal], float(offset) / norm
+    pts = samples.view(exact)[0]
+    tol = 0 if exact else alternation.PLANE_TOL
+    plus_side, minus_side, on_plus, on_minus = [], [], [], []
+    for idx, positive_class in [(i, True) for i in extremes.plus] + [(i, False) for i in extremes.minus]:
+        s = sum(c * x for c, x in zip(u, pts[idx])) - a
+        if abs(s) <= tol:
+            (on_plus if positive_class else on_minus).append(idx)
+        elif (s > 0) == positive_class:
+            plus_side.append(idx)
+        else:
+            minus_side.append(idx)
+    return HyperplaneSplit(tuple(u), a, tuple(plus_side), tuple(minus_side), tuple(on_plus), tuple(on_minus))
+
+
 def _every_plane_verdict(extremes, samples, degree, exact):
     """(verdict, planes checked, counterexample) from `check_split_condition` on every plane."""
     idxs = sorted(set(extremes.plus) | set(extremes.minus))
     checked = 0
     for u, a in _candidate_planes(idxs, samples, exact):
-        sp = split(extremes, samples, u, a, exact=exact)
+        sp = _scalar_split(extremes, samples, u, a, exact)
         checked += 1
         if not check_split_condition(sp, samples, degree, exact).holds:
             return "fail", checked, sp
@@ -214,6 +256,48 @@ def _reuse_corpus(exact):
     return cases
 
 
+def _grid_corpus():
+    """(samples, extremes, degree) on 2-D and 3-D grids, fitted and then not optimal.
+
+    Grid extremes hold collinear and coplanar points, so many combinations
+    span no plane and many planes pass through more than d extremes.
+    """
+    targets = [  # (dimension, points per axis, target, degrees)
+        (2, 5, lambda x, y: x ** 3 - x * y * y + 0.5 * y, (2, 3)),
+        (2, 5, lambda x, y: x * x * y + y ** 4, (2,)),
+        (3, 3, lambda x, y, z: x ** 3 + y * z * z, (2,)),
+        (3, 3, lambda x, y, z: x * y * z + x ** 3, (2,)),
+    ]
+    cases = []
+    for d, side, f, degrees in targets:
+        points = list(product(np.linspace(-1, 1, side).tolist(), repeat=d))
+        samples = SampleSet(points, [f(*p) for p in points])
+        for m in degrees:
+            extremes = extreme_sets(fit_minimax(samples, m).model, samples)
+            cases.append((samples, extremes, m))
+            cases.append((samples, replace(extremes, plus=extremes.plus[1:]), m))
+            cases.append((samples, _least_squares_extremes(samples, m), m))
+    return cases
+
+
+def _assert_normals_bit_for_bit(samples, extremes):
+    """`affine_normals` against `affine_normal` on every combination; (combinations with no plane, repeated planes)."""
+    pts = samples.view(False)[0]
+    combos = list(combinations(sorted(set(extremes.plus) | set(extremes.minus)), samples.dimension))
+    if not combos:
+        return 0, 0
+    normals, offsets, unique = affine_normals(np.array([[pts[i] for i in c] for c in combos]))
+    keys = []
+    for k, combo in enumerate(combos):
+        ref = affine_normal([pts[i] for i in combo])
+        assert (ref is None) == (not unique[k])
+        if ref is not None:
+            assert normals[k].tobytes() == np.array(ref[0]).tobytes()
+            assert offsets[k].tobytes() == np.float64(ref[1]).tobytes()
+            keys.append(tuple(round(c, 12) for c in ref[0] + (ref[1],)))
+    return len(combos) - len(keys), len(keys) - len(set(keys))
+
+
 def _counting_hulls(monkeypatch):
     calls = []
     real = alternation.hulls_intersect
@@ -240,6 +324,45 @@ class TestCertificateReuse:
             verdicts.add(got.verdict)
         assert {"pass", "fail"} <= verdicts
 
+        no_plane = repeated = 0
+        grid_verdicts = set()
+        for samples, extremes, degree in _grid_corpus():
+            verdict, checked, counterexample = _every_plane_verdict(extremes, samples, degree, exact)
+            got = verify_by_hyperplanes(extremes, samples, degree, exact=exact)
+            assert (got.verdict, got.planes_checked) == (verdict, checked)
+            assert repr(got.counterexample) == repr(counterexample)  # floats bit for bit
+            grid_verdicts.add(got.verdict)
+            if not exact:
+                dependent, again = _assert_normals_bit_for_bit(samples, extremes)
+                no_plane, repeated = no_plane + dependent, repeated + again
+        assert {"pass", "fail"} <= grid_verdicts
+        assert exact or (no_plane > 0 and repeated > 0)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_split_failing_on_the_first_plane_classifies_one_batch(self, exact, monkeypatch):
+        # sets that fail on the first plane and have more combinations than the first batch
+        cases = [(s, e, m) for s, e, m in _reuse_corpus(exact) + _grid_corpus()
+                 if math.comb(len(set(e.plus) | set(e.minus)), s.dimension) > alternation._FIRST_BATCH]
+        normalised, classified = [], []
+        real_normals, real_exact, real_sides = alternation.affine_normals, alternation.affine_normal, alternation._sides
+        monkeypatch.setattr(alternation, "affine_normals",
+                            lambda pts: normalised.append(len(pts)) or real_normals(pts))
+        monkeypatch.setattr(alternation, "affine_normal",
+                            lambda pts, exact=False: normalised.append(1) or real_exact(pts, exact=exact))
+        monkeypatch.setattr(alternation, "_sides",
+                            lambda x, u, a, ex: classified.append(u.shape[0]) or real_sides(x, u, a, ex))
+        first = 0
+        for samples, extremes, degree in cases:
+            normalised.clear(), classified.clear()
+            got = verify_by_hyperplanes(extremes, samples, degree, exact=exact)
+            if got.planes_checked != 1:
+                continue
+            assert got.verdict == "fail"
+            first += 1
+            assert sum(normalised) <= alternation._FIRST_BATCH
+            assert sum(classified) <= alternation._FIRST_BATCH
+        assert first >= 3
+
     def test_three_dimensional_fit_needs_few_lps(self, monkeypatch):
         inst = build_fit_corpus(41, 1, (3,), (2,), (13, 18))[0]
         calls = _counting_hulls(monkeypatch)
@@ -248,24 +371,33 @@ class TestCertificateReuse:
         assert len(calls) < got.planes_checked / 3
 
     def test_reused_splits_have_feasible_moment_lps(self, monkeypatch):
+        # each plane is decided by a degree-(m-1) hull test or by a stored support; the reference
+        # enumeration gives the splits in order, and those the verifier sent no test for were reused
         inst = build_fit_corpus(40, 1, (2,), (3,), (13, 18))[0]
-        splits = []  # [split, hulls_intersect calls it made]
-        real_split, real_hulls = alternation.split, alternation.hulls_intersect
+        calls = []
+        real = alternation.hulls_intersect
 
-        def recorded_split(*args, **kwargs):
-            splits.append([real_split(*args, **kwargs), 0])
-            return splits[-1][0]
+        def recorded(samples, plus, minus, degree, exact=False):
+            if degree == inst.degree - 1:
+                calls.append((tuple(plus), tuple(minus)))
+            return real(samples, plus, minus, degree, exact)
 
-        def counted(*args, **kwargs):
-            splits[-1][1] += 1
-            return real_hulls(*args, **kwargs)
-
-        monkeypatch.setattr(alternation, "split", recorded_split)
-        monkeypatch.setattr(alternation, "hulls_intersect", counted)
+        monkeypatch.setattr(alternation, "hulls_intersect", recorded)
         got = verify_by_hyperplanes(inst.extremes, inst.samples, inst.degree, exact=True)
         monkeypatch.undo()
         assert got.verdict == "pass"
-        reused = [sp for sp, calls in splits if calls == 0]
+        idxs = sorted(set(inst.extremes.plus) | set(inst.extremes.minus))
+        splits = [_scalar_split(inst.extremes, inst.samples, u, a, True)
+                  for u, a in _candidate_planes(idxs, inst.samples, True)]
+        assert len(splits) == got.planes_checked
+        reused, sent = [], iter(calls)
+        pending = next(sent, None)
+        for sp in splits:
+            if (sp.plus_side, sp.minus_side) == pending:
+                pending = next(sent, None)
+            else:
+                reused.append(sp)
+        assert pending is None  # every recorded test belongs to a plane, in order
         assert len(reused) >= 5
         for sp in reused:
             assert hulls_intersect(inst.samples, sp.plus_side, sp.minus_side, inst.degree - 1, exact=True)

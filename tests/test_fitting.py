@@ -367,9 +367,9 @@ class TestFitMinimax:
             starts.append(start)
             return real_solve(lp, start=start)
 
-        def counted(lp, exact):
+        def counted(lp, exact, **guess):
             cold.append(exact)
-            return real_cold(lp, exact)
+            return real_cold(lp, exact, **guess)
 
         monkeypatch.setattr(fitting, "solve", round_)
         monkeypatch.setattr(lp_module, "_solve", counted)

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 import minimaxfit.lp as lp_module
 from minimaxfit import LinearProgram, LpFailure, build_basis, lift, solve, solve_exact, verify_farkas
 from minimaxfit._linalg import exact_solve
-from minimaxfit.cli import RunConfig, run
+from minimaxfit import fitting
+from minimaxfit.cli import RunConfig, parse_grid_spec, run
 from minimaxfit.optimality import _moment_lp
 
 from support import build_fit_corpus, random_samples
@@ -263,10 +264,10 @@ def test_crossover_matches_rational_simplex(exact_corpus):
 def test_failed_float_guess_falls_back(monkeypatch, exact_corpus, error):
     real = lp_module._solve
 
-    def float_fails(lp, exact):
+    def float_fails(lp, exact, **guess):
         if not exact:
             raise error
-        return real(lp, exact)
+        return real(lp, exact, **guess)
 
     monkeypatch.setattr(lp_module, "_solve", float_fails)
     for lp, ref in exact_corpus[::6]:
@@ -281,10 +282,10 @@ def _wrong_basis_guess(monkeypatch, pick_basis):
     real = lp_module._solve
     fallbacks = []
 
-    def guess(lp, exact):
+    def guess(lp, exact, **capped):
         if exact:
             fallbacks.append(lp)
-            return real(lp, exact)
+            return real(lp, exact, **capped)
         basis = pick_basis(lp, len(lp_module._standard_form(lp, float)[2]))
         return lp_module.LpSolution("optimal", x=[0.0] * lp.num_vars, basis=basis)
 
@@ -442,6 +443,62 @@ def test_exact_baseline_rows_are_pinned(grid, degree, psi, coefficients):
     assert report["model"]["coefficients"] == coefficients
 
 
+class _FirstRound(Exception):
+    pass
+
+
+def _first_exact_round(monkeypatch, grid: str, degree: int) -> LinearProgram:
+    """The first minimax LP an exact fit on `grid` hands to `solve_exact`."""
+    def stop(lp):
+        raise _FirstRound(lp)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(fitting, "solve_exact", stop)
+        with pytest.raises(_FirstRound) as first:
+            fitting.fit_minimax(parse_grid_spec(grid), degree, exact=True)
+    return first.value.args[0]
+
+
+def test_stalling_float_guess_is_capped(monkeypatch):
+    # the first round of the exact 3-D grid fit (88 rows over 21 variables): its float guess once
+    # made 19,633 phase-1 pivots before phase 1 ended "unbounded" and the rowless start took over
+    lp = _first_exact_round(monkeypatch, "-1,1:-1,1:-1,1;9;uniform;x1*x2*x3+x1^3", 3)
+    assert (lp.num_rows, lp.num_vars) == (88, 21)
+    real, solves = lp_module._solve, []
+
+    def recorded(lp, exact, **guess):
+        try:
+            sol = real(lp, exact, **guess)
+        except LpFailure as err:
+            solves.append((exact, err.diagnostics["iterations"], str(err)))
+            raise
+        solves.append((exact, sol.iterations, sol.status))
+        return sol
+
+    monkeypatch.setattr(lp_module, "_solve", recorded)
+    got = solve_exact(lp)
+    monkeypatch.undo()
+    (exact, pivots, outcome), = solves  # the float guess alone: no rational simplex ran
+    assert not exact and "exceeded" in outcome
+    assert pivots <= lp_module._GUESS_PIVOTS * (88 + 129) + 1  # 20 free coefficients, z >= 0, 88 slacks
+    rowless = lp_module._warm(lp, None)[0]
+    ref = lp_module._certify(lp, *rowless.basis, iterations=rowless.iterations)
+    assert got.status == "optimal" and (got.x, got.objective_value) == (ref.x, ref.objective_value)
+
+
+def test_phase_1_failure_names_its_status(monkeypatch):
+    real = lp_module._simplex
+
+    def unbounded(T, basis, costs, tol, phase, it=0, cap=None):
+        return (costs, "unbounded", 7) if phase == 1 else real(T, basis, costs, tol, phase, it, cap)
+
+    monkeypatch.setattr(lp_module, "_simplex", unbounded)
+    lp = LinearProgram([1.0], [([1.0], ">=", 3.0)])
+    with pytest.raises(LpFailure, match="phase-1 simplex ended unbounded") as failure:
+        lp_module._solve(lp, exact=False)
+    assert failure.value.diagnostics == {"status": "unbounded", "iterations": 7}
+
+
 # --- warm starts: a prefix's optimal basis against the cold two-phase solve --
 
 
@@ -500,9 +557,9 @@ def cold_solves(monkeypatch):
     """The arithmetic of every `lp._solve` call from here on."""
     real, calls = lp_module._solve, []
 
-    def counted(lp, exact):
+    def counted(lp, exact, **guess):
         calls.append(exact)
-        return real(lp, exact)
+        return real(lp, exact, **guess)
 
     monkeypatch.setattr(lp_module, "_solve", counted)
     return calls

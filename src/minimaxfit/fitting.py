@@ -22,9 +22,9 @@ give the same coefficients as with single exchange.
 
 In float mode no round runs phase 1: the first round's LP has no "==" row
 and costs only z >= 0, so `lp.solve` starts it from the basis of every
-row's slack, and each later round appends the new samples' rows to the
-last round's LP and starts from its optimal basis (``start`` of
-`lp.solve`), standardising only those rows.  The two-phase simplex runs
+row's slack, and each later round appends the new samples' rows
+[u | -1] and [-u | -1] to the last round's float64 rows and starts from
+its optimal basis (``start`` of `lp.solve`).  The two-phase simplex runs
 only where such a start gives up.  Exact fits solve every round from
 scratch on the working set in sorted order: where the minimax
 coefficients are not unique (a symmetric 2-D grid), a warm basis or
@@ -67,7 +67,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .lp import LinearProgram, LpFailure, solve, solve_exact
+from .lp import LESS, LinearProgram, LpFailure, solve, solve_exact
 from .monomials import Number, PolynomialModel, build_basis, dot_rows, evaluate, lift, lift_matrix
 
 DUPLICATE_TOL = 1e-12
@@ -251,8 +251,10 @@ def fit_minimax(samples: SampleSet, degree: int, exact: bool = False) -> FitResu
         )
     vals = samples.view(exact)[1]
     n = len(vals)
-    if exact:
-        table = _integer_rows(samples.lifted(range(n), degree, True), vals)
+    if exact:  # object arrays of the lifted Fractions
+        lifts = samples.lifted(range(n), degree, True)
+        table = _integer_rows(lifts, vals)
+        matrix, targets = np.array(lifts, dtype=object), np.array(vals, dtype=object)
     else:
         matrix = samples.lifted_matrix(degree)
         targets = np.array(vals) if samples.f is None else samples.f
@@ -271,14 +273,15 @@ def fit_minimax(samples: SampleSet, degree: int, exact: bool = False) -> FitResu
         working = {round(i * (n - 1) / (k0 - 1)) for i in range(k0)}
 
     def rows_of(indices):
-        for i, u in zip(indices, samples.lifted(indices, degree, exact)):
-            yield (list(u) + [-1], "<=", vals[i])
-            yield ([-g for g in u] + [-1], "<=", -vals[i])
+        lifted, v = matrix[indices], targets[indices]
+        A = np.empty((2 * len(indices), nc + 1), dtype=matrix.dtype)
+        A[0::2, :nc], A[1::2, :nc], A[:, nc] = lifted, -lifted, -1
+        return A, np.column_stack((v, -v)).ravel()
 
-    rows = list(rows_of(sorted(working)))
+    A, rhs = rows_of(sorted(working))
     start = None
     while True:
-        lp = LinearProgram(objective, rows, bounds)
+        lp = LinearProgram(objective, A, [LESS] * len(rhs), rhs, bounds)
         sol = solve_exact(lp) if exact else solve(lp, start=start)
         if sol.status != "optimal":
             raise LpFailure(
@@ -304,9 +307,10 @@ def fit_minimax(samples: SampleSet, degree: int, exact: bool = False) -> FitResu
             new = [worst_i]
         working.update(new)
         if exact:  # every round afresh on sorted rows (see the module docstring)
-            rows = list(rows_of(sorted(working)))
+            A, rhs = rows_of(sorted(working))
         else:
-            rows += rows_of(new)
+            new_A, new_rhs = rows_of(new)
+            A, rhs = np.concatenate((A, new_A)), np.concatenate((rhs, new_rhs))
             start = sol
 
     residuals.flags.writeable = False

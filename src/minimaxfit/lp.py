@@ -7,6 +7,10 @@ reduced costs and row residuals, and exact rationals (``Fraction``) with
 zero tolerance, used when certificate verdicts must be trusted near
 degeneracy.
 
+A `LinearProgram` holds one coefficient array with relation and rhs arrays.
+Every solve reads them through one array standardisation (`_standard_form`),
+over float64 or ``Fraction``, converted once per LP and arithmetic (`_rows`).
+
 Every simplex solve ends in one routine, `_finish`: the primal simplex from
 a primal feasible tableau, the point in the original variables, and a check
 of every original row.  The tableau comes from the two-phase simplex from
@@ -17,13 +21,12 @@ Paderborn 2005).  Two bases are dual feasible as they stand: every row's
 slack, when no row is "==" and no standardised column costs less than zero,
 as in a fit's minimax LP; and the optimal basis of an LP whose rows lead
 this one's, plus the appended rows' slacks, as a fit's working-set rounds
-make them (Stiefel's exchange is this simplex on the same LP).  A float
-optimal solution carries its scaled standardised rows, so a warm round
-standardises only the rows it appends.  A dual start that cannot finish
-leaves the LP to the two-phase simplex, which decides every other status.
-A cold float point that breaks a row refactors: its final basis and scaled
-rows go to `_warm` with no rows appended, which solves B^-1 [A | b] afresh
-and finishes from there; the failure stands only if that fails too.
+make them (Stiefel's exchange is this simplex on the same LP).  `_warm`
+standardises the whole LP and maps the start's basis into it.  A dual start
+that cannot finish leaves the LP to the two-phase simplex, which decides
+every other status.  A cold float point that breaks a row refactors: its
+final basis goes to `_warm` with no rows appended, which solves B^-1 [A | b]
+afresh and finishes from there; the failure stands only if that fails too.
 
 Exact solves run as a float-to-exact crossover (Applegate, Cook, Dash &
 Espinoza, "Exact solutions to linear programming problems", ORL 2007): a
@@ -52,7 +55,6 @@ from ._linalg import exact_solve
 from .monomials import Number, dot_rows
 
 LESS, EQUAL, GREATER = "<=", "==", ">="
-_RELATIONS = (LESS, EQUAL, GREATER)
 
 _TOL = 1e-9
 _MAX_ITER = 50_000
@@ -71,35 +73,46 @@ class LpFailure(RuntimeError):
         self.diagnostics = diagnostics or {}
 
 
-class LinearProgram:
-    """minimise c.x subject to rows (coeffs, relation, rhs) and variable bounds.
+def _entries(values) -> np.ndarray:
+    """A float64 ndarray as it is; anything else as an object array of its numbers, none converted."""
+    if isinstance(values, np.ndarray) and values.dtype == float:
+        return values
+    return np.asarray(values, dtype=object)
 
-    Bounds default to free variables; relations are "<=", "==" or ">=".
+
+class LinearProgram:
+    """minimise c.x subject to A x (relations) rhs and variable bounds.
+
+    A has one row per constraint and one column per variable; `relations`
+    holds "<=", "==" or ">=" per row.  A float64 ndarray A or rhs is kept as
+    it is; any other is held as an object array of the numbers as given, so
+    an exact solve sees them unrounded.  Bounds default to free variables.
+    The arrays are read, never written: a solve converts them once.
     """
 
     def __init__(
         self,
         objective: Sequence[Number],
-        rows: Sequence[tuple[Sequence[Number], str, Number]],
+        A,
+        relations: Sequence[str],
+        rhs: Sequence[Number],
         bounds: Optional[Sequence[tuple[Optional[Number], Optional[Number]]]] = None,
     ):
         self.objective = tuple(objective)
         n = len(self.objective)
-        checked = []
-        for k, (coeffs, rel, rhs) in enumerate(rows):
-            coeffs = tuple(coeffs)
-            if len(coeffs) != n:
-                raise ValueError(f"row {k} has width {len(coeffs)}, expected {n}")
-            if rel not in _RELATIONS:
-                raise ValueError(f"row {k} has unknown relation {rel!r}")
-            checked.append((coeffs, rel, rhs))
-        self.rows = tuple(checked)
-        if bounds is None:
-            bounds = ((None, None),) * n
-        bounds = tuple((lo, hi) for lo, hi in bounds)
-        if len(bounds) != n:
-            raise ValueError(f"{len(bounds)} bounds for {n} variables")
-        self.bounds = bounds
+        self.A, self.relations, self.rhs = _entries(A), np.asarray(relations, dtype=str), _entries(rhs)
+        if not self.A.size:  # no rows
+            self.A = self.A.reshape(len(self.A), n)
+        m = len(self.A)
+        if self.A.shape != (m, n) or self.relations.shape != (m,) or self.rhs.shape != (m,):
+            raise ValueError(f"A {self.A.shape}, relations {self.relations.shape} and rhs {self.rhs.shape}"
+                             f" do not make rows over {n} variables")
+        if not ((self.relations == LESS) | (self.relations == EQUAL) | (self.relations == GREATER)).all():
+            raise ValueError(f"unknown relation among {self.relations.tolist()}")
+        self.bounds = ((None, None),) * n if bounds is None else tuple((lo, hi) for lo, hi in bounds)
+        if len(self.bounds) != n:
+            raise ValueError(f"{len(self.bounds)} bounds for {n} variables")
+        self._converted: dict[bool, tuple[np.ndarray, np.ndarray]] = {}  # see `_rows`
 
     @property
     def num_vars(self) -> int:
@@ -107,7 +120,7 @@ class LinearProgram:
 
     @property
     def num_rows(self) -> int:
-        return len(self.rows)
+        return len(self.rhs)
 
 
 @dataclass
@@ -119,8 +132,6 @@ class LpSolution:
     iterations: int = 0  # pivots of the whole call: an abandoned warm start's and a refactor's included
     # optimal only: (basic column per kept standardised row, dropped redundant rows)
     basis: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = field(default=None, repr=False, compare=False)
-    # float optimal only: the LP's scaled standardised rows [A | b], dropped rows included (see `_warm`)
-    _rows: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
 
 def solve(lp: LinearProgram, start: Optional[LpSolution] = None) -> LpSolution:
@@ -128,10 +139,11 @@ def solve(lp: LinearProgram, start: Optional[LpSolution] = None) -> LpSolution:
 
     `start`, if given, is an optimal solution of an LP whose rows are the
     leading rows of `lp`, with the same objective and bounds.  The dual
-    simplex (`_warm`) begins at its basis, or without `start` at the basis of
-    every row's slack when that is dual feasible; the two-phase simplex runs
-    when there is no such start or it cannot finish.  `iterations` counts
-    the pivots of every attempt, an abandoned dual start's and a refactor's.
+    simplex (`_warm`) begins at its basis, mapped into `lp`'s standard form,
+    or without `start` at the basis of every row's slack when that is dual
+    feasible; the two-phase simplex runs when there is no such start or it
+    cannot finish.  `iterations` counts the pivots of every attempt, an
+    abandoned dual start's and a refactor's.
     """
     solution, spent = _warm(lp, start)
     if solution is None:
@@ -150,6 +162,8 @@ def solve_exact(lp: LinearProgram) -> LpSolution:
     that start.  Without an optimal guess (infeasible LPs then get their
     Farkas witness from the rational simplex), or when its basis is singular
     or fails an exact check, the two-phase simplex runs over ``Fraction``.
+    The certificate, its row check and the rational simplex share one
+    conversion of the rows to ``Fraction``.
     """
     try:
         guess = _solve(lp, exact=False, guess=True)
@@ -165,99 +179,79 @@ def solve_exact(lp: LinearProgram) -> LpSolution:
     return _solve(lp, exact=True)
 
 
-# --- standardisation -------------------------------------------------------
-#
-# Each original variable becomes one or two non-negative columns plus an
-# offset: x = off + sum(sign * u).  Two-sided bounds append a "u <= hi - lo"
-# row after the original rows.
+# --- standardisation: x = offset + sum(sign * u) over non-negative columns u --
+
+
+def _rows(lp: LinearProgram, exact: bool) -> tuple[np.ndarray, np.ndarray]:
+    """A and rhs over ``Fraction`` (object arrays) or float64, converted on first use per LP."""
+    if exact not in lp._converted:
+        convert = np.frompyfunc(Fraction, 1, 1) if exact else (lambda a: np.asarray(a, dtype=float))
+        lp._converted[exact] = convert(lp.A), convert(lp.rhs)
+    return lp._converted[exact]
 
 
 def _columns(bounds, conv):
-    """Per variable its standardised (column, sign) terms and offset, the two-sided bounds, the column count."""
-    col_terms: list[list[tuple[int, int]]] = []  # per variable: [(column, sign)]
-    offsets: list[Number] = []
-    bound_rows: list[tuple[int, Number]] = []  # (column, upper bound on that column)
-    ncols = 0
-    for lo, hi in bounds:
-        if lo is not None:
+    """Each standardised column's variable and sign, each variable's offset, each two-sided bound's column and width."""
+    var, sign, offsets, bound_cols, widths = [], [], [], [], []
+    for j, (lo, hi) in enumerate(bounds):
+        if lo is not None:  # x = lo + u
             lo = conv(lo)
-        if hi is not None:
-            hi = conv(hi)
-        if lo is not None:
-            col_terms.append([(ncols, 1)])
-            offsets.append(lo)
             if hi is not None:
-                bound_rows.append((ncols, hi - lo))
-            ncols += 1
-        elif hi is not None:
-            col_terms.append([(ncols, -1)])
-            offsets.append(hi)
-            ncols += 1
-        else:
-            col_terms.append([(ncols, 1), (ncols + 1, -1)])
+                bound_cols.append(len(var))
+                widths.append(conv(hi) - lo)
+            var.append(j)
+            sign.append(1)
+            offsets.append(lo)
+        elif hi is not None:  # x = hi - u
+            var.append(j)
+            sign.append(-1)
+            offsets.append(conv(hi))
+        else:  # x = u - v
+            var += [j, j]
+            sign += [1, -1]
             offsets.append(conv(0))
-            ncols += 2
-    return col_terms, offsets, bound_rows, ncols
+    return var, sign, offsets, bound_cols, widths
 
 
-def _substitute_rows(rows, col_terms, offsets, ncols: int, conv) -> list[tuple[list[Number], str, Number]]:
-    """Each row (coeffs, rel, rhs) over the standardised columns, the offsets moved to the rhs."""
-    zero = conv(0)
-    sub_rows = []
-    for coeffs, rel, rhs in rows:
-        row = [zero] * ncols
-        shift = conv(0)
-        for j, a in enumerate(coeffs):
-            a = conv(a)
-            if a == 0:
-                continue
-            if offsets[j]:  # zero for every free variable and every lower bound 0
-                shift += a * offsets[j]
-            for col, sign in col_terms[j]:
-                row[col] += a if sign > 0 else -a
-        sub_rows.append((row, rel, conv(rhs) - shift))
-    return sub_rows
+def _standard_form(lp: LinearProgram, exact: bool):
+    """The columns (variable, sign, offsets), rows R = [S | slacks] and rhs b of R u = b over u >= 0, and u's costs.
 
-
-def _costs(objective, col_terms, ncols: int, conv) -> list[Number]:
-    """The cost of each of `ncols` standardised columns (slacks cost nothing)."""
-    costs = [conv(0)] * ncols
-    for j, c in enumerate(objective):
-        c = conv(c)
-        if c == 0:
-            continue
-        for col, sign in col_terms[j]:
-            costs[col] += c if sign > 0 else -c
-    return costs
-
-
-def _standard_form(lp: LinearProgram, conv):
-    """Rows A = [substituted | slack] with A u = rhs over u >= 0, and the costs of u.
-
-    The original rows come first, then one "<=" row per two-sided bound.
+    S holds A's column of each standardised column's variable, negated where
+    its sign is -1, and the offsets move to the rhs.  The original rows come
+    first, then one "<=" row per two-sided bound, then one slack column per
+    row that is not "==": +1 for "<=", -1 for ">=".  Over float64 every zero
+    is +0.0.
     """
-    col_terms, offsets, bound_rows, nstruct = _columns(lp.bounds, conv)
-    sub_rows = _substitute_rows(lp.rows, col_terms, offsets, nstruct, conv)
-    for col, ub in bound_rows:
-        row = [conv(0)] * nstruct
-        row[col] = conv(1)
-        sub_rows.append((row, LESS, ub))
-    nslack = sum(1 for _, rel, _ in sub_rows if rel != EQUAL)
-    rows, rhs = [], []
-    slack_at = nstruct
-    for row, rel, b in sub_rows:
-        row = row + [conv(0)] * nslack
-        if rel != EQUAL:
-            row[slack_at] = conv(1) if rel == LESS else conv(-1)
-            slack_at += 1
-        rows.append(row)
-        rhs.append(b)
-    return col_terms, offsets, rows, rhs, _costs(lp.objective, col_terms, nstruct + nslack, conv)
+    conv = Fraction if exact else float
+    A, rhs = _rows(lp, exact)
+    var, sign, offsets, bound_cols, widths = _columns(lp.bounds, conv)
+    neg = [k for k, s in enumerate(sign) if s < 0]
+
+    def signed(M):
+        M[..., neg] = -M[..., neg]
+        return M if exact else M + 0.0  # -0.0 -> 0.0, the zero a per-coefficient substitution leaves
+
+    def zeros(*shape):
+        return np.full(shape, conv(0), dtype=A.dtype)
+
+    structural = signed(A[:, var])
+    costs = signed(np.array([conv(lp.objective[j]) for j in var], dtype=A.dtype))
+    if any(offsets):  # zero for every free variable and every lower bound 0
+        rhs = rhs - dot_rows(A, offsets)
+    bound_rows = zeros(len(bound_cols), len(var))
+    bound_rows[np.arange(len(bound_cols)), bound_cols] = conv(1)
+    relations = np.concatenate((lp.relations, [LESS] * len(bound_cols)))
+    inequalities = np.flatnonzero(relations != EQUAL)
+    slacks = zeros(len(relations), len(inequalities))
+    slacks[inequalities, np.arange(len(inequalities))] = np.where(relations[inequalities] == LESS, conv(1), conv(-1))
+    rows = np.concatenate((np.concatenate((structural, bound_rows)), slacks), axis=1)
+    b = np.concatenate((rhs, np.array(widths, dtype=A.dtype)))
+    return (var, sign, offsets), rows, b, np.concatenate((costs, zeros(len(inequalities))))
 
 
-def _scaled(rows, rhs, width: int) -> tuple[np.ndarray, np.ndarray]:
+def _scaled(rows: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The float rows [A | b], each divided by the largest of 1 and its |entries|, and those divisors."""
-    A = np.array([row + [b] for row, b in zip(rows, rhs)], dtype=float).reshape(len(rows), width)
+    A = np.column_stack((rows, rhs))
     scale = np.maximum(1.0, np.abs(A).max(axis=1))
     return A / scale[:, None], scale
 
@@ -270,26 +264,19 @@ def _solve(lp: LinearProgram, exact: bool, guess: bool = False) -> LpSolution:
     and column, so that a stalling guess hands over soon.
     """
     conv = Fraction if exact else float
-    dtype = object if exact else float
     tol = 0 if exact else _TOL
-    col_terms, offsets, rows, rhs, costs = _standard_form(lp, conv)
-
-    m = len(rows)
-    art0 = len(costs)  # structural and slack columns come first
-    ncols = art0 + m + 1  # then artificial, then rhs
-
-    T = np.zeros((m, ncols), dtype=dtype)
+    columns, rows, rhs, costs = _standard_form(lp, exact)
     if exact:
-        T[:, :] = Fraction(0)
-        standard = None
-        for i, row in enumerate(rows):
-            T[i, :art0] = row
-            T[i, -1] = rhs[i]
-        factors: list[Number] = [Fraction(1)] * m  # std row = factor * substituted row (Farkas mapping)
+        factors: list[Number] = [Fraction(1)] * len(rows)  # std row = factor * substituted row (Farkas mapping)
     else:
-        standard, scale = _scaled(rows, rhs, art0 + 1)
-        T[:, :art0], T[:, -1] = standard[:, :-1], standard[:, -1]
+        standard, scale = _scaled(rows, rhs)
+        rows, rhs = standard[:, :-1], standard[:, -1]
         factors = (1.0 / scale).tolist()
+
+    m, art0 = rows.shape  # structural and slack columns come first
+    ncols = art0 + m + 1  # then artificial, then rhs
+    T = np.full((m, ncols), conv(0), dtype=rows.dtype)
+    T[:, :art0], T[:, -1] = rows, rhs
     for i in range(m):
         if T[i, -1] < 0:
             T[i, :] = -T[i, :]
@@ -298,7 +285,7 @@ def _solve(lp: LinearProgram, exact: bool, guess: bool = False) -> LpSolution:
     basis = [art0 + i for i in range(m)]
 
     # phase 1: minimise the sum of artificials
-    costs1 = np.full(ncols - 1, conv(0), dtype=dtype)
+    costs1 = np.full(ncols - 1, conv(0), dtype=rows.dtype)
     costs1[art0:] = conv(1)
     cap = _GUESS_PIVOTS * (m + art0) if guess else None
     obj, status, it = _simplex(T, basis, costs1, tol, phase=1, cap=cap)
@@ -326,9 +313,11 @@ def _solve(lp: LinearProgram, exact: bool, guess: bool = False) -> LpSolution:
         basis = [b for i, b in enumerate(basis) if i not in dropped]
     T = np.concatenate((T[:, :art0], T[:, -1:]), axis=1)  # phase 2 has no artificial columns
     try:
-        return _finish(lp, col_terms, offsets, T, basis, dropped, np.array(costs, dtype=dtype), it, standard, cap)
-    except LpFailure as err:  # `_warm` refactors a float tableau; an exact one carries no scaled rows
-        refactored = _warm(lp, LpSolution("optimal", basis=(tuple(basis), tuple(dropped)), _rows=standard))[0]
+        return _finish(lp, columns, T, basis, dropped, costs, it, cap)
+    except LpFailure as err:  # `_warm` refactors a float tableau at its final basis
+        if exact:
+            raise
+        refactored = _warm(lp, LpSolution("optimal", basis=(tuple(basis), tuple(dropped))))[0]
         if refactored is None:
             raise
         refactored.iterations += err.diagnostics["iterations"]
@@ -337,85 +326,57 @@ def _solve(lp: LinearProgram, exact: bool, guess: bool = False) -> LpSolution:
 
 def _slack_basis_dual_feasible(lp: LinearProgram) -> bool:
     """Whether the basis of every row's slack is a dual feasible start: no "==" row, no negative cost."""
-    if any(rel == EQUAL for _, rel, _ in lp.rows):
+    if (lp.relations == EQUAL).any():
         return False
-    col_terms = _columns(lp.bounds, float)[0]
-    return all(c * sign >= 0 for c, terms in zip(lp.objective, col_terms) for _, sign in terms)
-
-
-def _dual_start(lp: LinearProgram, start: Optional[LpSolution]):
-    """A dual feasible start of `lp` for `_warm`, or None.
-
-    Returns the variables' columns and offsets, the scaled standardised rows
-    [A | b] (dropped rows included), the costs, a basis and the dropped rows.
-    Without `start`, every row enters with its slack basic, which is dual
-    feasible when no row is "==" and no standardised column costs less than
-    zero (`_slack_basis_dual_feasible`, checked before any tableau work).
-    With `start`, its basis plus the slack of every appended row is a basis
-    of `lp` with the same duals (the new slacks cost nothing), so its
-    reduced costs stay non-negative and only appended rows can be primal
-    infeasible.  `start` carries the scaled standardised rows of its LP, and
-    only the appended rows are standardised here: they go in after the
-    prefix's rows, their slack columns after the prefix's slacks, so bound
-    rows and their slacks move up.  Each row is the one a rebuild of every
-    row would give, bit for bit.  None without carried rows or on an
-    appended "==" row.
-    """
-    if start is None:
-        if not _slack_basis_dual_feasible(lp):
-            return None
-        col_terms, offsets, rows, rhs, costs = _standard_form(lp, float)
-        nstruct = sum(map(len, col_terms))
-        standard = _scaled(rows, rhs, len(costs) + 1)[0]
-        return col_terms, offsets, standard, costs, list(range(nstruct, nstruct + len(rows))), ()
-    carried = start._rows
-    if start.basis is None or carried is None:  # not optimal, or not a float solve
-        return None
-    col_terms, offsets, bound_rows, nstruct = _columns(lp.bounds, float)
-    old_basis, old_dropped = start.basis
-    prefix = len(carried) - len(bound_rows)  # rows of `start`'s LP
-    if not 0 <= prefix <= lp.num_rows or any(rel == EQUAL for _, rel, _ in lp.rows[prefix:]):
-        return None
-    added = lp.num_rows - prefix
-    first_new = nstruct + sum(rel != EQUAL for _, rel, _ in lp.rows[:prefix])  # the first appended slack
-    width = carried.shape[1] + added
-    new = np.zeros((added, width))
-    for k, (row, rel, b) in enumerate(_substitute_rows(lp.rows[prefix:], col_terms, offsets, nstruct, float)):
-        new[k, :nstruct], new[k, first_new + k], new[k, -1] = row, 1.0 if rel == LESS else -1.0, b
-    standard = np.zeros((len(carried) + added, width))
-    old_rows = np.r_[:prefix, prefix + added:len(standard)]
-    standard[np.ix_(old_rows, np.r_[:first_new, first_new + added:width])] = carried
-    standard[prefix:prefix + added] = new / np.maximum(1.0, np.abs(new).max(axis=1))[:, None]  # as `_scaled`
-    basis = [j if j < first_new else j + added for j in old_basis] + list(range(first_new, first_new + added))
-    dropped = tuple(i if i < prefix else i + added for i in old_dropped)
-    return col_terms, offsets, standard, _costs(lp.objective, col_terms, width - 1, float), basis, dropped
+    var, sign = _columns(lp.bounds, float)[:2]
+    return all(lp.objective[j] * s >= 0 for j, s in zip(var, sign))
 
 
 def _warm(lp: LinearProgram, start: Optional[LpSolution]) -> tuple[Optional[LpSolution], int]:
     """The float solve by dual simplex from a dual feasible basis, and its pivots; no solution when it cannot finish.
 
-    The basis and the scaled standardised rows come from `_dual_start`, the
-    tableau B^-1 [A | b] from one dense solve of the kept rows, with no
+    Without `start`, every row enters with its slack basic, which is dual
+    feasible when no row is "==" and no standardised column costs less than
+    zero (`_slack_basis_dual_feasible`, checked before any tableau work).
+    With `start`, its basis plus the slack of every appended row is a basis
+    of `lp` with the same duals (the new slacks cost nothing), so only
+    appended rows can be primal infeasible.  They stand after the prefix's
+    rows, their slacks after the prefix's slacks, so bound rows, their
+    slacks and dropped bound rows move up.  The tableau B^-1 [A | b] comes
+    from one dense solve of the kept scaled standardised rows, with no
     pivots.  In the dual simplex `_leaving_row` picks the row that leaves,
     and the column of minimum ratio enters, ties going to the smallest
     column.  `_finish` runs the primal simplex and the row check.
 
-    No solution without a start, on a singular basis, a negative reduced
-    cost, a dual step without an entering column (the LP may be infeasible,
-    and the cold solve finds its Farkas witness), the iteration cap, an end
-    other than optimal or an `LpFailure`.
+    No solution without such a start (an appended "==" row, say), on a
+    singular basis, a negative reduced cost, a dual step without an entering
+    column (the LP may be infeasible, and the cold solve finds its Farkas
+    witness), the iteration cap, an end other than optimal or an `LpFailure`.
     """
-    begun = _dual_start(lp, start)
-    if begun is None:
+    usable = _slack_basis_dual_feasible(lp) if start is None else start.basis is not None
+    if not usable:
         return None, 0
-    col_terms, offsets, standard, costs, basis, dropped = begun
-    A = np.delete(standard, dropped, axis=0) if dropped else standard
+    columns, rows, rhs, c = _standard_form(lp, exact=False)
+    nstruct = len(columns[0])
+    A = _scaled(rows, rhs)[0]
+    if start is None:
+        basis, dropped = list(range(nstruct, nstruct + len(rows))), ()
+    else:
+        old_basis, old_dropped = start.basis
+        prefix = len(old_basis) + len(old_dropped) - (len(rows) - lp.num_rows)  # rows of `start`'s LP
+        if not 0 <= prefix <= lp.num_rows or (lp.relations[prefix:] == EQUAL).any():
+            return None, 0
+        added = lp.num_rows - prefix
+        first_new = nstruct + int((lp.relations[:prefix] != EQUAL).sum())  # the first appended slack
+        basis = [j if j < first_new else j + added for j in old_basis] + list(range(first_new, first_new + added))
+        dropped = tuple(i if i < prefix else i + added for i in old_dropped)
+    if dropped:
+        A = np.delete(A, dropped, axis=0)
     try:
         T = np.linalg.solve(A[:, basis], A)
     except np.linalg.LinAlgError:
         return None, 0
     T[:, basis] = np.eye(len(basis))
-    c = np.array(costs, dtype=float)
     obj = c - c[basis] @ T[:, :-1]
     if not np.isfinite(T).all() or (obj < -_TOL).any():
         return None, 0
@@ -438,7 +399,7 @@ def _warm(lp: LinearProgram, start: Optional[LpSolution]) -> tuple[Optional[LpSo
         obj = obj - obj[entering] * T[leaving, :-1]
         it += 1
     try:
-        solution = _finish(lp, col_terms, offsets, T, basis, dropped, c, it, standard)
+        solution = _finish(lp, columns, T, basis, dropped, c, it)
     except LpFailure as err:
         return None, err.diagnostics["iterations"]
     return (solution if solution.status == "optimal" else None), solution.iterations
@@ -457,15 +418,14 @@ def _leaving_row(T: np.ndarray, basis: list[int], infeasible: np.ndarray, step: 
     return min(infeasible, key=basis.__getitem__)
 
 
-def _finish(lp, col_terms, offsets, T, basis, dropped, costs, iterations: int, standard=None, cap=None) -> LpSolution:
+def _finish(lp, columns, T, basis, dropped, costs, iterations: int, cap=None) -> LpSolution:
     """Every simplex solve ends here: phase 2 from a primal feasible tableau, then the point and the row check.
 
     T is B^-1 [A | b] over the standardised columns, `costs` their costs (an
     array) and `dropped` the redundant rows left out of T; zero tolerance over
     ``Fraction`` (object T), else 1e-9.  An `LpFailure` (the iteration cap, a
     broken row) carries the pivots of the whole call, `iterations` of them
-    made before this one, and `cap` is `_simplex`'s.  The scaled rows of a
-    float solve, `standard`, ride along on its optimal solution.
+    made before this one, and `cap` is `_simplex`'s.
     """
     exact = T.dtype == object
     try:
@@ -475,24 +435,24 @@ def _finish(lp, col_terms, offsets, T, basis, dropped, costs, iterations: int, s
         x_std = [0] * len(costs)  # an int zero adds exactly to a float or a Fraction
         for i, j in enumerate(basis):
             x_std[j] = T[i, -1]
-        return _optimal(lp, col_terms, offsets, x_std, exact, iterations, (tuple(basis), tuple(dropped)), standard)
+        return _optimal(lp, columns, x_std, exact, iterations, (tuple(basis), tuple(dropped)))
     except LpFailure as err:
         err.diagnostics.setdefault("iterations", iterations)
         raise
 
 
-def _optimal(lp, col_terms, offsets, x_std, exact: bool, iterations: int, basis, standard=None) -> LpSolution:
-    """The solution at standardised point x_std, once every original row holds; `standard` rides along."""
+def _optimal(lp, columns, x_std, exact: bool, iterations: int, basis) -> LpSolution:
+    """The solution at standardised point x_std, once every original row holds."""
     conv = Fraction if exact else float
-    x = []
-    for j in range(lp.num_vars):
-        v = offsets[j]
-        for col, sign in col_terms[j]:
-            v = v + (x_std[col] if sign > 0 else -x_std[col])
-        x.append(v if exact else float(v))
+    var, sign, offsets = columns
+    x = list(offsets)
+    for col, (j, s) in enumerate(zip(var, sign)):
+        x[j] = x[j] + (x_std[col] if s > 0 else -x_std[col])
+    if not exact:
+        x = [float(v) for v in x]
     value = conv(sum(conv(c) * xj for c, xj in zip(lp.objective, x)))
-    _check_rows(lp, x, conv, exact, iterations=iterations)
-    return LpSolution("optimal", x=x, objective_value=value, iterations=iterations, basis=basis, _rows=standard)
+    _check_rows(lp, x, exact, iterations=iterations)
+    return LpSolution("optimal", x=x, objective_value=value, iterations=iterations, basis=basis)
 
 
 def _certify(lp: LinearProgram, basis, dropped, iterations: int) -> Optional[LpSolution]:
@@ -513,11 +473,11 @@ def _certify(lp: LinearProgram, basis, dropped, iterations: int) -> Optional[LpS
     +-(b_i - a_i . x_S), and y is zero on the rows R of the basic slacks,
     which cost nothing.  These x_B and y solve the full systems, whose
     solutions are unique, so the vertex certified is the one the dense
-    m x m solves would give.
+    m x m solves would give.  The sums skip their zero terms.
     """
-    col_terms, offsets, rows, rhs, costs = _standard_form(lp, Fraction)
-    nstruct = sum(map(len, col_terms))
-    slack_row = [i for i, row in enumerate(rows) if any(row[nstruct:])]  # the row of slack column nstruct + s
+    columns, rows, rhs, costs = _standard_form(lp, exact=True)
+    nstruct = len(columns[0])
+    slack_row = np.nonzero(rows[:, nstruct:])[0].tolist()  # the row of slack column nstruct + s
     kept = [i for i in range(len(rows)) if i not in dropped]
     if len(basis) != len(kept) or len(set(basis)) != len(basis):
         return None  # not square, or two equal columns
@@ -526,49 +486,49 @@ def _certify(lp: LinearProgram, basis, dropped, iterations: int) -> Optional[LpS
     if any(i in dropped for i in slack_of):
         return None
     tight = [i for i in kept if i not in slack_of]
-    x_s = exact_solve([[rows[i][j] for j in struct] for i in tight], [rhs[i] for i in tight])
-    y = exact_solve([[rows[i][j] for i in tight] for j in struct], [costs[j] for j in struct])
+    block = rows[np.ix_(tight, struct)]
+    x_s = exact_solve(block.tolist(), rhs[tight].tolist())
+    y = exact_solve(block.T.tolist(), costs[struct].tolist())
     if x_s is None or y is None:
         return None
     x_std = [Fraction(0)] * len(costs)
     for j, v in zip(struct, x_s):
         x_std[j] = v
     for i, j in slack_of.items():  # the slack's entry is +-1, its own inverse
-        x_std[j] = (rhs[i] - sum(rows[i][c] * v for c, v in zip(struct, x_s) if v)) * rows[i][j]
+        x_std[j] = (rhs[i] - sum(a * v for a, v in zip(rows[i, struct].tolist(), x_s) if v)) * rows[i, j]
     if any(x_std[j] < 0 for j in basis):
         return None
-    for j, c in enumerate(costs):
-        if c - sum(yi * rows[i][j] for yi, i in zip(y, tight) if yi and rows[i][j]) < 0:
+    duals = [(yi, i) for yi, i in zip(y, tight) if yi]
+    weights = [yi for yi, _ in duals]
+    for c, column in zip(costs.tolist(), rows[[i for _, i in duals]].T.tolist()):
+        if c - sum(yi * a for yi, a in zip(weights, column) if a) < 0:
             return None
     for i in dropped:
-        if sum(a * v for a, v in zip(rows[i], x_std) if v) != rhs[i]:
+        if sum(a * v for a, v in zip(rows[i].tolist(), x_std) if v) != rhs[i]:
             return None
     try:
-        return _optimal(lp, col_terms, offsets, x_std, True, iterations, (tuple(basis), tuple(dropped)))
+        return _optimal(lp, columns, x_std, True, iterations, (tuple(basis), tuple(dropped)))
     except LpFailure:
         return None
 
 
-def _check_rows(lp: LinearProgram, x, conv, exact: bool, iterations: int):
+def _check_rows(lp: LinearProgram, x, exact: bool, iterations: int):
     """Raise `LpFailure` at the first original row that the point x breaks.
 
     A defensive residual check; the 1e-9 contract itself is asserted in
-    tests.  All rows are checked at once: `dot_rows` sums the columns left to
-    right in float64 (``conv`` float), or over ``Fraction`` in an object
-    array, so each float residual is bit for bit that of a per-row ``sum``
-    (Python 3.11).  A float row may miss by 1e-7 times the largest of 1,
-    its |coefficients| and |rhs|; an exact row not at all.
+    tests.  All rows are checked at once on the LP's rows in the solve's
+    arithmetic (`_rows`): `dot_rows` sums the columns left to right in
+    float64, or over ``Fraction`` in an object array, so each float
+    residual is bit for bit that of a per-row ``sum`` (Python 3.11).  A
+    float row may miss by 1e-7 times the largest of 1, its |coefficients|
+    and |rhs|; an exact row not at all.
     """
-    if not lp.rows:
+    if not lp.num_rows:
         return
-    coeffs, rels, rhs = zip(*lp.rows)
-    if exact:  # Fraction entries, so that no float enters an exact sum
-        coeffs, rhs = [[conv(a) for a in row] for row in coeffs], [conv(b) for b in rhs]
-    dtype = object if exact else float
-    matrix, rhs = np.array(coeffs, dtype=dtype), np.array(rhs, dtype=dtype)
+    matrix, rhs = _rows(lp, exact)
     resid = dot_rows(matrix, x) - rhs
     slack = 0 if exact else 1e-7 * np.maximum(np.abs(matrix).max(axis=1, initial=1.0), np.abs(rhs))
-    rels = np.array(rels)
+    rels = lp.relations
     bad = (((rels == EQUAL) & (abs(resid) > slack)) | ((rels == LESS) & (resid > slack))
            | ((rels == GREATER) & (resid < -slack)))
     if bad.any():
@@ -655,12 +615,9 @@ def verify_farkas(lp: LinearProgram, farkas: Sequence[Number], exact: bool = Fal
     y >= 0 of a ">=" row.
     """
     conv = Fraction if exact else float
-    _, _, rows, rhs, costs = _standard_form(lp, conv)
+    _, rows, rhs, _ = _standard_form(lp, exact)
     if len(farkas) != len(rows):
         return False
-    y = [conv(v) for v in farkas]
+    y = np.array([conv(v) for v in farkas], dtype=rows.dtype)
     tol = 0 if exact else _TOL
-    for j in range(len(costs)):
-        if sum(yi * row[j] for yi, row in zip(y, rows)) > tol:
-            return False
-    return sum(yi * b for yi, b in zip(y, rhs)) > tol
+    return bool((y @ rows <= tol).all() and y @ rhs > tol)

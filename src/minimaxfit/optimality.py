@@ -27,6 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
+import numpy as np
+
 from .fitting import ExtremeSets, SampleSet, sign_blocks
 from .lp import LinearProgram, LpFailure, solve, solve_exact
 from .monomials import MonomialBasis, Number, PolynomialModel, build_basis, dot, evaluate
@@ -83,15 +85,13 @@ VerificationOutcome = Union[IntersectionCertificate, SeparationWitness]
 
 
 def _moment_lp(plus_lifted, minus_lifted) -> LinearProgram:
-    p, q = len(plus_lifted), len(minus_lifted)
-    width = len(plus_lifted[0])
-    rows = [
-        ([1] * p + [0] * q, "==", 1),
-        ([0] * p + [1] * q, "==", 1),
-    ]
-    for k in range(1, width):  # the constant moment is implied by the sums
-        rows.append(([u[k] for u in plus_lifted] + [-v[k] for v in minus_lifted], "==", 0))
-    return LinearProgram([0] * (p + q), rows, ((0, None),) * (p + q))
+    """Weights on E+ and E-, each side summing to one, whose lifted moments match: "==" rows over p + q weights."""
+    p, q, width = len(plus_lifted), len(minus_lifted), len(plus_lifted[0])
+    A = np.zeros((width + 1, p + q), dtype=object)
+    A[0, :p] = A[1, p:] = 1
+    A[2:, :p] = np.array(plus_lifted, dtype=object)[:, 1:].T  # the constant moment is implied by the sums
+    A[2:, p:] = -np.array(minus_lifted, dtype=object).reshape(q, width)[:, 1:].T
+    return LinearProgram([0] * (p + q), A, ["=="] * (width + 1), [1, 1] + [0] * (width - 1), ((0, None),) * (p + q))
 
 
 def _moment_residual(plus_lifted, minus_lifted, alpha, beta) -> Number:
@@ -138,15 +138,13 @@ def _constant_witness(basis: MonomialBasis, sign: int, plus_lifted, minus_lifted
 
 def _max_margin(plus_lifted, minus_lifted, width, exact: bool):
     """Maximise t with <A, lift> >= t on E+, <= -t on E-, |A|_inf <= 1."""
-    nv = width + 1
+    p, q = len(plus_lifted), len(minus_lifted)
     objective = [0] * width + [-1]  # maximise t
-    rows = []
-    for u in plus_lifted:
-        rows.append((list(u) + [-1], ">=", 0))
-    for v in minus_lifted:
-        rows.append((list(v) + [1], "<=", 0))
+    lifted = np.array(list(plus_lifted) + list(minus_lifted), dtype=object).reshape(p + q, width)
+    A = np.column_stack((lifted, [-1] * p + [1] * q))
     bounds = [(-1, 1)] * width + [(None, None)]
-    sol = (solve_exact if exact else solve)(LinearProgram(objective, rows, bounds))
+    lp = LinearProgram(objective, A, [">="] * p + ["<="] * q, [0] * (p + q), bounds)
+    sol = (solve_exact if exact else solve)(lp)
     if sol.status != "optimal":
         raise LpFailure(f"margin LP came back {sol.status}", {"status": sol.status})
     return sol.x[width], sol.x[:width]

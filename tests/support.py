@@ -10,6 +10,7 @@ from fractions import Fraction
 from minimaxfit import (
     ExtremeSets,
     FitResult,
+    LinearProgram,
     SampleSet,
     extreme_sets,
     fit_minimax,
@@ -22,6 +23,12 @@ class Instance:
     degree: int
     fit: FitResult
     extremes: ExtremeSets
+
+
+def lp_from_rows(objective, rows, bounds=None) -> LinearProgram:
+    """The LP of rows (coefficients, relation, rhs), every number kept as given."""
+    return LinearProgram(objective, [list(c) for c, _, _ in rows], [r for _, r, _ in rows],
+                         [b for _, _, b in rows], bounds)
 
 
 def random_samples(rng: random.Random, dimension: int, count: int) -> SampleSet:

@@ -607,3 +607,14 @@ def test_traced_names_resolve():
     for module, attr, _ in tracing.SPANS + tracing.COUNTERS:
         assert callable(getattr(importlib.import_module(f"minimaxfit.{module}"), attr, None)), (module, attr)
     assert callable(minimaxfit.cli.run)
+
+
+def test_cli_import_needs_only_numpy():
+    """A fresh interpreter imports the CLI without scipy or hypothesis: both are test-only dependencies."""
+    src = os.path.dirname(os.path.dirname(minimaxfit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, minimaxfit.cli; "
+            "print(sorted({m.partition('.')[0] for m in sys.modules} & {'scipy', 'hypothesis'}))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -33,7 +33,7 @@ from minimaxfit.cli import ingest, parse_grid_spec
 from minimaxfit.monomials import dot, dot_rows
 import minimaxfit.lp as lp_module
 
-from support import build_fit_corpus, random_samples
+from support import build_fit_corpus, lp_from_rows, random_samples
 
 
 @pytest.fixture(scope="module")
@@ -349,7 +349,7 @@ class TestFitMinimax:
         real = fitting.solve_exact if exact else fitting.solve
 
         def recorded(lp, **kwargs):
-            ks = [round((float(u[1]) + 1) * 7) for u, _, _ in lp.rows if u[0] > 0]
+            ks = [round((float(u[1]) + 1) * 7) for u in lp.A if u[0] > 0]
             working_sets.append(sorted(14 - k if reverse else k for k in ks))
             return real(lp, **kwargs)
 
@@ -482,7 +482,7 @@ def _single_exchange_fit(samples, degree, exact):
     rows, start, rounds = list(rows_of(sorted(working))), None, 0
     bounds = [(None, None)] * nc + [(0, None)]
     while True:
-        lp = lp_module.LinearProgram([0] * nc + [1], rows, bounds)
+        lp = lp_from_rows([0] * nc + [1], rows, bounds)
         sol = lp_module.solve_exact(lp) if exact else lp_module.solve(lp, start=start)
         rounds += 1
         assert sol.status == "optimal"

@@ -1,6 +1,7 @@
 """Two-phase simplex: statuses, witnesses, determinism, invariances, and the exact crossover."""
 
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -14,18 +15,18 @@ from minimaxfit import fitting
 from minimaxfit.cli import RunConfig, parse_grid_spec, run
 from minimaxfit.optimality import _moment_lp
 
-from support import build_fit_corpus, random_samples
+from support import build_fit_corpus, lp_from_rows, random_samples
 
 
 def test_minimize_above_lower_bound():
-    sol = solve(LinearProgram([1.0], [([1.0], ">=", 3.0)]))
+    sol = solve(LinearProgram([1.0], [[1.0]], [">="], [3.0]))
     assert sol.status == "optimal"
     assert sol.x[0] == pytest.approx(3.0, abs=1e-9)
     assert sol.objective_value == pytest.approx(3.0, abs=1e-9)
 
 
 def test_conflicting_rows_are_infeasible_with_farkas():
-    lp = LinearProgram([0.0], [([1.0], "<=", 1.0), ([1.0], ">=", 2.0)])
+    lp = LinearProgram([0.0], [[1.0], [1.0]], ["<=", ">="], [1.0, 2.0])
     sol = solve(lp)
     assert sol.status == "infeasible"
     assert sol.farkas is not None
@@ -36,25 +37,34 @@ def test_conflicting_rows_are_infeasible_with_farkas():
 def test_farkas_check_rejects_each_broken_condition(exact):
     # x >= 0 with x == -1: y = (-1, 0) combines the rows into 0 <= -1; each wrong y breaks one condition
     for rel, rhs, wrong in (("<=", 5, [-1, 0.5]), (">=", -3, [-1, -0.5]), ("==", 5, [-1, 2])):
-        lp = LinearProgram([0], [([1], "==", -1), ([1], rel, rhs)], [(0, None)])
+        lp = LinearProgram([0], [[1], [1]], ["==", rel], [-1, rhs], [(0, None)])
         assert verify_farkas(lp, [-1, 0], exact)
         assert not verify_farkas(lp, wrong, exact)  # a slack column of the relation, else the structural one
         assert not verify_farkas(lp, [0, 0], exact)  # y.b = 0
         assert not verify_farkas(lp, [-1], exact)  # one entry per standardised row
+    # 0 <= x <= 1 with x >= 2: rows u - s0 = 2 and the bound row u + s1 = 1; a witness needs both, as y = (1, -1)
+    lp = LinearProgram([0], [[1]], [">="], [2], [(0, 1)])
+    assert verify_farkas(lp, [1, -1], exact)
+    assert not verify_farkas(lp, [1], exact)  # the bound row has its own entry
+    assert not verify_farkas(lp, [1, 0], exact)  # without the bound row, x's column sums to 1 > 0
+    assert not verify_farkas(lp, [1, -2], exact)  # y.b = 0
+    assert not verify_farkas(lp, [1, 1], exact)  # the bound slack's column sums to 1 > 0
+    sol = (solve_exact if exact else solve)(lp)
+    assert sol.status == "infeasible" and len(sol.farkas) == 2 and verify_farkas(lp, sol.farkas, exact)
 
 
 def test_free_unconstrained_minimization_is_unbounded():
-    assert solve(LinearProgram([-1.0], [])).status == "unbounded"
+    assert solve(LinearProgram([-1.0], [], [], [])).status == "unbounded"
 
 
 def test_exact_empty_problem():
-    sol = solve_exact(LinearProgram([0], []))
+    sol = solve_exact(LinearProgram([0], [], [], []))
     assert sol.status == "optimal"
     assert sol.objective_value == 0
 
 
 def test_exact_contradictory_equalities():
-    lp = LinearProgram([0], [([1], "==", 1), ([1], "==", 2)])
+    lp = LinearProgram([0], [[1], [1]], ["==", "=="], [1, 2])
     sol = solve_exact(lp)
     assert sol.status == "infeasible"
     assert verify_farkas(lp, sol.farkas, exact=True)
@@ -63,13 +73,8 @@ def test_exact_contradictory_equalities():
 def test_exact_bivariate_moment_system_has_half_weights():
     # corners (1,1),(-1,-1) against (1,-1),(-1,1): matching the constant, x and
     # y moments forces all four convex weights to 1/2
-    rows = [
-        ([1, 1, 0, 0], "==", 1),
-        ([0, 0, 1, 1], "==", 1),
-        ([1, -1, -1, 1], "==", 0),
-        ([1, -1, 1, -1], "==", 0),
-    ]
-    lp = LinearProgram([0, 0, 0, 0], rows, ((0, None),) * 4)
+    A = [[1, 1, 0, 0], [0, 0, 1, 1], [1, -1, -1, 1], [1, -1, 1, -1]]
+    lp = LinearProgram([0, 0, 0, 0], A, ["=="] * 4, [1, 1, 0, 0], ((0, None),) * 4)
     sol = solve_exact(lp)
     assert sol.status == "optimal"
     assert sol.x == [Fraction(1, 2)] * 4
@@ -87,7 +92,7 @@ def _random_box_lp(rng: random.Random):
         a = [round(rng.uniform(-1, 1), 3) for _ in range(n)]
         rhs = sum(ai * xi for ai, xi in zip(a, corner)) + rng.uniform(0.1, 1)
         rows.append((a, "<=", rhs))
-    lp = LinearProgram(c, rows, list(zip(los, his)))
+    lp = lp_from_rows(c, rows, list(zip(los, his)))
     value = sum(ci * xi for ci, xi in zip(c, corner))
     return lp, value
 
@@ -106,7 +111,7 @@ def test_optimal_points_satisfy_rows_to_tolerance():
     for _ in range(40):
         lp, _ = _random_box_lp(rng)
         sol = solve(lp)
-        for coeffs, rel, rhs in lp.rows:
+        for coeffs, rhs in zip(lp.A, lp.rhs):  # every row is "<="
             resid = sum(a * x for a, x in zip(coeffs, sol.x)) - rhs
             scale = max(1.0, max(abs(a) for a in coeffs), abs(rhs))
             assert resid <= 1e-9 * scale
@@ -123,20 +128,14 @@ def _random_rational_lp(rng: random.Random):
         rows.append((coeffs, rel, rhs))
     c = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
     bounds = [(Fraction(-5), Fraction(5)) for _ in range(n)]  # keep it bounded
-    return LinearProgram(c, rows, bounds)
+    return lp_from_rows(c, rows, bounds)
 
 
 def test_float_and_exact_agree_on_status():
     rng = random.Random(23)
     for _ in range(50):
         lp = _random_rational_lp(rng)
-        float_lp = LinearProgram(
-            [float(c) for c in lp.objective],
-            [([float(a) for a in coeffs], rel, float(rhs)) for coeffs, rel, rhs in lp.rows],
-            [(float(lo), float(hi)) for lo, hi in lp.bounds],
-        )
-        exact_status = solve_exact(lp).status
-        assert solve(float_lp).status == exact_status
+        assert solve(_as_float(lp)).status == solve_exact(lp).status
 
 
 def test_determinism():
@@ -152,28 +151,161 @@ def test_determinism():
 def test_status_invariant_under_row_permutation_and_scaling(seed, perm, scales):
     rng = random.Random(seed)
     base = _random_rational_lp(rng)
-    while len(base.rows) != 3:
+    while base.num_rows != 3:
         base = _random_rational_lp(rng)
-    float_rows = [([float(a) for a in coeffs], rel, float(rhs)) for coeffs, rel, rhs in base.rows]
-    lp = LinearProgram(
-        [float(c) for c in base.objective],
-        float_rows,
-        [(float(lo), float(hi)) for lo, hi in base.bounds],
-    )
-    scrambled_rows = []
-    for i in perm:
-        coeffs, rel, rhs = float_rows[i]
-        s = scales[i]
-        scrambled_rows.append(([s * a for a in coeffs], rel, s * rhs))
-    scrambled = LinearProgram(lp.objective, scrambled_rows, lp.bounds)
+    lp = _as_float(base)
+    s = np.array(scales)[perm]
+    scrambled = LinearProgram(lp.objective, s[:, None] * lp.A[perm], lp.relations[perm], s * lp.rhs[perm], lp.bounds)
     assert solve(lp).status == solve(scrambled).status
 
 
-def test_row_width_validation():
-    with pytest.raises(ValueError):
-        LinearProgram([1.0, 2.0], [([1.0], "<=", 0.0)])
-    with pytest.raises(ValueError):
-        LinearProgram([1.0], [([1.0], "<", 0.0)])
+@pytest.mark.parametrize("A, relations, rhs, bounds, message", [
+    ([[1.0]], ["<="], [0.0], None, "A (1, 1)"),  # a row of the wrong width
+    (np.ones((1, 3)), ["<="], [0.0], None, "A (1, 3)"),
+    ([[1.0, 2.0], [1.0]], ["<=", "<="], [0.0, 0.0], None, "A (2,)"),  # ragged
+    ([[1.0, 2.0]], ["<="], [0.0, 1.0], None, "rhs (2,)"),
+    ([[1.0, 2.0]], ["<="], [], None, "rhs (0,)"),
+    ([[1.0, 2.0]], ["<=", "<="], [0.0], None, "relations (2,)"),
+    ([[1.0, 2.0]], [], [0.0], None, "relations (0,)"),
+    ([[1.0, 2.0], [0.0, 1.0]], ["<=", "<"], [0.0, 1.0], None, "unknown relation among ['<=', '<']"),
+    ([[1.0, 2.0]], ["=<"], [0.0], None, "unknown relation among ['=<']"),
+    ([[1.0, 2.0]], ["<="], [0.0], [(0, None)], "1 bounds for 2 variables"),
+    ([[1.0, 2.0]], ["<="], [0.0], [(0, None)] * 3, "3 bounds for 2 variables"),
+], ids=["row-width", "array-width", "ragged-rows", "long-rhs", "short-rhs", "long-relations", "short-relations",
+        "relation-<", "relation-=<", "few-bounds", "many-bounds"])
+def test_constructor_rejects_inconsistent_arrays(A, relations, rhs, bounds, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        LinearProgram([1.0, 2.0], A, relations, rhs, bounds)
+
+
+def test_constructor_keeps_float64_and_every_other_number_as_given():
+    A = np.array([[1.0, -0.0]])
+    lp = LinearProgram([1, 1], A, ["=="], [2**60 + 1])
+    assert lp.A is A and lp.rhs.dtype == object and lp.rhs[0] == 2**60 + 1
+    lp = LinearProgram([1, 1], [[0.5, 2**60 + 1]], ["=="], [Fraction(1, 3)])
+    assert lp.A.dtype == object and lp.A.tolist() == [[0.5, 2**60 + 1]] and type(lp.A[0, 1]) is int
+    assert type(lp.rhs[0]) is Fraction
+    assert (LinearProgram([1], [], [], []).A.shape, LinearProgram([1], [], [], []).num_rows) == ((0, 1), 0)
+
+
+def test_exact_solve_of_rows_mixing_a_float_and_a_huge_int():
+    # (2^53 + 1) x - 2^53 y == 1 and y == 1.0 make x = 1; over float64, 2^53 + 1 rounds to 2^53 and x to 1 + 2^-53
+    lp = LinearProgram([1, 1], [[2**53 + 1, -(2.0**53)], [0, 1.0]], ["==", "=="], [1, 1.0], [(0, None)] * 2)
+    sol = solve_exact(lp)
+    assert (sol.status, sol.x, sol.objective_value) == ("optimal", [1, 1], 2)
+    assert all(type(v) is Fraction for v in sol.x)
+
+
+# --- standardisation: the array form against a coefficient-by-coefficient one --
+
+
+def _reference_standard_form(lp, conv):
+    """The per-coefficient standardisation the array `_standard_form` replaced, over `conv`.
+
+    Per variable its (column, sign) terms and offset; each row substituted
+    one coefficient at a time, skipping zeros, its offsets shifted to the
+    rhs; one "<=" row per two-sided bound; a +-1 slack per row that is not
+    "=="; the costs likewise.  Returns (col_terms, offsets, rows, rhs, costs)
+    as lists.
+    """
+    col_terms, offsets, bound_rows, ncols = [], [], [], 0
+    for lo, hi in lp.bounds:
+        lo, hi = (None if lo is None else conv(lo)), (None if hi is None else conv(hi))
+        if lo is not None:
+            col_terms.append([(ncols, 1)])
+            offsets.append(lo)
+            if hi is not None:
+                bound_rows.append((ncols, hi - lo))
+            ncols += 1
+        elif hi is not None:
+            col_terms.append([(ncols, -1)])
+            offsets.append(hi)
+            ncols += 1
+        else:
+            col_terms.append([(ncols, 1), (ncols + 1, -1)])
+            offsets.append(conv(0))
+            ncols += 2
+    sub_rows = []
+    for coeffs, rel, rhs in zip(lp.A.tolist(), lp.relations.tolist(), lp.rhs.tolist()):
+        row, shift = [conv(0)] * ncols, conv(0)
+        for j, a in enumerate(coeffs):
+            a = conv(a)
+            if a == 0:
+                continue
+            if offsets[j]:
+                shift += a * offsets[j]
+            for col, sign in col_terms[j]:
+                row[col] += a if sign > 0 else -a
+        sub_rows.append((row, rel, conv(rhs) - shift))
+    for col, ub in bound_rows:
+        row = [conv(0)] * ncols
+        row[col] = conv(1)
+        sub_rows.append((row, "<=", ub))
+    nslack = sum(1 for _, rel, _ in sub_rows if rel != "==")
+    rows, rhs, slack_at = [], [], ncols
+    for row, rel, b in sub_rows:
+        row = row + [conv(0)] * nslack
+        if rel != "==":
+            row[slack_at] = conv(1) if rel == "<=" else conv(-1)
+            slack_at += 1
+        rows.append(row)
+        rhs.append(b)
+    costs = [conv(0)] * (ncols + nslack)
+    for j, c in enumerate(lp.objective):
+        c = conv(c)
+        if c != 0:
+            for col, sign in col_terms[j]:
+                costs[col] += c if sign > 0 else -c
+    return col_terms, offsets, rows, rhs, costs
+
+
+_NUMBERS = st.one_of(
+    st.sampled_from([0, 0.0, -0.0, 1, -1.0]),
+    st.integers(-6, 6),
+    st.floats(-1e3, 1e3, allow_nan=False),
+    st.fractions(-10, 10, max_denominator=12),
+)
+
+
+@st.composite
+def _bounded_lps(draw):
+    """LPs over free, lower-, upper- and two-sided-bounded variables, many zero coefficients, some "==" rows."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(0, 5))
+    bounds = []
+    for kind in draw(st.lists(st.sampled_from(["free", "lower", "upper", "both"]), min_size=n, max_size=n)):
+        lo = draw(_NUMBERS) if kind in ("lower", "both") else None
+        hi = draw(_NUMBERS) if kind in ("upper", "both") else None
+        bounds.append((lo, hi))
+    coefficient = st.one_of(st.just(0), st.just(-0.0), _NUMBERS)
+    A = draw(st.lists(st.lists(coefficient, min_size=n, max_size=n), min_size=m, max_size=m))
+    relations = draw(st.lists(st.sampled_from(["<=", "==", ">="]), min_size=m, max_size=m))
+    rhs = draw(st.lists(_NUMBERS, min_size=m, max_size=m))
+    objective = draw(st.lists(coefficient, min_size=n, max_size=n))
+    if draw(st.booleans()):  # as float64 arrays, kept as they are
+        A, rhs = np.array(A, dtype=float).reshape(m, n), np.array(rhs, dtype=float)
+    return LinearProgram(objective, A, relations, rhs, bounds)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bounded_lps())
+def test_standard_form_matches_the_coefficient_loop_bit_for_bit(lp):
+    for exact in (False, True):
+        conv = Fraction if exact else float
+        col_terms, offsets, rows, rhs, costs = _reference_standard_form(lp, conv)
+        (var, sign, got_offsets), got_rows, got_rhs, got_costs = lp_module._standard_form(lp, exact)
+        terms = [[] for _ in lp.bounds]
+        for col, (j, s) in enumerate(zip(var, sign)):
+            terms[j].append((col, s))
+        assert terms == col_terms
+        assert [(type(v), repr(v)) for v in got_offsets] == [(type(v), repr(v)) for v in offsets]
+        assert got_rows.shape == (len(rhs), len(costs))
+        if exact:  # equal as Fractions, every entry one
+            assert (got_rows.tolist(), got_rhs.tolist(), got_costs.tolist()) == (rows, rhs, costs)
+            assert {type(v) for v in [*got_rows.flat, *got_rhs, *got_costs]} <= {Fraction}
+        else:  # every bit, so a zero negated to -0.0 fails
+            assert got_rows.tobytes() == np.array(rows, dtype=float).reshape(got_rows.shape).tobytes()
+            assert got_rhs.tobytes() == np.array(rhs, dtype=float).tobytes()
+            assert got_costs.tobytes() == np.array(costs, dtype=float).tobytes()
 
 
 # --- exact solves: float-to-exact crossover against the rational simplex ----
@@ -184,7 +316,7 @@ def _from_scratch(lp):
 
 
 def _holds_exactly(lp, x):
-    for coeffs, rel, rhs in lp.rows:
+    for coeffs, rel, rhs in zip(lp.A, lp.relations, lp.rhs):
         gap = sum(Fraction(a) * v for a, v in zip(coeffs, x)) - Fraction(rhs)
         if not {"<=": gap <= 0, "==": gap == 0, ">=": gap >= 0}[rel]:
             return False
@@ -194,20 +326,20 @@ def _holds_exactly(lp, x):
 def _minimax_lp(samples, degree):
     """fit_minimax's LP with every sample in the working set, over Fraction."""
     basis = build_basis(samples.dimension, degree)
-    rows = []
+    A, rhs = [], []
     for p, v in zip(*samples.view(True)):
         u = lift(p, basis)
-        rows.append((u + [-1], "<=", v))
-        rows.append(([-g for g in u] + [-1], "<=", -v))
-    return LinearProgram([0] * basis.size + [1], rows, [(None, None)] * basis.size + [(0, None)])
+        A += [u + [-1], [-g for g in u] + [-1]]
+        rhs += [v, -v]
+    return LinearProgram([0] * basis.size + [1], A, ["<="] * len(A), rhs, [(None, None)] * basis.size + [(0, None)])
 
 
 def _margin_lp(plus_lifted, minus_lifted):
     """The margin LP of check_isolability: max t, |A|_inf <= 1."""
     width = len(plus_lifted[0])
-    rows = [(list(u) + [-1], ">=", 0) for u in plus_lifted]
-    rows += [(list(v) + [1], "<=", 0) for v in minus_lifted]
-    return LinearProgram([0] * width + [-1], rows, [(-1, 1)] * width + [(None, None)])
+    A = [list(u) + [-1] for u in plus_lifted] + [list(v) + [1] for v in minus_lifted]
+    relations = [">="] * len(plus_lifted) + ["<="] * len(minus_lifted)
+    return LinearProgram([0] * width + [-1], A, relations, [0] * len(A), [(-1, 1)] * width + [(None, None)])
 
 
 def _exact_corpus():
@@ -286,7 +418,7 @@ def _wrong_basis_guess(monkeypatch, pick_basis):
         if exact:
             fallbacks.append(lp)
             return real(lp, exact, **capped)
-        basis = pick_basis(lp, len(lp_module._standard_form(lp, float)[2]))
+        basis = pick_basis(lp, len(lp_module._standard_form(lp, exact=False)[1]))
         return lp_module.LpSolution("optimal", x=[0.0] * lp.num_vars, basis=basis)
 
     monkeypatch.setattr(lp_module, "_solve", guess)
@@ -300,7 +432,7 @@ def _wrong_basis_guess(monkeypatch, pick_basis):
 ])
 def test_wrong_float_basis_is_rejected(monkeypatch, basis, flaw):
     # min x s.t. x >= 1, x <= 3, x >= 0; columns: x, the >= slack, the <= slack
-    lp = LinearProgram([1], [([1], ">=", 1), ([1], "<=", 3)], [(0, None)])
+    lp = LinearProgram([1], [[1], [1]], [">=", "<="], [1, 3], [(0, None)])
     fallbacks = _wrong_basis_guess(monkeypatch, lambda lp, m: (basis, ()))
     sol = solve_exact(lp)
     assert fallbacks == [lp], flaw
@@ -310,7 +442,7 @@ def test_wrong_float_basis_is_rejected(monkeypatch, basis, flaw):
 def test_dropped_row_must_hold(monkeypatch):
     # max x s.t. x <= 5, 0 <= x <= 3; the bound x <= 3 is standardised row 1.
     # Dropping it as redundant leaves x = 5, which meets the original row.
-    lp = LinearProgram([-1], [([1], "<=", 5)], [(0, 3)])
+    lp = LinearProgram([-1], [[1]], ["<="], [5], [(0, 3)])
     fallbacks = _wrong_basis_guess(monkeypatch, lambda lp, m: ((0,), (1,)))
     sol = solve_exact(lp)
     assert fallbacks == [lp]
@@ -321,7 +453,7 @@ def test_random_float_bases_never_change_the_answer(monkeypatch, exact_corpus):
     rng = random.Random(9)
 
     def random_basis(lp, m):
-        ncols = len(lp_module._standard_form(lp, float)[4])
+        ncols = len(lp_module._standard_form(lp, exact=False)[3])
         return tuple(rng.randrange(ncols) for _ in range(m)), ()
 
     fallbacks = _wrong_basis_guess(monkeypatch, random_basis)
@@ -332,7 +464,7 @@ def test_random_float_bases_never_change_the_answer(monkeypatch, exact_corpus):
 
 def _dense_certify(lp, basis, dropped, iterations):
     """The m x m `_certify` the structural-block one replaced: both solves over the whole basis."""
-    col_terms, offsets, rows, rhs, costs = lp_module._standard_form(lp, Fraction)
+    columns, rows, rhs, costs = lp_module._standard_form(lp, exact=True)
     kept = [i for i in range(len(rows)) if i not in dropped]
     x_b = exact_solve([[rows[i][j] for j in basis] for i in kept], [rhs[i] for i in kept])
     y = exact_solve([[rows[i][j] for i in kept] for j in basis], [costs[j] for j in basis])
@@ -348,7 +480,7 @@ def _dense_certify(lp, basis, dropped, iterations):
         if sum(a * v for a, v in zip(rows[i], x_std) if v) != rhs[i]:
             return None
     try:
-        return lp_module._optimal(lp, col_terms, offsets, x_std, True, iterations, (tuple(basis), tuple(dropped)))
+        return lp_module._optimal(lp, columns, x_std, True, iterations, (tuple(basis), tuple(dropped)))
     except LpFailure:
         return None
 
@@ -363,8 +495,8 @@ def _candidate_bases(lp, rng):
     random columns, and random rows dropped, their basis now and then
     holding a dropped row's slack.
     """
-    col_terms, _, rows, _, costs = lp_module._standard_form(lp, float)
-    nstruct, m, ncols = sum(map(len, col_terms)), len(rows), len(costs)
+    columns, rows, _, costs = lp_module._standard_form(lp, exact=False)
+    nstruct, m, ncols = len(columns[0]), len(rows), len(costs)
     slack_of = dict(zip((i for i, row in enumerate(rows) if any(row[nstruct:])), range(nstruct, ncols)))
     out = []
     guess = lp_module._solve(lp, exact=False)
@@ -422,7 +554,7 @@ def test_block_certificate_matches_the_dense_one(exact_corpus):
 ])
 def test_block_certificate_on_a_box(cost, rhs, basis, dropped, x):
     # min cost * x s.t. x >= rhs, 0 <= x <= 3: rows u - s1 = rhs and u + s2 = 3 over columns u, s1, s2
-    lp = LinearProgram([cost], [([1], ">=", rhs)], [(0, 3)])
+    lp = LinearProgram([cost], [[1]], [">="], [rhs], [(0, 3)])
     got = lp_module._certify(lp, basis, dropped, iterations=0)
     assert (got and got.x) == x
     if len(basis) + len(dropped) == 2:
@@ -493,7 +625,7 @@ def test_phase_1_failure_names_its_status(monkeypatch):
         return (costs, "unbounded", 7) if phase == 1 else real(T, basis, costs, tol, phase, it, cap)
 
     monkeypatch.setattr(lp_module, "_simplex", unbounded)
-    lp = LinearProgram([1.0], [([1.0], ">=", 3.0)])
+    lp = LinearProgram([1.0], [[1.0]], [">="], [3.0])
     with pytest.raises(LpFailure, match="phase-1 simplex ended unbounded") as failure:
         lp_module._solve(lp, exact=False)
     assert failure.value.diagnostics == {"status": "unbounded", "iterations": 7}
@@ -503,17 +635,21 @@ def test_phase_1_failure_names_its_status(monkeypatch):
 
 
 def _prefix(lp, count):
-    return LinearProgram(lp.objective, lp.rows[:count], lp.bounds)
+    return LinearProgram(lp.objective, lp.A[:count], lp.relations[:count], lp.rhs[:count], lp.bounds)
 
 
 def _appended(lp, rows):
-    return LinearProgram(lp.objective, list(lp.rows) + list(rows), lp.bounds)
+    extra = lp_from_rows(lp.objective, rows)
+    return LinearProgram(lp.objective, np.concatenate((lp.A, extra.A)), np.concatenate((lp.relations, extra.relations)),
+                         np.concatenate((lp.rhs, extra.rhs)), lp.bounds)
 
 
 def _as_float(lp):
     return LinearProgram(
         [float(c) for c in lp.objective],
-        [([float(a) for a in coeffs], rel, float(rhs)) for coeffs, rel, rhs in lp.rows],
+        np.asarray(lp.A, dtype=float),
+        lp.relations,
+        np.asarray(lp.rhs, dtype=float),
         [(None if lo is None else float(lo), None if hi is None else float(hi)) for lo, hi in lp.bounds],
     )
 
@@ -584,7 +720,7 @@ def test_warm_start_matches_cold_solve(cold_solves):
             continue
         assert cold_solves == []  # the warm start finished on its own
         assert abs(warm.objective_value - cold.objective_value) <= 1e-9 * max(1.0, abs(cold.objective_value))
-        for coeffs, rel, rhs in full.rows:
+        for coeffs, rel, rhs in zip(full.A, full.relations, full.rhs):
             gap = sum(a * x for a, x in zip(coeffs, warm.x)) - rhs
             slack = 1e-9 * max(1.0, max(map(abs, coeffs), default=0.0), abs(rhs))
             assert {"<=": gap <= slack, "==": abs(gap) <= slack, ">=": gap >= -slack}[rel]
@@ -606,7 +742,7 @@ def _fell_back(full, start, cold_solves):
     return got, ref
 
 
-_BOX = LinearProgram([1], [([1], ">=", 1), ([1], "<=", 3)], [(0, None)])  # min x over 1 <= x <= 3
+_BOX = LinearProgram([1], [[1], [1]], [">=", "<="], [1, 3], [(0, None)])  # min x over 1 <= x <= 3
 
 
 def test_appended_equality_row_falls_back(cold_solves):
@@ -621,7 +757,7 @@ def test_singular_start_basis_falls_back(cold_solves):
 
 def test_dual_infeasible_start_falls_back(cold_solves):
     # the optimal basis of max x is primal feasible for min x, with reduced cost -1 on the "<=" slack
-    start = solve(LinearProgram([-1], _BOX.rows, _BOX.bounds))
+    start = solve(LinearProgram([-1], _BOX.A, _BOX.relations, _BOX.rhs, _BOX.bounds))
     assert start.x == [pytest.approx(3.0)]
     _fell_back(_appended(_BOX, [([1], "<=", 5)]), start, cold_solves)
 
@@ -634,11 +770,11 @@ def test_warm_lp_failure_falls_back_and_counts_its_pivots(monkeypatch, cold_solv
     assert warm is not None and spent > 0
     real, checks = lp_module._check_rows, []
 
-    def first_check_fails(lp, x, conv, exact, iterations):
+    def first_check_fails(lp, x, exact, iterations):
         checks.append(iterations)
         if len(checks) == 1:
             raise LpFailure("optimal point violates row 0")
-        return real(lp, x, conv, exact, iterations=iterations)
+        return real(lp, x, exact, iterations=iterations)
 
     monkeypatch.setattr(lp_module, "_check_rows", first_check_fails)
     got, ref = _fell_back(full, start, cold_solves)
@@ -649,10 +785,9 @@ def test_warm_lp_failure_falls_back_and_counts_its_pivots(monkeypatch, cold_solv
 def test_dropped_bound_row_moves_up_with_the_appended_rows():
     # x == 2 with 0 <= x <= 3: standardised rows x == 2, then the bound row x + s = 3.
     # A start that dropped the bound row must drop it again behind the appended row x >= 1.
-    prefix = LinearProgram([1], [([1], "==", 2)], [(0, 3)])
+    prefix = LinearProgram([1], [[1]], ["=="], [2], [(0, 3)])
     full = _appended(prefix, [([1], ">=", 1)])
-    standard = np.array([[1.0, 0.0, 2.0], [1 / 3, 1 / 3, 1.0]])  # [A | b] of the prefix, the bound row scaled by 3
-    start = lp_module.LpSolution("optimal", basis=((0,), (1,)), _rows=standard)
+    start = lp_module.LpSolution("optimal", basis=((0,), (1,)))
     warm, spent = lp_module._warm(full, start)
     assert (warm.x, warm.basis, spent) == ([2.0], ((0, 1), (2,)), 0)
 
@@ -663,7 +798,7 @@ def _loop_check_rows(lp, x, exact):
     Its ``sum`` was this left-to-right loop on Python 3.11 (3.12 compensates float sums).
     """
     conv = Fraction if exact else float
-    for k, (coeffs, rel, rhs) in enumerate(lp.rows):
+    for k, (coeffs, rel, rhs) in enumerate(zip(lp.A, lp.relations, lp.rhs)):
         lhs = 0
         for a, xj in zip(coeffs, x):
             lhs = lhs + conv(a) * xj
@@ -679,7 +814,7 @@ def _loop_check_rows(lp, x, exact):
 def _check_rows_outcome(lp, x, exact):
     conv = Fraction if exact else float
     try:
-        lp_module._check_rows(lp, x, conv, exact, iterations=7)
+        lp_module._check_rows(lp, x, exact, iterations=7)
     except LpFailure as err:
         assert err.diagnostics["iterations"] == 7
         return err.diagnostics["row"], err.diagnostics["residual"], str(err)
@@ -705,7 +840,7 @@ def test_check_rows_matches_the_row_loop(exact):
             # rhs near lhs: most rows hold, some miss by about the float slack
             rhs = float(lhs) + rng.choice([0.0, 0.0, 1e-6, -1e-6, 1e-8, -1e-3]) * max(1.0, abs(float(lhs)))
             rows.append((coeffs, rng.choice(["<=", "==", ">="]), rhs))
-        lp = LinearProgram([0] * n, rows)
+        lp = lp_from_rows([0] * n, rows)
         ref = _loop_check_rows(lp, x, exact)
         got = _check_rows_outcome(lp, x, exact)
         if ref is None:
@@ -715,76 +850,20 @@ def test_check_rows_matches_the_row_loop(exact):
             assert got == (k, float(resid), f"optimal point violates row {k} by {float(resid):.3e}"), trial
         # one "== 0" row per coefficient row exposes its whole float sum, bit for bit
         for coeffs, _, _ in rows:
-            single = LinearProgram([0] * n, [(coeffs, "==", 0)])
+            single = lp_from_rows([0] * n, [(coeffs, "==", 0)])
             ref, got = _loop_check_rows(single, x, exact), _check_rows_outcome(single, x, exact)
             assert (ref is None) == (got is None)
             if ref is not None:
                 assert float(ref[1]).hex() == got[1].hex()
-    assert _check_rows_outcome(LinearProgram([1], []), [conv(2)], exact) is None
+    assert _check_rows_outcome(LinearProgram([1], [], [], []), [conv(2)], exact) is None
 
 
-# --- dual starts: the all-slack basis, carried rows and the dual pricing rule --
-
-
-def _rebuilt_start(lp, start):
-    """Kept rows, basis, dropped rows and tableau at `start`'s basis from a rebuild of every row.
-
-    This is how a warm start made its tableau before rows were carried:
-    `_standard_form` over all rows, each kept row scaled, one dense solve.
-    """
-    col_terms, offsets, rows, rhs, costs = lp_module._standard_form(lp, float)
-    old_basis, old_dropped = start.basis
-    prefix = len(old_basis) + len(old_dropped) - (len(rows) - lp.num_rows)
-    added = lp.num_rows - prefix
-    first_new = sum(map(len, col_terms)) + sum(rel != "==" for _, rel, _ in lp.rows[:prefix])
-    basis = [j if j < first_new else j + added for j in old_basis] + list(range(first_new, first_new + added))
-    dropped = tuple(i if i < prefix else i + added for i in old_dropped)
-    A = np.array([row + [b] for i, (row, b) in enumerate(zip(rows, rhs)) if i not in dropped], dtype=float)
-    A = A.reshape(len(basis), len(costs) + 1)
-    A /= np.maximum(1.0, np.abs(A).max(axis=1))[:, None]
-    return A, basis, dropped, np.linalg.solve(A[:, basis], A)
-
-
-def _with_a_redundant_row(prefix, full):
-    """The pair with a copy of the prefix's first "==" row added to the prefix, or None without one."""
-    copy = next((row for row in prefix.rows if row[1] == "=="), None)
-    if copy is None:
-        return None
-    rows = list(prefix.rows) + [copy]
-    return (LinearProgram(prefix.objective, rows, prefix.bounds),
-            LinearProgram(full.objective, rows + list(full.rows[prefix.num_rows:]), full.bounds))
-
-
-def test_carried_rows_give_the_rebuilt_tableau_bit_for_bit():
-    pairs = _warm_pairs()
-    pairs += [pair for pair in map(lambda p: _with_a_redundant_row(*p), pairs) if pair is not None]
-    seen = {"compared": 0, "bound rows": 0, "dropped rows": 0, "rowless starts": 0}
-    for prefix, full in pairs:
-        prefix, full = _as_float(prefix), _as_float(full)
-        started = solve(prefix)  # rowless when the prefix allows it, else two-phase
-        seen["rowless starts"] += lp_module._slack_basis_dual_feasible(prefix) and started.status == "optimal"
-        for start in (started, lp_module._solve(prefix, exact=False)):
-            if start.status != "optimal":
-                continue
-            begun = lp_module._dual_start(full, start)
-            if begun is None:
-                assert any(rel == "==" for _, rel, _ in full.rows[prefix.num_rows:])
-                continue
-            _, _, standard, _, basis, dropped = begun
-            A, ref_basis, ref_dropped, T = _rebuilt_start(full, start)
-            assert (basis, dropped) == (ref_basis, ref_dropped)
-            kept = np.delete(standard, dropped, axis=0)
-            assert kept.tobytes() == A.tobytes()  # every bit, signed zeros included
-            assert np.linalg.solve(kept[:, basis], kept).tobytes() == T.tobytes()
-            seen["compared"] += 1
-            seen["bound rows"] += any(hi is not None and lo is not None for lo, hi in full.bounds)
-            seen["dropped rows"] += bool(dropped)
-    assert min(seen.values()) >= 10, seen
+# --- dual starts: the all-slack basis and the dual pricing rule --------------
 
 
 def _dual_feasible_by_hand(lp):
     """No "==" row and no standardised column of negative cost, read off the objective and bounds."""
-    if any(rel == "==" for _, rel, _ in lp.rows):
+    if any(rel == "==" for rel in lp.relations):
         return False
     for c, (lo, hi) in zip(lp.objective, lp.bounds):
         if (lo is not None and c < 0) or (lo is None and hi is not None and c > 0) or (lo is hi is None and c):
@@ -794,7 +873,7 @@ def _dual_feasible_by_hand(lp):
 
 def test_rowless_start_exactly_when_the_slack_basis_is_dual_feasible(monkeypatch, cold_solves):
     real_form, forms = lp_module._standard_form, []
-    monkeypatch.setattr(lp_module, "_standard_form", lambda lp, conv: forms.append(conv) or real_form(lp, conv))
+    monkeypatch.setattr(lp_module, "_standard_form", lambda lp, exact: forms.append(exact) or real_form(lp, exact))
     kinds = {True: 0, False: 0}
     for lp in map(_as_float, _exact_corpus()):
         rowless = _dual_feasible_by_hand(lp)
@@ -805,7 +884,7 @@ def test_rowless_start_exactly_when_the_slack_basis_is_dual_feasible(monkeypatch
         got = solve(lp)
         assert got.status == ref.status
         if not rowless:  # straight to the two-phase solve: no tableau work before it, no pivots spent
-            assert (cold_solves, forms) == ([False], [float])
+            assert (cold_solves, forms) == ([False], [False])
             assert (got.x, got.iterations) == (ref.x, ref.iterations)
         elif ref.status == "optimal":  # the dual simplex from the all-slack basis finishes on its own
             assert cold_solves == []
@@ -849,7 +928,7 @@ def test_dual_rule_turns_to_blands_rule_after_m_steps(monkeypatch):
     assert steps and all(step < m for step, m in steps)  # these finish within m dual steps
     # a rowless start that needs 6 dual steps on its 4 rows (found by a seeded search)
     rows = [([0, 2, 5, -3], ">=", -1), ([-4, -1, 5, 4], "<=", 3), ([-3, 5, 3, -1], "<=", -4), ([-5, 3, 4, 5], ">=", 6)]
-    lp = LinearProgram([3, 2, 1, 0], rows, [(0, None)] * 4)
+    lp = lp_from_rows([3, 2, 1, 0], rows, [(0, None)] * 4)
     steps.clear()
     got = solve(lp)
     assert steps == [(k, 4) for k in range(6)]
@@ -872,12 +951,12 @@ def _checks_failing_once(monkeypatch, exact):
     """Make the first `_check_rows` call in the given arithmetic fail; returns each call's (exact, iterations)."""
     real, calls = lp_module._check_rows, []
 
-    def fails_once(lp, x, conv, arith, iterations):
+    def fails_once(lp, x, arith, iterations):
         first = arith == exact and all(a != exact for a, _ in calls)
         calls.append((arith, iterations))
         if first:
             raise LpFailure("optimal point violates row 0")  # no diagnostics: `_finish` adds the pivots
-        return real(lp, x, conv, arith, iterations=iterations)
+        return real(lp, x, arith, iterations=iterations)
 
     monkeypatch.setattr(lp_module, "_check_rows", fails_once)
     return calls
@@ -922,14 +1001,11 @@ def _highs(lp):
     """The status and objective of a float LP by scipy's HiGHS."""
     from scipy.optimize import linprog
 
-    rows = {"<=": ([], []), "==": ([], [])}
-    for coeffs, rel, rhs in lp.rows:
-        sign = -1.0 if rel == ">=" else 1.0
-        a, b = rows["==" if rel == "==" else "<="]
-        a.append([sign * c for c in coeffs])
-        b.append(sign * rhs)
-    (a_ub, b_ub), (a_eq, b_eq) = rows["<="], rows["=="]
-    res = linprog(lp.objective, A_ub=a_ub or None, b_ub=b_ub or None, A_eq=a_eq or None, b_eq=b_eq or None,
+    sign = np.where(lp.relations == ">=", -1.0, 1.0)[:, None]
+    A, rhs = sign * lp.A, sign[:, 0] * lp.rhs  # each ">=" row as a "<=" row
+    ub, eq = lp.relations != "==", lp.relations == "=="
+    res = linprog(lp.objective, A_ub=A[ub] if ub.any() else None, b_ub=rhs[ub] if ub.any() else None,
+                  A_eq=A[eq] if eq.any() else None, b_eq=rhs[eq] if eq.any() else None,
                   bounds=list(lp.bounds), method="highs")
     assert res.status in (0, 2, 3), res.message
     return {0: "optimal", 2: "infeasible", 3: "unbounded"}[res.status], res.fun

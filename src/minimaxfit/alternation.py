@@ -102,8 +102,7 @@ def split(
     if not exact:
         normals, offsets = _unit(normals, offsets)
     rows, sign = _rows(extremes)
-    pts = samples.view(exact)[0]
-    side = _sides(np.array([pts[i] for i in rows], dtype=dtype).reshape(len(rows), len(u)), normals, offsets, exact)
+    side = _sides(samples.view(exact)[0][rows], normals, offsets, exact)
     return HyperplaneSplit(tuple(normals[0].tolist()), offsets.tolist()[0], *_classes(rows, side[:, 0] * sign, sign))
 
 
@@ -172,8 +171,7 @@ def verify_by_hyperplanes(
             "vacuous", None, 0, warning=f"fewer than d = {d} extreme points"
         )
 
-    points = [samples.view(exact)[0][i] for i in idxs]
-    coords = np.array(points, dtype=object if exact else float)
+    coords = samples.view(exact)[0][idxs]
     place = {i: k for k, i in enumerate(idxs)}
     in_plus, in_minus = (np.array([[i in cls] for i in idxs]) for cls in map(set, (extremes.plus, extremes.minus)))
     rows, sign = _rows(extremes)
@@ -186,7 +184,7 @@ def verify_by_hyperplanes(
     size = _FIRST_BATCH
     while batch := list(islice(combos, size)):
         size = _BATCH
-        batch, normals, offsets = _new_planes(batch, points, coords, exact, seen)
+        batch, normals, offsets = _new_planes(batch, coords, exact, seen)
         if not batch:
             continue
         side = _sides(coords, normals, offsets, exact)
@@ -220,7 +218,7 @@ def verify_by_hyperplanes(
     return HyperplaneVerdict("pass", None, checked)
 
 
-def _new_planes(batch, points, coords, exact: bool, seen: set):
+def _new_planes(batch, coords: np.ndarray, exact: bool, seen: set):
     """The combinations of `batch` whose plane is unique and not in `seen`, with their normals and offsets.
 
     A plane's key is its exact normal and offset (the first non-zero
@@ -228,7 +226,7 @@ def _new_planes(batch, points, coords, exact: bool, seen: set):
     `_CANON_DECIMALS` decimals; each new key goes into `seen`.
     """
     if exact:
-        keys = [affine_normal([points[k] for k in combo], exact=True) for combo in batch]
+        keys = [affine_normal(coords[list(combo)], exact=True) for combo in batch]
     else:
         normals, offsets, unique = affine_normals(coords[np.array(batch)])
         keys = [tuple([round(v, _CANON_DECIMALS) for v in u + [a]]) if ok else None

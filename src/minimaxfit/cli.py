@@ -22,6 +22,7 @@ import re
 import sys
 import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
@@ -73,9 +74,12 @@ def _power(left: Number, right: Number) -> Number:
     if isinstance(right, float) and right.is_integer():
         right = int(right)
     try:
-        return left**right
+        power = left**right
     except OverflowError:
         raise OverflowError(f"{left}^{right} is out of float range") from None
+    if isinstance(power, complex):
+        raise ValueError(f"{left}^{right} is not a real number")
+    return power
 
 
 _OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
@@ -435,19 +439,59 @@ def _load_samples(config: RunConfig) -> tuple[SampleSet, str]:
     raise ValueError("an input is required (--input or --grid)")
 
 
-def _model_from_json(payload: dict, dimension: int, exact: bool = False) -> PolynomialModel:
+@contextmanager
+def _naming(where: str):
+    """Prefix `where` (a file, a file and a field) to a ValueError raised inside."""
+    try:
+        yield
+    except ValueError as err:
+        raise ValueError(f"{where}: {err}") from None
+
+
+def _json_object(path: str) -> dict:
+    with _naming(path), open(path) as handle:
+        payload = json.load(handle)
+        if not isinstance(payload, dict):
+            raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
+    return payload
+
+
+def _json_degree(degree) -> int:
+    if type(degree) is not int or degree < 0:
+        raise ValueError(f"'degree' must be an integer >= 0, got {degree!r}")
+    return degree
+
+
+def _valid_coefficient(c) -> bool:
+    """A finite number (not a bool) or a string that ``Fraction`` reads."""
+    if isinstance(c, str):
+        try:
+            Fraction(c)
+        except (ValueError, ZeroDivisionError):
+            return False
+        return True
+    return type(c) in (int, float) and math.isfinite(c)
+
+
+def _model_from_json(payload, dimension: int, exact: bool = False) -> PolynomialModel:
+    """The model of a {degree, coefficients} JSON object; a ValueError names the field at fault."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
+    degree = _json_degree(payload.get("degree"))
+    coeffs = payload.get("coefficients")
+    if not isinstance(coeffs, list) or not all(map(_valid_coefficient, coeffs)):
+        raise ValueError("'coefficients' must be a list of numbers or rational strings")
     conv = Fraction if exact else _jnum_parse
-    coeffs = tuple(conv(c) for c in payload["coefficients"])
-    return PolynomialModel(build_basis(dimension, payload["degree"]), coeffs)
+    return PolynomialModel(build_basis(dimension, degree), tuple(conv(c) for c in coeffs))
 
 
 def _load_model(config: RunConfig, samples: SampleSet) -> PolynomialModel:
-    with open(config.coeffs) as handle:
-        payload = json.load(handle)
-    degree = payload["degree"]
-    if config.degree is not None and config.degree != degree:
-        raise ValueError(f"--degree {config.degree} conflicts with coefficients file degree {degree}")
-    return _model_from_json(payload, samples.dimension, config.exact)
+    payload = _json_object(config.coeffs)
+    with _naming(config.coeffs):
+        model = _model_from_json(payload, samples.dimension, config.exact)
+    if config.degree is not None and config.degree != model.degree:
+        raise ValueError(f"--degree {config.degree} conflicts with coefficients file degree {model.degree}")
+    return model
 
 
 def _reduce_stage(extremes, samples, degree, config) -> tuple[dict, bool]:
@@ -539,8 +583,7 @@ def _run_revalidate(config: RunConfig) -> tuple[int, dict]:
     """Re-validate a previously written report against its input data."""
     if not config.report_path:
         raise ValueError("report re-validation needs --report <json>")
-    with open(config.report_path) as handle:
-        report = json.load(handle)
+    report = _json_object(config.report_path)
     exact = report.get("arithmetic") == "exact"
     samples, _ = _load_samples(replace(config, exact=exact))  # the report's own arithmetic
     checks: dict[str, bool] = {}
@@ -548,9 +591,12 @@ def _run_revalidate(config: RunConfig) -> tuple[int, dict]:
     if report["instance"]["points"] != len(samples) or report["instance"]["dimension"] != samples.dimension:
         raise ValueError("input data does not match the report instance")
 
-    degree = report["degree"]
+    with _naming(config.report_path):
+        degree = _json_degree(report.get("degree"))
     if "model" in report:
-        psi = compute_psi(_model_from_json(report["model"], samples.dimension), samples)
+        with _naming(f"{config.report_path}: model"):
+            model = _model_from_json(report["model"], samples.dimension)
+        psi = compute_psi(model, samples)
         claimed = _jnum_parse(report["psi"])
         if exact:
             checks["psi"] = psi == claimed
@@ -574,7 +620,8 @@ def _run_revalidate(config: RunConfig) -> tuple[int, dict]:
             and abs(sum(beta) - 1) <= (0 if exact else 1e-9)
         )
     if "witness" in report:
-        witness = SeparationWitness(_model_from_json(report["witness"], samples.dimension), None, None)
+        with _naming(f"{config.report_path}: witness"):
+            witness = SeparationWitness(_model_from_json(report["witness"], samples.dimension), None, None)
         checks["witness_separates"] = verify_witness(
             witness, report["extremes"]["plus"], report["extremes"]["minus"], samples
         )

@@ -38,21 +38,18 @@ written once per fit as integers over the lcm D_i of its denominators
 q, and r_i = (q V_i - p . N_i) / (q D_i) is one ``Fraction`` per sample,
 the value `dot` would give.
 
-`SampleSet.lifted` is the one place a sample point is lifted; the fit and
-every verifier read their rows from it.  Exact rows are made on first
-request, once per degree, so checking the extreme points lifts only those.
-Float rows are rows of a degree's float64 matrix (`lift_matrix` of the
-samples' float64 table `SampleSet.xy`) once that is built; before,
-`lift_matrix` makes only the rows asked for, which are the same rows bit
-for bit (reduction and alternation at degrees 1 and m-1 ask for a few).
-Every float residual pass is `dot_rows` over a full matrix, against the
-table's values `SampleSet.f`: the fit's working-set loop, and
-`extreme_sets` and `compute_psi` when every sample coordinate and value is
-a float.  The matrix repeats `lift` and `dot` bit for bit (see
-`monomials`), so both forms give the same residuals.  The exact loop, and
-every residual pass over other samples, keeps its residuals in an object
-array (of ``Fraction`` in exact mode), so the same numpy calls pick the
-worst sample, the runs and the extreme sets, comparing exactly.
+`SampleSet` keeps the samples as one table, and `SampleSet.lifted` is the
+one place a sample point is lifted: one (n x basis) array per degree and
+arithmetic, in the dtype of the table's `view`, whose rows `lift_matrix`
+fills when they are first asked for.  The fit reads all of them, every
+verifier only the extreme rows.  The rows repeat `lift` bit for bit, and
+`dot_rows` repeats `dot` (see `monomials`), so every float residual pass is
+`dot_rows` over float64 rows against the table's values `SampleSet.f`: the
+fit's working-set loop, and `extreme_sets` and `compute_psi` on a float64
+table.  The exact loop, and every residual pass over an object table,
+keeps its residuals in an object array (of ``Fraction`` in exact mode), so
+the same numpy calls pick the worst sample, the runs and the extreme sets,
+comparing exactly.
 """
 
 from __future__ import annotations
@@ -63,12 +60,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, groupby
 from operator import itemgetter, mul
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .lp import LESS, LinearProgram, LpFailure, solve, solve_exact
-from .monomials import Number, PolynomialModel, build_basis, dot_rows, evaluate, lift, lift_matrix
+from .monomials import Number, PolynomialModel, build_basis, dot_rows, lift_matrix
+from .monomials import evaluate  # unused here, kept because bench/tracing.py counts fitting.evaluate
 
 DUPLICATE_TOL = 1e-12
 DEGENERATE_PSI = 1e-12
@@ -80,62 +78,51 @@ def _finite(x: Number) -> bool:
 
 
 class SampleSet:
-    """Finite set of d-dimensional points with target values f(x).
+    """Finite set of d-dimensional points with target values f(x), held as one table.
 
     Points must be pairwise distinct (coordinate tolerance 1e-12) and every
     coordinate and value finite.  Values may be ints, floats or Fractions;
     exact-mode operations convert through ``Fraction`` without loss.
 
-    When every coordinate and value is a float (an (n, d) and an (n,) float64
-    array, as `ingest` reads them, or Python floats), the samples are also
-    kept as the float64 table `xy` (n x d) and `f` (n), on which the checks
-    here, `lifted_matrix`, the fit's targets and every float residual pass
-    run; `xy` and `f` are None otherwise.  `points` and `values` are tuples
-    of Python numbers in either case, for the verifiers.
+    The table is `xy` (n x d) and `f` (n), read-only: float64 arrays when
+    every coordinate and value is a float (as `ingest` reads them, or Python
+    floats), else object arrays of the numbers as given.  Every layer
+    indexes it, its `view` in one arithmetic, or the rows of `lifted`;
+    `points` and `values` give it as tuples of Python numbers.
     """
 
     def __init__(self, points: Sequence[Sequence[Number]], values: Sequence[Number]):
         arrays = (isinstance(points, np.ndarray) and points.ndim == 2 and points.dtype == float
                   and isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype == float)
-        pts = [] if arrays else [tuple(p) for p in points]
+        pts = points if arrays else [tuple(p) for p in points]
         vals = values if arrays else list(values)
-        n = len(points) if arrays else len(pts)
-        if not n:
+        if not len(pts):
             raise ValueError("sample set must contain at least one point")
-        d = points.shape[1] if arrays else len(pts[0])
+        d = len(pts[0])
         if d < 1:
             raise ValueError("points must have at least one coordinate")
-        if len(vals) != n:
-            raise ValueError(f"{len(vals)} values for {n} points")
-        for k, p in enumerate(pts):
+        if len(vals) != len(pts):
+            raise ValueError(f"{len(vals)} values for {len(pts)} points")
+        for k, p in enumerate([] if arrays else pts):
             if len(p) != d:
                 raise ValueError(f"point {k} has dimension {len(p)}, expected {d}")
-        self.xy: Optional[np.ndarray] = None
-        self.f: Optional[np.ndarray] = None
-        if arrays or set(map(type, chain(*pts, vals))) == {float}:
-            self.xy, self.f = np.array(points if arrays else pts), np.array(vals)
-            bad_points = np.flatnonzero(~np.isfinite(self.xy).all(axis=1))
-            bad_values = np.flatnonzero(~np.isfinite(self.f))
-        else:
-            bad_points = [k for k, p in enumerate(pts) if not all(map(_finite, p))]
-            bad_values = [k for k, v in enumerate(vals) if not _finite(v)]
+        floats = arrays or set(map(type, chain(*pts, vals))) == {float}
+        self.xy = np.array(pts, dtype=float if floats else object)
+        self.f = np.array(vals, dtype=self.xy.dtype)
+        finite = np.isfinite if floats else np.vectorize(_finite, otypes=[bool])
+        bad_points = np.flatnonzero(~finite(self.xy).all(axis=1))
+        bad_values = np.flatnonzero(~finite(self.f))
         if len(bad_points):
             k = int(bad_points[0])
-            point = tuple(self.xy[k].tolist()) if arrays else pts[k]
-            raise ValueError(f"point {k} has a coordinate that is not finite: {point}")
+            raise ValueError(f"point {k} has a coordinate that is not finite: {tuple(self.xy[k].tolist())}")
         if len(bad_values):
             k = int(bad_values[0])
-            raise ValueError(f"value {k} is not finite: {vals[k]}")
-        self._check_duplicates(pts if self.xy is None else self.xy)
+            raise ValueError(f"value {k} is not finite: {self.f[k]}")
+        self._check_duplicates(self.xy)
         self.dimension = d
-        if arrays:  # the same Python floats a list of them would have given
-            pts, vals = map(tuple, self.xy.tolist()), self.f.tolist()
-        self.points: tuple[tuple[Number, ...], ...] = tuple(pts)
-        self.values: tuple[Number, ...] = tuple(vals)
-        # Python floats are their own float view: no second float() copy
-        self._views: dict[bool, tuple] = {False: (self.points, self.values)} if self.xy is not None else {}
-        self._lifted: dict[tuple[int, bool], tuple] = {}  # (degree, exact) -> (basis, rows)
-        self._matrices: dict[int, np.ndarray] = {}  # degree -> float lift_matrix
+        self.xy.flags.writeable = self.f.flags.writeable = False
+        self._views: dict[bool, tuple[np.ndarray, np.ndarray]] = {False: (self.xy, self.f)} if floats else {}
+        self._lifted: dict[tuple[int, bool], tuple] = {}  # (degree, exact) -> (basis, rows, lifted mask)
 
     @staticmethod
     def _check_duplicates(pts):
@@ -169,57 +156,47 @@ class SampleSet:
             raise ValueError(f"duplicate points at indices {ia} and {ib}")
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.f)
 
-    def view(self, exact: bool) -> tuple[tuple[tuple[Number, ...], ...], tuple[Number, ...]]:
-        """Points and values as ``Fraction`` (exact) or ``float``, converted on first use.
+    @property
+    def points(self) -> tuple[tuple[Number, ...], ...]:
+        return tuple(map(tuple, self.xy.tolist()))
+
+    @property
+    def values(self) -> tuple[Number, ...]:
+        return tuple(self.f.tolist())
+
+    def view(self, exact: bool) -> tuple[np.ndarray, np.ndarray]:
+        """The table (points, values) over ``Fraction`` (exact) or float64, converted on first use.
 
         Every verifier reads the samples through this view, so repeated calls
-        (one per candidate hyperplane, say) share one conversion.  When every
-        coordinate and value is a Python float already (`ingest`, float
-        `generate_grid`), the float view is ``(self.points, self.values)``
-        itself, with no copy.
+        (one per candidate hyperplane, say) share one conversion.  The float
+        view of a float64 table is the table itself.
         """
         if exact not in self._views:
-            conv = Fraction if exact else float
-            self._views[exact] = (
-                tuple(tuple(conv(c) for c in p) for p in self.points),
-                tuple(conv(v) for v in self.values),
-            )
+            convert = np.frompyfunc(Fraction, 1, 1) if exact else (lambda a: a.astype(float))
+            self._views[exact] = convert(self.xy), convert(self.f)
         return self._views[exact]
 
-    def lifted_matrix(self, degree: int) -> np.ndarray:
-        """`lift_matrix` of `xy` (else of the float view) over the degree-`degree` basis, built once."""
-        if degree not in self._matrices:
-            pts = self.view(False)[0] if self.xy is None else self.xy
-            self._matrices[degree] = lift_matrix(pts, build_basis(self.dimension, degree))
-        return self._matrices[degree]
-
-    def lifted(self, indices: Sequence[int], degree: int, exact: bool) -> list[tuple[Number, ...]]:
+    def lifted(self, indices: Sequence[int], degree: int, exact: bool) -> np.ndarray:
         """Rows lift(x_i) of the `view(exact)` points over the degree-`degree` basis, i in `indices`.
 
-        Exact rows are lifted the first time they are asked for.  Float rows
-        are read from `lifted_matrix` once it is built (the fit's degree);
-        other float rows are lifted on request by `lift_matrix` over just
-        those points, which gives the matrix's rows bit for bit (it works row
-        by row).  Either way a row is made once per degree and arithmetic,
-        then shared by every later caller.
+        They are read, as a new array, from one (n x basis) array per degree
+        and arithmetic in the view's dtype.  `lift_matrix` fills each row the
+        first time it is asked for, and every later caller shares it.
         """
         if (degree, exact) not in self._lifted:
-            self._lifted[degree, exact] = (build_basis(self.dimension, degree), [None] * len(self.points))
-        basis, rows = self._lifted[degree, exact]
-        missing = [i for i in dict.fromkeys(indices) if rows[i] is None]
-        if missing:
-            pts = self.view(exact)[0]
-            if exact:
-                new = [lift(pts[i], basis) for i in missing]
-            elif degree in self._matrices:
-                new = self._matrices[degree][missing].tolist()
-            else:
-                new = lift_matrix([pts[i] for i in missing], basis).tolist()
-            for i, row in zip(missing, new):
-                rows[i] = tuple(row)
-        return [rows[i] for i in indices]
+            basis = build_basis(self.dimension, degree)
+            rows = np.empty((len(self), basis.size), dtype=self.view(exact)[0].dtype)
+            self._lifted[degree, exact] = basis, rows, np.zeros(len(self), dtype=bool)
+        basis, rows, done = self._lifted[degree, exact]
+        indices = np.asarray(indices, dtype=np.intp)
+        missing = indices[~done[indices]]
+        if missing.size:
+            missing = np.unique(missing)  # a row asked for twice is lifted once
+            rows[missing] = lift_matrix(self.view(exact)[0][missing], basis)
+            done[missing] = True
+        return rows[indices]
 
 
 @dataclass(frozen=True)
@@ -249,18 +226,12 @@ def fit_minimax(samples: SampleSet, degree: int, exact: bool = False) -> FitResu
             f"basis size {basis.size} exceeds sample count {len(samples)}; fit is underdetermined",
             stacklevel=2,
         )
-    vals = samples.view(exact)[1]
-    n = len(vals)
-    if exact:  # object arrays of the lifted Fractions
-        lifts = samples.lifted(range(n), degree, True)
-        table = _integer_rows(lifts, vals)
-        matrix, targets = np.array(lifts, dtype=object), np.array(vals, dtype=object)
-    else:
-        matrix = samples.lifted_matrix(degree)
-        targets = np.array(vals) if samples.f is None else samples.f
+    n = len(samples)
+    matrix, targets = samples.lifted(np.arange(n), degree, exact), samples.view(exact)[1]
+    if exact:
+        table = _integer_rows(matrix.tolist(), targets.tolist())
     if samples.dimension == 1:  # multiple exchange runs over the samples in coordinate order
-        coords = np.array([x for x, in samples.points], dtype=object) if samples.xy is None else samples.xy[:, 0]
-        order = np.argsort(coords, kind="stable")
+        order = np.argsort(samples.xy[:, 0], kind="stable")
 
     nc = basis.size
     objective = [0] * nc + [1]
@@ -359,10 +330,10 @@ def _integer_residuals(table, coeffs: Sequence[Number]) -> list[Fraction]:
 
 
 def _model_residuals(model: PolynomialModel, samples: SampleSet) -> np.ndarray:
-    """f(x_i) - L(A, x_i) at every sample: float64 over `lifted_matrix` and `f` when the samples are floats, else objects."""
-    if samples.xy is None or model.basis.dimension != samples.dimension:
-        return np.array([v - evaluate(model, p) for p, v in zip(samples.points, samples.values)], dtype=object)
-    return samples.f - dot_rows(samples.lifted_matrix(model.degree), model.coefficients)
+    """f(x_i) - L(A, x_i) at every sample, over the table as it is: float64 rows of `lifted`, or objects."""
+    if samples.f.dtype != float or model.basis.dimension != samples.dimension:
+        return samples.f - dot_rows(lift_matrix(samples.xy, model.basis), model.coefficients)
+    return samples.f - dot_rows(samples.lifted(np.arange(len(samples)), model.degree, False), model.coefficients)
 
 
 def _largest_magnitude(residuals: np.ndarray) -> Number:
@@ -411,13 +382,13 @@ def extreme_sets(
     return partition_extremes(_model_residuals(model, samples), rel_tol)
 
 
-def sign_blocks(points, plus: Sequence[int], minus: Sequence[int]) -> list[tuple[int, bool]]:
+def sign_blocks(column: np.ndarray, plus: Sequence[int], minus: Sequence[int]) -> list[tuple[int, bool]]:
     """(i, i in minus) of the first point of each maximal same-sign block of 1-D points.
 
-    Sorted by coordinate, plus before minus at an equal one; Python compares
-    int, float and Fraction exactly, so no coordinate is converted.
+    `column` holds the coordinates, sorted with plus before minus at an equal
+    one; int, float and Fraction compare exactly, so none is converted.
     """
-    tagged = sorted([(points[i][0], False, i) for i in plus] + [(points[i][0], True, i) for i in minus])
+    tagged = sorted([(column[i], False, i) for i in plus] + [(column[i], True, i) for i in minus])
     return [(next(block)[2], side) for side, block in groupby(tagged, key=itemgetter(1))]
 
 
@@ -429,4 +400,4 @@ def count_alternations(extremes: ExtremeSets, samples: SampleSet) -> int:
     """
     if samples.dimension != 1:
         raise ValueError("alternation counting is defined for one-dimensional samples only")
-    return len(sign_blocks(samples.points, extremes.plus, extremes.minus))
+    return len(sign_blocks(samples.xy[:, 0], extremes.plus, extremes.minus))

@@ -4,13 +4,13 @@ All types are immutable and all operations are pure; they work uniformly over
 floats and exact rationals (``fractions.Fraction``), which is what makes the
 exact certificate mode of the higher layers possible.
 
-Float mode also has a whole-sample form: `lift_matrix` stacks `lift` of
-every point into one float64 array and `dot_rows` takes `dot` of every row.
-Both give the per-point results bit for bit, by keeping their operations and
-order: each power is Python's ``x ** e`` (numpy's vectorised pow differs in
-the last bit for some values once e >= 3), each monomial multiplies its
-powers in coordinate order, and the dot adds its terms left to right from
-zero (``matrix @ c`` leaves the order of the sum to BLAS).
+Both also have a whole-sample form: `lift_matrix` stacks `lift` of every
+point into one float64 or object array and `dot_rows` takes `dot` of every
+row.  Both give the per-point results bit for bit, by keeping their
+operations and order: each power is Python's ``x ** e`` (numpy's vectorised
+pow differs in the last bit for some values once e >= 3), each monomial
+multiplies its powers in coordinate order, and the dot adds its terms left
+to right from zero (``matrix @ c`` leaves the order of the sum to BLAS).
 """
 
 from __future__ import annotations
@@ -109,26 +109,28 @@ def lift(point: Sequence[Number], basis: MonomialBasis) -> list[Number]:
     return [e.value_at(point) for e in basis.exponents]
 
 
-def lift_matrix(points: Union[np.ndarray, Sequence[Sequence[float]]], basis: MonomialBasis) -> np.ndarray:
-    """Float64 array whose row i equals lift(points[i], basis) bit for bit.
+def lift_matrix(points: Union[np.ndarray, Sequence[Sequence[Number]]], basis: MonomialBasis) -> np.ndarray:
+    """Array whose row i equals lift(points[i], basis), value for value and bit for bit.
 
-    `points` is an (n, d) float64 table (`SampleSet.xy`) or a sequence of
-    float points.  The constant column holds 1.0 where `lift` gives int 1.
-    Each other column is built like `ExponentVector.value_at`: the Python
-    powers x_k ** e_k of one column of the table, as a list of Python floats,
-    multiplied in coordinate order.
+    `points` is an (n, d) table.  A float one gives a float64 matrix, 1.0 in
+    the constant column where `lift` gives int 1; an object one (of
+    ``Fraction``, say) an object matrix of `lift`'s own numbers.  Each other
+    column is built like `ExponentVector.value_at`: the Python powers
+    x_k ** e_k of one column of the table, multiplied in coordinate order.
     """
-    coords = np.array(points, dtype=float, ndmin=2).T.tolist()
+    table = np.array(points, ndmin=2)
+    table = table if table.dtype == object else table.astype(float)
+    coords = table.T.tolist()
     if len(coords) != basis.dimension:
         raise ValueError(f"points have dimension {len(coords)}, basis expects {basis.dimension}")
     powers: dict[tuple[int, int], np.ndarray] = {}
-    matrix = np.ones((len(points), basis.size))
+    matrix = np.ones((len(table), basis.size), dtype=table.dtype)
     for j, ev in enumerate(basis.exponents):
         column = None
         for k, e in enumerate(ev.exponents):
             if e:
                 if (k, e) not in powers:
-                    powers[k, e] = np.array([x**e for x in coords[k]], dtype=float)
+                    powers[k, e] = np.array([x**e for x in coords[k]], dtype=table.dtype)
                 column = powers[k, e] if column is None else column * powers[k, e]
         if column is not None:
             matrix[:, j] = column

@@ -84,31 +84,29 @@ class IsolabilityResult:
 VerificationOutcome = Union[IntersectionCertificate, SeparationWitness]
 
 
-def _moment_lp(plus_lifted, minus_lifted) -> LinearProgram:
+def _moment_lp(plus_lifted: np.ndarray, minus_lifted: np.ndarray) -> LinearProgram:
     """Weights on E+ and E-, each side summing to one, whose lifted moments match: "==" rows over p + q weights."""
-    p, q, width = len(plus_lifted), len(minus_lifted), len(plus_lifted[0])
-    A = np.zeros((width + 1, p + q), dtype=object)
+    p, q, width = len(plus_lifted), len(minus_lifted), plus_lifted.shape[1]
+    A = np.zeros((width + 1, p + q), dtype=plus_lifted.dtype)
     A[0, :p] = A[1, p:] = 1
-    A[2:, :p] = np.array(plus_lifted, dtype=object)[:, 1:].T  # the constant moment is implied by the sums
-    A[2:, p:] = -np.array(minus_lifted, dtype=object).reshape(q, width)[:, 1:].T
+    A[2:, :p] = plus_lifted[:, 1:].T  # the constant moment is implied by the sums
+    A[2:, p:] = -minus_lifted[:, 1:].T
     return LinearProgram([0] * (p + q), A, ["=="] * (width + 1), [1, 1] + [0] * (width - 1), ((0, None),) * (p + q))
 
 
-def _moment_residual(plus_lifted, minus_lifted, alpha, beta) -> Number:
-    width = len(plus_lifted[0])
+def _moment_residual(plus_lifted: np.ndarray, minus_lifted: np.ndarray, alpha, beta) -> Number:
+    plus_rows, minus_rows = plus_lifted.tolist(), minus_lifted.tolist()
     worst: Number = 0
-    for k in range(width):
-        diff = sum(a * u[k] for a, u in zip(alpha, plus_lifted)) - sum(
-            b * v[k] for b, v in zip(beta, minus_lifted)
-        )
+    for k in range(plus_lifted.shape[1]):
+        diff = sum(a * u[k] for a, u in zip(alpha, plus_rows)) - sum(b * v[k] for b, v in zip(beta, minus_rows))
         if abs(diff) > worst:
             worst = abs(diff)
     return worst
 
 
-def _margins(model: PolynomialModel, plus_lifted, minus_lifted):
-    plus_margin = min((dot(model.coefficients, u) for u in plus_lifted), default=None)
-    minus_margin = max((dot(model.coefficients, v) for v in minus_lifted), default=None)
+def _margins(model: PolynomialModel, plus_lifted: np.ndarray, minus_lifted: np.ndarray):
+    plus_margin = min((dot(model.coefficients, u) for u in plus_lifted.tolist()), default=None)
+    minus_margin = max((dot(model.coefficients, v) for v in minus_lifted.tolist()), default=None)
     return plus_margin, minus_margin
 
 
@@ -140,8 +138,7 @@ def _max_margin(plus_lifted, minus_lifted, width, exact: bool):
     """Maximise t with <A, lift> >= t on E+, <= -t on E-, |A|_inf <= 1."""
     p, q = len(plus_lifted), len(minus_lifted)
     objective = [0] * width + [-1]  # maximise t
-    lifted = np.array(list(plus_lifted) + list(minus_lifted), dtype=object).reshape(p + q, width)
-    A = np.column_stack((lifted, [-1] * p + [1] * q))
+    A = np.column_stack((np.concatenate((plus_lifted, minus_lifted)), [-1] * p + [1] * q))  # the rows' dtype
     bounds = [(-1, 1)] * width + [(None, None)]
     lp = LinearProgram(objective, A, [">="] * p + ["<="] * q, [0] * (p + q), bounds)
     sol = (solve_exact if exact else solve)(lp)
@@ -173,7 +170,7 @@ def hulls_intersect(
         i = min(shared)
         return frozenset((i,)), frozenset((i,))
     if samples.dimension == 1:
-        blocks = sign_blocks(samples.view(exact)[0], plus, minus)[: degree + 2]
+        blocks = sign_blocks(samples.view(exact)[0][:, 0], plus, minus)[: degree + 2]
         if len(blocks) < degree + 2:
             return None
         return frozenset(i for i, neg in blocks if not neg), frozenset(i for i, neg in blocks if neg)
@@ -327,6 +324,6 @@ def verify_witness(
     witness: SeparationWitness, plus: Sequence[int], minus: Sequence[int], samples: SampleSet
 ) -> bool:
     """Replay a separating polynomial over the indexed samples; True when the separation is strict."""
-    return all(evaluate(witness.model, samples.points[i]) > 0 for i in plus) and all(
-        evaluate(witness.model, samples.points[i]) < 0 for i in minus
+    return all(evaluate(witness.model, p) > 0 for p in samples.xy[list(plus)].tolist()) and all(
+        evaluate(witness.model, p) < 0 for p in samples.xy[list(minus)].tolist()
     )

@@ -79,8 +79,8 @@ def _branches(strategy: Strategy, dimension: int, degree: int):
 
 
 def _run_branch(branch, plus0, minus0, samples: SampleSet, degree, exact):
-    pts = samples.view(exact)[0]
-    coords = {i: list(pts[i]) for i in plus0 | minus0}
+    live = sorted(plus0 | minus0)
+    coords = dict(zip(live, samples.view(exact)[0][live].tolist()))
     plus, minus = set(plus0), set(minus0)
     mcur = degree
     steps = []

@@ -376,25 +376,27 @@ class TestRunPipeline:
     @pytest.mark.parametrize("shift", [0.0, 0.05])
     def test_verify_lifts_only_the_extreme_points(self, tmp_path, monkeypatch, shift):
         # shift 0: the fit's own model (certificate); 0.05: a non-optimal one (witness).
-        # Float rows are rows of one matrix per degree: only the extreme rows are
-        # handed out, each equal to lift() bit for bit, and no point is evaluated alone.
+        # The residual pass lifts every row of the model's degree once; the verifiers are
+        # handed only the extreme rows of that array, each equal to lift() bit for bit, and
+        # no point is lifted or evaluated alone.
         grid = "-1,1:-1,1;9;uniform;x1^3*x2+x2^4"
         _, fit = run(RunConfig(command="fit", grid=grid, degree=3))
         model = dict(fit["model"], coefficients=[fit["model"]["coefficients"][0] + shift]
                      + fit["model"]["coefficients"][1:])
         coeffs = tmp_path / "c.json"
         coeffs.write_text(json.dumps(model))
-        lifted, handed, matrices, evaluated = [], {}, [], []
-        real_lift, real_matrix, real_rows = fitting.lift, fitting.lift_matrix, fitting.SampleSet.lifted
+        lifted, handed, matrices, evaluated = [], [], [], []
+        real_lift, real_matrix, real_rows = monomials.lift, fitting.lift_matrix, fitting.SampleSet.lifted
 
         def rows(samples, indices, degree, exact):
             out = real_rows(samples, indices, degree, exact)
-            handed.update(((i, degree, exact), row) for i, row in zip(indices, out))
+            handed.append([((i, degree, exact), row) for i, row in zip(list(indices), out.tolist())])
             return out
 
-        monkeypatch.setattr(fitting, "lift", lambda p, basis: lifted.append(p) or real_lift(p, basis))
+        for module in (monomials, optimality):
+            monkeypatch.setattr(module, "lift", lambda p, basis: lifted.append(p) or real_lift(p, basis))
         monkeypatch.setattr(fitting, "lift_matrix",
-                            lambda pts, basis: matrices.append(basis.degree) or real_matrix(pts, basis))
+                            lambda pts, basis: matrices.append((basis.degree, len(pts))) or real_matrix(pts, basis))
         monkeypatch.setattr(fitting.SampleSet, "lifted", rows)
         for module in (monomials, fitting, optimality, minimaxfit.cli):
             real_eval = getattr(module, "evaluate")
@@ -402,13 +404,14 @@ class TestRunPipeline:
                                 lambda m, p, real_eval=real_eval: evaluated.append(p) or real_eval(m, p))
         code, report = run(RunConfig(command="verify", grid=grid, coeffs=str(coeffs)))
         assert code == (0 if shift == 0 else 2)
-        assert (lifted, evaluated, matrices) == ([], [], [3])
-        pts = parse_grid_spec(grid).view(False)[0]
+        pts = parse_grid_spec(grid).view(False)[0].tolist()
+        assert (lifted, evaluated, matrices) == ([], [], [(3, len(pts))])
         extremes = set(report["extremes"]["plus"]) | set(report["extremes"]["minus"])
-        assert sorted({i for i, _, _ in handed}) == sorted(extremes)
+        assert [i for (i, _, _), _ in handed[0]] == list(range(len(pts)))  # the residual pass
+        assert sorted({i for call in handed[1:] for (i, _, _), _ in call}) == sorted(extremes)
         assert len(extremes) < len(pts) / 4
         basis = build_basis(2, 3)
-        for (i, degree, exact), row in handed.items():
+        for (i, degree, exact), row in (entry for call in handed for entry in call):
             assert (degree, exact) == (3, False)
             expected = [1.0] + real_lift(pts[i], basis)[1:]
             assert [v.hex() for v in row] == [v.hex() for v in expected]
@@ -499,6 +502,7 @@ class TestMainEntry:
         ["--input", "NAN_CSV"],
         ["--grid", "-1,1;5;uniform;1e400*x1"],
         ["--grid", "-1,1;5;uniform;10^400"],
+        ["--grid", "-1,1;5;uniform;x1^0.5"],  # complex at x1 < 0
     ])
     def test_non_finite_input_is_an_error(self, tmp_path, capsys, args):
         nan_csv = tmp_path / "nan.csv"
@@ -509,6 +513,20 @@ class TestMainEntry:
         assert out == "" and err.startswith("error: ") and "Traceback" not in err
         if args[0] == "--input":
             assert "nan.csv:3" in err
+
+    @pytest.mark.parametrize("command, text, field", [
+        ("report", "[1, 2]", "expected a JSON object, got list"),
+        ("verify", '{"degree": 1.5, "coefficients": [0, 1]}', "'degree' must be an integer >= 0"),
+        ("verify", '{"degree": 1}', "'coefficients' must be a list"),
+    ])
+    def test_malformed_json_is_an_error(self, tmp_path, capsys, command, text, field):
+        # a file read from outside: exit 1 with one error line that names the file and the field
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        flag = "--report" if command == "report" else "--coeffs"
+        assert main([command, flag, str(path), "--input", os.path.join(DATA, "parabola.csv")]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {path}: ") and field in err and err.count("\n") == 1
 
     def test_exact_fit_with_psi_beyond_float_range(self, tmp_path):
         # psi near 10**400 / 2: the degenerate-psi test compares it with 1e-12 exactly, not through float()

@@ -152,9 +152,13 @@ class TestSampleSet:
         for exact, kind in ((True, Fraction), (False, float)):
             pts, vals = samples.view(exact)
             assert samples.view(exact) is samples.view(exact)
-            assert all(type(c) is kind for p in pts for c in p)
-            assert all(type(v) is kind for v in vals)
-            assert pts[1][1] == (Fraction(1, 3) if exact else 1 / 3)
+            assert pts.dtype == vals.dtype == (object if exact else float)
+            assert all(type(c) is kind for p in pts.tolist() for c in p)
+            assert all(type(v) is kind for v in vals.tolist())
+            assert pts[1, 1] == (Fraction(1, 3) if exact else 1 / 3)
+        # a float64 table is its own float view
+        floats = SampleSet([(0.0, 0.5), (1.0, 1 / 3)], [2.0, 0.25])
+        assert all(a is b for a, b in zip(floats.view(False), (floats.xy, floats.f)))
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_lifted_rows_equal_lift_bit_for_bit(self, exact):
@@ -169,52 +173,42 @@ class TestSampleSet:
             return row
 
         samples = random_samples(random.Random(5), 2, 12)
-        pts = samples.view(exact)[0]
+        pts = samples.view(exact)[0].tolist()
         order = [7, 0, 11, 3, 7]
         for degree in (0, 1, 3):
             basis = build_basis(2, degree)
-            rows = samples.lifted(order, degree, exact)
+            rows = samples.lifted(order, degree, exact).tolist()
             assert [bits(r) for r in rows] == [bits(lifted(pts[i], basis)) for i in order]
 
     def test_lifts_each_point_once_per_degree_and_arithmetic(self, monkeypatch):
-        # exact rows are lifted point by point; float rows come from one matrix at the fit's
-        # degree, and at any other degree from `lift_matrix` over just the rows asked for
-        calls, matrices = [], []
-        real, real_matrix = fitting.lift, fitting.lift_matrix
+        # every row goes through `lift_matrix` the first time it is asked for: all of them at the
+        # fit's degree, only the rows asked for at any other
+        lifted = []  # (degree, exact, point) of each row handed to lift_matrix
+        real = fitting.lift_matrix
 
-        def counted(point, basis):
-            calls.append((type(point[0]), point, basis.degree))
-            return real(point, basis)
+        def counted(points, basis):
+            lifted.extend((basis.degree, points.dtype == object, p) for p in map(tuple, points.tolist()))
+            return real(points, basis)
 
-        def counted_matrix(points, basis):
-            matrices.append((basis.degree, tuple(map(tuple, np.asarray(points).tolist()))))
-            return real_matrix(points, basis)
-
-        monkeypatch.setattr(fitting, "lift", counted)
-        monkeypatch.setattr(fitting, "lift_matrix", counted_matrix)
+        monkeypatch.setattr(fitting, "lift_matrix", counted)
         samples = random_samples(random.Random(6), 2, 14)
         for exact in (True, False):
             fit = fit_minimax(samples, 2, exact=exact)
-            full = [] if exact else [(2, samples.points)]
-            assert (len(calls), matrices) == (len(samples), full)
+            assert sorted(p for _, e, p in lifted if e == exact) == sorted(map(tuple, samples.view(exact)[0].tolist()))
+            count = len(lifted)
             extremes = partition_extremes(fit.residuals)
             check_hull_intersection(extremes, samples, 2, exact)
             check_isolability(extremes, samples, 2, exact)
-            # the verifiers reuse the fit's rows
-            assert (len(calls), matrices) == (len(samples), full)
+            assert len(lifted) == count  # the verifiers reuse the fit's rows
         verify_by_hyperplanes(extremes, samples, 2)  # degree-1 rows of some extreme points
-        assert 0 < sum(len(points) for degree, points in matrices if degree == 1) < len(samples)
+        assert 0 < sum(1 for degree, _, _ in lifted if degree == 1) < len(samples)
         for exact in (False, True):
             for degree in (1, 2):
                 samples.lifted([3, 1, 3], degree, exact)
                 samples.lifted(range(len(samples)), degree, exact)
-        assert len(calls) == 2 * len(samples)
-        assert len(set(calls)) == len(calls)
-        assert {kind for kind, _, _ in calls} == {Fraction}
-        # each float row lifted once per degree: one full matrix at degree 2, only the rows asked for at degree 1
-        rows = [(degree, p) for degree, points in matrices for p in points]
-        assert len(set(rows)) == len(rows) == 2 * len(samples)
-        assert [points for degree, points in matrices if degree == 2] == [samples.points]
+        # each row lifted once per degree and arithmetic, from the view of that arithmetic
+        assert len(set(lifted)) == len(lifted) == 4 * len(samples)
+        assert {(e, type(p[0])) for _, e, p in lifted} == {(True, Fraction), (False, float)}
 
 
 _TABLE_FLOATS = st.one_of(st.floats(-4, 4), st.sampled_from([0.0, -0.0, 5e-324, 1e-13, -1e-12, 1.0, 1 / 3]))
@@ -259,7 +253,8 @@ def test_float64_table_equals_python_floats(d, data):
     assert all(type(v) is float for v in from_arrays.values)
     assert _float_bits(from_arrays) == _float_bits(from_lists)
     for degree in range(7):
-        assert from_arrays.lifted_matrix(degree).tobytes() == from_lists.lifted_matrix(degree).tobytes()
+        rows = [s.lifted(range(n), degree, False) for s in (from_arrays, from_lists)]
+        assert rows[0].dtype == rows[1].dtype == float and rows[0].tobytes() == rows[1].tobytes()
     # a clean CSV: numpy's bulk read hands `SampleSet` its arrays, the cell reader Python floats
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "samples.csv")
@@ -468,14 +463,14 @@ def _single_exchange_fit(samples, degree, exact):
     vals = samples.view(exact)[1]
     n, nc = len(vals), basis.size
     if exact:
-        table = fitting._integer_rows(samples.lifted(range(n), degree, True), vals)
+        table = fitting._integer_rows(samples.lifted(range(n), degree, True).tolist(), vals.tolist())
     else:
-        matrix, targets = samples.lifted_matrix(degree), np.array(vals)
+        matrix, targets = samples.lifted(range(n), degree, False), vals
     k0 = min(n, 2 * (nc + 2))
     working = {0} if k0 <= 1 else {round(i * (n - 1) / (k0 - 1)) for i in range(k0)}
 
     def rows_of(indices):
-        for i, u in zip(indices, samples.lifted(indices, degree, exact)):
+        for i, u in zip(indices, samples.lifted(indices, degree, exact).tolist()):
             yield (list(u) + [-1], "<=", vals[i])
             yield ([-g for g in u] + [-1], "<=", -vals[i])
 

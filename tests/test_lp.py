@@ -354,15 +354,16 @@ def _exact_corpus():
     for inst in build_fit_corpus(5, 12, dims=(1, 2), degrees=(1, 2), point_range=(8, 20)):
         basis = build_basis(inst.samples.dimension, inst.degree)
         pts = inst.samples.view(True)[0]
-        plus = [lift(pts[i], basis) for i in inst.extremes.plus]
-        minus = [lift(pts[i], basis) for i in inst.extremes.minus]
-        if plus and minus:
+        plus = np.array([lift(pts[i], basis) for i in inst.extremes.plus], dtype=object)
+        minus = np.array([lift(pts[i], basis) for i in inst.extremes.minus], dtype=object)
+        if len(plus) and len(minus):
             lps += [_moment_lp(plus, minus), _margin_lp(plus, minus)]
     # random point clouds: separable ones give infeasible moment LPs
     for _ in range(16):
         d, m = rng.choice([(1, 1), (1, 2), (2, 1), (2, 2)])
         basis = build_basis(d, m)
-        cloud = [lift([Fraction(rng.randint(-8, 8), 4) for _ in range(d)], basis) for _ in range(7)]
+        cloud = np.array([lift([Fraction(rng.randint(-8, 8), 4) for _ in range(d)], basis) for _ in range(7)],
+                         dtype=object)
         cut = rng.randint(1, 6)
         lps += [_moment_lp(cloud[:cut], cloud[cut:]), _margin_lp(cloud[:cut], cloud[cut:])]
     return lps
@@ -671,8 +672,8 @@ def _warm_pairs():
     for inst in build_fit_corpus(5, 12, dims=(1, 2), degrees=(1, 2), point_range=(8, 20)):
         basis = build_basis(inst.samples.dimension, inst.degree)
         pts = inst.samples.view(True)[0]
-        plus = [lift(pts[i], basis) for i in inst.extremes.plus]
-        minus = [lift(pts[i], basis) for i in inst.extremes.minus]
+        plus = np.array([lift(pts[i], basis) for i in inst.extremes.plus], dtype=object)
+        minus = np.array([lift(pts[i], basis) for i in inst.extremes.minus], dtype=object)
         moment = _moment_lp(plus, minus)
         n = moment.num_vars
         caps = [([int(j == i) for j in range(n)], "<=", Fraction(rng.randint(1, 4), 4))
@@ -943,7 +944,7 @@ def _fitted_moment_and_margin_lps(exact):
     for inst in build_fit_corpus(5, 12, dims=(2,), degrees=(2,), point_range=(8, 20)):
         plus = inst.samples.lifted(inst.extremes.plus, 2, exact)
         minus = inst.samples.lifted(inst.extremes.minus, 2, exact)
-        if plus and minus:
+        if len(plus) and len(minus):
             return {"moment": _moment_lp(plus, minus), "margin": _margin_lp(plus, minus)}
 
 
@@ -1022,7 +1023,7 @@ def test_float_solve_agrees_with_highs():
         lps = [("minimax", _minimax_lp(inst.samples, inst.degree))]
         plus = inst.samples.lifted(inst.extremes.plus, inst.degree, True)
         minus = inst.samples.lifted(inst.extremes.minus, inst.degree, True)
-        if plus and minus:
+        if len(plus) and len(minus):
             lps += [("moment", _moment_lp(plus, minus)), ("margin", _margin_lp(plus, minus))]
             lps += [("moment", _moment_lp(plus[1:], minus))] if len(plus) > 1 else []
             lps += [("moment", _moment_lp(plus, minus[1:]))] if len(minus) > 1 else []

@@ -7,7 +7,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from minimaxfit import (
     ExponentVector,
@@ -169,6 +169,21 @@ class TestLiftMatrix:
                     expected = lift(point, basis)
                     assert expected[0] == 1 and type(expected[0]) is int
                     assert [v.hex() for v in row] == [float(v).hex() for v in expected]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 5), st.data())
+    def test_object_rows_equal_lift_value_and_type(self, d, degree, data):
+        # an object table of Fractions gives lift's own numbers: int 1 in the constant column, Fractions elsewhere
+        n = data.draw(st.integers(1, 6))
+        coordinate = st.fractions(min_value=-10, max_value=10, max_denominator=10**4)
+        points = data.draw(st.lists(st.tuples(*[coordinate] * d), min_size=n, max_size=n))
+        basis = build_basis(d, degree)
+        matrix = lift_matrix(np.array(points, dtype=object), basis)
+        assert matrix.dtype == object and matrix.shape == (n, basis.size)
+        for point, row in zip(points, matrix.tolist()):
+            expected = lift(point, basis)
+            assert row == expected
+            assert [type(v) for v in row] == [type(v) for v in expected] == [int] + [Fraction] * (basis.size - 1)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

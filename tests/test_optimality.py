@@ -371,6 +371,24 @@ class TestShiftInvariance:
             assert abs(verify_certificate(out, moved)) <= 1e-8
 
 
+def test_float_rows_give_a_float64_moment_lp():
+    # the same rows as float64 or as an object array of Python floats: the same vertex or
+    # Farkas witness, pivot for pivot, over the fitted extreme sets and with one point dropped
+    statuses = []
+    for inst in build_fit_corpus(5, 12, dims=(2, 3), degrees=(1, 2), point_range=(8, 20)):
+        plus = inst.samples.lifted(inst.extremes.plus, inst.degree, False)
+        minus = inst.samples.lifted(inst.extremes.minus, inst.degree, False)
+        for p, q in ((plus, minus), (plus[1:], minus), (plus, minus[1:])):
+            if not (len(p) and len(q)):
+                continue
+            lp, held = _moment_lp(p, q), _moment_lp(p.astype(object), q.astype(object))
+            assert (lp.A.dtype, held.A.dtype) == (float, object)
+            got, ref = solve(lp), solve(held)
+            assert (got.status, got.x, got.farkas, got.iterations) == (ref.status, ref.x, ref.farkas, ref.iterations)
+            statuses.append(got.status)
+    assert {"optimal", "infeasible"} <= set(statuses)
+
+
 def _moment_lp_meets(samples, plus, minus, degree, exact):
     if not plus or not minus:
         return False

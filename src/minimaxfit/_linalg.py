@@ -1,14 +1,17 @@
 """Exact elimination for the LP's certification and hyperplanes for alternation.
 
-`exact_solve` solves a basis block over ``Fraction`` for `lp._certify`;
+`exact_solve` solves a basis block exactly for `lp._certify`;
 `affine_normal` gives the hyperplane through d points, by SVD in float and
-by Gaussian elimination over ``Fraction`` in exact mode, so verdicts near
-degeneracy carry no rounding.  `affine_normals` gives the float hyperplanes
-of a whole batch of d-point sets at once, each bit for bit `affine_normal`'s.
+by fraction-free elimination over integers in exact mode, so verdicts near
+degeneracy carry no rounding.  Both eliminate in `exact_nullspace`, over
+rows that `integer_row` scales to integers.  `affine_normals` gives the
+float hyperplanes of a whole batch of d-point sets at once, each bit for
+bit `affine_normal`'s.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -19,51 +22,58 @@ from .monomials import Number
 _RTOL = 1e-9
 
 
-def exact_nullspace(rows: Sequence[Sequence[Number]]) -> tuple[Optional[list[Fraction]], int]:
-    """Gauss-Jordan reduction of A over ``Fraction``.
+def integer_row(values: Sequence[Number]) -> tuple[list[int], int]:
+    """The numbers as integers over the lcm D of their denominators: (D * values, D).
 
-    Returns (v, rank): v is a non-zero rational vector with A v = 0, or None
-    when A has full column rank.
+    An int or ``Fraction`` is read as it is, any other number through ``Fraction``.
+    """
+    exact = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    den = math.lcm(*[v.denominator for v in exact])
+    return [v.numerator * (den // v.denominator) for v in exact], den
+
+
+def exact_nullspace(rows: Sequence[Sequence[Number]]) -> tuple[Optional[list[Fraction]], int]:
+    """Fraction-free Gaussian elimination of A (Bareiss, Math. Comp. 22, 1968).
+
+    The rows are scaled to integers (`integer_row`).  A column with a
+    non-zero entry below the pivots takes the first as pivot p, and each row
+    below becomes (p * row - f * pivot row) / (the previous pivot), an exact
+    division.  The pivot columns are those independent of the columns before
+    them, as in Gauss-Jordan reduction.  Returns (v, rank): v is the null
+    vector with 1 at the first free column and 0 at the other free columns,
+    every entry a ``Fraction``, or None when A has full column rank.
     """
     if not rows:
         return None, 0
     ncols = len(rows[0])
-    mat = [[Fraction(v) for v in r] for r in rows]
-    pivot_of_col: dict[int, int] = {}
-    r = 0
+    mat = [integer_row(r)[0] for r in rows]
+    pivots: list[int] = []  # the pivot column of each echelon row
+    det = 1  # the last pivot: the determinant of the pivot block
     for c in range(ncols):
-        candidates = [i for i in range(r, len(mat)) if mat[i][c]]
-        if not candidates:
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pivot is None:
             continue
-        # the sparsest pivot row fills in least; the reduced form does not depend on the choice
-        pivot = min(candidates, key=lambda i: sum(1 for v in mat[i] if v))
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        pv = mat[r][c]
-        prow = mat[r] = [v / pv if v else v for v in mat[r]]
-        support = [j for j, v in enumerate(prow) if v]
-        for i in range(len(mat)):
+        prow, p = mat[r], mat[r][c]
+        for i in range(r + 1, len(mat)):  # also where f == 0, so that every entry stays a minor
             f = mat[i][c]
-            if i != r and f:
-                row = mat[i]
-                for j in support:
-                    row[j] -= f * prow[j]
-        pivot_of_col[c] = r
-        r += 1
-        if r == len(mat):
-            break
-    free = [c for c in range(ncols) if c not in pivot_of_col]
+            mat[i] = [(p * a - f * b) // det for a, b in zip(mat[i], prow)]
+        pivots.append(c)
+        det = p
+    free = [c for c in range(ncols) if c not in pivots]
     if not free:
-        return None, r
-    f0 = free[0]
-    v = [Fraction(0)] * ncols
-    v[f0] = Fraction(1)
-    for c, row_idx in pivot_of_col.items():
-        v[c] = -mat[row_idx][f0]
-    return v, r
+        return None, len(pivots)
+    w = [0] * ncols  # det * v, integral by Cramer's rule
+    w[free[0]] = det
+    for k in reversed(range(len(pivots))):
+        row = mat[k]
+        w[pivots[k]] = -sum(row[c] * w[c] for c in [free[0], *pivots[k + 1:]]) // row[pivots[k]]
+    return [Fraction(v, det) for v in w], len(pivots)
 
 
 def exact_solve(a: Sequence[Sequence[Number]], b: Sequence[Number]) -> Optional[list[Fraction]]:
-    """x with A x = b for square A over ``Fraction``, or None when A is singular.
+    """x with A x = b for square A, as ``Fraction``s, or None when A is singular.
 
     A null vector of [A | -b] has a non-zero last entry exactly when A is
     non-singular; the elimination then makes that entry one.

@@ -473,6 +473,29 @@ def _valid_coefficient(c) -> bool:
     return type(c) in (int, float) and math.isfinite(c)
 
 
+def _json_instance(instance) -> tuple[int, int]:
+    """(points, dimension) of a report's 'instance' object."""
+    if not isinstance(instance, dict) or not all(type(instance.get(k)) is int for k in ("points", "dimension")):
+        raise ValueError("'instance' must be an object with integer 'points' and 'dimension'")
+    return instance["points"], instance["dimension"]
+
+
+def _json_indices(payload, key: str, count: int) -> tuple[int, ...]:
+    """payload[key] as sample indices, each an int in [0, count); a ValueError names the field."""
+    indices = payload.get(key) if isinstance(payload, dict) else None
+    if not isinstance(indices, list) or not all(type(i) is int and 0 <= i < count for i in indices):
+        raise ValueError(f"'{key}' must be a list of sample indices in [0, {count})")
+    return tuple(indices)
+
+
+def _json_weights(payload, key: str, count: int) -> tuple[Number, ...]:
+    """payload[key] as `count` numbers; a ValueError names the field."""
+    weights = payload.get(key) if isinstance(payload, dict) else None
+    if not isinstance(weights, list) or len(weights) != count or not all(map(_valid_coefficient, weights)):
+        raise ValueError(f"'{key}' must be a list of numbers or rational strings, one per index ({count})")
+    return tuple(map(_jnum_parse, weights))
+
+
 def _model_from_json(payload, dimension: int, exact: bool = False) -> PolynomialModel:
     """The model of a {degree, coefficients} JSON object; a ValueError names the field at fault."""
     if not isinstance(payload, dict):
@@ -521,8 +544,9 @@ def run(config: RunConfig) -> tuple[int, dict]:
     if config.command == "report":
         return _run_revalidate(config)
 
+    t0 = time.perf_counter()
     samples, source = _load_samples(config)
-    timings: dict[str, float] = {}
+    timings: dict[str, float] = {"load_s": time.perf_counter() - t0}
     report: dict = {
         "instance": {"source": source, "dimension": samples.dimension, "points": len(samples)},
         "arithmetic": "exact" if config.exact else "float",
@@ -587,15 +611,19 @@ def _run_revalidate(config: RunConfig) -> tuple[int, dict]:
     exact = report.get("arithmetic") == "exact"
     samples, _ = _load_samples(replace(config, exact=exact))  # the report's own arithmetic
     checks: dict[str, bool] = {}
-
-    if report["instance"]["points"] != len(samples) or report["instance"]["dimension"] != samples.dimension:
-        raise ValueError("input data does not match the report instance")
+    n = len(samples)
 
     with _naming(config.report_path):
+        instance = _json_instance(report.get("instance"))
         degree = _json_degree(report.get("degree"))
+    if instance != (n, samples.dimension):
+        raise ValueError("input data does not match the report instance")
     if "model" in report:
         with _naming(f"{config.report_path}: model"):
             model = _model_from_json(report["model"], samples.dimension)
+        with _naming(config.report_path):
+            if not _valid_coefficient(report.get("psi")):
+                raise ValueError("'psi' must be a number or a rational string")
         psi = compute_psi(model, samples)
         claimed = _jnum_parse(report["psi"])
         if exact:
@@ -604,14 +632,11 @@ def _run_revalidate(config: RunConfig) -> tuple[int, dict]:
             checks["psi"] = abs(float(psi) - float(claimed)) <= 1e-9 * max(1.0, float(claimed))
 
     if "certificate" in report:
-        cert = report["certificate"]
-        plus = cert["plus"]
-        minus = cert["minus"]
-        alpha = [_jnum_parse(w) for w in cert["alpha"]]
-        beta = [_jnum_parse(w) for w in cert["beta"]]
-        rebuilt = IntersectionCertificate(
-            degree, tuple(plus), tuple(minus), tuple(alpha), tuple(beta), 0, exact
-        )
+        with _naming(f"{config.report_path}: certificate"):
+            cert = report["certificate"]
+            plus, minus = _json_indices(cert, "plus", n), _json_indices(cert, "minus", n)
+            alpha, beta = _json_weights(cert, "alpha", len(plus)), _json_weights(cert, "beta", len(minus))
+        rebuilt = IntersectionCertificate(degree, plus, minus, alpha, beta, 0, exact)
         residual = verify_certificate(rebuilt, samples)
         tol = 0 if exact else 1e-8
         checks["certificate_moments"] = abs(residual) <= tol
@@ -622,9 +647,10 @@ def _run_revalidate(config: RunConfig) -> tuple[int, dict]:
     if "witness" in report:
         with _naming(f"{config.report_path}: witness"):
             witness = SeparationWitness(_model_from_json(report["witness"], samples.dimension), None, None)
-        checks["witness_separates"] = verify_witness(
-            witness, report["extremes"]["plus"], report["extremes"]["minus"], samples
-        )
+        with _naming(f"{config.report_path}: extremes"):
+            extremes = report.get("extremes")
+            plus, minus = _json_indices(extremes, "plus", n), _json_indices(extremes, "minus", n)
+        checks["witness_separates"] = verify_witness(witness, plus, minus, samples)
 
     valid = all(checks.values())
     return (0 if valid else 2), {"revalidated": config.report_path, "checks": checks, "valid": valid}

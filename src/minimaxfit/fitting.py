@@ -64,6 +64,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._linalg import integer_row
 from .lp import LESS, LinearProgram, LpFailure, solve, solve_exact
 from .monomials import Number, PolynomialModel, build_basis, dot_rows, lift_matrix
 from .monomials import evaluate  # unused here, kept because bench/tracing.py counts fitting.evaluate
@@ -307,14 +308,9 @@ def _run_peaks(residuals: np.ndarray, indices: np.ndarray, bound: Number) -> lis
     return [int(indices[a:b][size[a:b] == p].min()) for a, b, p in zip(starts, ends, peaks) if p > bound]
 
 
-def _integer_rows(lifts: Sequence[Sequence[Number]], vals: Sequence[Number]) -> list[tuple]:
-    """Each exact row (lift(x_i), f(x_i)) as (N_i, V_i, D_i): integers N_i, V_i over its lcm denominator D_i."""
-    table = []
-    for u, v in zip(lifts, vals):
-        den = math.lcm(v.denominator, *(g.denominator for g in u))
-        row = tuple(g.numerator * (den // g.denominator) for g in u)
-        table.append((row, v.numerator * (den // v.denominator), den))
-    return table
+def _integer_rows(lifts: Sequence[Sequence[Number]], vals: Sequence[Number]) -> list[tuple[list[int], int]]:
+    """Each exact row (lift(x_i), f(x_i)) as integers N_i, V_i over its lcm denominator D_i: ([*N_i, V_i], D_i)."""
+    return [integer_row([*u, v]) for u, v in zip(lifts, vals)]
 
 
 def _integer_residuals(table, coeffs: Sequence[Number]) -> list[Fraction]:
@@ -324,9 +320,8 @@ def _integer_residuals(table, coeffs: Sequence[Number]) -> list[Fraction]:
     residual is (q V_i - p . N_i) / (q D_i): integer sums and one ``Fraction``
     normalisation per row, where `dot` normalises twice per term.
     """
-    q = math.lcm(*(c.denominator for c in coeffs))
-    p = [c.numerator * (q // c.denominator) for c in coeffs]
-    return [Fraction(q * v - sum(map(mul, p, row)), q * den) for row, v, den in table]
+    p, q = integer_row(coeffs)
+    return [Fraction(q * row[-1] - sum(map(mul, p, row)), q * den) for row, den in table]  # map stops before V_i
 
 
 def _model_residuals(model: PolynomialModel, samples: SampleSet) -> np.ndarray:

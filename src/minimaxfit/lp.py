@@ -9,7 +9,8 @@ degeneracy.
 
 A `LinearProgram` holds one coefficient array with relation and rhs arrays.
 Every solve reads them through one array standardisation (`_standard_form`),
-over float64 or ``Fraction``, converted once per LP and arithmetic (`_rows`).
+over float64, ``Fraction`` or integers, converted once per LP and arithmetic
+(`_rows`, `_integers`).
 
 Every simplex solve ends in one routine, `_finish`: the primal simplex from
 a primal feasible tableau, the point in the original variables, and a check
@@ -31,11 +32,13 @@ afresh and finishes from there; the failure stands only if that fails too.
 Exact solves run as a float-to-exact crossover (Applegate, Cook, Dash &
 Espinoza, "Exact solutions to linear programming problems", ORL 2007): a
 float guess proposes an optimal basis, which is solved and checked once
-over ``Fraction`` on its k x k block of basic structural columns (see
-`_certify`).  The guess is the two-phase solve, its pivots capped by the
-LP's size, or the all-slack dual start when that raises.  Every other
-outcome sends the LP through the rational simplex from scratch, so every
-status an exact solve returns is decided in exact arithmetic.
+over integers on its k x k block of basic structural columns (see
+`_certify`: rows scaled by the lcm of their denominators, `_integers`, and
+fraction-free block solves, `_linalg.exact_nullspace`).  The guess is the
+two-phase solve, its pivots capped by the LP's size, or the all-slack dual
+start when that raises.  Every other outcome sends the LP through the
+rational simplex from scratch over ``Fraction``, so every status an exact
+solve returns is decided in exact arithmetic.
 
 Infeasible solves always carry a Farkas witness so callers can turn "no
 certificate" into an explicit separating functional.  The witness lives in
@@ -51,7 +54,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._linalg import exact_solve
+from ._linalg import exact_solve, integer_row
 from .monomials import Number, dot_rows
 
 LESS, EQUAL, GREATER = "<=", "==", ">="
@@ -112,7 +115,7 @@ class LinearProgram:
         self.bounds = ((None, None),) * n if bounds is None else tuple((lo, hi) for lo, hi in bounds)
         if len(self.bounds) != n:
             raise ValueError(f"{len(self.bounds)} bounds for {n} variables")
-        self._converted: dict[bool, tuple[np.ndarray, np.ndarray]] = {}  # see `_rows`
+        self._converted: dict = {}  # see `_rows` and `_integers`
 
     @property
     def num_vars(self) -> int:
@@ -155,15 +158,16 @@ def solve(lp: LinearProgram, start: Optional[LpSolution] = None) -> LpSolution:
 def solve_exact(lp: LinearProgram) -> LpSolution:
     """Exact rational solution; status decisions carry no tolerance.
 
-    The float simplex's optimal basis is certified over ``Fraction`` and its
-    exact vertex returned.  The guess is the two-phase solve from scratch,
-    capped at `_GUESS_PIVOTS` pivots per standardised row and column, or the
-    dual simplex from the all-slack basis when that raises and the LP has
-    that start.  Without an optimal guess (infeasible LPs then get their
-    Farkas witness from the rational simplex), or when its basis is singular
-    or fails an exact check, the two-phase simplex runs over ``Fraction``.
-    The certificate, its row check and the rational simplex share one
-    conversion of the rows to ``Fraction``.
+    The float simplex's optimal basis is certified exactly, over integers,
+    and its exact vertex returned.  The guess is the two-phase solve from
+    scratch, capped at `_GUESS_PIVOTS` pivots per standardised row and
+    column, or the dual simplex from the all-slack basis when that raises
+    and the LP has that start.  Without an optimal guess (infeasible LPs
+    then get their Farkas witness from the rational simplex), or when its
+    basis is singular or fails an exact check, the two-phase simplex runs
+    over ``Fraction``.
+    The certificate and every row check share one conversion of the rows to
+    integers, the rational simplex one to ``Fraction``.
     """
     try:
         guess = _solve(lp, exact=False, guess=True)
@@ -190,6 +194,15 @@ def _rows(lp: LinearProgram, exact: bool) -> tuple[np.ndarray, np.ndarray]:
     return lp._converted[exact]
 
 
+def _integers(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(N, V, D): each row of A and its rhs times D_i, the lcm of their denominators, as object arrays of ints."""
+    if "integer" not in lp._converted:
+        scaled = [integer_row([*a, b]) for a, b in zip(lp.A.tolist(), lp.rhs.tolist())]
+        N = np.array([row for row, _ in scaled], dtype=object).reshape(lp.num_rows, lp.num_vars + 1)
+        lp._converted["integer"] = N[:, :-1], N[:, -1], np.array([den for _, den in scaled], dtype=object)
+    return lp._converted["integer"]
+
+
 def _columns(bounds, conv):
     """Each standardised column's variable and sign, each variable's offset, each two-sided bound's column and width."""
     var, sign, offsets, bound_cols, widths = [], [], [], [], []
@@ -213,17 +226,19 @@ def _columns(bounds, conv):
     return var, sign, offsets, bound_cols, widths
 
 
-def _standard_form(lp: LinearProgram, exact: bool):
+def _standard_form(lp: LinearProgram, exact: bool, integer: bool = False):
     """The columns (variable, sign, offsets), rows R = [S | slacks] and rhs b of R u = b over u >= 0, and u's costs.
 
     S holds A's column of each standardised column's variable, negated where
     its sign is -1, and the offsets move to the rhs.  The original rows come
     first, then one "<=" row per two-sided bound, then one slack column per
     row that is not "==": +1 for "<=", -1 for ">=".  Over float64 every zero
-    is +0.0.
+    is +0.0.  With `integer` (and `exact`) they are the integer rows
+    (`_integers`), every zero and one of R an int.
     """
     conv = Fraction if exact else float
-    A, rhs = _rows(lp, exact)
+    A, rhs = _integers(lp)[:2] if integer else _rows(lp, exact)
+    unit = int if integer else conv  # the type of R's zeros and ones
     var, sign, offsets, bound_cols, widths = _columns(lp.bounds, conv)
     neg = [k for k, s in enumerate(sign) if s < 0]
 
@@ -232,18 +247,18 @@ def _standard_form(lp: LinearProgram, exact: bool):
         return M if exact else M + 0.0  # -0.0 -> 0.0, the zero a per-coefficient substitution leaves
 
     def zeros(*shape):
-        return np.full(shape, conv(0), dtype=A.dtype)
+        return np.full(shape, unit(0), dtype=A.dtype)
 
     structural = signed(A[:, var])
     costs = signed(np.array([conv(lp.objective[j]) for j in var], dtype=A.dtype))
     if any(offsets):  # zero for every free variable and every lower bound 0
         rhs = rhs - dot_rows(A, offsets)
     bound_rows = zeros(len(bound_cols), len(var))
-    bound_rows[np.arange(len(bound_cols)), bound_cols] = conv(1)
+    bound_rows[np.arange(len(bound_cols)), bound_cols] = unit(1)
     relations = np.concatenate((lp.relations, [LESS] * len(bound_cols)))
     inequalities = np.flatnonzero(relations != EQUAL)
     slacks = zeros(len(relations), len(inequalities))
-    slacks[inequalities, np.arange(len(inequalities))] = np.where(relations[inequalities] == LESS, conv(1), conv(-1))
+    slacks[inequalities, np.arange(len(inequalities))] = np.where(relations[inequalities] == LESS, unit(1), unit(-1))
     rows = np.concatenate((np.concatenate((structural, bound_rows)), slacks), axis=1)
     b = np.concatenate((rhs, np.array(widths, dtype=A.dtype)))
     return (var, sign, offsets), rows, b, np.concatenate((costs, zeros(len(inequalities))))
@@ -458,8 +473,8 @@ def _optimal(lp, columns, x_std, exact: bool, iterations: int, basis) -> LpSolut
 def _certify(lp: LinearProgram, basis, dropped, iterations: int) -> Optional[LpSolution]:
     """The exact vertex of a proposed optimal basis, or None if it is not one.
 
-    Solves B x_B = b and B^T y = c_B over ``Fraction`` on the kept rows, then
-    asks for x_B >= 0, reduced costs c - A^T y >= 0 on every column, the
+    Solves B x_B = b and B^T y = c_B exactly on the kept rows, then asks
+    for x_B >= 0, reduced costs c - A^T y >= 0 on every column, the
     dropped rows satisfied and every original row satisfied, all exactly.
 
     B is solved on its structural block.  A basic slack is the unit column
@@ -473,9 +488,16 @@ def _certify(lp: LinearProgram, basis, dropped, iterations: int) -> Optional[LpS
     +-(b_i - a_i . x_S), and y is zero on the rows R of the basic slacks,
     which cost nothing.  These x_B and y solve the full systems, whose
     solutions are unique, so the vertex certified is the one the dense
-    m x m solves would give.  The sums skip their zero terms.
+    m x m solves would give.
+
+    The standard form is read from the integer rows (`_integers`).  Scaling
+    row i by D_i > 0 changes no decision: a basic slack is D_i times the
+    original one, the duals are D^-1 y, so every reduced cost is the same,
+    and a dropped row holds as before.  With x_S = X / q and y_T = Y / r
+    from the fraction-free block solves, the slacks, the reduced costs'
+    signs and the dropped rows are integer sums.
     """
-    columns, rows, rhs, costs = _standard_form(lp, exact=True)
+    columns, rows, rhs, costs = _standard_form(lp, exact=True, integer=True)
     nstruct = len(columns[0])
     slack_row = np.nonzero(rows[:, nstruct:])[0].tolist()  # the row of slack column nstruct + s
     kept = [i for i in range(len(rows)) if i not in dropped]
@@ -491,23 +513,18 @@ def _certify(lp: LinearProgram, basis, dropped, iterations: int) -> Optional[LpS
     y = exact_solve(block.T.tolist(), costs[struct].tolist())
     if x_s is None or y is None:
         return None
-    x_std = [Fraction(0)] * len(costs)
-    for j, v in zip(struct, x_s):
-        x_std[j] = v
-    for i, j in slack_of.items():  # the slack's entry is +-1, its own inverse
-        x_std[j] = (rhs[i] - sum(a * v for a, v in zip(rows[i, struct].tolist(), x_s) if v)) * rows[i, j]
-    if any(x_std[j] < 0 for j in basis):
+    X, q = integer_row(x_s)  # x_S = X / q
+    Y, r = integer_row(y)  # y_T = Y / r
+    C, c_den = integer_row(costs.tolist())  # c = C / c_den
+    w = np.zeros(len(costs), dtype=object)  # q times the standardised point
+    w[struct] = X
+    loose, slacks = list(slack_of), list(slack_of.values())
+    w[slacks] = (q * rhs[loose] - rows[np.ix_(loose, struct)] @ np.array(X, dtype=object)) * rows[loose, slacks]
+    reduced = np.array(C, dtype=object) * r - c_den * (np.array(Y, dtype=object) @ rows[tight])  # r c_den (c - A^T y)
+    if (w < 0).any() or (reduced < 0).any() or (rows[list(dropped)] @ w != q * rhs[list(dropped)]).any():
         return None
-    duals = [(yi, i) for yi, i in zip(y, tight) if yi]
-    weights = [yi for yi, _ in duals]
-    for c, column in zip(costs.tolist(), rows[[i for _, i in duals]].T.tolist()):
-        if c - sum(yi * a for yi, a in zip(weights, column) if a) < 0:
-            return None
-    for i in dropped:
-        if sum(a * v for a, v in zip(rows[i].tolist(), x_std) if v) != rhs[i]:
-            return None
     try:
-        return _optimal(lp, columns, x_std, True, iterations, (tuple(basis), tuple(dropped)))
+        return _optimal(lp, columns, [Fraction(v, q) for v in w], True, iterations, (tuple(basis), tuple(dropped)))
     except LpFailure:
         return None
 
@@ -516,26 +533,34 @@ def _check_rows(lp: LinearProgram, x, exact: bool, iterations: int):
     """Raise `LpFailure` at the first original row that the point x breaks.
 
     A defensive residual check; the 1e-9 contract itself is asserted in
-    tests.  All rows are checked at once on the LP's rows in the solve's
-    arithmetic (`_rows`): `dot_rows` sums the columns left to right in
-    float64, or over ``Fraction`` in an object array, so each float
-    residual is bit for bit that of a per-row ``sum`` (Python 3.11).  A
-    float row may miss by 1e-7 times the largest of 1, its |coefficients|
-    and |rhs|; an exact row not at all.
+    tests.  All rows are checked at once.  A float point x is checked on
+    the float64 rows (`_rows`), where `dot_rows` sums the columns left to
+    right, so each residual is bit for bit that of a per-row ``sum``
+    (Python 3.11); a row may miss by 1e-7 times the largest of 1, its
+    |coefficients| and |rhs|.  An exact x = X / q (`integer_row`) may miss
+    no row; N X - q V over the integer rows (`_integers`) is q D_i times
+    each residual.
     """
     if not lp.num_rows:
         return
-    matrix, rhs = _rows(lp, exact)
-    resid = dot_rows(matrix, x) - rhs
-    slack = 0 if exact else 1e-7 * np.maximum(np.abs(matrix).max(axis=1, initial=1.0), np.abs(rhs))
+    if exact:
+        N, V, D = _integers(lp)
+        X, q = integer_row(x)
+        resid = dot_rows(N, X) - q * V  # q D_i times each residual
+        slack = 0
+    else:
+        matrix, rhs = _rows(lp, exact)
+        resid = dot_rows(matrix, x) - rhs
+        slack = 1e-7 * np.maximum(np.abs(matrix).max(axis=1, initial=1.0), np.abs(rhs))
     rels = lp.relations
     bad = (((rels == EQUAL) & (abs(resid) > slack)) | ((rels == LESS) & (resid > slack))
            | ((rels == GREATER) & (resid < -slack)))
     if bad.any():
         k = int(np.argmax(bad))
+        residual = float(Fraction(resid[k], q * D[k]) if exact else resid[k])
         raise LpFailure(
-            f"optimal point violates row {k} by {float(resid[k]):.3e}",
-            {"row": k, "residual": float(resid[k]), "iterations": iterations},
+            f"optimal point violates row {k} by {residual:.3e}",
+            {"row": k, "residual": residual, "iterations": iterations},
         )
 
 

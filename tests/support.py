@@ -6,6 +6,7 @@ import random
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 from minimaxfit import (
     ExtremeSets,
@@ -29,6 +30,49 @@ def lp_from_rows(objective, rows, bounds=None) -> LinearProgram:
     """The LP of rows (coefficients, relation, rhs), every number kept as given."""
     return LinearProgram(objective, [list(c) for c, _, _ in rows], [r for _, r, _ in rows],
                          [b for _, _, b in rows], bounds)
+
+
+def gauss_jordan_nullspace(rows) -> tuple[Optional[list[Fraction]], int]:
+    """Gauss-Jordan reduction of A over ``Fraction``: the reference for `_linalg.exact_nullspace`.
+
+    Returns (v, rank): v is the null vector with 1 at the first free column
+    and 0 at the other free columns, or None when A has full column rank.
+    """
+    if not rows:
+        return None, 0
+    ncols = len(rows[0])
+    mat = [[Fraction(v) for v in r] for r in rows]
+    pivot_of_col: dict[int, int] = {}
+    r = 0
+    for c in range(ncols):
+        candidates = [i for i in range(r, len(mat)) if mat[i][c]]
+        if not candidates:
+            continue
+        # the sparsest pivot row fills in least; the reduced form does not depend on the choice
+        pivot = min(candidates, key=lambda i: sum(1 for v in mat[i] if v))
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        pv = mat[r][c]
+        prow = mat[r] = [v / pv if v else v for v in mat[r]]
+        support = [j for j, v in enumerate(prow) if v]
+        for i in range(len(mat)):
+            f = mat[i][c]
+            if i != r and f:
+                row = mat[i]
+                for j in support:
+                    row[j] -= f * prow[j]
+        pivot_of_col[c] = r
+        r += 1
+        if r == len(mat):
+            break
+    free = [c for c in range(ncols) if c not in pivot_of_col]
+    if not free:
+        return None, r
+    f0 = free[0]
+    v = [Fraction(0)] * ncols
+    v[f0] = Fraction(1)
+    for c, row_idx in pivot_of_col.items():
+        v[c] = -mat[row_idx][f0]
+    return v, r
 
 
 def random_samples(rng: random.Random, dimension: int, count: int) -> SampleSet:

@@ -528,6 +528,37 @@ class TestMainEntry:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"error: {path}: ") and field in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("edit, field", [
+        (lambda r: r["certificate"].update(plus=[0, 99]), "certificate: 'plus' must be a list of sample indices"),
+        (lambda r: r.pop("instance"), "'instance' must be an object with integer 'points' and 'dimension'"),
+        (lambda r: r["certificate"].update(alpha=["x", "1/2"]), "certificate: 'alpha' must be a list of numbers"),
+        (lambda r: r["certificate"].update(beta=[0.5, 0.5]), "certificate: 'beta' must be a list of numbers"),
+        (lambda r: r.update(psi="x"), "'psi' must be a number or a rational string"),
+        (lambda r: r.pop("psi"), "'psi' must be a number or a rational string"),
+    ], ids=["index-out-of-range", "no-instance", "weight-not-a-number", "weights-too-many", "psi-not-a-number",
+            "no-psi"])
+    def test_malformed_report_fields_are_errors(self, tmp_path, capsys, edit, field):
+        # a hand-edited fit report: exit 1 with one error line that names the file and the field
+        data, path = os.path.join(DATA, "parabola.csv"), tmp_path / "fit.json"
+        assert main(["fit", "--input", data, "--degree", "1", "--out", str(path)]) == 0
+        report = json.loads(path.read_text())
+        edit(report)
+        path.write_text(json.dumps(report))
+        assert main(["report", "--report", str(path), "--input", data]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {path}: ") and field in err and err.count("\n") == 1
+
+    def test_witness_report_with_negative_extreme_is_an_error(self, tmp_path, capsys):
+        data, coeffs, path = os.path.join(DATA, "parabola.csv"), tmp_path / "c.json", tmp_path / "w.json"
+        coeffs.write_text(json.dumps({"degree": 1, "coefficients": [0.3, 0.2]}))
+        assert main(["verify", "--input", data, "--coeffs", str(coeffs), "--out", str(path)]) == 2
+        report = json.loads(path.read_text())
+        report["extremes"]["minus"] = [-1]
+        path.write_text(json.dumps(report))
+        assert main(["report", "--report", str(path), "--input", data]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: extremes: 'minus' must be a list of sample indices in [0, 3)")
+
     def test_exact_fit_with_psi_beyond_float_range(self, tmp_path):
         # psi near 10**400 / 2: the degenerate-psi test compares it with 1e-12 exactly, not through float()
         path, out = tmp_path / "huge.csv", tmp_path / "r.json"
@@ -553,6 +584,19 @@ class TestMainEntry:
             "--coeffs", str(coeffs), "--out", str(tmp_path / "r.json"),
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--grid", "-1,1;2001;uniform;x1^3", "--degree", "2"],
+        ["verify", "--input", os.path.join(DATA, "parabola.csv"), "--degree", "1", "--coeffs", "COEFFS"],
+        ["reduce", "--input", os.path.join(DATA, "parabola.csv"), "--degree", "1", "--exact"],
+    ])
+    def test_every_run_report_times_its_load(self, tmp_path, argv):
+        coeffs, out = tmp_path / "c.json", tmp_path / "r.json"
+        coeffs.write_text(json.dumps({"degree": 1, "coefficients": [0.5, 0]}))
+        main([str(coeffs) if a == "COEFFS" else a for a in argv] + ["--out", str(out)])
+        timings = json.loads(out.read_text())["timings"]
+        assert isinstance(timings["load_s"], float) and timings["load_s"] > 0
+        assert list(timings)[0] == "load_s"
 
     def test_exit_codes_are_stable_across_runs(self, tmp_path):
         args = [

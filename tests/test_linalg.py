@@ -1,9 +1,41 @@
-"""Exact Gauss-Jordan null vectors and hyperplanes through points."""
+"""Exact fraction-free null vectors and hyperplanes through points."""
 
 import random
 from fractions import Fraction
+from unittest import mock
 
+from hypothesis import given, settings, strategies as st
+
+from minimaxfit import _linalg
 from minimaxfit._linalg import affine_normal, exact_nullspace, exact_solve
+
+from support import gauss_jordan_nullspace
+
+_ENTRIES = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(max_denominator=60).filter(lambda q: abs(q) < 100),
+    st.floats(-1e3, 1e3, allow_nan=False),
+    st.integers(-10**40, 10**40),
+)
+
+
+@st.composite
+def _matrices(draw, square=False):
+    """Tall, wide or square, dense, sparse, rank-deficient or all-zero matrices of mixed entries."""
+    m = draw(st.integers(1, 7))
+    n = m if square else draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(["dense", "sparse", "deficient", "zero"]))
+    if kind == "zero":
+        return [[draw(st.sampled_from([0, 0.0, Fraction(0)])) for _ in range(n)] for _ in range(m)]
+    entries = st.one_of(st.just(0), _ENTRIES) if kind == "sparse" else _ENTRIES
+    rows = [[draw(entries) for _ in range(n)] for _ in range(m)]
+    if kind == "deficient":  # every row past the first `rank` combines those rows, over Fraction
+        rank = draw(st.integers(0, min(m, n) - 1))
+        for i in range(rank, m):
+            weights = [draw(st.fractions(max_denominator=9).filter(lambda q: abs(q) < 9)) for _ in range(rank)]
+            rows[i] = [sum((w * Fraction(rows[k][j]) for k, w in enumerate(weights)), Fraction(0))
+                       for j in range(n)]
+    return rows
 
 
 def _rational(rng):
@@ -40,6 +72,35 @@ class TestExactNullspace:
             assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
 
 
+@settings(max_examples=400, deadline=None)
+@given(_matrices())
+def test_bareiss_equals_gauss_jordan(rows):
+    v, rank = exact_nullspace(rows)
+    assert (v, rank) == gauss_jordan_nullspace(rows)
+    assert v is None or all(type(c) is Fraction for c in v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrices(square=True), st.data())
+def test_exact_solve_gives_fractions_or_none(a, data):
+    b = data.draw(st.lists(_ENTRIES, min_size=len(a), max_size=len(a)))
+    x = exact_solve(a, b)
+    if gauss_jordan_nullspace(a)[1] < len(a):
+        assert x is None
+    else:
+        assert all(type(c) is Fraction for c in x)
+        assert [sum(Fraction(p) * q for p, q in zip(row, x)) for row in a] == [Fraction(c) for c in b]
+
+
+def test_integer_systems_solve_to_fractions():
+    # zero right-hand sides and unit matrices leave nothing to divide in the back-substitution
+    assert exact_solve([[2]], [0]) == [0]
+    for a, b in (([[2]], [0]), ([[1, 0], [0, 1]], [0, 3]), ([[0, 1], [1, 0]], [4, 0]), ([[2, 1], [1, 1]], [1, 1])):
+        assert all(type(c) is Fraction for c in exact_solve(a, b))
+    assert exact_nullspace([[0, 0, 0]]) == ([1, 0, 0], 0)
+    assert all(type(c) is Fraction for c in exact_nullspace([[0, 0, 0]])[0])
+
+
 class TestExactSolve:
     def test_square_systems_solved_or_singular(self):
         rng = random.Random(14)
@@ -72,6 +133,20 @@ class TestAffineNormal:
             u, a = affine_normal(points, exact=True)
             assert next(c for c in u if c != 0) == 1
             assert all(sum(c * x for c, x in zip(u, p)) == a for p in points)
+
+    def test_exact_plane_equals_the_gauss_jordan_one(self):
+        rng = random.Random(15)
+        for _ in range(40):
+            d = rng.randint(2, 4)
+            points = [[rng.choice([rng.randint(-3, 3), _rational(rng), rng.randint(-10**30, 10**30)])
+                       for _ in range(d)] for _ in range(d)]
+            got = affine_normal(points, exact=True)
+            with mock.patch.object(_linalg, "exact_nullspace", gauss_jordan_nullspace):
+                assert affine_normal(points, exact=True) == got
+            if got is not None:
+                u, a = got
+                assert all(type(c) is Fraction for c in (*u, a))
+                assert all(sum(c * Fraction(x) for c, x in zip(u, p)) == a for p in points)
 
     def test_exact_affinely_dependent_points_give_none(self):
         collinear = [(Fraction(0), Fraction(0), Fraction(1)), (Fraction(1), Fraction(2), Fraction(3)),

@@ -542,6 +542,63 @@ def test_block_certificate_matches_the_dense_one(exact_corpus):
     assert certified > 100 and rejected > 100
 
 
+def _offset_lp(rng: random.Random):
+    """A bounded LP with ``Fraction`` bounds (non-zero offsets) and rows of huge ints, Fractions or both."""
+    n, m = rng.randint(1, 4), rng.randint(1, 5)
+    bounds = [rng.choice([(Fraction(-7, 3), Fraction(5, 2)), (Fraction(1, 3), Fraction(19, 4)),
+                          (Fraction(-9, 4), Fraction(-1, 6))]) for _ in range(n)]
+    rows = []
+    for _ in range(m):
+        kind = rng.choice(["huge", "fraction", "mixed"])
+        scale = 10**30 + rng.randint(0, 10**6) if kind != "fraction" else 1
+        coeffs = [rng.randint(-6, 6) * scale if kind == "huge" or (kind == "mixed" and rng.random() < 0.5)
+                  else Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(n)]
+        rhs = rng.randint(-8, 8) * scale if kind == "huge" else Fraction(rng.randint(-8, 8), rng.randint(1, 3))
+        rows.append((coeffs, rng.choice(["<=", "==", ">="]), rhs))
+    return lp_from_rows([Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)], rows, bounds)
+
+
+def test_integer_certificate_with_offsets_and_huge_rows_matches_the_dense_one():
+    rng = random.Random(43)
+    certified = rejected = 0
+    for _ in range(160):
+        lp = _offset_lp(rng)
+        assert any(lp_module._columns(lp.bounds, Fraction)[2])  # the offsets move to the rhs
+        for basis, dropped in _candidate_bases(lp, rng):
+            got = lp_module._certify(lp, basis, dropped, iterations=5)
+            ref = _dense_certify(lp, basis, dropped, iterations=5)
+            assert (got is None) == (ref is None), (basis, dropped)
+            if ref is None:
+                rejected += 1
+                continue
+            certified += 1
+            assert (got.x, got.objective_value, got.basis) == (ref.x, ref.objective_value, ref.basis)
+            assert all(type(v) is Fraction for v in got.x)
+        _assert_same_exact_answer(lp, solve_exact(lp), _from_scratch(lp))
+    assert certified > 50 and rejected > 50
+
+
+def test_integer_row_check_reports_the_fraction_residual(monkeypatch):
+    # an exact fit's first round: rows with denominators up to 64, broken by hand at each coordinate
+    lp = _first_exact_round(monkeypatch, "-1,1:-1,1;9;uniform;x1^2*x2+x2^3", 2)
+    sol = solve_exact(lp)
+    assert _check_rows_outcome(lp, sol.x, True) is None
+    broken = 0
+    for j in range(lp.num_vars):
+        for eps in (Fraction(1, 10**40), Fraction(-7, 3), Fraction(2**70 + 1, 3**5)):
+            x = list(sol.x)
+            x[j] += eps
+            ref = _loop_check_rows(lp, x, True)
+            got = _check_rows_outcome(lp, x, True)
+            if ref is None:
+                assert got is None
+                continue
+            broken += 1
+            k, resid = ref
+            assert got == (k, float(resid), f"optimal point violates row {k} by {float(resid):.3e}")
+    assert broken >= 2 * lp.num_vars
+
+
 @pytest.mark.parametrize("cost, rhs, basis, dropped, x", [
     (1, 1, (0, 2), (), [1]),  # the optimal vertex: x = 1 on the ">=" row, bound slack 2
     (1, 1, (0, 1), (), None),  # x = 3 on the bound row: feasible, but the bound slack's reduced cost is -1

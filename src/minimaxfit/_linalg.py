@@ -1,12 +1,14 @@
-"""Exact elimination for the LP's certification and hyperplanes for alternation.
+"""Exact elimination for the LP's certification, integer rows, and hyperplanes for alternation.
 
 `exact_solve` solves a basis block exactly for `lp._certify`;
 `affine_normal` gives the hyperplane through d points, by SVD in float and
 by fraction-free elimination over integers in exact mode, so verdicts near
 degeneracy carry no rounding.  Both eliminate in `exact_nullspace`, over
-rows that `integer_row` scales to integers.  `affine_normals` gives the
-float hyperplanes of a whole batch of d-point sets at once, each bit for
-bit `affine_normal`'s.
+rows that `integer_row` scales to integers.  `integer_rows` scales a whole
+table [A | b] that way, once: the exact LP's certificate and row check
+(`lp._integers`) and the exact fit's residuals read its rows through
+`monomials.dot_rows`.  `affine_normals` gives the float hyperplanes of a
+whole batch of d-point sets at once, each bit for bit `affine_normal`'s.
 """
 
 from __future__ import annotations
@@ -30,6 +32,13 @@ def integer_row(values: Sequence[Number]) -> tuple[list[int], int]:
     exact = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
     den = math.lcm(*[v.denominator for v in exact])
     return [v.numerator * (den // v.denominator) for v in exact], den
+
+
+def integer_rows(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(N, V, D), object arrays of ints: row i of [A | b] is [N_i | V_i] / D_i, D_i the lcm of its denominators."""
+    scaled = [integer_row([*a, v]) for a, v in zip(A.tolist(), b.tolist())]
+    N = np.array([row for row, _ in scaled], dtype=object).reshape(len(scaled), A.shape[1] + 1)
+    return N[:, :-1], N[:, -1], np.array([den for _, den in scaled], dtype=object)
 
 
 def exact_nullspace(rows: Sequence[Sequence[Number]]) -> tuple[Optional[list[Fraction]], int]:

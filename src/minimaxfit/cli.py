@@ -310,12 +310,8 @@ def parse_grid_spec(spec: str, exact: bool = False) -> SampleSet:
         if len(pieces) != 2:
             raise ValueError(f"axis bounds must look like 'lo,hi', got {axis!r}")
         bounds.append((Fraction(pieces[0].strip()), Fraction(pieces[1].strip())))
-    res_pieces = res_text.split(":")
-    if len(res_pieces) == 1:
-        resolution = [int(res_pieces[0])] * len(bounds)
-    else:
-        resolution = [int(r) for r in res_pieces]
-    return generate_grid(bounds, resolution, node_type, expr_text, exact=exact)
+    res = [int(r) for r in res_text.split(":")]
+    return generate_grid(bounds, res if len(res) > 1 else res[0], node_type, expr_text, exact=exact)
 
 
 # --- configuration and reports ----------------------------------------------
@@ -374,8 +370,8 @@ def _outcome_to_json(outcome) -> dict:
             "coefficients": [_jnum(c) for c in outcome.model.coefficients],
             "degree": outcome.model.degree,
             "margins": {
-                "plus": _jnum(outcome.plus_margin) if outcome.plus_margin is not None else None,
-                "minus": _jnum(outcome.minus_margin) if outcome.minus_margin is not None else None,
+                "plus": _jnum(outcome.plus_margin),
+                "minus": _jnum(outcome.minus_margin),
             },
         }
     }
@@ -674,7 +670,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("report", "re-validate a previously written report"),
     ]:
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--input", help="CSV file with header x1..xd,f")
+        p.add_argument("--input", dest="input_path", metavar="INPUT", help="CSV file with header x1..xd,f")
         p.add_argument("--grid", help='grid spec "lo,hi[:lo,hi];res[:res];uniform|chebyshev;expr", '
                                       'e.g. --grid "-1,1;11;uniform;x1^3"')
         p.add_argument("--degree", type=int, help="model degree m")
@@ -700,18 +696,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         argv[k:k + 2] = [f"--grid={argv[k + 1]}"]
     ns = _build_parser().parse_args(argv)
     try:
-        config = RunConfig(
-            command=ns.command,
-            input_path=ns.input,
-            grid=ns.grid,
-            degree=ns.degree,
-            rel_tol=ns.rel_tol,
-            strategy=ns.strategy,
-            exact=ns.exact,
-            out=ns.out,
-            coeffs=getattr(ns, "coeffs", None),
-            report_path=getattr(ns, "report_path", None),
-        )
+        config = RunConfig(**vars(ns))
         code, report = run(config)
         text = json.dumps(report, allow_nan=False)  # no indent: the C encoder
     except (OSError, ValueError, KeyError, ArithmeticError, RuntimeError) as err:

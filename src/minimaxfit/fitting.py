@@ -32,24 +32,25 @@ another row order certifies another optimum of the same psi.
 
 Residuals follow the convention r(x) = f(x) - L(A, x), so the positive
 extreme set holds points where the target sits above the model.  An exact
-fit takes them over integers: each sample's row (lift(x_i), f(x_i)) is
-written once per fit as integers over the lcm D_i of its denominators
-(`_integer_rows`), each round's coefficients as integers p over their lcm
-q, and r_i = (q V_i - p . N_i) / (q D_i) is one ``Fraction`` per sample,
-the value `dot` would give.
+fit takes them over integers: `_linalg.integer_rows` writes each sample's
+row (lift(x_i), f(x_i)) once per fit as integers N_i, V_i over the lcm D_i
+of its denominators, each round's coefficients are integers p over their
+lcm q, and r_i = (q V_i - dot_rows(N, p)_i) / (q D_i) is one ``Fraction``
+per sample, the value `dot` would give; `lp._check_rows` checks an exact
+point with the same kernel over the same kind of rows.
 
 `SampleSet` keeps the samples as one table, and `SampleSet.lifted` is the
 one place a sample point is lifted: one (n x basis) array per degree and
 arithmetic, in the dtype of the table's `view`, whose rows `lift_matrix`
 fills when they are first asked for.  The fit reads all of them, every
 verifier only the extreme rows.  The rows repeat `lift` bit for bit, and
-`dot_rows` repeats `dot` (see `monomials`), so every float residual pass is
-`dot_rows` over float64 rows against the table's values `SampleSet.f`: the
-fit's working-set loop, and `extreme_sets` and `compute_psi` on a float64
-table.  The exact loop, and every residual pass over an object table,
-keeps its residuals in an object array (of ``Fraction`` in exact mode), so
-the same numpy calls pick the worst sample, the runs and the extreme sets,
-comparing exactly.
+`dot_rows` repeats `dot` (see `monomials`), so every residual pass is
+`dot_rows`: over float64 rows against the table's values `SampleSet.f` in
+the float fit's working-set loop, and in `extreme_sets` and `compute_psi`
+on a float64 table; over the integer rows in the exact loop.  The exact
+loop, and every residual pass over an object table, keeps its residuals in
+an object array (of ``Fraction`` in exact mode), so the same numpy calls
+pick the worst sample, the runs and the extreme sets, comparing exactly.
 """
 
 from __future__ import annotations
@@ -59,12 +60,12 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, groupby
-from operator import itemgetter, mul
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
 
-from ._linalg import integer_row
+from ._linalg import integer_row, integer_rows
 from .lp import LESS, LinearProgram, LpFailure, solve, solve_exact
 from .monomials import Number, PolynomialModel, build_basis, dot_rows, lift_matrix
 from .monomials import evaluate  # unused here, kept because bench/tracing.py counts fitting.evaluate
@@ -72,6 +73,8 @@ from .monomials import evaluate  # unused here, kept because bench/tracing.py co
 DUPLICATE_TOL = 1e-12
 DEGENERATE_PSI = 1e-12
 DEFAULT_REL_TOL = 1e-8
+
+_fractions = np.frompyfunc(Fraction, 2, 1)  # Fraction(numerator, denominator) of every entry, an object array
 
 
 def _finite(x: Number) -> bool:
@@ -107,7 +110,8 @@ class SampleSet:
         for k, p in enumerate([] if arrays else pts):
             if len(p) != d:
                 raise ValueError(f"point {k} has dimension {len(p)}, expected {d}")
-        floats = arrays or set(map(type, chain(*pts, vals))) == {float}
+        kinds = {float} if arrays else set(map(type, chain(*pts, vals)))
+        floats = kinds == {float}
         self.xy = np.array(pts, dtype=float if floats else object)
         self.f = np.array(vals, dtype=self.xy.dtype)
         finite = np.isfinite if floats else np.vectorize(_finite, otypes=[bool])
@@ -122,7 +126,9 @@ class SampleSet:
         self._check_duplicates(self.xy)
         self.dimension = d
         self.xy.flags.writeable = self.f.flags.writeable = False
-        self._views: dict[bool, tuple[np.ndarray, np.ndarray]] = {False: (self.xy, self.f)} if floats else {}
+        self._views: dict[bool, tuple[np.ndarray, np.ndarray]] = {}  # a table of floats or of Fractions is its own view
+        if kinds in ({float}, {Fraction}):
+            self._views[kinds == {Fraction}] = self.xy, self.f
         self._lifted: dict[tuple[int, bool], tuple] = {}  # (degree, exact) -> (basis, rows, lifted mask)
 
     @staticmethod
@@ -172,7 +178,9 @@ class SampleSet:
 
         Every verifier reads the samples through this view, so repeated calls
         (one per candidate hyperplane, say) share one conversion.  The float
-        view of a float64 table is the table itself.
+        view of a float64 table, and the exact view of a table whose every
+        entry is a ``Fraction`` (as `ingest` reads it in exact mode), is the
+        table itself.
         """
         if exact not in self._views:
             convert = np.frompyfunc(Fraction, 1, 1) if exact else (lambda a: a.astype(float))
@@ -230,7 +238,7 @@ def fit_minimax(samples: SampleSet, degree: int, exact: bool = False) -> FitResu
     n = len(samples)
     matrix, targets = samples.lifted(np.arange(n), degree, exact), samples.view(exact)[1]
     if exact:
-        table = _integer_rows(matrix.tolist(), targets.tolist())
+        N, V, D = integer_rows(matrix, targets)
     if samples.dimension == 1:  # multiple exchange runs over the samples in coordinate order
         order = np.argsort(samples.xy[:, 0], kind="stable")
 
@@ -264,7 +272,8 @@ def fit_minimax(samples: SampleSet, degree: int, exact: bool = False) -> FitResu
         z = sol.x[nc]
 
         if exact:  # Fractions in an object array: the same numpy calls compare them exactly
-            residuals = np.array(_integer_residuals(table, coeffs), dtype=object)
+            p, q = integer_row(coeffs)
+            residuals = _fractions(q * V - dot_rows(N, p), q * D)
         else:
             residuals = targets - dot_rows(matrix, coeffs)
         size = np.abs(residuals)
@@ -306,22 +315,6 @@ def _run_peaks(residuals: np.ndarray, indices: np.ndarray, bound: Number) -> lis
     ends = np.append(starts[1:], len(indices))
     peaks = np.maximum.reduceat(size, starts)
     return [int(indices[a:b][size[a:b] == p].min()) for a, b, p in zip(starts, ends, peaks) if p > bound]
-
-
-def _integer_rows(lifts: Sequence[Sequence[Number]], vals: Sequence[Number]) -> list[tuple[list[int], int]]:
-    """Each exact row (lift(x_i), f(x_i)) as integers N_i, V_i over its lcm denominator D_i: ([*N_i, V_i], D_i)."""
-    return [integer_row([*u, v]) for u, v in zip(lifts, vals)]
-
-
-def _integer_residuals(table, coeffs: Sequence[Number]) -> list[Fraction]:
-    """f(x_i) - dot(coeffs, lift(x_i)) at every row of `_integer_rows`, exactly.
-
-    With the coefficients as integers p over their lcm denominator q, the
-    residual is (q V_i - p . N_i) / (q D_i): integer sums and one ``Fraction``
-    normalisation per row, where `dot` normalises twice per term.
-    """
-    p, q = integer_row(coeffs)
-    return [Fraction(q * row[-1] - sum(map(mul, p, row)), q * den) for row, den in table]  # map stops before V_i
 
 
 def _model_residuals(model: PolynomialModel, samples: SampleSet) -> np.ndarray:

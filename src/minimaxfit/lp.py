@@ -10,7 +10,7 @@ degeneracy.
 A `LinearProgram` holds one coefficient array with relation and rhs arrays.
 Every solve reads them through one array standardisation (`_standard_form`),
 over float64, ``Fraction`` or integers, converted once per LP and arithmetic
-(`_rows`, `_integers`).
+(`_rows`, and `_integers` through `_linalg.integer_rows`).
 
 Every simplex solve ends in one routine, `_finish`: the primal simplex from
 a primal feasible tableau, the point in the original variables, and a check
@@ -54,8 +54,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._linalg import exact_solve, integer_row
-from .monomials import Number, dot_rows
+from ._linalg import exact_solve, integer_row, integer_rows
+from .monomials import Number, dot, dot_rows
 
 LESS, EQUAL, GREATER = "<=", "==", ">="
 
@@ -195,11 +195,9 @@ def _rows(lp: LinearProgram, exact: bool) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _integers(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(N, V, D): each row of A and its rhs times D_i, the lcm of their denominators, as object arrays of ints."""
+    """(N, V, D) = `integer_rows` of A and rhs: each row times the lcm D_i of its denominators, on first use per LP."""
     if "integer" not in lp._converted:
-        scaled = [integer_row([*a, b]) for a, b in zip(lp.A.tolist(), lp.rhs.tolist())]
-        N = np.array([row for row, _ in scaled], dtype=object).reshape(lp.num_rows, lp.num_vars + 1)
-        lp._converted["integer"] = N[:, :-1], N[:, -1], np.array([den for _, den in scaled], dtype=object)
+        lp._converted["integer"] = integer_rows(lp.A, lp.rhs)
     return lp._converted["integer"]
 
 
@@ -465,7 +463,7 @@ def _optimal(lp, columns, x_std, exact: bool, iterations: int, basis) -> LpSolut
         x[j] = x[j] + (x_std[col] if s > 0 else -x_std[col])
     if not exact:
         x = [float(v) for v in x]
-    value = conv(sum(conv(c) * xj for c, xj in zip(lp.objective, x)))
+    value = conv(dot([conv(c) for c in lp.objective], x))
     _check_rows(lp, x, exact, iterations=iterations)
     return LpSolution("optimal", x=x, objective_value=value, iterations=iterations, basis=basis)
 

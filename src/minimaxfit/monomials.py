@@ -10,7 +10,13 @@ row.  Both give the per-point results bit for bit, by keeping their
 operations and order: each power is Python's ``x ** e`` (numpy's vectorised
 pow differs in the last bit for some values once e >= 3), each monomial
 multiplies its powers in coordinate order, and the dot adds its terms left
-to right from zero (``matrix @ c`` leaves the order of the sum to BLAS).
+to right from zero (``matrix @ c`` leaves the order of the sum to BLAS, and
+``sum`` compensates float rounding from Python 3.12 on).
+
+`dot_rows` over shared rows is the package's one kernel for polynomial
+values, moment sums and residuals: a fit's residuals, a certificate's
+moment residual, a witness's margins and an LP's row check.  `dot` serves
+a single point (`evaluate`) and an LP's objective value.
 """
 
 from __future__ import annotations

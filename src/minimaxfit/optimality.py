@@ -11,6 +11,8 @@ and must agree; tests lean on that cross-check.
 Every verifier reads its lifted rows from `SampleSet.lifted`, and
 `hulls_intersect` is the one indexed hull test of reduction and alternation;
 on a line it counts sign blocks instead (discrete alternation, Cheney 1966).
+A certificate's moment residual, and a witness's margins and scale, take
+one `dot_rows` per side over those rows (transposed for the moments).
 
 The moment LP has n_m + 2 rows, so a vertex of it puts positive weight on
 at most n_m + 2 points, and those weights sit on linearly independent lifted
@@ -31,10 +33,9 @@ import numpy as np
 
 from .fitting import ExtremeSets, SampleSet, sign_blocks
 from .lp import LinearProgram, LpFailure, solve, solve_exact
-from .monomials import MonomialBasis, Number, PolynomialModel, build_basis, dot, evaluate
+from .monomials import Number, PolynomialModel, build_basis, dot_rows, evaluate
 from .monomials import lift  # unused here, kept because bench/tracing.py counts optimality.lift
 
-MOMENT_TOL = 1e-8
 ISOLABLE_MARGIN = 1e-9
 
 
@@ -95,43 +96,24 @@ def _moment_lp(plus_lifted: np.ndarray, minus_lifted: np.ndarray) -> LinearProgr
 
 
 def _moment_residual(plus_lifted: np.ndarray, minus_lifted: np.ndarray, alpha, beta) -> Number:
-    plus_rows, minus_rows = plus_lifted.tolist(), minus_lifted.tolist()
-    worst: Number = 0
-    for k in range(plus_lifted.shape[1]):
-        diff = sum(a * u[k] for a, u in zip(alpha, plus_rows)) - sum(b * v[k] for b, v in zip(beta, minus_rows))
-        if abs(diff) > worst:
-            worst = abs(diff)
-    return worst
+    """The largest |moment of alpha on E+ - moment of beta on E-| over the basis; the int 0 when all match."""
+    diff = dot_rows(plus_lifted.T, alpha) - dot_rows(minus_lifted.T, beta)
+    return np.abs(diff).max(keepdims=True).item() or 0
 
 
-def _margins(model: PolynomialModel, plus_lifted: np.ndarray, minus_lifted: np.ndarray):
-    plus_margin = min((dot(model.coefficients, u) for u in plus_lifted.tolist()), default=None)
-    minus_margin = max((dot(model.coefficients, v) for v in minus_lifted.tolist()), default=None)
-    return plus_margin, minus_margin
+def _margins(coeffs, plus_lifted: np.ndarray, minus_lifted: np.ndarray):
+    """The polynomial's least value on E+ and greatest on E-, None for an empty side."""
+    plus, minus = dot_rows(plus_lifted, coeffs).tolist(), dot_rows(minus_lifted, coeffs).tolist()
+    return min(plus, default=None), max(minus, default=None)
 
 
 def _normalized_witness(coeffs, basis, plus_lifted, minus_lifted) -> Optional[SeparationWitness]:
-    model = PolynomialModel(basis, tuple(coeffs))
-    plus_margin, minus_margin = _margins(model, plus_lifted, minus_lifted)
-    gaps = []
-    if plus_margin is not None:
-        gaps.append(plus_margin)
-    if minus_margin is not None:
-        gaps.append(-minus_margin)
-    t = min(gaps)
+    """The polynomial scaled so that its smaller margin is one, or None when it does not separate strictly."""
+    t = min(np.concatenate((dot_rows(plus_lifted, coeffs), -dot_rows(minus_lifted, coeffs))).tolist())
     if t <= 0:
         return None
     scaled = PolynomialModel(basis, tuple(c / t for c in coeffs))
-    plus_margin, minus_margin = _margins(scaled, plus_lifted, minus_lifted)
-    return SeparationWitness(scaled, plus_margin, minus_margin)
-
-
-def _constant_witness(basis: MonomialBasis, sign: int, plus_lifted, minus_lifted) -> SeparationWitness:
-    coeffs = [0] * basis.size
-    coeffs[0] = sign
-    model = PolynomialModel(basis, tuple(coeffs))
-    plus_margin, minus_margin = _margins(model, plus_lifted, minus_lifted)
-    return SeparationWitness(model, plus_margin, minus_margin)
+    return SeparationWitness(scaled, *_margins(scaled.coefficients, plus_lifted, minus_lifted))
 
 
 def _max_margin(plus_lifted, minus_lifted, width, exact: bool):
@@ -205,8 +187,9 @@ def check_hull_intersection(
         )
     plus_lifted = samples.lifted(extremes.plus, degree, exact)
     minus_lifted = samples.lifted(extremes.minus, degree, exact)
-    if not extremes.plus or not extremes.minus:
-        return _constant_witness(basis, 1 if extremes.plus else -1, plus_lifted, minus_lifted)
+    if not extremes.plus or not extremes.minus:  # the constant +1 or -1 separates
+        coeffs = (1 if extremes.plus else -1,) + (0,) * (basis.size - 1)
+        return SeparationWitness(PolynomialModel(basis, coeffs), *_margins(coeffs, plus_lifted, minus_lifted))
 
     sol = (solve_exact if exact else solve)(_moment_lp(plus_lifted, minus_lifted))
     if sol.status == "optimal":

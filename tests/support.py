@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import builtins
+import math
 import random
 import warnings
 from dataclasses import dataclass
@@ -142,3 +144,23 @@ def synthetic_univariate(signs: str) -> tuple[SampleSet, ExtremeSets]:
     plus = tuple(i for i, c in enumerate(signs) if c == "+")
     minus = tuple(i for i, c in enumerate(signs) if c == "-")
     return samples, ExtremeSets(plus=plus, minus=minus, psi=1.0, rel_tol=0.0)
+
+
+_builtin_sum = builtins.sum  # kept: a test may put `compensated_sum` in its place
+
+
+def compensated_sum(iterable, /, start=0):
+    """`sum` as CPython computes it over floats from 3.12 on: Neumaier's compensated sum.
+
+    Items that are not all floats (ints, ``Fraction``, numpy scalars) are
+    summed by the running interpreter's own `sum`.
+    """
+    items = list(iterable)
+    if not items or type(start) not in (int, float) or not all(type(x) is float for x in items):
+        return _builtin_sum(items, start)
+    s, c = float(start), 0.0
+    for x in items:
+        t = s + x
+        c += (s - t) + x if abs(s) >= abs(x) else (x - t) + s
+        s = t
+    return s + c if c and math.isfinite(c) else s

@@ -143,6 +143,15 @@ class TestVerifyByHyperplanes:
         assert verdict.verdict == "vacuous"
         assert verdict.warning
 
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_collinear_extremes_in_three_dimensions_are_vacuous(self, exact):
+        # all the points lie on one line, so no three of them fix a plane
+        samples = SampleSet([(t, t, t) for t in range(5)], [0] * 5)
+        extremes = ExtremeSets(plus=(0, 2, 4), minus=(1, 3), psi=1, rel_tol=0.0)
+        verdict = verify_by_hyperplanes(extremes, samples, 2, exact=exact)
+        assert (verdict.verdict, verdict.planes_checked, verdict.counterexample) == ("vacuous", 0, None)
+        assert verdict.warning == "no affinely independent extreme subset"
+
     def test_matches_certificate_on_corpus(self):
         corpus = build_fit_corpus(seed=909, count=15, dims=(1, 2), degrees=(2, 3), point_range=(8, 20))
         for inst in corpus:

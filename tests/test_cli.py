@@ -253,6 +253,12 @@ class TestGenerateGrid:
         samples = parse_grid_spec("-1,1:-1,1;2;uniform;x1*x2")
         assert len(samples) == 4 and samples.dimension == 2
 
+    def test_spec_with_a_resolution_per_axis(self):
+        samples = parse_grid_spec("-1,1:-1,1;5:7;uniform;x1")
+        assert len(samples) == 35 and samples.dimension == 2
+        assert [len(set(axis)) for axis in zip(*samples.points)] == [5, 7]
+        assert samples.values == tuple(p[0] for p in samples.points)
+
 
 class TestRunPipeline:
     def test_fit_on_cubic_grid_passes_everything(self, tmp_path):
@@ -493,6 +499,38 @@ class TestMainEntry:
         assert main(calls[1][:-2] + ["--degree", "1", "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert (report["arithmetic"], report["degree"], "isolability" in report) == ("float", 1, False)
+
+    @pytest.mark.parametrize("args, message", [
+        (["fit", "--grid", "-1,1;5;uniform;x1^2", "--degree", "-1"], "degree must be non-negative"),
+        (["fit", "--grid", "-1,1;5;uniform;x1^2", "--degree", "1", "--rel-tol", "0.5"], "rel-tol must lie in"),
+        (["fit", "--grid", "-1,1;5;uniform;x1^2"], "--degree is required when fitting"),
+        (["fit", "--degree", "1"], "an input is required"),
+        (["fit", "--input", "DATA", "--grid", "-1,1;5;uniform;x1^2", "--degree", "1"], "either --input or --grid"),
+        (["reduce", "--input", "DATA", "--degree", "0"], "reduce needs degree >= 1"),
+        (["alternate", "--input", "DATA", "--degree", "0"], "alternate needs degree >= 1"),
+        (["report", "--input", "DATA"], "needs --report"),
+        (["verify", "--input", "DATA", "--coeffs", "COEFFS", "--degree", "2"], "--degree 2 conflicts with"),
+        (["report", "--report", "OTHER_INSTANCE", "--input", "DATA"], "does not match the report instance"),
+        (["report", "--report", "LIST_MODEL", "--input", "DATA"], "model: expected a JSON object, got list"),
+    ], ids=["negative-degree", "rel-tol-too-large", "fit-without-degree", "no-input", "input-and-grid",
+            "reduce-degree-0", "alternate-degree-0", "report-without-report", "degree-conflicts-with-coeffs",
+            "report-of-other-instance", "report-model-is-a-list"])
+    def test_usage_errors_exit_one_with_one_error_line(self, tmp_path, capsys, args, message):
+        data, coeffs, fitted = os.path.join(DATA, "parabola.csv"), tmp_path / "c.json", tmp_path / "fit.json"
+        coeffs.write_text(json.dumps({"degree": 1, "coefficients": [0.5, 0]}))
+        assert main(["fit", "--input", data, "--degree", "1", "--out", str(fitted)]) == 0
+        files = {"DATA": data, "COEFFS": str(coeffs)}
+        for name, edit in [("OTHER_INSTANCE", lambda r: r["instance"].update(points=4)),
+                           ("LIST_MODEL", lambda r: r.update(model=[0.5, 0]))]:
+            report = json.loads(fitted.read_text())
+            edit(report)
+            files[name] = str(tmp_path / f"{name}.json")
+            with open(files[name], "w") as handle:
+                json.dump(report, handle)
+        capsys.readouterr()
+        assert main([files.get(a, a) for a in args]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and message in err, err
 
     def test_missing_input_is_an_error(self, capsys):
         assert main(["fit", "--input", "/nonexistent.csv", "--degree", "1"]) == 1

@@ -30,6 +30,7 @@ from minimaxfit import (
 )
 from minimaxfit import cli, fitting
 from minimaxfit.cli import ingest, parse_grid_spec
+from minimaxfit._linalg import integer_row, integer_rows
 from minimaxfit.monomials import dot, dot_rows
 import minimaxfit.lp as lp_module
 
@@ -159,6 +160,9 @@ class TestSampleSet:
         # a float64 table is its own float view
         floats = SampleSet([(0.0, 0.5), (1.0, 1 / 3)], [2.0, 0.25])
         assert all(a is b for a, b in zip(floats.view(False), (floats.xy, floats.f)))
+        # and a table of Fractions (as an exact ingest reads it) its own exact view
+        fractions = SampleSet([(Fraction(0), Fraction(1, 2)), (Fraction(1), Fraction(1, 3))], [Fraction(2)] * 2)
+        assert all(a is b for a, b in zip(fractions.view(True), (fractions.xy, fractions.f)))
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_lifted_rows_equal_lift_bit_for_bit(self, exact):
@@ -463,7 +467,7 @@ def _single_exchange_fit(samples, degree, exact):
     vals = samples.view(exact)[1]
     n, nc = len(vals), basis.size
     if exact:
-        table = fitting._integer_rows(samples.lifted(range(n), degree, True).tolist(), vals.tolist())
+        N, V, D = integer_rows(samples.lifted(range(n), degree, True), vals)
     else:
         matrix, targets = samples.lifted(range(n), degree, False), vals
     k0 = min(n, 2 * (nc + 2))
@@ -483,7 +487,8 @@ def _single_exchange_fit(samples, degree, exact):
         assert sol.status == "optimal"
         coeffs, z = sol.x[:nc], sol.x[nc]
         if exact:
-            residuals = fitting._integer_residuals(table, coeffs)
+            p, q = integer_row(coeffs)
+            residuals = [Fraction(r, q * den) for r, den in zip((q * V - dot_rows(N, p)).tolist(), D.tolist())]
             worst_i = max(range(n), key=lambda i: (abs(residuals[i]), -i))
             worst = abs(residuals[worst_i])
         else:
@@ -555,10 +560,12 @@ def test_integer_residuals_equal_the_dot_path(d, degree, data):
     n = data.draw(st.integers(1, 6))
     lifts = [lift(data.draw(st.lists(_RATIONALS, min_size=d, max_size=d)), basis) for _ in range(n)]
     vals = data.draw(st.lists(_RATIONALS, min_size=n, max_size=n))
-    table = fitting._integer_rows(lifts, vals)
+    # the exact fit's residual pass: (q V_i - dot_rows(N, p)_i) / (q D_i), with c = p / q
+    N, V, D = integer_rows(np.array(lifts, dtype=object), np.array(vals, dtype=object))
     for coeffs in (data.draw(st.lists(_RATIONALS, min_size=basis.size, max_size=basis.size)),
                    [0] * basis.size, [Fraction(-k, 3) for k in range(basis.size)]):
-        got = fitting._integer_residuals(table, coeffs)
+        p, q = integer_row(coeffs)
+        got = fitting._fractions(q * V - dot_rows(N, p), q * D).tolist()
         assert got == [v - dot(coeffs, u) for u, v in zip(lifts, vals)]
         assert all(type(r) is Fraction for r in got)
 

@@ -13,6 +13,7 @@ rewrites the golden files from the current sources; do that only for a
 change that is meant to change reports, and say why.
 """
 
+import builtins
 import json
 import os
 import sys
@@ -20,6 +21,8 @@ import sys
 import pytest
 
 from minimaxfit.cli import main
+
+from support import compensated_sum
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden")
 
@@ -56,6 +59,22 @@ def _report(name, out):
 
 @pytest.mark.parametrize("name", sorted(OPS))
 def test_report_matches_golden(name, tmp_path):
+    _, text = _report(name, tmp_path / "report.json")
+    with open(os.path.join(GOLDEN, f"{name}.report.json")) as handle:
+        assert text == handle.read()
+
+
+def test_compensated_sum_keeps_the_bits_a_plain_sum_loses():
+    assert compensated_sum([1e16, 1.0, -1e16]) == 1.0  # a plain left-to-right sum gives 0.0
+    assert compensated_sum([0.1] * 10) == 1.0
+    assert compensated_sum([1, 2], 3) == 6 and compensated_sum([]) == 0
+
+
+@pytest.mark.parametrize("name", sorted(OPS))
+def test_report_does_not_depend_on_how_sum_adds_floats(name, tmp_path, monkeypatch):
+    # every float sum that reaches a report is a left-to-right loop (`dot`, `dot_rows`), so a
+    # compensated `sum` (Python 3.12 and later) must leave each report as the golden file pins it
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
     _, text = _report(name, tmp_path / "report.json")
     with open(os.path.join(GOLDEN, f"{name}.report.json")) as handle:
         assert text == handle.read()

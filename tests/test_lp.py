@@ -1,5 +1,6 @@
 """Two-phase simplex: statuses, witnesses, determinism, invariances, and the exact crossover."""
 
+import builtins
 import random
 import re
 from fractions import Fraction
@@ -13,9 +14,10 @@ from minimaxfit import LinearProgram, LpFailure, build_basis, lift, solve, solve
 from minimaxfit._linalg import exact_solve
 from minimaxfit import fitting
 from minimaxfit.cli import RunConfig, parse_grid_spec, run
+from minimaxfit.monomials import dot
 from minimaxfit.optimality import _moment_lp
 
-from support import build_fit_corpus, lp_from_rows, random_samples
+from support import build_fit_corpus, compensated_sum, lp_from_rows, random_samples
 
 
 def test_minimize_above_lower_bound():
@@ -1093,3 +1095,11 @@ def test_float_solve_agrees_with_highs():
                 assert got.objective_value == pytest.approx(value, rel=1e-7, abs=1e-12), kind
             seen.setdefault(kind, set()).add(status)
     assert seen == {"minimax": {"optimal"}, "moment": {"optimal", "infeasible"}, "margin": {"optimal"}}
+
+
+def test_objective_value_adds_left_to_right_under_any_sum(monkeypatch):
+    # c.x is `dot`'s left-to-right sum from zero; a compensated float `sum` (Python 3.12 on) would give 1.0
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    lp = LinearProgram([1e16, 1.0, -1e16], np.eye(3), ["=="] * 3, [1.0] * 3)
+    sol = solve(lp)
+    assert sol.x == [1.0, 1.0, 1.0] and sol.objective_value == dot(lp.objective, sol.x) == 0.0

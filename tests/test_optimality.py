@@ -28,7 +28,7 @@ from minimaxfit import (
 from minimaxfit import optimality
 from minimaxfit.fitting import DEFAULT_REL_TOL
 from minimaxfit._linalg import exact_solve
-from minimaxfit.lp import solve, solve_exact
+from minimaxfit.lp import LpFailure, solve, solve_exact
 from minimaxfit.optimality import _moment_lp
 
 from support import build_fit_corpus
@@ -90,6 +90,33 @@ class TestHullIntersection:
         assert isinstance(out, SeparationWitness)
         assert out.minus_margin is None
         assert out.plus_margin >= 1
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_margin_lp_gives_the_witness_when_farkas_does_not_separate(self, exact, monkeypatch):
+        # the Farkas polynomial is taken as not strictly separating: the margin LP must give the witness
+        samples = SampleSet([(-1, -1), (-1, 1), (1, -1), (1, 1), (0, 0)], [0] * 5)
+        extremes = ExtremeSets(plus=(0, 1), minus=(2, 3), psi=1, rel_tol=0.0)
+        witnesses, real = [], optimality._normalized_witness
+
+        def first_call_fails(*args):
+            witnesses.append(real(*args))
+            return witnesses[-1] if len(witnesses) > 1 else None
+
+        monkeypatch.setattr(optimality, "_normalized_witness", first_call_fails)
+        margin_lps = _recorded(monkeypatch, "_max_margin")
+        out = check_hull_intersection(extremes, samples, 1, exact=exact)
+        assert len(witnesses) == 2 and len(margin_lps) == 1
+        assert isinstance(out, SeparationWitness) and out is witnesses[1]
+        assert verify_witness(out, extremes.plus, extremes.minus, samples)
+        assert min(out.plus_margin, -out.minus_margin) == 1
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_no_strict_separator_is_an_lp_failure(self, exact, monkeypatch):
+        samples = SampleSet([(-1, -1), (-1, 1), (1, -1), (1, 1), (0, 0)], [0] * 5)
+        extremes = ExtremeSets(plus=(0, 1), minus=(2, 3), psi=1, rel_tol=0.0)
+        monkeypatch.setattr(optimality, "_normalized_witness", lambda *args: None)
+        with pytest.raises(LpFailure, match="no strict separator"):
+            check_hull_intersection(extremes, samples, 1, exact=exact)
 
     def test_certificate_replay(self, xy_instance):
         samples, extremes = xy_instance

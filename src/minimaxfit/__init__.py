@@ -3,7 +3,9 @@
 Fits multivariate polynomial models by linear programming and verifies their
 optimality three independent ways: a convex-hull moment certificate, a fast
 point-reduction necessary check, and a hyperplane sign-split test that
-generalises the univariate alternation criterion.
+generalises the univariate alternation criterion.  A `MonomialBasis` is plain
+data (one exponent tuple per monomial) and `reduce_and_verify` takes its
+strategy by name, "exhaustive" or "single".
 """
 
 from .alternation import (
@@ -26,7 +28,6 @@ from .fitting import (
 )
 from .lp import LinearProgram, LpFailure, LpSolution, solve, solve_exact, verify_farkas
 from .monomials import (
-    ExponentVector,
     MonomialBasis,
     PolynomialModel,
     build_basis,
@@ -50,14 +51,12 @@ from .reduction import (
     ReductionReport,
     ReductionStep,
     ReductionTrace,
-    SingleStrategy,
     reduce_and_verify,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ExponentVector",
     "MonomialBasis",
     "PolynomialModel",
     "build_basis",
@@ -91,7 +90,6 @@ __all__ = [
     "ReductionReport",
     "ReductionStep",
     "ReductionTrace",
-    "SingleStrategy",
     "reduce_and_verify",
     "HyperplaneSplit",
     "HyperplaneVerdict",

@@ -49,7 +49,7 @@ from .optimality import (
     verify_certificate,
     verify_witness,
 )
-from .reduction import ReductionReport, SingleStrategy, reduce_and_verify
+from .reduction import ReductionReport, reduce_and_verify
 
 
 # --- arithmetic expressions for grid targets --------------------------------
@@ -293,7 +293,13 @@ def generate_grid(
         axes.append(nodes)
 
     points = [tuple(p) for p in product(*axes)]
-    values = [expression(p, exact=exact) for p in points]
+    values = []
+    for p in points:
+        try:
+            values.append(expression(p, exact=exact))
+        except (ArithmeticError, ValueError) as err:
+            reason = "division by zero" if isinstance(err, ZeroDivisionError) else err
+            raise ValueError(f"{expression.text} at ({', '.join(map(str, p))}): {reason}") from None
     return SampleSet(points, values)
 
 
@@ -517,8 +523,7 @@ def _reduce_stage(extremes, samples, degree, config) -> tuple[dict, bool]:
     if extremes.degenerate:
         return {"verdict": "pass", "vacuous_branches": 0, "traces": [],
                 "note": "exact fit; nothing to reduce"}, True
-    strategy = "exhaustive" if config.strategy == "exhaustive" else SingleStrategy()
-    red = reduce_and_verify(extremes, samples, degree, strategy=strategy, exact=config.exact)
+    red = reduce_and_verify(extremes, samples, degree, strategy=config.strategy, exact=config.exact)
     return _reduction_to_json(red), red.verdict == "pass"
 
 
@@ -655,9 +660,16 @@ def _run_revalidate(config: RunConfig) -> tuple[int, dict]:
 # --- argument parsing ---------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise ValueError, so `main` reports them like every other error."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 @functools.cache  # one parser per process; parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="minimaxfit",
         description="Best uniform polynomial approximation with optimality verification",
     )
@@ -694,9 +706,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # bound) for an option, so hand the grid spec over joined to its flag
         k = argv.index("--grid")
         argv[k:k + 2] = [f"--grid={argv[k + 1]}"]
-    ns = _build_parser().parse_args(argv)
     try:
-        config = RunConfig(**vars(ns))
+        config = RunConfig(**vars(_build_parser().parse_args(argv)))
         code, report = run(config)
         text = json.dumps(report, allow_nan=False)  # no indent: the C encoder
     except (OSError, ValueError, KeyError, ArithmeticError, RuntimeError) as err:

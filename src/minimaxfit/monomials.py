@@ -1,17 +1,16 @@
-"""Exponent vectors, graded monomial bases, and polynomial evaluation.
+"""Graded monomial bases and polynomial evaluation.
 
 All types are immutable and all operations are pure; they work uniformly over
 floats and exact rationals (``fractions.Fraction``), which is what makes the
 exact certificate mode of the higher layers possible.
 
-Both also have a whole-sample form: `lift_matrix` stacks `lift` of every
-point into one float64 or object array and `dot_rows` takes `dot` of every
-row.  Both give the per-point results bit for bit, by keeping their
-operations and order: each power is Python's ``x ** e`` (numpy's vectorised
-pow differs in the last bit for some values once e >= 3), each monomial
-multiplies its powers in coordinate order, and the dot adds its terms left
-to right from zero (``matrix @ c`` leaves the order of the sum to BLAS, and
-``sum`` compensates float rounding from Python 3.12 on).
+`lift_matrix` is the one monomial evaluator (`lift` is its row for a single
+point) and `dot_rows` takes `dot` of every row.  Both are fixed bit for bit:
+each power is Python's ``x ** e`` (numpy's vectorised pow differs in the last
+bit for some values once e >= 3), each monomial multiplies its powers in
+coordinate order, and the dot adds its terms left to right from zero
+(``matrix @ c`` leaves the order of the sum to BLAS, and ``sum`` compensates
+float rounding from Python 3.12 on).
 
 `dot_rows` over shared rows is the package's one kernel for polynomial
 values, moment sums and residuals: a fit's residuals, a certificate's
@@ -21,7 +20,6 @@ a single point (`evaluate`) and an LP's objective value.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -30,39 +28,6 @@ from typing import Sequence, Union
 import numpy as np
 
 Number = Union[int, float, Fraction]
-
-
-@dataclass(frozen=True)
-class ExponentVector:
-    """Exponents (e_1, ..., e_d) of a single monomial x^e."""
-
-    exponents: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "exponents", tuple(self.exponents))
-        if not self.exponents:
-            raise ValueError("exponent vector needs at least one component")
-        for e in self.exponents:
-            if not isinstance(e, int) or e < 0:
-                raise ValueError(f"exponents must be non-negative integers, got {self.exponents}")
-
-    def degree(self) -> int:
-        return sum(self.exponents)
-
-    def value_at(self, point: Sequence[Number]) -> Number:
-        """The monomial value x^e; x^0 == 1 even at x == 0."""
-        if len(point) != len(self.exponents):
-            raise ValueError(
-                f"point has dimension {len(point)}, exponent vector has {len(self.exponents)}"
-            )
-        v: Number = 1
-        for x, e in zip(point, self.exponents):
-            if e:
-                v = v * x**e
-        return v
-
-    def __len__(self) -> int:
-        return len(self.exponents)
 
 
 @dataclass(frozen=True)
@@ -76,7 +41,7 @@ class MonomialBasis:
 
     dimension: int
     degree: int
-    exponents: tuple[ExponentVector, ...]
+    exponents: tuple[tuple[int, ...], ...]  # (e_1, ..., e_d) of each monomial x^e
 
     @property
     def size(self) -> int:
@@ -85,16 +50,6 @@ class MonomialBasis:
     @property
     def nonconstant_count(self) -> int:
         return len(self.exponents) - 1
-
-    def truncated(self, degree: int) -> "MonomialBasis":
-        """The prefix basis of the given lower degree."""
-        if degree < 0 or degree > self.degree:
-            raise ValueError(f"cannot truncate degree-{self.degree} basis to degree {degree}")
-        k = math.comb(self.dimension + degree, self.dimension)
-        return MonomialBasis(self.dimension, degree, self.exponents[:k])
-
-    def index_of(self, exponents: Sequence[int]) -> int:
-        return self.exponents.index(ExponentVector(tuple(exponents)))
 
 
 def build_basis(dimension: int, degree: int) -> MonomialBasis:
@@ -105,24 +60,23 @@ def build_basis(dimension: int, degree: int) -> MonomialBasis:
         raise ValueError("degree must be non-negative")
     exps = [e for e in product(range(degree + 1), repeat=dimension) if sum(e) <= degree]
     exps.sort(key=lambda e: (sum(e), tuple(-c for c in e)))
-    return MonomialBasis(dimension, degree, tuple(ExponentVector(e) for e in exps))
+    return MonomialBasis(dimension, degree, tuple(exps))
 
 
 def lift(point: Sequence[Number], basis: MonomialBasis) -> list[Number]:
-    """The vector of all basis monomial values at `point`, constant first."""
-    if len(point) != basis.dimension:
-        raise ValueError(f"point has dimension {len(point)}, basis expects {basis.dimension}")
-    return [e.value_at(point) for e in basis.exponents]
+    """The vector of all basis monomial values at `point`, constant (int 1) first.
+
+    Row 0 of `lift_matrix` over the point as a one-row object table.
+    """
+    return lift_matrix(np.array([point], dtype=object), basis)[0].tolist()
 
 
 def lift_matrix(points: Union[np.ndarray, Sequence[Sequence[Number]]], basis: MonomialBasis) -> np.ndarray:
-    """Array whose row i equals lift(points[i], basis), value for value and bit for bit.
+    """Array whose row i holds the value at points[i] of every basis monomial, constant first.
 
-    `points` is an (n, d) table.  A float one gives a float64 matrix, 1.0 in
-    the constant column where `lift` gives int 1; an object one (of
-    ``Fraction``, say) an object matrix of `lift`'s own numbers.  Each other
-    column is built like `ExponentVector.value_at`: the Python powers
-    x_k ** e_k of one column of the table, multiplied in coordinate order.
+    A float (n, d) table gives a float64 matrix; an object one (of
+    ``Fraction``, say) an object matrix of the table's own numbers, with int 1
+    in the constant column.
     """
     table = np.array(points, ndmin=2)
     table = table if table.dtype == object else table.astype(float)
@@ -131,9 +85,9 @@ def lift_matrix(points: Union[np.ndarray, Sequence[Sequence[Number]]], basis: Mo
         raise ValueError(f"points have dimension {len(coords)}, basis expects {basis.dimension}")
     powers: dict[tuple[int, int], np.ndarray] = {}
     matrix = np.ones((len(table), basis.size), dtype=table.dtype)
-    for j, ev in enumerate(basis.exponents):
+    for j, exponents in enumerate(basis.exponents):
         column = None
-        for k, e in enumerate(ev.exponents):
+        for k, e in enumerate(exponents):
             if e:
                 if (k, e) not in powers:
                     powers[k, e] = np.array([x**e for x in coords[k]], dtype=table.dtype)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Optional, Sequence, Union
 
 from .fitting import ExtremeSets, SampleSet
 from .monomials import Number
@@ -44,37 +43,19 @@ class ReductionTrace:
 
 
 @dataclass(frozen=True)
-class SingleStrategy:
-    """Cycle through `order` (1-based dimensions; default 1..d) with one variant."""
-
-    order: Optional[tuple[int, ...]] = None
-    variant: str = "min"
-
-
-Strategy = Union[str, SingleStrategy]
-
-
-@dataclass(frozen=True)
 class ReductionReport:
     verdict: str  # "pass" | "fail"
     traces: tuple[ReductionTrace, ...]
     vacuous_branches: int
 
 
-def _branches(strategy: Strategy, dimension: int, degree: int):
+def _branches(strategy: str, dimension: int, degree: int):
     steps_needed = degree - 1
     if strategy == "exhaustive":
         choices = [(j, v) for j in range(dimension) for v in ("min", "max")]
         return list(product(choices, repeat=steps_needed))
-    if isinstance(strategy, SingleStrategy):
-        if strategy.variant not in ("min", "max"):
-            raise ValueError(f"unknown variant {strategy.variant!r}")
-        order = strategy.order or tuple(range(1, dimension + 1))
-        for j in order:
-            if not 1 <= j <= dimension:
-                raise ValueError(f"dimension {j} out of range 1..{dimension}")
-        seq = tuple((order[k % len(order)] - 1, strategy.variant) for k in range(steps_needed))
-        return [seq]
+    if strategy == "single":
+        return [tuple((k % dimension, "min") for k in range(steps_needed))]
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
@@ -119,13 +100,16 @@ def reduce_and_verify(
     extremes: ExtremeSets,
     samples: SampleSet,
     degree: int,
-    strategy: Strategy = "exhaustive",
+    strategy: str = "exhaustive",
     exact: bool = False,
 ) -> ReductionReport:
     """Necessary optimality check via iterated point reduction.
 
-    Fails when any branch ends with disjoint hulls; a branch that empties an
-    extreme set passes vacuously and is counted in `vacuous_branches`.
+    `strategy` is "exhaustive", every (dimension, variant) sequence, or
+    "single", the one branch that takes the dimensions 1..d in turn with the
+    min variant.  Fails when any branch ends with disjoint hulls; a branch
+    that empties an extreme set passes vacuously and is counted in
+    `vacuous_branches`.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")

@@ -68,6 +68,11 @@ class TestSplit:
         with pytest.raises(ValueError):
             split(extremes, samples, (0.0,), 0.0)
 
+    def test_normal_of_the_wrong_dimension_rejected(self, cubic_extremes):
+        samples, extremes = cubic_extremes
+        with pytest.raises(ValueError, match="normal has dimension 2, samples have 1"):
+            split(extremes, samples, (1.0, 0.0), 0.0)
+
     def test_sign_flip_involution(self, cubic_extremes):
         samples, extremes = cubic_extremes
         fwd = split(extremes, samples, (1.0,), -0.5)
@@ -125,6 +130,11 @@ class TestVerifyByHyperplanes:
         verdict = verify_by_hyperplanes(extremes, samples, 2)
         assert verdict.verdict == "fail"
         assert verdict.counterexample is not None
+
+    def test_rejects_degree_zero(self, cubic_extremes):
+        samples, extremes = cubic_extremes
+        with pytest.raises(ValueError, match="degree must be at least 1"):
+            verify_by_hyperplanes(extremes, samples, 0)
 
     def test_degree_one_delegates_to_linear_check(self):
         pts = [(-1, -1), (-1, 1), (1, -1), (1, 1)]

@@ -1,5 +1,6 @@
 """CSV ingestion, grid generation, the expression parser, and CLI runs."""
 
+import ast
 import importlib.util
 import json
 import math
@@ -210,6 +211,10 @@ class TestExpression:
     def test_unknown_name(self):
         with pytest.raises(ExpressionError):
             Expression("x1 + sin(x1)")
+
+    def test_point_with_too_few_coordinates(self):
+        with pytest.raises(ValueError, match="expression uses x2 but points have dimension 1"):
+            Expression("x2")((1.0,))
 
     def test_unbalanced_parens(self):
         with pytest.raises(ExpressionError):
@@ -512,14 +517,40 @@ class TestMainEntry:
         (["verify", "--input", "DATA", "--coeffs", "COEFFS", "--degree", "2"], "--degree 2 conflicts with"),
         (["report", "--report", "OTHER_INSTANCE", "--input", "DATA"], "does not match the report instance"),
         (["report", "--report", "LIST_MODEL", "--input", "DATA"], "model: expected a JSON object, got list"),
+        (["fit", "--input", "DATA", "--degree", "abc"], "argument --degree: invalid int value: 'abc'"),
+        (["fit", "--input", "DATA", "--degree", "1", "--bogus"], "unrecognized arguments: --bogus"),
+        (["frobnicate", "--input", "DATA"], "argument command: invalid choice: 'frobnicate'"),
+        ([], "the following arguments are required: command"),
+        (["reduce", "--input", "DATA", "--degree", "2", "--strategy", "both"], "invalid choice: 'both'"),
+        (["fit", "--degree", "1", "--grid"], "argument --grid: expected one argument"),
+        (["fit", "--input", "EMPTY_CSV", "--degree", "1"], "empty.csv: empty file"),
+        (["fit", "--input", "X2_CSV", "--degree", "1"], "coordinate columns must be named ['x1']"),
+        (["fit", "--grid", "-1,1:-1,1;5:7:9;uniform;x1", "--degree", "1"], "3 resolutions for 2 axes"),
+        (["fit", "--grid", "-1,1;5;uniform", "--degree", "1"], "grid spec needs four ';'-separated fields"),
+        (["fit", "--grid", "-1;5;uniform;x1", "--degree", "1"], "axis bounds must look like 'lo,hi', got '-1'"),
+        (["fit", "--grid", "-1,1;5;uniform;y1", "--degree", "1"], "unknown name 'y1'"),
+        (["fit", "--grid", "0,1;5;uniform;x1^0.5", "--degree", "1", "--exact"],
+         "x1^0.5 at (0): non-integer exponents are not supported in exact mode"),
+        (["fit", "--grid", "-1,1;5;uniform;1/x1", "--degree", "1"], "1/x1 at (0.0): division by zero"),
+        (["fit", "--grid", "-1,1;5;uniform;x1^-1", "--degree", "1", "--exact"], "x1^-1 at (0): division by zero"),
+        (["fit", "--grid", "-1,1;5;uniform;x1^0.5", "--degree", "1"], "x1^0.5 at (-1.0): -1.0^0.5 is not a real"),
+        (["fit", "--grid", "-1,1;5;uniform;10^400", "--degree", "1"], "10^400 at (-1.0): 10.0^400 is out of float"),
     ], ids=["negative-degree", "rel-tol-too-large", "fit-without-degree", "no-input", "input-and-grid",
             "reduce-degree-0", "alternate-degree-0", "report-without-report", "degree-conflicts-with-coeffs",
-            "report-of-other-instance", "report-model-is-a-list"])
+            "report-of-other-instance", "report-model-is-a-list", "degree-not-an-int", "unknown-flag",
+            "unknown-command", "no-command", "unknown-strategy", "grid-without-a-spec", "empty-csv",
+            "header-without-x1", "more-resolutions-than-axes", "grid-spec-of-three-fields",
+            "axis-bounds-of-one-number", "unknown-name", "fractional-power-in-exact-mode", "grid-division-by-zero",
+            "exact-grid-division-by-zero", "grid-complex-power", "grid-overflow"])
     def test_usage_errors_exit_one_with_one_error_line(self, tmp_path, capsys, args, message):
         data, coeffs, fitted = os.path.join(DATA, "parabola.csv"), tmp_path / "c.json", tmp_path / "fit.json"
         coeffs.write_text(json.dumps({"degree": 1, "coefficients": [0.5, 0]}))
         assert main(["fit", "--input", data, "--degree", "1", "--out", str(fitted)]) == 0
         files = {"DATA": data, "COEFFS": str(coeffs)}
+        for name, text in [("EMPTY_CSV", ""), ("X2_CSV", "x2,f\n1,2\n")]:
+            files[name] = str(tmp_path / f"{name.lower().partition('_')[0]}.csv")
+            with open(files[name], "w") as handle:
+                handle.write(text)
         for name, edit in [("OTHER_INSTANCE", lambda r: r["instance"].update(points=4)),
                            ("LIST_MODEL", lambda r: r.update(model=[0.5, 0]))]:
             report = json.loads(fitted.read_text())
@@ -531,6 +562,15 @@ class TestMainEntry:
         assert main([files.get(a, a) for a in args]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and message in err, err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["fit", "--help"])
+        assert stop.value.code == 0 and "--degree" in capsys.readouterr().out
+
+    def test_config_rejects_an_unknown_strategy(self):
+        with pytest.raises(ValueError, match="unknown strategy 'both'"):
+            RunConfig(command="reduce", strategy="both")
 
     def test_missing_input_is_an_error(self, capsys):
         assert main(["fit", "--input", "/nonexistent.csv", "--degree", "1"]) == 1
@@ -698,15 +738,43 @@ class TestMainEntry:
         assert isinstance(report["psi"], float)
 
 
-def test_traced_names_resolve():
-    """Every binding the benchmark's tracer wraps exists, and so does the entry it runs."""
+def _traced_bindings() -> list[tuple[str, str]]:
+    """The (module, attribute) bindings the benchmark's tracer wraps."""
     path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracing.py")
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    for module, attr, _ in tracing.SPANS + tracing.COUNTERS:
+    return [(module, attr) for module, attr, _ in tracing.SPANS + tracing.COUNTERS]
+
+
+def test_traced_names_resolve():
+    """Every binding the benchmark's tracer wraps exists, and so does the entry it runs."""
+    for module, attr in _traced_bindings():
         assert callable(getattr(importlib.import_module(f"minimaxfit.{module}"), attr, None)), (module, attr)
     assert callable(minimaxfit.cli.run)
+
+
+def test_every_import_is_used():
+    """Each name a package module imports is used there, listed in its `__all__`, or wrapped by the tracer."""
+    traced = set(_traced_bindings())
+    package = os.path.dirname(minimaxfit.__file__)
+    unused = []
+    for filename in sorted(f for f in os.listdir(package) if f.endswith(".py")):
+        module = filename[:-3]
+        with open(os.path.join(package, filename)) as handle:
+            tree = ast.parse(handle.read())
+        imported = {}
+        used = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                imported.update((alias.asname or alias.name.partition(".")[0], node.lineno) for alias in node.names)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                used.update(ast.literal_eval(node.value))
+        unused += [f"{filename}:{line} {name}" for name, line in imported.items()
+                   if name not in used and (module, name) not in traced]
+    assert not unused, unused
 
 
 def test_cli_import_needs_only_numpy():

@@ -4,6 +4,7 @@ import math
 import os
 import random
 import tempfile
+import warnings
 from fractions import Fraction
 from itertools import chain, product
 from unittest import mock
@@ -129,6 +130,10 @@ class TestSampleSet:
                 pts.insert(rng.randrange(len(pts) + 1),
                            tuple(c + rng.choice([0.0, -0.0, 5e-13, -1e-12, 2e-12]) for c in p))
             self._assert_like_the_loop(pts)
+
+    def test_rejects_points_without_coordinates(self):
+        with pytest.raises(ValueError, match="at least one coordinate"):
+            SampleSet([()], [1.0])
 
     def test_rejects_inconsistent_dimension(self):
         with pytest.raises(ValueError):
@@ -301,6 +306,18 @@ class TestFitMinimax:
         values = [model(p) for p in samples.points]
         refit = fit_minimax(SampleSet(samples.points, values), 2)
         assert refit.psi <= 1e-10
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("degree", [0, 2])
+    def test_one_sample_gives_the_constant_fit(self, exact, degree):
+        value = Fraction(2, 7) if exact else 3.0
+        samples = SampleSet([(Fraction(1, 3), Fraction(-1, 2))], [value])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a basis larger than one sample is underdetermined
+            fit = fit_minimax(samples, degree, exact=exact)
+        size = build_basis(2, degree).size
+        assert fit.model.coefficients == (value,) + (0,) * (size - 1)
+        assert fit.psi == 0 and list(fit.residuals) == [0]
 
     def test_warns_when_underdetermined(self):
         samples = SampleSet([(0.0,), (1.0,)], [1.0, 2.0])

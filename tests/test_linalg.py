@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from minimaxfit import _linalg
@@ -147,6 +148,13 @@ class TestAffineNormal:
                 u, a = got
                 assert all(type(c) is Fraction for c in (*u, a))
                 assert all(sum(c * Fraction(x) for c, x in zip(u, p)) == a for p in points)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_rejects_a_point_count_other_than_the_dimension(self, exact):
+        with pytest.raises(ValueError, match="need exactly 2 points in dimension 2, got 1"):
+            affine_normal([(1, 2)], exact=exact)
+        with pytest.raises(ValueError, match="need exactly 1 points in dimension 1, got 2"):
+            affine_normal([(1,), (2,)], exact=exact)
 
     def test_exact_affinely_dependent_points_give_none(self):
         collinear = [(Fraction(0), Fraction(0), Fraction(1)), (Fraction(1), Fraction(2), Fraction(3)),

@@ -291,6 +291,11 @@ class TestIsolability:
         assert res.witness.model(samples.points[1]) >= 1 - 1e-9
         assert res.witness.model(samples.points[0]) <= -1 + 1e-9
 
+    def test_rejects_two_empty_extreme_sets(self, parabola_instance):
+        samples = parabola_instance[0]
+        with pytest.raises(ValueError, match="both extreme sets are empty"):
+            check_isolability(ExtremeSets(plus=(), minus=(), psi=1.0, rel_tol=0.0), samples, 1)
+
     def test_xy_corners_not_isolable(self, xy_instance):
         samples, extremes = xy_instance
         assert not check_isolability(extremes, samples, 1, exact=True).isolable
@@ -307,6 +312,11 @@ class TestIsolability:
 
 
 class TestCriticalPointSet:
+    def test_rejects_two_empty_extreme_sets(self, parabola_instance):
+        samples = parabola_instance[0]
+        with pytest.raises(ValueError, match="both extreme sets are empty"):
+            find_critical_point_set(ExtremeSets(plus=(), minus=(), psi=1.0, rel_tol=0.0), samples, 1)
+
     def test_parabola_full_set_is_critical(self, parabola_instance):
         samples, _, extremes = parabola_instance
         assert find_critical_point_set(extremes, samples, 1) == [0, 1, 2]

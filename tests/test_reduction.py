@@ -11,7 +11,6 @@ from minimaxfit import (
     PolynomialModel,
     SampleSet,
     SeparationWitness,
-    SingleStrategy,
     check_hull_intersection,
     extreme_sets,
     fit_minimax,
@@ -34,9 +33,7 @@ def cubic_instance():
 class TestCubicTraces:
     def test_min_variant_removes_leftmost(self, cubic_instance):
         samples, extremes = cubic_instance
-        report = reduce_and_verify(
-            extremes, samples, 2, strategy=SingleStrategy(variant="min"), exact=True
-        )
+        report = reduce_and_verify(extremes, samples, 2, strategy="single", exact=True)
         assert report.verdict == "pass"
         (trace,) = report.traces
         (step,) = trace.steps
@@ -47,10 +44,8 @@ class TestCubicTraces:
 
     def test_max_variant_removes_rightmost(self, cubic_instance):
         samples, extremes = cubic_instance
-        report = reduce_and_verify(
-            extremes, samples, 2, strategy=SingleStrategy(variant="max"), exact=True
-        )
-        (trace,) = report.traces
+        report = reduce_and_verify(extremes, samples, 2, exact=True)
+        (trace,) = [trace for trace in report.traces if trace.branch == ((1, "max"),)]
         (step,) = trace.steps
         assert step.delta == -1  # recorded as minus the maximal coordinate
         assert [samples.points[i][0] for i in step.removed] == [1]

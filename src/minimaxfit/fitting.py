@@ -317,11 +317,12 @@ def _run_peaks(residuals: np.ndarray, indices: np.ndarray, bound: Number) -> lis
     return [int(indices[a:b][size[a:b] == p].min()) for a, b, p in zip(starts, ends, peaks) if p > bound]
 
 
-def _model_residuals(model: PolynomialModel, samples: SampleSet) -> np.ndarray:
-    """f(x_i) - L(A, x_i) at every sample, over the table as it is: float64 rows of `lifted`, or objects."""
-    if samples.f.dtype != float or model.basis.dimension != samples.dimension:
-        return samples.f - dot_rows(lift_matrix(samples.xy, model.basis), model.coefficients)
-    return samples.f - dot_rows(samples.lifted(np.arange(len(samples)), model.degree, False), model.coefficients)
+def model_values(model: PolynomialModel, samples: SampleSet, indices: Sequence[int]) -> np.ndarray:
+    """L(A, x_i) for i in `indices`, over the table as it is: float64 rows of `lifted`, or objects."""
+    indices = np.asarray(indices, dtype=np.intp)
+    if samples.xy.dtype != float or model.basis.dimension != samples.dimension:
+        return dot_rows(lift_matrix(samples.xy[indices], model.basis), model.coefficients)
+    return dot_rows(samples.lifted(indices, model.degree, False), model.coefficients)
 
 
 def _largest_magnitude(residuals: np.ndarray) -> Number:
@@ -331,7 +332,7 @@ def _largest_magnitude(residuals: np.ndarray) -> Number:
 
 def compute_psi(model: PolynomialModel, samples: SampleSet) -> Number:
     """Uniform error max |f(x) - L(A, x)| over the samples."""
-    return _largest_magnitude(_model_residuals(model, samples))
+    return _largest_magnitude(samples.f - model_values(model, samples, np.arange(len(samples))))
 
 
 def partition_extremes(residuals: Sequence[Number], rel_tol: float = DEFAULT_REL_TOL) -> ExtremeSets:
@@ -367,7 +368,7 @@ def extreme_sets(
     A fit already holds its residuals (`FitResult.residuals`); partitioning
     those gives the same sets without evaluating the model again.
     """
-    return partition_extremes(_model_residuals(model, samples), rel_tol)
+    return partition_extremes(samples.f - model_values(model, samples, np.arange(len(samples))), rel_tol)
 
 
 def sign_blocks(column: np.ndarray, plus: Sequence[int], minus: Sequence[int]) -> list[tuple[int, bool]]:

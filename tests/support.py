@@ -77,6 +77,23 @@ def gauss_jordan_nullspace(rows) -> tuple[Optional[list[Fraction]], int]:
     return v, r
 
 
+def reference_lift(point, exponents) -> list:
+    """Monomial values at a point, one per exponent tuple: the reference for `lift_matrix` and `lift`.
+
+    Each value starts from int 1 and multiplies in the Python power x ** e of
+    every coordinate with e != 0, in coordinate order; x^0 is 1 even at x == 0.
+    """
+    values = []
+    for exps in exponents:
+        assert len(exps) == len(point), f"point {point} does not match exponents {exps}"
+        v = 1
+        for x, e in zip(point, exps):
+            if e:
+                v = v * x**e
+        values.append(v)
+    return values
+
+
 def random_samples(rng: random.Random, dimension: int, count: int) -> SampleSet:
     points = []
     seen = set()

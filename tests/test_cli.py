@@ -24,6 +24,8 @@ from minimaxfit.cli import (
     run,
 )
 
+from support import reference_lift
+
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
@@ -388,7 +390,7 @@ class TestRunPipeline:
     def test_verify_lifts_only_the_extreme_points(self, tmp_path, monkeypatch, shift):
         # shift 0: the fit's own model (certificate); 0.05: a non-optimal one (witness).
         # The residual pass lifts every row of the model's degree once; the verifiers are
-        # handed only the extreme rows of that array, each equal to lift() bit for bit, and
+        # handed only the extreme rows of that array, each equal to reference_lift bit for bit, and
         # no point is lifted or evaluated alone.
         grid = "-1,1:-1,1;9;uniform;x1^3*x2+x2^4"
         _, fit = run(RunConfig(command="fit", grid=grid, degree=3))
@@ -424,7 +426,7 @@ class TestRunPipeline:
         basis = build_basis(2, 3)
         for (i, degree, exact), row in (entry for call in handed for entry in call):
             assert (degree, exact) == (3, False)
-            expected = [1.0] + real_lift(pts[i], basis)[1:]
+            expected = [1.0] + reference_lift(pts[i], basis.exponents)[1:]
             assert [v.hex() for v in row] == [v.hex() for v in expected]
 
 

@@ -35,7 +35,7 @@ from minimaxfit._linalg import integer_row, integer_rows
 from minimaxfit.monomials import dot, dot_rows
 import minimaxfit.lp as lp_module
 
-from support import build_fit_corpus, lp_from_rows, random_samples
+from support import build_fit_corpus, lp_from_rows, random_samples, reference_lift
 
 
 @pytest.fixture(scope="module")
@@ -175,7 +175,7 @@ class TestSampleSet:
             return [(type(v), v.hex() if isinstance(v, float) else v) for v in row]
 
         def lifted(point, basis):
-            row = lift(point, basis)
+            row = reference_lift(point, basis.exponents)
             if not exact:  # float rows come from the float matrix, whose constant column is 1.0
                 assert type(row[0]) is int
                 row[0] = 1.0
@@ -330,7 +330,7 @@ class TestFitMinimax:
             out = []
             for p, v in zip(samples.points, samples.values):
                 total = 0
-                for c, g in zip(coeffs, lift(p, basis)):
+                for c, g in zip(coeffs, reference_lift(p, basis.exponents)):
                     total = total + c * g
                 out.append(v - total)
             return out

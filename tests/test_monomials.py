@@ -19,6 +19,8 @@ from minimaxfit import (
 )
 from minimaxfit.monomials import dot, dot_rows, lift_matrix
 
+from support import reference_lift
+
 
 class TestBuildBasis:
     def test_univariate_degree_two(self):
@@ -151,10 +153,11 @@ def _ordered_dot(coeffs, row):
 
 
 class TestLiftMatrix:
-    """`lift_matrix` and `dot_rows` repeat `lift` and `dot` bit for bit.
+    """`lift_matrix` and `lift` repeat `reference_lift`, and `dot_rows` repeats `dot`, bit for bit.
 
     These fail if the matrix powers come from numpy's ``**`` (its vectorised
-    pow differs from Python's in the last bit for some values) or if the rows
+    pow differs from Python's in the last bit for some values), if a
+    monomial's powers are multiplied out of coordinate order, or if the rows
     are summed by ``matrix @ coeffs`` (BLAS picks its own order).
     """
 
@@ -166,9 +169,12 @@ class TestLiftMatrix:
                 matrix = lift_matrix(points, basis)
                 assert matrix.shape == (len(points), basis.size)
                 for point, row in zip(points, matrix.tolist()):
-                    expected = lift(point, basis)
+                    expected = reference_lift(point, basis.exponents)
                     assert expected[0] == 1 and type(expected[0]) is int
                     assert [v.hex() for v in row] == [float(v).hex() for v in expected]
+                    single = lift(point, basis)
+                    assert [type(v) for v in single] == [type(v) for v in expected]
+                    assert [float(v).hex() for v in single] == [float(v).hex() for v in expected]
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 3), st.integers(0, 5), st.data())
@@ -181,8 +187,8 @@ class TestLiftMatrix:
         matrix = lift_matrix(np.array(points, dtype=object), basis)
         assert matrix.dtype == object and matrix.shape == (n, basis.size)
         for point, row in zip(points, matrix.tolist()):
-            expected = lift(point, basis)
-            assert row == expected
+            expected = reference_lift(point, basis.exponents)
+            assert row == expected == lift(point, basis)
             assert [type(v) for v in row] == [type(v) for v in expected] == [int] + [Fraction] * (basis.size - 1)
 
     def test_dimension_mismatch(self):
@@ -201,7 +207,8 @@ class TestLiftMatrix:
                     basis = build_basis(d, degree)
                     coeffs = [draw() for _ in range(basis.size)]
                     got = np.array(values) - dot_rows(lift_matrix(points, basis), coeffs)
-                    reference = [v - _ordered_dot(coeffs, lift(p, basis)) for p, v in zip(points, values)]
+                    reference = [v - _ordered_dot(coeffs, reference_lift(p, basis.exponents))
+                                 for p, v in zip(points, values)]
                     assert [float(r).hex() for r in reference] == [r.hex() for r in got.tolist()]
                     assert all(dot(coeffs, lift(p, basis)) == _ordered_dot(coeffs, lift(p, basis))
                                for p in points[:5])

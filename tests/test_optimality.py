@@ -18,6 +18,7 @@ from minimaxfit import (
     caratheodory_reduce,
     check_hull_intersection,
     check_isolability,
+    evaluate,
     extreme_sets,
     find_critical_point_set,
     fit_minimax,
@@ -26,7 +27,7 @@ from minimaxfit import (
     verify_witness,
 )
 from minimaxfit import optimality
-from minimaxfit.fitting import DEFAULT_REL_TOL
+from minimaxfit.fitting import DEFAULT_REL_TOL, model_values
 from minimaxfit._linalg import exact_solve
 from minimaxfit.lp import LpFailure, solve, solve_exact
 from minimaxfit.optimality import _moment_lp
@@ -117,6 +118,29 @@ class TestHullIntersection:
         monkeypatch.setattr(optimality, "_normalized_witness", lambda *args: None)
         with pytest.raises(LpFailure, match="no strict separator"):
             check_hull_intersection(extremes, samples, 1, exact=exact)
+
+    @pytest.mark.parametrize("kind", [float, Fraction, int])
+    def test_witness_replay_agrees_with_evaluate_at_each_point(self, kind):
+        # the replay's one dot_rows decides as evaluating the witness point by point would;
+        # a zero value separates strictly on neither side
+        half = {float: 0.5, Fraction: Fraction(1, 2), int: 1}[kind]
+        pts = [(x * half, kind(y)) for x in range(-4, 5) for y in range(-2, 3)]
+        samples = SampleSet(pts, [kind(0)] * len(pts))
+        model = PolynomialModel(build_basis(2, 2), tuple(map(kind, (-2, 1, 1, 0, 1, -1))))
+        values = [evaluate(model, p) for p in pts]
+        pos, neg = [i for i, v in enumerate(values) if v > 0], [i for i, v in enumerate(values) if v < 0]
+        zero = [i for i, v in enumerate(values) if v == 0]
+        assert pos and neg and zero
+        witness = SeparationWitness(model, None, None)
+        assert verify_witness(witness, pos, neg, samples) and verify_witness(witness, pos, [], samples)
+        assert verify_witness(witness, [], [], samples)
+        for plus, minus in ((pos + zero[:1], neg), (pos, neg + zero[-1:]), (neg, pos), (pos[:3], pos[3:4])):
+            assert not verify_witness(witness, plus, minus, samples)
+        # and its values are evaluate's, bit for bit, over float and rational tables alike
+        rng = random.Random(4)
+        floats = PolynomialModel(model.basis, tuple(rng.uniform(-3, 3) for _ in range(model.basis.size)))
+        got = model_values(floats, samples, range(len(pts))).tolist()
+        assert [v.hex() for v in got] == [evaluate(floats, p).hex() for p in pts]
 
     def test_certificate_replay(self, xy_instance):
         samples, extremes = xy_instance

@@ -4,8 +4,8 @@ Fits multivariate polynomial models by linear programming and verifies their
 optimality three independent ways: a convex-hull moment certificate, a fast
 point-reduction necessary check, and a hyperplane sign-split test that
 generalises the univariate alternation criterion.  A `MonomialBasis` is plain
-data (one exponent tuple per monomial) and `reduce_and_verify` takes its
-strategy by name, "exhaustive" or "single".
+data (one exponent tuple per monomial), and `reduce_and_verify` runs every
+branch of the point reduction in one depth-first walk.
 """
 
 from .alternation import (

@@ -330,7 +330,6 @@ class RunConfig:
     grid: Optional[str] = None
     degree: Optional[int] = None
     rel_tol: float = DEFAULT_REL_TOL
-    strategy: str = "exhaustive"  # single | exhaustive
     exact: bool = False
     out: Optional[str] = None
     coeffs: Optional[str] = None
@@ -341,8 +340,6 @@ class RunConfig:
             raise ValueError("degree must be non-negative")
         if not (0 <= self.rel_tol < 0.5):
             raise ValueError("rel-tol must lie in [0, 0.5)")
-        if self.strategy not in ("single", "exhaustive"):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
 
 
 def _jnum(x: Number):
@@ -523,7 +520,10 @@ def _reduce_stage(extremes, samples, degree, config) -> tuple[dict, bool]:
     if extremes.degenerate:
         return {"verdict": "pass", "vacuous_branches": 0, "traces": [],
                 "note": "exact fit; nothing to reduce"}, True
-    red = reduce_and_verify(extremes, samples, degree, strategy=config.strategy, exact=config.exact)
+    if not extremes.plus or not extremes.minus:
+        return {"verdict": "fail", "vacuous_branches": 0, "traces": [],
+                "note": "one extreme set is empty; a constant shift lowers the error"}, False
+    red = reduce_and_verify(extremes, samples, degree, exact=config.exact)
     return _reduction_to_json(red), red.verdict == "pass"
 
 
@@ -586,7 +586,9 @@ def run(config: RunConfig) -> tuple[int, dict]:
         optimal = isinstance(outcome, IntersectionCertificate)
         code = 0 if optimal else 2
         if config.command == "verify":
+            t0 = time.perf_counter()
             iso = check_isolability(extremes, samples, degree, exact=config.exact)
+            timings["isolability_s"] = time.perf_counter() - t0
             report["isolability"] = {"isolable": iso.isolable, "margin": _jnum(iso.margin)}
     if config.command in ("reduce", "alternate") and degree < 1:
         raise ValueError(f"{config.command} needs degree >= 1")
@@ -688,8 +690,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--degree", type=int, help="model degree m")
         p.add_argument("--rel-tol", type=float, default=DEFAULT_REL_TOL,
                        help="relative band for extreme-point detection")
-        p.add_argument("--strategy", choices=["single", "exhaustive"], default="exhaustive",
-                       help="reduction branch strategy")
         p.add_argument("--exact", action="store_true", help="exact rational arithmetic")
         p.add_argument("--out", help="write the JSON report here (default: stdout)")
         if name in ("verify", "reduce", "alternate"):

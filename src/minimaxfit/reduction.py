@@ -5,13 +5,15 @@ coordinate so its extremizers land on zero, removes them, and lowers the
 degree by one; after degree-many-minus-one steps the remaining extreme sets
 must intersect in plain R^d (or one side must have been emptied, which
 passes vacuously).  The underlying shift identity is valid for every legal
-(dimension, variant) choice, so necessity demands that every branch pass;
-the exhaustive strategy enumerates them all.
+(dimension, variant) choice, so necessity demands that every branch pass,
+and every branch is run: one depth-first walk of the branch tree makes each
+shared prefix's shifts and removals once.
 
 The closing test, `hulls_intersect` (no LP on a line), runs on the survivors'
 own coordinates: each step maps one coordinate of every survivor by the same
 affine bijection (x -> x - delta, or top - x), which maps hulls onto hulls and
 so cannot change whether degree-1 hulls meet; shifts only decide removals.
+So branches that end with the same survivors share one closing test.
 """
 
 from __future__ import annotations
@@ -49,86 +51,66 @@ class ReductionReport:
     vacuous_branches: int
 
 
-def _branches(strategy: str, dimension: int, degree: int):
-    steps_needed = degree - 1
-    if strategy == "exhaustive":
-        choices = [(j, v) for j in range(dimension) for v in ("min", "max")]
-        return list(product(choices, repeat=steps_needed))
-    if strategy == "single":
-        return [tuple((k % dimension, "min") for k in range(steps_needed))]
-    raise ValueError(f"unknown strategy {strategy!r}")
-
-
-def _run_branch(branch, plus0, minus0, samples: SampleSet, degree, exact):
-    live = sorted(plus0 | minus0)
-    coords = dict(zip(live, samples.view(exact)[0][live].tolist()))
-    plus, minus = set(plus0), set(minus0)
-    mcur = degree
-    steps = []
-    for j, variant in branch:
-        if mcur <= 1 or not plus or not minus:
-            break
-        live = sorted(plus | minus)
-        column = [coords[i][j] for i in live]
-        if variant == "min":
-            delta = min(column)
-            for i in live:
-                coords[i][j] = coords[i][j] - delta
-        else:
-            top = max(column)
-            # flip the axis so the shift again lands on non-negative values
-            for i in live:
-                coords[i][j] = top - coords[i][j]
-            delta = -top
-        if exact:
-            removed = tuple(i for i in live if coords[i][j] == 0)
-        else:
-            removed = tuple(i for i in live if abs(coords[i][j]) <= ZERO_TOL)
-        plus -= set(removed)
-        minus -= set(removed)
-        mcur -= 1
-        steps.append(ReductionStep(j + 1, variant, delta, removed, mcur))
-
-    if not plus or not minus:
-        verdict = "vacuous"
+def _step(coords, j, variant, exact):
+    """Shift coordinate j of the live points onto zero: (delta, removed, survivors' coordinates)."""
+    live = sorted(coords)
+    column = [coords[i][j] for i in live]
+    if variant == "min":
+        delta = min(column)
+        column = [x - delta for x in column]
     else:
-        verdict = "pass" if hulls_intersect(samples, sorted(plus), sorted(minus), 1, exact) else "fail"
-    return ReductionTrace(tuple((j + 1, v) for j, v in branch), tuple(steps), verdict)
+        top = max(column)
+        # flip the axis so the shift again lands on non-negative values
+        column = [top - x for x in column]
+        delta = -top
+    hit = [x == 0 if exact else abs(x) <= ZERO_TOL for x in column]
+    removed = tuple(i for i, h in zip(live, hit) if h)
+    survivors = {i: coords[i][:j] + (x,) + coords[i][j + 1:] for i, x, h in zip(live, column, hit) if not h}
+    return delta, removed, survivors
 
 
 def reduce_and_verify(
     extremes: ExtremeSets,
     samples: SampleSet,
     degree: int,
-    strategy: str = "exhaustive",
     exact: bool = False,
 ) -> ReductionReport:
     """Necessary optimality check via iterated point reduction.
 
-    `strategy` is "exhaustive", every (dimension, variant) sequence, or
-    "single", the one branch that takes the dimensions 1..d in turn with the
-    min variant.  Fails when any branch ends with disjoint hulls; a branch
-    that empties an extreme set passes vacuously and is counted in
-    `vacuous_branches`.
+    Runs every (dimension, variant) sequence of degree-1 steps, one trace per
+    branch in `itertools.product` order.  Fails when any branch ends with
+    disjoint hulls; a branch that empties an extreme set passes vacuously and
+    is counted in `vacuous_branches`.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
     if not extremes.plus or not extremes.minus:
         raise ValueError("both extreme sets must be non-empty")
-    plus0, minus0 = set(extremes.plus), set(extremes.minus)
-
+    choices = [(j, v) for j in range(samples.dimension) for v in ("min", "max")]
+    live = sorted(set(extremes.plus) | set(extremes.minus))
     traces = []
-    vacuous = 0
-    any_fail = False
-    for branch in _branches(strategy, samples.dimension, degree):
-        trace = _run_branch(branch, plus0, minus0, samples, degree, exact)
-        traces.append(trace)
-        if trace.verdict == "fail":
-            any_fail = True
-        elif trace.verdict == "vacuous":
-            vacuous += 1
+    closing = {}  # survivor pair -> verdict of its degree-1 hull test
+
+    def walk(branch, coords, plus, minus, steps):
+        if not plus or not minus:
+            for rest in product(choices, repeat=degree - 1 - len(branch)):
+                traces.append(ReductionTrace(branch + tuple((j + 1, v) for j, v in rest), steps, "vacuous"))
+        elif len(branch) == degree - 1:
+            key = (tuple(sorted(plus)), tuple(sorted(minus)))
+            if key not in closing:
+                closing[key] = "pass" if hulls_intersect(samples, *key, 1, exact) else "fail"
+            traces.append(ReductionTrace(branch, steps, closing[key]))
+        else:
+            for j, variant in choices:
+                delta, removed, survivors = _step(coords, j, variant, exact)
+                step = ReductionStep(j + 1, variant, delta, removed, degree - 1 - len(branch))
+                walk(branch + ((j + 1, variant),), survivors, plus - set(removed), minus - set(removed),
+                     steps + (step,))
+
+    walk((), dict(zip(live, map(tuple, samples.view(exact)[0][live].tolist()))),
+         set(extremes.plus), set(extremes.minus), ())
     return ReductionReport(
-        verdict="fail" if any_fail else "pass",
+        verdict="fail" if any(trace.verdict == "fail" for trace in traces) else "pass",
         traces=tuple(traces),
-        vacuous_branches=vacuous,
+        vacuous_branches=sum(trace.verdict == "vacuous" for trace in traces),
     )

@@ -8,16 +8,22 @@ import random
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Optional
 
 from minimaxfit import (
     ExtremeSets,
     FitResult,
     LinearProgram,
+    ReductionReport,
+    ReductionStep,
+    ReductionTrace,
     SampleSet,
     extreme_sets,
     fit_minimax,
+    hulls_intersect,
 )
+from minimaxfit.reduction import ZERO_TOL
 
 
 @dataclass
@@ -92,6 +98,53 @@ def reference_lift(point, exponents) -> list:
                 v = v * x**e
         values.append(v)
     return values
+
+
+def reference_reduction(extremes: ExtremeSets, samples: SampleSet, degree: int, exact: bool = False) -> ReductionReport:
+    """Every branch of the point reduction replayed from scratch: the reference for `reduce_and_verify`.
+
+    Branches come in `itertools.product` order over (dimension, min/max); each
+    one shifts and removes from the original extreme sets, stops when a side
+    is empty (vacuous), and ends with its own degree-1 hull test.
+    """
+    choices = [(j, v) for j in range(samples.dimension) for v in ("min", "max")]
+    traces = []
+    for branch in product(choices, repeat=degree - 1):
+        plus, minus = set(extremes.plus), set(extremes.minus)
+        live = sorted(plus | minus)
+        coords = dict(zip(live, samples.view(exact)[0][live].tolist()))
+        steps = []
+        for j, variant in branch:
+            if not plus or not minus:
+                break
+            live = sorted(plus | minus)
+            column = [coords[i][j] for i in live]
+            if variant == "min":
+                delta = min(column)
+                for i in live:
+                    coords[i][j] = coords[i][j] - delta
+            else:
+                top = max(column)
+                for i in live:
+                    coords[i][j] = top - coords[i][j]
+                delta = -top
+            if exact:
+                removed = tuple(i for i in live if coords[i][j] == 0)
+            else:
+                removed = tuple(i for i in live if abs(coords[i][j]) <= ZERO_TOL)
+            plus -= set(removed)
+            minus -= set(removed)
+            steps.append(ReductionStep(j + 1, variant, delta, removed, degree - len(steps) - 1))
+        if not plus or not minus:
+            verdict = "vacuous"
+        else:
+            verdict = "pass" if hulls_intersect(samples, sorted(plus), sorted(minus), 1, exact) else "fail"
+        traces.append(ReductionTrace(tuple((j + 1, v) for j, v in branch), tuple(steps), verdict))
+    return ReductionReport(
+        verdict="fail" if any(t.verdict == "fail" for t in traces) else "pass",
+        traces=tuple(traces),
+        vacuous_branches=sum(t.verdict == "vacuous" for t in traces),
+    )
 
 
 def random_samples(rng: random.Random, dimension: int, count: int) -> SampleSet:

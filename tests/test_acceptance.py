@@ -115,7 +115,7 @@ def test_criterion_4_reduction_necessity(corpus_m3):
             check_hull_intersection(ext, inst.samples, inst.degree), IntersectionCertificate
         ):
             continue
-        report = reduce_and_verify(ext, inst.samples, inst.degree, strategy="exhaustive")
+        report = reduce_and_verify(ext, inst.samples, inst.degree)
         assert report.verdict == "pass"
         checked += 1
     assert checked >= 40
@@ -209,7 +209,7 @@ def test_criterion_6_worked_fixtures_exact():
     assert [s2.points[i][0] for i in ordered] == [-1, Fraction(-1, 2), Fraction(1, 2), 1]
     signs = [1 if i in ext2.plus else -1 for i in ordered]
     assert signs == [-1, 1, -1, 1]
-    report = reduce_and_verify(ext2, s2, 2, strategy="exhaustive", exact=True)
+    report = reduce_and_verify(ext2, s2, 2, exact=True)
     assert report.verdict == "pass"
     by_branch = {trace.branch: trace for trace in report.traces}
     min_step = by_branch[((1, "min"),)].steps[0]

@@ -292,6 +292,7 @@ class TestRunPipeline:
         assert code == 2
         assert "witness" in report
         assert report["isolability"]["isolable"]
+        assert report["timings"]["isolability_s"] >= 0
 
     def test_verify_accepts_optimal_coefficients(self, tmp_path):
         coeffs = tmp_path / "c.json"
@@ -349,6 +350,23 @@ class TestRunPipeline:
                 assert code == 0
                 assert report[section]["verdict"] == "pass"
                 assert report[section]["note"].startswith("exact fit")
+
+    def test_one_sided_extremes_fail_every_check(self, tmp_path):
+        # every extreme point lies above the model: a constant shift improves it, so
+        # reduce answers with a failing verdict as verify and alternate do, not an error
+        data, coeffs = tmp_path / "one.csv", tmp_path / "c.json"
+        data.write_text("x1,f\n-1,1\n0,0\n1,1\n0.5,0.25\n")
+        coeffs.write_text(json.dumps({"degree": 2, "coefficients": [-5, 0, 0]}))
+        reports = {}
+        for command in ("verify", "reduce", "alternate"):
+            code, reports[command] = run(RunConfig(command=command, input_path=str(data), coeffs=str(coeffs)))
+            assert code == 2, command
+            assert (reports[command]["extremes"]["plus"], reports[command]["extremes"]["minus"]) == ([0, 2], [])
+        assert reports["alternate"]["alternation"]["verdict"] == "fail"
+        reduction = reports["reduce"]["reduction"]
+        assert (reduction["verdict"], reduction["traces"], reduction["vacuous_branches"]) == ("fail", [], 0)
+        assert "empty" in reduction["note"]
+        assert main(["reduce", "--input", str(data), "--coeffs", str(coeffs), "--out", str(tmp_path / "r.json")]) == 2
 
     @pytest.mark.parametrize("grid, degree, exact", [
         ("-1,1;201;uniform;x1^5+x1^2", 3, False),
@@ -493,7 +511,7 @@ class TestMainEntry:
         calls = [
             ["verify", "--input", csv_path, "--coeffs", str(coeffs), "--exact", "--rel-tol", "0.1"],
             ["fit", "--input", csv_path, "--degree", "2"],
-            ["reduce", "--grid=-1,1;5;uniform;x1^2", "--degree", "1", "--strategy", "single"],
+            ["reduce", "--grid=-1,1;5;uniform;x1^2", "--degree", "1", "--rel-tol", "0.2"],
             ["report", "--report", "r.json", "--input", csv_path],
             ["fit", "--input", csv_path, "--degree", "1", "--out", "o.json"],
         ]
@@ -523,7 +541,7 @@ class TestMainEntry:
         (["fit", "--input", "DATA", "--degree", "1", "--bogus"], "unrecognized arguments: --bogus"),
         (["frobnicate", "--input", "DATA"], "argument command: invalid choice: 'frobnicate'"),
         ([], "the following arguments are required: command"),
-        (["reduce", "--input", "DATA", "--degree", "2", "--strategy", "both"], "invalid choice: 'both'"),
+        (["reduce", "--input", "DATA", "--degree", "2", "--strategy", "both"], "unrecognized arguments: --strategy"),
         (["fit", "--degree", "1", "--grid"], "argument --grid: expected one argument"),
         (["fit", "--input", "EMPTY_CSV", "--degree", "1"], "empty.csv: empty file"),
         (["fit", "--input", "X2_CSV", "--degree", "1"], "coordinate columns must be named ['x1']"),
@@ -569,10 +587,6 @@ class TestMainEntry:
         with pytest.raises(SystemExit) as stop:
             main(["fit", "--help"])
         assert stop.value.code == 0 and "--degree" in capsys.readouterr().out
-
-    def test_config_rejects_an_unknown_strategy(self):
-        with pytest.raises(ValueError, match="unknown strategy 'both'"):
-            RunConfig(command="reduce", strategy="both")
 
     def test_missing_input_is_an_error(self, capsys):
         assert main(["fit", "--input", "/nonexistent.csv", "--degree", "1"]) == 1

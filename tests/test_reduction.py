@@ -4,6 +4,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from minimaxfit import (
     ExtremeSets,
@@ -15,10 +16,13 @@ from minimaxfit import (
     extreme_sets,
     fit_minimax,
     hulls_intersect,
+    partition_extremes,
     reduce_and_verify,
+    reduction,
 )
+from minimaxfit.cli import DEFAULT_REL_TOL, parse_grid_spec
 
-from support import build_fit_corpus, synthetic_univariate
+from support import build_fit_corpus, reference_reduction, synthetic_univariate
 
 
 @pytest.fixture(scope="module")
@@ -33,9 +37,9 @@ def cubic_instance():
 class TestCubicTraces:
     def test_min_variant_removes_leftmost(self, cubic_instance):
         samples, extremes = cubic_instance
-        report = reduce_and_verify(extremes, samples, 2, strategy="single", exact=True)
+        report = reduce_and_verify(extremes, samples, 2, exact=True)
         assert report.verdict == "pass"
-        (trace,) = report.traces
+        (trace,) = [trace for trace in report.traces if trace.branch == ((1, "min"),)]
         (step,) = trace.steps
         assert step.delta == -1
         assert [samples.points[i][0] for i in step.removed] == [-1]
@@ -84,11 +88,6 @@ class TestValidation:
         extremes = ExtremeSets(plus=(0, 1), minus=(), psi=1.0, rel_tol=0.0)
         with pytest.raises(ValueError):
             reduce_and_verify(extremes, samples, 2)
-
-    def test_rejects_unknown_strategy(self, cubic_instance):
-        samples, extremes = cubic_instance
-        with pytest.raises(ValueError):
-            reduce_and_verify(extremes, samples, 2, strategy="both")
 
 
 class TestNonOptimal:
@@ -217,3 +216,51 @@ def test_closing_test_is_invariant_under_the_shifts():
                 meet = hulls_intersect(shifted, plus, minus, 1, exact=True) is not None
                 assert meet == (trace.verdict == "pass"), trace
     assert {"pass", "fail"} <= seen
+
+
+@st.composite
+def labelled_points(draw):
+    """A small point set on a coarse lattice, ties included, with random extreme labels on both sides."""
+    dimension = draw(st.integers(1, 3))
+    cells = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * dimension), min_size=2, max_size=8, unique=True))
+    labels = draw(st.lists(st.sampled_from("+- "), min_size=len(cells), max_size=len(cells))
+                  .filter(lambda ls: "+" in ls and "-" in ls))
+    return cells, "".join(labels), draw(st.integers(1, 4)), draw(st.booleans())
+
+
+@settings(max_examples=80, deadline=None)
+@given(labelled_points())
+@example(([(0,), (1,), (2,), (3,)], "+-+-", 2, False))  # both branches pass
+@example(([(0,), (1,), (2,), (3,)], "+--+", 2, True))  # the min branch fails
+@example(([(0,), (1,), (2,)], "+--", 3, False))  # the min branch empties plus at its first step
+def test_walk_equals_the_replay_of_every_branch(case):
+    cells, labels, degree, exact = case
+    scale = Fraction(1, 3) if exact else 1 / 3  # thirds round in float64
+    samples = SampleSet([tuple(c * scale for c in cell) for cell in cells], [0] * len(cells))
+    extremes = ExtremeSets(plus=tuple(i for i, s in enumerate(labels) if s == "+"),
+                           minus=tuple(i for i, s in enumerate(labels) if s == "-"), psi=1, rel_tol=0.0)
+    report = reduce_and_verify(extremes, samples, degree, exact=exact)
+    # repr tells -0.0 from 0.0 in a recorded delta, where == does not
+    assert repr(report) == repr(reference_reduction(extremes, samples, degree, exact))
+
+
+def test_one_closing_test_per_survivor_pair(monkeypatch):
+    """Branches that end with the same survivors share one `hulls_intersect` call."""
+    samples = parse_grid_spec("-1,1:-1,1;21;chebyshev;abs(x1)+x2^3")
+    extremes = partition_extremes(fit_minimax(samples, 4).residuals, rel_tol=DEFAULT_REL_TOL)
+    calls = []
+    real = reduction.hulls_intersect
+
+    def recorded(samples, plus, minus, degree, exact=False):
+        calls.append((tuple(plus), tuple(minus)))
+        return real(samples, plus, minus, degree, exact)
+
+    monkeypatch.setattr(reduction, "hulls_intersect", recorded)
+    report = reduce_and_verify(extremes, samples, 4)
+    pairs = set()
+    for trace in report.traces:
+        removed = {i for step in trace.steps for i in step.removed}
+        if trace.verdict != "vacuous":
+            pairs.add((tuple(sorted(set(extremes.plus) - removed)), tuple(sorted(set(extremes.minus) - removed))))
+    assert (report.verdict, len(report.traces), len(calls)) == ("pass", 64, 20)
+    assert sorted(calls) == sorted(pairs)

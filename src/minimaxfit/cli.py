@@ -169,11 +169,14 @@ class Expression:
 # --- ingestion and grids -----------------------------------------------------
 
 
+_INTEGER_RATIO = re.compile(r"-?[0-9]+(?:/[0-9]+)?")  # ASCII digits: read by int() as Fraction(str) reads them
+
+
 def _parse_number(cell: str, exact: bool) -> Number:
     cell = cell.strip()
     if exact:
         try:
-            return Fraction(cell)
+            return Fraction(*map(int, cell.split("/"))) if _INTEGER_RATIO.fullmatch(cell) else Fraction(cell)
         except (ValueError, ZeroDivisionError):
             pass
     x = float(cell)

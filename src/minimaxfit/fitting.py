@@ -25,10 +25,15 @@ and costs only z >= 0, so `lp.solve` starts it from the basis of every
 row's slack, and each later round appends the new samples' rows
 [u | -1] and [-u | -1] to the last round's float64 rows and starts from
 its optimal basis (``start`` of `lp.solve`).  The two-phase simplex runs
-only where such a start gives up.  Exact fits solve every round from
-scratch on the working set in sorted order: where the minimax
-coefficients are not unique (a symmetric 2-D grid), a warm basis or
-another row order certifies another optimum of the same psi.
+only where such a start gives up.  An exact fit runs these float rounds
+on the samples' float view first, then exact rounds from the working set
+they end with, each from scratch on the set in sorted order, with the same
+stop rule: the answer is still the exact optimum of the full LP.  Only the
+set passes on, not the float basis: where the minimax coefficients are not
+unique (a symmetric 2-D grid), a warm basis or another row order
+certifies another optimum of the same psi, the mirror one.  When the float
+view overflows or the float rounds raise `LpFailure`, the exact rounds
+start from the evenly spaced samples, as a float fit does.
 
 Residuals follow the convention r(x) = f(x) - L(A, x), so the positive
 extreme set holds points where the target sits above the model.  An exact
@@ -67,7 +72,7 @@ import numpy as np
 
 from ._linalg import integer_row, integer_rows
 from .lp import LESS, LinearProgram, LpFailure, solve, solve_exact
-from .monomials import Number, PolynomialModel, build_basis, dot_rows, lift_matrix
+from .monomials import MonomialBasis, Number, PolynomialModel, build_basis, dot_rows, lift_matrix
 from .monomials import evaluate  # unused here, kept because bench/tracing.py counts fitting.evaluate
 
 DUPLICATE_TOL = 1e-12
@@ -228,29 +233,39 @@ class ExtremeSets:
 
 
 def fit_minimax(samples: SampleSet, degree: int, exact: bool = False) -> FitResult:
-    """Coefficients minimising max |f(x) - L(A, x)| over the sample set."""
+    """Coefficients minimising max |f(x) - L(A, x)| over the sample set.
+
+    The working-set rounds (`_exchange`) start from evenly spaced samples.
+    An exact fit runs them in float first, then exactly from the float
+    rounds' final working set, or from the evenly spaced samples when the
+    float view overflows or the float rounds raise `LpFailure`.  The float
+    basis is not passed on: it certifies the mirror optimum of a symmetric grid.
+    """
     basis = build_basis(samples.dimension, degree)
-    if basis.size > len(samples):
-        warnings.warn(
-            f"basis size {basis.size} exceeds sample count {len(samples)}; fit is underdetermined",
-            stacklevel=2,
-        )
     n = len(samples)
-    matrix, targets = samples.lifted(np.arange(n), degree, exact), samples.view(exact)[1]
+    if basis.size > n:
+        warnings.warn(f"basis size {basis.size} exceeds sample count {n}; fit is underdetermined", stacklevel=2)
+    k0 = min(n, 2 * (basis.size + 2))
+    working = {round(i * (n - 1) / (k0 - 1)) for i in range(k0)} if k0 > 1 else {0}
+    if exact:
+        try:
+            working = _exchange(samples, basis, working, exact=False)[3]
+        except (OverflowError, LpFailure):
+            pass
+    coeffs, psi, residuals, _ = _exchange(samples, basis, working, exact)
+    residuals.flags.writeable = False
+    return FitResult(model=PolynomialModel(basis, tuple(coeffs)), psi=psi, residuals=residuals)
+
+
+def _exchange(samples: SampleSet, basis: MonomialBasis, working: set[int], exact: bool):
+    """Rounds from a copy of `working` until the stop rule holds: (coefficients, psi, residuals, working set)."""
+    n, nc = len(samples), basis.size
+    matrix, targets = samples.lifted(np.arange(n), basis.degree, exact), samples.view(exact)[1]
     if exact:
         N, V, D = integer_rows(matrix, targets)
-    if samples.dimension == 1:  # multiple exchange runs over the samples in coordinate order
-        order = np.argsort(samples.xy[:, 0], kind="stable")
-
-    nc = basis.size
+    order = None  # the samples in coordinate order, for 1-D multiple exchange, sorted when first needed
     objective = [0] * nc + [1]
     bounds = [(None, None)] * nc + [(0, None)]
-
-    k0 = min(n, 2 * (nc + 2))
-    if k0 <= 1:
-        working = {0}
-    else:
-        working = {round(i * (n - 1) / (k0 - 1)) for i in range(k0)}
 
     def rows_of(indices):
         lifted, v = matrix[indices], targets[indices]
@@ -258,6 +273,7 @@ def fit_minimax(samples: SampleSet, degree: int, exact: bool = False) -> FitResu
         A[0::2, :nc], A[1::2, :nc], A[:, nc] = lifted, -lifted, -1
         return A, np.column_stack((v, -v)).ravel()
 
+    working = set(working)
     A, rhs = rows_of(sorted(working))
     start = None
     while True:
@@ -266,7 +282,7 @@ def fit_minimax(samples: SampleSet, degree: int, exact: bool = False) -> FitResu
         if sol.status != "optimal":
             raise LpFailure(
                 f"minimax LP came back {sol.status}",
-                {"working_set": len(working), "samples": n, "degree": degree},
+                {"working_set": len(working), "samples": n, "degree": basis.degree},
             )
         coeffs = sol.x[:nc]
         z = sol.x[nc]
@@ -281,8 +297,9 @@ def fit_minimax(samples: SampleSet, degree: int, exact: bool = False) -> FitResu
         worst = size[worst_i] if exact else float(size[worst_i])
         slack = 0 if exact else 1e-9 * max(1.0, float(z)) + 1e-12
         if worst <= z + slack or worst_i in working:
-            break
+            return coeffs, worst, residuals, working
         if samples.dimension == 1:
+            order = np.argsort(samples.view(exact)[0][:, 0], kind="stable") if order is None else order
             new = [i for i in _run_peaks(residuals[order], order, z + slack) if i not in working]
         else:
             new = [worst_i]
@@ -293,9 +310,6 @@ def fit_minimax(samples: SampleSet, degree: int, exact: bool = False) -> FitResu
             new_A, new_rhs = rows_of(new)
             A, rhs = np.concatenate((A, new_A)), np.concatenate((rhs, new_rhs))
             start = sol
-
-    residuals.flags.writeable = False
-    return FitResult(model=PolynomialModel(basis, tuple(coeffs)), psi=worst, residuals=residuals)
 
 
 def _run_peaks(residuals: np.ndarray, indices: np.ndarray, bound: Number) -> list[int]:

@@ -8,20 +8,23 @@ import random
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import groupby, product
 from typing import Optional
 
 from minimaxfit import (
     ExtremeSets,
     FitResult,
     LinearProgram,
+    PolynomialModel,
     ReductionReport,
     ReductionStep,
     ReductionTrace,
     SampleSet,
+    build_basis,
     extreme_sets,
     fit_minimax,
     hulls_intersect,
+    solve_exact,
 )
 from minimaxfit.reduction import ZERO_TOL
 
@@ -98,6 +101,47 @@ def reference_lift(point, exponents) -> list:
                 v = v * x**e
         values.append(v)
     return values
+
+
+def reference_exact_fit(samples: SampleSet, degree: int) -> FitResult:
+    """The exact working-set loop from evenly spaced samples, every round cold: the reference for exact `fit_minimax`.
+
+    Each round solves the minimax LP over the working set's rows, in sorted
+    index order, with `solve_exact`, and takes every residual as a Python
+    ``Fraction`` sum over `reference_lift` rows.  It stops when the worst
+    sample (largest |r|, lowest index) deviates by at most z or is in the
+    working set already; otherwise it adds that sample (d > 1), or in 1-D the
+    largest-|r| sample of each sign run beyond z, the lowest index among ties.
+    """
+    basis = build_basis(samples.dimension, degree)
+    points, values = (a.tolist() for a in samples.view(True))
+    rows = [reference_lift(p, basis.exponents) for p in points]
+    n, nc = len(rows), basis.size
+    k0 = min(n, 2 * (nc + 2))
+    working = {0} if k0 <= 1 else {round(i * (n - 1) / (k0 - 1)) for i in range(k0)}
+    order = sorted(range(n), key=lambda i: points[i][0])
+    while True:
+        A, rhs = [], []
+        for i in sorted(working):
+            A += [rows[i] + [-1], [-g for g in rows[i]] + [-1]]
+            rhs += [values[i], -values[i]]
+        sol = solve_exact(LinearProgram([0] * nc + [1], A, ["<="] * len(rhs), rhs, [(None, None)] * nc + [(0, None)]))
+        assert sol.status == "optimal"
+        coeffs, z = sol.x[:nc], sol.x[nc]
+        residuals = [v - sum((c * g for c, g in zip(coeffs, row)), Fraction(0)) for v, row in zip(values, rows)]
+        psi = max(map(abs, residuals))
+        worst = [abs(r) for r in residuals].index(psi)
+        if psi <= z or worst in working:
+            return FitResult(PolynomialModel(basis, tuple(coeffs)), psi, residuals)
+        if samples.dimension > 1:
+            working.add(worst)
+            continue
+        live = [(i, residuals[i]) for i in order if residuals[i]]
+        for _, run in groupby(live, key=lambda item: item[1] < 0):
+            run = list(run)
+            peak = max(abs(r) for _, r in run)
+            if peak > z:
+                working.add(min(i for i, r in run if abs(r) == peak))
 
 
 def reference_reduction(extremes: ExtremeSets, samples: SampleSet, degree: int, exact: bool = False) -> ReductionReport:

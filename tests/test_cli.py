@@ -91,6 +91,54 @@ class TestIngest:
         assert ingest(str(path), exact=True).points[1] == (10**400,)
 
 
+def _fraction_then_float(cell):
+    """The exact cell parser before its integer path: ``Fraction(str)``, then ``float``; the reference."""
+    cell = cell.strip()
+    try:
+        return Fraction(cell)
+    except (ValueError, ZeroDivisionError):
+        pass
+    x = float(cell)
+    if not math.isfinite(x):
+        raise ValueError(f"{cell!r} is not a finite number")
+    return Fraction(x)
+
+
+_EXACT_CELLS = {
+    "plus sign": "+1", "spaces": " 7 ", "underscore": "1_0", "exponent": "1e3", "decimal": "0.5",
+    "minus zero": "-0", "negative denominator": "3/-4", "zero denominator": "1/0", "superscript": "\u00b2",
+    "arabic-indic digit": "\u0663", "power": "10**400", "400 digits": "1" + "0" * 399, "ratio": "-12/8",
+    "leading zeros": "007", "no denominator": "1/", "sign alone": "-", "4,300 digits": "9" * 4300,
+    "4,301 digits": "9" * 4301,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EXACT_CELLS))
+def test_exact_cells_read_as_fraction_of_the_string(tmp_path, capsys, name):
+    # integer and integer-ratio cells skip Fraction(str); every cell keeps its value, type and error line
+    cell = _EXACT_CELLS[name]
+    try:
+        expected = _fraction_then_float(cell)
+    except ValueError as err:
+        expected = err
+    try:
+        got = cli._parse_number(cell, exact=True)
+    except ValueError as err:
+        assert isinstance(expected, ValueError) and str(err) == str(expected)
+    else:
+        assert type(got) is type(expected) is Fraction and got == expected
+    path = tmp_path / "cells.csv"
+    path.write_text(f"x1,f\n0,1\n1,{cell}\n2,3\n", encoding="utf-8")
+    code = main(["fit", "--input", str(path), "--degree", "0", "--exact", "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    if isinstance(expected, ValueError):
+        assert code == 1 and err == f"error: {path}:3: {expected}\n"
+    else:
+        assert code == 0 and err == ""
+        values = (1, expected, 3)  # a degree-0 fit: psi is half the range
+        assert Fraction(json.loads((tmp_path / "r.json").read_text())["psi"]) == (max(values) - min(values)) / 2
+
+
 # Bodies after the header, for d = 1 and d = 2.  Each is read by numpy and,
 # with `_bulk_floats` switched off, cell by cell; see TestBulkIngest.
 _BODIES = {

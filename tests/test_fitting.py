@@ -34,8 +34,9 @@ from minimaxfit.cli import ingest, parse_grid_spec
 from minimaxfit._linalg import integer_row, integer_rows
 from minimaxfit.monomials import dot, dot_rows
 import minimaxfit.lp as lp_module
+from minimaxfit.lp import LpFailure
 
-from support import build_fit_corpus, lp_from_rows, random_samples, reference_lift
+from support import build_fit_corpus, lp_from_rows, random_samples, reference_exact_fit, reference_lift
 
 
 @pytest.fixture(scope="module")
@@ -369,6 +370,8 @@ class TestFitMinimax:
             working_sets.append(sorted(14 - k if reverse else k for k in ks))
             return real(lp, **kwargs)
 
+        if exact:  # the float pass falls back, so the exact rounds start from the evenly spaced samples
+            monkeypatch.setattr(fitting, "solve", _float_pass_fails)
         monkeypatch.setattr(fitting, "solve_exact" if exact else "solve", recorded)
         fit_minimax(samples, 1, exact=exact)
         assert working_sets[0] == list(range(0, 15, 2))
@@ -560,6 +563,87 @@ def test_multiple_exchange_matches_single_exchange_in_fewer_rounds(monkeypatch):
         else:
             assert fit.psi == pytest.approx(single.psi, rel=1e-12, abs=0), grid
     assert multiple_total < single_total
+
+
+def _float_pass_fails(lp, start=None):
+    """`fitting.solve` for an exact fit whose float pass raises, as phase 1 can on a Chebyshev grid."""
+    raise LpFailure("phase-1 simplex did not terminate", {"iterations": 0})
+
+
+def _rational_samples(seed, d, n):
+    rng = random.Random(seed)
+    points = list(dict.fromkeys(tuple(Fraction(rng.randint(-97, 97), 97) for _ in range(d)) for _ in range(2 * n)))[:n]
+    return SampleSet(points, [Fraction(rng.randint(-50, 50), 37) for _ in points])
+
+
+_EXACT_FITS = (
+    [(f"-1,1;41;uniform;x1^5-abs(x1)@{m}", m) for m in range(1, 5)]
+    + [(f"-1,1;21;chebyshev;x1^6+x1^3@{m}", m) for m in range(1, 4)]
+    + [(f"random-1d-{seed}@{m}", m) for seed in range(2) for m in range(1, 5)]
+    + [(f"-1,1:-1,1;5;{nodes};x1^2*x2+x2^3@{m}", m) for nodes in ("uniform", "chebyshev") for m in range(1, 5)]
+    + [(f"-1,1:-1,1;7;uniform;x1^2+x2^2+abs(x1*x2)@{m}", m) for m in range(1, 5)]
+    + [(f"random-2d-{seed}@{m}", m) for seed in range(2) for m in range(1, 5)]
+    + [("-1,1:-1,1;9;uniform;x1^2*x2+x2^3@2", 2)]  # the exact Baseline row: its minimax coefficients are not unique
+    + [(f"-1,1:-1,1:-1,1;4;uniform;x1*x2*x3+x1^2@{m}", m) for m in range(1, 5)]
+    + [(f"random-3d-{seed}@{m}", m) for seed in range(2) for m in range(1, 4)]
+)
+
+
+@pytest.mark.parametrize("name, degree", _EXACT_FITS, ids=[name for name, _ in _EXACT_FITS])
+def test_exact_fit_equals_the_cold_exact_loop(name, degree):
+    # the exact rounds start from the float pass's working set, and end at the optimum the cold
+    # loop from evenly spaced samples reaches: the same coefficients, psi and residuals
+    spec = name.rsplit("@", 1)[0]
+    if spec.startswith("random"):
+        d, seed = spec.split("-")[1:]
+        samples = _rational_samples(int(seed), int(d[0]), 40)
+    else:
+        samples = parse_grid_spec(spec, exact=True)
+    fit, ref = fit_minimax(samples, degree, exact=True), reference_exact_fit(samples, degree)
+    assert fit.model == ref.model and fit.psi == ref.psi and fit.residuals.tolist() == ref.residuals
+    assert all(type(c) is type(r) for c, r in zip(fit.model.coefficients, ref.model.coefficients))
+
+
+def test_exact_fit_falls_back_to_the_cold_start(monkeypatch):
+    # a float pass that raises `LpFailure`, or samples beyond float range (`OverflowError` from the
+    # float view): the exact rounds start from the evenly spaced samples, as the cold loop does
+    huge = SampleSet([(0,), (1,), (2,), (3,)], [1, 10**400, 3, 5])
+    with pytest.raises(OverflowError):
+        huge.view(False)
+    cases = [(_rational_samples(3, 1, 40), 3), (_rational_samples(4, 2, 40), 2),
+             (parse_grid_spec("-1,1:-1,1;9;uniform;x1^2*x2+x2^3", exact=True), 2)]
+    for samples, degree, patched in [(huge, 1, False)] + [(s, m, True) for s, m in cases]:
+        if patched:
+            monkeypatch.setattr(fitting, "solve", _float_pass_fails)
+        fit, ref = fit_minimax(samples, degree, exact=True), reference_exact_fit(samples, degree)
+        assert fit.model == ref.model and fit.psi == ref.psi and fit.residuals.tolist() == ref.residuals
+
+
+def test_first_exact_round_holds_the_float_working_set_sorted(monkeypatch):
+    samples, degree = parse_grid_spec("-1,1:-1,1;9;uniform;x1^2*x2+x2^3", exact=True), 2
+    float_lps, exact_lps = [], []
+    real_solve, real_exact = fitting.solve, fitting.solve_exact
+    monkeypatch.setattr(fitting, "solve", lambda lp, start=None: float_lps.append(lp) or real_solve(lp, start=start))
+    monkeypatch.setattr(fitting, "solve_exact", lambda lp: exact_lps.append(lp) or real_exact(lp))
+    fit_minimax(samples, degree, exact=True)
+    assert len(float_lps) >= 2 and exact_lps
+    # the float pass's last LP holds [u_i | -1], [-u_i | -1] per working-set sample, in the order added
+    lifted = samples.lifted(range(len(samples)), degree, False)
+    nc = lifted.shape[1]
+    index = {tuple(u): i for i, u in enumerate(lifted.tolist())}
+    working = [index[tuple(u)] for u in float_lps[-1].A[0::2, :nc].tolist()]
+    assert working != sorted(working) and len(set(working)) == len(working)
+    rows, values = samples.lifted(sorted(working), degree, True).tolist(), samples.view(True)[1]
+    first = exact_lps[0]
+    assert first.A.tolist() == [r for u in rows for r in (u + [-1], [-g for g in u] + [-1])]
+    assert first.rhs.tolist() == [b for i in sorted(working) for b in (values[i], -values[i])]
+
+
+def test_underdetermined_exact_fit_warns_once():
+    samples = SampleSet([(0,), (Fraction(1, 3),), (1,)], [1, Fraction(1, 2), 2])
+    with pytest.warns(UserWarning, match="underdetermined") as caught:
+        fit_minimax(samples, 3, exact=True)
+    assert len(caught) == 1
 
 
 _RATIONALS = st.one_of(

@@ -189,10 +189,9 @@ def verify_by_hyperplanes(
             continue
         side = _sides(coords, normals, offsets, exact)
         flipped = side[at] * sign[:, None]
-        classes = None  # built when a support is first applied to this batch
+        classes = _point_classes(side, in_plus, in_minus)
         reused = np.zeros(len(batch), dtype=bool)
         for support in supports:
-            classes = _point_classes(side, in_plus, in_minus) if classes is None else classes
             reused |= _contains(classes, support)
         for j in range(len(batch)):
             checked += 1
@@ -203,9 +202,7 @@ def verify_by_hyperplanes(
             if found:
                 s, t = ([place[i] for i in members] for members in found)
                 supports.append(np.array([s + [n + k for k in t], [n + k for k in s] + t]))
-                if j + 1 < len(batch):
-                    classes = _point_classes(side, in_plus, in_minus) if classes is None else classes
-                    reused |= _contains(classes, supports[-1])
+                reused |= _contains(classes, supports[-1])
                 continue
             if hulls_intersect(samples, on_plus, on_minus, degree, exact) is None:
                 counterexample = HyperplaneSplit(tuple(normals[j].tolist()), offsets.tolist()[j],

@@ -45,17 +45,18 @@ per sample, the value `dot` would give; `lp._check_rows` checks an exact
 point with the same kernel over the same kind of rows.
 
 `SampleSet` keeps the samples as one table, and `SampleSet.lifted` is the
-one place a sample point is lifted: one (n x basis) array per degree and
-arithmetic, in the dtype of the table's `view`, whose rows `lift_matrix`
-fills when they are first asked for.  The fit reads all of them, every
-verifier only the extreme rows.  The rows repeat `lift` bit for bit, and
-`dot_rows` repeats `dot` (see `monomials`), so every residual pass is
-`dot_rows`: over float64 rows against the table's values `SampleSet.f` in
-the float fit's working-set loop, and in `extreme_sets` and `compute_psi`
-on a float64 table; over the integer rows in the exact loop.  The exact
-loop, and every residual pass over an object table, keeps its residuals in
-an object array (of ``Fraction`` in exact mode), so the same numpy calls
-pick the worst sample, the runs and the extreme sets, comparing exactly.
+one place a sample point is lifted: one (n x basis) array per arithmetic,
+in the dtype of its `view`, lifted at the highest degree asked for.
+Degree m (the fit, the certificate), m - 1 (alternation) and 1 (reduction)
+read its leading columns, the fit all rows, a verifier the extreme ones.
+The rows repeat `lift` bit for bit, and `dot_rows` repeats `dot` (see
+`monomials`), so every residual pass is `dot_rows`: over float64 rows
+against the table's values `SampleSet.f` in the float fit's working-set
+loop, and in `extreme_sets` and `compute_psi` on a float64 table; over the
+integer rows in the exact loop.  The exact loop, and every residual pass
+over an object table, keeps its residuals in an object array (of
+``Fraction`` in exact mode), so the same numpy calls pick the worst
+sample, the runs and the extreme sets, comparing exactly.
 """
 
 from __future__ import annotations
@@ -116,6 +117,10 @@ class SampleSet:
             if len(p) != d:
                 raise ValueError(f"point {k} has dimension {len(p)}, expected {d}")
         kinds = {float} if arrays else set(map(type, chain(*pts, vals)))
+        if any(issubclass(kind, np.generic) for kind in kinds):  # numpy scalars as the Python numbers they hold
+            pts = [tuple(c.item() if isinstance(c, np.generic) else c for c in p) for p in pts]
+            vals = [v.item() if isinstance(v, np.generic) else v for v in vals]
+            kinds = set(map(type, chain(*pts, vals)))
         floats = kinds == {float}
         self.xy = np.array(pts, dtype=float if floats else object)
         self.f = np.array(vals, dtype=self.xy.dtype)
@@ -134,7 +139,7 @@ class SampleSet:
         self._views: dict[bool, tuple[np.ndarray, np.ndarray]] = {}  # a table of floats or of Fractions is its own view
         if kinds in ({float}, {Fraction}):
             self._views[kinds == {Fraction}] = self.xy, self.f
-        self._lifted: dict[tuple[int, bool], tuple] = {}  # (degree, exact) -> (basis, rows, lifted mask)
+        self._lifted: dict[bool, tuple[int, np.ndarray]] = {}  # exact -> (degree, every row lifted at it)
 
     @staticmethod
     def _check_duplicates(pts):
@@ -195,22 +200,13 @@ class SampleSet:
     def lifted(self, indices: Sequence[int], degree: int, exact: bool) -> np.ndarray:
         """Rows lift(x_i) of the `view(exact)` points over the degree-`degree` basis, i in `indices`.
 
-        They are read, as a new array, from one (n x basis) array per degree
-        and arithmetic in the view's dtype.  `lift_matrix` fills each row the
-        first time it is asked for, and every later caller shares it.
+        They are read, as a new array, from the leading C(d + degree, degree)
+        columns of one (n x basis) table per arithmetic in the view's dtype
+        (see `MonomialBasis`), lifted at the highest degree asked for so far.
         """
-        if (degree, exact) not in self._lifted:
-            basis = build_basis(self.dimension, degree)
-            rows = np.empty((len(self), basis.size), dtype=self.view(exact)[0].dtype)
-            self._lifted[degree, exact] = basis, rows, np.zeros(len(self), dtype=bool)
-        basis, rows, done = self._lifted[degree, exact]
-        indices = np.asarray(indices, dtype=np.intp)
-        missing = indices[~done[indices]]
-        if missing.size:
-            missing = np.unique(missing)  # a row asked for twice is lifted once
-            rows[missing] = lift_matrix(self.view(exact)[0][missing], basis)
-            done[missing] = True
-        return rows[indices]
+        if self._lifted.get(exact, (-math.inf,))[0] < degree:
+            self._lifted[exact] = degree, lift_matrix(self.view(exact)[0], build_basis(self.dimension, degree))
+        return self._lifted[exact][1][np.asarray(indices, dtype=np.intp), :math.comb(self.dimension + degree, degree)]
 
 
 @dataclass(frozen=True)
@@ -280,10 +276,8 @@ def _exchange(samples: SampleSet, basis: MonomialBasis, working: set[int], exact
         lp = LinearProgram(objective, A, [LESS] * len(rhs), rhs, bounds)
         sol = solve_exact(lp) if exact else solve(lp, start=start)
         if sol.status != "optimal":
-            raise LpFailure(
-                f"minimax LP came back {sol.status}",
-                {"working_set": len(working), "samples": n, "degree": basis.degree},
-            )
+            diagnostics = {"working_set": len(working), "samples": n, "degree": basis.degree, "iterations": sol.iterations}
+            raise LpFailure(f"minimax LP came back {sol.status}", diagnostics)
         coeffs = sol.x[:nc]
         z = sol.x[nc]
 
@@ -332,11 +326,12 @@ def _run_peaks(residuals: np.ndarray, indices: np.ndarray, bound: Number) -> lis
 
 
 def model_values(model: PolynomialModel, samples: SampleSet, indices: Sequence[int]) -> np.ndarray:
-    """L(A, x_i) for i in `indices`, over the table as it is: float64 rows of `lifted`, or objects."""
-    indices = np.asarray(indices, dtype=np.intp)
-    if samples.xy.dtype != float or model.basis.dimension != samples.dimension:
+    """L(A, x_i) for i in `indices`, over the table as it is: rows of `lifted` when the table is its own view
+    (float64, or every entry a ``Fraction``), else a lift of its objects."""
+    indices, exact = np.asarray(indices, dtype=np.intp), samples.xy.dtype == object
+    if samples._views.get(exact, (None,))[0] is not samples.xy or model.basis.dimension != samples.dimension:
         return dot_rows(lift_matrix(samples.xy[indices], model.basis), model.coefficients)
-    return dot_rows(samples.lifted(indices, model.degree, False), model.coefficients)
+    return dot_rows(samples.lifted(indices, model.degree, exact), model.coefficients)
 
 
 def _largest_magnitude(residuals: np.ndarray) -> Number:

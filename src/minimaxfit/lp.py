@@ -150,7 +150,11 @@ def solve(lp: LinearProgram, start: Optional[LpSolution] = None) -> LpSolution:
     """
     solution, spent = _warm(lp, start)
     if solution is None:
-        solution = _solve(lp, exact=False)
+        try:
+            solution = _solve(lp, exact=False)
+        except LpFailure as err:
+            err.diagnostics["iterations"] += spent
+            raise
         solution.iterations += spent
     return solution
 
@@ -330,10 +334,11 @@ def _solve(lp: LinearProgram, exact: bool, guess: bool = False) -> LpSolution:
     except LpFailure as err:  # `_warm` refactors a float tableau at its final basis
         if exact:
             raise
-        refactored = _warm(lp, LpSolution("optimal", basis=(tuple(basis), tuple(dropped))))[0]
+        refactored, spent = _warm(lp, LpSolution("optimal", basis=(tuple(basis), tuple(dropped))))
+        err.diagnostics["iterations"] += spent
         if refactored is None:
             raise
-        refactored.iterations += err.diagnostics["iterations"]
+        refactored.iterations = err.diagnostics["iterations"]
         return refactored
 
 

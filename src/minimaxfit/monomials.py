@@ -36,7 +36,8 @@ class MonomialBasis:
 
     Ordering is graded lexicographic (total degree ascending, earlier
     coordinates dominating within a degree level), so the constant monomial
-    comes first and the degree-(m-1) basis is a prefix of the degree-m basis.
+    comes first and the degree-(m-1) basis is a prefix of the degree-m basis:
+    `SampleSet.lifted` reads every lower degree from one table's leading columns.
     """
 
     dimension: int

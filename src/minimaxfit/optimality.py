@@ -125,7 +125,7 @@ def _max_margin(plus_lifted, minus_lifted, width, exact: bool):
     lp = LinearProgram(objective, A, [">="] * p + ["<="] * q, [0] * (p + q), bounds)
     sol = (solve_exact if exact else solve)(lp)
     if sol.status != "optimal":
-        raise LpFailure(f"margin LP came back {sol.status}", {"status": sol.status})
+        raise LpFailure(f"margin LP came back {sol.status}", {"status": sol.status, "iterations": sol.iterations})
     return sol.x[width], sol.x[:width]
 
 
@@ -201,7 +201,7 @@ def check_hull_intersection(
             degree, tuple(extremes.plus), tuple(extremes.minus), alpha, beta, residual, exact
         )
     if sol.status != "infeasible":
-        raise LpFailure(f"moment LP came back {sol.status}", {"status": sol.status})
+        raise LpFailure(f"moment LP came back {sol.status}", {"status": sol.status, "iterations": sol.iterations})
 
     # Farkas multipliers: (mass row E+, mass row E-, one per non-constant monomial)
     y = sol.farkas

@@ -769,6 +769,34 @@ class TestMainEntry:
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout)["degree"] == 1
 
+    _ENTRY_RUNS = pytest.mark.parametrize("args, code", [
+        (["fit", "--grid", "-1,1;5;uniform;x1^2", "--degree", "1"], 0),  # "-1,1" takes the argv rewrite
+        (["fit", "--grid", "-1,1;5;uniform;x1^2"], 1),
+    ], ids=["grid-fit", "usage-error"])
+
+    @_ENTRY_RUNS
+    def test_python_dash_m_prints_one_report_or_one_error(self, args, code):
+        src = os.path.dirname(os.path.dirname(minimaxfit.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run([sys.executable, "-m", "minimaxfit", *args],
+                                capture_output=True, text=True, env=env, timeout=120)
+        assert result.returncode == code, result.stderr
+        if code:
+            assert result.stdout == "" and result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        else:
+            assert result.stderr == "" and result.stdout.count("\n") == 1
+            report = json.loads(result.stdout)
+            assert report["degree"] == 1 and report["instance"]["source"] == "grid:-1,1;5;uniform;x1^2"
+
+    @_ENTRY_RUNS
+    def test_console_main_exits_with_the_code_of_main(self, monkeypatch, capsys, args, code):
+        monkeypatch.setattr(sys, "argv", ["minimaxfit", *args])
+        with pytest.raises(SystemExit) as stop:
+            cli.console_main()
+        assert stop.value.code == code
+        out, err = capsys.readouterr()
+        assert (out == "") == bool(code) and (err == "") == (not code)
+
     def test_witness_report_revalidates(self, tmp_path, capsys):
         coeffs = tmp_path / "c.json"
         coeffs.write_text(json.dumps({"degree": 1, "coefficients": [0.3, 0.2]}))

@@ -34,7 +34,7 @@ from minimaxfit.cli import ingest, parse_grid_spec
 from minimaxfit._linalg import integer_row, integer_rows
 from minimaxfit.monomials import dot, dot_rows
 import minimaxfit.lp as lp_module
-from minimaxfit.lp import LpFailure
+from minimaxfit.lp import LpFailure, LpSolution
 
 from support import build_fit_corpus, lp_from_rows, random_samples, reference_exact_fit, reference_lift
 
@@ -170,8 +170,12 @@ class TestSampleSet:
         fractions = SampleSet([(Fraction(0), Fraction(1, 2)), (Fraction(1), Fraction(1, 3))], [Fraction(2)] * 2)
         assert all(a is b for a, b in zip(fractions.view(True), (fractions.xy, fractions.f)))
 
+    @pytest.mark.parametrize("degrees", [(0, 1, 3), (3, 2, 1, 0), (3, 0, 2, 1, 4)],
+                             ids=["ascending", "descending", "interleaved"])
     @pytest.mark.parametrize("exact", [False, True])
-    def test_lifted_rows_equal_lift_bit_for_bit(self, exact):
+    def test_lifted_rows_equal_lift_bit_for_bit(self, exact, degrees):
+        # a degree below the table's reads its leading columns, one above replaces the table: either way
+        # the rows are those of the degree's own lift
         def bits(row):
             return [(type(v), v.hex() if isinstance(v, float) else v) for v in row]
 
@@ -185,14 +189,15 @@ class TestSampleSet:
         samples = random_samples(random.Random(5), 2, 12)
         pts = samples.view(exact)[0].tolist()
         order = [7, 0, 11, 3, 7]
-        for degree in (0, 1, 3):
+        for degree in degrees:
             basis = build_basis(2, degree)
             rows = samples.lifted(order, degree, exact).tolist()
             assert [bits(r) for r in rows] == [bits(lifted(pts[i], basis)) for i in order]
 
     def test_lifts_each_point_once_per_degree_and_arithmetic(self, monkeypatch):
-        # every row goes through `lift_matrix` the first time it is asked for: all of them at the
-        # fit's degree, only the rows asked for at any other
+        # every row goes through `lift_matrix` once per arithmetic, at the highest degree asked for so
+        # far: a lower degree reads the table's leading columns and lifts nothing, a higher one lifts
+        # every row once more
         lifted = []  # (degree, exact, point) of each row handed to lift_matrix
         real = fitting.lift_matrix
 
@@ -202,23 +207,54 @@ class TestSampleSet:
 
         monkeypatch.setattr(fitting, "lift_matrix", counted)
         samples = random_samples(random.Random(6), 2, 14)
-        for exact in (True, False):
-            fit = fit_minimax(samples, 2, exact=exact)
-            assert sorted(p for _, e, p in lifted if e == exact) == sorted(map(tuple, samples.view(exact)[0].tolist()))
-            count = len(lifted)
+        n = len(samples)
+        rows = {exact: [(2, exact, p) for p in map(tuple, samples.view(exact)[0].tolist())] for exact in (True, False)}
+        fits = {exact: fit_minimax(samples, 2, exact=exact) for exact in (True, False)}
+        assert lifted == rows[False] + rows[True]  # an exact fit runs float rounds first
+        for exact, fit in fits.items():
             extremes = partition_extremes(fit.residuals)
             check_hull_intersection(extremes, samples, 2, exact)
             check_isolability(extremes, samples, 2, exact)
-            assert len(lifted) == count  # the verifiers reuse the fit's rows
         verify_by_hyperplanes(extremes, samples, 2)  # degree-1 rows of some extreme points
-        assert 0 < sum(1 for degree, _, _ in lifted if degree == 1) < len(samples)
         for exact in (False, True):
-            for degree in (1, 2):
+            for degree in (1, 0, 2):
                 samples.lifted([3, 1, 3], degree, exact)
-                samples.lifted(range(len(samples)), degree, exact)
-        # each row lifted once per degree and arithmetic, from the view of that arithmetic
-        assert len(set(lifted)) == len(lifted) == 4 * len(samples)
+                samples.lifted(range(n), degree, exact)
+        assert lifted == rows[False] + rows[True]  # the verifiers and every degree up to 2 reuse the fits' rows
+        assert set(samples._lifted) == {False, True}  # one table per arithmetic
+        samples.lifted([3], 3, False)
+        assert lifted[2 * n:] == [(3, False, p) for _, _, p in rows[False]]  # a higher degree lifts every row
+        for degree in (0, 2, 3):
+            samples.lifted(range(n), degree, False)
+        assert len(lifted) == 3 * n
         assert {(e, type(p[0])) for _, e, p in lifted} == {(True, Fraction), (False, float)}
+        # a table of Fractions is its own exact view: the model's values and the verifiers share one lift
+        fractions = SampleSet(*samples.view(True))
+        extremes = extreme_sets(fits[True].model, fractions)
+        check_hull_intersection(extremes, fractions, 2, True)
+        verify_by_hyperplanes(extremes, fractions, 2, True)
+        assert lifted[3 * n:] == rows[True]
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32])
+    def test_numpy_scalars_become_python_numbers(self, dtype):
+        # a table built from numpy arrays other than a float64 pair holds the Python numbers of their
+        # entries, so int64 powers do not wrap around and float32 ones are not rounded to float32
+        if dtype is np.int64:
+            pts, vals = np.array([[0], [100000], [200000], [300000]], dtype), np.array([0, 1, 0, 1], dtype)
+            model, table = PolynomialModel(build_basis(1, 4), (0, 0, 0, 0, 1)), object
+            psi, extremes = 300000**4 - 1, ((), (3,))
+        else:
+            pts, vals = np.array([[0.1], [0.3], [0.7]], dtype), np.array([0.1, 0.2, 0.4], dtype)
+            model, table = PolynomialModel(build_basis(1, 1), (0.0, 0.5)), float
+            psi, extremes = 0.050000011920928955, ((2,), ())  # f(x) - x / 2 at the float32 0.7, in float64
+        for points, values in [(pts, vals), (list(pts), list(vals))]:
+            samples = SampleSet(points, values)
+            assert samples.xy.dtype == samples.f.dtype == table
+            assert not any(isinstance(v, np.generic) for v in chain(*samples.xy.tolist(), samples.f.tolist()))
+            got = compute_psi(model, samples)
+            assert type(got) is type(psi) and got == psi
+            got = extreme_sets(model, samples)
+            assert (got.plus, got.minus) == extremes
 
 
 _TABLE_FLOATS = st.one_of(st.floats(-4, 4), st.sampled_from([0.0, -0.0, 5e-324, 1e-13, -1e-12, 1.0, 1 / 3]))
@@ -568,6 +604,18 @@ def test_multiple_exchange_matches_single_exchange_in_fewer_rounds(monkeypatch):
 def _float_pass_fails(lp, start=None):
     """`fitting.solve` for an exact fit whose float pass raises, as phase 1 can on a Chebyshev grid."""
     raise LpFailure("phase-1 simplex did not terminate", {"iterations": 0})
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_minimax_lp_of_another_status_is_an_lp_failure(monkeypatch, exact):
+    # the minimax LP is always optimal; any other status fails with that status, the round and its
+    # pivots (an exact fit's float rounds fail too, so its exact rounds start from the evenly spaced 16)
+    samples = random_samples(random.Random(9), 2, 30)
+    for name in ("solve", "solve_exact"):
+        monkeypatch.setattr(fitting, name, lambda lp, start=None: LpSolution("unbounded", iterations=5))
+    with pytest.raises(LpFailure, match="^minimax LP came back unbounded$") as failure:
+        fit_minimax(samples, 2, exact=exact)
+    assert failure.value.diagnostics == {"working_set": 16, "samples": 30, "degree": 2, "iterations": 5}
 
 
 def _rational_samples(seed, d, n):

@@ -691,6 +691,27 @@ def test_phase_1_failure_names_its_status(monkeypatch):
     assert failure.value.diagnostics == {"status": "unbounded", "iterations": 7}
 
 
+@pytest.mark.parametrize("entry", ["solve", "_solve"])
+def test_failed_float_solve_counts_every_attempt(monkeypatch, entry):
+    # every float point breaks a row: the dual start gives up after 3 pivots, the cold solve raises
+    # in its row check and the refactor at its basis gives up after 4 more; the failure carries them all
+    checked = []
+
+    def broken(lp, x, exact, iterations):
+        checked.append(iterations)
+        raise LpFailure("optimal point violates row 0 by 1.000e+00", {"row": 0, "residual": 1.0, "iterations": iterations})
+
+    monkeypatch.setattr(lp_module, "_check_rows", broken)
+    monkeypatch.setattr(lp_module, "_warm", lambda lp, start: (None, 3 if start is None else 4))
+    lp = LinearProgram([0.0, 1.0], [[1.0, -1.0], [-1.0, -1.0], [1.0, 0.0]], ["<=", "<=", ">="], [1.0, -1.0, 0.5])
+    with pytest.raises(LpFailure, match=re.escape("optimal point violates row 0 by 1.000e+00")) as failure:
+        solve(lp) if entry == "solve" else lp_module._solve(lp, exact=False)
+    (cold,) = checked
+    assert cold > 0
+    total = cold + 4 + (3 if entry == "solve" else 0)
+    assert failure.value.diagnostics == {"row": 0, "residual": 1.0, "iterations": total}
+
+
 # --- warm starts: a prefix's optimal basis against the cold two-phase solve --
 
 

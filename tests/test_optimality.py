@@ -29,7 +29,7 @@ from minimaxfit import (
 from minimaxfit import optimality
 from minimaxfit.fitting import DEFAULT_REL_TOL, model_values
 from minimaxfit._linalg import exact_solve
-from minimaxfit.lp import LpFailure, solve, solve_exact
+from minimaxfit.lp import LpFailure, LpSolution, solve, solve_exact
 from minimaxfit.optimality import _moment_lp
 
 from support import build_fit_corpus
@@ -118,6 +118,27 @@ class TestHullIntersection:
         monkeypatch.setattr(optimality, "_normalized_witness", lambda *args: None)
         with pytest.raises(LpFailure, match="no strict separator"):
             check_hull_intersection(extremes, samples, 1, exact=exact)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_moment_lp_of_another_status_is_an_lp_failure(self, exact, monkeypatch):
+        # the moment LP is feasible or infeasible; any other status fails with that status and its pivots
+        samples = SampleSet([(-1, -1), (-1, 1), (1, -1), (1, 1), (0, 0)], [0] * 5)
+        extremes = ExtremeSets(plus=(0, 1), minus=(2, 3), psi=1, rel_tol=0.0)
+        monkeypatch.setattr(optimality, "solve_exact" if exact else "solve", lambda lp: LpSolution("unbounded", iterations=9))
+        with pytest.raises(LpFailure, match="^moment LP came back unbounded$") as failure:
+            check_hull_intersection(extremes, samples, 1, exact=exact)
+        assert failure.value.diagnostics == {"status": "unbounded", "iterations": 9}
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_margin_lp_of_another_status_is_an_lp_failure(self, exact, monkeypatch):
+        # t = -1 with every coefficient 0 is feasible, so the margin LP is optimal or fails with its pivots
+        samples = SampleSet([(-1, -1), (-1, 1), (1, -1), (1, 1), (0, 0)], [0] * 5)
+        lifted = [samples.lifted(side, 1, exact) for side in ((0, 1), (2, 3))]
+        monkeypatch.setattr(optimality, "solve_exact" if exact else "solve",
+                            lambda lp: LpSolution("infeasible", farkas=[0] * lp.num_rows, iterations=6))
+        with pytest.raises(LpFailure, match="^margin LP came back infeasible$") as failure:
+            optimality._max_margin(*lifted, 3, exact)
+        assert failure.value.diagnostics == {"status": "infeasible", "iterations": 6}
 
     @pytest.mark.parametrize("kind", [float, Fraction, int])
     def test_witness_replay_agrees_with_evaluate_at_each_point(self, kind):

@@ -21,7 +21,10 @@ Many splits need no LP: a degree-(m-1) certificate with support S+, S-
 point of the moment LP of any later split whose flipped classes hold S+ and
 S- one each, either way round, as the LP is symmetric in its sides.  So each
 support found marks, as a boolean mask over the batch, every plane whose
-flipped classes contain it, and a marked plane holds with no LP.
+flipped classes contain it, and a marked plane holds with no LP.  The
+support is whichever vertex the priced moment LP of `hulls_intersect`
+reaches.  So pricing decides which planes it marks, but not a verdict: a
+marked plane's hulls do meet.
 
 Every hull test is `hulls_intersect` on sample indices, over rows lifted once.
 """

@@ -145,8 +145,14 @@ class SampleSet:
     def _check_duplicates(pts):
         """Raise on the first pair of points within DUPLICATE_TOL in every coordinate.
 
-        The keys are sorted lexicographically, ties by index.  Offset k then
-        compares row a with row a+k of the sorted keys, for every a whose
+        In d > 1 a prefilter first keeps only the rows that may have a
+        duplicate: the rows are sorted by each coordinate in turn within the
+        groups so far, a new group starts wherever the gap exceeds the
+        tolerance, and rows left alone in a group are dropped.  Two points
+        within the tolerance in a coordinate sit in one chain of gaps within
+        it, so every duplicate pair survives, in the same relative order.
+        The kept keys are sorted lexicographically, ties by index.  Offset k
+        then compares row a with row a+k of the sorted keys, for every a whose
         first-coordinate gap x[a+k, 0] - x[a, 0] is within the tolerance; that
         gap only grows with k, so the offsets stop at the first empty window.
         The pair reported is the first in sorted order (smallest a, then
@@ -158,7 +164,20 @@ class SampleSet:
             keys = np.array(pts, dtype=float)
         except OverflowError:
             keys = np.array(pts, dtype=object)
-        order = np.lexsort(keys.T[::-1])
+        if keys.shape[1] > 1:  # the prefilter
+            rows, group = np.arange(len(keys)), np.zeros(len(keys), dtype=int)
+            for j in range(keys.shape[1]):
+                by = np.lexsort((keys[rows, j], group))
+                rows, group, x = rows[by], group[by], keys[rows[by], j]
+                new = np.ones(len(rows), dtype=bool)
+                new[1:] = (group[1:] != group[:-1]) | (x[1:] - x[:-1] > DUPLICATE_TOL)
+                group = np.cumsum(new)
+                shared = np.bincount(group)[group] > 1
+                rows, group = rows[shared], group[shared]
+            rows.sort()
+            order = rows[np.lexsort(keys[rows].T[::-1])]
+        else:
+            order = np.lexsort(keys.T[::-1])
         keys = keys[order]
         first = None  # (a, k) of the first duplicate pair in sorted order
         for k in range(1, len(keys)):

@@ -29,6 +29,17 @@ every other status.  A cold float point that breaks a row refactors: its
 final basis goes to `_warm` with no rows appended, which solves B^-1 [A | b]
 afresh and finishes from there; the failure stands only if that fails too.
 
+The primal simplex enters the first column of negative reduced cost
+(Bland, "New finite pivoting rules for the simplex method", Math. of OR
+1977), and the least ratio picks the row that leaves, ties going to the
+smallest basic column.  A solve asked to `price` enters the column of most
+negative reduced cost instead, for the first two pivots per tableau row of
+each phase, then hands over to Bland's rule, so it still ends.  It reaches
+an optimal vertex in fewer pivots, but not always the one Bland's rule
+reaches, so only hull tests whose vertex is never reported ask for it
+(`optimality.hulls_intersect`).  The scans read the tableau as Python
+lists: its few tens of rows are too few for array scans to pay.
+
 Exact solves run as a float-to-exact crossover (Applegate, Cook, Dash &
 Espinoza, "Exact solutions to linear programming problems", ORL 2007): a
 float guess proposes an optimal basis, which is solved and checked once
@@ -62,10 +73,12 @@ LESS, EQUAL, GREATER = "<=", "==", ">="
 _TOL = 1e-9
 _MAX_ITER = 50_000
 # Pivots a float guess of `solve_exact` may make per standardised row and column.  The
-# largest guess over the test suite and the benchmark workloads (seeds 1 and 7) made 199
-# pivots on 118 rows and 129 columns, and none made more than 1.4 per row and column; the
-# exact 3-D grid fit's first round (88 rows, 129 columns) ran 19,633 before phase 1 gave up.
+# largest guess over the test suite and the benchmark workloads (seeds 1 and 7) made 454
+# pivots on 68 rows and 99 columns, and none made more than 3.5 per row and column (433
+# on 52 and 73; priced guesses at most 1.1); the exact 3-D grid fit's first round (88
+# rows, 129 columns) ran 19,633 before phase 1 gave up.
 _GUESS_PIVOTS = 4
+_PRICED_PIVOTS = 2  # pivots per tableau row that a priced `_simplex` call enters by most negative reduced cost
 
 
 class LpFailure(RuntimeError):
@@ -137,7 +150,7 @@ class LpSolution:
     basis: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = field(default=None, repr=False, compare=False)
 
 
-def solve(lp: LinearProgram, start: Optional[LpSolution] = None) -> LpSolution:
+def solve(lp: LinearProgram, start: Optional[LpSolution] = None, *, price: bool = False) -> LpSolution:
     """Simplex in float64.  Deterministic.
 
     `start`, if given, is an optimal solution of an LP whose rows are the
@@ -146,12 +159,14 @@ def solve(lp: LinearProgram, start: Optional[LpSolution] = None) -> LpSolution:
     or without `start` at the basis of every row's slack when that is dual
     feasible; the two-phase simplex runs when there is no such start or it
     cannot finish.  `iterations` counts the pivots of every attempt, an
-    abandoned dual start's and a refactor's.
+    abandoned dual start's and a refactor's.  `price` prices the two-phase
+    simplex (see `_simplex`): it reaches some optimal vertex in fewer pivots,
+    but not always the one Bland's rule reaches.
     """
     solution, spent = _warm(lp, start)
     if solution is None:
         try:
-            solution = _solve(lp, exact=False)
+            solution = _solve(lp, exact=False, price=price)
         except LpFailure as err:
             err.diagnostics["iterations"] += spent
             raise
@@ -159,7 +174,7 @@ def solve(lp: LinearProgram, start: Optional[LpSolution] = None) -> LpSolution:
     return solution
 
 
-def solve_exact(lp: LinearProgram) -> LpSolution:
+def solve_exact(lp: LinearProgram, *, price: bool = False) -> LpSolution:
     """Exact rational solution; status decisions carry no tolerance.
 
     The float simplex's optimal basis is certified exactly, over integers,
@@ -171,10 +186,11 @@ def solve_exact(lp: LinearProgram) -> LpSolution:
     basis is singular or fails an exact check, the two-phase simplex runs
     over ``Fraction``.
     The certificate and every row check share one conversion of the rows to
-    integers, the rational simplex one to ``Fraction``.
+    integers, the rational simplex one to ``Fraction``.  `price` prices the
+    guess and the rational simplex alike, as in `solve`.
     """
     try:
-        guess = _solve(lp, exact=False, guess=True)
+        guess = _solve(lp, exact=False, guess=True, price=price)
     except (LpFailure, OverflowError, ZeroDivisionError):
         try:
             guess = _warm(lp, None)[0]
@@ -184,7 +200,7 @@ def solve_exact(lp: LinearProgram) -> LpSolution:
         certified = _certify(lp, *guess.basis, iterations=guess.iterations)
         if certified is not None:
             return certified
-    return _solve(lp, exact=True)
+    return _solve(lp, exact=True, price=price)
 
 
 # --- standardisation: x = offset + sum(sign * u) over non-negative columns u --
@@ -273,12 +289,13 @@ def _scaled(rows: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return A / scale[:, None], scale
 
 
-def _solve(lp: LinearProgram, exact: bool, guess: bool = False) -> LpSolution:
+def _solve(lp: LinearProgram, exact: bool, guess: bool = False, price: bool = False) -> LpSolution:
     """The two-phase simplex from scratch; a float point that breaks a row refactors (see `_warm`).
 
     A `guess` (the float guess of `solve_exact`) raises `LpFailure` once both
     phases together have made `_GUESS_PIVOTS` pivots per standardised row
-    and column, so that a stalling guess hands over soon.
+    and column, so that a stalling guess hands over soon.  `price` prices
+    both phases (`_simplex`).
     """
     conv = Fraction if exact else float
     tol = 0 if exact else _TOL
@@ -305,7 +322,7 @@ def _solve(lp: LinearProgram, exact: bool, guess: bool = False) -> LpSolution:
     costs1 = np.full(ncols - 1, conv(0), dtype=rows.dtype)
     costs1[art0:] = conv(1)
     cap = _GUESS_PIVOTS * (m + art0) if guess else None
-    obj, status, it = _simplex(T, basis, costs1, tol, phase=1, cap=cap)
+    obj, status, it = _simplex(T, basis, costs1, tol, phase=1, cap=cap, price=price)
     if status != "optimal":
         raise LpFailure(f"phase-1 simplex ended {status}", {"status": status, "iterations": it})
     if sum(T[i, -1] for i in range(m) if basis[i] >= art0) > tol:
@@ -318,19 +335,18 @@ def _solve(lp: LinearProgram, exact: bool, guess: bool = False) -> LpSolution:
     dropped = []
     for i in range(m):
         if basis[i] >= art0:
-            for j in range(art0):
-                if abs(T[i, j]) > tol:
-                    _pivot(T, i, j)
-                    basis[i] = j
-                    break
-            else:
+            j = next((j for j, v in enumerate(T[i, :art0].tolist()) if abs(v) > tol), None)
+            if j is None:
                 dropped.append(i)
+            else:
+                _pivot(T, i, j)
+                basis[i] = j
     if dropped:
         T = np.delete(T, dropped, axis=0)
         basis = [b for i, b in enumerate(basis) if i not in dropped]
     T = np.concatenate((T[:, :art0], T[:, -1:]), axis=1)  # phase 2 has no artificial columns
     try:
-        return _finish(lp, columns, T, basis, dropped, costs, it, cap)
+        return _finish(lp, columns, T, basis, dropped, costs, it, cap, price)
     except LpFailure as err:  # `_warm` refactors a float tableau at its final basis
         if exact:
             raise
@@ -436,18 +452,19 @@ def _leaving_row(T: np.ndarray, basis: list[int], infeasible: np.ndarray, step: 
     return min(infeasible, key=basis.__getitem__)
 
 
-def _finish(lp, columns, T, basis, dropped, costs, iterations: int, cap=None) -> LpSolution:
+def _finish(lp, columns, T, basis, dropped, costs, iterations: int, cap=None, price: bool = False) -> LpSolution:
     """Every simplex solve ends here: phase 2 from a primal feasible tableau, then the point and the row check.
 
     T is B^-1 [A | b] over the standardised columns, `costs` their costs (an
     array) and `dropped` the redundant rows left out of T; zero tolerance over
     ``Fraction`` (object T), else 1e-9.  An `LpFailure` (the iteration cap, a
     broken row) carries the pivots of the whole call, `iterations` of them
-    made before this one, and `cap` is `_simplex`'s.
+    made before this one, and `cap` and `price` are `_simplex`'s.
     """
     exact = T.dtype == object
     try:
-        _, status, iterations = _simplex(T, basis, costs, 0 if exact else _TOL, phase=2, it=iterations, cap=cap)
+        _, status, iterations = _simplex(T, basis, costs, 0 if exact else _TOL, phase=2, it=iterations, cap=cap,
+                                         price=price)
         if status == "unbounded":
             return LpSolution("unbounded", iterations=iterations)
         x_std = [0] * len(costs)  # an int zero adds exactly to a float or a Fraction
@@ -571,17 +588,57 @@ def _pivot(T: np.ndarray, row: int, col: int):
     T[row, :] = T[row, :] / T[row, col]
     column = T[:, col].copy()
     column[row] = 0 * column[row]
-    T -= np.outer(column, T[row, :])
+    T -= column[:, None] * T[row]
 
 
-def _simplex(T, basis, costs, tol, phase: int, it: int = 0, cap: Optional[int] = None):
-    """Minimise costs.x from the basic feasible point of tableau T by Bland's rule, `it` pivots made so far.
+def _entering(reduced: list, tol, priced: bool) -> Optional[int]:
+    """The column that enters, from the reduced costs as a list, or None at an optimum.
 
-    Entries within `tol` of zero are zero (0 over ``Fraction``, else 1e-9,
-    and ratios within 1e-9 relative tie).  Returns the reduced costs,
-    "optimal" or "unbounded", and the pivots so far; raises `LpFailure`
-    once the pivots so far pass `cap`, by default `_MAX_ITER` pivots of its
-    own.
+    Priced, the most negative reduced cost, ties going to the smallest
+    column; otherwise the first column below -`tol` (Bland's rule).
+    """
+    if priced:
+        j = min(range(len(reduced)), key=reduced.__getitem__, default=None)
+        return j if j is not None and reduced[j] < -tol else None
+    return next((j for j, r in enumerate(reduced) if r < -tol), None)
+
+
+def _leaving(column: list, rhs: list, basis: list[int], tol) -> Optional[int]:
+    """The row that leaves, from the entering column and the rhs as lists, or None when the step is unbounded.
+
+    The least ratio rhs_i / a_i over the rows with a_i > `tol`, ratios within
+    `tol` relative of the best so far tying, ties going to the smallest basic
+    column.
+    """
+    best_ratio = leaving = None
+    for i, a in enumerate(column):
+        if not a > tol:
+            continue
+        ratio = rhs[i] / a
+        if best_ratio is None:
+            best_ratio, leaving = ratio, i
+            continue
+        margin = tol * max(1, abs(best_ratio))
+        if ratio < best_ratio - margin:
+            best_ratio, leaving = ratio, i
+        elif abs(ratio - best_ratio) <= margin and basis[i] < basis[leaving]:
+            leaving = i
+    return leaving
+
+
+def _simplex(T, basis, costs, tol, phase: int, it: int = 0, cap: Optional[int] = None, price: bool = False):
+    """Minimise costs.x from the basic feasible point of tableau T, `it` pivots made so far.
+
+    With `price`, the column of most negative reduced cost enters for this
+    call's first `_PRICED_PIVOTS` pivots per tableau row.  After that, and
+    without `price`, the first column of negative reduced cost enters
+    (Bland's rule), which ends every solve (`_entering`).  The least ratio
+    picks the row that leaves, ties going to the smallest basic column
+    (`_leaving`).  Both scans read Python lists.  Entries within `tol` of
+    zero are zero (0 over ``Fraction``, else 1e-9, and ratios within 1e-9
+    relative tie).  Returns the reduced costs, "optimal" or "unbounded", and
+    the pivots so far; raises `LpFailure` once the pivots so far pass `cap`,
+    by default `_MAX_ITER` pivots of its own.
     """
     m, ncols = T.shape
     obj = costs.copy()
@@ -592,30 +649,12 @@ def _simplex(T, basis, costs, tol, phase: int, it: int = 0, cap: Optional[int] =
 
     if cap is None:
         cap = it + _MAX_ITER
+    priced_until = it + _PRICED_PIVOTS * m if price else it
     while True:
-        entering = None
-        for j in range(ncols - 1):
-            if obj[j] < -tol:
-                entering = j
-                break
+        entering = _entering(obj.tolist(), tol, it < priced_until)
         if entering is None:
             return obj, "optimal", it
-
-        best_ratio = None
-        leaving = None
-        for i in range(m):
-            a = T[i, entering]
-            if not a > tol:
-                continue
-            ratio = T[i, -1] / a
-            if best_ratio is None:
-                best_ratio, leaving = ratio, i
-                continue
-            margin = tol * max(1, abs(best_ratio))
-            if ratio < best_ratio - margin:
-                best_ratio, leaving = ratio, i
-            elif abs(ratio - best_ratio) <= margin and basis[i] < basis[leaving]:
-                leaving = i
+        leaving = _leaving(T[:, entering].tolist(), T[:, -1].tolist(), basis, tol)
         if leaving is None:
             return obj, "unbounded", it
 

@@ -136,7 +136,10 @@ def hulls_intersect(
 
     Returns (S+, S-), the sample indices on which one moment-matching
     solution puts strictly positive weight, taken with no tolerance in either
-    arithmetic; those points' hulls meet on their own.  A sample in both
+    arithmetic; those points' hulls meet on their own.  In d > 1 that
+    solution is some vertex of the moment LP, solved with pricing (see
+    `lp.solve`): which vertex depends on the pricing, the verdict does not,
+    and no report shows the vertex.  A sample in both
     classes is such a solution by itself (weight one on each side matches
     every moment), so it is returned with no LP.  On a line, so is the first
     point of each of the first k+2 `sign_blocks` (k = `degree`): their divided
@@ -158,7 +161,7 @@ def hulls_intersect(
         return frozenset(i for i, neg in blocks if not neg), frozenset(i for i, neg in blocks if neg)
     plus_lifted = samples.lifted(plus, degree, exact)
     minus_lifted = samples.lifted(minus, degree, exact)
-    sol = (solve_exact if exact else solve)(_moment_lp(plus_lifted, minus_lifted))
+    sol = (solve_exact if exact else solve)(_moment_lp(plus_lifted, minus_lifted), price=True)
     if sol.status != "optimal":
         return None
     p = len(plus)

@@ -103,6 +103,39 @@ def reference_lift(point, exponents) -> list:
     return values
 
 
+def reference_entering(obj, tol):
+    """Bland's entering scan, element by element over the reduced costs' array: the reference for `lp._entering`."""
+    for j in range(len(obj)):
+        if obj[j] < -tol:
+            return j
+    return None
+
+
+def reference_leaving(T, entering: int, basis, tol):
+    """The row-by-row ratio test over the tableau's array entries: the reference for `lp._leaving`.
+
+    The least ratio T[i, -1] / T[i, entering] over the rows with an entry
+    above `tol`, ratios within `tol` relative of the best so far tying, ties
+    going to the smallest basic column; None when no entry is above `tol`.
+    """
+    best_ratio = None
+    leaving = None
+    for i in range(T.shape[0]):
+        a = T[i, entering]
+        if not a > tol:
+            continue
+        ratio = T[i, -1] / a
+        if best_ratio is None:
+            best_ratio, leaving = ratio, i
+            continue
+        margin = tol * max(1, abs(best_ratio))
+        if ratio < best_ratio - margin:
+            best_ratio, leaving = ratio, i
+        elif abs(ratio - best_ratio) <= margin and basis[i] < basis[leaving]:
+            leaving = i
+    return leaving
+
+
 def reference_exact_fit(samples: SampleSet, degree: int) -> FitResult:
     """The exact working-set loop from evenly spaced samples, every round cold: the reference for exact `fit_minimax`.
 

@@ -112,10 +112,24 @@ class TestSampleSet:
             [(10**400, 0), (10**400 + 1, 0), (Fraction(-1, 3), 5)],
             [(10**400, Fraction(1, 10**13)), (10**400, 0), (-10**400, 0), (-10**400, Fraction(1, 10**12))],
         ]
-        for pts in cases:
+        chains = [  # gaps within the tolerance chain across groups, in the first and in a later coordinate
+            [(0.0, 0.0), (9e-13, 5.0), (1.8e-12, 0.0), (2.7e-12, 5.0)],
+            [(2.7e-12, 1.8e-12), (0.0, 0.0), (1.8e-12, 0.0), (9e-13, 9e-13)],
+            [(0.0, 0.0), (1.0, 9e-13), (0.0, 1.8e-12), (1.0, 2.7e-12), (0.0, 2.5e-12)],
+            [(0.0, 0.0, 0.0), (0.0, 9e-13, 1.0), (0.0, 1.8e-12, 1e-13), (0.0, 2.7e-12, 1.0), (5e-13, 1.7e-12, 0.0)],
+        ]
+        nodes = [np.cos(np.pi * (np.arange(side) + 0.5) / side).tolist() for side in (21, 7)]
+        grids = [list(product(nodes[0], repeat=2)), list(product(nodes[1], repeat=3))]
+        grids += [g[:200] + [tuple(c + 5e-13 for c in g[150])] + g[200:] for g in grids]
+        for pts in cases + chains + grids:
             self._assert_like_the_loop(pts)
         assert self._assert_like_the_loop(cases[5]) == "duplicate points at indices 0 and 2"
         assert self._assert_like_the_loop(cases[6]) == "duplicate points at indices 1 and 4"
+        assert [self._assert_like_the_loop(pts) for pts in chains] == [
+            None, "duplicate points at indices 1 and 3", "duplicate points at indices 2 and 4",
+            "duplicate points at indices 2 and 4"]
+        assert [self._assert_like_the_loop(pts) for pts in grids] == [
+            None, None, "duplicate points at indices 150 and 200", "duplicate points at indices 150 and 200"]
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_duplicate_check_matches_the_pair_loop_on_seeded_grids(self, d):

@@ -17,7 +17,14 @@ from minimaxfit.cli import RunConfig, parse_grid_spec, run
 from minimaxfit.monomials import dot
 from minimaxfit.optimality import _moment_lp
 
-from support import build_fit_corpus, compensated_sum, lp_from_rows, random_samples
+from support import (
+    build_fit_corpus,
+    compensated_sum,
+    lp_from_rows,
+    random_samples,
+    reference_entering,
+    reference_leaving,
+)
 
 
 def test_minimize_above_lower_bound():
@@ -681,8 +688,8 @@ def test_stalling_float_guess_is_capped(monkeypatch):
 def test_phase_1_failure_names_its_status(monkeypatch):
     real = lp_module._simplex
 
-    def unbounded(T, basis, costs, tol, phase, it=0, cap=None):
-        return (costs, "unbounded", 7) if phase == 1 else real(T, basis, costs, tol, phase, it, cap)
+    def unbounded(T, basis, costs, tol, phase, it=0, cap=None, price=False):
+        return (costs, "unbounded", 7) if phase == 1 else real(T, basis, costs, tol, phase, it, cap, price)
 
     monkeypatch.setattr(lp_module, "_simplex", unbounded)
     lp = LinearProgram([1.0], [[1.0]], [">="], [3.0])
@@ -1014,6 +1021,85 @@ def test_dual_rule_turns_to_blands_rule_after_m_steps(monkeypatch):
     got = solve(lp)
     assert steps == [(k, 4) for k in range(6)]
     assert got.objective_value == pytest.approx(solve_exact(lp).objective_value, rel=1e-9)
+
+
+# --- the simplex's scans over lists, and pricing --
+
+
+def _near_tie_tableau(rng: random.Random, exact: bool):
+    """A random tableau whose ratio tests tie or nearly tie in one column, a basis, and reduced costs near -tol."""
+    conv, tol = (Fraction, 0) if exact else (float, lp_module._TOL)
+    tiny = [Fraction(1, 10**12)] if exact else [tol, 1.5 * tol, -tol]  # entries at and around the tolerance
+    nudges = [0, 0, Fraction(1, 10**9), Fraction(-1, 10**12)] if exact else [0, 0, 4e-10, -4e-10, 1e-9, -3e-9]
+    m, n = rng.randint(1, 8), rng.randint(1, 6)
+    T = np.empty((m, n + 1), dtype=object if exact else float)
+    for i in range(m):
+        for j in range(n):
+            T[i, j] = conv(rng.choice([0, -1, *tiny]) if rng.random() < 0.3 else Fraction(rng.randint(1, 400), 80))
+    tie, base = rng.randrange(n), conv(rng.choice([0, Fraction(1, 2), 2, 1000]))  # most rows' ratio in column `tie`
+    for i in range(m):
+        nudge = conv(rng.choice(nudges))
+        T[i, -1] = T[i, tie] * base * (1 + nudge) + nudge
+    basis = rng.sample(range(3 * m + n), m)
+    obj = np.array([conv(rng.choice([-1, -tol, -(1 + 1e-7) * tol, -2 * tol, 0, -0.25, 0.5])) for _ in range(n)],
+                   dtype=T.dtype)
+    return T, basis, obj, tol
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_list_scans_pick_what_the_element_loops_pick(exact):
+    rng = random.Random(24 + exact)
+    tie_broken = 0  # leaving rows that are not the first row of least ratio
+    for _ in range(400):
+        T, basis, obj, tol = _near_tie_tableau(rng, exact)
+        for col in range(T.shape[1] - 1):
+            got = lp_module._leaving(T[:, col].tolist(), T[:, -1].tolist(), basis, tol)
+            assert got == reference_leaving(T, col, basis, tol)
+            rows = [i for i in range(len(T)) if T[i, col] > tol]
+            if got is not None:
+                least = min(rows, key=lambda i: T[i, -1] / T[i, col])
+                tie_broken += got != least
+        assert lp_module._entering(obj.tolist(), tol, False) == reference_entering(obj, tol)
+        negative = [j for j in range(len(obj)) if obj[j] < -tol]
+        priced = min(negative, key=lambda j: (obj[j], j)) if negative else None
+        assert lp_module._entering(obj.tolist(), tol, True) == priced
+    assert tie_broken >= 20
+
+
+def _beale_in_phase_1(scale: int = 30) -> LinearProgram:
+    """Beale's cycling example (1955), posed so that its degenerate pivots fall in phase 1.
+
+    Beale's LP, minimise -3/4 x4 + 150 x5 - 1/50 x6 + 6 x7 over two rows
+    with rhs 0 and x6 <= 1, is written with its slacks x1..x3 as variables
+    and "==" rows, so phase 1 starts from an artificial basis that plays the
+    slacks' part.  A fourth row, -scale c - (sum of the others), with rhs
+    scale/20 - 1 makes phase 1's objective (the sum of the artificials)
+    scale c.x plus a constant, zero exactly on Beale's optimal face, where
+    c.x = -1/20.  Its artificial stays basic at 1/2 while x stays at the
+    degenerate origin.
+    """
+    c = [0, 0, 0, Fraction(-3, 4), 150, Fraction(-1, 50), 6]
+    rows = [[1, 0, 0, Fraction(1, 4), -60, Fraction(-1, 25), 9],
+            [0, 1, 0, Fraction(1, 2), -90, Fraction(-1, 50), 3],
+            [0, 0, 1, 0, 0, 1, 0]]
+    last = [-scale * cj - sum(r[j] for r in rows) for j, cj in enumerate(c)]
+    return LinearProgram(c, rows + [last], ["=="] * 4, [0, 0, 1, Fraction(scale, 20) - 1], [(0, None)] * 7)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_priced_solve_ends_on_beales_cycling_example(monkeypatch, exact):
+    lp = _beale_in_phase_1()
+    entry = solve_exact if exact else solve
+    value = Fraction(-1, 20) if exact else pytest.approx(-0.05, rel=1e-12)
+    for got in (lp_module._solve(lp, exact=exact), lp_module._solve(lp, exact=exact, price=True),
+                entry(lp), entry(lp, price=True)):
+        assert got.status == "optimal" and got.objective_value == value
+    # the hand-over is what ends it: pricing every pivot cycles in exact phase 1
+    if exact:
+        monkeypatch.setattr(lp_module, "_PRICED_PIVOTS", 10**6)
+        monkeypatch.setattr(lp_module, "_MAX_ITER", 600)
+        with pytest.raises(LpFailure, match="in phase 1"):
+            lp_module._solve(lp, exact=True, price=True)
 
 
 # --- refactoring: a cold float point that breaks a row restarts from its final basis --

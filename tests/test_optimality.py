@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -26,13 +27,15 @@ from minimaxfit import (
     verify_certificate,
     verify_witness,
 )
-from minimaxfit import optimality
+from minimaxfit import fitting, optimality
+from minimaxfit.alternation import verify_by_hyperplanes
+from minimaxfit.reduction import reduce_and_verify
 from minimaxfit.fitting import DEFAULT_REL_TOL, model_values
 from minimaxfit._linalg import exact_solve
 from minimaxfit.lp import LpFailure, LpSolution, solve, solve_exact
 from minimaxfit.optimality import _moment_lp
 
-from support import build_fit_corpus
+from support import build_fit_corpus, random_samples
 
 
 @pytest.fixture(scope="module")
@@ -502,3 +505,65 @@ def test_one_dimensional_hulls_meet_as_the_moment_lp_says(data):
     lifted = [samples.lifted(side, degree, True) for side in (support_plus, support_minus)]
     sol = solve_exact(_moment_lp(*lifted))
     assert sol.status == "optimal" and all(w > 0 for w in sol.x)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_priced_and_unpriced_hull_tests_agree(monkeypatch, exact):
+    """Pricing moves the moment LP's vertex, never the verdict, on random 2-D and 3-D classes."""
+    rng = random.Random(24)
+    cases = []
+    for dimension in (2, 3):
+        for _ in range(30):
+            samples = random_samples(rng, dimension, rng.randint(5, 14))
+            if exact:
+                samples = SampleSet(*samples.view(True))
+            order = rng.sample(range(len(samples)), len(samples))
+            cut = rng.randint(1, len(samples) - 1)
+            cases.append((samples, sorted(order[:cut]), sorted(order[cut:]), rng.choice((1, 2))))
+    priced = [hulls_intersect(*case, exact) for case in cases]
+    real_solve, real_solve_exact = optimality.solve, optimality.solve_exact
+    monkeypatch.setattr(optimality, "solve", lambda lp, **_: real_solve(lp))
+    monkeypatch.setattr(optimality, "solve_exact", lambda lp, **_: real_solve_exact(lp))
+    unpriced = [hulls_intersect(*case, exact) for case in cases]
+    assert [meet is None for meet in priced] == [meet is None for meet in unpriced]
+    assert 10 <= sum(meet is None for meet in priced) <= len(cases) - 10  # both verdicts are common
+    for (samples, plus, minus, degree), meet in zip(cases, priced):
+        if meet is not None:  # a priced support is still a vertex's: its points' hulls meet on their own
+            assert meet[0] <= set(plus) and meet[1] <= set(minus)
+            assert hulls_intersect(samples, sorted(meet[0]), sorted(meet[1]), degree, exact) is not None
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_only_hull_tests_are_priced(monkeypatch, exact):
+    """Every solve in a fit, its verifiers and the remaining LP callers: only `hulls_intersect` passes `price`."""
+    calls = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def recorded(lp, *args, **kwargs):
+            calls.append((sys._getframe(1).f_code.co_name, kwargs.get("price", False)))
+            return real(lp, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, recorded)
+
+    for module, name in itertools.product((fitting, optimality), ("solve", "solve_exact")):
+        spy(module, name)
+    grid = [(x / 4, y / 4) for x in range(-4, 5) for y in range(-4, 5)]
+    samples = SampleSet(grid, [abs(x) + y**3 for x, y in grid])
+    if exact:
+        samples = SampleSet(*samples.view(True))
+    fit = fit_minimax(samples, 2, exact=exact)
+    extremes = extreme_sets(fit.model, samples)
+    cert = check_hull_intersection(extremes, samples, 2, exact)
+    assert isinstance(cert, IntersectionCertificate)
+    assert len(extremes.plus) + len(extremes.minus) > 7  # so a certificate on all of them has its LP reduced
+    caratheodory_reduce(IntersectionCertificate(2, extremes.plus, extremes.minus, (1,) * len(extremes.plus),
+                                                (1,) * len(extremes.minus), 0, exact), samples)
+    assert not check_isolability(extremes, samples, 2, exact).isolable
+    assert reduce_and_verify(extremes, samples, 2, exact).verdict == "pass"
+    assert verify_by_hyperplanes(extremes, samples, 2, exact).verdict == "pass"
+    priced = {caller for caller, price in calls if price}
+    unpriced = {caller for caller, price in calls if not price}
+    assert priced == {"hulls_intersect"}
+    assert unpriced == {"_exchange", "check_hull_intersection", "caratheodory_reduce", "_max_margin"}

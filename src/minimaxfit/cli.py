@@ -4,8 +4,11 @@ Input is a CSV with header columns x1..xd and a final column f, or a
 generated hyperbox grid (``--grid "bounds;resolution;type;expression"``, for
 example ``--grid "-1,1;11;uniform;x1^3"``; a negative lower bound needs no
 ``--grid=`` form).
-Each command writes one JSON report and exits 0 when the verdict is
-pass/optimal, 2 when it is fail/non-optimal, and 1 on errors.
+Each command writes one JSON report, made by `run` as one pipeline in
+report order.  fit and verify exit 0 when the certificate proves the model
+optimal and 2 when a witness separates the extreme sets; reduce and
+alternate exit on their own verdict the same way; every error, an unwritable
+``--out`` among them, exits 1 with one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -328,11 +331,18 @@ def parse_grid_spec(spec: str, exact: bool = False) -> SampleSet:
 
 @dataclass
 class RunConfig:
+    """One command and its options, as the parser gives them.
+
+    A `rel_tol` of None is `DEFAULT_REL_TOL` in float arithmetic and 0 in
+    exact arithmetic, where the extreme sets hold exactly the points at psi;
+    a value given is applied in either.
+    """
+
     command: str  # fit | verify | reduce | alternate | report
     input_path: Optional[str] = None
     grid: Optional[str] = None
     degree: Optional[int] = None
-    rel_tol: float = DEFAULT_REL_TOL
+    rel_tol: Optional[float] = None
     exact: bool = False
     out: Optional[str] = None
     coeffs: Optional[str] = None
@@ -341,18 +351,12 @@ class RunConfig:
     def __post_init__(self):
         if self.degree is not None and self.degree < 0:
             raise ValueError("degree must be non-negative")
-        if not (0 <= self.rel_tol < 0.5):
+        if self.rel_tol is not None and not (0 <= self.rel_tol < 0.5):
             raise ValueError("rel-tol must lie in [0, 0.5)")
 
 
 def _jnum(x: Number):
-    if isinstance(x, Fraction):
-        return str(x)
-    return x
-
-
-def _jnum_parse(v) -> Number:
-    return Fraction(v) if isinstance(v, str) else v
+    return str(x) if isinstance(x, Fraction) else x
 
 
 def _model_to_json(model: PolynomialModel) -> dict:
@@ -464,15 +468,16 @@ def _json_degree(degree) -> int:
     return degree
 
 
-def _valid_coefficient(c) -> bool:
-    """A finite number (not a bool) or a string that ``Fraction`` reads."""
-    if isinstance(c, str):
+def _json_number(value, message: str) -> Number:
+    """A finite JSON number (not a bool) as it is, or a string as its ``Fraction``; else ValueError(message)."""
+    if isinstance(value, str):
         try:
-            Fraction(c)
+            return Fraction(value)
         except (ValueError, ZeroDivisionError):
-            return False
-        return True
-    return type(c) in (int, float) and math.isfinite(c)
+            pass
+    elif type(value) in (int, float) and math.isfinite(value):
+        return value
+    raise ValueError(message)
 
 
 def _json_instance(instance) -> tuple[int, int]:
@@ -493,9 +498,10 @@ def _json_indices(payload, key: str, count: int) -> tuple[int, ...]:
 def _json_weights(payload, key: str, count: int) -> tuple[Number, ...]:
     """payload[key] as `count` numbers; a ValueError names the field."""
     weights = payload.get(key) if isinstance(payload, dict) else None
-    if not isinstance(weights, list) or len(weights) != count or not all(map(_valid_coefficient, weights)):
-        raise ValueError(f"'{key}' must be a list of numbers or rational strings, one per index ({count})")
-    return tuple(map(_jnum_parse, weights))
+    message = f"'{key}' must be a list of numbers or rational strings, one per index ({count})"
+    if not isinstance(weights, list) or len(weights) != count:
+        raise ValueError(message)
+    return tuple(_json_number(w, message) for w in weights)
 
 
 def _model_from_json(payload, dimension: int, exact: bool = False) -> PolynomialModel:
@@ -504,109 +510,91 @@ def _model_from_json(payload, dimension: int, exact: bool = False) -> Polynomial
         raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
     degree = _json_degree(payload.get("degree"))
     coeffs = payload.get("coefficients")
-    if not isinstance(coeffs, list) or not all(map(_valid_coefficient, coeffs)):
-        raise ValueError("'coefficients' must be a list of numbers or rational strings")
-    conv = Fraction if exact else _jnum_parse
-    return PolynomialModel(build_basis(dimension, degree), tuple(conv(c) for c in coeffs))
-
-
-def _load_model(config: RunConfig, samples: SampleSet) -> PolynomialModel:
-    payload = _json_object(config.coeffs)
-    with _naming(config.coeffs):
-        model = _model_from_json(payload, samples.dimension, config.exact)
-    if config.degree is not None and config.degree != model.degree:
-        raise ValueError(f"--degree {config.degree} conflicts with coefficients file degree {model.degree}")
-    return model
-
-
-def _reduce_stage(extremes, samples, degree, config) -> tuple[dict, bool]:
-    if extremes.degenerate:
-        return {"verdict": "pass", "vacuous_branches": 0, "traces": [],
-                "note": "exact fit; nothing to reduce"}, True
-    if not extremes.plus or not extremes.minus:
-        return {"verdict": "fail", "vacuous_branches": 0, "traces": [],
-                "note": "one extreme set is empty; a constant shift lowers the error"}, False
-    red = reduce_and_verify(extremes, samples, degree, exact=config.exact)
-    return _reduction_to_json(red), red.verdict == "pass"
-
-
-def _alternate_stage(extremes, samples, degree, config) -> tuple[dict, bool]:
-    if extremes.degenerate:
-        return {"verdict": "pass", "planes_checked": 0, "counterexample": None,
-                "note": "exact fit; trivially optimal"}, True
-    alt = verify_by_hyperplanes(extremes, samples, degree, exact=config.exact)
-    return _alternation_to_json(alt), alt.verdict in ("pass", "vacuous")
-
-
-# The verification stages after the certificate, in run order: the command that
-# runs a stage alone, its report section, and the function that fills it.
-_STAGES = (("reduce", "reduction", _reduce_stage), ("alternate", "alternation", _alternate_stage))
+    message = "'coefficients' must be a list of numbers or rational strings"
+    if not isinstance(coeffs, list):
+        raise ValueError(message)
+    coeffs = tuple(_json_number(c, message) for c in coeffs)
+    return PolynomialModel(build_basis(dimension, degree), tuple(map(Fraction, coeffs)) if exact else coeffs)
 
 
 def run(config: RunConfig) -> tuple[int, dict]:
-    """Execute one command; returns (exit code, report dict)."""
+    """Execute one command; returns (exit code, report dict).
+
+    The steps run in report order: load the samples; fit a model, or read
+    ``--coeffs``; split the extreme sets; the certificate (fit, verify);
+    isolability (verify); then reduction and alternation, each under its own
+    command, and under fit when the degree is at least 1, the fit is not
+    exact on the samples and both extreme sets hold points.  fit and verify
+    exit on the certificate, reduce and alternate on their own verdict.
+    """
     if config.command == "report":
         return _run_revalidate(config)
+    exact = config.exact
+    rel_tol = config.rel_tol if config.rel_tol is not None else (0.0 if exact else DEFAULT_REL_TOL)
+    timings: dict[str, float] = {}
 
-    t0 = time.perf_counter()
-    samples, source = _load_samples(config)
-    timings: dict[str, float] = {"load_s": time.perf_counter() - t0}
+    def timed(key: str, fn, *args):
+        """fn(*args), its wall time kept as timings[key]."""
+        start = time.perf_counter()
+        result = fn(*args)
+        timings[key] = time.perf_counter() - start
+        return result
+
+    samples, source = timed("load_s", _load_samples, config)
     report: dict = {
         "instance": {"source": source, "dimension": samples.dimension, "points": len(samples)},
-        "arithmetic": "exact" if config.exact else "float",
+        "arithmetic": "exact" if exact else "float",
         "timings": timings,
     }
-
     if config.coeffs:
-        model = _load_model(config, samples)
-        degree = model.degree
-        extremes = extreme_sets(model, samples, rel_tol=config.rel_tol)
+        payload = _json_object(config.coeffs)
+        with _naming(config.coeffs):
+            model = _model_from_json(payload, samples.dimension, exact)
+        if config.degree not in (None, model.degree):
+            raise ValueError(f"--degree {config.degree} conflicts with coefficients file degree {model.degree}")
+        extremes = extreme_sets(model, samples, rel_tol)
+    elif config.degree is None:
+        raise ValueError("--degree is required when fitting")
     else:
-        if config.degree is None:
-            raise ValueError("--degree is required when fitting")
-        degree = config.degree
-        t0 = time.perf_counter()
-        fit = fit_minimax(samples, degree, exact=config.exact)
-        timings["fit_s"] = time.perf_counter() - t0
-        model = fit.model
-        extremes = partition_extremes(fit.residuals, rel_tol=config.rel_tol)
-    report["degree"] = degree
-    report["model"] = _model_to_json(model)
-
-    report["psi"] = _jnum(extremes.psi)
-    report["extremes"] = {
-        "plus": list(extremes.plus),
-        "minus": list(extremes.minus),
-        "degenerate": extremes.degenerate,
-    }
-
-    code = 0
-    if config.command in ("fit", "verify"):
-        t0 = time.perf_counter()
-        outcome = check_hull_intersection(extremes, samples, degree, exact=config.exact)
-        timings["certificate_s"] = time.perf_counter() - t0
-        report.update(_outcome_to_json(outcome))
-        optimal = isinstance(outcome, IntersectionCertificate)
-        code = 0 if optimal else 2
-        if config.command == "verify":
-            t0 = time.perf_counter()
-            iso = check_isolability(extremes, samples, degree, exact=config.exact)
-            timings["isolability_s"] = time.perf_counter() - t0
-            report["isolability"] = {"isolable": iso.isolable, "margin": _jnum(iso.margin)}
+        fit = timed("fit_s", fit_minimax, samples, config.degree, exact)
+        model, extremes = fit.model, partition_extremes(fit.residuals, rel_tol)
+    degree = model.degree
     if config.command in ("reduce", "alternate") and degree < 1:
         raise ValueError(f"{config.command} needs degree >= 1")
-    # fit runs every stage where both extreme sets hold points, and its exit
-    # code stays the certificate's; a stage's own command exits on its verdict
-    fit_stages = (config.command == "fit" and degree >= 1 and not extremes.degenerate
-                  and bool(extremes.plus and extremes.minus))
-    for command, section, stage in _STAGES:
-        if command == config.command or fit_stages:
-            t0 = time.perf_counter()
-            report[section], passed = stage(extremes, samples, degree, config)
-            timings[f"{section}_s"] = time.perf_counter() - t0
-            if command == config.command:
-                code = 0 if passed else 2
-    return code, report
+    report.update(degree=degree, model=_model_to_json(model), psi=_jnum(extremes.psi),
+                  extremes={"plus": list(extremes.plus), "minus": list(extremes.minus),
+                            "degenerate": extremes.degenerate})
+
+    passed: dict[str, bool] = {}  # command -> the verdict it exits on
+    if config.command in ("fit", "verify"):
+        outcome = timed("certificate_s", check_hull_intersection, extremes, samples, degree, exact)
+        report.update(_outcome_to_json(outcome))
+        passed["fit"] = passed["verify"] = isinstance(outcome, IntersectionCertificate)
+    if config.command == "verify":
+        iso = timed("isolability_s", check_isolability, extremes, samples, degree, exact)
+        report["isolability"] = {"isolable": iso.isolable, "margin": _jnum(iso.margin)}
+    one_sided = not (extremes.plus and extremes.minus)
+    fit_checks = config.command == "fit" and degree >= 1 and not extremes.degenerate and not one_sided
+    if config.command == "reduce" or fit_checks:
+        if extremes.degenerate:
+            report["reduction"] = {"verdict": "pass", "vacuous_branches": 0, "traces": [],
+                                   "note": "exact fit; nothing to reduce"}
+        elif one_sided:
+            report["reduction"] = {"verdict": "fail", "vacuous_branches": 0, "traces": [],
+                                   "note": "one extreme set is empty; a constant shift lowers the error"}
+        else:
+            red = timed("reduction_s", reduce_and_verify, extremes, samples, degree, exact)
+            report["reduction"] = _reduction_to_json(red)
+        passed["reduce"] = report["reduction"]["verdict"] == "pass"
+    if config.command == "alternate" or fit_checks:
+        if extremes.degenerate:
+            report["alternation"] = {"verdict": "pass", "planes_checked": 0, "counterexample": None,
+                                     "note": "exact fit; trivially optimal"}
+        else:
+            alt = timed("alternation_s", verify_by_hyperplanes, extremes, samples, degree, exact)
+            report["alternation"] = _alternation_to_json(alt)
+        passed["alternate"] = report["alternation"]["verdict"] in ("pass", "vacuous")
+    return (0 if passed[config.command] else 2), report
 
 
 def _run_revalidate(config: RunConfig) -> tuple[int, dict]:
@@ -628,10 +616,8 @@ def _run_revalidate(config: RunConfig) -> tuple[int, dict]:
         with _naming(f"{config.report_path}: model"):
             model = _model_from_json(report["model"], samples.dimension)
         with _naming(config.report_path):
-            if not _valid_coefficient(report.get("psi")):
-                raise ValueError("'psi' must be a number or a rational string")
+            claimed = _json_number(report.get("psi"), "'psi' must be a number or a rational string")
         psi = compute_psi(model, samples)
-        claimed = _jnum_parse(report["psi"])
         if exact:
             checks["psi"] = psi == claimed
         else:
@@ -644,11 +630,11 @@ def _run_revalidate(config: RunConfig) -> tuple[int, dict]:
             alpha, beta = _json_weights(cert, "alpha", len(plus)), _json_weights(cert, "beta", len(minus))
         rebuilt = IntersectionCertificate(degree, plus, minus, alpha, beta, 0, exact)
         residual = verify_certificate(rebuilt, samples)
-        tol = 0 if exact else 1e-8
-        checks["certificate_moments"] = abs(residual) <= tol
+        checks["certificate_moments"] = abs(residual) <= (0 if exact else 1e-8)
+        tol = 0 if exact else 1e-9
+        # convex weights: each side's weights are >= 0 and sum to 1
         checks["certificate_sums"] = (
-            abs(sum(alpha) - 1) <= (0 if exact else 1e-9)
-            and abs(sum(beta) - 1) <= (0 if exact else 1e-9)
+            abs(sum(alpha) - 1) <= tol and abs(sum(beta) - 1) <= tol and all(w >= -tol for w in alpha + beta)
         )
     if "witness" in report:
         with _naming(f"{config.report_path}: witness"):
@@ -691,8 +677,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid", help='grid spec "lo,hi[:lo,hi];res[:res];uniform|chebyshev;expr", '
                                       'e.g. --grid "-1,1;11;uniform;x1^3"')
         p.add_argument("--degree", type=int, help="model degree m")
-        p.add_argument("--rel-tol", type=float, default=DEFAULT_REL_TOL,
-                       help="relative band for extreme-point detection")
+        p.add_argument("--rel-tol", type=float, help="relative band for extreme-point detection "
+                                                     f"(default {DEFAULT_REL_TOL:g} in float, 0 with --exact)")
         p.add_argument("--exact", action="store_true", help="exact rational arithmetic")
         p.add_argument("--out", help="write the JSON report here (default: stdout)")
         if name in ("verify", "reduce", "alternate"):
@@ -713,14 +699,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         config = RunConfig(**vars(_build_parser().parse_args(argv)))
         code, report = run(config)
         text = json.dumps(report, allow_nan=False)  # no indent: the C encoder
+        if config.out:
+            with open(config.out, "w") as handle:
+                handle.write(text + "\n")
+        else:
+            print(text)
     except (OSError, ValueError, KeyError, ArithmeticError, RuntimeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    if config.out:
-        with open(config.out, "w") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text)
     return code
 
 

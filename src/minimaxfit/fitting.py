@@ -368,18 +368,19 @@ def partition_extremes(residuals: Sequence[Number], rel_tol: float = DEFAULT_REL
 
     Index i lands in `plus` iff residuals[i] >= (1 - rel_tol) * psi and in
     `minus` for the mirrored condition, psi being the largest |residual|.
-    When psi falls below the absolute tolerance 1e-12 the model is exact on
-    the samples; the result is flagged degenerate with both sets holding
-    every index.  A float64 array is compared as it is; any other residuals
-    go into an object array, so each number keeps its own type and Python's
-    comparisons (psi of [1.5, 2] is the int 2).
+    When psi is 0, or a float psi falls below the absolute tolerance
+    `DEGENERATE_PSI`, the model is exact on the samples; the result is
+    flagged degenerate with both sets holding every index.  A float64 array
+    is compared as it is; any other residuals go into an object array, so
+    each number keeps its own type and Python's comparisons (psi of
+    [1.5, 2] is the int 2).
     """
     if not (0 <= rel_tol < 0.5):
         raise ValueError(f"rel_tol must lie in [0, 0.5), got {rel_tol}")
     if not (isinstance(residuals, np.ndarray) and residuals.dtype == float):
         residuals = np.array(residuals, dtype=object)
     psi = _largest_magnitude(residuals)
-    if psi <= DEGENERATE_PSI:  # exact for a Fraction, also one beyond float range
+    if psi <= (0 if isinstance(psi, Fraction) else DEGENERATE_PSI):  # no float tolerance on an exact psi
         every = tuple(range(len(residuals)))
         return ExtremeSets(plus=every, minus=every, psi=psi, rel_tol=rel_tol, degenerate=True)
     threshold = psi - psi * (Fraction(rel_tol) if isinstance(psi, (Fraction, int)) else rel_tol)

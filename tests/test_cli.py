@@ -416,6 +416,55 @@ class TestRunPipeline:
         assert "empty" in reduction["note"]
         assert main(["reduce", "--input", str(data), "--coeffs", str(coeffs), "--out", str(tmp_path / "r.json")]) == 2
 
+    @pytest.mark.parametrize("command, section", [
+        ("verify", "witness"), ("alternate", "alternation"), ("reduce", "reduction")])
+    def test_exact_runs_band_extremes_exactly(self, tmp_path, command, section):
+        # the exact optimum of x1^3 on 11 points at m=2 is (0, 19/25, 0), psi 6/25; raising c0 by
+        # 1/10^10 moves the plus points to psi - 1/10^10: no longer extreme in exact arithmetic,
+        # where the default band is 0, but kept by an explicit float band
+        grid, coeffs = "-1,1;11;uniform;x1^3", tmp_path / "c.json"
+        coeffs.write_text(json.dumps({"degree": 2, "coefficients": ["1/10000000000", "19/25", "0"]}))
+        code, report = run(RunConfig(command=command, grid=grid, coeffs=str(coeffs), exact=True))
+        assert code == 2
+        assert report["psi"] == "2400000001/10000000000"
+        assert (report["extremes"]["plus"], report["extremes"]["minus"]) == ([], [0, 7, 8])
+        assert report[section].get("verdict", "fail") == "fail"  # a witness has no verdict
+        code, report = run(RunConfig(command=command, grid=grid, coeffs=str(coeffs), exact=True, rel_tol=1e-8))
+        assert code == 0
+        assert (report["extremes"]["plus"], report["extremes"]["minus"]) == ([2, 3, 10], [0, 7, 8])
+
+    def test_exact_psi_below_the_float_tolerance_is_not_degenerate(self):
+        # psi 3/125000000000000 is below DEGENERATE_PSI (1e-12), but not 0: the fit is not exact
+        code, report = run(RunConfig(command="fit", grid="-1,1;11;uniform;x1^3/10000000000000",
+                                     degree=2, exact=True))
+        assert code == 0
+        assert report["psi"] == "3/125000000000000"
+        assert report["extremes"] == {"plus": [2, 3, 10], "minus": [0, 7, 8], "degenerate": False}
+        assert report["reduction"]["verdict"] == report["alternation"]["verdict"] == "pass"
+
+    @pytest.mark.parametrize("argv, keys, sections", [
+        (["fit", "--grid", "-1,1;21;uniform;x1^3", "--degree", "2"],
+         ["load_s", "fit_s", "certificate_s", "reduction_s", "alternation_s"],
+         ["certificate", "reduction", "alternation"]),
+        (["fit", "--grid", "-1,1;21;uniform;x1^3", "--degree", "3"], ["load_s", "fit_s", "certificate_s"],
+         ["certificate"]),
+        (["verify", "--grid", "-1,1;21;uniform;x1^3", "--degree", "2"],
+         ["load_s", "fit_s", "certificate_s", "isolability_s"], ["certificate", "isolability"]),
+        (["reduce", "--grid", "-1,1;21;uniform;x1^3", "--degree", "2"], ["load_s", "fit_s", "reduction_s"],
+         ["reduction"]),
+        (["alternate", "--grid", "-1,1;21;uniform;x1^3", "--coeffs", "COEFFS"], ["load_s", "alternation_s"],
+         ["alternation"]),
+    ], ids=["fit", "degenerate-fit", "verify", "reduce", "alternate-coeffs"])
+    def test_timings_and_sections_in_run_order(self, tmp_path, argv, keys, sections):
+        # x1^3 - 3/4 x1 equioscillates on the grid: these coefficients are optimal
+        coeffs, out = tmp_path / "c.json", tmp_path / "r.json"
+        coeffs.write_text(json.dumps({"degree": 2, "coefficients": [0, 0.75, 0]}))
+        assert main([str(coeffs) if a == "COEFFS" else a for a in argv] + ["--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert list(report["timings"]) == keys
+        head = ["instance", "arithmetic", "timings", "degree", "model", "psi", "extremes"]
+        assert list(report) == head + sections
+
     @pytest.mark.parametrize("grid, degree, exact", [
         ("-1,1;201;uniform;x1^5+x1^2", 3, False),
         ("-1,1;41;chebyshev;x1^4+x1^3", 2, True),
@@ -701,8 +750,31 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: extremes: 'minus' must be a list of sample indices in [0, 3)")
 
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_report_with_a_negative_certificate_weight_is_invalid(self, tmp_path, capsys, exact):
+        # alpha = (-1, 2) on x = 0, 1 matches the moments (1, 2) of x = 2 and sums to 1,
+        # but [0, 1] and {2} do not meet: a certificate needs convex weights
+        data, path = tmp_path / "d.csv", tmp_path / "r.json"
+        data.write_text("x1,f\n0,1\n1,1\n2,-1\n")
+        weights = (["-1", "2"], ["1"]) if exact else ([-1.0, 2.0], [1.0])
+        path.write_text(json.dumps({
+            "instance": {"source": str(data), "dimension": 1, "points": 3},
+            "arithmetic": "exact" if exact else "float", "degree": 1,
+            "certificate": {"degree": 1, "plus": [0, 1], "minus": [2], "alpha": weights[0], "beta": weights[1]},
+        }))
+        assert main(["report", "--report", str(path), "--input", str(data)]) == 2
+        revalidation = json.loads(capsys.readouterr().out)
+        assert revalidation["checks"] == {"certificate_moments": True, "certificate_sums": False}
+        assert revalidation["valid"] is False
+
+    def test_unwritable_out_is_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "no-such-dir" / "r.json"
+        assert main(["fit", "--grid", "-1,1;5;uniform;x1^2", "--degree", "1", "--out", str(out)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and "r.json" in err
+
     def test_exact_fit_with_psi_beyond_float_range(self, tmp_path):
-        # psi near 10**400 / 2: the degenerate-psi test compares it with 1e-12 exactly, not through float()
+        # psi near 10**400 / 2: the degenerate-psi test compares the Fraction with 0, not through float()
         path, out = tmp_path / "huge.csv", tmp_path / "r.json"
         path.write_text(f"x1,f\n0,1\n1,{10**400}\n2,3\n3,5\n")
         assert main(["fit", "--input", str(path), "--degree", "1", "--exact", "--out", str(out)]) == 0

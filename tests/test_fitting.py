@@ -759,7 +759,7 @@ class TestComputePsi:
 def _generator_partition(residuals, rel_tol):
     """`partition_extremes` as it was before float residuals went through numpy: one generator per set."""
     psi = max(abs(r) for r in residuals)
-    if psi <= 1e-12:
+    if psi <= (0 if isinstance(psi, Fraction) else 1e-12):
         every = tuple(range(len(residuals)))
         return ExtremeSets(plus=every, minus=every, psi=psi, rel_tol=rel_tol, degenerate=True)
     threshold = psi - psi * (Fraction(rel_tol) if isinstance(psi, (Fraction, int)) else rel_tol)
@@ -822,6 +822,7 @@ class TestExtremeSets:
         ext = partition_extremes([Fraction(1), Fraction(-1, 2), Fraction(-1), Fraction(99, 100)], 0.05)
         assert (ext.plus, ext.minus, ext.psi) == ((0, 3), (2,), 1)
         assert partition_extremes([0.0, 1e-13]).degenerate
+        assert not partition_extremes([Fraction(0), Fraction(1, 10**13)]).degenerate  # exact: only psi 0 is
         with pytest.raises(ValueError):
             partition_extremes([1.0], rel_tol=-0.1)
 

@@ -26,7 +26,25 @@ support is whichever vertex the priced moment LP of `hulls_intersect`
 reaches.  So pricing decides which planes it marks, but not a verdict: a
 marked plane's hulls do meet.
 
-Every hull test is `hulls_intersect` on sample indices, over rows lifted once.
+In float arithmetic and d > 1 the degree-(m-1) tests go in groups.  A
+group is the next planes, in plane order, that no stored support marks and
+whose test is a moment LP (both flipped classes non-empty, no point in
+both).  The first group holds one plane and each next one twice as many, up
+to `_GROUP`, so a split failing at its first plane still costs one LP.  A
+group of more than one plane is one `optimality.hulls_intersect_batch` call:
+a stack of moment LPs over the extreme rows lifted once, solved together by
+`lp.solve_batch`.  A batched answer only ever says that the hulls meet, with
+the support `hulls_intersect` reaches on that plane, and only once its
+weights are non-negative and its rows hold.  The planes still take their
+turns in plane order, and supports are stored in that order: a plane that
+a support stored after its group was formed marks drops its answer.  So the
+planes that need a test, and the supports they store, are those of one
+test per plane.  Every other plane takes the scalar `hulls_intersect` at its
+turn: one the batch left undecided (infeasible, at the pivot cap or failing
+a check), one whose test is no LP, and every degree-m point-elimination
+test.  A failing split, and so the counterexample, is decided as it is
+without the batch.  Exact arithmetic and d = 1 take one `hulls_intersect`
+per plane, on sample indices.
 """
 
 from __future__ import annotations
@@ -41,12 +59,13 @@ import numpy as np
 from ._linalg import affine_normal, affine_normals
 from .fitting import ExtremeSets, SampleSet
 from .monomials import Number
-from .optimality import hulls_intersect
+from .optimality import hulls_intersect, hulls_intersect_batch
 
 PLANE_TOL = 1e-9
 _CANON_DECIMALS = 12  # a float plane's key: its normal and offset rounded to this many decimals
 _FIRST_BATCH = 16  # combinations in the first batch
 _BATCH = 2048  # combinations in every later batch
+_GROUP = 32  # the most degree-(m-1) hull tests that one `hulls_intersect_batch` call makes
 
 
 @dataclass(frozen=True)
@@ -180,9 +199,12 @@ def verify_by_hyperplanes(
     rows, sign = _rows(extremes)
     at = [place[i] for i in rows]
     n = len(idxs)
+    lifted = None if exact or d == 1 else samples.lifted(rows, degree - 1, exact)  # for `hulls_intersect_batch`
+    twice = np.flatnonzero(in_plus[:, 0] & in_minus[:, 0])
     seen: set = set()
     supports: list = []  # rows of `_contains`'s stack for every degree-(m-1) support found
     checked = 0
+    group = 1
     combos = combinations(range(len(idxs)), d)
     size = _FIRST_BATCH
     while batch := list(islice(combos, size)):
@@ -193,15 +215,24 @@ def verify_by_hyperplanes(
         side = _sides(coords, normals, offsets, exact)
         flipped = side[at] * sign[:, None]
         classes = _point_classes(side, in_plus, in_minus)
+        # the planes whose degree-(m-1) test is an LP: both flipped classes non-empty, no point in both
+        moment_lp = (flipped > 0).any(axis=0) & (flipped < 0).any(axis=0) & ~(side[twice] != 0).any(axis=0)
         reused = np.zeros(len(batch), dtype=bool)
         for support in supports:
             reused |= _contains(classes, support)
+        grouped, meets = 0, {}  # the planes before `grouped` have had their group; the meets its batch found
         for j in range(len(batch)):
             checked += 1
             if reused[j]:
                 continue
             plus_side, minus_side, on_plus, on_minus = _classes(rows, flipped[:, j], sign)
-            found = hulls_intersect(samples, plus_side, minus_side, degree - 1, exact)
+            if lifted is not None and j >= grouped and moment_lp[j]:
+                planes = j + np.flatnonzero(moment_lp[j:] & ~reused[j:])[:group]
+                grouped, group = planes[-1] + 1, min(2 * group, _GROUP)
+                if len(planes) > 1:
+                    meets = {k: tuple(frozenset(rows[r] for r in cls) for cls in meet) for k, meet
+                             in zip(planes.tolist(), hulls_intersect_batch(lifted, flipped[:, planes])) if meet}
+            found = meets.get(j) or hulls_intersect(samples, plus_side, minus_side, degree - 1, exact)
             if found:
                 s, t = ([place[i] for i in members] for members in found)
                 supports.append(np.array([s + [n + k for k in t], [n + k for k in s] + t]))

@@ -87,6 +87,13 @@ def _finite(x: Number) -> bool:
     return isinstance(x, (int, Fraction)) or math.isfinite(x)  # no float() of a huge rational
 
 
+def _floats(table: np.ndarray) -> np.ndarray:
+    """A table as float64: an int or ``Fraction`` entry by int true division of its numerator by its denominator."""
+    rational = (int, Fraction)
+    values = [x.numerator / x.denominator if type(x) in rational else float(x) for x in table.ravel().tolist()]
+    return np.array(values, dtype=float).reshape(table.shape)
+
+
 class SampleSet:
     """Finite set of d-dimensional points with target values f(x), held as one table.
 
@@ -209,10 +216,13 @@ class SampleSet:
         (one per candidate hyperplane, say) share one conversion.  The float
         view of a float64 table, and the exact view of a table whose every
         entry is a ``Fraction`` (as `ingest` reads it in exact mode), is the
-        table itself.
+        table itself.  A rational entry (int or ``Fraction``) becomes its
+        numerator over its denominator by int true division, the float that
+        ``float`` rounds it to and the same `OverflowError` beyond float
+        range, without ``numbers.Rational.__float__``'s call overhead.
         """
         if exact not in self._views:
-            convert = np.frompyfunc(Fraction, 1, 1) if exact else (lambda a: a.astype(float))
+            convert = np.frompyfunc(Fraction, 1, 1) if exact else _floats
             self._views[exact] = convert(self.xy), convert(self.f)
         return self._views[exact]
 

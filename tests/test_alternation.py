@@ -12,6 +12,7 @@ import pytest
 from minimaxfit import (
     ExtremeSets,
     HyperplaneSplit,
+    HyperplaneVerdict,
     IntersectionCertificate,
     LpFailure,
     PolynomialModel,
@@ -27,7 +28,7 @@ from minimaxfit import (
     split,
     verify_by_hyperplanes,
 )
-from minimaxfit import alternation, optimality
+from minimaxfit import alternation, lp, optimality
 from minimaxfit._linalg import affine_normal, affine_normals
 
 from support import build_fit_corpus, random_samples, synthetic_univariate
@@ -317,16 +318,39 @@ def _assert_normals_bit_for_bit(samples, extremes):
     return len(combos) - len(keys), len(keys) - len(set(keys))
 
 
-def _counting_hulls(monkeypatch):
+def _recording_hulls(monkeypatch):
+    """(plus, minus, degree, whether they meet) of every scalar `hulls_intersect` call alternation makes, in order."""
     calls = []
     real = alternation.hulls_intersect
 
-    def counted(*args, **kwargs):
-        calls.append(args[3])
-        return real(*args, **kwargs)
+    def recorded(samples, plus, minus, degree, exact=False):
+        found = real(samples, plus, minus, degree, exact)
+        calls.append((tuple(plus), tuple(minus), degree, found is not None))
+        return found
 
-    monkeypatch.setattr(alternation, "hulls_intersect", counted)
+    monkeypatch.setattr(alternation, "hulls_intersect", recorded)
     return calls
+
+
+def _counting_hulls(monkeypatch, degree):
+    """A count of the hull tests that decide a plane: each scalar `hulls_intersect` call and each batched meet taken.
+
+    A plane that takes a degree-(m-1) meet, from a scalar test or from
+    `hulls_intersect_batch`, stores its support, and `_contains` reads
+    each support stored.  No two planes store equal supports (a plane
+    whose classes hold a stored one is not tested), so the batched meets
+    taken are the distinct supports less the scalar degree-(m-1) meets.
+    The batched answers a later support makes moot are not counted.
+    """
+    calls, supports = _recording_hulls(monkeypatch), set()
+    real = alternation._contains
+
+    def read(classes, support):
+        supports.add(support.tobytes())
+        return real(classes, support)
+
+    monkeypatch.setattr(alternation, "_contains", read)
+    return lambda: len(calls) + len(supports) - sum(1 for *_, m, met in calls if m == degree - 1 and met)
 
 
 class TestCertificateReuse:
@@ -335,11 +359,11 @@ class TestCertificateReuse:
         verdicts = set()
         for samples, extremes, degree in _reuse_corpus(exact):
             reference = _every_plane_verdict(extremes, samples, degree, exact)
-            calls = _counting_hulls(monkeypatch)
+            deciding = _counting_hulls(monkeypatch, degree)
             got = verify_by_hyperplanes(extremes, samples, degree, exact=exact)
             monkeypatch.undo()
             assert (got.verdict, got.planes_checked, got.counterexample) == reference
-            assert len(calls) <= got.planes_checked * 2
+            assert deciding() <= got.planes_checked * 2
             verdicts.add(got.verdict)
         assert {"pass", "fail"} <= verdicts
 
@@ -384,10 +408,10 @@ class TestCertificateReuse:
 
     def test_three_dimensional_fit_needs_few_lps(self, monkeypatch):
         inst = build_fit_corpus(41, 1, (3,), (2,), (13, 18))[0]
-        calls = _counting_hulls(monkeypatch)
+        deciding = _counting_hulls(monkeypatch, inst.degree)
         got = verify_by_hyperplanes(inst.extremes, inst.samples, inst.degree)
         assert got.verdict == "pass" and got.planes_checked > 100
-        assert len(calls) < got.planes_checked / 3
+        assert deciding() < got.planes_checked / 3
 
     def test_reused_splits_have_feasible_moment_lps(self, monkeypatch):
         # each plane is decided by a degree-(m-1) hull test or by a stored support; the reference
@@ -420,6 +444,96 @@ class TestCertificateReuse:
         assert len(reused) >= 5
         for sp in reused:
             assert hulls_intersect(inst.samples, sp.plus_side, sp.minus_side, inst.degree - 1, exact=True)
+
+
+def _batched_cases():
+    """Float sets in d = 2 and 3 that pass and fail, each with a batch of hull tests."""
+    return [(s, e, m) for s, e, m in _reuse_corpus(False) if s.dimension > 1][:8]
+
+
+class TestBatchedHullTests:
+    def _scalar_run(self, monkeypatch, samples, extremes, degree):
+        """The verdict and scalar calls with no batch (groups of one plane), as before batching."""
+        monkeypatch.setattr(alternation, "_GROUP", 1)
+        calls = _recording_hulls(monkeypatch)
+        got = verify_by_hyperplanes(extremes, samples, degree)
+        monkeypatch.undo()
+        return got, calls
+
+    def test_batch_stores_the_supports_of_the_unbatched_verifier(self, monkeypatch):
+        # batched answers a support stored meanwhile makes moot are dropped, so the supports, in
+        # their order, are those of the unbatched verifier; so are verdict, count and counterexample
+        for samples, extremes, degree in _batched_cases():
+            runs = []
+            for group in (1, alternation._GROUP):
+                supports = []
+                real = alternation._contains
+                monkeypatch.setattr(alternation, "_GROUP", group)
+                monkeypatch.setattr(alternation, "_contains",
+                                    lambda classes, s: supports.append(s.tolist()) or real(classes, s))
+                runs.append((verify_by_hyperplanes(extremes, samples, degree), supports))
+                monkeypatch.undo()
+            assert runs[0] == runs[1]
+
+    def test_batch_left_undecided_falls_back_plane_by_plane(self, monkeypatch):
+        # with no pivot allowed the kernel decides nothing, so every plane without a stored
+        # support takes the scalar tests, in the order and with the outcome they had unbatched
+        verdicts = set()
+        for samples, extremes, degree in _batched_cases():
+            reference = _every_plane_verdict(extremes, samples, degree, False)
+            unbatched, scalar_calls = self._scalar_run(monkeypatch, samples, extremes, degree)
+            monkeypatch.setattr(lp, "_BATCH_PIVOTS", 0)
+            batches = []
+            real_batch = alternation.hulls_intersect_batch
+            monkeypatch.setattr(alternation, "hulls_intersect_batch",
+                                lambda lifted, sides: batches.append(sides.shape[1]) or real_batch(lifted, sides))
+            calls = _recording_hulls(monkeypatch)
+            got = verify_by_hyperplanes(extremes, samples, degree)
+            monkeypatch.undo()
+            assert (got.verdict, got.planes_checked, got.counterexample) == reference
+            assert got == unbatched and calls == scalar_calls
+            verdicts.add(got.verdict)
+            if got.planes_checked > 3:
+                assert batches  # the fallback, not the unbatched path, decided these planes
+        assert verdicts == {"pass", "fail"}
+
+    def test_one_undecided_lp_sends_only_its_plane_to_the_scalar_test(self, monkeypatch):
+        # the first LP of the first batch is its group's own plane: marked undecided, as a broken
+        # row check marks it, that plane alone gets the scalar test, and nothing else changes
+        inst = build_fit_corpus(41, 1, (3,), (2,), (13, 18))[0]
+        samples, extremes, degree = inst.samples, inst.extremes, inst.degree
+        reference = _every_plane_verdict(extremes, samples, degree, False)
+        baseline = _recording_hulls(monkeypatch)
+        assert verify_by_hyperplanes(extremes, samples, degree) == HyperplaneVerdict("pass", None, reference[1])
+        monkeypatch.undo()
+
+        first = []
+        real_solve = optimality.solve_batch
+
+        def one_undecided(A, b):
+            x, feasible = real_solve(A, b)
+            if not first:
+                assert feasible[0]
+                first.append(True)
+                feasible = feasible.copy()
+                feasible[0] = False
+            return x, feasible
+
+        sides = []
+        real_batch = alternation.hulls_intersect_batch
+        monkeypatch.setattr(alternation, "hulls_intersect_batch",
+                            lambda lifted, s: sides.append(s[:, 0]) or real_batch(lifted, s))
+        monkeypatch.setattr(optimality, "solve_batch", one_undecided)
+        calls = _recording_hulls(monkeypatch)
+        got = verify_by_hyperplanes(extremes, samples, degree)
+        monkeypatch.undo()
+        assert (got.verdict, got.planes_checked, got.counterexample) == reference
+        rows = list(extremes.plus) + list(extremes.minus)
+        plane = (tuple(r for r, c in zip(rows, sides[0]) if c > 0), tuple(r for r, c in zip(rows, sides[0]) if c < 0),
+                 degree - 1, True)
+        assert plane not in baseline
+        at = calls.index(plane)
+        assert calls[:at] + calls[at + 1:] == baseline
 
 
 def test_shared_points_meet_without_an_lp(monkeypatch):

@@ -875,3 +875,21 @@ class TestCountAlternations:
         samples = SampleSet([(0,), (1,)], [0, 0])
         assert count_alternations(ExtremeSets(plus=(0, 1), minus=(0,), psi=1, rel_tol=0), samples) == 3
         assert count_alternations(ExtremeSets(plus=(1,), minus=(0, 1), psi=1, rel_tol=0), samples) == 3
+
+
+def test_float_view_of_rationals_is_float_of_each_entry():
+    """`SampleSet.view(False)` of ints and Fractions, huge ones and ones with huge denominators, against ``float``."""
+    entries = [Fraction(1, 3), Fraction(-2, 7), Fraction(10**400 + 1, 10**399), Fraction(1, 10**400),
+               Fraction(3**700, 2**1100 + 1), Fraction(-(2**1074) + 1, 2**2148), Fraction(2**1023 * 3 - 1, 2),
+               10**300 + 7, -(2**60) - 1, Fraction(5, 1), 0.1, 7]
+    samples = SampleSet([(e, Fraction(k, 3)) for k, e in enumerate(entries)], entries[::-1])
+    points, values = samples.view(False)
+    assert points.dtype == values.dtype == float
+    expected = [[float(e), float(Fraction(k, 3))] for k, e in enumerate(entries)]
+    assert points.tobytes() == np.array(expected).tobytes()
+    assert values.tobytes() == np.array([float(e) for e in entries[::-1]]).tobytes()
+    huge = SampleSet([(Fraction(10**400, 3),), (0,)], [0, 1])
+    with pytest.raises(OverflowError):
+        float(Fraction(10**400, 3))
+    with pytest.raises(OverflowError):
+        huge.view(False)

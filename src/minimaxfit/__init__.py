@@ -39,7 +39,6 @@ from .optimality import (
     IntersectionCertificate,
     IsolabilityResult,
     SeparationWitness,
-    caratheodory_reduce,
     check_hull_intersection,
     check_isolability,
     find_critical_point_set,
@@ -81,7 +80,6 @@ __all__ = [
     "SeparationWitness",
     "IsolabilityResult",
     "check_hull_intersection",
-    "caratheodory_reduce",
     "check_isolability",
     "find_critical_point_set",
     "hulls_intersect",

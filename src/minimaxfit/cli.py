@@ -8,7 +8,8 @@ Each command writes one JSON report, made by `run` as one pipeline in
 report order.  fit and verify exit 0 when the certificate proves the model
 optimal and 2 when a witness separates the extreme sets; reduce and
 alternate exit on their own verdict the same way; every error, an unwritable
-``--out`` among them, exits 1 with one ``error:`` line.
+``--out`` among them, exits 1 with one ``error:`` line, and every warning
+prints as one ``warning:`` line.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .monomials import evaluate  # unused here, kept because bench/tracing.py wr
 from .optimality import (
     IntersectionCertificate,
     SeparationWitness,
+    certificate_checks,
     check_hull_intersection,
     check_isolability,
     verify_certificate,
@@ -521,11 +523,12 @@ def run(config: RunConfig) -> tuple[int, dict]:
     """Execute one command; returns (exit code, report dict).
 
     The steps run in report order: load the samples; fit a model, or read
-    ``--coeffs``; split the extreme sets; the certificate (fit, verify);
-    isolability (verify); then reduction and alternation, each under its own
-    command, and under fit when the degree is at least 1, the fit is not
-    exact on the samples and both extreme sets hold points.  fit and verify
-    exit on the certificate, reduce and alternate on their own verdict.
+    ``--coeffs``; split the extreme sets; the certificate (fit, verify), a
+    fit's own weights when they check out; isolability (verify); then
+    reduction and alternation, each under its own command, and under fit
+    when the degree is at least 1, the fit is not exact on the samples and
+    both extreme sets hold points.  fit and verify exit on the certificate,
+    reduce and alternate on their own verdict.
     """
     if config.command == "report":
         return _run_revalidate(config)
@@ -552,12 +555,12 @@ def run(config: RunConfig) -> tuple[int, dict]:
             model = _model_from_json(payload, samples.dimension, exact)
         if config.degree not in (None, model.degree):
             raise ValueError(f"--degree {config.degree} conflicts with coefficients file degree {model.degree}")
-        extremes = extreme_sets(model, samples, rel_tol)
+        extremes, weights = extreme_sets(model, samples, rel_tol), None  # only a fit has certificate weights
     elif config.degree is None:
         raise ValueError("--degree is required when fitting")
     else:
         fit = timed("fit_s", fit_minimax, samples, config.degree, exact)
-        model, extremes = fit.model, partition_extremes(fit.residuals, rel_tol)
+        model, extremes, weights = fit.model, partition_extremes(fit.residuals, rel_tol), fit.weights
     degree = model.degree
     if config.command in ("reduce", "alternate") and degree < 1:
         raise ValueError(f"{config.command} needs degree >= 1")
@@ -567,7 +570,7 @@ def run(config: RunConfig) -> tuple[int, dict]:
 
     passed: dict[str, bool] = {}  # command -> the verdict it exits on
     if config.command in ("fit", "verify"):
-        outcome = timed("certificate_s", check_hull_intersection, extremes, samples, degree, exact)
+        outcome = timed("certificate_s", check_hull_intersection, extremes, samples, degree, exact, weights)
         report.update(_outcome_to_json(outcome))
         passed["fit"] = passed["verify"] = isinstance(outcome, IntersectionCertificate)
     if config.command == "verify":
@@ -629,13 +632,7 @@ def _run_revalidate(config: RunConfig) -> tuple[int, dict]:
             plus, minus = _json_indices(cert, "plus", n), _json_indices(cert, "minus", n)
             alpha, beta = _json_weights(cert, "alpha", len(plus)), _json_weights(cert, "beta", len(minus))
         rebuilt = IntersectionCertificate(degree, plus, minus, alpha, beta, 0, exact)
-        residual = verify_certificate(rebuilt, samples)
-        checks["certificate_moments"] = abs(residual) <= (0 if exact else 1e-8)
-        tol = 0 if exact else 1e-9
-        # convex weights: each side's weights are >= 0 and sum to 1
-        checks["certificate_sums"] = (
-            abs(sum(alpha) - 1) <= tol and abs(sum(beta) - 1) <= tol and all(w >= -tol for w in alpha + beta)
-        )
+        checks.update(certificate_checks(replace(rebuilt, moment_residual=verify_certificate(rebuilt, samples))))
     if "witness" in report:
         with _naming(f"{config.report_path}: witness"):
             witness = SeparationWitness(_model_from_json(report["witness"], samples.dimension), None, None)
@@ -695,18 +692,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # bound) for an option, so hand the grid spec over joined to its flag
         k = argv.index("--grid")
         argv[k:k + 2] = [f"--grid={argv[k + 1]}"]
-    try:
-        config = RunConfig(**vars(_build_parser().parse_args(argv)))
-        code, report = run(config)
-        text = json.dumps(report, allow_nan=False)  # no indent: the C encoder
-        if config.out:
-            with open(config.out, "w") as handle:
-                handle.write(text + "\n")
-        else:
-            print(text)
-    except (OSError, ValueError, KeyError, ArithmeticError, RuntimeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():  # each warning the filters show, as one line
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            config = RunConfig(**vars(_build_parser().parse_args(argv)))
+            code, report = run(config)
+            text = json.dumps(report, allow_nan=False)  # no indent: the C encoder
+            if config.out:
+                with open(config.out, "w") as handle:
+                    handle.write(text + "\n")
+            else:
+                print(text)
+        except (OSError, ValueError, KeyError, ArithmeticError, RuntimeError) as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 1
     return code
 
 

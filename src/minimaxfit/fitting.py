@@ -35,6 +35,11 @@ certifies another optimum of the same psi, the mirror one.  When the float
 view overflows or the float rounds raise `LpFailure`, the exact rounds
 start from the evenly spaced samples, as a float fit does.
 
+The last LP's duals y <= 0 (`lp.duals`) certify the fit: -2y on the rows
+[-u | -1] and [u | -1] of the working set weigh E+ and E- (`FitResult.weights`).
+Zero reduced costs on the free coefficients match every lifted moment, and
+on z (basic when psi > 0) make the weights sum to 2, 1 per side.
+
 Residuals follow the convention r(x) = f(x) - L(A, x), so the positive
 extreme set holds points where the target sits above the model.  An exact
 fit takes them over integers: `_linalg.integer_rows` writes each sample's
@@ -67,12 +72,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, groupby
 from operator import itemgetter
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ._linalg import integer_row, integer_rows
-from .lp import LESS, LinearProgram, LpFailure, solve, solve_exact
+from .lp import LESS, LinearProgram, LpFailure, duals, solve, solve_exact
 from .monomials import MonomialBasis, Number, PolynomialModel, build_basis, dot_rows, lift_matrix
 from .monomials import evaluate  # unused here, kept because bench/tracing.py counts fitting.evaluate
 
@@ -244,6 +249,8 @@ class FitResult:
     psi: Number  # max |residual|, by construction from the residuals
     # f(x_i) - L(A, x_i), aligned with the samples: read-only float64 (float fit) or Fraction objects (exact)
     residuals: np.ndarray
+    # ({i: weight on E+}, {i: weight on E-}), the last LP's non-zero duals times -2; None if `lp.duals` fails
+    weights: Optional[tuple[dict[int, Number], dict[int, Number]]] = None
 
 
 @dataclass(frozen=True)
@@ -277,13 +284,16 @@ def fit_minimax(samples: SampleSet, degree: int, exact: bool = False) -> FitResu
             working = _exchange(samples, basis, working, exact=False)[3]
         except (OverflowError, LpFailure):
             pass
-    coeffs, psi, residuals, _ = _exchange(samples, basis, working, exact)
+    coeffs, psi, residuals, _, (lp, solution, points) = _exchange(samples, basis, working, exact)
     residuals.flags.writeable = False
-    return FitResult(model=PolynomialModel(basis, tuple(coeffs)), psi=psi, residuals=residuals)
+    y = duals(lp, solution)  # per point, rows [u | -1] (tight on E-) then [-u | -1] (tight on E+)
+    weights = None if y is None else tuple({i: -2 * w for i, w in zip(points, y[k::2]) if w} for k in (1, 0))
+    return FitResult(PolynomialModel(basis, tuple(coeffs)), psi, residuals, weights)
 
 
 def _exchange(samples: SampleSet, basis: MonomialBasis, working: set[int], exact: bool):
-    """Rounds from a copy of `working` until the stop rule holds: (coefficients, psi, residuals, working set)."""
+    """Rounds from a copy of `working` until the stop rule holds: (coefficients, psi, residuals, working set, last),
+    `last` being the last round's LP, solution and sample of each row pair (sorted in exact rounds, else as added)."""
     n, nc = len(samples), basis.size
     matrix, targets = samples.lifted(np.arange(n), basis.degree, exact), samples.view(exact)[1]
     if exact:
@@ -298,10 +308,10 @@ def _exchange(samples: SampleSet, basis: MonomialBasis, working: set[int], exact
         A[0::2, :nc], A[1::2, :nc], A[:, nc] = lifted, -lifted, -1
         return A, np.column_stack((v, -v)).ravel()
 
-    working = set(working)
-    A, rhs = rows_of(sorted(working))
-    start = None
+    working, start = set(working), None
+    points = sorted(working)  # the sample of each row pair
     while True:
+        A, rhs = rows_of(points)
         lp = LinearProgram(objective, A, [LESS] * len(rhs), rhs, bounds)
         sol = solve_exact(lp) if exact else solve(lp, start=start)
         if sol.status != "optimal":
@@ -320,19 +330,15 @@ def _exchange(samples: SampleSet, basis: MonomialBasis, working: set[int], exact
         worst = size[worst_i] if exact else float(size[worst_i])
         slack = 0 if exact else 1e-9 * max(1.0, float(z)) + 1e-12
         if worst <= z + slack or worst_i in working:
-            return coeffs, worst, residuals, working
+            return coeffs, worst, residuals, working, (lp, sol, points)
         if samples.dimension == 1:
             order = np.argsort(samples.view(exact)[0][:, 0], kind="stable") if order is None else order
             new = [i for i in _run_peaks(residuals[order], order, z + slack) if i not in working]
         else:
             new = [worst_i]
         working.update(new)
-        if exact:  # every round afresh on sorted rows (see the module docstring)
-            A, rhs = rows_of(sorted(working))
-        else:
-            new_A, new_rhs = rows_of(new)
-            A, rhs = np.concatenate((A, new_A)), np.concatenate((rhs, new_rhs))
-            start = sol
+        points = sorted(working) if exact else points + new  # exact rounds afresh on sorted rows (module docstring)
+        start = sol
 
 
 def _run_peaks(residuals: np.ndarray, indices: np.ndarray, bound: Number) -> list[int]:

@@ -62,7 +62,8 @@ fraction-free block solves, `_linalg.exact_nullspace`).  The guess is the
 two-phase solve, its pivots capped by the LP's size, or the all-slack dual
 start when that raises.  Every other outcome sends the LP through the
 rational simplex from scratch over ``Fraction``, so every status an exact
-solve returns is decided in exact arithmetic.
+solve returns is decided in exact arithmetic.  `duals` solves the same
+block (`_block`) for an optimal basis's duals: a fit's certificate.
 
 Infeasible solves always carry a Farkas witness so callers can turn "no
 certificate" into an explicit separating functional.  The witness lives in
@@ -507,35 +508,13 @@ def _optimal(lp, columns, x_std, exact: bool, iterations: int, basis) -> LpSolut
     return LpSolution("optimal", x=x, objective_value=value, iterations=iterations, basis=basis)
 
 
-def _certify(lp: LinearProgram, basis, dropped, iterations: int) -> Optional[LpSolution]:
-    """The exact vertex of a proposed optimal basis, or None if it is not one.
+def _block(rows: np.ndarray, nstruct: int, basis, dropped):
+    """(S, T, slack_of, B_TS) of a basis over the standardised rows, or None when it is not square or is singular.
 
-    Solves B x_B = b and B^T y = c_B exactly on the kept rows, then asks
-    for x_B >= 0, reduced costs c - A^T y >= 0 on every column, the
-    dropped rows satisfied and every original row satisfied, all exactly.
-
-    B is solved on its structural block.  A basic slack is the unit column
-    +-e_i of its own row i, so with the rows T whose slack is not basic
-    first and the basic structural columns S first, B = [[B_TS, 0],
-    [B_RS, +-I]].  B is singular exactly when B_TS is (|T| = |S| for a
-    square basis of distinct columns), or when a basic slack belongs to a
-    dropped row (a zero column).  Otherwise B_TS x_S = b_T and
-    B_TS^T y_T = c_S are k x k solves, k = |S| (at most one more than the
-    number of coefficients in a fit LP), each basic slack is
-    +-(b_i - a_i . x_S), and y is zero on the rows R of the basic slacks,
-    which cost nothing.  These x_B and y solve the full systems, whose
-    solutions are unique, so the vertex certified is the one the dense
-    m x m solves would give.
-
-    The standard form is read from the integer rows (`_integers`).  Scaling
-    row i by D_i > 0 changes no decision: a basic slack is D_i times the
-    original one, the duals are D^-1 y, so every reduced cost is the same,
-    and a dropped row holds as before.  With x_S = X / q and y_T = Y / r
-    from the fraction-free block solves, the slacks, the reduced costs'
-    signs and the dropped rows are integer sums.
+    With the rows T whose slack is not basic and the basic structural columns
+    S first, B = [[B_TS, 0], [B_RS, +-I]] (`slack_of`: row of R -> its slack),
+    singular when the k x k B_TS is, or when a dropped row's slack is basic.
     """
-    columns, rows, rhs, costs = _standard_form(lp, exact=True, integer=True)
-    nstruct = len(columns[0])
     slack_row = np.nonzero(rows[:, nstruct:])[0].tolist()  # the row of slack column nstruct + s
     kept = [i for i in range(len(rows)) if i not in dropped]
     if len(basis) != len(kept) or len(set(basis)) != len(basis):
@@ -545,7 +524,54 @@ def _certify(lp: LinearProgram, basis, dropped, iterations: int) -> Optional[LpS
     if any(i in dropped for i in slack_of):
         return None
     tight = [i for i in kept if i not in slack_of]
-    block = rows[np.ix_(tight, struct)]
+    return struct, tight, slack_of, rows[np.ix_(tight, struct)]
+
+
+def duals(lp: LinearProgram, solution: LpSolution) -> Optional[list[Number]]:
+    """y with B^T y = c_B at an optimal solution's basis, on `lp`'s original rows, in its arithmetic; None if singular.
+
+    Solved on `_block`'s B_TS, so y is exactly zero on each row whose slack
+    is basic or that was dropped, and y <= 0 on a "<=" row (c - A^T y >= 0);
+    an exact y on the integer rows (`_integers`), where it is D^-1 y.
+    """
+    exact = isinstance(solution.objective_value, Fraction)
+    columns, rows, _, costs = _standard_form(lp, exact=True, integer=True) if exact else _standard_form(lp, exact=False)
+    found = _block(rows, len(columns[0]), *solution.basis)
+    if found is None:
+        return None
+    struct, tight, _, block = found
+    try:
+        y_t = (exact_solve if exact else np.linalg.solve)(block.T.tolist(), costs[struct].tolist())
+    except np.linalg.LinAlgError:
+        return None
+    if y_t is None:
+        return None
+    y = np.zeros(len(rows), dtype=rows.dtype)  # over integers, an int 0 off T
+    y[tight] = y_t
+    return (y[:lp.num_rows] * _integers(lp)[2] if exact else y[:lp.num_rows]).tolist()
+
+
+def _certify(lp: LinearProgram, basis, dropped, iterations: int) -> Optional[LpSolution]:
+    """The exact vertex of a proposed optimal basis, or None if it is not one.
+
+    Solves B x_B = b and B^T y = c_B exactly on `_block`'s k x k block:
+    B_TS x_S = b_T and B_TS^T y_T = c_S, each basic slack +-(b_i - a_i . x_S)
+    and y zero on the rows of the basic slacks, the unique solutions of the
+    full systems.  Then asks for x_B >= 0, reduced costs c - A^T y >= 0 on
+    every column, the dropped rows and every original row satisfied, exactly.
+
+    The standard form is read from the integer rows (`_integers`).  Scaling
+    row i by D_i > 0 changes no decision: a basic slack is D_i times the
+    original one, the duals are D^-1 y, so every reduced cost is the same,
+    and a dropped row holds as before.  With x_S = X / q and y_T = Y / r
+    from the fraction-free block solves, the slacks, the reduced costs'
+    signs and the dropped rows are integer sums.
+    """
+    columns, rows, rhs, costs = _standard_form(lp, exact=True, integer=True)
+    found = _block(rows, len(columns[0]), basis, dropped)
+    if found is None:
+        return None
+    struct, tight, slack_of, block = found
     x_s = exact_solve(block.tolist(), rhs[tight].tolist())
     y = exact_solve(block.T.tolist(), costs[struct].tolist())
     if x_s is None or y is None:

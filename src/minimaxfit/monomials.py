@@ -48,10 +48,6 @@ class MonomialBasis:
     def size(self) -> int:
         return len(self.exponents)
 
-    @property
-    def nonconstant_count(self) -> int:
-        return len(self.exponents) - 1
-
 
 def build_basis(dimension: int, degree: int) -> MonomialBasis:
     """Graded-lexicographic basis of all monomials with total degree <= degree."""

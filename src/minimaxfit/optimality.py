@@ -14,17 +14,15 @@ on a line it counts sign blocks instead (discrete alternation, Cheney 1966).
 A certificate's moment residual, and a witness's margins and scale, take
 one `dot_rows` per side over those rows (transposed for the moments).
 
-The moment LP has n_m + 2 rows, so a vertex of it puts positive weight on
-at most n_m + 2 points, and those weights sit on linearly independent lifted
-columns, so they are the only moment-matching weights on their points.  The
-first fact is Caratheodory's bound (`caratheodory_reduce`); the second makes
-the support a minimal non-isolable set (`find_critical_point_set`).  Neither
-needs an algorithm of its own.
+A fit's certificate is its own LP's dual: the moment system is the LP dual
+of the minimax fit (Rivlin & Shapiro, J. SIAM 1961; Cheney, *Introduction
+to Approximation Theory*, 1966, ch. 2), so the fit's final basis holds
+moment-matching weights on at most n_m + 2 points (`FitResult.weights`),
+and the moment LP runs only without them or when they fail a check.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -55,10 +53,6 @@ class IntersectionCertificate:
     beta: tuple[Number, ...]
     moment_residual: Number
     exact: bool = False
-
-    @property
-    def support_size(self) -> int:
-        return sum(1 for w in self.alpha if w > 0) + sum(1 for w in self.beta if w > 0)
 
 
 @dataclass(frozen=True)
@@ -199,47 +193,47 @@ def hulls_intersect_batch(lifted: np.ndarray, sides: np.ndarray) -> list[Optiona
 
 
 def check_hull_intersection(
-    extremes: ExtremeSets, samples: SampleSet, degree: int, exact: bool = False
+    extremes: ExtremeSets, samples: SampleSet, degree: int, exact: bool = False,
+    weights: Optional[tuple[dict[int, Number], dict[int, Number]]] = None,
 ) -> VerificationOutcome:
     """Certificate of optimality, or a strict separating polynomial.
 
-    Feasibility of the moment-matching LP over the extreme sets yields the
+    A fit's `FitResult.weights`, as `weights`, are the certificate when
+    they weigh only extreme points and pass `certificate_checks`.  Else
+    feasibility of the moment-matching LP over the extreme sets yields the
     certificate weights; infeasibility converts the Farkas witness into a
     degree-`degree` polynomial separating E+ from E-, normalised so the
-    smaller margin is one.
+    smaller margin is one.  Degenerate and one-sided sets take no LP.
     """
     basis = build_basis(samples.dimension, degree)
-
-    if extremes.degenerate:
-        # exact fit: any shared point certifies optimality outright
-        alpha = tuple([1] + [0] * (len(extremes.plus) - 1))
-        beta = tuple([1] + [0] * (len(extremes.minus) - 1))
-        return IntersectionCertificate(
-            degree, tuple(extremes.plus), tuple(extremes.minus), alpha, beta, 0, exact
-        )
     plus_lifted = samples.lifted(extremes.plus, degree, exact)
     minus_lifted = samples.lifted(extremes.minus, degree, exact)
+
+    def certificate(alpha, beta) -> IntersectionCertificate:
+        return IntersectionCertificate(degree, tuple(extremes.plus), tuple(extremes.minus), alpha, beta,
+                                       _moment_residual(plus_lifted, minus_lifted, alpha, beta), exact)
+
+    if extremes.degenerate:  # exact fit: any shared point certifies optimality outright
+        return certificate((1,) + (0,) * (len(extremes.plus) - 1), (1,) + (0,) * (len(extremes.minus) - 1))
     if not extremes.plus or not extremes.minus:  # the constant +1 or -1 separates
         coeffs = (1 if extremes.plus else -1,) + (0,) * (basis.size - 1)
         return SeparationWitness(PolynomialModel(basis, coeffs), *_margins(coeffs, plus_lifted, minus_lifted))
-
+    if weights is not None:
+        plus, minus = weights
+        zero = Fraction(0) if exact else 0.0
+        cert = certificate(tuple(plus.get(i, zero) for i in extremes.plus),
+                           tuple(minus.get(i, zero) for i in extremes.minus))
+        inside = plus.keys() <= set(extremes.plus) and minus.keys() <= set(extremes.minus)
+        if inside and all(certificate_checks(cert).values()):
+            return cert
     sol = (solve_exact if exact else solve)(_moment_lp(plus_lifted, minus_lifted))
     if sol.status == "optimal":
-        p = len(plus_lifted)
-        alpha = tuple(sol.x[:p])
-        beta = tuple(sol.x[p:])
-        residual = _moment_residual(plus_lifted, minus_lifted, alpha, beta)
-        return IntersectionCertificate(
-            degree, tuple(extremes.plus), tuple(extremes.minus), alpha, beta, residual, exact
-        )
+        return certificate(tuple(sol.x[:len(plus_lifted)]), tuple(sol.x[len(plus_lifted):]))
     if sol.status != "infeasible":
         raise LpFailure(f"moment LP came back {sol.status}", {"status": sol.status, "iterations": sol.iterations})
 
-    # Farkas multipliers: (mass row E+, mass row E-, one per non-constant monomial)
-    y = sol.farkas
-    lam_plus, lam_minus = y[0], y[1]
-    half = Fraction(1, 2) if exact else 0.5
-    coeffs = [-(lam_plus - lam_minus) * half] + [-ck for ck in y[2:]]
+    y = sol.farkas  # Farkas multipliers: mass row E+, mass row E-, one per non-constant monomial
+    coeffs = [-(y[0] - y[1]) * (Fraction(1, 2) if exact else 0.5)] + [-ck for ck in y[2:]]
     witness = _normalized_witness(coeffs, basis, plus_lifted, minus_lifted)
     if witness is None:
         # float-mode Farkas too noisy to give strict margins; fall back to the
@@ -254,37 +248,15 @@ def check_hull_intersection(
     return witness
 
 
-def caratheodory_reduce(cert: IntersectionCertificate, samples: SampleSet) -> IntersectionCertificate:
-    """Equivalent certificate supported on at most n_m + 2 points in total.
+def certificate_checks(cert: IntersectionCertificate) -> dict[str, bool]:
+    """A report replay's checks: moments matched within 1e-8, each side's weights >= -1e-9 summing to 1 within 1e-9.
 
-    The moment LP (`_moment_lp`) has n_m + 2 rows, so any vertex of it puts
-    positive weight on at most n_m + 2 points (Caratheodory's theorem in the
-    lifted space).  When the certificate's positive support is larger, the
-    reduced certificate is the vertex of that LP over the support, solved in
-    the certificate's arithmetic; otherwise it is the positive entries as
-    given.  A support on which the LP finds no moment-matching weights warns
-    and returns the input certificate.
+    An exact certificate has no tolerance.
     """
-    degree, exact = cert.degree, cert.exact
-    plus = [(i, w) for i, w in zip(cert.plus_indices, cert.alpha) if w > 0]
-    minus = [(i, w) for i, w in zip(cert.minus_indices, cert.beta) if w > 0]
-    if len(plus) + len(minus) > build_basis(samples.dimension, degree).nonconstant_count + 2:
-        lp = _moment_lp(
-            samples.lifted([i for i, _ in plus], degree, exact), samples.lifted([i for i, _ in minus], degree, exact)
-        )
-        sol = (solve_exact if exact else solve)(lp)
-        if sol.status != "optimal":
-            warnings.warn("support reduction found no moment-matching weights; returning input certificate")
-            return cert
-        p = len(plus)
-        plus = [(i, w) for (i, _), w in zip(plus, sol.x[:p]) if w > 0]
-        minus = [(i, w) for (i, _), w in zip(minus, sol.x[p:]) if w > 0]
-    plus_indices, alpha = tuple(i for i, _ in plus), tuple(w for _, w in plus)
-    minus_indices, beta = tuple(i for i, _ in minus), tuple(w for _, w in minus)
-    residual = _moment_residual(
-        samples.lifted(plus_indices, degree, exact), samples.lifted(minus_indices, degree, exact), alpha, beta
-    )
-    return IntersectionCertificate(degree, plus_indices, minus_indices, alpha, beta, residual, exact)
+    tol = 0 if cert.exact else 1e-9
+    convex = abs(sum(cert.alpha) - 1) <= tol and abs(sum(cert.beta) - 1) <= tol
+    return {"certificate_moments": abs(cert.moment_residual) <= (0 if cert.exact else 1e-8),
+            "certificate_sums": convex and all(w >= -tol for w in cert.alpha + cert.beta)}
 
 
 def check_isolability(

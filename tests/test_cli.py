@@ -12,7 +12,8 @@ from fractions import Fraction
 import pytest
 
 import minimaxfit
-from minimaxfit import build_basis, cli, fitting, monomials, optimality
+from minimaxfit import build_basis, check_hull_intersection, cli, fit_minimax, fitting, monomials, optimality
+from minimaxfit import partition_extremes
 from minimaxfit.cli import (
     Expression,
     ExpressionError,
@@ -315,6 +316,13 @@ class TestGenerateGrid:
         assert samples.values == tuple(p[0] for p in samples.points)
 
 
+def _moment_lps(monkeypatch) -> list:
+    """The rows of every later `optimality._moment_lp` call, which still runs."""
+    calls, real = [], optimality._moment_lp
+    monkeypatch.setattr(optimality, "_moment_lp", lambda *rows: calls.append(rows) or real(*rows))
+    return calls
+
+
 class TestRunPipeline:
     def test_fit_on_cubic_grid_passes_everything(self, tmp_path):
         config = RunConfig(
@@ -471,12 +479,10 @@ class TestRunPipeline:
         ("-1,1;201;uniform;x1^3+x1^2", 1, False),
         ("-1,1;41;chebyshev;x1^3+x1^2", 1, True),
     ])
-    def test_one_dimensional_fit_solves_one_moment_lp(self, grid, degree, exact, monkeypatch):
-        # on a line reduction and alternation count sign blocks; only the certificate runs the LP,
-        # also at degree 1, where alternation is the direct hull check
-        calls = []
-        real = optimality._moment_lp
-        monkeypatch.setattr(optimality, "_moment_lp", lambda *rows: calls.append(rows) or real(*rows))
+    def test_one_dimensional_fit_solves_no_moment_lp(self, grid, degree, exact, monkeypatch):
+        # on a line reduction and alternation count sign blocks, also at degree 1, where alternation is
+        # the direct hull check, and the certificate is read from the fit's own LP duals: no moment LP
+        calls = _moment_lps(monkeypatch)
         code, report = run(RunConfig(command="fit", grid=grid, degree=degree, exact=exact))
         assert code == 0 and "alpha" in report["certificate"]
         assert report["reduction"]["verdict"] == "pass"
@@ -486,7 +492,38 @@ class TestRunPipeline:
             assert report["alternation"]["warning"] == "degree 1: direct hull check"
         else:
             assert report["alternation"]["planes_checked"] > 0
-        assert len(calls) == 1
+        assert not calls
+
+    @pytest.mark.parametrize("grid, degree", [
+        ("-1,1;11;uniform;x1^5", 2),
+        ("-1,1;31;uniform;x1^4", 3),
+        ("-1,1;11;uniform;x1^3", 1),
+    ])
+    def test_fit_weights_outside_the_extreme_sets_fall_back_to_the_moment_lp(self, grid, degree, monkeypatch):
+        # a float --rel-tol 0 keeps only the points exactly at psi, so the fit's weights sit partly outside
+        # E+ and E-; the moment LP then decides, and finds the witness it finds without the fit's weights
+        # (on a line, reduction and alternation run no moment LP)
+        calls = _moment_lps(monkeypatch)
+        code, report = run(RunConfig(command="fit", grid=grid, degree=degree, rel_tol=0.0))
+        assert code == 2 and report["extremes"]["plus"] and report["extremes"]["minus"] and len(calls) == 1
+        samples = parse_grid_spec(grid)
+        extremes = partition_extremes(fit_minimax(samples, degree).residuals, 0.0)
+        witness = check_hull_intersection(extremes, samples, degree)
+        assert report["witness"] == cli._outcome_to_json(witness)["witness"]
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("grid, degree", [
+        ("-1,1:-1,1;9;uniform;x1^2*x2+x2^3", 2),
+        ("-1,1:-1,1;7;chebyshev;x1^3*x2+abs(x2)", 2),
+        ("-1,1;41;chebyshev;x1^4+x1^3", 3),
+    ])
+    def test_verify_without_coeffs_solves_no_moment_lp(self, grid, degree, exact, monkeypatch):
+        # verify runs no reduction or alternation, so in any dimension its one hull test is the certificate's
+        calls = _moment_lps(monkeypatch)
+        code, report = run(RunConfig(command="verify", grid=grid, degree=degree, exact=exact))
+        assert code == 0 and not report["extremes"]["degenerate"] and "alpha" in report["certificate"]
+        assert not report["isolability"]["isolable"]
+        assert not calls
 
     @pytest.mark.parametrize("nodes", ["uniform", "chebyshev"])
     def test_warm_float_fit_on_a_symmetric_grid_is_optimal(self, nodes):
@@ -684,6 +721,15 @@ class TestMainEntry:
         with pytest.raises(SystemExit) as stop:
             main(["fit", "--help"])
         assert stop.value.code == 0 and "--degree" in capsys.readouterr().out
+
+    @pytest.mark.filterwarnings("default::UserWarning")  # shown, as outside the test suite's "error" filter
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_a_warning_prints_as_one_line(self, capsys, exact):
+        argv = ["fit", "--grid", "-1,1;3;uniform;x1^2", "--degree", "3"] + ["--exact"] * exact
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out)["psi"] in (0, "0")
+        assert err == "warning: basis size 4 exceeds sample count 3; fit is underdetermined\n"
 
     def test_missing_input_is_an_error(self, capsys):
         assert main(["fit", "--input", "/nonexistent.csv", "--degree", "1"]) == 1

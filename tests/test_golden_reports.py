@@ -64,6 +64,25 @@ def test_report_matches_golden(name, tmp_path):
         assert text == handle.read()
 
 
+def _golden(name) -> dict:
+    with open(os.path.join(GOLDEN, f"{name}.report.json")) as handle:
+        return json.load(handle)["report"]
+
+
+@pytest.mark.parametrize("name", [n for n in sorted(OPS) if {"certificate", "witness"} & set(_golden(n))])
+def test_golden_certificate_or_witness_revalidates(name, tmp_path):
+    # a rewritten golden file is checked by more than its own text: `report` replays its weights or witness
+    report = _golden(name)
+    saved, out = tmp_path / "golden.json", tmp_path / "revalidated.json"
+    saved.write_text(json.dumps(report))
+    grid = OPS[name][OPS[name].index("--grid") + 1]
+    assert main(["report", "--report", str(saved), "--grid", grid, "--out", str(out)]) == 0
+    checks = json.loads(out.read_text())["checks"]
+    assert ("certificate_sums" in checks) == ("certificate" in report)
+    assert ("witness_separates" in checks) == ("witness" in report)
+    assert all(checks.values())
+
+
 def test_compensated_sum_keeps_the_bits_a_plain_sum_loses():
     assert compensated_sum([1e16, 1.0, -1e16]) == 1.0  # a plain left-to-right sum gives 0.0
     assert compensated_sum([0.1] * 10) == 1.0

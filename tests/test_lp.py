@@ -343,6 +343,26 @@ def _minimax_lp(samples, degree):
     return LinearProgram([0] * basis.size + [1], A, ["<="] * len(A), rhs, [(None, None)] * basis.size + [(0, None)])
 
 
+@pytest.mark.parametrize("exact", [False, True])
+def test_duals_of_a_fit_lp_solve_its_dual(exact):
+    """`duals` at a fit LP's optimum: y <= 0, A^T y = c, b . y the optimum, and y zero, bit for bit, off the tight rows."""
+    rng = random.Random(11 + exact)
+    for _ in range(12):
+        dimension, degree = rng.choice((1, 2)), rng.choice((1, 2))
+        samples = random_samples(rng, dimension, build_basis(dimension, degree).size + rng.randint(3, 8))
+        lp = _minimax_lp(samples, degree) if exact else _as_float(_minimax_lp(samples, degree))
+        sol = (solve_exact if exact else solve)(lp)
+        y = lp_module.duals(lp, sol)
+        A, b = lp_module._rows(lp, exact)
+        tol = 0 if exact else 1e-9
+        assert len(y) == lp.num_rows and max(y) <= 0 and sol.x[-1] > 0
+        assert all(abs(got - c) <= tol for got, c in zip(A.T @ np.array(y, dtype=A.dtype), lp.objective))
+        assert abs(b @ np.array(y, dtype=b.dtype) - sol.objective_value) <= tol
+        slack = b - A @ np.array(sol.x, dtype=A.dtype)
+        assert all(v == 0 for v, s in zip(y, slack) if s > 1e-9)
+        assert all(type(v) is (Fraction if exact else float) for v in y if v)
+
+
 def _margin_lp(plus_lifted, minus_lifted):
     """The margin LP of check_isolability: max t, |A|_inf <= 1."""
     width = len(plus_lifted[0])

@@ -31,7 +31,6 @@ class TestBuildBasis:
     def test_bivariate_degree_two_counts(self):
         basis = build_basis(2, 2)
         assert basis.size == 6
-        assert basis.nonconstant_count == 5
 
     def test_trivariate_degree_three_count(self):
         assert build_basis(3, 3).size == math.comb(6, 3)

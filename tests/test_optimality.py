@@ -1,4 +1,4 @@
-"""Certificates, witnesses, support reduction, and the separability view."""
+"""Certificates, witnesses, the fit's own certificate, and the separability view."""
 
 import itertools
 import random
@@ -16,7 +16,6 @@ from minimaxfit import (
     SampleSet,
     SeparationWitness,
     build_basis,
-    caratheodory_reduce,
     check_hull_intersection,
     check_isolability,
     evaluate,
@@ -30,8 +29,7 @@ from minimaxfit import (
 from minimaxfit import fitting, optimality
 from minimaxfit.alternation import verify_by_hyperplanes
 from minimaxfit.reduction import reduce_and_verify
-from minimaxfit.fitting import DEFAULT_REL_TOL, model_values
-from minimaxfit._linalg import exact_solve
+from minimaxfit.fitting import DEFAULT_REL_TOL, model_values, partition_extremes
 from minimaxfit.lp import LpFailure, LpSolution, solve, solve_exact
 from minimaxfit.optimality import _moment_lp
 
@@ -170,138 +168,6 @@ class TestHullIntersection:
         samples, extremes = xy_instance
         cert = check_hull_intersection(extremes, samples, 1, exact=True)
         assert verify_certificate(cert, samples) == 0
-
-
-class TestCaratheodoryReduce:
-    def test_small_support_unchanged(self):
-        samples = SampleSet([(-1,), (0,), (1,)], [0, 0, 0])
-        extremes = ExtremeSets(plus=(0, 2), minus=(1,), psi=1.0, rel_tol=0.0)
-        cert = check_hull_intersection(extremes, samples, 1, exact=True)
-        reduced = caratheodory_reduce(cert, samples)
-        assert reduced.support_size == cert.support_size
-        assert reduced.moment_residual == 0
-
-    def test_collinear_support_is_reduced(self):
-        # four support points for degree 1 in R^1: one more than n_m + 2 = 3
-        samples = SampleSet([(-1,), (-0.5,), (1,), (0,)], [0, 0, 0, 0])
-        cert = IntersectionCertificate(
-            degree=1,
-            plus_indices=(0, 1, 2),
-            minus_indices=(3,),
-            alpha=(Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)),
-            beta=(Fraction(1),),
-            moment_residual=0,
-            exact=True,
-        )
-        # hand check: mean of E+ is (-1)/4 + (-1/2)/4 + 1/2 = 1/8... recompute:
-        # -1/4 - 1/8 + 1/2 = 1/8 != 0, so align the minus point with the mean
-        samples = SampleSet([(-1,), (-0.5,), (1,), (Fraction(1, 8),)], [0, 0, 0, 0])
-        assert verify_certificate(cert, samples) == 0
-        reduced = caratheodory_reduce(cert, samples)
-        assert reduced.support_size <= 3
-        assert verify_certificate(reduced, samples) == 0
-        assert sum(reduced.alpha) == 1 and sum(reduced.beta) == 1
-
-    def test_xy_certificate_already_tight(self, xy_instance):
-        samples, extremes = xy_instance
-        cert = check_hull_intersection(extremes, samples, 1, exact=True)
-        reduced = caratheodory_reduce(cert, samples)
-        assert reduced.support_size == 4  # 4 <= n_m + 2 = 5
-        assert reduced.alpha == cert.alpha and reduced.beta == cert.beta
-
-    def test_never_grows_support_and_preserves_verdict(self):
-        corpus = build_fit_corpus(seed=303, count=10, dims=(1, 2), degrees=(1, 2), point_range=(6, 16))
-        for inst in corpus:
-            out = check_hull_intersection(inst.extremes, inst.samples, inst.degree)
-            if not isinstance(out, IntersectionCertificate):
-                continue
-            reduced = caratheodory_reduce(out, inst.samples)
-            basis = build_basis(inst.samples.dimension, inst.degree)
-            assert reduced.support_size <= min(out.support_size, basis.nonconstant_count + 2)
-            assert abs(verify_certificate(reduced, inst.samples)) <= 1e-7
-
-    @pytest.mark.parametrize("exact", [False, True])
-    @pytest.mark.parametrize("dimension", [1, 2, 3])
-    def test_constructed_certificates_reduce_in_one_moment_lp(self, dimension, exact, monkeypatch):
-        calls = _recorded(monkeypatch, "_moment_lp")
-        rng = random.Random(100 * dimension + exact)
-        for degree in (1, 2, 3) if dimension == 1 else (1, 2):
-            for _ in range(8):
-                cert, samples = _constructed_certificate(rng, dimension, degree, exact)
-                target = build_basis(dimension, degree).nonconstant_count + 2
-                assert cert.support_size > target
-                calls.clear()
-                reduced = caratheodory_reduce(cert, samples)
-                assert len(calls) == 1
-                assert reduced.support_size == len(reduced.alpha) + len(reduced.beta) <= target
-                assert set(reduced.plus_indices) <= set(cert.plus_indices)
-                assert set(reduced.minus_indices) <= set(cert.minus_indices)
-                assert all(w > 0 for w in reduced.alpha + reduced.beta)
-                residual = verify_certificate(reduced, samples)
-                assert reduced.moment_residual == residual
-                if exact:
-                    assert sum(reduced.alpha) == sum(reduced.beta) == 1 and residual == 0
-                else:
-                    assert abs(sum(reduced.alpha) - 1) <= 1e-9 and abs(sum(reduced.beta) - 1) <= 1e-9
-                    assert residual <= 1e-9
-
-    def test_support_without_matching_weights_warns_and_returns_input(self):
-        # five points on a line at degree 1 (target 3), but the minus point lies outside E+'s hull
-        samples = SampleSet([(Fraction(k),) for k in range(5)], [0] * 5)
-        cert = IntersectionCertificate(
-            1, (0, 1, 2, 3), (4,), (Fraction(1, 4),) * 4, (Fraction(1),), Fraction(5, 2), exact=True
-        )
-        with pytest.warns(UserWarning, match="no moment-matching weights"):
-            assert caratheodory_reduce(cert, samples) is cert
-
-
-def _constructed_certificate(rng, dimension, degree, exact):
-    """A certificate on n_m + 3 to n_m + 6 random points, every weight positive, moments matched.
-
-    A null vector c of the lifted columns (sum c_i lift(x_i) = 0, so sum c_i = 0)
-    splits by sign into the two sides.  Its last entries are random and
-    non-zero; its first n_m + 1 solve the square system that makes it null.
-    """
-    width = build_basis(dimension, degree).size
-    while True:
-        count = width + rng.randint(2, 5)
-        if exact:
-            points = {tuple(Fraction(rng.randint(-60, 60), 30) for _ in range(dimension)) for _ in range(count)}
-        else:
-            points = {tuple(rng.uniform(-1, 1) for _ in range(dimension)) for _ in range(count)}
-        points = sorted(points)
-        if len(points) != count:
-            continue
-        samples = SampleSet(points, [0] * count)
-        columns = samples.lifted(range(count), degree, exact)
-        free = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9)) for _ in range(count - width)]
-        if not exact:
-            free = [float(c) for c in free]
-        rhs = [-sum(c * u[k] for c, u in zip(free, columns[width:])) for k in range(width)]
-        block = [[u[k] for u in columns[:width]] for k in range(width)]
-        if exact:
-            solved = exact_solve(block, rhs)
-        else:
-            a = np.array(block)
-            solved = None if np.linalg.cond(a) > 1e8 else np.linalg.solve(a, np.array(rhs)).tolist()
-        if solved is None or not all(solved):
-            continue
-        c = solved + free
-        total = sum(w for w in c if w > 0)
-        plus = [(i, w / total) for i, w in enumerate(c) if w > 0]
-        minus = [(i, -w / total) for i, w in enumerate(c) if w < 0]
-        cert = IntersectionCertificate(
-            degree,
-            tuple(i for i, _ in plus),
-            tuple(i for i, _ in minus),
-            tuple(w for _, w in plus),
-            tuple(w for _, w in minus),
-            0,
-            exact,
-        )
-        if not exact and verify_certificate(cert, samples) > 1e-12:
-            continue
-        return cert, samples
 
 
 class TestLinearCase:
@@ -534,6 +400,43 @@ def test_priced_and_unpriced_hull_tests_agree(monkeypatch, exact):
 
 
 @pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_fit_duals_certify_where_the_moment_lp_does(monkeypatch, dimension, exact):
+    """On random fits, the certificate read from the fit's LP duals against the moment LP's, the reference.
+
+    Both replay through `verify_certificate`; the fit's is taken with no
+    moment LP and puts non-zero weight on at most n_m + 2 points.
+    """
+    moment_lps = _recorded(monkeypatch, "_moment_lp")
+    rng = random.Random(10 * dimension + exact)
+    for _ in range(8 if exact else 25):
+        degree = rng.choice((1, 2, 3) if dimension == 1 else (1, 2))
+        basis = build_basis(dimension, degree)
+        samples = random_samples(rng, dimension, rng.randint(basis.size + 2, 2 * basis.size + 4))
+        if exact:
+            samples = SampleSet(*samples.view(True))
+        fit = fit_minimax(samples, degree, exact)
+        extremes = partition_extremes(fit.residuals, 0 if exact else DEFAULT_REL_TOL)
+        assert not extremes.degenerate
+        moment_lps.clear()
+        own = check_hull_intersection(extremes, samples, degree, exact, fit.weights)
+        assert not moment_lps
+        reference = check_hull_intersection(extremes, samples, degree, exact)
+        assert len(moment_lps) == 1
+        for cert in own, reference:
+            assert isinstance(cert, IntersectionCertificate)
+            assert verify_certificate(cert, samples) == cert.moment_residual
+            if exact:
+                assert sum(cert.alpha) == sum(cert.beta) == 1 and min(cert.alpha + cert.beta) >= 0
+                assert cert.moment_residual == 0
+            else:
+                assert abs(sum(cert.alpha) - 1) <= 1e-9 and abs(sum(cert.beta) - 1) <= 1e-9
+                assert min(cert.alpha + cert.beta) >= -1e-9 and cert.moment_residual <= 1e-8
+        assert exact or own.moment_residual <= 1e-12
+        assert sum(w != 0 for w in own.alpha + own.beta) <= basis.size + 1  # n_m + 2, n_m = basis.size - 1
+
+
+@pytest.mark.parametrize("exact", [False, True])
 def test_only_hull_tests_are_priced(monkeypatch, exact):
     """Every solve in a fit, its verifiers and the remaining LP callers: only `hulls_intersect` passes `price`."""
     calls = []
@@ -557,16 +460,13 @@ def test_only_hull_tests_are_priced(monkeypatch, exact):
     extremes = extreme_sets(fit.model, samples)
     cert = check_hull_intersection(extremes, samples, 2, exact)
     assert isinstance(cert, IntersectionCertificate)
-    assert len(extremes.plus) + len(extremes.minus) > 7  # so a certificate on all of them has its LP reduced
-    caratheodory_reduce(IntersectionCertificate(2, extremes.plus, extremes.minus, (1,) * len(extremes.plus),
-                                                (1,) * len(extremes.minus), 0, exact), samples)
     assert not check_isolability(extremes, samples, 2, exact).isolable
     assert reduce_and_verify(extremes, samples, 2, exact).verdict == "pass"
     assert verify_by_hyperplanes(extremes, samples, 2, exact).verdict == "pass"
     priced = {caller for caller, price in calls if price}
     unpriced = {caller for caller, price in calls if not price}
     assert priced == {"hulls_intersect"}
-    assert unpriced == {"_exchange", "check_hull_intersection", "caratheodory_reduce", "_max_margin"}
+    assert unpriced == {"_exchange", "check_hull_intersection", "_max_margin"}
 
 
 @pytest.mark.parametrize("dimension", [2, 3])

@@ -1,14 +1,17 @@
 """Exact elimination for the LP's certification, integer rows, and hyperplanes for alternation.
 
-`exact_solve` solves a basis block exactly for `lp._certify`;
-`affine_normal` gives the hyperplane through d points, by SVD in float and
-by fraction-free elimination over integers in exact mode, so verdicts near
+`exact_solve` solves a basis block exactly for `lp._certify`, and a hull
+test's proposed support for `optimality.exact_weights`; `affine_normal`
+gives the hyperplane through d points, by SVD in float and by
+fraction-free elimination over integers in exact mode, so verdicts near
 degeneracy carry no rounding.  Both eliminate in `exact_nullspace`, over
 rows that `integer_row` scales to integers.  `integer_rows` scales a whole
 table [A | b] that way, once: the exact LP's certificate and row check
 (`lp._integers`) and the exact fit's residuals read its rows through
 `monomials.dot_rows`.  `affine_normals` gives the float hyperplanes of a
-whole batch of d-point sets at once, each bit for bit `affine_normal`'s.
+whole batch of d-point sets at once, each bit for bit `affine_normal`'s,
+and `integer_normals` the exact ones of a batch of integer points, as
+primitive integer normals and offsets.
 """
 
 from __future__ import annotations
@@ -82,10 +85,11 @@ def exact_nullspace(rows: Sequence[Sequence[Number]]) -> tuple[Optional[list[Fra
 
 
 def exact_solve(a: Sequence[Sequence[Number]], b: Sequence[Number]) -> Optional[list[Fraction]]:
-    """x with A x = b for square A, as ``Fraction``s, or None when A is singular.
+    """The unique x with A x = b, as ``Fraction``s, or None when there is none or more than one.
 
-    A null vector of [A | -b] has a non-zero last entry exactly when A is
-    non-singular; the elimination then makes that entry one.
+    A null vector of [A | -b] has a non-zero last entry exactly when A's
+    columns are linearly independent and b is in their span (for square A:
+    when A is non-singular); the elimination then makes that entry one.
     """
     if not a:
         return []
@@ -106,9 +110,9 @@ def affine_normal(
     normals are unit length with the first significant component positive;
     exact normals are rational, scaled so the first non-zero component equals 1.
 
-    `verify_by_hyperplanes` calls the exact branch for every candidate plane
-    and takes its float planes from `affine_normals`; the float branch is
-    the one-plane reference that `affine_normals` is tested against.
+    `verify_by_hyperplanes` takes its planes from `affine_normals` and
+    `integer_normals`; this is the one-plane reference they are tested
+    against.
     """
     d = len(points[0])
     if len(points) != d:
@@ -162,3 +166,36 @@ def affine_normals(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     u = np.where((lead < 0)[:, None], -u, u)
     a = np.add.reduce(np.matmul(points[:, :, None, :], u[:, None, :, None])[:, :, 0, 0], axis=1) / d  # np.mean
     return u, a, unique
+
+
+def integer_normals(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact hyperplanes of a batch over integers: (U, A, unique) for a (B, d, d) object array of ints.
+
+    Row b of U is the primitive integer normal of the plane <U, x> = A
+    through ``points[b]``, its first non-zero entry positive, so (U, A)
+    determines the plane and `affine_normal`'s exact (u, a) is (U, A)
+    divided by that entry.  U starts as the signed (d-1) x (d-1) minors of
+    the differences p_k - p_0 (their generalised cross product), which all
+    vanish exactly where the points are affinely dependent: there
+    ``unique`` is False.
+    """
+    count, d = points.shape[:2]
+    diffs = points[:, 1:] - points[:, :1]
+    U = np.stack([_det(np.delete(diffs, j, axis=2)) * (-1) ** j for j in range(d)], axis=1)
+    g = np.gcd.reduce(U, axis=1)
+    unique = g != 0
+    U = U // np.where(unique, g, 1)[:, None]
+    lead = U[np.arange(count), np.argmax(U != 0, axis=1)]
+    U = np.where((lead < 0)[:, None], -U, U)
+    return U, (U * points[:, 0]).sum(axis=1), unique
+
+
+def _det(M: np.ndarray) -> np.ndarray:
+    """The determinants of a stack of k x k object matrices, by expansion along the first row."""
+    if M.shape[1] == 0:
+        return np.ones(len(M), dtype=object)
+    total = 0
+    for j in range(M.shape[1]):
+        term = M[:, 0, j] * _det(np.delete(M[:, 1:], j, axis=2))
+        total = total - term if j % 2 else total + term
+    return total

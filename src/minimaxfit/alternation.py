@@ -11,10 +11,14 @@ many hull checks, small LPs in d > 1.
 first batch, so that a split failing early classifies few planes, then
 batches of a fixed size, so that memory stays bounded.  A float batch gets
 its planes from one batched SVD (`affine_normals`, bit for bit
-`affine_normal`'s); an exact one from `affine_normal` per combination.  One
-sign matrix sign(X U^T - a) of the extreme points X against the batch's
-planes classifies them all as `split` classifies one: a float plane scaled
-to a unit normal with `PLANE_TOL`, an exact one with no tolerance.
+`affine_normal`'s).  An exact one works over integers: the extreme points
+are scaled once to X / q (one `integer_row` over all their coordinates),
+and `integer_normals` gives each plane as a primitive integer normal U and
+offset A.  One sign matrix sign(X U^T - a) of the extreme points X against
+the batch's planes classifies them all as `split` classifies one: a float
+plane scaled to a unit normal with `PLANE_TOL`, an exact one as integer
+sums with no tolerance.  Only a counterexample's plane goes back to the
+rational normal whose first non-zero component is 1, as reports show it.
 
 Many splits need no LP: a degree-(m-1) certificate with support S+, S-
 (convex weights matching every lifted moment) is, zero elsewhere, a feasible
@@ -26,16 +30,19 @@ support is whichever vertex the priced moment LP of `hulls_intersect`
 reaches.  So pricing decides which planes it marks, but not a verdict: a
 marked plane's hulls do meet.
 
-In float arithmetic and d > 1 the degree-(m-1) tests go in groups.  A
+In d > 1 the degree-(m-1) tests go in groups, in either arithmetic.  A
 group is the next planes, in plane order, that no stored support marks and
 whose test is a moment LP (both flipped classes non-empty, no point in
 both).  The first group holds one plane and each next one twice as many, up
 to `_GROUP`, so a split failing at its first plane still costs one LP.  A
 group of more than one plane is one `optimality.hulls_intersect_batch` call:
 a stack of moment LPs over the extreme rows lifted once, solved together by
-`lp.solve_batch`.  A batched answer only ever says that the hulls meet, with
-the support `hulls_intersect` reaches on that plane, and only once its
-weights are non-negative and its rows hold.  The planes still take their
+`lp.solve_batch`.  It reads the float view of the lifted rows, also in
+exact arithmetic.  A batched answer only ever says that the hulls meet,
+with the support `hulls_intersect` reaches on that plane, and only once its
+weights are non-negative and its rows hold; in exact arithmetic, only once
+`optimality.certified_meet` finds exact weights on that support, whose
+positive ones are the support stored.  The planes still take their
 turns in plane order, and supports are stored in that order: a plane that
 a support stored after its group was formed marks drops its answer.  So the
 planes that need a test, and the supports they store, are those of one
@@ -43,8 +50,8 @@ test per plane.  Every other plane takes the scalar `hulls_intersect` at its
 turn: one the batch left undecided (infeasible, at the pivot cap or failing
 a check), one whose test is no LP, and every degree-m point-elimination
 test.  A failing split, and so the counterexample, is decided as it is
-without the batch.  Exact arithmetic and d = 1 take one `hulls_intersect`
-per plane, on sample indices.
+without the batch.  In d = 1, and for exact points beyond float range,
+every test is one `hulls_intersect` per plane, on sample indices.
 """
 
 from __future__ import annotations
@@ -56,10 +63,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._linalg import affine_normal, affine_normals
+from ._linalg import affine_normals, integer_normals, integer_row
+from ._linalg import affine_normal  # unused here, kept because bench/tracing.py counts alternation.affine_normal
 from .fitting import ExtremeSets, SampleSet
 from .monomials import Number
-from .optimality import hulls_intersect, hulls_intersect_batch
+from .optimality import certified_meet, hulls_intersect, hulls_intersect_batch
 
 PLANE_TOL = 1e-9
 _CANON_DECIMALS = 12  # a float plane's key: its normal and offset rounded to this many decimals
@@ -111,7 +119,8 @@ def split(
     """Partition the extreme points by side of the hyperplane <u, x> = a.
 
     Float normals are scaled to unit length before the 1e-9 tolerance test;
-    exact mode classifies with zero tolerance and keeps the normal rational.
+    exact mode keeps the normal rational and classifies over integers with
+    zero tolerance, as `verify_by_hyperplanes` does.
     """
     conv = Fraction if exact else float
     u = [conv(c) for c in normal]
@@ -119,13 +128,18 @@ def split(
         raise ValueError("hyperplane normal must be non-zero")
     if len(u) != samples.dimension:
         raise ValueError(f"normal has dimension {len(u)}, samples have {samples.dimension}")
-    dtype = object if exact else float
-    normals, offsets = np.array([u], dtype=dtype), np.array([conv(offset)], dtype=dtype)
-    if not exact:
-        normals, offsets = _unit(normals, offsets)
     rows, sign = _rows(extremes)
-    side = _sides(samples.view(exact)[0][rows], normals, offsets, exact)
-    return HyperplaneSplit(tuple(normals[0].tolist()), offsets.tolist()[0], *_classes(rows, side[:, 0] * sign, sign))
+    points = samples.view(exact)[0][rows]
+    if exact:  # <u, x> - a = (<W, X> - q c) / (q r), with x = X / q and (u, a) = (W, c) / r
+        normal, offset = tuple(u), Fraction(offset)
+        points, q = _integer_points(points)
+        w, _ = integer_row([*u, offset])
+        normals, offsets = np.array([w[:-1]], dtype=object), np.array([q * w[-1]], dtype=object)
+    else:
+        normals, offsets = _unit(np.array([u]), np.array([float(offset)]))
+        normal, offset = tuple(normals[0].tolist()), offsets.tolist()[0]
+    side = _sides(points, normals, offsets, exact)
+    return HyperplaneSplit(normal, offset, *_classes(rows, side[:, 0] * sign, sign))
 
 
 def check_split_condition(
@@ -193,13 +207,20 @@ def verify_by_hyperplanes(
             "vacuous", None, 0, warning=f"fewer than d = {d} extreme points"
         )
 
-    coords = samples.view(exact)[0][idxs]
+    coords, q = samples.view(exact)[0][idxs], None
+    if exact:
+        coords, q = _integer_points(coords)
     place = {i: k for k, i in enumerate(idxs)}
     in_plus, in_minus = (np.array([[i in cls] for i in idxs]) for cls in map(set, (extremes.plus, extremes.minus)))
     rows, sign = _rows(extremes)
     at = [place[i] for i in rows]
     n = len(idxs)
-    lifted = None if exact or d == 1 else samples.lifted(rows, degree - 1, exact)  # for `hulls_intersect_batch`
+    lifted = None  # float rows for `hulls_intersect_batch`, in either arithmetic
+    if d > 1:
+        try:
+            lifted = samples.lifted(rows, degree - 1, False)
+        except OverflowError:  # exact points beyond float range: every test is scalar
+            pass
     twice = np.flatnonzero(in_plus[:, 0] & in_minus[:, 0])
     seen: set = set()
     supports: list = []  # rows of `_contains`'s stack for every degree-(m-1) support found
@@ -232,15 +253,20 @@ def verify_by_hyperplanes(
                 if len(planes) > 1:
                     meets = {k: tuple(frozenset(rows[r] for r in cls) for cls in meet) for k, meet
                              in zip(planes.tolist(), hulls_intersect_batch(lifted, flipped[:, planes])) if meet}
-            found = meets.get(j) or hulls_intersect(samples, plus_side, minus_side, degree - 1, exact)
+            found = meets.get(j)
+            if exact:  # a float meet counts once exact weights on its support certify it
+                found = certified_meet(samples, found, degree - 1)
+            found = found or hulls_intersect(samples, plus_side, minus_side, degree - 1, exact)
             if found:
                 s, t = ([place[i] for i in members] for members in found)
                 supports.append(np.array([s + [n + k for k in t], [n + k for k in s] + t]))
                 reused |= _contains(classes, supports[-1])
                 continue
             if hulls_intersect(samples, on_plus, on_minus, degree, exact) is None:
-                counterexample = HyperplaneSplit(tuple(normals[j].tolist()), offsets.tolist()[j],
-                                                 plus_side, minus_side, on_plus, on_minus)
+                normal, offset = normals[j].tolist(), offsets.tolist()[j]
+                if exact:
+                    normal, offset = _rational_plane(normal, offset, q)
+                counterexample = HyperplaneSplit(tuple(normal), offset, plus_side, minus_side, on_plus, on_minus)
                 return HyperplaneVerdict("fail", counterexample, checked)
     if checked == 0:
         return HyperplaneVerdict(
@@ -252,14 +278,16 @@ def verify_by_hyperplanes(
 def _new_planes(batch, coords: np.ndarray, exact: bool, seen: set):
     """The combinations of `batch` whose plane is unique and not in `seen`, with their normals and offsets.
 
-    A plane's key is its exact normal and offset (the first non-zero
-    component of the normal is 1), or the float ones rounded to
-    `_CANON_DECIMALS` decimals; each new key goes into `seen`.
+    An exact plane's key is its primitive integer normal and offset over
+    the integer points (`integer_normals`), which fix its rational normal
+    whose first non-zero component is 1, and its offset; a float one's, its
+    normal and offset rounded to `_CANON_DECIMALS` decimals.  Each new key
+    goes into `seen`.
     """
+    normals, offsets, unique = (integer_normals if exact else affine_normals)(coords[np.array(batch)])
     if exact:
-        keys = [affine_normal(coords[list(combo)], exact=True) for combo in batch]
+        keys = [(*u, a) if ok else None for u, a, ok in zip(normals.tolist(), offsets.tolist(), unique.tolist())]
     else:
-        normals, offsets, unique = affine_normals(coords[np.array(batch)])
         keys = [tuple([round(v, _CANON_DECIMALS) for v in u + [a]]) if ok else None
                 for u, a, ok in zip(normals.tolist(), offsets.tolist(), unique.tolist())]
     kept = []
@@ -269,12 +297,20 @@ def _new_planes(batch, coords: np.ndarray, exact: bool, seen: set):
             kept.append(k)
     if not kept:
         return [], None, None
-    if exact:
-        normals = np.array([keys[k][0] for k in kept], dtype=object)
-        offsets = np.array([keys[k][1] for k in kept], dtype=object)
-    else:
-        normals, offsets = _unit(normals[kept], offsets[kept])
+    normals, offsets = (normals[kept], offsets[kept]) if exact else _unit(normals[kept], offsets[kept])
     return [batch[k] for k in kept], normals, offsets
+
+
+def _integer_points(points: np.ndarray) -> tuple[np.ndarray, int]:
+    """Exact points as integers X over one denominator q, the lcm of all of theirs (`integer_row`): (X, q)."""
+    X, q = integer_row(points.ravel().tolist())
+    return np.array(X, dtype=object).reshape(points.shape), q
+
+
+def _rational_plane(normal: list[int], offset: int, q: int) -> tuple[tuple[Fraction, ...], Fraction]:
+    """An integer plane over the points X / q as the rational (u, a) whose first non-zero u is 1, as reports show it."""
+    lead = next(c for c in normal if c)
+    return tuple(Fraction(c, lead) for c in normal), Fraction(offset, q * lead)
 
 
 def _unit(normals: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -289,8 +325,10 @@ def _unit(normals: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndar
 def _sides(points: np.ndarray, normals: np.ndarray, offsets: np.ndarray, exact: bool) -> np.ndarray:
     """sign(<u, x> - a) of each point (rows) against each plane (columns): 0 within `PLANE_TOL`, or exactly 0.
 
-    The sum runs over the coordinates in order, so a float value does not
-    depend on how many points or planes there are.
+    Exact points, normals and offsets are Python ints (`_integer_points`,
+    `integer_normals`), so every sign is an integer sum's.  The sum runs
+    over the coordinates in order, so a float value does not depend on how
+    many points or planes there are.
     """
     s = points[:, :1] * normals[:, 0]
     for k in range(1, normals.shape[1]):

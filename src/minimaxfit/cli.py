@@ -8,8 +8,8 @@ Each command writes one JSON report, made by `run` as one pipeline in
 report order.  fit and verify exit 0 when the certificate proves the model
 optimal and 2 when a witness separates the extreme sets; reduce and
 alternate exit on their own verdict the same way; every error, an unwritable
-``--out`` among them, exits 1 with one ``error:`` line, and every warning
-prints as one ``warning:`` line.
+``--out`` and a warning that ``-W error`` raises among them, exits 1 with one
+``error:`` line, and every other warning prints as one ``warning:`` line.
 """
 
 from __future__ import annotations
@@ -703,7 +703,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     handle.write(text + "\n")
             else:
                 print(text)
-        except (OSError, ValueError, KeyError, ArithmeticError, RuntimeError) as err:
+        except (OSError, ValueError, KeyError, ArithmeticError, RuntimeError, Warning) as err:
             print(f"error: {err}", file=sys.stderr)
             return 1
     return code

@@ -13,6 +13,11 @@ Every verifier reads its lifted rows from `SampleSet.lifted`, and
 on a line it counts sign blocks instead (discrete alternation, Cheney 1966).
 A certificate's moment residual, and a witness's margins and scale, take
 one `dot_rows` per side over those rows (transposed for the moments).
+An exact hull test in d > 1 lets the float test propose a support and
+takes it once `exact_weights`, one fraction-free solve over that support's
+exact columns, finds unique non-negative weights on it (`certified_meet`);
+only a support it rejects, or a float test that finds none, goes to the
+rational moment LP (`solve_exact`).
 
 A fit's certificate is its own LP's dual: the moment system is the LP dual
 of the minimax fit (Rivlin & Shapiro, J. SIAM 1961; Cheney, *Introduction
@@ -29,6 +34,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from ._linalg import exact_solve
 from .fitting import ExtremeSets, SampleSet, model_values, sign_blocks
 from .lp import LinearProgram, LpFailure, solve, solve_batch, solve_exact
 from .monomials import Number, PolynomialModel, build_basis, dot_rows
@@ -79,14 +85,20 @@ class IsolabilityResult:
 VerificationOutcome = Union[IntersectionCertificate, SeparationWitness]
 
 
-def _moment_lp(plus_lifted: np.ndarray, minus_lifted: np.ndarray) -> LinearProgram:
-    """Weights on E+ and E-, each side summing to one, whose lifted moments match: "==" rows over p + q weights."""
+def _moment_system(plus_lifted: np.ndarray, minus_lifted: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """(A, b) of A w = b: weights w on E+ and E-, each side summing to one, whose lifted moments match."""
     p, q, width = len(plus_lifted), len(minus_lifted), plus_lifted.shape[1]
     A = np.zeros((width + 1, p + q), dtype=plus_lifted.dtype)
     A[0, :p] = A[1, p:] = 1
     A[2:, :p] = plus_lifted[:, 1:].T  # the constant moment is implied by the sums
     A[2:, p:] = -minus_lifted[:, 1:].T
-    return LinearProgram([0] * (p + q), A, ["=="] * (width + 1), [1, 1] + [0] * (width - 1), ((0, None),) * (p + q))
+    return A, [1, 1] + [0] * (width - 1)
+
+
+def _moment_lp(plus_lifted: np.ndarray, minus_lifted: np.ndarray) -> LinearProgram:
+    """The moment system's "==" rows over p + q non-negative weights."""
+    A, b = _moment_system(plus_lifted, minus_lifted)
+    return LinearProgram([0] * A.shape[1], A, ["=="] * len(b), b, ((0, None),) * A.shape[1])
 
 
 def _moment_residual(plus_lifted: np.ndarray, minus_lifted: np.ndarray, alpha, beta) -> Number:
@@ -133,13 +145,17 @@ def hulls_intersect(
     arithmetic; those points' hulls meet on their own.  In d > 1 that
     solution is some vertex of the moment LP, solved with pricing (see
     `lp.solve`): which vertex depends on the pricing, the verdict does not,
-    and no report shows the vertex.  A sample in both
-    classes is such a solution by itself (weight one on each side matches
-    every moment), so it is returned with no LP.  On a line, so is the first
-    point of each of the first k+2 `sign_blocks` (k = `degree`): their divided
-    difference (sum w_j p(x_j) = 0 for deg p <= k) has every w_j nonzero and
-    alternating in sign, as the blocks do; fewer blocks admit a separating
-    polynomial (at most k sign changes).  None, which is falsy, when the hulls
+    and no report shows the vertex.  In exact arithmetic the float test on
+    the samples' float view proposes its vertex first, and its support
+    stands once `certified_meet` finds exact weights on it; else (an
+    overflowing float view, an `LpFailure`, no float meet or a rejected
+    support) `solve_exact` decides, so it alone says the hulls do not meet.
+    A sample in both classes is such a solution by itself (weight one on
+    each side matches every moment), so it is returned with no LP.  On a
+    line, so is the first point of each of the first k+2 `sign_blocks`
+    (k = `degree`): their divided difference (sum w_j p(x_j) = 0 for
+    deg p <= k) has every w_j nonzero and alternating in sign, as the blocks
+    do; fewer blocks admit a separating polynomial (at most k sign changes).  None, which is falsy, when the hulls
     do not meet or a class is empty.  `hulls_intersect_batch` runs many of
     these float moment LPs at once (`lp.solve_batch`) and reaches the same
     vertex on each it decides.
@@ -155,6 +171,14 @@ def hulls_intersect(
         if len(blocks) < degree + 2:
             return None
         return frozenset(i for i, neg in blocks if not neg), frozenset(i for i, neg in blocks if neg)
+    if exact:
+        try:
+            proposed = hulls_intersect(samples, plus, minus, degree)
+        except (OverflowError, LpFailure):
+            proposed = None
+        certified = certified_meet(samples, proposed, degree)
+        if certified:
+            return certified
     plus_lifted = samples.lifted(plus, degree, exact)
     minus_lifted = samples.lifted(minus, degree, exact)
     sol = (solve_exact if exact else solve)(_moment_lp(plus_lifted, minus_lifted), price=True)
@@ -163,6 +187,42 @@ def hulls_intersect(
     p = len(plus)
     positive = [k for k, w in enumerate(sol.x) if w > 0]
     return frozenset(plus[k] for k in positive if k < p), frozenset(minus[k - p] for k in positive if k >= p)
+
+
+def exact_weights(
+    samples: SampleSet, plus: Sequence[int], minus: Sequence[int], degree: int
+) -> Optional[tuple[dict[int, Fraction], dict[int, Fraction]]]:
+    """The one set of exact convex weights on two indexed classes whose lifted moments match, or None.
+
+    One fraction-free solve (`_linalg.exact_solve`) of the moment system
+    (`_moment_system`: each side's weights summing to one, every
+    non-constant degree-`degree` moment matched) over the points' exact
+    lifted columns.  It has a solution only when the columns are linearly
+    independent and the rhs lies in their span, and then exactly one; None
+    when it has none or a weight is negative.  Returns
+    ({i: weight on plus}, {i: weight on minus}) for the positive weights,
+    in the form of `FitResult.weights`.  Unique weights on independent
+    columns are a vertex of the moment LP, so no proper subset of their
+    points meets.
+    """
+    A, b = _moment_system(samples.lifted(plus, degree, True), samples.lifted(minus, degree, True))
+    x = exact_solve(A.tolist(), b)
+    if x is None or min(x) < 0:
+        return None
+    return ({i: w for i, w in zip(plus, x) if w}, {i: w for i, w in zip(minus, x[len(plus):]) if w})
+
+
+def certified_meet(
+    samples: SampleSet, meet: Optional[tuple[Sequence[int], Sequence[int]]], degree: int
+) -> Optional[tuple[frozenset, frozenset]]:
+    """A proposed meet (S+, S-) of a float hull test, as the points of positive `exact_weights` on it, or None.
+
+    This is the float-to-exact crossover of Applegate, Cook, Dash &
+    Espinoza (ORL 2007) for a moment LP: the float solve proposes a
+    support, and exact arithmetic accepts it or not.
+    """
+    weights = meet and exact_weights(samples, sorted(meet[0]), sorted(meet[1]), degree)
+    return (frozenset(weights[0]), frozenset(weights[1])) if weights else None
 
 
 def hulls_intersect_batch(lifted: np.ndarray, sides: np.ndarray) -> list[Optional[tuple[list[int], list[int]]]]:
@@ -290,9 +350,12 @@ def find_critical_point_set(
     beyond its own.  In d > 1 they are a vertex of the moment LP: its
     positive weights sit on linearly independent lifted columns, so they
     are the only moment-matching weights on their points, and dropping any
-    one point leaves hulls that do not meet.  On a line they are the k+2
-    sign-block points, any k+1 of which change sign at most k times, and a
-    point in both sets is non-isolable on its own.
+    one point leaves hulls that do not meet.  An exact support is
+    `solve_exact`'s vertex or the positive `exact_weights` on a float
+    vertex's points, which that solve found unique on independent columns.
+    On a line they are the k+2 sign-block points, any k+1 of which change
+    sign at most k times, and a point in both sets is non-isolable on its
+    own.
     """
     if not extremes.plus and not extremes.minus:
         raise ValueError("both extreme sets are empty")

@@ -11,10 +11,13 @@ from fractions import Fraction
 from itertools import groupby, product
 from typing import Optional
 
+import numpy as np
+
 from minimaxfit import (
     ExtremeSets,
     FitResult,
     LinearProgram,
+    LpSolution,
     PolynomialModel,
     ReductionReport,
     ReductionStep,
@@ -26,6 +29,7 @@ from minimaxfit import (
     hulls_intersect,
     solve_exact,
 )
+from minimaxfit import optimality
 from minimaxfit.reduction import ZERO_TOL
 
 
@@ -84,6 +88,54 @@ def gauss_jordan_nullspace(rows) -> tuple[Optional[list[Fraction]], int]:
     for c, row_idx in pivot_of_col.items():
         v[c] = -mat[row_idx][f0]
     return v, r
+
+
+def reference_exact_plane(points) -> Optional[tuple[tuple[Fraction, ...], Fraction]]:
+    """The rational plane (u, a) through d points, u's first non-zero component 1, or None: the reference key.
+
+    Gauss-Jordan over ``Fraction`` on the differences from the first point;
+    None when they do not span d - 1 dimensions.  Exact alternation keys its
+    planes by a primitive integer normal and offset, in one-to-one
+    correspondence with this key.
+    """
+    base = [Fraction(c) for c in points[0]]
+    if len(base) == 1:
+        return (Fraction(1),), base[0]
+    u, rank = gauss_jordan_nullspace([[Fraction(c) - b for c, b in zip(p, base)] for p in points[1:]])
+    if rank != len(base) - 1:
+        return None
+    lead = next(c for c in u if c)
+    u = tuple(c / lead for c in u)
+    return u, sum((c * b for c, b in zip(u, base)), Fraction(0))
+
+
+def reference_exact_sides(points, normal, offset) -> list[int]:
+    """sign(<u, x> - a) of each point, summed over ``Fraction``: the reference for exact `alternation._sides`."""
+    values = [sum((Fraction(c) * Fraction(x) for c, x in zip(normal, p)), Fraction(0)) - Fraction(offset)
+              for p in points]
+    return [(v > 0) - (v < 0) for v in values]
+
+
+def bogus_float_supports(monkeypatch) -> list:
+    """Make every float moment LP, scalar or batched, claim a meet on the first point of each class.
+
+    Two distinct points never have equal lifted moments above degree 0, so
+    every such claim is wrong there, and only the exact check can stop it.
+    Returns the list that each `solve_exact` call of `optimality` appends its LP to.
+    """
+    def first_points(A):  # x of each (m, n) LP in the stack: one on its first plus and first minus column
+        x = np.zeros((len(A), A.shape[2]))
+        for row in (0, 1):
+            x[np.arange(len(A)), np.argmax(A[:, row] != 0, axis=1)] = 1.0
+        return x
+
+    monkeypatch.setattr(optimality, "solve",
+                        lambda lp, **_: LpSolution("optimal", x=first_points(lp.A[None])[0].tolist()))
+    monkeypatch.setattr(optimality, "solve_batch", lambda A, b: (first_points(A), np.ones(len(A), dtype=bool)))
+    rational = []
+    real = optimality.solve_exact
+    monkeypatch.setattr(optimality, "solve_exact", lambda lp, **kw: rational.append(lp) or real(lp, **kw))
+    return rational
 
 
 def reference_lift(point, exponents) -> list:

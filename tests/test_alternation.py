@@ -8,6 +8,7 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minimaxfit import (
     ExtremeSets,
@@ -25,13 +26,23 @@ from minimaxfit import (
     fit_minimax,
     hulls_intersect,
     lift,
+    partition_extremes,
+    reduce_and_verify,
     split,
     verify_by_hyperplanes,
 )
 from minimaxfit import alternation, lp, optimality
 from minimaxfit._linalg import affine_normal, affine_normals
+from minimaxfit.cli import parse_grid_spec
 
-from support import build_fit_corpus, random_samples, synthetic_univariate
+from support import (
+    bogus_float_supports,
+    build_fit_corpus,
+    random_samples,
+    reference_exact_plane,
+    reference_exact_sides,
+    synthetic_univariate,
+)
 
 
 @pytest.fixture(scope="module")
@@ -387,11 +398,10 @@ class TestCertificateReuse:
         cases = [(s, e, m) for s, e, m in _reuse_corpus(exact) + _grid_corpus()
                  if math.comb(len(set(e.plus) | set(e.minus)), s.dimension) > alternation._FIRST_BATCH]
         normalised, classified = [], []
-        real_normals, real_exact, real_sides = alternation.affine_normals, alternation.affine_normal, alternation._sides
-        monkeypatch.setattr(alternation, "affine_normals",
+        real_normals = alternation.integer_normals if exact else alternation.affine_normals
+        real_sides = alternation._sides
+        monkeypatch.setattr(alternation, "integer_normals" if exact else "affine_normals",
                             lambda pts: normalised.append(len(pts)) or real_normals(pts))
-        monkeypatch.setattr(alternation, "affine_normal",
-                            lambda pts, exact=False: normalised.append(1) or real_exact(pts, exact=exact))
         monkeypatch.setattr(alternation, "_sides",
                             lambda x, u, a, ex: classified.append(u.shape[0]) or real_sides(x, u, a, ex))
         first = 0
@@ -561,3 +571,149 @@ def test_shared_points_meet_without_an_lp(monkeypatch):
             assert check_split_condition(sp, samples, m).holds
             planes += 1
         assert planes > 0
+
+
+_CHEBYSHEV = [Fraction(math.cos(math.pi * k / 20)) for k in range(21)]  # dyadic, denominators up to 2^106
+
+
+@st.composite
+def _rational_points(draw):
+    """Distinct rational points in d = 2 or 3, often partly on one plane or line, with a sign class each."""
+    d = draw(st.sampled_from([2, 3]))
+    coordinate = st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=6), st.sampled_from(_CHEBYSHEV))
+    points = draw(st.lists(st.tuples(*[coordinate] * d), min_size=d, max_size=9))
+    # the leading points on one plane (x_d an affine function of the other coordinates), or on one line
+    # (every x_j one of x_1): many combinations span one plane, or none
+    shape = draw(st.sampled_from(["free", "plane", "line"]))
+    if shape != "free":
+        c = [draw(st.fractions(-2, 2, max_denominator=4)) for _ in range(2 * d)]
+        k = draw(st.integers(d, max(d, len(points))))
+        if shape == "plane":
+            points[:k] = [p[:-1] + (sum((w * x for w, x in zip(c, p[:-1])), c[-1]),) for p in points[:k]]
+        else:
+            points[:k] = [(p[0],) + tuple(c[2 * j] + c[2 * j + 1] * p[0] for j in range(1, d)) for p in points[:k]]
+    kept = []  # distinct as `SampleSet` asks: 1e-12 apart in some coordinate (cos(pi/2) is 6e-17, not 0)
+    for p in points:
+        if all(max(abs(float(a) - float(b)) for a, b in zip(p, q)) > 1e-9 for q in kept):
+            kept.append(p)
+    points = kept
+    signs = draw(st.lists(st.sampled_from("+-"), min_size=len(points), max_size=len(points)))
+    return points, signs
+
+
+@settings(max_examples=120, deadline=None)
+@given(_rational_points(), st.data())
+def test_integer_planes_and_sides_match_the_rational_reference(case, data):
+    """Exact planes over integers against the rational keys and ``Fraction`` sides they replace.
+
+    The same combinations are kept, in the same order, across two batches
+    sharing one `seen`; the sign matrices are equal, and each plane turns
+    back into its reference normal and offset, as a counterexample shows it.
+    `split` of any rational multiple of a plane classifies as a
+    ``Fraction`` sum does.
+    """
+    points, signs = case
+    d = len(points[0])
+    if len(points) < d:
+        return
+    X, q = alternation._integer_points(np.array(points, dtype=object))
+    assert all(type(v) is int for v in X.ravel().tolist())
+    combos = list(combinations(range(len(points)), d))
+    cut = data.draw(st.integers(0, len(combos)))
+    seen, kept, planes = set(), [], []
+    for batch in (combos[:cut], combos[cut:]):
+        if batch:
+            got, normals, offsets = alternation._new_planes(batch, X, True, seen)
+            kept += got
+            if got:
+                planes += zip(normals.tolist(), offsets.tolist())
+                assert alternation._sides(X, normals, offsets, True).tolist() == np.array(
+                    [reference_exact_sides(points, *reference_exact_plane([points[i] for i in c])) for c in got]
+                ).T.tolist()
+    reference, keys = [], set()
+    for combo in combos:
+        key = reference_exact_plane([points[i] for i in combo])
+        if key is not None and key not in keys:
+            keys.add(key)
+            reference.append((combo, key))
+    assert kept == [combo for combo, _ in reference]
+    assert [alternation._rational_plane(u, a, q) for u, a in planes] == [key for _, key in reference]
+
+    samples = SampleSet(points, [0] * len(points))
+    extremes = ExtremeSets(plus=tuple(i for i, s in enumerate(signs) if s == "+"),
+                           minus=tuple(i for i, s in enumerate(signs) if s == "-"), psi=1, rel_tol=0)
+    scale = data.draw(st.fractions(-5, 5, max_denominator=7).filter(bool))
+    for _, (u, a) in reference[:6]:
+        normal, offset = [c * scale for c in u], a * scale
+        assert split(extremes, samples, normal, offset, exact=True) == _scalar_split(
+            extremes, samples, normal, offset, True)
+
+
+def test_exact_verifiers_on_the_two_dimensional_baseline_row_make_no_rational_solve(monkeypatch):
+    """The 9 x 9 exact Baseline row: every hull test's float support certifies, so `solve_exact` never runs."""
+    samples = parse_grid_spec("-1,1:-1,1;9;uniform;x1^2*x2+x2^3", exact=True)
+    extremes = partition_extremes(fit_minimax(samples, 2, exact=True).residuals, 0)
+    rational = []
+    real = optimality.solve_exact
+    monkeypatch.setattr(optimality, "solve_exact", lambda lp, **kw: rational.append(lp) or real(lp, **kw))
+    assert verify_by_hyperplanes(extremes, samples, 2, exact=True) == HyperplaneVerdict("pass", None, 19)
+    assert reduce_and_verify(extremes, samples, 2, exact=True).verdict == "pass"
+    assert not rational
+
+
+def test_wrong_float_supports_leave_every_exact_verdict_as_it_is(monkeypatch):
+    """An optimal exact fit still passes, and its extremes less one point still fail at the same plane."""
+    samples = parse_grid_spec("-1,1:-1,1;9;uniform;x1^2*x2+x2^3", exact=True)
+    extremes = partition_extremes(fit_minimax(samples, 2, exact=True).residuals, 0)
+    cases = [extremes, replace(extremes, plus=extremes.plus[1:])]
+    expected = [(verify_by_hyperplanes(e, samples, 2, exact=True), reduce_and_verify(e, samples, 2, exact=True))
+                for e in cases]
+    assert [verdict.verdict for verdict, _ in expected] == ["pass", "fail"]
+    rational = bogus_float_supports(monkeypatch)
+    assert [(verify_by_hyperplanes(e, samples, 2, exact=True), reduce_and_verify(e, samples, 2, exact=True))
+            for e in cases] == expected
+    assert rational  # the wrong supports were turned down, and the rational simplex decided
+
+
+def test_exact_points_beyond_float_range_are_decided_by_the_rational_simplex(monkeypatch):
+    """A 2-D set scaled by 10**400 has no float view: every hull test goes to `solve_exact`, with the same verdicts.
+
+    Scaling the points maps each lifted hull onto the scaled one by one
+    invertible linear map, and keeps every plane's sides, so verdicts and
+    counterexample classes stay; a counterexample's normal stays and its
+    offset scales.
+    """
+    samples = parse_grid_spec("-1,1:-1,1;5;uniform;x1^2*x2+x2^3", exact=True)
+    scaled = SampleSet([tuple(c * 10**400 for c in p) for p in samples.points], samples.values)
+    with pytest.raises(OverflowError):
+        scaled.view(False)
+    optimal = partition_extremes(fit_minimax(samples, 2, exact=True).residuals, 0)
+    cases = [optimal, replace(optimal, plus=optimal.plus[1:])]
+    rng = random.Random(5)
+    pairs = []
+    for _ in range(16):
+        picked = rng.sample(range(25), rng.randint(4, 7))
+        pairs.append((sorted(picked[:2]), sorted(picked[2:])))
+
+    def verdicts(s, scale):
+        out = []
+        for e in cases:
+            got = verify_by_hyperplanes(e, s, 2, exact=True)
+            sp = got.counterexample
+            out.append((got.verdict, got.planes_checked, sp and (sp.normal, sp.offset / scale, sp.plus_side,
+                                                                 sp.minus_side, sp.on_plane_plus, sp.on_plane_minus)))
+            traces = reduce_and_verify(e, s, 2, exact=True).traces
+            out.append([(t.verdict, [step.removed for step in t.steps]) for t in traces])
+        out += [hulls_intersect(s, plus, minus, m, True) is None for plus, minus in pairs for m in (1, 2)]
+        return out
+
+    expected = verdicts(samples, 1)
+    assert {expected[0][0], expected[2][0]} == {"pass", "fail"}
+    assert 0 < sum(expected[4:]) < len(expected) - 4  # both hull verdicts occur
+    calls = {"solve": 0, "solve_exact": 0}
+    for name in calls:
+        real = getattr(optimality, name)
+        monkeypatch.setattr(optimality, name, lambda lp, _real=real, _name=name, **kw:
+                            calls.__setitem__(_name, calls[_name] + 1) or _real(lp, **kw))
+    assert verdicts(scaled, 10**400) == expected
+    assert calls["solve"] == 0 and calls["solve_exact"] > 0

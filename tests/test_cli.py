@@ -731,6 +731,13 @@ class TestMainEntry:
         assert json.loads(out)["psi"] in (0, "0")
         assert err == "warning: basis size 4 exceeds sample count 3; fit is underdetermined\n"
 
+    @pytest.mark.filterwarnings("error::UserWarning")  # as `python -W error` makes it
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_a_warning_raised_as_an_error_is_one_error_line(self, capsys, exact):
+        argv = ["fit", "--grid", "-1,1;3;uniform;x1^2", "--degree", "3"] + ["--exact"] * exact
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", "error: basis size 4 exceeds sample count 3; fit is underdetermined\n")
+
     def test_missing_input_is_an_error(self, capsys):
         assert main(["fit", "--input", "/nonexistent.csv", "--degree", "1"]) == 1
         assert "error:" in capsys.readouterr().err

@@ -242,12 +242,13 @@ class TestSampleSet:
             samples.lifted(range(n), degree, False)
         assert len(lifted) == 3 * n
         assert {(e, type(p[0])) for _, e, p in lifted} == {(True, Fraction), (False, float)}
-        # a table of Fractions is its own exact view: the model's values and the verifiers share one lift
+        # a table of Fractions is its own exact view: the model's values and the verifiers share one lift;
+        # exact alternation's hull tests also read the float table, lifted once at their degree m - 1
         fractions = SampleSet(*samples.view(True))
         extremes = extreme_sets(fits[True].model, fractions)
         check_hull_intersection(extremes, fractions, 2, True)
         verify_by_hyperplanes(extremes, fractions, 2, True)
-        assert lifted[3 * n:] == rows[True]
+        assert lifted[3 * n:] == rows[True] + [(1, False, p) for p in map(tuple, fractions.view(False)[0].tolist())]
 
     @pytest.mark.parametrize("dtype", [np.int64, np.float32])
     def test_numpy_scalars_become_python_numbers(self, dtype):

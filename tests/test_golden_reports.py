@@ -22,7 +22,7 @@ import pytest
 
 from minimaxfit.cli import main
 
-from support import compensated_sum
+from support import bogus_float_supports, compensated_sum
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden")
 
@@ -62,6 +62,16 @@ def test_report_matches_golden(name, tmp_path):
     _, text = _report(name, tmp_path / "report.json")
     with open(os.path.join(GOLDEN, f"{name}.report.json")) as handle:
         assert text == handle.read()
+
+
+def test_exact_alternation_fails_at_the_golden_plane_when_float_supports_are_wrong(tmp_path, monkeypatch):
+    # every float hull test claims a meet that is not there: the exact check turns each down, and the
+    # rational simplex decides the same failing plane with the same counterexample
+    rational = bogus_float_supports(monkeypatch)
+    _, text = _report("alternate-2d-exact-fail", tmp_path / "report.json")
+    with open(os.path.join(GOLDEN, "alternate-2d-exact-fail.report.json")) as handle:
+        assert text == handle.read()
+    assert rational
 
 
 def _golden(name) -> dict:

@@ -1,14 +1,16 @@
 """Exact fraction-free null vectors and hyperplanes through points."""
 
+import math
 import random
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from minimaxfit import _linalg
-from minimaxfit._linalg import affine_normal, exact_nullspace, exact_solve
+from minimaxfit._linalg import affine_normal, exact_nullspace, exact_solve, integer_normals
 
 from support import gauss_jordan_nullspace
 
@@ -93,6 +95,18 @@ def test_exact_solve_gives_fractions_or_none(a, data):
         assert [sum(Fraction(p) * q for p, q in zip(row, x)) for row in a] == [Fraction(c) for c in b]
 
 
+@settings(max_examples=200, deadline=None)
+@given(_matrices(), st.data())
+def test_exact_solve_of_any_shape_gives_the_unique_solution_or_none(a, data):
+    b = data.draw(st.lists(_ENTRIES, min_size=len(a), max_size=len(a)))
+    x = exact_solve(a, b)
+    n = len(a[0])
+    unique = gauss_jordan_nullspace(a)[1] == n == gauss_jordan_nullspace([[*row, c] for row, c in zip(a, b)])[1]
+    assert (x is not None) == unique
+    if x is not None:
+        assert [sum(Fraction(p) * q for p, q in zip(row, x)) for row in a] == [Fraction(c) for c in b]
+
+
 def test_integer_systems_solve_to_fractions():
     # zero right-hand sides and unit matrices leave nothing to divide in the back-substitution
     assert exact_solve([[2]], [0]) == [0]
@@ -161,3 +175,25 @@ class TestAffineNormal:
                      (Fraction(2), Fraction(4), Fraction(5))]
         assert affine_normal(collinear, exact=True) is None
         assert affine_normal([(Fraction(1), Fraction(2)), (Fraction(1), Fraction(2))], exact=True) is None
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_integer_normals_are_the_exact_planes_over_integers(d):
+    """Each row is `affine_normal`'s exact plane times its normal's first non-zero entry, primitive, or not unique."""
+    rng = random.Random(d)
+    coordinate = [lambda: rng.randint(-3, 3), lambda: rng.randint(-10**30, 10**30)]
+    points = np.array([[[rng.choice(coordinate)() for _ in range(d)] for _ in range(d)] for _ in range(300)],
+                      dtype=object)
+    points[:40, -1] = points[:40, 0]  # repeated points: no unique plane in d > 1
+    U, A, unique = integer_normals(points)
+    assert U.shape == (300, d) and A.shape == unique.shape == (300,)
+    found = 0
+    for row, a, ok, combo in zip(U.tolist(), A.tolist(), unique.tolist(), points.tolist()):
+        ref = affine_normal(combo, exact=True)
+        assert ok == (ref is not None)
+        if ok:
+            found += 1
+            lead = next(c for c in row if c)
+            assert lead > 0 and math.gcd(*row) == 1 and all(type(c) is int for c in (*row, a))
+            assert ref == (tuple(Fraction(c, lead) for c in row), Fraction(a, lead))
+    assert found > (250 if d > 1 else 299)

@@ -31,7 +31,7 @@ from minimaxfit.alternation import verify_by_hyperplanes
 from minimaxfit.reduction import reduce_and_verify
 from minimaxfit.fitting import DEFAULT_REL_TOL, model_values, partition_extremes
 from minimaxfit.lp import LpFailure, LpSolution, solve, solve_exact
-from minimaxfit.optimality import _moment_lp
+from minimaxfit.optimality import _moment_lp, certified_meet, exact_weights
 
 from support import build_fit_corpus, random_samples
 
@@ -223,6 +223,46 @@ class TestIsolability:
             )
             iso = check_isolability(inst.extremes, inst.samples, inst.degree)
             assert has_cert == (not iso.isolable)
+
+
+class TestExactWeights:
+    """`exact_weights` takes only unique non-negative weights on independent columns that match every moment."""
+
+    @staticmethod
+    def _weights(points, plus, minus, degree=1):
+        samples = SampleSet([tuple(map(Fraction, p)) for p in points], [0] * len(points))
+        return exact_weights(samples, plus, minus, degree)
+
+    def test_crossing_segments_meet_at_their_unique_weights(self):
+        points = [(-1, 0), (1, 0), (0, -1), (0, 1)]
+        half = Fraction(1, 2)
+        assert self._weights(points, [0, 1], [2, 3]) == ({0: half, 1: half}, {2: half, 3: half})
+        assert all(type(w) is Fraction for side in self._weights(points, [0, 1], [2, 3]) for w in side.values())
+
+    def test_dependent_columns_are_rejected_though_the_hulls_meet(self):
+        # three collinear plus points: the origin is (0, 1, 0) or (1/2, 0, 1/2) of them
+        points = [(-1, 0), (0, 0), (1, 0), (0, -1), (0, 1)]
+        assert self._weights(points, [0, 1, 2], [3, 4]) is None
+        assert hulls_intersect(SampleSet(points, [0] * 5), [0, 1, 2], [3, 4], 1, exact=True)
+
+    def test_a_negative_weight_is_rejected(self):
+        # the segments' lines cross at (3, 0), which lies outside the plus segment: weights (-1/2, 3/2)
+        points = [(0, 0), (2, 0), (3, 1), (3, -1)]
+        assert self._weights(points, [0, 1], [2, 3]) is None
+        assert hulls_intersect(SampleSet(points, [0] * 4), [0, 1], [2, 3], 1, exact=True) is None
+
+    def test_an_inconsistent_system_is_rejected(self):
+        assert self._weights([(0, 0), (1, 1)], [0], [1]) is None
+        assert self._weights([(0, 0), (1, 0), (2, 0), (0, 1)], [0, 1], [2, 3]) is None
+
+    def test_only_exactly_positive_weights_are_kept(self):
+        # point 0 on both sides matches every moment; point 1 takes weight 0, so it is not in the support
+        points = [(0, 0), (1, 1)]
+        assert self._weights(points, [0, 1], [0], degree=2) == ({0: 1}, {0: 1})
+        samples = SampleSet([tuple(map(Fraction, p)) for p in points], [0, 0])
+        assert certified_meet(samples, ({1, 0}, {0}), 2) == (frozenset({0}), frozenset({0}))
+        assert certified_meet(samples, None, 2) is None
+        assert certified_meet(samples, ({1}, {0}), 2) is None
 
 
 class TestCriticalPointSet:

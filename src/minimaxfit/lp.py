@@ -3,14 +3,14 @@
 The LPs in this package are small (at most a few hundred variables), so a
 dense tableau with anti-cycling pivoting is the robust choice.  One
 implementation serves two arithmetic modes: float64 with a 1e-9 tolerance on
-reduced costs and row residuals, and exact rationals (``Fraction``) with
+reduced costs and row residuals, and exact rationals, held as integers, with
 zero tolerance, used when certificate verdicts must be trusted near
 degeneracy.
 
 A `LinearProgram` holds one coefficient array with relation and rhs arrays.
 Every solve reads them through one array standardisation (`_standard_form`),
-over float64, ``Fraction`` or integers, converted once per LP and arithmetic
-(`_rows`, and `_integers` through `_linalg.integer_rows`).
+over float64 or integers, converted once per LP and arithmetic (`_rows`, and
+`_integers` through `_linalg.integer_rows`).
 
 Every simplex solve ends in one routine, `_finish`: the primal simplex from
 a primal feasible tableau, the point in the original variables, and a check
@@ -61,9 +61,9 @@ over integers on its k x k block of basic structural columns (see
 fraction-free block solves, `_linalg.exact_nullspace`).  The guess is the
 two-phase solve, its pivots capped by the LP's size, or the all-slack dual
 start when that raises.  Every other outcome sends the LP through the
-rational simplex from scratch over ``Fraction``, so every status an exact
-solve returns is decided in exact arithmetic.  `duals` solves the same
-block (`_block`) for an optimal basis's duals: a fit's certificate.
+rational simplex from scratch, over integer rows (`_pivot`), so every status
+an exact solve returns is decided in exact arithmetic.  `duals` solves the
+same block (`_block`) for an optimal basis's duals: a fit's certificate.
 
 Infeasible solves always carry a Farkas witness so callers can turn "no
 certificate" into an explicit separating functional.  The witness lives in
@@ -73,6 +73,7 @@ variable bound; ``verify_farkas`` checks it against that encoding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -202,10 +203,9 @@ def solve_exact(lp: LinearProgram, *, price: bool = False) -> LpSolution:
     and the LP has that start.  Without an optimal guess (infeasible LPs
     then get their Farkas witness from the rational simplex), or when its
     basis is singular or fails an exact check, the two-phase simplex runs
-    over ``Fraction``.
-    The certificate and every row check share one conversion of the rows to
-    integers, the rational simplex one to ``Fraction``.  `price` prices the
-    guess and the rational simplex alike, as in `solve`.
+    on integer rows.  The certificate, every row check and the rational
+    simplex share one conversion of the rows to integers (`_integers`).
+    `price` prices the guess and the rational simplex alike, as in `solve`.
     """
     try:
         guess = _solve(lp, exact=False, guess=True, price=price)
@@ -224,12 +224,11 @@ def solve_exact(lp: LinearProgram, *, price: bool = False) -> LpSolution:
 # --- standardisation: x = offset + sum(sign * u) over non-negative columns u --
 
 
-def _rows(lp: LinearProgram, exact: bool) -> tuple[np.ndarray, np.ndarray]:
-    """A and rhs over ``Fraction`` (object arrays) or float64, converted on first use per LP."""
-    if exact not in lp._converted:
-        convert = np.frompyfunc(Fraction, 1, 1) if exact else (lambda a: np.asarray(a, dtype=float))
-        lp._converted[exact] = convert(lp.A), convert(lp.rhs)
-    return lp._converted[exact]
+def _rows(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray]:
+    """A and rhs over float64, converted on first use per LP."""
+    if "float" not in lp._converted:
+        lp._converted["float"] = np.asarray(lp.A, dtype=float), np.asarray(lp.rhs, dtype=float)
+    return lp._converted["float"]
 
 
 def _integers(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -262,19 +261,19 @@ def _columns(bounds, conv):
     return var, sign, offsets, bound_cols, widths
 
 
-def _standard_form(lp: LinearProgram, exact: bool, integer: bool = False):
+def _standard_form(lp: LinearProgram, exact: bool):
     """The columns (variable, sign, offsets), rows R = [S | slacks] and rhs b of R u = b over u >= 0, and u's costs.
 
     S holds A's column of each standardised column's variable, negated where
     its sign is -1, and the offsets move to the rhs.  The original rows come
     first, then one "<=" row per two-sided bound, then one slack column per
     row that is not "==": +1 for "<=", -1 for ">=".  Over float64 every zero
-    is +0.0.  With `integer` (and `exact`) they are the integer rows
-    (`_integers`), every zero and one of R an int.
+    is +0.0.  Exact, they are the integer rows (`_integers`): row i is D_i
+    times the rational row but for its slack's +-1, an int as every zero.
     """
     conv = Fraction if exact else float
-    A, rhs = _integers(lp)[:2] if integer else _rows(lp, exact)
-    unit = int if integer else conv  # the type of R's zeros and ones
+    A, rhs = _integers(lp)[:2] if exact else _rows(lp)
+    unit = int if exact else float  # the type of R's zeros and ones
     var, sign, offsets, bound_cols, widths = _columns(lp.bounds, conv)
     neg = [k for k, s in enumerate(sign) if s < 0]
 
@@ -311,42 +310,42 @@ def _solve(lp: LinearProgram, exact: bool, guess: bool = False, price: bool = Fa
     """The two-phase simplex from scratch; a float point that breaks a row refactors (see `_warm`).
 
     A `guess` (the float guess of `solve_exact`) raises `LpFailure` once both
-    phases together have made `_GUESS_PIVOTS` pivots per standardised row
-    and column, so that a stalling guess hands over soon.  `price` prices
-    both phases (`_simplex`).
+    phases together have made `_GUESS_PIVOTS` pivots per standardised row and
+    column, so that a stalling guess hands over soon.  `price` prices both
+    phases (`_simplex`).  Exact rows are integers (`_pivot`).
     """
-    conv = Fraction if exact else float
     tol = 0 if exact else _TOL
     columns, rows, rhs, costs = _standard_form(lp, exact)
+    m, art0 = rows.shape  # structural and slack columns come first
     if exact:
-        factors: list[Number] = [Fraction(1)] * len(rows)  # std row = factor * substituted row (Farkas mapping)
+        D = np.array([*_integers(lp)[2], *[1] * (m - lp.num_rows)], dtype=object)
+        rows[:, len(columns[0]):] *= D[:, None]  # each slack's rational +-1, times D_i
+        rows, rhs, lcm = integer_rows(rows, rhs)
+        den, factors, costs = D * lcm, [1] * m, np.array(integer_row(costs)[0], dtype=object)  # same pivots
     else:
         standard, scale = _scaled(rows, rhs)
-        rows, rhs = standard[:, :-1], standard[:, -1]
+        rows, rhs, den = standard[:, :-1], standard[:, -1], np.ones(m)
         factors = (1.0 / scale).tolist()
 
-    m, art0 = rows.shape  # structural and slack columns come first
     ncols = art0 + m + 1  # then artificial, then rhs
-    T = np.full((m, ncols), conv(0), dtype=rows.dtype)
+    T = np.zeros((m, ncols), dtype=rows.dtype)
     T[:, :art0], T[:, -1] = rows, rhs
     for i in range(m):
         if T[i, -1] < 0:
             T[i, :] = -T[i, :]
             factors[i] = -factors[i]
-        T[i, art0 + i] = conv(1)
-    basis = [art0 + i for i in range(m)]
+        T[i, art0 + i] = den[i]
+    basis, den = [art0 + i for i in range(m)], den.tolist()
 
     # phase 1: minimise the sum of artificials
-    costs1 = np.full(ncols - 1, conv(0), dtype=rows.dtype)
-    costs1[art0:] = conv(1)
+    costs1 = np.array([0] * art0 + [1] * m, dtype=rows.dtype)
     cap = _GUESS_PIVOTS * (m + art0) if guess else None
-    obj, status, it = _simplex(T, basis, costs1, tol, phase=1, cap=cap, price=price)
+    (obj, oden), status, it = _simplex(T, den, basis, costs1, tol, phase=1, cap=cap, price=price)
     if status != "optimal":
         raise LpFailure(f"phase-1 simplex ended {status}", {"status": status, "iterations": it})
     if sum(T[i, -1] for i in range(m) if basis[i] >= art0) > tol:
-        farkas = [(conv(1) - obj[art0 + i]) * factors[i] for i in range(m)]
-        if not exact:
-            farkas = [float(v) for v in farkas]
+        farkas = [(oden - obj[art0 + i]) * factors[i] for i in range(m)]  # float: oden is 1
+        farkas = [Fraction(v, oden) for v in farkas] if exact else [float(v) for v in farkas]
         return LpSolution("infeasible", farkas=farkas, iterations=it)
 
     # drive artificials out of the basis; remove rows that turn out redundant
@@ -357,14 +356,14 @@ def _solve(lp: LinearProgram, exact: bool, guess: bool = False, price: bool = Fa
             if j is None:
                 dropped.append(i)
             else:
-                _pivot(T, i, j)
+                _pivot(T, i, j, den)
                 basis[i] = j
     if dropped:
         T = np.delete(T, dropped, axis=0)
-        basis = [b for i, b in enumerate(basis) if i not in dropped]
+        basis, den = ([v for i, v in enumerate(kept) if i not in dropped] for kept in (basis, den))
     T = np.concatenate((T[:, :art0], T[:, -1:]), axis=1)  # phase 2 has no artificial columns
     try:
-        return _finish(lp, columns, T, basis, dropped, costs, it, cap, price)
+        return _finish(lp, columns, T, den, basis, dropped, costs, it, cap, price)
     except LpFailure as err:  # `_warm` refactors a float tableau at its final basis
         if exact:
             raise
@@ -451,7 +450,7 @@ def _warm(lp: LinearProgram, start: Optional[LpSolution]) -> tuple[Optional[LpSo
         obj = obj - obj[entering] * T[leaving, :-1]
         it += 1
     try:
-        solution = _finish(lp, columns, T, basis, dropped, c, it)
+        solution = _finish(lp, columns, T, [1] * len(basis), basis, dropped, c, it)
     except LpFailure as err:
         return None, err.diagnostics["iterations"]
     return (solution if solution.status == "optimal" else None), solution.iterations
@@ -470,24 +469,24 @@ def _leaving_row(T: np.ndarray, basis: list[int], infeasible: np.ndarray, step: 
     return min(infeasible, key=basis.__getitem__)
 
 
-def _finish(lp, columns, T, basis, dropped, costs, iterations: int, cap=None, price: bool = False) -> LpSolution:
+def _finish(lp, columns, T, den, basis, dropped, costs, iterations: int, cap=None, price=False) -> LpSolution:
     """Every simplex solve ends here: phase 2 from a primal feasible tableau, then the point and the row check.
 
-    T is B^-1 [A | b] over the standardised columns, `costs` their costs (an
-    array) and `dropped` the redundant rows left out of T; zero tolerance over
-    ``Fraction`` (object T), else 1e-9.  An `LpFailure` (the iteration cap, a
+    T (row i over den[i]) is B^-1 [A | b] over the standardised columns,
+    `costs` their costs (an array), `dropped` the redundant rows left out of
+    T; zero tolerance over integers, else 1e-9.  An `LpFailure` (the cap, a
     broken row) carries the pivots of the whole call, `iterations` of them
-    made before this one, and `cap` and `price` are `_simplex`'s.
+    made before this one; `cap` and `price` are `_simplex`'s.
     """
     exact = T.dtype == object
     try:
-        _, status, iterations = _simplex(T, basis, costs, 0 if exact else _TOL, phase=2, it=iterations, cap=cap,
+        _, status, iterations = _simplex(T, den, basis, costs, 0 if exact else _TOL, phase=2, it=iterations, cap=cap,
                                          price=price)
         if status == "unbounded":
             return LpSolution("unbounded", iterations=iterations)
         x_std = [0] * len(costs)  # an int zero adds exactly to a float or a Fraction
         for i, j in enumerate(basis):
-            x_std[j] = T[i, -1]
+            x_std[j] = Fraction(T[i, -1], den[i]) if exact else T[i, -1]
         return _optimal(lp, columns, x_std, exact, iterations, (tuple(basis), tuple(dropped)))
     except LpFailure as err:
         err.diagnostics.setdefault("iterations", iterations)
@@ -535,7 +534,7 @@ def duals(lp: LinearProgram, solution: LpSolution) -> Optional[list[Number]]:
     an exact y on the integer rows (`_integers`), where it is D^-1 y.
     """
     exact = isinstance(solution.objective_value, Fraction)
-    columns, rows, _, costs = _standard_form(lp, exact=True, integer=True) if exact else _standard_form(lp, exact=False)
+    columns, rows, _, costs = _standard_form(lp, exact)
     found = _block(rows, len(columns[0]), *solution.basis)
     if found is None:
         return None
@@ -567,7 +566,7 @@ def _certify(lp: LinearProgram, basis, dropped, iterations: int) -> Optional[LpS
     from the fraction-free block solves, the slacks, the reduced costs'
     signs and the dropped rows are integer sums.
     """
-    columns, rows, rhs, costs = _standard_form(lp, exact=True, integer=True)
+    columns, rows, rhs, costs = _standard_form(lp, exact=True)
     found = _block(rows, len(columns[0]), basis, dropped)
     if found is None:
         return None
@@ -719,7 +718,7 @@ def _check_rows(lp: LinearProgram, x, exact: bool, iterations: int):
         resid = dot_rows(N, X) - q * V  # q D_i times each residual
         slack = 0
     else:
-        matrix, rhs = _rows(lp, exact)
+        matrix, rhs = _rows(lp)
         resid = dot_rows(matrix, x) - rhs
         slack = _row_slack(matrix, rhs)
     rels = lp.relations
@@ -739,11 +738,27 @@ def _row_slack(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return 1e-7 * np.maximum(np.abs(A).max(axis=-1, initial=1.0), np.abs(rhs))
 
 
-def _pivot(T: np.ndarray, row: int, col: int):
-    T[row, :] = T[row, :] / T[row, col]
-    column = T[:, col].copy()
-    column[row] = 0 * column[row]
-    T -= column[:, None] * T[row]
+def _pivot(T: np.ndarray, row: int, col: int, den=None):
+    """Pivot T on (row, col): float64 as a whole; integers (row i over den[i]) on each row non-zero in col."""
+    if T.dtype != object:
+        T[row, :] = T[row, :] / T[row, col]
+        column = T[:, col].copy()
+        column[row] = 0 * column[row]
+        T -= column[:, None] * T[row]
+        return
+    # one denominator per row spares the rows that `col` misses, which a common one (Edmonds 1967) rescales too
+    T[row], den[row] = _eliminate(T[row] if T[row, col] > 0 else -T[row], abs(T[row, col]), 0, T[row], 1)
+    for i in set(np.flatnonzero(T[:, col]).tolist()) - {row}:
+        T[i], den[i] = _eliminate(T[i], den[i], T[i, col], T[row], den[row])
+
+
+def _eliminate(row: np.ndarray, den, entry, prow: np.ndarray, p):
+    """row / den - (entry / den) (prow / p): over integers p row - entry prow and den p > 0 over their gcd."""
+    if row.dtype != object:  # float64 rows have denominators 1
+        return row - entry * prow, den
+    row, den = p * row - entry * prow, den * p
+    g = math.gcd(*row.tolist(), den)
+    return (row // g, den // g) if g > 1 else (row, den)
 
 
 def _entering(reduced: list, tol, priced: bool) -> Optional[int]:
@@ -769,7 +784,7 @@ def _leaving(column: list, rhs: list, basis: list[int], tol) -> Optional[int]:
     for i, a in enumerate(column):
         if not a > tol:
             continue
-        ratio = rhs[i] / a
+        ratio = rhs[i] / a if tol else Fraction(rhs[i], a)
         if best_ratio is None:
             best_ratio, leaving = ratio, i
             continue
@@ -781,8 +796,8 @@ def _leaving(column: list, rhs: list, basis: list[int], tol) -> Optional[int]:
     return leaving
 
 
-def _simplex(T, basis, costs, tol, phase: int, it: int = 0, cap: Optional[int] = None, price: bool = False):
-    """Minimise costs.x from the basic feasible point of tableau T, `it` pivots made so far.
+def _simplex(T, den, basis, costs, tol, phase: int, it: int = 0, cap: Optional[int] = None, price: bool = False):
+    """Minimise costs.x from the basic feasible point of tableau T (row i over den[i]), `it` pivots made so far.
 
     With `price`, the column of most negative reduced cost enters for this
     call's first `_PRICED_PIVOTS` pivots per tableau row.  After that, and
@@ -790,17 +805,17 @@ def _simplex(T, basis, costs, tol, phase: int, it: int = 0, cap: Optional[int] =
     (Bland's rule), which ends every solve (`_entering`).  The least ratio
     picks the row that leaves, ties going to the smallest basic column
     (`_leaving`).  Both scans read Python lists.  Entries within `tol` of
-    zero are zero (0 over ``Fraction``, else 1e-9, and ratios within 1e-9
-    relative tie).  Returns the reduced costs, "optimal" or "unbounded", and
-    the pivots so far; raises `LpFailure` once the pivots so far pass `cap`,
-    by default `_MAX_ITER` pivots of its own.
+    zero are zero (0 over integers, else 1e-9, and ratios within 1e-9
+    relative tie).  Returns the reduced costs as (obj, oden), obj / oden,
+    "optimal" or "unbounded", and the pivots so far; raises `LpFailure` once
+    the pivots so far pass `cap`, by default `_MAX_ITER` pivots of its own.
     """
     m, ncols = T.shape
-    obj = costs.copy()
+    obj, oden = costs.copy(), 1  # the reduced costs are obj / oden
     for i in range(m):
         cb = costs[basis[i]]
         if cb != 0:
-            obj = obj - cb * T[i, : ncols - 1]
+            obj, oden = _eliminate(obj, oden, cb * oden, T[i, : ncols - 1], den[i])
 
     if cap is None:
         cap = it + _MAX_ITER
@@ -808,16 +823,16 @@ def _simplex(T, basis, costs, tol, phase: int, it: int = 0, cap: Optional[int] =
     while True:
         entering = _entering(obj.tolist(), tol, it < priced_until)
         if entering is None:
-            return obj, "optimal", it
+            return (obj, oden), "optimal", it
         leaving = _leaving(T[:, entering].tolist(), T[:, -1].tolist(), basis, tol)
         if leaving is None:
-            return obj, "unbounded", it
+            return (obj, oden), "unbounded", it
 
-        _pivot(T, leaving, entering)
+        _pivot(T, leaving, entering, den)
         basis[leaving] = entering
         red = obj[entering]
         if red != 0:
-            obj = obj - red * T[leaving, : ncols - 1]
+            obj, oden = _eliminate(obj, oden, red, T[leaving, : ncols - 1], den[leaving])
 
         it += 1
         if it > cap:
@@ -834,12 +849,12 @@ def verify_farkas(lp: LinearProgram, farkas: Sequence[Number], exact: bool = Fal
     (original rows first, then the two-sided-bound rows) into a
     contradiction: y.A <= 0 on every column and y.b > 0.  A slack column
     carries its row's relation, so this asks y <= 0 of a "<=" row and
-    y >= 0 of a ">=" row.
+    y >= 0 of a ">=" row; exact, of y_i / D_i on the integer rows.
     """
-    conv = Fraction if exact else float
+    conv, tol = (Fraction, 0) if exact else (float, _TOL)
     _, rows, rhs, _ = _standard_form(lp, exact)
     if len(farkas) != len(rows):
         return False
-    y = np.array([conv(v) for v in farkas], dtype=rows.dtype)
-    tol = 0 if exact else _TOL
+    D = [*_integers(lp)[2], *[1] * len(rows)] if exact else [1] * len(rows)  # then 1 on each bound row
+    y = np.array([conv(v) / d for v, d in zip(farkas, D)], dtype=rows.dtype)
     return bool((y @ rows <= tol).all() and y @ rhs > tol)

@@ -17,6 +17,7 @@ from minimaxfit import (
     ExtremeSets,
     FitResult,
     LinearProgram,
+    LpFailure,
     LpSolution,
     PolynomialModel,
     ReductionReport,
@@ -186,6 +187,152 @@ def reference_leaving(T, entering: int, basis, tol):
         elif abs(ratio - best_ratio) <= margin and basis[i] < basis[leaving]:
             leaving = i
     return leaving
+
+
+def reference_standard_form(lp, conv):
+    """The per-coefficient standardisation that the array `lp._standard_form` replaced, over `conv`.
+
+    Per variable its (column, sign) terms and offset; each row substituted
+    one coefficient at a time, skipping zeros, its offsets shifted to the
+    rhs; one "<=" row per two-sided bound; a +-1 slack per row that is not
+    "=="; the costs likewise.  Returns (col_terms, offsets, rows, rhs, costs)
+    as lists.
+    """
+    col_terms, offsets, bound_rows, ncols = [], [], [], 0
+    for lo, hi in lp.bounds:
+        lo, hi = (None if lo is None else conv(lo)), (None if hi is None else conv(hi))
+        if lo is not None:
+            col_terms.append([(ncols, 1)])
+            offsets.append(lo)
+            if hi is not None:
+                bound_rows.append((ncols, hi - lo))
+            ncols += 1
+        elif hi is not None:
+            col_terms.append([(ncols, -1)])
+            offsets.append(hi)
+            ncols += 1
+        else:
+            col_terms.append([(ncols, 1), (ncols + 1, -1)])
+            offsets.append(conv(0))
+            ncols += 2
+    sub_rows = []
+    for coeffs, rel, rhs in zip(lp.A.tolist(), lp.relations.tolist(), lp.rhs.tolist()):
+        row, shift = [conv(0)] * ncols, conv(0)
+        for j, a in enumerate(coeffs):
+            a = conv(a)
+            if a == 0:
+                continue
+            if offsets[j]:
+                shift += a * offsets[j]
+            for col, sign in col_terms[j]:
+                row[col] += a if sign > 0 else -a
+        sub_rows.append((row, rel, conv(rhs) - shift))
+    for col, ub in bound_rows:
+        row = [conv(0)] * ncols
+        row[col] = conv(1)
+        sub_rows.append((row, "<=", ub))
+    nslack = sum(1 for _, rel, _ in sub_rows if rel != "==")
+    rows, rhs, slack_at = [], [], ncols
+    for row, rel, b in sub_rows:
+        row = row + [conv(0)] * nslack
+        if rel != "==":
+            row[slack_at] = conv(1) if rel == "<=" else conv(-1)
+            slack_at += 1
+        rows.append(row)
+        rhs.append(b)
+    costs = [conv(0)] * (ncols + nslack)
+    for j, c in enumerate(lp.objective):
+        c = conv(c)
+        if c != 0:
+            for col, sign in col_terms[j]:
+                costs[col] += c if sign > 0 else -c
+    return col_terms, offsets, rows, rhs, costs
+
+
+
+
+def reference_rational_simplex(lp: LinearProgram, price: bool = False) -> LpSolution:
+    """The two-phase simplex over a ``Fraction`` tableau: the reference for exact `lp._solve`.
+
+    The rows are `reference_standard_form` over ``Fraction``.  A row with a
+    negative rhs is negated, then every row gains its artificial, and phase 1
+    minimises their sum; the Farkas witness of an infeasible LP is
+    (1 - the artificial's reduced cost) times the row's sign.  Each
+    artificial still basic leaves on the first column with a non-zero entry
+    in its row, or its row is dropped as redundant, and phase 2 minimises
+    the costs without the artificial columns.  Each phase enters the most
+    negative reduced cost for its first two pivots per tableau row when
+    priced, then the first negative one (`reference_entering`); the least
+    ratio leaves, ties going to the smallest basic column
+    (`reference_leaving`).  The pivots run on the whole tableau.
+    """
+    col_terms, offsets, rows, rhs, costs = reference_standard_form(lp, Fraction)
+    m, art0 = len(rows), len(costs)
+    T = np.array([row + [Fraction(0)] * m + [b] for row, b in zip(rows, rhs)], dtype=object)
+    T = T.reshape(m, art0 + m + 1)
+    signs = [1] * m
+    for i in range(m):
+        if T[i, -1] < 0:
+            T[i, :], signs[i] = -T[i, :], -1
+        T[i, art0 + i] = Fraction(1)
+    basis = [art0 + i for i in range(m)]
+    obj, it = _reference_phase(T, basis, np.array([Fraction(0)] * art0 + [Fraction(1)] * m, dtype=object), 0, price)
+    if obj is None:
+        raise LpFailure("phase-1 simplex ended unbounded")
+    if sum(T[i, -1] for i in range(m) if basis[i] >= art0) > 0:
+        return LpSolution("infeasible", farkas=[(1 - obj[art0 + i]) * signs[i] for i in range(m)], iterations=it)
+    dropped = []
+    for i in range(m):
+        if basis[i] >= art0:
+            j = next((j for j in range(art0) if T[i, j] != 0), None)
+            if j is None:
+                dropped.append(i)
+            else:
+                _reference_pivot(T, i, j)
+                basis[i] = j
+    T = np.delete(T, dropped, axis=0)
+    T = np.concatenate((T[:, :art0], T[:, -1:]), axis=1)
+    basis = [b for i, b in enumerate(basis) if i not in dropped]
+    obj, it = _reference_phase(T, basis, np.array(costs, dtype=object), it, price)
+    if obj is None:
+        return LpSolution("unbounded", iterations=it)
+    x_std = [Fraction(0)] * art0
+    for i, j in enumerate(basis):
+        x_std[j] = T[i, -1]
+    x = [offset + sum((sign * x_std[col] for col, sign in terms), Fraction(0))
+         for offset, terms in zip(offsets, col_terms)]
+    value = sum((Fraction(c) * v for c, v in zip(lp.objective, x)), Fraction(0))
+    return LpSolution("optimal", x=x, objective_value=value, iterations=it, basis=(tuple(basis), tuple(dropped)))
+
+
+def _reference_phase(T, basis, costs, it: int, price: bool):
+    """One phase of `reference_rational_simplex` on T in place: (reduced costs, None if unbounded; pivots so far)."""
+    obj = costs.copy()
+    for i, j in enumerate(basis):
+        obj = obj - costs[j] * T[i, :-1]
+    priced_until = it + 2 * len(T) if price else it
+    while True:
+        if it < priced_until:
+            j = min(range(len(obj)), key=lambda k: obj[k], default=None)
+            entering = j if j is not None and obj[j] < 0 else None
+        else:
+            entering = reference_entering(obj, 0)
+        if entering is None:
+            return obj, it
+        leaving = reference_leaving(T, entering, basis, 0)
+        if leaving is None:
+            return None, it
+        _reference_pivot(T, leaving, entering)
+        basis[leaving] = entering
+        obj = obj - obj[entering] * T[leaving, :-1]
+        it += 1
+
+
+def _reference_pivot(T, row: int, col: int):
+    T[row, :] = T[row, :] / T[row, col]
+    for i in range(len(T)):
+        if i != row and T[i, col] != 0:
+            T[i, :] = T[i, :] - T[i, col] * T[row, :]
 
 
 def reference_exact_fit(samples: SampleSet, degree: int) -> FitResult:

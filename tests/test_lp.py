@@ -24,6 +24,8 @@ from support import (
     random_samples,
     reference_entering,
     reference_leaving,
+    reference_rational_simplex,
+    reference_standard_form,
 )
 
 
@@ -208,66 +210,6 @@ def test_exact_solve_of_rows_mixing_a_float_and_a_huge_int():
 # --- standardisation: the array form against a coefficient-by-coefficient one --
 
 
-def _reference_standard_form(lp, conv):
-    """The per-coefficient standardisation the array `_standard_form` replaced, over `conv`.
-
-    Per variable its (column, sign) terms and offset; each row substituted
-    one coefficient at a time, skipping zeros, its offsets shifted to the
-    rhs; one "<=" row per two-sided bound; a +-1 slack per row that is not
-    "=="; the costs likewise.  Returns (col_terms, offsets, rows, rhs, costs)
-    as lists.
-    """
-    col_terms, offsets, bound_rows, ncols = [], [], [], 0
-    for lo, hi in lp.bounds:
-        lo, hi = (None if lo is None else conv(lo)), (None if hi is None else conv(hi))
-        if lo is not None:
-            col_terms.append([(ncols, 1)])
-            offsets.append(lo)
-            if hi is not None:
-                bound_rows.append((ncols, hi - lo))
-            ncols += 1
-        elif hi is not None:
-            col_terms.append([(ncols, -1)])
-            offsets.append(hi)
-            ncols += 1
-        else:
-            col_terms.append([(ncols, 1), (ncols + 1, -1)])
-            offsets.append(conv(0))
-            ncols += 2
-    sub_rows = []
-    for coeffs, rel, rhs in zip(lp.A.tolist(), lp.relations.tolist(), lp.rhs.tolist()):
-        row, shift = [conv(0)] * ncols, conv(0)
-        for j, a in enumerate(coeffs):
-            a = conv(a)
-            if a == 0:
-                continue
-            if offsets[j]:
-                shift += a * offsets[j]
-            for col, sign in col_terms[j]:
-                row[col] += a if sign > 0 else -a
-        sub_rows.append((row, rel, conv(rhs) - shift))
-    for col, ub in bound_rows:
-        row = [conv(0)] * ncols
-        row[col] = conv(1)
-        sub_rows.append((row, "<=", ub))
-    nslack = sum(1 for _, rel, _ in sub_rows if rel != "==")
-    rows, rhs, slack_at = [], [], ncols
-    for row, rel, b in sub_rows:
-        row = row + [conv(0)] * nslack
-        if rel != "==":
-            row[slack_at] = conv(1) if rel == "<=" else conv(-1)
-            slack_at += 1
-        rows.append(row)
-        rhs.append(b)
-    costs = [conv(0)] * (ncols + nslack)
-    for j, c in enumerate(lp.objective):
-        c = conv(c)
-        if c != 0:
-            for col, sign in col_terms[j]:
-                costs[col] += c if sign > 0 else -c
-    return col_terms, offsets, rows, rhs, costs
-
-
 _NUMBERS = st.one_of(
     st.sampled_from([0, 0.0, -0.0, 1, -1.0]),
     st.integers(-6, 6),
@@ -300,7 +242,7 @@ def _bounded_lps(draw):
 def test_standard_form_matches_the_coefficient_loop_bit_for_bit(lp):
     for exact in (False, True):
         conv = Fraction if exact else float
-        col_terms, offsets, rows, rhs, costs = _reference_standard_form(lp, conv)
+        col_terms, offsets, rows, rhs, costs = reference_standard_form(lp, conv)
         (var, sign, got_offsets), got_rows, got_rhs, got_costs = lp_module._standard_form(lp, exact)
         terms = [[] for _ in lp.bounds]
         for col, (j, s) in enumerate(zip(var, sign)):
@@ -308,9 +250,13 @@ def test_standard_form_matches_the_coefficient_loop_bit_for_bit(lp):
         assert terms == col_terms
         assert [(type(v), repr(v)) for v in got_offsets] == [(type(v), repr(v)) for v in offsets]
         assert got_rows.shape == (len(rhs), len(costs))
-        if exact:  # equal as Fractions, every entry one
-            assert (got_rows.tolist(), got_rhs.tolist(), got_costs.tolist()) == (rows, rhs, costs)
-            assert {type(v) for v in [*got_rows.flat, *got_rhs, *got_costs]} <= {Fraction}
+        if exact:  # the integer rows: row i's columns and rhs D_i times the rational ones, its slack's +-1 kept
+            D = [*lp_module._integers(lp)[2], *[1] * (len(rows) - lp.num_rows)]
+            ncols = len(var)
+            assert got_rows.tolist() == [[d * v for v in row[:ncols]] + row[ncols:] for d, row in zip(D, rows)]
+            assert got_rhs.tolist() == [d * b for d, b in zip(D, rhs)] and got_costs.tolist() == costs
+            assert {type(v) for v in got_rows.flat} <= {int}
+            assert {type(v) for v in got_costs} <= {int, Fraction}
         else:  # every bit, so a zero negated to -0.0 fails
             assert got_rows.tobytes() == np.array(rows, dtype=float).reshape(got_rows.shape).tobytes()
             assert got_rhs.tobytes() == np.array(rhs, dtype=float).tobytes()
@@ -353,7 +299,8 @@ def test_duals_of_a_fit_lp_solve_its_dual(exact):
         lp = _minimax_lp(samples, degree) if exact else _as_float(_minimax_lp(samples, degree))
         sol = (solve_exact if exact else solve)(lp)
         y = lp_module.duals(lp, sol)
-        A, b = lp_module._rows(lp, exact)
+        rational = np.frompyfunc(Fraction, 1, 1)
+        A, b = (rational(lp.A), rational(lp.rhs)) if exact else lp_module._rows(lp)
         tol = 0 if exact else 1e-9
         assert len(y) == lp.num_rows and max(y) <= 0 and sol.x[-1] > 0
         assert all(abs(got - c) <= tol for got, c in zip(A.T @ np.array(y, dtype=A.dtype), lp.objective))
@@ -420,6 +367,62 @@ def test_crossover_matches_rational_simplex(exact_corpus):
         _assert_same_exact_answer(lp, solve_exact(lp), ref)
         statuses.add(ref.status)
     assert statuses == {"optimal", "infeasible"}
+
+
+def _same_solve(got, ref):
+    """Status, point, objective, Farkas witness, pivots and basis all equal, every exact number a ``Fraction``."""
+    assert (got.status, got.x, got.objective_value, got.farkas) == (ref.status, ref.x, ref.objective_value, ref.farkas)
+    assert (got.iterations, got.basis) == (ref.iterations, ref.basis)
+    exact = [*(got.x or []), *(got.farkas or []), *([got.objective_value] if got.x else [])]
+    assert all(type(v) is Fraction for v in exact)
+
+
+def test_integer_tableau_solves_as_the_rational_simplex(monkeypatch):
+    lps = _exact_corpus() + [_first_exact_round(monkeypatch, "-1,1:-1,1;5;chebyshev;x1^2*x2+x2^3", 2)]
+    assert (lps[-1].num_rows, lps[-1].num_vars) == (36, 7)  # the exact 5x5 Baseline row's fit LP
+    statuses = set()
+    for lp in lps:
+        for price in (False, True):
+            ref = reference_rational_simplex(lp, price=price)
+            _same_solve(lp_module._solve(lp, exact=True, price=price), ref)
+            statuses.add(ref.status)
+    assert statuses == {"optimal", "infeasible"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_bounded_lps(), st.booleans())
+def test_integer_tableau_solves_any_bounded_lp_as_the_rational_simplex(lp, price):
+    # rowless LPs, bound rows alone, offsets, float and -0.0 entries: every standard-form case
+    _same_solve(lp_module._solve(lp, exact=True, price=price), reference_rational_simplex(lp, price=price))
+
+
+def test_exact_pivots_see_only_integers(monkeypatch):
+    lps, real, seen = _exact_corpus()[::3], lp_module._pivot, []
+
+    def spy(T, row, col, den=None):
+        assert den is not None and all(d > 0 for d in den)
+        seen.append({type(v) for v in [*T.flat, *den]})
+        return real(T, row, col, den)
+
+    monkeypatch.setattr(lp_module, "_pivot", spy)
+    for lp in lps:
+        lp_module._solve(lp, exact=True)
+    assert len(seen) > 100 and set().union(*seen) == {int}
+
+
+def test_exact_farkas_check_divides_by_each_row_scale():
+    # x >= 0 with x/2 >= 1 (D = 2), x <= 1 (D = 1) and 2x/3 <= 1/3 (D = 3): rows (1/2) u - s0 = 1, u + s1 = 1 and
+    # (2/3) u + s2 = 1/3; y is a witness when y0/2 + y1 + 2 y2/3 <= 0, y0 >= 0, y1, y2 <= 0 and y0 + y1 + y2/3 > 0
+    lp = LinearProgram([0], [[Fraction(1, 2)], [1], [Fraction(2, 3)]], [">=", "<=", "<="], [1, 1, Fraction(1, 3)],
+                       [(0, None)])
+    assert lp_module._integers(lp)[2].tolist() == [2, 1, 3]
+    for witness in ([2, -1, 0], [2.0, -1.0, 0.0], [Fraction(2), Fraction(-1), Fraction(0)], [2, 0, Fraction(-3, 2)],
+                    [2.0, 0.0, -1.5]):
+        assert verify_farkas(lp, witness, exact=True) and verify_farkas(lp, witness)
+    # witnesses on the integer rows u - s0 = 2, u + s1 = 1 and 2u + s2 = 1 only: each misses y_i / D_i
+    for scaled in ([1, -1, 0], [2, 0, -1], [2.0, 0.0, -1.0]):
+        assert not verify_farkas(lp, scaled, exact=True) and not verify_farkas(lp, scaled)
+    assert verify_farkas(lp, solve_exact(lp).farkas, exact=True)
 
 
 @pytest.mark.parametrize("error", [LpFailure("float failure"), OverflowError, ZeroDivisionError])
@@ -708,8 +711,8 @@ def test_stalling_float_guess_is_capped(monkeypatch):
 def test_phase_1_failure_names_its_status(monkeypatch):
     real = lp_module._simplex
 
-    def unbounded(T, basis, costs, tol, phase, it=0, cap=None, price=False):
-        return (costs, "unbounded", 7) if phase == 1 else real(T, basis, costs, tol, phase, it, cap, price)
+    def unbounded(T, den, basis, costs, tol, phase, it=0, cap=None, price=False):
+        return ((costs, 1), "unbounded", 7) if phase == 1 else real(T, den, basis, costs, tol, phase, it, cap, price)
 
     monkeypatch.setattr(lp_module, "_simplex", unbounded)
     lp = LinearProgram([1.0], [[1.0]], [">="], [3.0])

@@ -1,17 +1,15 @@
 """Exact elimination for the LP's certification, integer rows, and hyperplanes for alternation.
 
 `exact_solve` solves a basis block exactly for `lp._certify`, and a hull
-test's proposed support for `optimality.exact_weights`; `affine_normal`
-gives the hyperplane through d points, by SVD in float and by
-fraction-free elimination over integers in exact mode, so verdicts near
-degeneracy carry no rounding.  Both eliminate in `exact_nullspace`, over
-rows that `integer_row` scales to integers.  `integer_rows` scales a whole
-table [A | b] that way, once: the exact LP's certificate and row check
-(`lp._integers`) and the exact fit's residuals read its rows through
-`monomials.dot_rows`.  `affine_normals` gives the float hyperplanes of a
-whole batch of d-point sets at once, each bit for bit `affine_normal`'s,
-and `integer_normals` the exact ones of a batch of integer points, as
-primitive integer normals and offsets.
+test's proposed support for `optimality.exact_weights`, by fraction-free
+elimination in `exact_nullspace`, over rows that `integer_row` scales to
+integers.  `integer_rows` scales a whole table [A | b] that way, once: the
+exact LP's certificate and row check (`lp._integers`) and the exact fit's
+residuals read its rows through `monomials.dot_rows`.  `affine_normal`
+gives the float hyperplane through d points, by SVD; `affine_normals` gives
+those of a whole batch of d-point sets at once, each bit for bit
+`affine_normal`'s, and `integer_normals` the exact ones of a batch of
+integer points, as primitive integer normals and offsets.
 """
 
 from __future__ import annotations
@@ -99,39 +97,22 @@ def exact_solve(a: Sequence[Sequence[Number]], b: Sequence[Number]) -> Optional[
     return v[:-1]
 
 
-def affine_normal(
-    points: Sequence[Sequence[Number]], exact: bool = False
-) -> Optional[tuple[tuple[Number, ...], Number]]:
-    """Hyperplane (u, a) with <u, p> = a through d points of R^d.
+def affine_normal(points: Sequence[Sequence[Number]]) -> Optional[tuple[tuple[float, ...], float]]:
+    """Float hyperplane (u, a) with <u, p> = a through d points of R^d, by SVD.
 
-    Returns None when the points are affinely dependent (in float mode: the
-    smallest singular value of the differences is at most 1e-9 times the
-    largest), in which case the containing hyperplane is not unique.  Float
-    normals are unit length with the first significant component positive;
-    exact normals are rational, scaled so the first non-zero component equals 1.
+    Returns None when the points are affinely dependent (the smallest
+    singular value of the differences is at most 1e-9 times the largest), in
+    which case the containing hyperplane is not unique.  Normals are unit
+    length with the first significant component positive.
 
-    `verify_by_hyperplanes` takes its planes from `affine_normals` and
-    `integer_normals`; this is the one-plane reference they are tested
-    against.
+    `verify_by_hyperplanes` takes its planes from `affine_normals`; this is
+    the one-plane reference it is tested against bit for bit.
     """
     d = len(points[0])
     if len(points) != d:
         raise ValueError(f"need exactly {d} points in dimension {d}, got {len(points)}")
     if d == 1:
-        one = Fraction(1) if exact else 1.0
-        return (one,), (Fraction(points[0][0]) if exact else float(points[0][0]))
-
-    if exact:
-        base = [Fraction(c) for c in points[0]]
-        diffs = [[Fraction(c) - b for c, b in zip(p, base)] for p in points[1:]]
-        # unique plane needs the differences to span a (d-1)-dimensional space
-        u, rank = exact_nullspace(diffs)
-        if rank != d - 1:
-            return None
-        lead = next(c for c in u if c != 0)
-        u = tuple(c / lead for c in u)
-        a = sum(c * b for c, b in zip(u, base))
-        return u, a
+        return (1.0,), float(points[0][0])
 
     base = np.asarray(points[0], dtype=float)
     diffs = np.asarray([np.asarray(p, dtype=float) - base for p in points[1:]])
@@ -173,11 +154,11 @@ def integer_normals(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
 
     Row b of U is the primitive integer normal of the plane <U, x> = A
     through ``points[b]``, its first non-zero entry positive, so (U, A)
-    determines the plane and `affine_normal`'s exact (u, a) is (U, A)
-    divided by that entry.  U starts as the signed (d-1) x (d-1) minors of
-    the differences p_k - p_0 (their generalised cross product), which all
-    vanish exactly where the points are affinely dependent: there
-    ``unique`` is False.
+    determines the plane, and the rational (u, a) with u's first non-zero
+    entry 1 is (U, A) divided by that entry.  U starts as the signed
+    (d-1) x (d-1) minors of the differences p_k - p_0 (their generalised
+    cross product), which all vanish exactly where the points are affinely
+    dependent: there ``unique`` is False.
     """
     count, d = points.shape[:2]
     diffs = points[:, 1:] - points[:, :1]

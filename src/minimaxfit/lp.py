@@ -7,10 +7,11 @@ reduced costs and row residuals, and exact rationals, held as integers, with
 zero tolerance, used when certificate verdicts must be trusted near
 degeneracy.
 
-A `LinearProgram` holds one coefficient array with relation and rhs arrays.
-Every solve reads them through one array standardisation (`_standard_form`),
-over float64 or integers, converted once per LP and arithmetic (`_rows`, and
-`_integers` through `_linalg.integer_rows`).
+A `LinearProgram` holds one coefficient array with relation and rhs arrays,
+over variables that are free or non-negative.  Every solve reads them
+through one array standardisation (`_standard_form`), over float64 or
+integers, converted once per LP and arithmetic (`_rows`, and `_integers`
+through `_linalg.integer_rows`).
 
 Every simplex solve ends in one routine, `_finish`: the primal simplex from
 a primal feasible tableau, the point in the original variables, and a check
@@ -65,10 +66,9 @@ rational simplex from scratch, over integer rows (`_pivot`), so every status
 an exact solve returns is decided in exact arithmetic.  `duals` solves the
 same block (`_block`) for an optimal basis's duals: a fit's certificate.
 
-Infeasible solves always carry a Farkas witness so callers can turn "no
-certificate" into an explicit separating functional.  The witness lives in
-the standardised row space: original rows first, then one row per two-sided
-variable bound; ``verify_farkas`` checks it against that encoding.
+Infeasible solves always carry a Farkas witness, one multiplier per row, so
+callers can turn "no certificate" into an explicit separating functional;
+``verify_farkas`` checks it against the standardised rows.
 """
 
 from __future__ import annotations
@@ -116,13 +116,14 @@ def _entries(values) -> np.ndarray:
 
 
 class LinearProgram:
-    """minimise c.x subject to A x (relations) rhs and variable bounds.
+    """minimise c.x subject to A x (relations) rhs, each variable free or non-negative.
 
     A has one row per constraint and one column per variable; `relations`
     holds "<=", "==" or ">=" per row.  A float64 ndarray A or rhs is kept as
     it is; any other is held as an object array of the numbers as given, so
-    an exact solve sees them unrounded.  Bounds default to free variables.
-    The arrays are read, never written: a solve converts them once.
+    an exact solve sees them unrounded.  A variable's bounds are (None, None)
+    (free, the default) or (0, None); any other bound is a row of A.  The
+    arrays are read, never written: a solve converts them once.
     """
 
     def __init__(
@@ -147,6 +148,9 @@ class LinearProgram:
         self.bounds = ((None, None),) * n if bounds is None else tuple((lo, hi) for lo, hi in bounds)
         if len(self.bounds) != n:
             raise ValueError(f"{len(self.bounds)} bounds for {n} variables")
+        for bound in self.bounds:
+            if bound not in ((None, None), (0, None)):
+                raise ValueError(f"bounds {bound} are neither (None, None) nor (0, None); write them as rows")
         self._converted: dict = {}  # see `_rows` and `_integers`
 
     @property
@@ -221,7 +225,7 @@ def solve_exact(lp: LinearProgram, *, price: bool = False) -> LpSolution:
     return _solve(lp, exact=True, price=price)
 
 
-# --- standardisation: x = offset + sum(sign * u) over non-negative columns u --
+# --- standardisation: x = u, or x = u - v when free, over non-negative columns --
 
 
 def _rows(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray]:
@@ -238,65 +242,40 @@ def _integers(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return lp._converted["integer"]
 
 
-def _columns(bounds, conv):
-    """Each standardised column's variable and sign, each variable's offset, each two-sided bound's column and width."""
-    var, sign, offsets, bound_cols, widths = [], [], [], [], []
-    for j, (lo, hi) in enumerate(bounds):
-        if lo is not None:  # x = lo + u
-            lo = conv(lo)
-            if hi is not None:
-                bound_cols.append(len(var))
-                widths.append(conv(hi) - lo)
-            var.append(j)
-            sign.append(1)
-            offsets.append(lo)
-        elif hi is not None:  # x = hi - u
-            var.append(j)
-            sign.append(-1)
-            offsets.append(conv(hi))
-        else:  # x = u - v
-            var += [j, j]
-            sign += [1, -1]
-            offsets.append(conv(0))
-    return var, sign, offsets, bound_cols, widths
+def _columns(bounds) -> tuple[list[int], list[int]]:
+    """Each standardised column's variable and sign: one column u for x >= 0, two for a free x = u - v."""
+    var, sign = [], []
+    for j, (lo, _) in enumerate(bounds):
+        var += [j] if lo is not None else [j, j]
+        sign += [1] if lo is not None else [1, -1]
+    return var, sign
 
 
 def _standard_form(lp: LinearProgram, exact: bool):
-    """The columns (variable, sign, offsets), rows R = [S | slacks] and rhs b of R u = b over u >= 0, and u's costs.
+    """The columns (variable, sign), rows R = [S | slacks] and rhs b of R u = b over u >= 0, and u's costs.
 
     S holds A's column of each standardised column's variable, negated where
-    its sign is -1, and the offsets move to the rhs.  The original rows come
-    first, then one "<=" row per two-sided bound, then one slack column per
-    row that is not "==": +1 for "<=", -1 for ">=".  Over float64 every zero
-    is +0.0.  Exact, they are the integer rows (`_integers`): row i is D_i
-    times the rational row but for its slack's +-1, an int as every zero.
+    its sign is -1, then one slack column per row that is not "==": +1 for
+    "<=", -1 for ">=".  Over float64 every zero is +0.0.  Exact, they are the
+    integer rows (`_integers`): row i is D_i times the rational row but for
+    its slack's +-1, an int as every zero.
     """
-    conv = Fraction if exact else float
     A, rhs = _integers(lp)[:2] if exact else _rows(lp)
     unit = int if exact else float  # the type of R's zeros and ones
-    var, sign, offsets, bound_cols, widths = _columns(lp.bounds, conv)
+    var, sign = _columns(lp.bounds)
     neg = [k for k, s in enumerate(sign) if s < 0]
 
     def signed(M):
         M[..., neg] = -M[..., neg]
         return M if exact else M + 0.0  # -0.0 -> 0.0, the zero a per-coefficient substitution leaves
 
-    def zeros(*shape):
-        return np.full(shape, unit(0), dtype=A.dtype)
-
     structural = signed(A[:, var])
-    costs = signed(np.array([conv(lp.objective[j]) for j in var], dtype=A.dtype))
-    if any(offsets):  # zero for every free variable and every lower bound 0
-        rhs = rhs - dot_rows(A, offsets)
-    bound_rows = zeros(len(bound_cols), len(var))
-    bound_rows[np.arange(len(bound_cols)), bound_cols] = unit(1)
-    relations = np.concatenate((lp.relations, [LESS] * len(bound_cols)))
-    inequalities = np.flatnonzero(relations != EQUAL)
-    slacks = zeros(len(relations), len(inequalities))
-    slacks[inequalities, np.arange(len(inequalities))] = np.where(relations[inequalities] == LESS, unit(1), unit(-1))
-    rows = np.concatenate((np.concatenate((structural, bound_rows)), slacks), axis=1)
-    b = np.concatenate((rhs, np.array(widths, dtype=A.dtype)))
-    return (var, sign, offsets), rows, b, np.concatenate((costs, zeros(len(inequalities))))
+    costs = signed(np.array([(Fraction if exact else float)(lp.objective[j]) for j in var], dtype=A.dtype))
+    inequalities = np.flatnonzero(lp.relations != EQUAL)
+    slacks = np.full((len(rhs), len(inequalities)), unit(0), dtype=A.dtype)
+    slacks[inequalities, np.arange(len(inequalities))] = np.where(lp.relations[inequalities] == LESS, unit(1), unit(-1))
+    rows = np.concatenate((structural, slacks), axis=1)
+    return (var, sign), rows, rhs, np.concatenate((costs, np.full(len(inequalities), unit(0), dtype=A.dtype)))
 
 
 def _scaled(rows: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -317,11 +296,10 @@ def _solve(lp: LinearProgram, exact: bool, guess: bool = False, price: bool = Fa
     tol = 0 if exact else _TOL
     columns, rows, rhs, costs = _standard_form(lp, exact)
     m, art0 = rows.shape  # structural and slack columns come first
-    if exact:
-        D = np.array([*_integers(lp)[2], *[1] * (m - lp.num_rows)], dtype=object)
-        rows[:, len(columns[0]):] *= D[:, None]  # each slack's rational +-1, times D_i
-        rows, rhs, lcm = integer_rows(rows, rhs)
-        den, factors, costs = D * lcm, [1] * m, np.array(integer_row(costs)[0], dtype=object)  # same pivots
+    if exact:  # row i is D_i times the rational row, so its denominator is D_i
+        den = _integers(lp)[2]
+        rows[:, len(columns[0]):] *= den[:, None]  # each slack's rational +-1, times D_i
+        factors, costs = [1] * m, np.array(integer_row(costs)[0], dtype=object)  # same pivots
     else:
         standard, scale = _scaled(rows, rhs)
         rows, rhs, den = standard[:, :-1], standard[:, -1], np.ones(m)
@@ -379,7 +357,7 @@ def _slack_basis_dual_feasible(lp: LinearProgram) -> bool:
     """Whether the basis of every row's slack is a dual feasible start: no "==" row, no negative cost."""
     if (lp.relations == EQUAL).any():
         return False
-    var, sign = _columns(lp.bounds, float)[:2]
+    var, sign = _columns(lp.bounds)
     return all(lp.objective[j] * s >= 0 for j, s in zip(var, sign))
 
 
@@ -392,9 +370,8 @@ def _warm(lp: LinearProgram, start: Optional[LpSolution]) -> tuple[Optional[LpSo
     With `start`, its basis plus the slack of every appended row is a basis
     of `lp` with the same duals (the new slacks cost nothing), so only
     appended rows can be primal infeasible.  They stand after the prefix's
-    rows, their slacks after the prefix's slacks, so bound rows, their
-    slacks and dropped bound rows move up.  The tableau B^-1 [A | b] comes
-    from one dense solve of the kept scaled standardised rows, with no
+    rows, their slacks after the prefix's slacks.  The tableau B^-1 [A | b]
+    comes from one dense solve of the kept scaled standardised rows, with no
     pivots.  In the dual simplex `_leaving_row` picks the row that leaves,
     and the column of minimum ratio enters, ties going to the smallest
     column.  `_finish` runs the primal simplex and the row check.
@@ -413,14 +390,12 @@ def _warm(lp: LinearProgram, start: Optional[LpSolution]) -> tuple[Optional[LpSo
     if start is None:
         basis, dropped = list(range(nstruct, nstruct + len(rows))), ()
     else:
-        old_basis, old_dropped = start.basis
-        prefix = len(old_basis) + len(old_dropped) - (len(rows) - lp.num_rows)  # rows of `start`'s LP
-        if not 0 <= prefix <= lp.num_rows or (lp.relations[prefix:] == EQUAL).any():
+        basis, dropped = start.basis
+        prefix = len(basis) + len(dropped)  # rows of `start`'s LP
+        if prefix > lp.num_rows or (lp.relations[prefix:] == EQUAL).any():
             return None, 0
-        added = lp.num_rows - prefix
         first_new = nstruct + int((lp.relations[:prefix] != EQUAL).sum())  # the first appended slack
-        basis = [j if j < first_new else j + added for j in old_basis] + list(range(first_new, first_new + added))
-        dropped = tuple(i if i < prefix else i + added for i in old_dropped)
+        basis = list(basis) + list(range(first_new, first_new + lp.num_rows - prefix))
     if dropped:
         A = np.delete(A, dropped, axis=0)
     try:
@@ -496,9 +471,8 @@ def _finish(lp, columns, T, den, basis, dropped, costs, iterations: int, cap=Non
 def _optimal(lp, columns, x_std, exact: bool, iterations: int, basis) -> LpSolution:
     """The solution at standardised point x_std, once every original row holds."""
     conv = Fraction if exact else float
-    var, sign, offsets = columns
-    x = list(offsets)
-    for col, (j, s) in enumerate(zip(var, sign)):
+    x = [conv(0)] * lp.num_vars
+    for col, (j, s) in enumerate(zip(*columns)):
         x[j] = x[j] + (x_std[col] if s > 0 else -x_std[col])
     if not exact:
         x = [float(v) for v in x]
@@ -547,7 +521,7 @@ def duals(lp: LinearProgram, solution: LpSolution) -> Optional[list[Number]]:
         return None
     y = np.zeros(len(rows), dtype=rows.dtype)  # over integers, an int 0 off T
     y[tight] = y_t
-    return (y[:lp.num_rows] * _integers(lp)[2] if exact else y[:lp.num_rows]).tolist()
+    return (y * _integers(lp)[2] if exact else y).tolist()
 
 
 def _certify(lp: LinearProgram, basis, dropped, iterations: int) -> Optional[LpSolution]:
@@ -778,13 +752,24 @@ def _leaving(column: list, rhs: list, basis: list[int], tol) -> Optional[int]:
 
     The least ratio rhs_i / a_i over the rows with a_i > `tol`, ratios within
     `tol` relative of the best so far tying, ties going to the smallest basic
-    column.
+    column.  With `tol` 0 the ratios are exact and compared crosswise,
+    rhs_i a_l against rhs_l a_i, which needs no division.
     """
     best_ratio = leaving = None
+    if not tol:
+        for i, a in enumerate(column):
+            if not a > 0:
+                continue
+            if leaving is not None:
+                gap = rhs[i] * column[leaving] - rhs[leaving] * a  # a_i a_l (ratio_i - ratio_l)
+                if gap > 0 or (gap == 0 and basis[i] > basis[leaving]):
+                    continue
+            leaving = i
+        return leaving
     for i, a in enumerate(column):
         if not a > tol:
             continue
-        ratio = rhs[i] / a if tol else Fraction(rhs[i], a)
+        ratio = rhs[i] / a
         if best_ratio is None:
             best_ratio, leaving = ratio, i
             continue
@@ -843,18 +828,17 @@ def _simplex(T, den, basis, costs, tol, phase: int, it: int = 0, cap: Optional[i
 
 
 def verify_farkas(lp: LinearProgram, farkas: Sequence[Number], exact: bool = False) -> bool:
-    """Check an infeasibility witness against the standardised encoding.
+    """Check an infeasibility witness, one multiplier per row, against the standardised encoding.
 
     The witness `y` must combine the standardised rows A u = b over u >= 0
-    (original rows first, then the two-sided-bound rows) into a
-    contradiction: y.A <= 0 on every column and y.b > 0.  A slack column
-    carries its row's relation, so this asks y <= 0 of a "<=" row and
-    y >= 0 of a ">=" row; exact, of y_i / D_i on the integer rows.
+    into a contradiction: y.A <= 0 on every column and y.b > 0.  A slack
+    column carries its row's relation, so this asks y <= 0 of a "<=" row
+    and y >= 0 of a ">=" row; exact, of y_i / D_i on the integer rows.
     """
     conv, tol = (Fraction, 0) if exact else (float, _TOL)
     _, rows, rhs, _ = _standard_form(lp, exact)
     if len(farkas) != len(rows):
         return False
-    D = [*_integers(lp)[2], *[1] * len(rows)] if exact else [1] * len(rows)  # then 1 on each bound row
+    D = _integers(lp)[2] if exact else [1] * len(rows)
     y = np.array([conv(v) / d for v, d in zip(farkas, D)], dtype=rows.dtype)
     return bool((y @ rows <= tol).all() and y @ rhs > tol)

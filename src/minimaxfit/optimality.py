@@ -6,7 +6,9 @@ model degree; feasibility of that moment system is one small LP.  When it is
 infeasible, the Farkas multipliers assemble into a polynomial of the same
 degree that strictly separates the two extreme sets, which is the classical
 separability (isolability) view of non-optimality.  Both views are exposed
-and must agree; tests lean on that cross-check.
+and must agree; tests lean on that cross-check.  Isolability's margin LP is
+the moment system's l1 relaxation, whose dual is the largest separating
+margin, so every hull LP here is written over the lifted moment columns.
 
 Every verifier reads its lifted rows from `SampleSet.lifted`, and
 `hulls_intersect` is the one indexed hull test of reduction and alternation;
@@ -36,7 +38,7 @@ import numpy as np
 
 from ._linalg import exact_solve
 from .fitting import ExtremeSets, SampleSet, model_values, sign_blocks
-from .lp import LinearProgram, LpFailure, solve, solve_batch, solve_exact
+from .lp import LinearProgram, LpFailure, duals, solve, solve_batch, solve_exact
 from .monomials import Number, PolynomialModel, build_basis, dot_rows
 from .monomials import evaluate, lift  # unused here, kept because bench/tracing.py counts both bindings
 
@@ -122,17 +124,38 @@ def _normalized_witness(coeffs, basis, plus_lifted, minus_lifted) -> Optional[Se
     return SeparationWitness(scaled, *_margins(scaled.coefficients, plus_lifted, minus_lifted))
 
 
-def _max_margin(plus_lifted, minus_lifted, width, exact: bool):
-    """Maximise t with <A, lift> >= t on E+, <= -t on E-, |A|_inf <= 1."""
-    p, q = len(plus_lifted), len(minus_lifted)
-    objective = [0] * width + [-1]  # maximise t
-    A = np.column_stack((np.concatenate((plus_lifted, minus_lifted)), [-1] * p + [1] * q))  # the rows' dtype
-    bounds = [(-1, 1)] * width + [(None, None)]
-    lp = LinearProgram(objective, A, [">="] * p + ["<="] * q, [0] * (p + q), bounds)
+def _margin_lp(plus_lifted: np.ndarray, minus_lifted: np.ndarray) -> LinearProgram:
+    """The moment system's l1 relaxation: minimise |sum alpha lift(E+) - sum beta lift(E-)|_1.
+
+    Over alpha, beta >= 0 with sum alpha + sum beta = 1, the l1 norm as
+    sum (s+ + s-) over s+- >= 0: one "==" row per monomial (the constant's
+    included), then the mass row.  It is the LP dual of the largest margin t
+    with <A, lift> >= t on E+ and <= -t on E- over |A|_inf <= 1, so its
+    optimum is t, zero exactly when the lifted hulls meet, and A is the
+    monomial rows' duals negated.
+    """
+    (p, width), q = plus_lifted.shape, len(minus_lifted)
+    A = np.zeros((width + 1, p + q + 2 * width), dtype=plus_lifted.dtype)
+    A[:width, :p], A[:width, p:p + q] = plus_lifted.T, -minus_lifted.T
+    A[:width, p + q:p + q + width], A[:width, p + q + width:] = -np.eye(width, dtype=int), np.eye(width, dtype=int)
+    A[width, :p + q] = 1
+    return LinearProgram([0] * (p + q) + [1] * (2 * width), A, ["=="] * (width + 1), [0] * width + [1],
+                         ((0, None),) * A.shape[1])
+
+
+def _max_margin(plus_lifted: np.ndarray, minus_lifted: np.ndarray, exact: bool):
+    """The largest margin t of a polynomial with |A|_inf <= 1 over E+ and E-, and its A, from `_margin_lp`.
+
+    A float t below zero, the rounding of t = 0 (A = 0 always reaches it), reads 0.
+    """
+    lp = _margin_lp(plus_lifted, minus_lifted)
     sol = (solve_exact if exact else solve)(lp)
     if sol.status != "optimal":
         raise LpFailure(f"margin LP came back {sol.status}", {"status": sol.status, "iterations": sol.iterations})
-    return sol.x[width], sol.x[:width]
+    y = duals(lp, sol)
+    if y is None:
+        raise LpFailure("margin LP has no duals at its basis", {"iterations": sol.iterations})
+    return (sol.objective_value if exact else max(0.0, sol.objective_value)), [-v for v in y[:-1]]
 
 
 def hulls_intersect(
@@ -298,7 +321,7 @@ def check_hull_intersection(
     if witness is None:
         # float-mode Farkas too noisy to give strict margins; fall back to the
         # margin-maximising LP, which must separate if the moment LP is infeasible
-        t, coeffs = _max_margin(plus_lifted, minus_lifted, basis.size, exact)
+        t, coeffs = _max_margin(plus_lifted, minus_lifted, exact)
         witness = _normalized_witness(coeffs, basis, plus_lifted, minus_lifted)
         if witness is None:
             raise LpFailure(
@@ -325,15 +348,16 @@ def check_isolability(
     """Strict separability of E+ and E- by a polynomial of the given degree.
 
     Maximises the margin t subject to L(A, x) >= t on E+, <= -t on E-
-    and |A|_inf <= 1; the sets are isolable when the optimum exceeds 1e-9
-    (exactly positive in rational mode).
+    and |A|_inf <= 1, as the l1 distance of the lifted hulls (`_margin_lp`);
+    the sets are isolable when the optimum exceeds 1e-9 (exactly positive in
+    rational mode).
     """
     if not extremes.plus and not extremes.minus:
         raise ValueError("both extreme sets are empty")
     basis = build_basis(samples.dimension, degree)
     plus_lifted = samples.lifted(extremes.plus, degree, exact)
     minus_lifted = samples.lifted(extremes.minus, degree, exact)
-    t, coeffs = _max_margin(plus_lifted, minus_lifted, basis.size, exact)
+    t, coeffs = _max_margin(plus_lifted, minus_lifted, exact)
     isolable = (t > 0) if exact else (t > ISOLABLE_MARGIN)
     witness = None
     if isolable:

@@ -28,6 +28,7 @@ from minimaxfit import (
     extreme_sets,
     fit_minimax,
     hulls_intersect,
+    solve,
     solve_exact,
 )
 from minimaxfit import optimality
@@ -42,10 +43,39 @@ class Instance:
     extremes: ExtremeSets
 
 
-def lp_from_rows(objective, rows, bounds=None) -> LinearProgram:
-    """The LP of rows (coefficients, relation, rhs), every number kept as given."""
+def lp_from_rows(objective, rows, bounds=None, box=()) -> LinearProgram:
+    """The LP of rows (coefficients, relation, rhs), every number kept as given, then `box` written as rows.
+
+    `box` holds (lo, hi) for its leading variables, None where there is no
+    bound: x_j >= lo and x_j <= hi each become a row after `rows`.
+    """
+    for j, (lo, hi) in enumerate(box):
+        unit = [int(k == j) for k in range(len(objective))]
+        rows = [*rows, *([(unit, ">=", lo)] if lo is not None else []), *([(unit, "<=", hi)] if hi is not None else [])]
     return LinearProgram(objective, [list(c) for c, _, _ in rows], [r for _, r, _ in rows],
                          [b for _, _, b in rows], bounds)
+
+
+def reference_margin_lp(plus_lifted, minus_lifted) -> LinearProgram:
+    """The primal margin LP: maximise t with <A, lift> >= t on E+ and <= -t on E-, each |A_k| <= 1 two rows.
+
+    Its variables are A (free) then t (free), its rows one per point of E+,
+    one per point of E-, then A_k <= 1 and A_k >= -1 for each monomial k; the
+    reference for `optimality._max_margin`, which solves its LP dual.
+    """
+    width = len(plus_lifted[0]) if len(plus_lifted) else len(minus_lifted[0])
+    unit = [[int(j == k) for j in range(width)] + [0] for k in range(width)]
+    A = ([list(u) + [-1] for u in plus_lifted] + [list(v) + [1] for v in minus_lifted] + unit + unit)
+    relations = [">="] * len(plus_lifted) + ["<="] * len(minus_lifted) + ["<="] * width + [">="] * width
+    return LinearProgram([0] * width + [-1], A, relations, [0] * (len(plus_lifted) + len(minus_lifted))
+                         + [1] * width + [-1] * width)
+
+
+def reference_max_margin(plus_lifted, minus_lifted, exact: bool):
+    """The optimum t of `reference_margin_lp`, by `solve_exact` or the float `solve`."""
+    sol = (solve_exact if exact else solve)(reference_margin_lp(plus_lifted, minus_lifted))
+    assert sol.status == "optimal"
+    return -sol.objective_value
 
 
 def gauss_jordan_nullspace(rows) -> tuple[Optional[list[Fraction]], int]:
@@ -192,45 +222,29 @@ def reference_leaving(T, entering: int, basis, tol):
 def reference_standard_form(lp, conv):
     """The per-coefficient standardisation that the array `lp._standard_form` replaced, over `conv`.
 
-    Per variable its (column, sign) terms and offset; each row substituted
-    one coefficient at a time, skipping zeros, its offsets shifted to the
-    rhs; one "<=" row per two-sided bound; a +-1 slack per row that is not
-    "=="; the costs likewise.  Returns (col_terms, offsets, rows, rhs, costs)
-    as lists.
+    Per variable its (column, sign) terms: one column for x >= 0, two for a
+    free x; each row substituted one coefficient at a time, skipping zeros; a
+    +-1 slack per row that is not "=="; the costs likewise.  Returns
+    (col_terms, rows, rhs, costs) as lists.
     """
-    col_terms, offsets, bound_rows, ncols = [], [], [], 0
-    for lo, hi in lp.bounds:
-        lo, hi = (None if lo is None else conv(lo)), (None if hi is None else conv(hi))
+    col_terms, ncols = [], 0
+    for lo, _ in lp.bounds:
         if lo is not None:
             col_terms.append([(ncols, 1)])
-            offsets.append(lo)
-            if hi is not None:
-                bound_rows.append((ncols, hi - lo))
-            ncols += 1
-        elif hi is not None:
-            col_terms.append([(ncols, -1)])
-            offsets.append(hi)
             ncols += 1
         else:
             col_terms.append([(ncols, 1), (ncols + 1, -1)])
-            offsets.append(conv(0))
             ncols += 2
     sub_rows = []
     for coeffs, rel, rhs in zip(lp.A.tolist(), lp.relations.tolist(), lp.rhs.tolist()):
-        row, shift = [conv(0)] * ncols, conv(0)
+        row = [conv(0)] * ncols
         for j, a in enumerate(coeffs):
             a = conv(a)
             if a == 0:
                 continue
-            if offsets[j]:
-                shift += a * offsets[j]
             for col, sign in col_terms[j]:
                 row[col] += a if sign > 0 else -a
-        sub_rows.append((row, rel, conv(rhs) - shift))
-    for col, ub in bound_rows:
-        row = [conv(0)] * ncols
-        row[col] = conv(1)
-        sub_rows.append((row, "<=", ub))
+        sub_rows.append((row, rel, conv(rhs)))
     nslack = sum(1 for _, rel, _ in sub_rows if rel != "==")
     rows, rhs, slack_at = [], [], ncols
     for row, rel, b in sub_rows:
@@ -246,7 +260,7 @@ def reference_standard_form(lp, conv):
         if c != 0:
             for col, sign in col_terms[j]:
                 costs[col] += c if sign > 0 else -c
-    return col_terms, offsets, rows, rhs, costs
+    return col_terms, rows, rhs, costs
 
 
 
@@ -266,7 +280,7 @@ def reference_rational_simplex(lp: LinearProgram, price: bool = False) -> LpSolu
     ratio leaves, ties going to the smallest basic column
     (`reference_leaving`).  The pivots run on the whole tableau.
     """
-    col_terms, offsets, rows, rhs, costs = reference_standard_form(lp, Fraction)
+    col_terms, rows, rhs, costs = reference_standard_form(lp, Fraction)
     m, art0 = len(rows), len(costs)
     T = np.array([row + [Fraction(0)] * m + [b] for row, b in zip(rows, rhs)], dtype=object)
     T = T.reshape(m, art0 + m + 1)
@@ -299,8 +313,7 @@ def reference_rational_simplex(lp: LinearProgram, price: bool = False) -> LpSolu
     x_std = [Fraction(0)] * art0
     for i, j in enumerate(basis):
         x_std[j] = T[i, -1]
-    x = [offset + sum((sign * x_std[col] for col, sign in terms), Fraction(0))
-         for offset, terms in zip(offsets, col_terms)]
+    x = [sum((sign * x_std[col] for col, sign in terms), Fraction(0)) for terms in col_terms]
     value = sum((Fraction(c) * v for c, v in zip(lp.objective, x)), Fraction(0))
     return LpSolution("optimal", x=x, objective_value=value, iterations=it, basis=(tuple(basis), tuple(dropped)))
 

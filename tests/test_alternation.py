@@ -208,19 +208,18 @@ class TestVerifyByHyperplanes:
 
 
 def _candidate_planes(idxs, samples, exact):
-    """(u, a) of each distinct plane through d affinely independent points, one `affine_normal` per combination."""
+    """(u, a) of each distinct plane through d affinely independent points, one plane per combination.
+
+    A float plane is `affine_normal`'s, an exact one `reference_exact_plane`'s (its normal's first non-zero entry 1).
+    """
     pts = samples.view(exact)[0]
     seen = set()
     for combo in combinations(idxs, samples.dimension):
-        geom = affine_normal([pts[i] for i in combo], exact=exact)
+        geom = (reference_exact_plane if exact else affine_normal)([pts[i] for i in combo])
         if geom is None:
             continue  # affinely dependent subset: plane not unique, excluded
         u, a = geom
-        if exact:
-            lead = next(c for c in u if c != 0)
-            key = (tuple(c / lead for c in u), a / lead)
-        else:
-            key = tuple(round(float(c), 12) for c in list(u) + [a])
+        key = (u, a) if exact else tuple(round(float(c), 12) for c in list(u) + [a])
         if key in seen:
             continue
         seen.add(key)

@@ -607,6 +607,14 @@ class TestKnownLpFailures:
         assert code == 0
         assert report["extremes"]["degenerate"] and report["psi"] <= 1e-12
 
+    def test_trivariate_uniform_grid_verify_is_not_isolable(self):
+        # its isolability once ran a margin LP of one row per extreme point (405) into the 50,000-pivot
+        # cap and exited 1; the margin LP over the 20 lifted moment columns has 21 rows
+        code, report = run(RunConfig(command="verify", grid="-1,1:-1,1:-1,1;9;uniform;x1*x2*x3+x1^4",
+                                     degree=3))
+        assert code == 0 and "alpha" in report["certificate"]
+        assert report["isolability"]["isolable"] is False and 0 <= report["isolability"]["margin"] <= 1e-9
+
     def test_chebyshev_grid_fit_needs_no_phase_1(self, tmp_path):
         # a 2,001-point Chebyshev fit at m=5 whose first round once exited 1 in phase 1
         out = tmp_path / "report.json"

@@ -3,16 +3,14 @@
 import math
 import random
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minimaxfit import _linalg
 from minimaxfit._linalg import affine_normal, exact_nullspace, exact_solve, integer_normals
 
-from support import gauss_jordan_nullspace
+from support import gauss_jordan_nullspace, reference_exact_plane
 
 _ENTRIES = st.one_of(
     st.integers(-9, 9),
@@ -141,45 +139,46 @@ class TestExactSolve:
 
 
 class TestAffineNormal:
-    def test_exact_plane_through_independent_points(self):
+    def test_reference_exact_plane_through_independent_points(self):
         rng = random.Random(13)
         for d in (2, 3, 4):
             points = [[_rational(rng) for _ in range(d)] for _ in range(d)]
-            u, a = affine_normal(points, exact=True)
+            u, a = reference_exact_plane(points)
             assert next(c for c in u if c != 0) == 1
             assert all(sum(c * x for c, x in zip(u, p)) == a for p in points)
 
-    def test_exact_plane_equals_the_gauss_jordan_one(self):
+    def test_plane_differences_eliminate_as_by_gauss_jordan(self):
+        # the d - 1 differences from the first point, as an exact plane takes them: huge ints and rationals
         rng = random.Random(15)
         for _ in range(40):
             d = rng.randint(2, 4)
             points = [[rng.choice([rng.randint(-3, 3), _rational(rng), rng.randint(-10**30, 10**30)])
                        for _ in range(d)] for _ in range(d)]
-            got = affine_normal(points, exact=True)
-            with mock.patch.object(_linalg, "exact_nullspace", gauss_jordan_nullspace):
-                assert affine_normal(points, exact=True) == got
-            if got is not None:
-                u, a = got
+            diffs = [[Fraction(c) - Fraction(b) for c, b in zip(p, points[0])] for p in points[1:]]
+            assert exact_nullspace(diffs) == gauss_jordan_nullspace(diffs)
+            plane = reference_exact_plane(points)
+            if plane is not None:
+                u, a = plane
                 assert all(type(c) is Fraction for c in (*u, a))
                 assert all(sum(c * Fraction(x) for c, x in zip(u, p)) == a for p in points)
 
-    @pytest.mark.parametrize("exact", [False, True])
-    def test_rejects_a_point_count_other_than_the_dimension(self, exact):
+    def test_rejects_a_point_count_other_than_the_dimension(self):
         with pytest.raises(ValueError, match="need exactly 2 points in dimension 2, got 1"):
-            affine_normal([(1, 2)], exact=exact)
+            affine_normal([(1, 2)])
         with pytest.raises(ValueError, match="need exactly 1 points in dimension 1, got 2"):
-            affine_normal([(1,), (2,)], exact=exact)
+            affine_normal([(1,), (2,)])
 
-    def test_exact_affinely_dependent_points_give_none(self):
-        collinear = [(Fraction(0), Fraction(0), Fraction(1)), (Fraction(1), Fraction(2), Fraction(3)),
-                     (Fraction(2), Fraction(4), Fraction(5))]
-        assert affine_normal(collinear, exact=True) is None
-        assert affine_normal([(Fraction(1), Fraction(2)), (Fraction(1), Fraction(2))], exact=True) is None
+    def test_exact_affinely_dependent_points_have_no_plane(self):
+        collinear = [(0, 0, 1), (1, 2, 3), (2, 4, 5)]
+        repeated = [(1, 2), (1, 2)]
+        assert reference_exact_plane(collinear) is None and reference_exact_plane(repeated) is None
+        for points in (collinear, repeated):
+            assert not integer_normals(np.array([points], dtype=object))[2][0]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_integer_normals_are_the_exact_planes_over_integers(d):
-    """Each row is `affine_normal`'s exact plane times its normal's first non-zero entry, primitive, or not unique."""
+    """Each row is `reference_exact_plane`'s plane times its normal's first non-zero entry, primitive, or not unique."""
     rng = random.Random(d)
     coordinate = [lambda: rng.randint(-3, 3), lambda: rng.randint(-10**30, 10**30)]
     points = np.array([[[rng.choice(coordinate)() for _ in range(d)] for _ in range(d)] for _ in range(300)],
@@ -189,7 +188,7 @@ def test_integer_normals_are_the_exact_planes_over_integers(d):
     assert U.shape == (300, d) and A.shape == unique.shape == (300,)
     found = 0
     for row, a, ok, combo in zip(U.tolist(), A.tolist(), unique.tolist(), points.tolist()):
-        ref = affine_normal(combo, exact=True)
+        ref = reference_exact_plane(combo)
         assert ok == (ref is not None)
         if ok:
             found += 1

@@ -10,12 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import minimaxfit.lp as lp_module
-from minimaxfit import LinearProgram, LpFailure, build_basis, lift, solve, solve_exact, verify_farkas
+from minimaxfit import LinearProgram, LpFailure, LpSolution, build_basis, lift, solve, solve_exact, verify_farkas
 from minimaxfit._linalg import exact_solve
 from minimaxfit import fitting
 from minimaxfit.cli import RunConfig, parse_grid_spec, run
 from minimaxfit.monomials import dot
-from minimaxfit.optimality import _moment_lp
+from minimaxfit.optimality import _margin_lp, _moment_lp
 
 from support import (
     build_fit_corpus,
@@ -24,6 +24,7 @@ from support import (
     random_samples,
     reference_entering,
     reference_leaving,
+    reference_margin_lp,
     reference_rational_simplex,
     reference_standard_form,
 )
@@ -53,13 +54,13 @@ def test_farkas_check_rejects_each_broken_condition(exact):
         assert not verify_farkas(lp, wrong, exact)  # a slack column of the relation, else the structural one
         assert not verify_farkas(lp, [0, 0], exact)  # y.b = 0
         assert not verify_farkas(lp, [-1], exact)  # one entry per standardised row
-    # 0 <= x <= 1 with x >= 2: rows u - s0 = 2 and the bound row u + s1 = 1; a witness needs both, as y = (1, -1)
-    lp = LinearProgram([0], [[1]], [">="], [2], [(0, 1)])
+    # x >= 0 with x >= 2 and x <= 1: rows u - s0 = 2 and u + s1 = 1; a witness needs both, as y = (1, -1)
+    lp = LinearProgram([0], [[1], [1]], [">=", "<="], [2, 1], [(0, None)])
     assert verify_farkas(lp, [1, -1], exact)
-    assert not verify_farkas(lp, [1], exact)  # the bound row has its own entry
-    assert not verify_farkas(lp, [1, 0], exact)  # without the bound row, x's column sums to 1 > 0
+    assert not verify_farkas(lp, [1], exact)  # each row has its own entry
+    assert not verify_farkas(lp, [1, 0], exact)  # without the "<=" row, x's column sums to 1 > 0
     assert not verify_farkas(lp, [1, -2], exact)  # y.b = 0
-    assert not verify_farkas(lp, [1, 1], exact)  # the bound slack's column sums to 1 > 0
+    assert not verify_farkas(lp, [1, 1], exact)  # the "<=" slack's column sums to 1 > 0
     sol = (solve_exact if exact else solve)(lp)
     assert sol.status == "infeasible" and len(sol.farkas) == 2 and verify_farkas(lp, sol.farkas, exact)
 
@@ -92,7 +93,7 @@ def test_exact_bivariate_moment_system_has_half_weights():
 
 
 def _random_box_lp(rng: random.Random):
-    """Box-constrained LP whose optimum is a known corner."""
+    """Box-constrained LP, the box written as rows, whose optimum is a known corner."""
     n = rng.randint(1, 4)
     los = [round(rng.uniform(-4, 0), 3) for _ in range(n)]
     his = [round(lo + rng.uniform(0.5, 3), 3) for lo in los]
@@ -103,7 +104,7 @@ def _random_box_lp(rng: random.Random):
         a = [round(rng.uniform(-1, 1), 3) for _ in range(n)]
         rhs = sum(ai * xi for ai, xi in zip(a, corner)) + rng.uniform(0.1, 1)
         rows.append((a, "<=", rhs))
-    lp = lp_from_rows(c, rows, list(zip(los, his)))
+    lp = lp_from_rows(c, rows, box=list(zip(los, his)))
     value = sum(ci * xi for ci, xi in zip(c, corner))
     return lp, value
 
@@ -122,10 +123,10 @@ def test_optimal_points_satisfy_rows_to_tolerance():
     for _ in range(40):
         lp, _ = _random_box_lp(rng)
         sol = solve(lp)
-        for coeffs, rhs in zip(lp.A, lp.rhs):  # every row is "<="
+        for coeffs, rel, rhs in zip(lp.A, lp.relations, lp.rhs):  # "<=" rows, then the box's ">=" and "<=" rows
             resid = sum(a * x for a, x in zip(coeffs, sol.x)) - rhs
             scale = max(1.0, max(abs(a) for a in coeffs), abs(rhs))
-            assert resid <= 1e-9 * scale
+            assert (resid if rel == "<=" else -resid) <= 1e-9 * scale
 
 
 def _random_rational_lp(rng: random.Random):
@@ -138,8 +139,7 @@ def _random_rational_lp(rng: random.Random):
         rhs = Fraction(rng.randint(-8, 8), rng.randint(1, 3))
         rows.append((coeffs, rel, rhs))
     c = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
-    bounds = [(Fraction(-5), Fraction(5)) for _ in range(n)]  # keep it bounded
-    return lp_from_rows(c, rows, bounds)
+    return lp_from_rows(c, rows, box=[(Fraction(-5), Fraction(5))] * n)  # the box keeps it bounded
 
 
 def test_float_and_exact_agree_on_status():
@@ -162,11 +162,12 @@ def test_determinism():
 def test_status_invariant_under_row_permutation_and_scaling(seed, perm, scales):
     rng = random.Random(seed)
     base = _random_rational_lp(rng)
-    while base.num_rows != 3:
+    while base.num_rows != 3 + 2 * base.num_vars:  # three rows, then the box's
         base = _random_rational_lp(rng)
     lp = _as_float(base)
-    s = np.array(scales)[perm]
-    scrambled = LinearProgram(lp.objective, s[:, None] * lp.A[perm], lp.relations[perm], s * lp.rhs[perm], lp.bounds)
+    order = [*perm, *range(3, lp.num_rows)]
+    s = np.concatenate((np.array(scales)[perm], np.ones(lp.num_rows - 3)))
+    scrambled = LinearProgram(lp.objective, s[:, None] * lp.A[order], lp.relations[order], s * lp.rhs[order], lp.bounds)
     assert solve(lp).status == solve(scrambled).status
 
 
@@ -182,8 +183,13 @@ def test_status_invariant_under_row_permutation_and_scaling(seed, perm, scales):
     ([[1.0, 2.0]], ["=<"], [0.0], None, "unknown relation among ['=<']"),
     ([[1.0, 2.0]], ["<="], [0.0], [(0, None)], "1 bounds for 2 variables"),
     ([[1.0, 2.0]], ["<="], [0.0], [(0, None)] * 3, "3 bounds for 2 variables"),
+    ([[1.0, 2.0]], ["<="], [0.0], [(0, None), (-1, 1)], "bounds (-1, 1) are neither"),
+    ([[1.0, 2.0]], ["<="], [0.0], [(0, 1), (0, None)], "bounds (0, 1) are neither"),
+    ([[1.0, 2.0]], ["<="], [0.0], [(1, None), (0, None)], "bounds (1, None) are neither"),
+    ([[1.0, 2.0]], ["<="], [0.0], [(None, None), (None, 0)], "bounds (None, 0) are neither"),
 ], ids=["row-width", "array-width", "ragged-rows", "long-rhs", "short-rhs", "long-relations", "short-relations",
-        "relation-<", "relation-=<", "few-bounds", "many-bounds"])
+        "relation-<", "relation-=<", "few-bounds", "many-bounds", "two-sided", "zero-to-one", "lower-one",
+        "upper-only"])
 def test_constructor_rejects_inconsistent_arrays(A, relations, rhs, bounds, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         LinearProgram([1.0, 2.0], A, relations, rhs, bounds)
@@ -220,20 +226,21 @@ _NUMBERS = st.one_of(
 
 @st.composite
 def _bounded_lps(draw):
-    """LPs over free, lower-, upper- and two-sided-bounded variables, many zero coefficients, some "==" rows."""
+    """LPs over free and non-negative variables, some boxed by rows, many zero coefficients, some "==" rows."""
     n, m = draw(st.integers(1, 4)), draw(st.integers(0, 5))
-    bounds = []
-    for kind in draw(st.lists(st.sampled_from(["free", "lower", "upper", "both"]), min_size=n, max_size=n)):
-        lo = draw(_NUMBERS) if kind in ("lower", "both") else None
-        hi = draw(_NUMBERS) if kind in ("upper", "both") else None
-        bounds.append((lo, hi))
     coefficient = st.one_of(st.just(0), st.just(-0.0), _NUMBERS)
     A = draw(st.lists(st.lists(coefficient, min_size=n, max_size=n), min_size=m, max_size=m))
     relations = draw(st.lists(st.sampled_from(["<=", "==", ">="]), min_size=m, max_size=m))
     rhs = draw(st.lists(_NUMBERS, min_size=m, max_size=m))
+    bounds = []
+    for j, kind in enumerate(draw(st.lists(st.sampled_from(["free", "non-negative", "lower", "upper", "both"]),
+                                           min_size=n, max_size=n))):
+        bounds.append((0, None) if kind == "non-negative" else (None, None))
+        for rel in {"lower": [">="], "upper": ["<="], "both": [">=", "<="]}.get(kind, []):  # a bound as a row
+            A, relations, rhs = A + [[int(k == j) for k in range(n)]], relations + [rel], rhs + [draw(_NUMBERS)]
     objective = draw(st.lists(coefficient, min_size=n, max_size=n))
     if draw(st.booleans()):  # as float64 arrays, kept as they are
-        A, rhs = np.array(A, dtype=float).reshape(m, n), np.array(rhs, dtype=float)
+        A, rhs = np.array(A, dtype=float).reshape(len(rhs), n), np.array(rhs, dtype=float)
     return LinearProgram(objective, A, relations, rhs, bounds)
 
 
@@ -242,16 +249,15 @@ def _bounded_lps(draw):
 def test_standard_form_matches_the_coefficient_loop_bit_for_bit(lp):
     for exact in (False, True):
         conv = Fraction if exact else float
-        col_terms, offsets, rows, rhs, costs = reference_standard_form(lp, conv)
-        (var, sign, got_offsets), got_rows, got_rhs, got_costs = lp_module._standard_form(lp, exact)
+        col_terms, rows, rhs, costs = reference_standard_form(lp, conv)
+        (var, sign), got_rows, got_rhs, got_costs = lp_module._standard_form(lp, exact)
         terms = [[] for _ in lp.bounds]
         for col, (j, s) in enumerate(zip(var, sign)):
             terms[j].append((col, s))
         assert terms == col_terms
-        assert [(type(v), repr(v)) for v in got_offsets] == [(type(v), repr(v)) for v in offsets]
         assert got_rows.shape == (len(rhs), len(costs))
         if exact:  # the integer rows: row i's columns and rhs D_i times the rational ones, its slack's +-1 kept
-            D = [*lp_module._integers(lp)[2], *[1] * (len(rows) - lp.num_rows)]
+            D = lp_module._integers(lp)[2]
             ncols = len(var)
             assert got_rows.tolist() == [[d * v for v in row[:ncols]] + row[ncols:] for d, row in zip(D, rows)]
             assert got_rhs.tolist() == [d * b for d, b in zip(D, rhs)] and got_costs.tolist() == costs
@@ -310,16 +316,24 @@ def test_duals_of_a_fit_lp_solve_its_dual(exact):
         assert all(type(v) is (Fraction if exact else float) for v in y if v)
 
 
-def _margin_lp(plus_lifted, minus_lifted):
-    """The margin LP of check_isolability: max t, |A|_inf <= 1."""
-    width = len(plus_lifted[0])
-    A = [list(u) + [-1] for u in plus_lifted] + [list(v) + [1] for v in minus_lifted]
-    relations = [">="] * len(plus_lifted) + ["<="] * len(minus_lifted)
-    return LinearProgram([0] * width + [-1], A, relations, [0] * len(A), [(-1, 1)] * width + [(None, None)])
+@pytest.mark.parametrize("exact", [False, True])
+def test_duals_of_a_basis_without_one_solution_are_none(exact):
+    # x, y >= 0 with x + y == 1 and 2x + 2y == 2: each basis below but the last has no unique B^T y = c_B
+    lp = LinearProgram([1, 1], [[1, 1], [2, 2]], ["==", "=="], [1, 2], [(0, None)] * 2)
+
+    def at(basis, dropped=()):
+        return LpSolution("optimal", objective_value=Fraction(1) if exact else 1.0, basis=(basis, dropped))
+
+    assert lp_module.duals(lp, at((0,))) is None  # one column for two kept rows
+    assert lp_module.duals(lp, at((0, 1, 1))) is None  # three columns
+    assert lp_module.duals(lp, at((0, 0))) is None  # a repeated column
+    assert lp_module.duals(lp, at((0, 1))) is None  # a singular block: both rows are x + y, doubled
+    y = lp_module.duals(lp, at((0,), (1,)))  # the redundant row dropped: y = (1, 0)
+    assert y == [1, 0] and type(y[0]) is (Fraction if exact else float)
 
 
 def _exact_corpus():
-    """Seeded exact LPs: random rational, minimax, moment and margin LPs."""
+    """Seeded exact LPs: random rational, minimax, moment and primal margin LPs, every box written as rows."""
     rng = random.Random(2017)
     lps = [_random_rational_lp(rng) for _ in range(60)]
     for _ in range(16):
@@ -333,7 +347,7 @@ def _exact_corpus():
         plus = np.array([lift(pts[i], basis) for i in inst.extremes.plus], dtype=object)
         minus = np.array([lift(pts[i], basis) for i in inst.extremes.minus], dtype=object)
         if len(plus) and len(minus):
-            lps += [_moment_lp(plus, minus), _margin_lp(plus, minus)]
+            lps += [_moment_lp(plus, minus), reference_margin_lp(plus, minus)]
     # random point clouds: separable ones give infeasible moment LPs
     for _ in range(16):
         d, m = rng.choice([(1, 1), (1, 2), (2, 1), (2, 2)])
@@ -341,7 +355,7 @@ def _exact_corpus():
         cloud = np.array([lift([Fraction(rng.randint(-8, 8), 4) for _ in range(d)], basis) for _ in range(7)],
                          dtype=object)
         cut = rng.randint(1, 6)
-        lps += [_moment_lp(cloud[:cut], cloud[cut:]), _margin_lp(cloud[:cut], cloud[cut:])]
+        lps += [_moment_lp(cloud[:cut], cloud[cut:]), reference_margin_lp(cloud[:cut], cloud[cut:])]
     return lps
 
 
@@ -392,7 +406,7 @@ def test_integer_tableau_solves_as_the_rational_simplex(monkeypatch):
 @settings(max_examples=200, deadline=None)
 @given(_bounded_lps(), st.booleans())
 def test_integer_tableau_solves_any_bounded_lp_as_the_rational_simplex(lp, price):
-    # rowless LPs, bound rows alone, offsets, float and -0.0 entries: every standard-form case
+    # rowless LPs, box rows alone, float and -0.0 entries: every standard-form case
     _same_solve(lp_module._solve(lp, exact=True, price=price), reference_rational_simplex(lp, price=price))
 
 
@@ -473,9 +487,8 @@ def test_wrong_float_basis_is_rejected(monkeypatch, basis, flaw):
 
 
 def test_dropped_row_must_hold(monkeypatch):
-    # max x s.t. x <= 5, 0 <= x <= 3; the bound x <= 3 is standardised row 1.
-    # Dropping it as redundant leaves x = 5, which meets the original row.
-    lp = LinearProgram([-1], [[1]], ["<="], [5], [(0, 3)])
+    # max x s.t. x <= 5, x <= 3, x >= 0.  Dropping row 1 as redundant leaves x = 5, which meets row 0.
+    lp = LinearProgram([-1], [[1], [1]], ["<=", "<="], [5, 3], [(0, None)])
     fallbacks = _wrong_basis_guess(monkeypatch, lambda lp, m: ((0,), (1,)))
     sol = solve_exact(lp)
     assert fallbacks == [lp]
@@ -574,11 +587,11 @@ def test_block_certificate_matches_the_dense_one(exact_corpus):
     assert certified > 100 and rejected > 100
 
 
-def _offset_lp(rng: random.Random):
-    """A bounded LP with ``Fraction`` bounds (non-zero offsets) and rows of huge ints, Fractions or both."""
+def _huge_lp(rng: random.Random):
+    """An LP boxed by ``Fraction`` bound rows, with rows of huge ints, Fractions or both."""
     n, m = rng.randint(1, 4), rng.randint(1, 5)
-    bounds = [rng.choice([(Fraction(-7, 3), Fraction(5, 2)), (Fraction(1, 3), Fraction(19, 4)),
-                          (Fraction(-9, 4), Fraction(-1, 6))]) for _ in range(n)]
+    box = [rng.choice([(Fraction(-7, 3), Fraction(5, 2)), (Fraction(1, 3), Fraction(19, 4)),
+                       (Fraction(-9, 4), Fraction(-1, 6))]) for _ in range(n)]
     rows = []
     for _ in range(m):
         kind = rng.choice(["huge", "fraction", "mixed"])
@@ -587,15 +600,14 @@ def _offset_lp(rng: random.Random):
                   else Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(n)]
         rhs = rng.randint(-8, 8) * scale if kind == "huge" else Fraction(rng.randint(-8, 8), rng.randint(1, 3))
         rows.append((coeffs, rng.choice(["<=", "==", ">="]), rhs))
-    return lp_from_rows([Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)], rows, bounds)
+    return lp_from_rows([Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)], rows, box=box)
 
 
-def test_integer_certificate_with_offsets_and_huge_rows_matches_the_dense_one():
+def test_integer_certificate_with_huge_rows_matches_the_dense_one():
     rng = random.Random(43)
     certified = rejected = 0
     for _ in range(160):
-        lp = _offset_lp(rng)
-        assert any(lp_module._columns(lp.bounds, Fraction)[2])  # the offsets move to the rhs
+        lp = _huge_lp(rng)
         for basis, dropped in _candidate_bases(lp, rng):
             got = lp_module._certify(lp, basis, dropped, iterations=5)
             ref = _dense_certify(lp, basis, dropped, iterations=5)
@@ -632,19 +644,19 @@ def test_integer_row_check_reports_the_fraction_residual(monkeypatch):
 
 
 @pytest.mark.parametrize("cost, rhs, basis, dropped, x", [
-    (1, 1, (0, 2), (), [1]),  # the optimal vertex: x = 1 on the ">=" row, bound slack 2
-    (1, 1, (0, 1), (), None),  # x = 3 on the bound row: feasible, but the bound slack's reduced cost is -1
+    (1, 1, (0, 2), (), [1]),  # the optimal vertex: x = 1 on the ">=" row, "<=" slack 2
+    (1, 1, (0, 1), (), None),  # x = 3 on the "<=" row: feasible, but the "<=" slack's reduced cost is -1
     (1, 1, (0, 0), (), None),  # a duplicate column
     (1, 1, (0, 1, 2), (), None),  # three columns for two kept rows
     (1, 0, (0, 2), (), [0]),
     # each basic value below is feasible and each reduced cost non-negative, but B is not invertible
-    (1, 0, (2, 2), (), None),  # the bound slack twice
-    (1, 0, (2,), (1,), None),  # the slack of the dropped bound row: a zero column
+    (1, 0, (2, 2), (), None),  # the "<=" slack twice
+    (1, 0, (2,), (1,), None),  # the slack of the dropped "<=" row: a zero column
     (0, 0, (0, 1, 2), (), None),
 ])
 def test_block_certificate_on_a_box(cost, rhs, basis, dropped, x):
-    # min cost * x s.t. x >= rhs, 0 <= x <= 3: rows u - s1 = rhs and u + s2 = 3 over columns u, s1, s2
-    lp = LinearProgram([cost], [[1]], [">="], [rhs], [(0, 3)])
+    # min cost * x s.t. x >= rhs, x <= 3, x >= 0: rows u - s1 = rhs and u + s2 = 3 over columns u, s1, s2
+    lp = LinearProgram([cost], [[1], [1]], [">=", "<="], [rhs, 3], [(0, None)])
     got = lp_module._certify(lp, basis, dropped, iterations=0)
     assert (got and got.x) == x
     if len(basis) + len(dropped) == 2:
@@ -756,22 +768,17 @@ def _appended(lp, rows):
 
 
 def _as_float(lp):
-    return LinearProgram(
-        [float(c) for c in lp.objective],
-        np.asarray(lp.A, dtype=float),
-        lp.relations,
-        np.asarray(lp.rhs, dtype=float),
-        [(None if lo is None else float(lo), None if hi is None else float(hi)) for lo, hi in lp.bounds],
-    )
+    return LinearProgram([float(c) for c in lp.objective], np.asarray(lp.A, dtype=float), lp.relations,
+                         np.asarray(lp.rhs, dtype=float), lp.bounds)
 
 
 def _warm_pairs():
     """Seeded (prefix, full) LP pairs over Fraction; `full` appends "<=" and ">=" rows to `prefix`.
 
     Minimax LPs cut after any sample, as the working-set loop grows them;
-    moment LPs (all "==") with weight caps appended; margin LPs, whose
-    two-sided bounds put bound rows and slacks after the appended ones; and
-    random rational LPs with random inequalities appended.
+    moment LPs (all "==") with weight caps appended; primal margin LPs cut
+    after any row, so that some appended rows are box rows; and random
+    rational LPs with random inequalities appended.
     """
     rng = random.Random(1959)
     pairs = []
@@ -788,7 +795,7 @@ def _warm_pairs():
         n = moment.num_vars
         caps = [([int(j == i) for j in range(n)], "<=", Fraction(rng.randint(1, 4), 4))
                 for i in rng.sample(range(n), min(n, 3))]
-        margin = _margin_lp(plus, minus)
+        margin = reference_margin_lp(plus, minus)
         pairs += [(moment, _appended(moment, caps)), (_prefix(margin, rng.randint(0, margin.num_rows - 1)), margin)]
     for _ in range(40):
         lp = _random_rational_lp(rng)
@@ -893,16 +900,6 @@ def test_warm_lp_failure_falls_back_and_counts_its_pivots(monkeypatch, cold_solv
     assert got.iterations == ref.iterations + spent
 
 
-def test_dropped_bound_row_moves_up_with_the_appended_rows():
-    # x == 2 with 0 <= x <= 3: standardised rows x == 2, then the bound row x + s = 3.
-    # A start that dropped the bound row must drop it again behind the appended row x >= 1.
-    prefix = LinearProgram([1], [[1]], ["=="], [2], [(0, 3)])
-    full = _appended(prefix, [([1], ">=", 1)])
-    start = lp_module.LpSolution("optimal", basis=((0,), (1,)))
-    warm, spent = lp_module._warm(full, start)
-    assert (warm.x, warm.basis, spent) == ([2.0], ((0, 1), (2,)), 0)
-
-
 def _loop_check_rows(lp, x, exact):
     """The per-row check `_check_rows` replaced: (row, residual) of the first broken row, or None.
 
@@ -976,17 +973,25 @@ def _dual_feasible_by_hand(lp):
     """No "==" row and no standardised column of negative cost, read off the objective and bounds."""
     if any(rel == "==" for rel in lp.relations):
         return False
-    for c, (lo, hi) in zip(lp.objective, lp.bounds):
-        if (lo is not None and c < 0) or (lo is None and hi is not None and c > 0) or (lo is hi is None and c):
-            return False
-    return True
+    return all(c >= 0 if lo is not None else not c for c, (lo, _) in zip(lp.objective, lp.bounds))
+
+
+def _rowless_lps(rng: random.Random):
+    """Random rational LPs over x >= 0 with costs >= 0 and no "==" row, whose slack basis is dual feasible."""
+    lps = []
+    for _ in range(20):
+        n, m = rng.randint(1, 3), rng.randint(1, 4)
+        rows = [([Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)], rng.choice(["<=", ">="]),
+                 Fraction(rng.randint(-8, 8), rng.randint(1, 3))) for _ in range(m)]
+        lps.append(lp_from_rows([rng.randint(0, 3) for _ in range(n)], rows, [(0, None)] * n))
+    return lps
 
 
 def test_rowless_start_exactly_when_the_slack_basis_is_dual_feasible(monkeypatch, cold_solves):
     real_form, forms = lp_module._standard_form, []
     monkeypatch.setattr(lp_module, "_standard_form", lambda lp, exact: forms.append(exact) or real_form(lp, exact))
     kinds = {True: 0, False: 0}
-    for lp in map(_as_float, _exact_corpus()):
+    for lp in map(_as_float, _exact_corpus() + _rowless_lps(random.Random(29))):
         rowless = _dual_feasible_by_hand(lp)
         assert lp_module._slack_basis_dual_feasible(lp) == rowless
         ref = lp_module._solve(lp, exact=False)
@@ -1004,12 +1009,13 @@ def test_rowless_start_exactly_when_the_slack_basis_is_dual_feasible(monkeypatch
             assert cold_solves == [False] and verify_farkas(lp, got.farkas)
         kinds[rowless] += 1
     assert min(kinds.values()) >= 20, kinds
-    # the minimax LPs of a fit start rowless; moment ("==" rows) and margin LPs (free t at cost -1) never do
+    # the minimax LPs of a fit start rowless; moment and margin LPs ("==" rows) and primal margin LPs
+    # (free t at cost -1) never do
     samples = random_samples(random.Random(3), 1, 9)
     assert _dual_feasible_by_hand(_minimax_lp(samples, 2))
     lifted = samples.lifted(range(9), 1, True)
-    assert not lp_module._slack_basis_dual_feasible(_moment_lp(lifted[:4], lifted[4:]))
-    assert not lp_module._slack_basis_dual_feasible(_margin_lp(lifted[:4], lifted[4:]))
+    for lp in (_moment_lp, _margin_lp, reference_margin_lp):
+        assert not lp_module._slack_basis_dual_feasible(lp(lifted[:4], lifted[4:]))
 
 
 def test_dual_rule_turns_to_blands_rule_after_m_steps(monkeypatch):
@@ -1129,7 +1135,7 @@ def test_priced_solve_ends_on_beales_cycling_example(monkeypatch, exact):
 
 
 def _fitted_moment_and_margin_lps(exact):
-    """The moment and the margin LP of the first fitted 2-D extreme sets of both signs."""
+    """The moment and the margin LP (`optimality._margin_lp`) of the first fitted 2-D extreme sets of both signs."""
     for inst in build_fit_corpus(5, 12, dims=(2,), degrees=(2,), point_range=(8, 20)):
         plus = inst.samples.lifted(inst.extremes.plus, 2, exact)
         minus = inst.samples.lifted(inst.extremes.minus, 2, exact)
@@ -1202,8 +1208,8 @@ def _highs(lp):
 
 
 def test_float_solve_agrees_with_highs():
-    # the minimax, moment and margin LPs of fitted instances; a moment LP that drops one sign's
-    # first extreme point is often infeasible
+    # the minimax, moment, margin and primal margin LPs of fitted instances; a moment LP that drops
+    # one sign's first extreme point is often infeasible
     pytest.importorskip("scipy")
     seen = {}
     corpus = build_fit_corpus(5, 12, dims=(1, 2), degrees=(1, 2), point_range=(8, 20))
@@ -1213,7 +1219,8 @@ def test_float_solve_agrees_with_highs():
         plus = inst.samples.lifted(inst.extremes.plus, inst.degree, True)
         minus = inst.samples.lifted(inst.extremes.minus, inst.degree, True)
         if len(plus) and len(minus):
-            lps += [("moment", _moment_lp(plus, minus)), ("margin", _margin_lp(plus, minus))]
+            lps += [("moment", _moment_lp(plus, minus)), ("margin", _margin_lp(plus, minus)),
+                    ("primal margin", reference_margin_lp(plus, minus))]
             lps += [("moment", _moment_lp(plus[1:], minus))] if len(plus) > 1 else []
             lps += [("moment", _moment_lp(plus, minus[1:]))] if len(minus) > 1 else []
         for kind, lp in lps:
@@ -1224,7 +1231,8 @@ def test_float_solve_agrees_with_highs():
             if status == "optimal":
                 assert got.objective_value == pytest.approx(value, rel=1e-7, abs=1e-12), kind
             seen.setdefault(kind, set()).add(status)
-    assert seen == {"minimax": {"optimal"}, "moment": {"optimal", "infeasible"}, "margin": {"optimal"}}
+    assert seen == {"minimax": {"optimal"}, "moment": {"optimal", "infeasible"}, "margin": {"optimal"},
+                    "primal margin": {"optimal"}}
 
 
 def test_objective_value_adds_left_to_right_under_any_sum(monkeypatch):

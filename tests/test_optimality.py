@@ -28,12 +28,13 @@ from minimaxfit import (
 )
 from minimaxfit import fitting, optimality
 from minimaxfit.alternation import verify_by_hyperplanes
+from minimaxfit.cli import parse_grid_spec
 from minimaxfit.reduction import reduce_and_verify
 from minimaxfit.fitting import DEFAULT_REL_TOL, model_values, partition_extremes
 from minimaxfit.lp import LpFailure, LpSolution, solve, solve_exact
 from minimaxfit.optimality import _moment_lp, certified_meet, exact_weights
 
-from support import build_fit_corpus, random_samples
+from support import build_fit_corpus, random_samples, reference_max_margin
 
 
 @pytest.fixture(scope="module")
@@ -132,14 +133,26 @@ class TestHullIntersection:
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_margin_lp_of_another_status_is_an_lp_failure(self, exact, monkeypatch):
-        # t = -1 with every coefficient 0 is feasible, so the margin LP is optimal or fails with its pivots
+        # weight one on a point, s+- its |moments|, is feasible and costs >= 0, so the margin LP is optimal
+        # or fails with its pivots
         samples = SampleSet([(-1, -1), (-1, 1), (1, -1), (1, 1), (0, 0)], [0] * 5)
         lifted = [samples.lifted(side, 1, exact) for side in ((0, 1), (2, 3))]
         monkeypatch.setattr(optimality, "solve_exact" if exact else "solve",
                             lambda lp: LpSolution("infeasible", farkas=[0] * lp.num_rows, iterations=6))
         with pytest.raises(LpFailure, match="^margin LP came back infeasible$") as failure:
-            optimality._max_margin(*lifted, 3, exact)
+            optimality._max_margin(*lifted, exact)
         assert failure.value.diagnostics == {"status": "infeasible", "iterations": 6}
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_margin_lp_without_duals_is_an_lp_failure(self, exact, monkeypatch):
+        # the separating coefficients are the margin LP's duals: a basis `duals` cannot solve gives no witness
+        samples = SampleSet([(-1, -1), (-1, 1), (1, -1), (1, 1), (0, 0)], [0] * 5)
+        extremes = ExtremeSets(plus=(0, 1), minus=(2, 3), psi=1, rel_tol=0.0)
+        assert check_isolability(extremes, samples, 1, exact).isolable
+        monkeypatch.setattr(optimality, "duals", lambda lp, sol: None)
+        with pytest.raises(LpFailure, match="^margin LP has no duals at its basis$") as failure:
+            check_isolability(extremes, samples, 1, exact)
+        assert failure.value.diagnostics["iterations"] > 0
 
     @pytest.mark.parametrize("kind", [float, Fraction, int])
     def test_witness_replay_agrees_with_evaluate_at_each_point(self, kind):
@@ -213,6 +226,50 @@ class TestIsolability:
     def test_xy_corners_not_isolable(self, xy_instance):
         samples, extremes = xy_instance
         assert not check_isolability(extremes, samples, 1, exact=True).isolable
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_margin_is_the_primal_max_margin(self, exact):
+        """The l1 LP's optimum against the primal LP with |A_k| <= 1 as rows, on random and fitted extreme sets.
+
+        Equal in exact arithmetic, within 1e-9 max(1, |t|) in float, with the
+        same verdict; an isolable verdict's witness separates strictly.
+        """
+        rng = random.Random(83 + exact)
+        cases = []
+        for dimension in (1, 2, 3):
+            for _ in range(8):
+                samples = random_samples(rng, dimension, rng.randint(3, 12))
+                samples = SampleSet(*samples.view(True)) if exact else samples
+                idx = rng.sample(range(len(samples)), rng.randint(2, len(samples)))
+                cut = rng.randint(1, len(idx) - 1)
+                extremes = ExtremeSets(plus=tuple(sorted(idx[:cut])), minus=tuple(sorted(idx[cut:])), psi=1,
+                                       rel_tol=0.0)
+                cases.append((samples, extremes, rng.randint(1, 4 - dimension)))
+        for inst in build_fit_corpus(seed=90, count=8, dims=(1, 2, 3), degrees=(1, 2), point_range=(6, 16)):
+            cases.append((*_instance_in(inst, exact), inst.degree))
+        verdicts = set()
+        for samples, extremes, degree in cases:
+            got = check_isolability(extremes, samples, degree, exact)
+            ref = reference_max_margin(samples.lifted(extremes.plus, degree, exact),
+                                       samples.lifted(extremes.minus, degree, exact), exact)
+            if exact:
+                assert got.margin == ref and got.isolable == (ref > 0)
+            else:
+                assert abs(got.margin - ref) <= 1e-9 * max(1, abs(ref))
+                assert got.isolable == (ref > optimality.ISOLABLE_MARGIN)
+            assert got.isolable == (got.witness is not None)
+            assert not got.isolable or verify_witness(got.witness, extremes.plus, extremes.minus, samples)
+            verdicts.add(got.isolable)
+        assert verdicts == {False, True}
+
+    def test_certified_float_margin_is_not_negative(self):
+        # this certified fit's margin LP ends 5e-15 below zero; A = 0 with t = 0 is feasible, so t reads 0
+        target = "-4*x1^3+4*x1^2*x2-2*x1^4+4*x1^2*x2^2-2*x2^4-5*x1^5-4*x1^4*x2+4*x1^3*x2^2-4*x1^2*x2^3+x1*x2^4+5*x2^5"
+        samples = parse_grid_spec("-1,1:-1,1;21;chebyshev;" + target)
+        extremes = extreme_sets(fit_minimax(samples, 4).model, samples)
+        assert isinstance(check_hull_intersection(extremes, samples, 4), IntersectionCertificate)
+        iso = check_isolability(extremes, samples, 4)
+        assert not iso.isolable and iso.margin >= 0 and type(iso.margin) is float
 
     def test_agrees_with_certificate_on_corpus(self):
         corpus = build_fit_corpus(seed=404, count=20, dims=(1, 2), degrees=(1, 2), point_range=(5, 20))

@@ -26,7 +26,7 @@ from .fitting import (
     fit_minimax,
     partition_extremes,
 )
-from .lp import LinearProgram, LpFailure, LpSolution, solve, solve_exact, verify_farkas
+from .lp import LinearProgram, LpFailure, LpSolution, solve, solve_exact
 from .monomials import (
     MonomialBasis,
     PolynomialModel,
@@ -67,7 +67,6 @@ __all__ = [
     "LpSolution",
     "solve",
     "solve_exact",
-    "verify_farkas",
     "SampleSet",
     "FitResult",
     "ExtremeSets",

@@ -38,7 +38,6 @@ from .alternation import HyperplaneSplit, HyperplaneVerdict, verify_by_hyperplan
 from .fitting import (
     DEFAULT_REL_TOL,
     SampleSet,
-    compute_psi,
     extreme_sets,
     fit_minimax,
     partition_extremes,
@@ -527,8 +526,9 @@ def run(config: RunConfig) -> tuple[int, dict]:
     fit's own weights when they check out; isolability (verify); then
     reduction and alternation, each under its own command, and under fit
     when the degree is at least 1, the fit is not exact on the samples and
-    both extreme sets hold points.  fit and verify exit on the certificate,
-    reduce and alternate on their own verdict.
+    both extreme sets hold points.  verify times isolability first: the
+    certificate step reads its one margin LP.  fit and verify exit on the
+    certificate, reduce and alternate on their own verdict.
     """
     if config.command == "report":
         return _run_revalidate(config)
@@ -569,12 +569,13 @@ def run(config: RunConfig) -> tuple[int, dict]:
                             "degenerate": extremes.degenerate})
 
     passed: dict[str, bool] = {}  # command -> the verdict it exits on
+    verify = config.command == "verify"  # its one margin LP: the certificate step reads the verdict from it
+    iso = timed("isolability_s", check_isolability, extremes, samples, degree, exact) if verify else None
     if config.command in ("fit", "verify"):
-        outcome = timed("certificate_s", check_hull_intersection, extremes, samples, degree, exact, weights)
+        outcome = timed("certificate_s", check_hull_intersection, extremes, samples, degree, exact, weights, iso)
         report.update(_outcome_to_json(outcome))
         passed["fit"] = passed["verify"] = isinstance(outcome, IntersectionCertificate)
-    if config.command == "verify":
-        iso = timed("isolability_s", check_isolability, extremes, samples, degree, exact)
+    if iso:
         report["isolability"] = {"isolable": iso.isolable, "margin": _jnum(iso.margin)}
     one_sided = not (extremes.plus and extremes.minus)
     fit_checks = config.command == "fit" and degree >= 1 and not extremes.degenerate and not one_sided
@@ -601,7 +602,12 @@ def run(config: RunConfig) -> tuple[int, dict]:
 
 
 def _run_revalidate(config: RunConfig) -> tuple[int, dict]:
-    """Re-validate a previously written report against its input data."""
+    """Re-validate a previously written report against its input data.
+
+    A model's psi and extreme sets are recomputed, the sets with ``--rel-tol``
+    or the run's default: the report's extremes, which the witness replays
+    over, must equal them, and a certificate's weighted points lie in them.
+    """
     if not config.report_path:
         raise ValueError("report re-validation needs --report <json>")
     report = _json_object(config.report_path)
@@ -615,16 +621,20 @@ def _run_revalidate(config: RunConfig) -> tuple[int, dict]:
         degree = _json_degree(report.get("degree"))
     if instance != (n, samples.dimension):
         raise ValueError("input data does not match the report instance")
+    recomputed = None
     if "model" in report:
         with _naming(f"{config.report_path}: model"):
-            model = _model_from_json(report["model"], samples.dimension)
+            model = _model_from_json(report["model"], samples.dimension, exact)
         with _naming(config.report_path):
             claimed = _json_number(report.get("psi"), "'psi' must be a number or a rational string")
-        psi = compute_psi(model, samples)
+        rel_tol = config.rel_tol if config.rel_tol is not None else (0.0 if exact else DEFAULT_REL_TOL)
+        recomputed = extreme_sets(model, samples, rel_tol)
         if exact:
-            checks["psi"] = psi == claimed
+            checks["psi"] = recomputed.psi == claimed
         else:
-            checks["psi"] = abs(float(psi) - float(claimed)) <= 1e-9 * max(1.0, float(claimed))
+            checks["psi"] = abs(float(recomputed.psi) - float(claimed)) <= 1e-9 * max(1.0, float(claimed))
+        sets = {"plus": list(recomputed.plus), "minus": list(recomputed.minus), "degenerate": recomputed.degenerate}
+        checks["extremes"] = report.get("extremes") == sets
 
     if "certificate" in report:
         with _naming(f"{config.report_path}: certificate"):
@@ -633,6 +643,9 @@ def _run_revalidate(config: RunConfig) -> tuple[int, dict]:
             alpha, beta = _json_weights(cert, "alpha", len(plus)), _json_weights(cert, "beta", len(minus))
         rebuilt = IntersectionCertificate(degree, plus, minus, alpha, beta, 0, exact)
         checks.update(certificate_checks(replace(rebuilt, moment_residual=verify_certificate(rebuilt, samples))))
+        if recomputed is not None:  # the weighted points are the model's extreme points, each on its own side
+            checks["certificate_support"] = ({i for i, w in zip(plus, alpha) if w} <= set(recomputed.plus)
+                                             and {i for i, w in zip(minus, beta) if w} <= set(recomputed.minus))
     if "witness" in report:
         with _naming(f"{config.report_path}: witness"):
             witness = SeparationWitness(_model_from_json(report["witness"], samples.dimension), None, None)

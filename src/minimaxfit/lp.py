@@ -66,9 +66,8 @@ rational simplex from scratch, over integer rows (`_pivot`), so every status
 an exact solve returns is decided in exact arithmetic.  `duals` solves the
 same block (`_block`) for an optimal basis's duals: a fit's certificate.
 
-Infeasible solves always carry a Farkas witness, one multiplier per row, so
-callers can turn "no certificate" into an explicit separating functional;
-``verify_farkas`` checks it against the standardised rows.
+Infeasible solves always carry a Farkas witness, one multiplier per row
+over the standardised rows, so an infeasible verdict can be checked.
 """
 
 from __future__ import annotations
@@ -825,20 +824,3 @@ def _simplex(T, den, basis, costs, tol, phase: int, it: int = 0, cap: Optional[i
                 f"simplex exceeded {cap} iterations in phase {phase}",
                 {"phase": phase, "iterations": it, "rows": m, "cols": ncols - 1},
             )
-
-
-def verify_farkas(lp: LinearProgram, farkas: Sequence[Number], exact: bool = False) -> bool:
-    """Check an infeasibility witness, one multiplier per row, against the standardised encoding.
-
-    The witness `y` must combine the standardised rows A u = b over u >= 0
-    into a contradiction: y.A <= 0 on every column and y.b > 0.  A slack
-    column carries its row's relation, so this asks y <= 0 of a "<=" row
-    and y >= 0 of a ">=" row; exact, of y_i / D_i on the integer rows.
-    """
-    conv, tol = (Fraction, 0) if exact else (float, _TOL)
-    _, rows, rhs, _ = _standard_form(lp, exact)
-    if len(farkas) != len(rows):
-        return False
-    D = _integers(lp)[2] if exact else [1] * len(rows)
-    y = np.array([conv(v) / d for v, d in zip(farkas, D)], dtype=rows.dtype)
-    return bool((y @ rows <= tol).all() and y @ rhs > tol)

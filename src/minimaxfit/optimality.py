@@ -2,13 +2,13 @@
 
 A model is a best approximation exactly when convex weights on the positive
 and negative extreme points match every lifted monomial moment up to the
-model degree; feasibility of that moment system is one small LP.  When it is
-infeasible, the Farkas multipliers assemble into a polynomial of the same
-degree that strictly separates the two extreme sets, which is the classical
-separability (isolability) view of non-optimality.  Both views are exposed
-and must agree; tests lean on that cross-check.  Isolability's margin LP is
-the moment system's l1 relaxation, whose dual is the largest separating
-margin, so every hull LP here is written over the lifted moment columns.
+model degree (the lifted extreme hulls meet), and not when a polynomial of
+that degree strictly separates the two extreme sets (isolability).  One LP
+decides both, `_margin_lp`, the moment system's l1 relaxation, whose LP
+dual is the largest separating margin t: at t = 0 its weights, each side
+over its sum, are the certificate, and at t > 0 its negated monomial-row
+duals are the separating polynomial.  `check_isolability` solves it, and
+`check_hull_intersection` reads its verdict from that one solve.
 
 Every verifier reads its lifted rows from `SampleSet.lifted`, and
 `hulls_intersect` is the one indexed hull test of reduction and alternation;
@@ -25,13 +25,14 @@ A fit's certificate is its own LP's dual: the moment system is the LP dual
 of the minimax fit (Rivlin & Shapiro, J. SIAM 1961; Cheney, *Introduction
 to Approximation Theory*, 1966, ch. 2), so the fit's final basis holds
 moment-matching weights on at most n_m + 2 points (`FitResult.weights`),
-and the moment LP runs only without them or when they fail a check.
+and the margin LP runs only without them or when they fail a check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -39,7 +40,7 @@ import numpy as np
 from ._linalg import exact_solve
 from .fitting import ExtremeSets, SampleSet, model_values, sign_blocks
 from .lp import LinearProgram, LpFailure, duals, solve, solve_batch, solve_exact
-from .monomials import Number, PolynomialModel, build_basis, dot_rows
+from .monomials import Number, PolynomialModel, build_basis, dot, dot_rows
 from .monomials import evaluate, lift  # unused here, kept because bench/tracing.py counts both bindings
 
 ISOLABLE_MARGIN = 1e-9
@@ -82,6 +83,7 @@ class IsolabilityResult:
     isolable: bool
     margin: Number
     witness: Optional[SeparationWitness]
+    weights: Optional[tuple[tuple[Number, ...], tuple[Number, ...]]] = None  # not isolable: (alpha, beta), each sum 1
 
 
 VerificationOutcome = Union[IntersectionCertificate, SeparationWitness]
@@ -115,15 +117,6 @@ def _margins(coeffs, plus_lifted: np.ndarray, minus_lifted: np.ndarray):
     return min(plus, default=None), max(minus, default=None)
 
 
-def _normalized_witness(coeffs, basis, plus_lifted, minus_lifted) -> Optional[SeparationWitness]:
-    """The polynomial scaled so that its smaller margin is one, or None when it does not separate strictly."""
-    t = min(np.concatenate((dot_rows(plus_lifted, coeffs), -dot_rows(minus_lifted, coeffs))).tolist())
-    if t <= 0:
-        return None
-    scaled = PolynomialModel(basis, tuple(c / t for c in coeffs))
-    return SeparationWitness(scaled, *_margins(scaled.coefficients, plus_lifted, minus_lifted))
-
-
 def _margin_lp(plus_lifted: np.ndarray, minus_lifted: np.ndarray) -> LinearProgram:
     """The moment system's l1 relaxation: minimise |sum alpha lift(E+) - sum beta lift(E-)|_1.
 
@@ -141,21 +134,6 @@ def _margin_lp(plus_lifted: np.ndarray, minus_lifted: np.ndarray) -> LinearProgr
     A[width, :p + q] = 1
     return LinearProgram([0] * (p + q) + [1] * (2 * width), A, ["=="] * (width + 1), [0] * width + [1],
                          ((0, None),) * A.shape[1])
-
-
-def _max_margin(plus_lifted: np.ndarray, minus_lifted: np.ndarray, exact: bool):
-    """The largest margin t of a polynomial with |A|_inf <= 1 over E+ and E-, and its A, from `_margin_lp`.
-
-    A float t below zero, the rounding of t = 0 (A = 0 always reaches it), reads 0.
-    """
-    lp = _margin_lp(plus_lifted, minus_lifted)
-    sol = (solve_exact if exact else solve)(lp)
-    if sol.status != "optimal":
-        raise LpFailure(f"margin LP came back {sol.status}", {"status": sol.status, "iterations": sol.iterations})
-    y = duals(lp, sol)
-    if y is None:
-        raise LpFailure("margin LP has no duals at its basis", {"iterations": sol.iterations})
-    return (sol.objective_value if exact else max(0.0, sol.objective_value)), [-v for v in y[:-1]]
 
 
 def hulls_intersect(
@@ -278,17 +256,17 @@ def hulls_intersect_batch(lifted: np.ndarray, sides: np.ndarray) -> list[Optiona
 def check_hull_intersection(
     extremes: ExtremeSets, samples: SampleSet, degree: int, exact: bool = False,
     weights: Optional[tuple[dict[int, Number], dict[int, Number]]] = None,
+    isolability: Optional[IsolabilityResult] = None,
 ) -> VerificationOutcome:
     """Certificate of optimality, or a strict separating polynomial.
 
-    A fit's `FitResult.weights`, as `weights`, are the certificate when
-    they weigh only extreme points and pass `certificate_checks`.  Else
-    feasibility of the moment-matching LP over the extreme sets yields the
-    certificate weights; infeasibility converts the Farkas witness into a
-    degree-`degree` polynomial separating E+ from E-, normalised so the
-    smaller margin is one.  Degenerate and one-sided sets take no LP.
+    Degenerate and one-sided sets take no LP, nor do a fit's weights
+    (`FitResult.weights`) that weigh only extreme points and pass
+    `certificate_checks`.  Else the outcome is `check_isolability`'s, solved
+    here or given as `isolability`: its witness, or its weights once they
+    pass `certificate_checks`; failing one is an `LpFailure` naming the
+    margin and the checks.
     """
-    basis = build_basis(samples.dimension, degree)
     plus_lifted = samples.lifted(extremes.plus, degree, exact)
     minus_lifted = samples.lifted(extremes.minus, degree, exact)
 
@@ -299,6 +277,7 @@ def check_hull_intersection(
     if extremes.degenerate:  # exact fit: any shared point certifies optimality outright
         return certificate((1,) + (0,) * (len(extremes.plus) - 1), (1,) + (0,) * (len(extremes.minus) - 1))
     if not extremes.plus or not extremes.minus:  # the constant +1 or -1 separates
+        basis = build_basis(samples.dimension, degree)
         coeffs = (1 if extremes.plus else -1,) + (0,) * (basis.size - 1)
         return SeparationWitness(PolynomialModel(basis, coeffs), *_margins(coeffs, plus_lifted, minus_lifted))
     if weights is not None:
@@ -309,26 +288,15 @@ def check_hull_intersection(
         inside = plus.keys() <= set(extremes.plus) and minus.keys() <= set(extremes.minus)
         if inside and all(certificate_checks(cert).values()):
             return cert
-    sol = (solve_exact if exact else solve)(_moment_lp(plus_lifted, minus_lifted))
-    if sol.status == "optimal":
-        return certificate(tuple(sol.x[:len(plus_lifted)]), tuple(sol.x[len(plus_lifted):]))
-    if sol.status != "infeasible":
-        raise LpFailure(f"moment LP came back {sol.status}", {"status": sol.status, "iterations": sol.iterations})
-
-    y = sol.farkas  # Farkas multipliers: mass row E+, mass row E-, one per non-constant monomial
-    coeffs = [-(y[0] - y[1]) * (Fraction(1, 2) if exact else 0.5)] + [-ck for ck in y[2:]]
-    witness = _normalized_witness(coeffs, basis, plus_lifted, minus_lifted)
-    if witness is None:
-        # float-mode Farkas too noisy to give strict margins; fall back to the
-        # margin-maximising LP, which must separate if the moment LP is infeasible
-        t, coeffs = _max_margin(plus_lifted, minus_lifted, exact)
-        witness = _normalized_witness(coeffs, basis, plus_lifted, minus_lifted)
-        if witness is None:
-            raise LpFailure(
-                "moment system infeasible but no strict separator found (degenerate instance)",
-                {"margin": float(t)},
-            )
-    return witness
+    iso = isolability or check_isolability(extremes, samples, degree, exact)
+    if iso.isolable:
+        return iso.witness
+    cert = certificate(*iso.weights)
+    failed = [name for name, ok in certificate_checks(cert).items() if not ok]
+    if failed:
+        raise LpFailure(f"margin {iso.margin} reads not isolable, but its weights fail {', '.join(failed)}",
+                        {"margin": float(iso.margin), "failed": failed})
+    return cert
 
 
 def certificate_checks(cert: IntersectionCertificate) -> dict[str, bool]:
@@ -345,24 +313,42 @@ def certificate_checks(cert: IntersectionCertificate) -> dict[str, bool]:
 def check_isolability(
     extremes: ExtremeSets, samples: SampleSet, degree: int, exact: bool = False
 ) -> IsolabilityResult:
-    """Strict separability of E+ and E- by a polynomial of the given degree.
+    """Strict separability of E+ and E- by a polynomial of the given degree, from one `_margin_lp` solve.
 
-    Maximises the margin t subject to L(A, x) >= t on E+, <= -t on E-
-    and |A|_inf <= 1, as the l1 distance of the lifted hulls (`_margin_lp`);
-    the sets are isolable when the optimum exceeds 1e-9 (exactly positive in
-    rational mode).
+    Its optimum is the largest margin t of L(A, x) >= t on E+ and <= -t on
+    E- over |A|_inf <= 1, isolable above `ISOLABLE_MARGIN` (above 0 in
+    rational mode); a float t below zero, the rounding of t = 0, reads 0.
+    Isolable sets get the witness, A as the monomial rows' duals negated and
+    scaled (an `LpFailure` when it does not separate strictly); others the
+    LP's weights on each side over that side's sum, 2 alpha and 2 beta at an
+    exact t = 0, where the constant row splits the unit mass evenly.
     """
     if not extremes.plus and not extremes.minus:
         raise ValueError("both extreme sets are empty")
-    basis = build_basis(samples.dimension, degree)
     plus_lifted = samples.lifted(extremes.plus, degree, exact)
     minus_lifted = samples.lifted(extremes.minus, degree, exact)
-    t, coeffs = _max_margin(plus_lifted, minus_lifted, exact)
-    isolable = (t > 0) if exact else (t > ISOLABLE_MARGIN)
-    witness = None
-    if isolable:
-        witness = _normalized_witness(coeffs, basis, plus_lifted, minus_lifted)
-    return IsolabilityResult(isolable=isolable, margin=t, witness=witness)
+    lp = _margin_lp(plus_lifted, minus_lifted)
+    sol = (solve_exact if exact else solve)(lp)
+    if sol.status != "optimal":
+        raise LpFailure(f"margin LP came back {sol.status}", {"status": sol.status, "iterations": sol.iterations})
+    t = sol.objective_value if exact else max(0.0, sol.objective_value)
+    if t <= (0 if exact else ISOLABLE_MARGIN):
+        p, q = len(plus_lifted), len(minus_lifted)
+        alpha, beta = sol.x[:p], sol.x[p:p + q]
+        a, b = dot(alpha, repeat(1)), dot(beta, repeat(1))  # left to right, as every float sum of a report
+        return IsolabilityResult(False, t, None, (tuple(w / a for w in alpha), tuple(w / b for w in beta)))
+    y = duals(lp, sol)
+    if y is None:
+        raise LpFailure("margin LP has no duals at its basis", {"iterations": sol.iterations})
+    coeffs = [-v for v in y[:-1]]
+    least = min(np.concatenate((dot_rows(plus_lifted, coeffs), -dot_rows(minus_lifted, coeffs))).tolist())
+    if least <= 0:
+        raise LpFailure("margin LP is positive but no strict separator found (degenerate instance)",
+                        {"margin": float(t)})
+    scaled = tuple(c / least for c in coeffs)  # the smaller margin is one
+    witness = SeparationWitness(PolynomialModel(build_basis(samples.dimension, degree), scaled),
+                                *_margins(scaled, plus_lifted, minus_lifted))
+    return IsolabilityResult(True, t, witness)
 
 
 def find_critical_point_set(

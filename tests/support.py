@@ -16,6 +16,7 @@ import numpy as np
 from minimaxfit import (
     ExtremeSets,
     FitResult,
+    IntersectionCertificate,
     LinearProgram,
     LpFailure,
     LpSolution,
@@ -32,6 +33,7 @@ from minimaxfit import (
     solve_exact,
 )
 from minimaxfit import optimality
+from minimaxfit.lp import _TOL, _integers, _standard_form
 from minimaxfit.reduction import ZERO_TOL
 
 
@@ -61,7 +63,7 @@ def reference_margin_lp(plus_lifted, minus_lifted) -> LinearProgram:
 
     Its variables are A (free) then t (free), its rows one per point of E+,
     one per point of E-, then A_k <= 1 and A_k >= -1 for each monomial k; the
-    reference for `optimality._max_margin`, which solves its LP dual.
+    reference for `optimality.check_isolability`, which solves its LP dual.
     """
     width = len(plus_lifted[0]) if len(plus_lifted) else len(minus_lifted[0])
     unit = [[int(j == k) for j in range(width)] + [0] for k in range(width)]
@@ -76,6 +78,40 @@ def reference_max_margin(plus_lifted, minus_lifted, exact: bool):
     sol = (solve_exact if exact else solve)(reference_margin_lp(plus_lifted, minus_lifted))
     assert sol.status == "optimal"
     return -sol.objective_value
+
+
+def reference_moment_certificate(extremes: ExtremeSets, samples: SampleSet, degree: int,
+                                 exact: bool = False) -> Optional[IntersectionCertificate]:
+    """The moment LP's vertex (`optimality._moment_lp` over the extreme sets) as a certificate, or None.
+
+    The certificate path `check_hull_intersection` took before it read the
+    margin LP's weights; kept as an oracle for the certificates it gives now.
+    """
+    plus_lifted = samples.lifted(extremes.plus, degree, exact)
+    minus_lifted = samples.lifted(extremes.minus, degree, exact)
+    sol = (solve_exact if exact else solve)(optimality._moment_lp(plus_lifted, minus_lifted))
+    if sol.status != "optimal":
+        return None
+    alpha, beta = tuple(sol.x[:len(plus_lifted)]), tuple(sol.x[len(plus_lifted):])
+    return IntersectionCertificate(degree, tuple(extremes.plus), tuple(extremes.minus), alpha, beta,
+                                   optimality._moment_residual(plus_lifted, minus_lifted, alpha, beta), exact)
+
+
+def verify_farkas(lp: LinearProgram, farkas, exact: bool = False) -> bool:
+    """Check an infeasibility witness, one multiplier per row, against the standardised encoding.
+
+    The witness `y` must combine the standardised rows A u = b over u >= 0
+    into a contradiction: y.A <= 0 on every column and y.b > 0.  A slack
+    column carries its row's relation, so this asks y <= 0 of a "<=" row
+    and y >= 0 of a ">=" row; exact, of y_i / D_i on the integer rows.
+    """
+    conv, tol = (Fraction, 0) if exact else (float, _TOL)
+    _, rows, rhs, _ = _standard_form(lp, exact)
+    if len(farkas) != len(rows):
+        return False
+    D = _integers(lp)[2] if exact else [1] * len(rows)
+    y = np.array([conv(v) / d for v, d in zip(farkas, D)], dtype=rows.dtype)
+    return bool((y @ rows <= tol).all() and y @ rhs > tol)
 
 
 def gauss_jordan_nullspace(rows) -> tuple[Optional[list[Fraction]], int]:

@@ -13,7 +13,7 @@ import pytest
 
 import minimaxfit
 from minimaxfit import build_basis, check_hull_intersection, cli, fit_minimax, fitting, monomials, optimality
-from minimaxfit import partition_extremes
+from minimaxfit import compute_psi, partition_extremes
 from minimaxfit.cli import (
     Expression,
     ExpressionError,
@@ -316,10 +316,10 @@ class TestGenerateGrid:
         assert samples.values == tuple(p[0] for p in samples.points)
 
 
-def _moment_lps(monkeypatch) -> list:
-    """The rows of every later `optimality._moment_lp` call, which still runs."""
-    calls, real = [], optimality._moment_lp
-    monkeypatch.setattr(optimality, "_moment_lp", lambda *rows: calls.append(rows) or real(*rows))
+def _lps(monkeypatch, name="_moment_lp") -> list:
+    """The rows of every later `optimality.<name>` call, a hull LP's builder, which still runs."""
+    calls, real = [], getattr(optimality, name)
+    monkeypatch.setattr(optimality, name, lambda *rows: calls.append(rows) or real(*rows))
     return calls
 
 
@@ -457,7 +457,7 @@ class TestRunPipeline:
         (["fit", "--grid", "-1,1;21;uniform;x1^3", "--degree", "3"], ["load_s", "fit_s", "certificate_s"],
          ["certificate"]),
         (["verify", "--grid", "-1,1;21;uniform;x1^3", "--degree", "2"],
-         ["load_s", "fit_s", "certificate_s", "isolability_s"], ["certificate", "isolability"]),
+         ["load_s", "fit_s", "isolability_s", "certificate_s"], ["certificate", "isolability"]),
         (["reduce", "--grid", "-1,1;21;uniform;x1^3", "--degree", "2"], ["load_s", "fit_s", "reduction_s"],
          ["reduction"]),
         (["alternate", "--grid", "-1,1;21;uniform;x1^3", "--coeffs", "COEFFS"], ["load_s", "alternation_s"],
@@ -482,7 +482,7 @@ class TestRunPipeline:
     def test_one_dimensional_fit_solves_no_moment_lp(self, grid, degree, exact, monkeypatch):
         # on a line reduction and alternation count sign blocks, also at degree 1, where alternation is
         # the direct hull check, and the certificate is read from the fit's own LP duals: no moment LP
-        calls = _moment_lps(monkeypatch)
+        calls = _lps(monkeypatch)
         code, report = run(RunConfig(command="fit", grid=grid, degree=degree, exact=exact))
         assert code == 0 and "alpha" in report["certificate"]
         assert report["reduction"]["verdict"] == "pass"
@@ -499,13 +499,14 @@ class TestRunPipeline:
         ("-1,1;31;uniform;x1^4", 3),
         ("-1,1;11;uniform;x1^3", 1),
     ])
-    def test_fit_weights_outside_the_extreme_sets_fall_back_to_the_moment_lp(self, grid, degree, monkeypatch):
+    def test_fit_weights_outside_the_extreme_sets_fall_back_to_the_margin_lp(self, grid, degree, monkeypatch):
         # a float --rel-tol 0 keeps only the points exactly at psi, so the fit's weights sit partly outside
-        # E+ and E-; the moment LP then decides, and finds the witness it finds without the fit's weights
-        # (on a line, reduction and alternation run no moment LP)
-        calls = _moment_lps(monkeypatch)
+        # E+ and E-; the margin LP then decides, and finds the witness it finds without the fit's weights
+        # (on a line, reduction and alternation run no hull LP)
+        calls, moment_lps = _lps(monkeypatch, "_margin_lp"), _lps(monkeypatch)
         code, report = run(RunConfig(command="fit", grid=grid, degree=degree, rel_tol=0.0))
         assert code == 2 and report["extremes"]["plus"] and report["extremes"]["minus"] and len(calls) == 1
+        assert not moment_lps
         samples = parse_grid_spec(grid)
         extremes = partition_extremes(fit_minimax(samples, degree).residuals, 0.0)
         witness = check_hull_intersection(extremes, samples, degree)
@@ -519,11 +520,28 @@ class TestRunPipeline:
     ])
     def test_verify_without_coeffs_solves_no_moment_lp(self, grid, degree, exact, monkeypatch):
         # verify runs no reduction or alternation, so in any dimension its one hull test is the certificate's
-        calls = _moment_lps(monkeypatch)
+        calls = _lps(monkeypatch)
         code, report = run(RunConfig(command="verify", grid=grid, degree=degree, exact=exact))
         assert code == 0 and not report["extremes"]["degenerate"] and "alpha" in report["certificate"]
         assert not report["isolability"]["isolable"]
         assert not calls
+
+    @pytest.mark.parametrize("grid, coeffs, exact, outcome", [
+        ("-1,1:-1,1;5;uniform;x1^2*x2+x2^3+x1^3", "lsq-2d-m2.json", True, "witness"),
+        ("-1,1:-1,1;5;uniform;x1^2*x2+x2^3+x1^3", "lsq-2d-m2.json", False, "witness"),
+        ("-1,1;21;uniform;x1^3", {"degree": 2, "coefficients": [0, 0.75, 0]}, False, "certificate"),
+        ("-1,1;21;uniform;x1^3", {"degree": 2, "coefficients": [0, 0.75, 0]}, True, "certificate"),
+    ], ids=["golden-exact-witness", "float-witness", "float-certificate", "exact-certificate"])
+    def test_verify_coeffs_makes_one_hull_lp(self, tmp_path, monkeypatch, grid, coeffs, exact, outcome):
+        # both extreme sets hold points: isolability's margin LP also gives the certificate or the witness
+        if isinstance(coeffs, dict):
+            (tmp_path / "c.json").write_text(json.dumps(coeffs))
+        path = str(tmp_path / "c.json") if isinstance(coeffs, dict) else os.path.join(DATA, "golden", coeffs)
+        margin_lps, moment_lps = _lps(monkeypatch, "_margin_lp"), _lps(monkeypatch)
+        code, report = run(RunConfig(command="verify", grid=grid, coeffs=path, exact=exact))
+        assert report["extremes"]["plus"] and report["extremes"]["minus"] and outcome in report
+        assert code == (0 if outcome == "certificate" else 2) and report["isolability"]["isolable"] == (code == 2)
+        assert len(margin_lps) == 1 and not moment_lps
 
     @pytest.mark.parametrize("nodes", ["uniform", "chebyshev"])
     def test_warm_float_fit_on_a_symmetric_grid_is_optimal(self, nodes):
@@ -946,6 +964,42 @@ class TestMainEntry:
         assert code == 0
         revalidation = json.loads(capsys.readouterr().out)
         assert revalidation["checks"]["witness_separates"]
+
+    @pytest.mark.parametrize("argv, coefficients, outcome", [
+        (["fit", "--grid", "-1,1:-1,1;9;uniform;x1^2*x2+x2^3", "--degree", "2"], [0] * 6, "certificate"),
+        (["verify", "--grid", "-1,1:-1,1;5;uniform;x1^2*x2+x2^3+x1^3", "--coeffs",
+          os.path.join(DATA, "golden", "lsq-2d-m2.json"), "--exact"], ["0"] * 5 + ["1"], "witness"),
+    ], ids=["certificate", "witness"])
+    def test_report_replays_against_the_models_own_extreme_points(self, tmp_path, capsys, argv, coefficients,
+                                                                  outcome):
+        # another model (0, or x2^2) and psi set to its true error: the weights still match their moments
+        # and the witness still separates the report's extremes lists, but neither belongs to that model,
+        # whose extreme points `report` recomputes
+        path, exact = tmp_path / "r.json", "--exact" in argv
+        main(argv + ["--out", str(path)])
+        report = json.loads(path.read_text())
+        assert outcome in report and report["extremes"]["plus"] and report["extremes"]["minus"]
+        model = cli._model_from_json({"degree": 2, "coefficients": coefficients}, 2, exact)
+        report["model"]["coefficients"] = coefficients
+        report["psi"] = cli._jnum(compute_psi(model, parse_grid_spec(argv[2], exact)))
+        path.write_text(json.dumps(report))
+        assert main(["report", "--report", str(path), "--grid", argv[2]]) == 2
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert checks["psi"] and not checks["extremes"]
+        if outcome == "certificate":
+            assert report["psi"] == 2.0
+            assert checks["certificate_moments"] and checks["certificate_sums"] and not checks["certificate_support"]
+        else:
+            assert checks["witness_separates"]
+
+    def test_report_recomputes_the_extremes_with_the_runs_rel_tol(self, tmp_path, capsys):
+        grid, path = "-1,1;21;uniform;x1^4", tmp_path / "r.json"
+        assert main(["fit", "--grid", grid, "--degree", "2", "--rel-tol", "0.2", "--out", str(path)]) == 0
+        assert main(["report", "--report", str(path), "--grid", grid, "--rel-tol", "0.2"]) == 0
+        assert json.loads(capsys.readouterr().out)["checks"]["extremes"]
+        assert main(["report", "--report", str(path), "--grid", grid]) == 2  # the default band is narrower
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert not checks.pop("extremes") and all(checks.values())  # the weighted points are at psi all the same
 
     def test_report_leaves_the_config_arithmetic_alone(self, tmp_path):
         grid = "-1,1;21;uniform;x1^3"

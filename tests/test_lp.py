@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import minimaxfit.lp as lp_module
-from minimaxfit import LinearProgram, LpFailure, LpSolution, build_basis, lift, solve, solve_exact, verify_farkas
+from minimaxfit import LinearProgram, LpFailure, LpSolution, build_basis, lift, solve, solve_exact
 from minimaxfit._linalg import exact_solve
 from minimaxfit import fitting
 from minimaxfit.cli import RunConfig, parse_grid_spec, run
@@ -27,6 +27,7 @@ from support import (
     reference_margin_lp,
     reference_rational_simplex,
     reference_standard_form,
+    verify_farkas,
 )
 
 

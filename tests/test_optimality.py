@@ -3,6 +3,7 @@
 import itertools
 import random
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -34,7 +35,7 @@ from minimaxfit.fitting import DEFAULT_REL_TOL, model_values, partition_extremes
 from minimaxfit.lp import LpFailure, LpSolution, solve, solve_exact
 from minimaxfit.optimality import _moment_lp, certified_meet, exact_weights
 
-from support import build_fit_corpus, random_samples, reference_max_margin
+from support import build_fit_corpus, random_samples, reference_max_margin, reference_moment_certificate
 
 
 @pytest.fixture(scope="module")
@@ -95,52 +96,47 @@ class TestHullIntersection:
         assert out.plus_margin >= 1
 
     @pytest.mark.parametrize("exact", [False, True])
-    def test_margin_lp_gives_the_witness_when_farkas_does_not_separate(self, exact, monkeypatch):
-        # the Farkas polynomial is taken as not strictly separating: the margin LP must give the witness
-        samples = SampleSet([(-1, -1), (-1, 1), (1, -1), (1, 1), (0, 0)], [0] * 5)
-        extremes = ExtremeSets(plus=(0, 1), minus=(2, 3), psi=1, rel_tol=0.0)
-        witnesses, real = [], optimality._normalized_witness
-
-        def first_call_fails(*args):
-            witnesses.append(real(*args))
-            return witnesses[-1] if len(witnesses) > 1 else None
-
-        monkeypatch.setattr(optimality, "_normalized_witness", first_call_fails)
-        margin_lps = _recorded(monkeypatch, "_max_margin")
-        out = check_hull_intersection(extremes, samples, 1, exact=exact)
-        assert len(witnesses) == 2 and len(margin_lps) == 1
-        assert isinstance(out, SeparationWitness) and out is witnesses[1]
-        assert verify_witness(out, extremes.plus, extremes.minus, samples)
-        assert min(out.plus_margin, -out.minus_margin) == 1
-
-    @pytest.mark.parametrize("exact", [False, True])
     def test_no_strict_separator_is_an_lp_failure(self, exact, monkeypatch):
         samples = SampleSet([(-1, -1), (-1, 1), (1, -1), (1, 1), (0, 0)], [0] * 5)
         extremes = ExtremeSets(plus=(0, 1), minus=(2, 3), psi=1, rel_tol=0.0)
-        monkeypatch.setattr(optimality, "_normalized_witness", lambda *args: None)
+        monkeypatch.setattr(optimality, "duals", lambda lp, sol: [0] * lp.num_rows)  # A = 0 separates nothing
         with pytest.raises(LpFailure, match="no strict separator"):
             check_hull_intersection(extremes, samples, 1, exact=exact)
 
     @pytest.mark.parametrize("exact", [False, True])
-    def test_moment_lp_of_another_status_is_an_lp_failure(self, exact, monkeypatch):
-        # the moment LP is feasible or infeasible; any other status fails with that status and its pivots
-        samples = SampleSet([(-1, -1), (-1, 1), (1, -1), (1, 1), (0, 0)], [0] * 5)
-        extremes = ExtremeSets(plus=(0, 1), minus=(2, 3), psi=1, rel_tol=0.0)
-        monkeypatch.setattr(optimality, "solve_exact" if exact else "solve", lambda lp: LpSolution("unbounded", iterations=9))
-        with pytest.raises(LpFailure, match="^moment LP came back unbounded$") as failure:
+    def test_weights_that_fail_a_check_at_a_margin_read_as_zero_are_an_lp_failure(self, exact, monkeypatch):
+        # the corners' margin LP meets at 1/4 on each point; its weights moved by 1e-6 along E+ keep
+        # their sum but miss the x and y moments, and t is set to what a float solve may read for 0:
+        # not isolable, yet not proved optimal either, so the certificate step names t and the check
+        samples = SampleSet([(-1, -1), (-1, 1), (1, -1), (1, 1)], [0] * 4)
+        extremes = ExtremeSets(plus=(0, 3), minus=(1, 2), psi=1, rel_tol=0.0)
+        name = "solve_exact" if exact else "solve"
+        real, shift, t = getattr(optimality, name), Fraction(1, 10**6) if exact else 1e-6, 0 if exact else 5e-10
+
+        def skewed(lp):
+            sol = real(lp)
+            assert sol.x[:4] == [Fraction(1, 4)] * 4
+            return replace(sol, x=[sol.x[0] + shift, sol.x[1] - shift, *sol.x[2:]], objective_value=t)
+
+        monkeypatch.setattr(optimality, name, skewed)
+        iso = check_isolability(extremes, samples, 1, exact)
+        assert not iso.isolable and iso.margin == t and iso.weights[0] == (Fraction(1, 2) + 2 * shift,
+                                                                          Fraction(1, 2) - 2 * shift)
+        with pytest.raises(LpFailure, match=f"^margin {t} reads not isolable, but its weights fail "
+                                            "certificate_moments$") as failure:
             check_hull_intersection(extremes, samples, 1, exact=exact)
-        assert failure.value.diagnostics == {"status": "unbounded", "iterations": 9}
+        assert failure.value.diagnostics == {"margin": t, "failed": ["certificate_moments"]}
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_margin_lp_of_another_status_is_an_lp_failure(self, exact, monkeypatch):
         # weight one on a point, s+- its |moments|, is feasible and costs >= 0, so the margin LP is optimal
         # or fails with its pivots
         samples = SampleSet([(-1, -1), (-1, 1), (1, -1), (1, 1), (0, 0)], [0] * 5)
-        lifted = [samples.lifted(side, 1, exact) for side in ((0, 1), (2, 3))]
+        extremes = ExtremeSets(plus=(0, 1), minus=(2, 3), psi=1, rel_tol=0.0)
         monkeypatch.setattr(optimality, "solve_exact" if exact else "solve",
                             lambda lp: LpSolution("infeasible", farkas=[0] * lp.num_rows, iterations=6))
         with pytest.raises(LpFailure, match="^margin LP came back infeasible$") as failure:
-            optimality._max_margin(*lifted, exact)
+            check_hull_intersection(extremes, samples, 1, exact=exact)
         assert failure.value.diagnostics == {"status": "infeasible", "iterations": 6}
 
     @pytest.mark.parametrize("exact", [False, True])
@@ -372,7 +368,7 @@ class TestCriticalPointSet:
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_runs_no_margin_lp_and_at_most_one_moment_lp(self, exact, monkeypatch):
-        moment_lps, margin_lps = _recorded(monkeypatch, "_moment_lp"), _recorded(monkeypatch, "_max_margin")
+        moment_lps, margin_lps = _recorded(monkeypatch, "_moment_lp"), _recorded(monkeypatch, "_margin_lp")
         corpus = build_fit_corpus(seed=71, count=10, dims=(1, 2), degrees=(1, 2), point_range=(6, 14))
         for inst in corpus:
             samples, extremes = _instance_in(inst, exact)
@@ -499,12 +495,14 @@ def test_priced_and_unpriced_hull_tests_agree(monkeypatch, exact):
 @pytest.mark.parametrize("exact", [False, True])
 @pytest.mark.parametrize("dimension", [1, 2, 3])
 def test_fit_duals_certify_where_the_moment_lp_does(monkeypatch, dimension, exact):
-    """On random fits, the certificate read from the fit's LP duals against the moment LP's, the reference.
+    """On random fits, the certificate read from the fit's LP duals, and the margin LP's, against the moment LP's.
 
-    Both replay through `verify_certificate`; the fit's is taken with no
-    moment LP and puts non-zero weight on at most n_m + 2 points.
+    The moment LP's vertex (`support.reference_moment_certificate`) is the
+    reference.  All three replay through `verify_certificate`; the fit's is
+    taken with no hull LP and puts non-zero weight on at most n_m + 2
+    points, and the margin LP's with that one LP.
     """
-    moment_lps = _recorded(monkeypatch, "_moment_lp")
+    moment_lps, margin_lps = _recorded(monkeypatch, "_moment_lp"), _recorded(monkeypatch, "_margin_lp")
     rng = random.Random(10 * dimension + exact)
     for _ in range(8 if exact else 25):
         degree = rng.choice((1, 2, 3) if dimension == 1 else (1, 2))
@@ -516,11 +514,12 @@ def test_fit_duals_certify_where_the_moment_lp_does(monkeypatch, dimension, exac
         extremes = partition_extremes(fit.residuals, 0 if exact else DEFAULT_REL_TOL)
         assert not extremes.degenerate
         moment_lps.clear()
+        margin_lps.clear()
         own = check_hull_intersection(extremes, samples, degree, exact, fit.weights)
-        assert not moment_lps
-        reference = check_hull_intersection(extremes, samples, degree, exact)
-        assert len(moment_lps) == 1
-        for cert in own, reference:
+        assert not moment_lps and not margin_lps
+        margin = check_hull_intersection(extremes, samples, degree, exact)
+        assert not moment_lps and len(margin_lps) == 1
+        for cert in own, margin, reference_moment_certificate(extremes, samples, degree, exact):
             assert isinstance(cert, IntersectionCertificate)
             assert verify_certificate(cert, samples) == cert.moment_residual
             if exact:
@@ -563,7 +562,7 @@ def test_only_hull_tests_are_priced(monkeypatch, exact):
     priced = {caller for caller, price in calls if price}
     unpriced = {caller for caller, price in calls if not price}
     assert priced == {"hulls_intersect"}
-    assert unpriced == {"_exchange", "check_hull_intersection", "_max_margin"}
+    assert unpriced == {"_exchange", "check_isolability"}
 
 
 @pytest.mark.parametrize("dimension", [2, 3])

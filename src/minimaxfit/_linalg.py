@@ -1,7 +1,7 @@
 """Exact elimination for the LP's certification, integer rows, and hyperplanes for alternation.
 
 `exact_solve` solves a basis block exactly for `lp._certify`, and a hull
-test's proposed support for `optimality.exact_weights`, by fraction-free
+test's proposed support for `optimality.certified_meet`, by fraction-free
 elimination in `exact_nullspace`, over rows that `integer_row` scales to
 integers.  `integer_rows` scales a whole table [A | b] that way, once: the
 exact LP's certificate and row check (`lp._integers`) and the exact fit's

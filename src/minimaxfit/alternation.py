@@ -26,9 +26,9 @@ point of the moment LP of any later split whose flipped classes hold S+ and
 S- one each, either way round, as the LP is symmetric in its sides.  So each
 support found marks, as a boolean mask over the batch, every plane whose
 flipped classes contain it, and a marked plane holds with no LP.  The
-support is whichever vertex the priced moment LP of `hulls_intersect`
-reaches.  So pricing decides which planes it marks, but not a verdict: a
-marked plane's hulls do meet.
+support is whichever vertex the moment LP of `hulls_intersect` reaches;
+that LP has no objective, so the LP kernel prices it.  So pricing decides
+which planes it marks, but not a verdict: a marked plane's hulls do meet.
 
 In d > 1 the degree-(m-1) tests go in groups, in either arithmetic.  A
 group is the next planes, in plane order, that no stored support marks and

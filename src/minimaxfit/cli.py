@@ -604,9 +604,10 @@ def run(config: RunConfig) -> tuple[int, dict]:
 def _run_revalidate(config: RunConfig) -> tuple[int, dict]:
     """Re-validate a previously written report against its input data.
 
-    A model's psi and extreme sets are recomputed, the sets with ``--rel-tol``
-    or the run's default: the report's extremes, which the witness replays
-    over, must equal them, and a certificate's weighted points lie in them.
+    Every report holds its model, whose psi and extreme sets are recomputed,
+    the sets with ``--rel-tol`` or the run's default: the report's extremes,
+    which the witness replays over, must equal them, and a certificate's
+    weighted points lie in them.  A missing or malformed field is an error.
     """
     if not config.report_path:
         raise ValueError("report re-validation needs --report <json>")
@@ -621,20 +622,18 @@ def _run_revalidate(config: RunConfig) -> tuple[int, dict]:
         degree = _json_degree(report.get("degree"))
     if instance != (n, samples.dimension):
         raise ValueError("input data does not match the report instance")
-    recomputed = None
-    if "model" in report:
-        with _naming(f"{config.report_path}: model"):
-            model = _model_from_json(report["model"], samples.dimension, exact)
-        with _naming(config.report_path):
-            claimed = _json_number(report.get("psi"), "'psi' must be a number or a rational string")
-        rel_tol = config.rel_tol if config.rel_tol is not None else (0.0 if exact else DEFAULT_REL_TOL)
-        recomputed = extreme_sets(model, samples, rel_tol)
-        if exact:
-            checks["psi"] = recomputed.psi == claimed
-        else:
-            checks["psi"] = abs(float(recomputed.psi) - float(claimed)) <= 1e-9 * max(1.0, float(claimed))
-        sets = {"plus": list(recomputed.plus), "minus": list(recomputed.minus), "degenerate": recomputed.degenerate}
-        checks["extremes"] = report.get("extremes") == sets
+    with _naming(f"{config.report_path}: model"):
+        model = _model_from_json(report.get("model"), samples.dimension, exact)
+    with _naming(config.report_path):
+        claimed = _json_number(report.get("psi"), "'psi' must be a number or a rational string")
+    rel_tol = config.rel_tol if config.rel_tol is not None else (0.0 if exact else DEFAULT_REL_TOL)
+    recomputed = extreme_sets(model, samples, rel_tol)
+    if exact:
+        checks["psi"] = recomputed.psi == claimed
+    else:
+        checks["psi"] = abs(float(recomputed.psi) - float(claimed)) <= 1e-9 * max(1.0, float(claimed))
+    sets = {"plus": list(recomputed.plus), "minus": list(recomputed.minus), "degenerate": recomputed.degenerate}
+    checks["extremes"] = report.get("extremes") == sets
 
     if "certificate" in report:
         with _naming(f"{config.report_path}: certificate"):
@@ -643,9 +642,9 @@ def _run_revalidate(config: RunConfig) -> tuple[int, dict]:
             alpha, beta = _json_weights(cert, "alpha", len(plus)), _json_weights(cert, "beta", len(minus))
         rebuilt = IntersectionCertificate(degree, plus, minus, alpha, beta, 0, exact)
         checks.update(certificate_checks(replace(rebuilt, moment_residual=verify_certificate(rebuilt, samples))))
-        if recomputed is not None:  # the weighted points are the model's extreme points, each on its own side
-            checks["certificate_support"] = ({i for i, w in zip(plus, alpha) if w} <= set(recomputed.plus)
-                                             and {i for i, w in zip(minus, beta) if w} <= set(recomputed.minus))
+        # the weighted points are the model's extreme points, each on its own side
+        checks["certificate_support"] = ({i for i, w in zip(plus, alpha) if w} <= set(recomputed.plus)
+                                         and {i for i, w in zip(minus, beta) if w} <= set(recomputed.minus))
     if "witness" in report:
         with _naming(f"{config.report_path}: witness"):
             witness = SeparationWitness(_model_from_json(report["witness"], samples.dimension), None, None)

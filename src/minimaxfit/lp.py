@@ -33,13 +33,13 @@ afresh and finishes from there; the failure stands only if that fails too.
 The primal simplex enters the first column of negative reduced cost
 (Bland, "New finite pivoting rules for the simplex method", Math. of OR
 1977), and the least ratio picks the row that leaves, ties going to the
-smallest basic column.  A solve asked to `price` enters the column of most
-negative reduced cost instead, for the first two pivots per tableau row of
-each phase, then hands over to Bland's rule, so it still ends.  It reaches
-an optimal vertex in fewer pivots, but not always the one Bland's rule
-reaches, so only hull tests whose vertex is never reported ask for it
-(`optimality.hulls_intersect`).  The scans read the tableau as Python
-lists: its few tens of rows are too few for array scans to pay.
+smallest basic column.  An LP whose objective is all zero is a
+feasibility test, where any vertex will do, so its phase 1 is priced: the
+column of most negative reduced cost enters for the first two pivots per
+tableau row, then Bland's rule takes over, so it still ends.  That reaches
+a feasible vertex in fewer pivots, but not always Bland's.  The scans read
+the tableau as Python lists: its few tens of rows are too few for array
+scans to pay.
 
 `solve_batch` decides a stack of same-shape float LPs A_k x = b_k, x >= 0,
 in lockstep: each pivot step is a few numpy operations over the whole stack
@@ -52,7 +52,7 @@ reports no basis, Farkas witness or status, only a point that passed the
 non-negativity and row checks, so an LP it does not decide goes to `solve`;
 and a cap on its pivots bounds how long the stack waits for its slowest LP.
 It takes `_simplex`'s pivot rule, priced then Bland's, and `_leaving`'s
-ratio test, so each LP reaches the point that `solve(price=True)` reaches.
+ratio test, so each LP reaches the point that `solve` reaches.
 
 Exact solves run as a float-to-exact crossover (Applegate, Cook, Dash &
 Espinoza, "Exact solutions to linear programming problems", ORL 2007): a
@@ -172,7 +172,7 @@ class LpSolution:
     basis: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = field(default=None, repr=False, compare=False)
 
 
-def solve(lp: LinearProgram, start: Optional[LpSolution] = None, *, price: bool = False) -> LpSolution:
+def solve(lp: LinearProgram, start: Optional[LpSolution] = None) -> LpSolution:
     """Simplex in float64.  Deterministic.
 
     `start`, if given, is an optimal solution of an LP whose rows are the
@@ -181,14 +181,13 @@ def solve(lp: LinearProgram, start: Optional[LpSolution] = None, *, price: bool 
     or without `start` at the basis of every row's slack when that is dual
     feasible; the two-phase simplex runs when there is no such start or it
     cannot finish.  `iterations` counts the pivots of every attempt, an
-    abandoned dual start's and a refactor's.  `price` prices the two-phase
-    simplex (see `_simplex`): it reaches some optimal vertex in fewer pivots,
-    but not always the one Bland's rule reaches.
+    abandoned dual start's and a refactor's.  An LP with no objective has
+    its phase 1 priced (see `_solve`).
     """
     solution, spent = _warm(lp, start)
     if solution is None:
         try:
-            solution = _solve(lp, exact=False, price=price)
+            solution = _solve(lp, exact=False)
         except LpFailure as err:
             err.diagnostics["iterations"] += spent
             raise
@@ -196,7 +195,7 @@ def solve(lp: LinearProgram, start: Optional[LpSolution] = None, *, price: bool 
     return solution
 
 
-def solve_exact(lp: LinearProgram, *, price: bool = False) -> LpSolution:
+def solve_exact(lp: LinearProgram) -> LpSolution:
     """Exact rational solution; status decisions carry no tolerance.
 
     The float simplex's optimal basis is certified exactly, over integers,
@@ -208,10 +207,10 @@ def solve_exact(lp: LinearProgram, *, price: bool = False) -> LpSolution:
     basis is singular or fails an exact check, the two-phase simplex runs
     on integer rows.  The certificate, every row check and the rational
     simplex share one conversion of the rows to integers (`_integers`).
-    `price` prices the guess and the rational simplex alike, as in `solve`.
+    An LP with no objective has phase 1 priced in both, as in `solve`.
     """
     try:
-        guess = _solve(lp, exact=False, guess=True, price=price)
+        guess = _solve(lp, exact=False, guess=True)
     except (LpFailure, OverflowError, ZeroDivisionError):
         try:
             guess = _warm(lp, None)[0]
@@ -221,7 +220,7 @@ def solve_exact(lp: LinearProgram, *, price: bool = False) -> LpSolution:
         certified = _certify(lp, *guess.basis, iterations=guess.iterations)
         if certified is not None:
             return certified
-    return _solve(lp, exact=True, price=price)
+    return _solve(lp, exact=True)
 
 
 # --- standardisation: x = u, or x = u - v when free, over non-negative columns --
@@ -284,13 +283,14 @@ def _scaled(rows: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return A / scale[:, None], scale
 
 
-def _solve(lp: LinearProgram, exact: bool, guess: bool = False, price: bool = False) -> LpSolution:
+def _solve(lp: LinearProgram, exact: bool, guess: bool = False) -> LpSolution:
     """The two-phase simplex from scratch; a float point that breaks a row refactors (see `_warm`).
 
     A `guess` (the float guess of `solve_exact`) raises `LpFailure` once both
     phases together have made `_GUESS_PIVOTS` pivots per standardised row and
-    column, so that a stalling guess hands over soon.  `price` prices both
-    phases (`_simplex`).  Exact rows are integers (`_pivot`).
+    column, so that a stalling guess hands over soon.  Phase 1 is priced
+    (`_simplex`) exactly when the objective is all zero, where any feasible
+    vertex answers; phase 2 keeps Bland's rule.  Exact rows are integers (`_pivot`).
     """
     tol = 0 if exact else _TOL
     columns, rows, rhs, costs = _standard_form(lp, exact)
@@ -317,7 +317,7 @@ def _solve(lp: LinearProgram, exact: bool, guess: bool = False, price: bool = Fa
     # phase 1: minimise the sum of artificials
     costs1 = np.array([0] * art0 + [1] * m, dtype=rows.dtype)
     cap = _GUESS_PIVOTS * (m + art0) if guess else None
-    (obj, oden), status, it = _simplex(T, den, basis, costs1, tol, phase=1, cap=cap, price=price)
+    (obj, oden), status, it = _simplex(T, den, basis, costs1, tol, phase=1, cap=cap, price=not any(lp.objective))
     if status != "optimal":
         raise LpFailure(f"phase-1 simplex ended {status}", {"status": status, "iterations": it})
     if sum(T[i, -1] for i in range(m) if basis[i] >= art0) > tol:
@@ -340,7 +340,7 @@ def _solve(lp: LinearProgram, exact: bool, guess: bool = False, price: bool = Fa
         basis, den = ([v for i, v in enumerate(kept) if i not in dropped] for kept in (basis, den))
     T = np.concatenate((T[:, :art0], T[:, -1:]), axis=1)  # phase 2 has no artificial columns
     try:
-        return _finish(lp, columns, T, den, basis, dropped, costs, it, cap, price)
+        return _finish(lp, columns, T, den, basis, dropped, costs, it, cap)
     except LpFailure as err:  # `_warm` refactors a float tableau at its final basis
         if exact:
             raise
@@ -443,19 +443,18 @@ def _leaving_row(T: np.ndarray, basis: list[int], infeasible: np.ndarray, step: 
     return min(infeasible, key=basis.__getitem__)
 
 
-def _finish(lp, columns, T, den, basis, dropped, costs, iterations: int, cap=None, price=False) -> LpSolution:
+def _finish(lp, columns, T, den, basis, dropped, costs, iterations: int, cap=None) -> LpSolution:
     """Every simplex solve ends here: phase 2 from a primal feasible tableau, then the point and the row check.
 
     T (row i over den[i]) is B^-1 [A | b] over the standardised columns,
     `costs` their costs (an array), `dropped` the redundant rows left out of
     T; zero tolerance over integers, else 1e-9.  An `LpFailure` (the cap, a
     broken row) carries the pivots of the whole call, `iterations` of them
-    made before this one; `cap` and `price` are `_simplex`'s.
+    made before this one; `cap` is `_simplex`'s.
     """
     exact = T.dtype == object
     try:
-        _, status, iterations = _simplex(T, den, basis, costs, 0 if exact else _TOL, phase=2, it=iterations, cap=cap,
-                                         price=price)
+        _, status, iterations = _simplex(T, den, basis, costs, 0 if exact else _TOL, phase=2, it=iterations, cap=cap)
         if status == "unbounded":
             return LpSolution("unbounded", iterations=iterations)
         x_std = [0] * len(costs)  # an int zero adds exactly to a float or a Fraction
@@ -481,10 +480,10 @@ def _optimal(lp, columns, x_std, exact: bool, iterations: int, basis) -> LpSolut
 
 
 def _block(rows: np.ndarray, nstruct: int, basis, dropped):
-    """(S, T, slack_of, B_TS) of a basis over the standardised rows, or None when it is not square or is singular.
+    """(S, T, B_TS) of a basis over the standardised rows, or None when it is not square or is singular.
 
     With the rows T whose slack is not basic and the basic structural columns
-    S first, B = [[B_TS, 0], [B_RS, +-I]] (`slack_of`: row of R -> its slack),
+    S first, B = [[B_TS, 0], [B_RS, +-I]] (R the rows of the basic slacks),
     singular when the k x k B_TS is, or when a dropped row's slack is basic.
     """
     slack_row = np.nonzero(rows[:, nstruct:])[0].tolist()  # the row of slack column nstruct + s
@@ -492,11 +491,11 @@ def _block(rows: np.ndarray, nstruct: int, basis, dropped):
     if len(basis) != len(kept) or len(set(basis)) != len(basis):
         return None  # not square, or two equal columns
     struct = [j for j in basis if j < nstruct]
-    slack_of = {slack_row[j - nstruct]: j for j in basis if j >= nstruct}  # row -> its basic slack
-    if any(i in dropped for i in slack_of):
+    loose = {slack_row[j - nstruct] for j in basis if j >= nstruct}  # the rows of the basic slacks
+    if not loose.isdisjoint(dropped):
         return None
-    tight = [i for i in kept if i not in slack_of]
-    return struct, tight, slack_of, rows[np.ix_(tight, struct)]
+    tight = [i for i in kept if i not in loose]
+    return struct, tight, rows[np.ix_(tight, struct)]
 
 
 def duals(lp: LinearProgram, solution: LpSolution) -> Optional[list[Number]]:
@@ -511,7 +510,7 @@ def duals(lp: LinearProgram, solution: LpSolution) -> Optional[list[Number]]:
     found = _block(rows, len(columns[0]), *solution.basis)
     if found is None:
         return None
-    struct, tight, _, block = found
+    struct, tight, block = found
     try:
         y_t = (exact_solve if exact else np.linalg.solve)(block.T.tolist(), costs[struct].tolist())
     except np.linalg.LinAlgError:
@@ -527,23 +526,23 @@ def _certify(lp: LinearProgram, basis, dropped, iterations: int) -> Optional[LpS
     """The exact vertex of a proposed optimal basis, or None if it is not one.
 
     Solves B x_B = b and B^T y = c_B exactly on `_block`'s k x k block:
-    B_TS x_S = b_T and B_TS^T y_T = c_S, each basic slack +-(b_i - a_i . x_S)
-    and y zero on the rows of the basic slacks, the unique solutions of the
-    full systems.  Then asks for x_B >= 0, reduced costs c - A^T y >= 0 on
-    every column, the dropped rows and every original row satisfied, exactly.
+    B_TS x_S = b_T and B_TS^T y_T = c_S, y zero on the rows of the basic
+    slacks, the unique solutions of the full systems.  Then asks for
+    x_S >= 0, reduced costs c - A^T y >= 0 on every column and the dropped
+    rows satisfied, exactly; a basic slack is >= 0 exactly when its row
+    holds, which `_optimal`'s check of every original row asks.
 
     The standard form is read from the integer rows (`_integers`).  Scaling
-    row i by D_i > 0 changes no decision: a basic slack is D_i times the
-    original one, the duals are D^-1 y, so every reduced cost is the same,
-    and a dropped row holds as before.  With x_S = X / q and y_T = Y / r
-    from the fraction-free block solves, the slacks, the reduced costs'
-    signs and the dropped rows are integer sums.
+    row i by D_i > 0 changes no decision: the duals are D^-1 y, so every
+    reduced cost is the same, and a dropped row holds as before.  With
+    x_S = X / q and y_T = Y / r from the fraction-free block solves, the
+    reduced costs' signs and the dropped rows are integer sums.
     """
     columns, rows, rhs, costs = _standard_form(lp, exact=True)
     found = _block(rows, len(columns[0]), basis, dropped)
     if found is None:
         return None
-    struct, tight, slack_of, block = found
+    struct, tight, block = found
     x_s = exact_solve(block.tolist(), rhs[tight].tolist())
     y = exact_solve(block.T.tolist(), costs[struct].tolist())
     if x_s is None or y is None:
@@ -551,10 +550,8 @@ def _certify(lp: LinearProgram, basis, dropped, iterations: int) -> Optional[LpS
     X, q = integer_row(x_s)  # x_S = X / q
     Y, r = integer_row(y)  # y_T = Y / r
     C, c_den = integer_row(costs.tolist())  # c = C / c_den
-    w = np.zeros(len(costs), dtype=object)  # q times the standardised point
+    w = np.zeros(len(costs), dtype=object)  # q times the standardised point, its slacks left at zero
     w[struct] = X
-    loose, slacks = list(slack_of), list(slack_of.values())
-    w[slacks] = (q * rhs[loose] - rows[np.ix_(loose, struct)] @ np.array(X, dtype=object)) * rows[loose, slacks]
     reduced = np.array(C, dtype=object) * r - c_den * (np.array(Y, dtype=object) @ rows[tight])  # r c_den (c - A^T y)
     if (w < 0).any() or (reduced < 0).any() or (rows[list(dropped)] @ w != q * rhs[list(dropped)]).any():
         return None
@@ -783,8 +780,9 @@ def _leaving(column: list, rhs: list, basis: list[int], tol) -> Optional[int]:
 def _simplex(T, den, basis, costs, tol, phase: int, it: int = 0, cap: Optional[int] = None, price: bool = False):
     """Minimise costs.x from the basic feasible point of tableau T (row i over den[i]), `it` pivots made so far.
 
-    With `price`, the column of most negative reduced cost enters for this
-    call's first `_PRICED_PIVOTS` pivots per tableau row.  After that, and
+    With `price` (phase 1 of an LP with no objective, see `_solve`), the
+    column of most negative reduced cost enters for this call's first
+    `_PRICED_PIVOTS` pivots per tableau row.  After that, and
     without `price`, the first column of negative reduced cost enters
     (Bland's rule), which ends every solve (`_entering`).  The least ratio
     picks the row that leaves, ties going to the smallest basic column

@@ -15,11 +15,12 @@ Every verifier reads its lifted rows from `SampleSet.lifted`, and
 on a line it counts sign blocks instead (discrete alternation, Cheney 1966).
 A certificate's moment residual, and a witness's margins and scale, take
 one `dot_rows` per side over those rows (transposed for the moments).
-An exact hull test in d > 1 lets the float test propose a support and
-takes it once `exact_weights`, one fraction-free solve over that support's
-exact columns, finds unique non-negative weights on it (`certified_meet`);
-only a support it rejects, or a float test that finds none, goes to the
-rational moment LP (`solve_exact`).
+A hull test's moment LP has no objective, so the LP kernel prices it: any
+vertex answers.  An exact hull test in d > 1 lets the float test propose a
+support and takes it once `certified_meet`, one fraction-free solve over
+that support's exact columns, finds unique non-negative weights on it; only
+a support it rejects, or a float test that finds none, goes to the rational
+moment LP (`solve_exact`).
 
 A fit's certificate is its own LP's dual: the moment system is the LP dual
 of the minimax fit (Rivlin & Shapiro, J. SIAM 1961; Cheney, *Introduction
@@ -68,9 +69,10 @@ class IntersectionCertificate:
 class SeparationWitness:
     """Polynomial strictly positive on E+ and strictly negative on E-.
 
-    Normalised so the smaller of the two margins equals one.  A margin is
-    None when the corresponding extreme set is empty (the trivially
-    improvable case).
+    Normalised so the smaller of the two margins is one: exactly in exact
+    arithmetic, within the rounding of evaluating the scaled coefficients in
+    float.  A margin is None when the corresponding extreme set is empty
+    (the trivially improvable case).
     """
 
     model: PolynomialModel
@@ -144,13 +146,14 @@ def hulls_intersect(
     Returns (S+, S-), the sample indices on which one moment-matching
     solution puts strictly positive weight, taken with no tolerance in either
     arithmetic; those points' hulls meet on their own.  In d > 1 that
-    solution is some vertex of the moment LP, solved with pricing (see
-    `lp.solve`): which vertex depends on the pricing, the verdict does not,
-    and no report shows the vertex.  In exact arithmetic the float test on
-    the samples' float view proposes its vertex first, and its support
-    stands once `certified_meet` finds exact weights on it; else (an
-    overflowing float view, an `LpFailure`, no float meet or a rejected
-    support) `solve_exact` decides, so it alone says the hulls do not meet.
+    solution is some vertex of the moment LP, which has no objective, so
+    the LP kernel prices it (see `lp._solve`): which vertex depends on the
+    pricing, the verdict does not, and no report shows the vertex.  In exact
+    arithmetic the float test on the samples' float view proposes its vertex
+    first, and its support stands once `certified_meet` finds exact weights
+    on it; else (an overflowing float view, an `LpFailure`, no float meet or
+    a rejected support) `solve_exact` decides, so it alone says the hulls do
+    not meet.
     A sample in both classes is such a solution by itself (weight one on
     each side matches every moment), so it is returned with no LP.  On a
     line, so is the first point of each of the first k+2 `sign_blocks`
@@ -182,7 +185,7 @@ def hulls_intersect(
             return certified
     plus_lifted = samples.lifted(plus, degree, exact)
     minus_lifted = samples.lifted(minus, degree, exact)
-    sol = (solve_exact if exact else solve)(_moment_lp(plus_lifted, minus_lifted), price=True)
+    sol = (solve_exact if exact else solve)(_moment_lp(plus_lifted, minus_lifted))
     if sol.status != "optimal":
         return None
     p = len(plus)
@@ -190,40 +193,27 @@ def hulls_intersect(
     return frozenset(plus[k] for k in positive if k < p), frozenset(minus[k - p] for k in positive if k >= p)
 
 
-def exact_weights(
-    samples: SampleSet, plus: Sequence[int], minus: Sequence[int], degree: int
-) -> Optional[tuple[dict[int, Fraction], dict[int, Fraction]]]:
-    """The one set of exact convex weights on two indexed classes whose lifted moments match, or None.
+def certified_meet(
+    samples: SampleSet, meet: Optional[tuple[Sequence[int], Sequence[int]]], degree: int
+) -> Optional[tuple[frozenset, frozenset]]:
+    """A proposed meet (S+, S-) of a float hull test, as the points of positive exact weight on it, or None.
 
-    One fraction-free solve (`_linalg.exact_solve`) of the moment system
-    (`_moment_system`: each side's weights summing to one, every
-    non-constant degree-`degree` moment matched) over the points' exact
-    lifted columns.  It has a solution only when the columns are linearly
-    independent and the rhs lies in their span, and then exactly one; None
-    when it has none or a weight is negative.  Returns
-    ({i: weight on plus}, {i: weight on minus}) for the positive weights,
-    in the form of `FitResult.weights`.  Unique weights on independent
-    columns are a vertex of the moment LP, so no proper subset of their
-    points meets.
+    The float-to-exact crossover of Applegate, Cook, Dash & Espinoza (ORL
+    2007) for a moment LP: one fraction-free solve (`_linalg.exact_solve`)
+    of `_moment_system` over the proposed points' exact lifted columns.  It
+    has a solution only when the columns are linearly independent and the
+    rhs lies in their span, and then exactly one; None when it has none or
+    a weight is negative.  Unique weights on independent columns are a
+    vertex of the moment LP, so no proper subset of their support meets.
     """
+    if not meet:
+        return None
+    plus, minus = sorted(meet[0]), sorted(meet[1])
     A, b = _moment_system(samples.lifted(plus, degree, True), samples.lifted(minus, degree, True))
     x = exact_solve(A.tolist(), b)
     if x is None or min(x) < 0:
         return None
-    return ({i: w for i, w in zip(plus, x) if w}, {i: w for i, w in zip(minus, x[len(plus):]) if w})
-
-
-def certified_meet(
-    samples: SampleSet, meet: Optional[tuple[Sequence[int], Sequence[int]]], degree: int
-) -> Optional[tuple[frozenset, frozenset]]:
-    """A proposed meet (S+, S-) of a float hull test, as the points of positive `exact_weights` on it, or None.
-
-    This is the float-to-exact crossover of Applegate, Cook, Dash &
-    Espinoza (ORL 2007) for a moment LP: the float solve proposes a
-    support, and exact arithmetic accepts it or not.
-    """
-    weights = meet and exact_weights(samples, sorted(meet[0]), sorted(meet[1]), degree)
-    return (frozenset(weights[0]), frozenset(weights[1])) if weights else None
+    return frozenset(i for i, w in zip(plus, x) if w), frozenset(i for i, w in zip(minus, x[len(plus):]) if w)
 
 
 def hulls_intersect_batch(lifted: np.ndarray, sides: np.ndarray) -> list[Optional[tuple[list[int], list[int]]]]:
@@ -345,7 +335,7 @@ def check_isolability(
     if least <= 0:
         raise LpFailure("margin LP is positive but no strict separator found (degenerate instance)",
                         {"margin": float(t)})
-    scaled = tuple(c / least for c in coeffs)  # the smaller margin is one
+    scaled = tuple(c / least for c in coeffs)  # the smaller margin is one: exactly, or within float rounding
     witness = SeparationWitness(PolynomialModel(build_basis(samples.dimension, degree), scaled),
                                 *_margins(scaled, plus_lifted, minus_lifted))
     return IsolabilityResult(True, t, witness)
@@ -361,11 +351,10 @@ def find_critical_point_set(
     positive weights sit on linearly independent lifted columns, so they
     are the only moment-matching weights on their points, and dropping any
     one point leaves hulls that do not meet.  An exact support is
-    `solve_exact`'s vertex or the positive `exact_weights` on a float
-    vertex's points, which that solve found unique on independent columns.
-    On a line they are the k+2 sign-block points, any k+1 of which change
-    sign at most k times, and a point in both sets is non-isolable on its
-    own.
+    `solve_exact`'s vertex or `certified_meet`'s support of the unique exact
+    weights on a float vertex's independent columns.  On a line they are
+    the k+2 sign-block points, any k+1 of which change sign at most k
+    times, and a point in both sets is non-isolable on its own.
     """
     if not extremes.plus and not extremes.minus:
         raise ValueError("both extreme sets are empty")

@@ -805,8 +805,9 @@ class TestMainEntry:
         (lambda r: r["certificate"].update(beta=[0.5, 0.5]), "certificate: 'beta' must be a list of numbers"),
         (lambda r: r.update(psi="x"), "'psi' must be a number or a rational string"),
         (lambda r: r.pop("psi"), "'psi' must be a number or a rational string"),
+        (lambda r: r.pop("model"), "model: expected a JSON object"),
     ], ids=["index-out-of-range", "no-instance", "weight-not-a-number", "weights-too-many", "psi-not-a-number",
-            "no-psi"])
+            "no-psi", "no-model"])
     def test_malformed_report_fields_are_errors(self, tmp_path, capsys, edit, field):
         # a hand-edited fit report: exit 1 with one error line that names the file and the field
         data, path = os.path.join(DATA, "parabola.csv"), tmp_path / "fit.json"
@@ -832,18 +833,22 @@ class TestMainEntry:
     @pytest.mark.parametrize("exact", [False, True])
     def test_report_with_a_negative_certificate_weight_is_invalid(self, tmp_path, capsys, exact):
         # alpha = (-1, 2) on x = 0, 1 matches the moments (1, 2) of x = 2 and sums to 1,
-        # but [0, 1] and {2} do not meet: a certificate needs convex weights
+        # but [0, 1] and {2} do not meet: a certificate needs convex weights.  The zero model
+        # has psi 1 and exactly those extreme points, so only the weights fail
         data, path = tmp_path / "d.csv", tmp_path / "r.json"
         data.write_text("x1,f\n0,1\n1,1\n2,-1\n")
         weights = (["-1", "2"], ["1"]) if exact else ([-1.0, 2.0], [1.0])
         path.write_text(json.dumps({
             "instance": {"source": str(data), "dimension": 1, "points": 3},
             "arithmetic": "exact" if exact else "float", "degree": 1,
+            "model": {"degree": 1, "coefficients": [0, 0]}, "psi": "1" if exact else 1.0,
+            "extremes": {"plus": [0, 1], "minus": [2], "degenerate": False},
             "certificate": {"degree": 1, "plus": [0, 1], "minus": [2], "alpha": weights[0], "beta": weights[1]},
         }))
         assert main(["report", "--report", str(path), "--input", str(data)]) == 2
         revalidation = json.loads(capsys.readouterr().out)
-        assert revalidation["checks"] == {"certificate_moments": True, "certificate_sums": False}
+        assert revalidation["checks"] == {"psi": True, "extremes": True, "certificate_moments": True,
+                                          "certificate_sums": False, "certificate_support": True}
         assert revalidation["valid"] is False
 
     def test_unwritable_out_is_one_error_line(self, tmp_path, capsys):

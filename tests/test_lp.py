@@ -396,19 +396,20 @@ def test_integer_tableau_solves_as_the_rational_simplex(monkeypatch):
     lps = _exact_corpus() + [_first_exact_round(monkeypatch, "-1,1:-1,1;5;chebyshev;x1^2*x2+x2^3", 2)]
     assert (lps[-1].num_rows, lps[-1].num_vars) == (36, 7)  # the exact 5x5 Baseline row's fit LP
     statuses = set()
-    for lp in lps:
-        for price in (False, True):
-            ref = reference_rational_simplex(lp, price=price)
-            _same_solve(lp_module._solve(lp, exact=True, price=price), ref)
-            statuses.add(ref.status)
+    for lp in lps:  # phase 1 is priced exactly when the objective is all zero
+        ref = reference_rational_simplex(lp, price=not any(lp.objective))
+        _same_solve(lp_module._solve(lp, exact=True), ref)
+        statuses.add(ref.status)
     assert statuses == {"optimal", "infeasible"}
 
 
 @settings(max_examples=200, deadline=None)
 @given(_bounded_lps(), st.booleans())
-def test_integer_tableau_solves_any_bounded_lp_as_the_rational_simplex(lp, price):
-    # rowless LPs, box rows alone, float and -0.0 entries: every standard-form case
-    _same_solve(lp_module._solve(lp, exact=True, price=price), reference_rational_simplex(lp, price=price))
+def test_integer_tableau_solves_any_bounded_lp_as_the_rational_simplex(lp, feasibility):
+    # rowless LPs, box rows alone, float and -0.0 entries: every standard-form case; with no objective, priced
+    if feasibility:
+        lp = LinearProgram([0] * lp.num_vars, lp.A, lp.relations, lp.rhs, lp.bounds)
+    _same_solve(lp_module._solve(lp, exact=True), reference_rational_simplex(lp, price=not any(lp.objective)))
 
 
 def test_exact_pivots_see_only_integers(monkeypatch):
@@ -1118,18 +1119,20 @@ def _beale_in_phase_1(scale: int = 30) -> LinearProgram:
 
 @pytest.mark.parametrize("exact", [False, True])
 def test_priced_solve_ends_on_beales_cycling_example(monkeypatch, exact):
+    # with no objective the same phase 1 is priced, and every feasible point lies on Beale's optimal face
     lp = _beale_in_phase_1()
+    feasibility = LinearProgram([0] * lp.num_vars, lp.A, lp.relations, lp.rhs, lp.bounds)
     entry = solve_exact if exact else solve
     value = Fraction(-1, 20) if exact else pytest.approx(-0.05, rel=1e-12)
-    for got in (lp_module._solve(lp, exact=exact), lp_module._solve(lp, exact=exact, price=True),
-                entry(lp), entry(lp, price=True)):
-        assert got.status == "optimal" and got.objective_value == value
+    for got in (lp_module._solve(lp, exact=exact), lp_module._solve(feasibility, exact=exact),
+                entry(lp), entry(feasibility)):
+        assert got.status == "optimal" and dot(lp.objective, got.x) == value
     # the hand-over is what ends it: pricing every pivot cycles in exact phase 1
     if exact:
         monkeypatch.setattr(lp_module, "_PRICED_PIVOTS", 10**6)
         monkeypatch.setattr(lp_module, "_MAX_ITER", 600)
         with pytest.raises(LpFailure, match="in phase 1"):
-            lp_module._solve(lp, exact=True, price=True)
+            lp_module._solve(feasibility, exact=True)
 
 
 # --- refactoring: a cold float point that breaks a row restarts from its final basis --
@@ -1189,6 +1192,22 @@ def test_broken_exact_row_reaches_the_rational_simplex(monkeypatch, cold_solves,
     assert cold_solves == [False, True]
     assert [arith for arith, _ in calls] == [False, True, True]
     assert (got.status, got.x, got.objective_value) == (ref.status, ref.x, ref.objective_value)
+
+
+def test_refactor_drops_the_rows_the_cold_solve_dropped(monkeypatch, cold_solves):
+    # row 1 repeats row 0, so phase 1 drops it; the refactor solves B^-1 [A | b] on the kept rows alone
+    lp = LinearProgram([1, 2, 0.5], [[1, 1, 1], [1, 1, 1], [1, -1, 0]], ["=="] * 3, [1, 1, 0.2], [(0, None)] * 3)
+    cold = lp_module._solve(lp, exact=False)
+    assert cold.status == "optimal" and cold.basis[1] == (1,)
+    warm, pivots = lp_module._warm(lp, LpSolution("optimal", basis=cold.basis))
+    calls = _checks_failing_once(monkeypatch, exact=False)
+    cold_solves.clear()
+    got = lp_module._solve(lp, exact=False)  # its first row check fails, so `_warm` refactors at its basis
+    assert cold_solves == [False] and [arith for arith, _ in calls] == [False, False]
+    assert pivots == 0 and got.iterations == cold.iterations
+    for sol in warm, got:  # the same vertex, solved afresh: equal up to rounding
+        assert (sol.status, sol.basis) == (cold.status, cold.basis)
+        assert max(abs(a - b) for a, b in zip(sol.x, cold.x)) <= 1e-15
 
 
 # --- a differential test against HiGHS --------------------------------------
@@ -1272,12 +1291,12 @@ def _stacked(lps):
 
 def _solved_alone(A, b):
     n = A.shape[1]
-    return solve(LinearProgram([0.0] * n, A, ["=="] * len(b), b, [(0, None)] * n), price=True)
+    return solve(LinearProgram([0.0] * n, A, ["=="] * len(b), b, [(0, None)] * n))
 
 
 @pytest.mark.parametrize("moments", [True, False])
 def test_batch_reaches_the_point_of_solve(moments):
-    """Each LP of a `solve_batch` stack against `solve(price=True)` on it alone: the same point, bit for bit.
+    """Each LP of a `solve_batch` stack against `solve` on it alone: the same point, bit for bit.
 
     The batch decides an LP exactly when `solve` finds its optimum and
     every weight there is non-negative: the random rows' degenerate points

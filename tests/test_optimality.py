@@ -27,13 +27,14 @@ from minimaxfit import (
     verify_certificate,
     verify_witness,
 )
-from minimaxfit import fitting, optimality
+from minimaxfit import optimality
+from minimaxfit import lp as lp_module
 from minimaxfit.alternation import verify_by_hyperplanes
 from minimaxfit.cli import parse_grid_spec
 from minimaxfit.reduction import reduce_and_verify
 from minimaxfit.fitting import DEFAULT_REL_TOL, model_values, partition_extremes
 from minimaxfit.lp import LpFailure, LpSolution, solve, solve_exact
-from minimaxfit.optimality import _moment_lp, certified_meet, exact_weights
+from minimaxfit.optimality import _moment_lp, certified_meet
 
 from support import build_fit_corpus, random_samples, reference_max_margin, reference_moment_certificate
 
@@ -258,6 +259,42 @@ class TestIsolability:
             verdicts.add(got.isolable)
         assert verdicts == {False, True}
 
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_witness_smaller_margin_is_one_up_to_rounding(self, exact):
+        """The witness's smaller margin: exactly one in exact arithmetic, one within float rounding otherwise.
+
+        A float witness's coefficients are divided by the least margin and
+        evaluated again, so its margin may miss one by the rounding of those
+        sums, some n eps sum |c_i g_i| on a point's lifted row g.
+        """
+        rng = random.Random(5 + exact)
+        misses = []
+        for dimension in (1, 2, 3):
+            for _ in range(15):
+                samples = random_samples(rng, dimension, rng.randint(3, 12))
+                samples = SampleSet(*samples.view(True)) if exact else samples
+                idx = rng.sample(range(len(samples)), rng.randint(2, len(samples)))
+                cut = rng.randint(1, len(idx) - 1)
+                extremes = ExtremeSets(plus=tuple(sorted(idx[:cut])), minus=tuple(sorted(idx[cut:])), psi=1,
+                                       rel_tol=0.0)
+                degree = rng.randint(1, 4 - dimension)
+                iso = check_isolability(extremes, samples, degree, exact)
+                if not iso.isolable:
+                    continue
+                witness = iso.witness
+                assert verify_witness(witness, extremes.plus, extremes.minus, samples)
+                assert witness.plus_margin > 0 > witness.minus_margin
+                miss = min(witness.plus_margin, -witness.minus_margin) - 1
+                if exact:
+                    assert miss == 0
+                else:
+                    rows = np.abs(samples.lifted([*extremes.plus, *extremes.minus], degree, False))
+                    width = rows.shape[1]
+                    assert abs(miss) <= 2 * width * 2.0**-52 * (rows @ np.abs(witness.model.coefficients)).max()
+                misses.append(miss)
+        assert len(misses) >= 20
+        assert exact or any(misses)  # float rounding does move some of them off one
+
     def test_certified_float_margin_is_not_negative(self):
         # this certified fit's margin LP ends 5e-15 below zero; A = 0 with t = 0 is feasible, so t reads 0
         target = "-4*x1^3+4*x1^2*x2-2*x1^4+4*x1^2*x2^2-2*x2^4-5*x1^5-4*x1^4*x2+4*x1^3*x2^2-4*x1^2*x2^3+x1*x2^4+5*x2^5"
@@ -279,39 +316,38 @@ class TestIsolability:
 
 
 class TestExactWeights:
-    """`exact_weights` takes only unique non-negative weights on independent columns that match every moment."""
+    """`certified_meet` takes only unique non-negative weights on independent columns that match every moment."""
 
     @staticmethod
-    def _weights(points, plus, minus, degree=1):
+    def _meet(points, plus, minus, degree=1):
         samples = SampleSet([tuple(map(Fraction, p)) for p in points], [0] * len(points))
-        return exact_weights(samples, plus, minus, degree)
+        return certified_meet(samples, (set(plus), set(minus)), degree)
 
     def test_crossing_segments_meet_at_their_unique_weights(self):
+        # weights (1/2, 1/2) on each side, so every point is in the support
         points = [(-1, 0), (1, 0), (0, -1), (0, 1)]
-        half = Fraction(1, 2)
-        assert self._weights(points, [0, 1], [2, 3]) == ({0: half, 1: half}, {2: half, 3: half})
-        assert all(type(w) is Fraction for side in self._weights(points, [0, 1], [2, 3]) for w in side.values())
+        assert self._meet(points, [0, 1], [2, 3]) == (frozenset({0, 1}), frozenset({2, 3}))
 
     def test_dependent_columns_are_rejected_though_the_hulls_meet(self):
         # three collinear plus points: the origin is (0, 1, 0) or (1/2, 0, 1/2) of them
         points = [(-1, 0), (0, 0), (1, 0), (0, -1), (0, 1)]
-        assert self._weights(points, [0, 1, 2], [3, 4]) is None
+        assert self._meet(points, [0, 1, 2], [3, 4]) is None
         assert hulls_intersect(SampleSet(points, [0] * 5), [0, 1, 2], [3, 4], 1, exact=True)
 
     def test_a_negative_weight_is_rejected(self):
         # the segments' lines cross at (3, 0), which lies outside the plus segment: weights (-1/2, 3/2)
         points = [(0, 0), (2, 0), (3, 1), (3, -1)]
-        assert self._weights(points, [0, 1], [2, 3]) is None
+        assert self._meet(points, [0, 1], [2, 3]) is None
         assert hulls_intersect(SampleSet(points, [0] * 4), [0, 1], [2, 3], 1, exact=True) is None
 
     def test_an_inconsistent_system_is_rejected(self):
-        assert self._weights([(0, 0), (1, 1)], [0], [1]) is None
-        assert self._weights([(0, 0), (1, 0), (2, 0), (0, 1)], [0, 1], [2, 3]) is None
+        assert self._meet([(0, 0), (1, 1)], [0], [1]) is None
+        assert self._meet([(0, 0), (1, 0), (2, 0), (0, 1)], [0, 1], [2, 3]) is None
 
     def test_only_exactly_positive_weights_are_kept(self):
         # point 0 on both sides matches every moment; point 1 takes weight 0, so it is not in the support
         points = [(0, 0), (1, 1)]
-        assert self._weights(points, [0, 1], [0], degree=2) == ({0: 1}, {0: 1})
+        assert self._meet(points, [0, 1], [0], degree=2) == (frozenset({0}), frozenset({0}))
         samples = SampleSet([tuple(map(Fraction, p)) for p in points], [0, 0])
         assert certified_meet(samples, ({1, 0}, {0}), 2) == (frozenset({0}), frozenset({0}))
         assert certified_meet(samples, None, 2) is None
@@ -480,10 +516,9 @@ def test_priced_and_unpriced_hull_tests_agree(monkeypatch, exact):
             cut = rng.randint(1, len(samples) - 1)
             cases.append((samples, sorted(order[:cut]), sorted(order[cut:]), rng.choice((1, 2))))
     priced = [hulls_intersect(*case, exact) for case in cases]
-    real_solve, real_solve_exact = optimality.solve, optimality.solve_exact
-    monkeypatch.setattr(optimality, "solve", lambda lp, **_: real_solve(lp))
-    monkeypatch.setattr(optimality, "solve_exact", lambda lp, **_: real_solve_exact(lp))
+    monkeypatch.setattr(lp_module, "_PRICED_PIVOTS", 0)  # Bland's rule from the first pivot
     unpriced = [hulls_intersect(*case, exact) for case in cases]
+    assert unpriced != priced  # the vertex moves
     assert [meet is None for meet in priced] == [meet is None for meet in unpriced]
     assert 10 <= sum(meet is None for meet in priced) <= len(cases) - 10  # both verdicts are common
     for (samples, plus, minus, degree), meet in zip(cases, priced):
@@ -534,20 +569,23 @@ def test_fit_duals_certify_where_the_moment_lp_does(monkeypatch, dimension, exac
 
 @pytest.mark.parametrize("exact", [False, True])
 def test_only_hull_tests_are_priced(monkeypatch, exact):
-    """Every solve in a fit, its verifiers and the remaining LP callers: only `hulls_intersect` passes `price`."""
-    calls = []
+    """Every phase 1 in a fit, its verifiers and the remaining LP callers: priced only for `hulls_intersect`'s LPs.
 
-    def spy(module, name):
-        real = getattr(module, name)
+    The spy names each phase 1 by the first caller outside the LP module,
+    and the LP it solves by whether its objective is all zero.
+    """
+    calls, real = [], lp_module._simplex
 
-        def recorded(lp, *args, **kwargs):
-            calls.append((sys._getframe(1).f_code.co_name, kwargs.get("price", False)))
-            return real(lp, *args, **kwargs)
+    def recorded(*args, **kwargs):
+        if kwargs.get("phase") == 1:
+            frame = sys._getframe(1)
+            lp = frame.f_locals["lp"]
+            while frame.f_globals["__name__"] == lp_module.__name__:
+                frame = frame.f_back
+            calls.append((frame.f_code.co_name, kwargs.get("price", False), not any(lp.objective)))
+        return real(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, recorded)
-
-    for module, name in itertools.product((fitting, optimality), ("solve", "solve_exact")):
-        spy(module, name)
+    monkeypatch.setattr(lp_module, "_simplex", recorded)
     grid = [(x / 4, y / 4) for x in range(-4, 5) for y in range(-4, 5)]
     samples = SampleSet(grid, [abs(x) + y**3 for x, y in grid])
     if exact:
@@ -559,10 +597,12 @@ def test_only_hull_tests_are_priced(monkeypatch, exact):
     assert not check_isolability(extremes, samples, 2, exact).isolable
     assert reduce_and_verify(extremes, samples, 2, exact).verdict == "pass"
     assert verify_by_hyperplanes(extremes, samples, 2, exact).verdict == "pass"
-    priced = {caller for caller, price in calls if price}
-    unpriced = {caller for caller, price in calls if not price}
+    assert all(price == feasibility for _, price, feasibility in calls)
+    priced = {caller for caller, price, _ in calls if price}
+    unpriced = {caller for caller, price, _ in calls if not price}
     assert priced == {"hulls_intersect"}
-    assert unpriced == {"_exchange", "check_isolability"}
+    # a float fit's rounds start from a dual feasible basis (`lp._warm`), so they run no phase 1
+    assert unpriced == ({"_exchange", "check_isolability"} if exact else {"check_isolability"})
 
 
 @pytest.mark.parametrize("dimension", [2, 3])

@@ -43,7 +43,7 @@ def integer_rows(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
 
 
 def exact_nullspace(rows: Sequence[Sequence[Number]]) -> tuple[Optional[list[Fraction]], int]:
-    """Fraction-free Gaussian elimination of A (Bareiss, Math. Comp. 22, 1968).
+    """Fraction-free Gaussian elimination of A, which has at least one row (Bareiss, Math. Comp. 22, 1968).
 
     The rows are scaled to integers (`integer_row`).  A column with a
     non-zero entry below the pivots takes the first as pivot p, and each row
@@ -53,8 +53,6 @@ def exact_nullspace(rows: Sequence[Sequence[Number]]) -> tuple[Optional[list[Fra
     vector with 1 at the first free column and 0 at the other free columns,
     every entry a ``Fraction``, or None when A has full column rank.
     """
-    if not rows:
-        return None, 0
     ncols = len(rows[0])
     mat = [integer_row(r)[0] for r in rows]
     pivots: list[int] = []  # the pivot column of each echelon row

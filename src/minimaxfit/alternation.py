@@ -7,18 +7,17 @@ on-plane sign classes.  Enumerating only the hyperplanes through d affinely
 independent extreme points suffices, which turns the condition into finitely
 many hull checks, small LPs in d > 1.
 
-`verify_by_hyperplanes` takes the d-point combinations in batches: a small
-first batch, so that a split failing early classifies few planes, then
-batches of a fixed size, so that memory stays bounded.  A float batch gets
-its planes from one batched SVD (`affine_normals`, bit for bit
-`affine_normal`'s).  An exact one works over integers: the extreme points
-are scaled once to X / q (one `integer_row` over all their coordinates),
-and `integer_normals` gives each plane as a primitive integer normal U and
-offset A.  One sign matrix sign(X U^T - a) of the extreme points X against
-the batch's planes classifies them all as `split` classifies one: a float
-plane scaled to a unit normal with `PLANE_TOL`, an exact one as integer
-sums with no tolerance.  Only a counterexample's plane goes back to the
-rational normal whose first non-zero component is 1, as reports show it.
+`verify_by_hyperplanes` takes the d-point combinations in batches of a
+fixed size, so that memory stays bounded.  A float batch gets its planes
+from one batched SVD (`affine_normals`, bit for bit `affine_normal`'s).  An
+exact one works over integers: the extreme points are scaled once to X / q
+(one `integer_row` over all their coordinates), and `integer_normals` gives
+each plane as a primitive integer normal U and offset A.  One sign matrix
+sign(X U^T - a) of the extreme points X against the batch's planes
+classifies them all as `split` classifies one: a float plane scaled to a
+unit normal with `PLANE_TOL`, an exact one as integer sums with no
+tolerance.  Only a counterexample's plane goes back to the rational normal
+whose first non-zero component is 1, as reports show it.
 
 Many splits need no LP: a degree-(m-1) certificate with support S+, S-
 (convex weights matching every lifted moment) is, zero elsewhere, a feasible
@@ -31,27 +30,26 @@ that LP has no objective, so the LP kernel prices it.  So pricing decides
 which planes it marks, but not a verdict: a marked plane's hulls do meet.
 
 In d > 1 the degree-(m-1) tests go in groups, in either arithmetic.  A
-group is the next planes, in plane order, that no stored support marks and
-whose test is a moment LP (both flipped classes non-empty, no point in
-both).  The first group holds one plane and each next one twice as many, up
-to `_GROUP`, so a split failing at its first plane still costs one LP.  A
-group of more than one plane is one `optimality.hulls_intersect_batch` call:
-a stack of moment LPs over the extreme rows lifted once, solved together by
-`lp.solve_batch`.  It reads the float view of the lifted rows, also in
-exact arithmetic.  A batched answer only ever says that the hulls meet,
-with the support `hulls_intersect` reaches on that plane, and only once its
-weights are non-negative and its rows hold; in exact arithmetic, only once
+group is the next planes, up to `_GROUP` of them, in plane order, that no
+stored support marks and whose test is a moment LP (both flipped classes
+non-empty, no point in both).  A group of more than one plane is one
+`optimality.hulls_intersect_batch` call: a stack of moment LPs over the
+extreme rows lifted once, solved together by `lp.solve_batch`.  It reads
+the float view of the lifted rows, also in exact arithmetic.  A batched
+answer only ever says that the hulls meet, with the support
+`hulls_intersect` reaches on that plane, and only once its weights are
+non-negative and its rows hold; in exact arithmetic, only once
 `optimality.certified_meet` finds exact weights on that support, whose
-positive ones are the support stored.  The planes still take their
-turns in plane order, and supports are stored in that order: a plane that
-a support stored after its group was formed marks drops its answer.  So the
-planes that need a test, and the supports they store, are those of one
-test per plane.  Every other plane takes the scalar `hulls_intersect` at its
-turn: one the batch left undecided (infeasible, at the pivot cap or failing
-a check), one whose test is no LP, and every degree-m point-elimination
-test.  A failing split, and so the counterexample, is decided as it is
-without the batch.  In d = 1, and for exact points beyond float range,
-every test is one `hulls_intersect` per plane, on sample indices.
+positive ones are the support stored.  The planes still take their turns in
+plane order, and supports are stored in that order: a plane that a support
+stored after its group was formed marks drops its answer.  So the planes
+that need a test, and the supports they store, are those of one test per
+plane.  Every other plane takes the scalar `hulls_intersect` at its turn:
+one the batch left undecided (infeasible, at the pivot cap or failing a
+check), one whose test is no LP, and every degree-m point-elimination test.
+A failing split, and so the counterexample, is decided as it is without the
+batch.  In d = 1, and for exact points beyond float range, every test is
+one `hulls_intersect` per plane, on sample indices.
 """
 
 from __future__ import annotations
@@ -71,8 +69,7 @@ from .optimality import certified_meet, hulls_intersect, hulls_intersect_batch
 
 PLANE_TOL = 1e-9
 _CANON_DECIMALS = 12  # a float plane's key: its normal and offset rounded to this many decimals
-_FIRST_BATCH = 16  # combinations in the first batch
-_BATCH = 2048  # combinations in every later batch
+_BATCH = 2048  # combinations in each batch
 _GROUP = 32  # the most degree-(m-1) hull tests that one `hulls_intersect_batch` call makes
 
 
@@ -225,11 +222,8 @@ def verify_by_hyperplanes(
     seen: set = set()
     supports: list = []  # rows of `_contains`'s stack for every degree-(m-1) support found
     checked = 0
-    group = 1
     combos = combinations(range(len(idxs)), d)
-    size = _FIRST_BATCH
-    while batch := list(islice(combos, size)):
-        size = _BATCH
+    while batch := list(islice(combos, _BATCH)):
         batch, normals, offsets = _new_planes(batch, coords, exact, seen)
         if not batch:
             continue
@@ -248,8 +242,8 @@ def verify_by_hyperplanes(
                 continue
             plus_side, minus_side, on_plus, on_minus = _classes(rows, flipped[:, j], sign)
             if lifted is not None and j >= grouped and moment_lp[j]:
-                planes = j + np.flatnonzero(moment_lp[j:] & ~reused[j:])[:group]
-                grouped, group = planes[-1] + 1, min(2 * group, _GROUP)
+                planes = j + np.flatnonzero(moment_lp[j:] & ~reused[j:])[:_GROUP]
+                grouped = planes[-1] + 1
                 if len(planes) > 1:
                     meets = {k: tuple(frozenset(rows[r] for r in cls) for cls in meet) for k, meet
                              in zip(planes.tolist(), hulls_intersect_batch(lifted, flipped[:, planes])) if meet}

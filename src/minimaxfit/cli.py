@@ -336,7 +336,7 @@ class RunConfig:
 
     A `rel_tol` of None is `DEFAULT_REL_TOL` in float arithmetic and 0 in
     exact arithmetic, where the extreme sets hold exactly the points at psi;
-    a value given is applied in either.
+    a value given is applied in either (`rel_tol_in`).
     """
 
     command: str  # fit | verify | reduce | alternate | report
@@ -354,6 +354,10 @@ class RunConfig:
             raise ValueError("degree must be non-negative")
         if self.rel_tol is not None and not (0 <= self.rel_tol < 0.5):
             raise ValueError("rel-tol must lie in [0, 0.5)")
+
+    def rel_tol_in(self, exact: bool) -> float:
+        """The extreme sets' `rel_tol` in the given arithmetic: the one given, else its default there."""
+        return self.rel_tol if self.rel_tol is not None else (0.0 if exact else DEFAULT_REL_TOL)
 
 
 def _jnum(x: Number):
@@ -507,6 +511,8 @@ def _json_weights(payload, key: str, count: int) -> tuple[Number, ...]:
 
 def _model_from_json(payload, dimension: int, exact: bool = False) -> PolynomialModel:
     """The model of a {degree, coefficients} JSON object; a ValueError names the field at fault."""
+    if payload is None:
+        raise ValueError("missing or null")
     if not isinstance(payload, dict):
         raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
     degree = _json_degree(payload.get("degree"))
@@ -533,7 +539,7 @@ def run(config: RunConfig) -> tuple[int, dict]:
     if config.command == "report":
         return _run_revalidate(config)
     exact = config.exact
-    rel_tol = config.rel_tol if config.rel_tol is not None else (0.0 if exact else DEFAULT_REL_TOL)
+    rel_tol = config.rel_tol_in(exact)
     timings: dict[str, float] = {}
 
     def timed(key: str, fn, *args):
@@ -626,8 +632,7 @@ def _run_revalidate(config: RunConfig) -> tuple[int, dict]:
         model = _model_from_json(report.get("model"), samples.dimension, exact)
     with _naming(config.report_path):
         claimed = _json_number(report.get("psi"), "'psi' must be a number or a rational string")
-    rel_tol = config.rel_tol if config.rel_tol is not None else (0.0 if exact else DEFAULT_REL_TOL)
-    recomputed = extreme_sets(model, samples, rel_tol)
+    recomputed = extreme_sets(model, samples, config.rel_tol_in(exact))
     if exact:
         checks["psi"] = recomputed.psi == claimed
     else:

@@ -363,6 +363,23 @@ def _counting_hulls(monkeypatch, degree):
     return lambda: len(calls) + len(supports) - sum(1 for *_, m, met in calls if m == degree - 1 and met)
 
 
+def _stored_supports(monkeypatch):
+    """The supports `verify_by_hyperplanes` stores, in their order: `_contains` reads each as it is stored.
+
+    It reads every stored support again for each later batch, so only its
+    first read of each is kept; no two planes store equal supports.
+    """
+    stored = {}
+    real = alternation._contains
+
+    def read(classes, support):
+        stored.setdefault(support.tobytes(), support.tolist())
+        return real(classes, support)
+
+    monkeypatch.setattr(alternation, "_contains", read)
+    return stored
+
+
 class TestCertificateReuse:
     @pytest.mark.parametrize("exact", [False, True])
     def test_matches_every_plane_reference(self, exact, monkeypatch):
@@ -392,28 +409,25 @@ class TestCertificateReuse:
         assert exact or (no_plane > 0 and repeated > 0)
 
     @pytest.mark.parametrize("exact", [False, True])
-    def test_split_failing_on_the_first_plane_classifies_one_batch(self, exact, monkeypatch):
-        # sets that fail on the first plane and have more combinations than the first batch
-        cases = [(s, e, m) for s, e, m in _reuse_corpus(exact) + _grid_corpus()
-                 if math.comb(len(set(e.plus) | set(e.minus)), s.dimension) > alternation._FIRST_BATCH]
-        normalised, classified = [], []
-        real_normals = alternation.integer_normals if exact else alternation.affine_normals
-        real_sides = alternation._sides
-        monkeypatch.setattr(alternation, "integer_normals" if exact else "affine_normals",
-                            lambda pts: normalised.append(len(pts)) or real_normals(pts))
-        monkeypatch.setattr(alternation, "_sides",
-                            lambda x, u, a, ex: classified.append(u.shape[0]) or real_sides(x, u, a, ex))
-        first = 0
+    def test_batch_sizes_change_no_verdict_and_no_support(self, exact, monkeypatch):
+        # combinations and hull tests in batches of any size: the verdict, count, counterexample
+        # and supports stored, in their order, are those of the default sizes
+        cases = [(s, e, m) for s, e, m in _reuse_corpus(exact) + _grid_corpus() if s.dimension > 1]
+        sizes = [("_BATCH", 1), ("_BATCH", 2), ("_BATCH", 5), ("_GROUP", 2), ("_GROUP", 3)]
+        verdicts, crossing = set(), 0
         for samples, extremes, degree in cases:
-            normalised.clear(), classified.clear()
-            got = verify_by_hyperplanes(extremes, samples, degree, exact=exact)
-            if got.planes_checked != 1:
-                continue
-            assert got.verdict == "fail"
-            first += 1
-            assert sum(normalised) <= alternation._FIRST_BATCH
-            assert sum(classified) <= alternation._FIRST_BATCH
-        assert first >= 3
+            runs = []
+            for name, size in [(None, None), *sizes]:
+                if name:
+                    monkeypatch.setattr(alternation, name, size)
+                stored = _stored_supports(monkeypatch)
+                got = verify_by_hyperplanes(extremes, samples, degree, exact=exact)
+                monkeypatch.undo()
+                runs.append((got.verdict, got.planes_checked, repr(got.counterexample), list(stored.values())))
+            assert runs[1:] == runs[:1] * len(sizes)
+            verdicts.add(runs[0][0])
+            crossing += runs[0][1] > 5 and len(runs[0][3]) > 3  # planes and supports over several batches and groups
+        assert {"pass", "fail"} <= verdicts and crossing >= 3
 
     def test_three_dimensional_fit_needs_few_lps(self, monkeypatch):
         inst = build_fit_corpus(41, 1, (3,), (2,), (13, 18))[0]
@@ -475,12 +489,9 @@ class TestBatchedHullTests:
         for samples, extremes, degree in _batched_cases():
             runs = []
             for group in (1, alternation._GROUP):
-                supports = []
-                real = alternation._contains
                 monkeypatch.setattr(alternation, "_GROUP", group)
-                monkeypatch.setattr(alternation, "_contains",
-                                    lambda classes, s: supports.append(s.tolist()) or real(classes, s))
-                runs.append((verify_by_hyperplanes(extremes, samples, degree), supports))
+                stored = _stored_supports(monkeypatch)
+                runs.append((verify_by_hyperplanes(extremes, samples, degree), list(stored.values())))
                 monkeypatch.undo()
             assert runs[0] == runs[1]
 

@@ -805,9 +805,10 @@ class TestMainEntry:
         (lambda r: r["certificate"].update(beta=[0.5, 0.5]), "certificate: 'beta' must be a list of numbers"),
         (lambda r: r.update(psi="x"), "'psi' must be a number or a rational string"),
         (lambda r: r.pop("psi"), "'psi' must be a number or a rational string"),
-        (lambda r: r.pop("model"), "model: expected a JSON object"),
+        (lambda r: r.pop("model"), "model: missing or null"),
+        (lambda r: r.update(model=None), "model: missing or null"),
     ], ids=["index-out-of-range", "no-instance", "weight-not-a-number", "weights-too-many", "psi-not-a-number",
-            "no-psi", "no-model"])
+            "no-psi", "no-model", "null-model"])
     def test_malformed_report_fields_are_errors(self, tmp_path, capsys, edit, field):
         # a hand-edited fit report: exit 1 with one error line that names the file and the field
         data, path = os.path.join(DATA, "parabola.csv"), tmp_path / "fit.json"

@@ -19,15 +19,38 @@ unit normal with `PLANE_TOL`, an exact one as integer sums with no
 tolerance.  Only a counterexample's plane goes back to the rational normal
 whose first non-zero component is 1, as reports show it.
 
-Many splits need no LP: a degree-(m-1) certificate with support S+, S-
-(convex weights matching every lifted moment) is, zero elsewhere, a feasible
-point of the moment LP of any later split whose flipped classes hold S+ and
-S- one each, either way round, as the LP is symmetric in its sides.  So each
-support found marks, as a boolean mask over the batch, every plane whose
-flipped classes contain it, and a marked plane holds with no LP.  The
-support is whichever vertex the moment LP of `hulls_intersect` reaches;
-that LP has no objective, so the LP kernel prices it.  So pricing decides
-which planes it marks, but not a verdict: a marked plane's hulls do meet.
+In d > 1 most planes need no hull test, because a degree-m certificate
+answers it (the characterization theorem in its hull form; Cheney,
+*Introduction to Approximation Theory*, 1966).  Take convex weights alpha
+on E+ and beta on E- whose lifted degree-m moments match, and a plane's
+affine function l(x) = <u, x> - a.  For every p of degree m - 1, l p has
+degree m, so sum alpha_i l(x_i) p(x_i) = sum beta_i l(x_i) p(x_i); moving
+the l < 0 terms across gives weights alpha_i |l(x_i)| and beta_i |l(x_i)|
+on the plane's flipped classes whose degree-(m-1) moments match, and p = 1
+says both classes carry the same mass.  So each side over its sum is a
+point of the plane's moment LP whenever the certificate weighs a point off
+the plane.  `verify_by_hyperplanes` takes the certificate from its caller
+(`fit` has one), or finds one itself at the first batch holding a plane
+whose test is a moment LP (`_own_certificate`).  An exact certificate
+that passes `certificate_checks` decides every plane with a weighted
+point off it.  A float one decides a plane when both masses are positive
+and the point passes the checks `lp.solve_batch` puts on a moment-LP
+point: it is non-negative, and every row of the plane's moment LP holds
+within `lp._row_slack` of that LP's own coefficients.  The sums
+<u, x> - a are those the sign matrix is read from.  Without a
+certificate (an isolable set, an `LpFailure`) every plane takes the hull
+tests below, as does every plane the certificate leaves open.
+
+Of the planes left, many need no LP either: a degree-(m-1) certificate
+with support S+, S- (convex weights matching every lifted moment) is, zero
+elsewhere, a feasible point of the moment LP of any later split whose
+flipped classes hold S+ and S- one each, either way round, as the LP is
+symmetric in its sides.  So each support found marks, as a boolean mask
+over the batch, every plane whose flipped classes contain it, and a marked
+plane holds with no LP.  The support is whichever vertex the moment LP of
+`hulls_intersect` reaches; that LP has no objective, so the LP kernel
+prices it.  So pricing decides which planes it marks, but not a verdict: a
+marked plane's hulls do meet.
 
 In d > 1 the degree-(m-1) tests go in groups, in either arithmetic.  A
 group is the next planes, up to `_GROUP` of them, in plane order, that no
@@ -65,7 +88,9 @@ from ._linalg import affine_normals, integer_normals, integer_row
 from ._linalg import affine_normal  # unused here, kept because bench/tracing.py counts alternation.affine_normal
 from .fitting import ExtremeSets, SampleSet
 from .monomials import Number
-from .optimality import certified_meet, hulls_intersect, hulls_intersect_batch
+from .lp import LpFailure, _row_slack
+from .optimality import IntersectionCertificate, VerificationOutcome, certificate_checks, certified_meet
+from .optimality import check_hull_intersection, find_critical_point_set, hulls_intersect, hulls_intersect_batch
 
 PLANE_TOL = 1e-9
 _CANON_DECIMALS = 12  # a float plane's key: its normal and offset rounded to this many decimals
@@ -135,7 +160,7 @@ def split(
     else:
         normals, offsets = _unit(np.array([u]), np.array([float(offset)]))
         normal, offset = tuple(normals[0].tolist()), offsets.tolist()[0]
-    side = _sides(points, normals, offsets, exact)
+    side = _signs(_distances(points, normals, offsets), exact)
     return HyperplaneSplit(normal, offset, *_classes(rows, side[:, 0] * sign, sign))
 
 
@@ -176,6 +201,7 @@ def verify_by_hyperplanes(
     samples: SampleSet,
     degree: int,
     exact: bool = False,
+    outcome: Optional[VerificationOutcome] = None,
 ) -> HyperplaneVerdict:
     """Check every hyperplane through d affinely independent extreme points.
 
@@ -186,9 +212,14 @@ def verify_by_hyperplanes(
     contain a degree-(m-1) support found before (see the module docstring)
     holds with no LP, and point elimination runs only when degree reduction
     fails; verdict, count and counterexample equal those of
-    `check_split_condition` on every plane.  Degree 1 asks `hulls_intersect`
-    whether the degree-1 hulls of E+ and E- meet, which is the certificate's
-    verdict with no moment LP on a line.
+    `check_split_condition` on every plane.  In d > 1 a degree-m
+    certificate of these extremes decides most planes first (see the module
+    docstring): `outcome` is `check_hull_intersection`'s, when the caller
+    has it; else `_own_certificate` finds one at the first batch holding a
+    plane whose test is a moment LP, and finding none leaves every plane to
+    the hull tests.  Degree 1 asks `hulls_intersect` whether the degree-1
+    hulls of E+ and E- meet, which is the certificate's verdict with no
+    moment LP on a line.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
@@ -210,7 +241,7 @@ def verify_by_hyperplanes(
     place = {i: k for k, i in enumerate(idxs)}
     in_plus, in_minus = (np.array([[i in cls] for i in idxs]) for cls in map(set, (extremes.plus, extremes.minus)))
     rows, sign = _rows(extremes)
-    at = [place[i] for i in rows]
+    at = np.array([place[i] for i in rows])
     n = len(idxs)
     lifted = None  # float rows for `hulls_intersect_batch`, in either arithmetic
     if d > 1:
@@ -219,6 +250,8 @@ def verify_by_hyperplanes(
         except OverflowError:  # exact points beyond float range: every test is scalar
             pass
     twice = np.flatnonzero(in_plus[:, 0] & in_minus[:, 0])
+    pending = d > 1 and outcome is None  # d = 1 takes no certificate: each test there is a sign-block count
+    weighted = _certificate_weights(outcome, extremes, degree, exact) if d > 1 else None
     seen: set = set()
     supports: list = []  # rows of `_contains`'s stack for every degree-(m-1) support found
     checked = 0
@@ -227,7 +260,8 @@ def verify_by_hyperplanes(
         batch, normals, offsets = _new_planes(batch, coords, exact, seen)
         if not batch:
             continue
-        side = _sides(coords, normals, offsets, exact)
+        distances = _distances(coords, normals, offsets)
+        side = _signs(distances, exact)
         flipped = side[at] * sign[:, None]
         classes = _point_classes(side, in_plus, in_minus)
         # the planes whose degree-(m-1) test is an LP: both flipped classes non-empty, no point in both
@@ -235,6 +269,11 @@ def verify_by_hyperplanes(
         reused = np.zeros(len(batch), dtype=bool)
         for support in supports:
             reused |= _contains(classes, support)
+        if pending and (moment_lp & ~reused).any():
+            pending, weighted = False, _own_certificate(extremes, samples, degree, exact)
+        if weighted is not None:
+            held, w = weighted  # the rows the certificate weighs, and their weights
+            reused |= _certificate_meets(w, flipped[held], distances[at[held]], None if exact else lifted[held], exact)
         grouped, meets = 0, {}  # the planes before `grouped` have had their group; the meets its batch found
         for j in range(len(batch)):
             checked += 1
@@ -316,20 +355,94 @@ def _unit(normals: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndar
     return normals / norm[:, None], offsets / norm
 
 
-def _sides(points: np.ndarray, normals: np.ndarray, offsets: np.ndarray, exact: bool) -> np.ndarray:
-    """sign(<u, x> - a) of each point (rows) against each plane (columns): 0 within `PLANE_TOL`, or exactly 0.
+def _distances(points: np.ndarray, normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """<u, x> - a of each point (rows) against each plane (columns).
 
     Exact points, normals and offsets are Python ints (`_integer_points`,
-    `integer_normals`), so every sign is an integer sum's.  The sum runs
+    `integer_normals`), so every value is an integer sum.  The sum runs
     over the coordinates in order, so a float value does not depend on how
     many points or planes there are.
     """
     s = points[:, :1] * normals[:, 0]
     for k in range(1, normals.shape[1]):
         s = s + points[:, k:k + 1] * normals[:, k]
-    s = s - offsets
+    return s - offsets
+
+
+def _signs(distances: np.ndarray, exact: bool) -> np.ndarray:
+    """sign(<u, x> - a) of each of `_distances`: 0 within `PLANE_TOL`, or exactly 0."""
     tol = 0 if exact else PLANE_TOL
-    return (s > tol).astype(np.int8) - (s < -tol)
+    return (distances > tol).astype(np.int8) - (distances < -tol)
+
+
+def _certificate_weights(outcome, extremes: ExtremeSets, degree: int, exact: bool):
+    """(rows, weights): the rows (E+ then E-, as `_rows`) that `outcome`, a degree-m certificate, weighs positively.
+
+    A float weight below zero (a margin LP's rounding, within
+    `certificate_checks`' 1e-9) is left out like a zero one, so the point
+    of `_certificate_meets` is non-negative; its rows are checked all the
+    same.  The weights are None in exact arithmetic, where a plane needs
+    only the rows.  The pair is None when `outcome` is no certificate of
+    these extremes at this degree in this arithmetic, or an exact one that
+    fails `certificate_checks`; a float one is checked plane by plane.
+    """
+    if not (isinstance(outcome, IntersectionCertificate) and (outcome.degree, outcome.exact) == (degree, exact)
+            and (outcome.plus_indices, outcome.minus_indices) == (tuple(extremes.plus), tuple(extremes.minus))):
+        return None
+    if exact and not all(certificate_checks(outcome).values()):
+        return None
+    weights = outcome.alpha + outcome.beta
+    r = np.flatnonzero([w > 0 for w in weights])
+    return r, None if exact else np.array([weights[k] for k in r], dtype=float)
+
+
+def _own_certificate(extremes: ExtremeSets, samples: SampleSet, degree: int, exact: bool):
+    """`_certificate_weights` of a degree-m certificate solved here, or None when there is none.
+
+    A float one is `check_hull_intersection`'s, one margin LP.  An exact
+    plane needs only the points an exact certificate weighs, and
+    `find_critical_point_set` gives them: the support of exact weights that
+    one fraction-free solve certifies on a float moment LP's vertex, else
+    the rational simplex's.  That costs less than an exact margin LP, whose
+    float guess can stall and leave it to the rational simplex.  An
+    `LpFailure` leaves no certificate.
+    """
+    try:
+        if exact:
+            support = find_critical_point_set(extremes, samples, degree, True)
+            return None if support is None else (np.flatnonzero(np.isin(_rows(extremes)[0], support)), None)
+        return _certificate_weights(check_hull_intersection(extremes, samples, degree), extremes, degree, False)
+    except LpFailure:
+        return None
+
+
+def _certificate_meets(weights: Optional[np.ndarray], flipped: np.ndarray, distances: np.ndarray,
+                       lifted: Optional[np.ndarray], exact: bool) -> np.ndarray:
+    """The planes whose flipped classes meet at the certificate's point (see the module docstring).
+
+    Row r of `flipped`, `distances` and the float degree-(m-1) rows
+    `lifted` belongs to the weighted row r of `weights`, all positive.  An
+    exact plane needs one of them off it.  A float one needs a positive
+    sum of w_r |l(x_r)| on each class, and the point they make, each side
+    over its sum (non-negative as it is), within `_row_slack` of every row
+    of the plane's `_moment_lp`: the two sum rows, and each moment row.
+    The slack is taken over the weighted rows off the plane, a subset of
+    that LP's columns, so it is never looser than the LP's own.
+    """
+    off = flipped != 0
+    if exact:
+        return off.any(axis=0)
+    v = np.where(off, weights[:, None] * np.abs(distances), 0.0)
+    plus, minus = np.where(flipped > 0, v, 0.0), np.where(flipped < 0, v, 0.0)
+    mass = np.array([plus.sum(axis=0), minus.sum(axis=0)])
+    held = (mass > 0).all(axis=0)
+    x = np.array([plus, minus]) / np.where(held, mass, 1.0)[:, None, :]
+    residuals = np.concatenate((x.sum(axis=1) - 1, lifted[:, 1:].T @ (x[0] - x[1])))
+    largest = np.concatenate((np.ones_like(mass), [np.where(off, c[:, None], 0.0).max(axis=0)
+                                                    for c in np.abs(lifted[:, 1:].T)]))
+    rhs = np.zeros((len(largest), 1))
+    rhs[:2] = 1
+    return held & (np.abs(residuals) <= _row_slack(largest[:, :, None], rhs)).all(axis=0)
 
 
 def _rows(extremes: ExtremeSets) -> tuple[list, np.ndarray]:

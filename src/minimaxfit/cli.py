@@ -575,6 +575,7 @@ def run(config: RunConfig) -> tuple[int, dict]:
                             "degenerate": extremes.degenerate})
 
     passed: dict[str, bool] = {}  # command -> the verdict it exits on
+    outcome = None  # fit's certificate or witness: alternation reads its planes off a certificate
     verify = config.command == "verify"  # its one margin LP: the certificate step reads the verdict from it
     iso = timed("isolability_s", check_isolability, extremes, samples, degree, exact) if verify else None
     if config.command in ("fit", "verify"):
@@ -601,7 +602,7 @@ def run(config: RunConfig) -> tuple[int, dict]:
             report["alternation"] = {"verdict": "pass", "planes_checked": 0, "counterexample": None,
                                      "note": "exact fit; trivially optimal"}
         else:
-            alt = timed("alternation_s", verify_by_hyperplanes, extremes, samples, degree, exact)
+            alt = timed("alternation_s", verify_by_hyperplanes, extremes, samples, degree, exact, outcome)
             report["alternation"] = _alternation_to_json(alt)
         passed["alternate"] = report["alternation"]["verdict"] in ("pass", "vacuous")
     return (0 if passed[config.command] else 2), report

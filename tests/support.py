@@ -177,7 +177,7 @@ def reference_exact_plane(points) -> Optional[tuple[tuple[Fraction, ...], Fracti
 
 
 def reference_exact_sides(points, normal, offset) -> list[int]:
-    """sign(<u, x> - a) of each point, summed over ``Fraction``: the reference for exact `alternation._sides`."""
+    """sign(<u, x> - a) of each point, summed over ``Fraction``: the reference for exact `alternation._signs`."""
     values = [sum((Fraction(c) * Fraction(x) for c, x in zip(normal, p)), Fraction(0)) - Fraction(offset)
               for p in points]
     return [(v > 0) - (v < 0) for v in values]

@@ -1,6 +1,8 @@
 """Hyperplane splits, split conditions, and the enumeration verdicts."""
 
+import json
 import math
+import os
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -30,10 +32,12 @@ from minimaxfit import (
     reduce_and_verify,
     split,
     verify_by_hyperplanes,
+    verify_certificate,
 )
 from minimaxfit import alternation, lp, optimality
 from minimaxfit._linalg import affine_normal, affine_normals
-from minimaxfit.cli import parse_grid_spec
+from minimaxfit.cli import RunConfig, main, parse_grid_spec, run
+from minimaxfit.optimality import certificate_checks
 
 from support import (
     bogus_float_supports,
@@ -363,6 +367,11 @@ def _counting_hulls(monkeypatch, degree):
     return lambda: len(calls) + len(supports) - sum(1 for *_, m, met in calls if m == degree - 1 and met)
 
 
+def _withhold_certificate(monkeypatch):
+    """Leave `verify_by_hyperplanes` with no certificate of its own, so that every plane takes the hull tests."""
+    monkeypatch.setattr(alternation, "_own_certificate", lambda *args: None)
+
+
 def _stored_supports(monkeypatch):
     """The supports `verify_by_hyperplanes` stores, in their order: `_contains` reads each as it is stored.
 
@@ -411,7 +420,8 @@ class TestCertificateReuse:
     @pytest.mark.parametrize("exact", [False, True])
     def test_batch_sizes_change_no_verdict_and_no_support(self, exact, monkeypatch):
         # combinations and hull tests in batches of any size: the verdict, count, counterexample
-        # and supports stored, in their order, are those of the default sizes
+        # and supports stored, in their order, are those of the default sizes (with no certificate,
+        # which would decide most planes before any hull test)
         cases = [(s, e, m) for s, e, m in _reuse_corpus(exact) + _grid_corpus() if s.dimension > 1]
         sizes = [("_BATCH", 1), ("_BATCH", 2), ("_BATCH", 5), ("_GROUP", 2), ("_GROUP", 3)]
         verdicts, crossing = set(), 0
@@ -420,6 +430,7 @@ class TestCertificateReuse:
             for name, size in [(None, None), *sizes]:
                 if name:
                     monkeypatch.setattr(alternation, name, size)
+                _withhold_certificate(monkeypatch)
                 stored = _stored_supports(monkeypatch)
                 got = verify_by_hyperplanes(extremes, samples, degree, exact=exact)
                 monkeypatch.undo()
@@ -476,8 +487,9 @@ def _batched_cases():
 
 class TestBatchedHullTests:
     def _scalar_run(self, monkeypatch, samples, extremes, degree):
-        """The verdict and scalar calls with no batch (groups of one plane), as before batching."""
+        """The verdict and scalar calls with no batch (groups of one plane) and no certificate, as before batching."""
         monkeypatch.setattr(alternation, "_GROUP", 1)
+        _withhold_certificate(monkeypatch)
         calls = _recording_hulls(monkeypatch)
         got = verify_by_hyperplanes(extremes, samples, degree)
         monkeypatch.undo()
@@ -490,6 +502,7 @@ class TestBatchedHullTests:
             runs = []
             for group in (1, alternation._GROUP):
                 monkeypatch.setattr(alternation, "_GROUP", group)
+                _withhold_certificate(monkeypatch)
                 stored = _stored_supports(monkeypatch)
                 runs.append((verify_by_hyperplanes(extremes, samples, degree), list(stored.values())))
                 monkeypatch.undo()
@@ -497,12 +510,14 @@ class TestBatchedHullTests:
 
     def test_batch_left_undecided_falls_back_plane_by_plane(self, monkeypatch):
         # with no pivot allowed the kernel decides nothing, so every plane without a stored
-        # support takes the scalar tests, in the order and with the outcome they had unbatched
+        # support takes the scalar tests, in the order and with the outcome they had unbatched;
+        # no certificate decides a plane first
         verdicts = set()
         for samples, extremes, degree in _batched_cases():
             reference = _every_plane_verdict(extremes, samples, degree, False)
             unbatched, scalar_calls = self._scalar_run(monkeypatch, samples, extremes, degree)
             monkeypatch.setattr(lp, "_BATCH_PIVOTS", 0)
+            _withhold_certificate(monkeypatch)
             batches = []
             real_batch = alternation.hulls_intersect_batch
             monkeypatch.setattr(alternation, "hulls_intersect_batch",
@@ -520,9 +535,11 @@ class TestBatchedHullTests:
     def test_one_undecided_lp_sends_only_its_plane_to_the_scalar_test(self, monkeypatch):
         # the first LP of the first batch is its group's own plane: marked undecided, as a broken
         # row check marks it, that plane alone gets the scalar test, and nothing else changes
+        # (with no certificate, which would decide most planes before any hull test)
         inst = build_fit_corpus(41, 1, (3,), (2,), (13, 18))[0]
         samples, extremes, degree = inst.samples, inst.extremes, inst.degree
         reference = _every_plane_verdict(extremes, samples, degree, False)
+        _withhold_certificate(monkeypatch)
         baseline = _recording_hulls(monkeypatch)
         assert verify_by_hyperplanes(extremes, samples, degree) == HyperplaneVerdict("pass", None, reference[1])
         monkeypatch.undo()
@@ -544,6 +561,7 @@ class TestBatchedHullTests:
         monkeypatch.setattr(alternation, "hulls_intersect_batch",
                             lambda lifted, s: sides.append(s[:, 0]) or real_batch(lifted, s))
         monkeypatch.setattr(optimality, "solve_batch", one_undecided)
+        _withhold_certificate(monkeypatch)
         calls = _recording_hulls(monkeypatch)
         got = verify_by_hyperplanes(extremes, samples, degree)
         monkeypatch.undo()
@@ -554,6 +572,201 @@ class TestBatchedHullTests:
         assert plane not in baseline
         at = calls.index(plane)
         assert calls[:at] + calls[at + 1:] == baseline
+
+
+def _certified_sets(exact):
+    """(samples, extremes, degree, certificate) of the d > 1 sets of `_reuse_corpus` and `_grid_corpus` that meet.
+
+    A degenerate set's certificate is its first E+ and E- points, which
+    certifies nothing once the first E+ point is gone, so it must pass
+    `certificate_checks`.
+    """
+    cases = []
+    for samples, extremes, degree in _reuse_corpus(exact) + _grid_corpus():
+        if samples.dimension > 1:
+            outcome = check_hull_intersection(extremes, samples, degree, exact)
+            if isinstance(outcome, IntersectionCertificate) and all(certificate_checks(outcome).values()):
+                cases.append((samples, extremes, degree, outcome))
+    return cases
+
+
+def _certificate_point(certificate, samples, sp, exact):
+    """The identity's point on the split `sp`: each weight times |<u, x> - a| on the flipped classes, each over its sum.
+
+    A point on `plus_side` above the plane is an E+ point there (alpha),
+    below it an E- point (beta); on `minus_side` the other way round.  A
+    float weight below zero, a margin LP's rounding, counts as zero.
+    """
+    pts = samples.view(exact)[0]
+    weight = ({i: max(w, 0) for i, w in zip(certificate.minus_indices, certificate.beta)},
+              {i: max(w, 0) for i, w in zip(certificate.plus_indices, certificate.alpha)})
+    point = []
+    for cls, above_is_plus in ((sp.plus_side, True), (sp.minus_side, False)):
+        values = []
+        for i in cls:
+            distance = sum(c * x for c, x in zip(sp.normal, pts[i])) - sp.offset
+            values.append(weight[bool(distance > 0) == above_is_plus][i] * abs(distance))
+        point += [v / sum(values) for v in values]
+    return point
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden")
+
+
+def _run_report(argv, out):
+    """(exit code of `main`, its report without timings)."""
+    code = main(argv + ["--out", str(out)])
+    with open(out) as handle:
+        report = json.load(handle)
+    del report["timings"]
+    return code, report
+
+
+class TestCertificatePlanes:
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_each_plane_decided_gets_a_point_of_its_moment_lp(self, exact, monkeypatch):
+        # the weights w |<u, x> - a| on a plane's flipped classes, each over its sum, solve that plane's
+        # degree-(m-1) moment LP: exactly in exact arithmetic, within its row checks in float
+        decided = []
+        real = alternation._certificate_meets
+
+        def recorded(*args):
+            held = real(*args)
+            decided.extend(held.tolist())
+            return held
+
+        monkeypatch.setattr(alternation, "_certificate_meets", recorded)
+        cases = _certified_sets(exact)
+        checked = 0
+        for samples, extremes, degree, certificate in cases:
+            decided.clear()
+            got = verify_by_hyperplanes(extremes, samples, degree, exact, certificate)
+            idxs = sorted(set(extremes.plus) | set(extremes.minus))
+            planes = list(_candidate_planes(idxs, samples, exact))
+            assert got.verdict == "pass" and len(decided) == len(planes) == got.planes_checked
+            for (u, a), held in zip(planes, decided):
+                if held:
+                    sp = _scalar_split(extremes, samples, u, a, exact)
+                    x = _certificate_point(certificate, samples, sp, exact)
+                    program = optimality._moment_lp(samples.lifted(sp.plus_side, degree - 1, exact),
+                                                    samples.lifted(sp.minus_side, degree - 1, exact))
+                    assert min(x) >= 0
+                    lp._check_rows(program, x, exact, iterations=0)  # raises `LpFailure` at a broken row
+                    checked += 1
+        assert len(cases) >= 5 and checked > 100
+
+    def test_a_float_weight_rounded_below_zero_decides_as_zero(self, monkeypatch):
+        # a margin LP can weigh a point it leaves out at -1e-17: the planes that point is off are decided as
+        # they are with the weight at zero, not sent to the hull tests
+        decided = []
+        real = alternation._certificate_meets
+        monkeypatch.setattr(alternation, "_certificate_meets",
+                            lambda *args: decided.append(int(real(*args).sum())) or real(*args))
+        cases = 0
+        for samples, extremes, degree, certificate in _certified_sets(False):
+            if 0 in certificate.alpha:
+                k = certificate.alpha.index(0)
+                counts = []
+                for w in (0.0, -1e-17):
+                    decided.clear()
+                    alpha = certificate.alpha[:k] + (w,) + certificate.alpha[k + 1:]
+                    verify_by_hyperplanes(extremes, samples, degree, False, replace(certificate, alpha=alpha))
+                    counts.append(sum(decided))
+                assert counts[0] == counts[1] > 0
+                cases += 1
+        assert cases >= 3
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_a_wrong_certificate_changes_no_verdict(self, exact):
+        # the largest E+ weight moved to the next E+ point: on the sets it no longer certifies, and on the
+        # sets without the point it came from, every verdict, count and counterexample is the reference's
+        verdicts = set()
+        for samples, extremes, degree, certificate in _certified_sets(exact):
+            alpha = list(certificate.alpha)
+            if len(alpha) < 2:
+                continue
+            k = max(range(len(alpha)), key=alpha.__getitem__)
+            alpha[(k + 1) % len(alpha)] += alpha[k]
+            alpha[k] *= 0
+            fewer = replace(extremes, plus=extremes.plus[:k] + extremes.plus[k + 1:])
+            for ext, wrong in [(extremes, replace(certificate, alpha=tuple(alpha))),
+                               (fewer, replace(certificate, plus_indices=fewer.plus,
+                                               alpha=tuple(alpha[:k] + alpha[k + 1:])))]:
+                wrong = replace(wrong, moment_residual=verify_certificate(wrong, samples))
+                assert not (exact and all(certificate_checks(wrong).values()))
+                verdict, checked, counterexample = _every_plane_verdict(ext, samples, degree, exact)
+                got = verify_by_hyperplanes(ext, samples, degree, exact, wrong)
+                assert (got.verdict, got.planes_checked) == (verdict, checked)
+                assert repr(got.counterexample) == repr(counterexample)
+                verdicts.add(got.verdict)
+        assert verdicts == {"pass", "fail"}
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_fit_reads_every_plane_off_its_certificate(self, exact, tmp_path, monkeypatch):
+        # `fit` hands its certificate to alternation: no hull test of a plane, so no degree-(m-1) hull LP,
+        # and no batch of them
+        corpus = (build_fit_corpus(42, 2, (2,), (2, 3), (11, 18)) + build_fit_corpus(41, 1, (3,), (2,), (13, 18))
+                  + build_fit_corpus(43, 1, (2,), (4,), (18, 22)))
+        calls, batches = _recording_hulls(monkeypatch), []
+        real_batch = alternation.hulls_intersect_batch
+        monkeypatch.setattr(alternation, "hulls_intersect_batch", lambda *args: batches.append(args) or
+                            real_batch(*args))
+        planes = 0
+        for k, inst in enumerate(corpus):
+            data = tmp_path / f"{k}.csv"
+            header = ",".join(f"x{j + 1}" for j in range(inst.samples.dimension)) + ",f"
+            data.write_text("\n".join([header] + [",".join(map(repr, (*p, v)))
+                                               for p, v in zip(inst.samples.points, inst.samples.values)]) + "\n")
+            code, report = run(RunConfig(command="fit", input_path=str(data), degree=inst.degree, exact=exact))
+            assert code == 0 and report["alternation"]["verdict"] == "pass"
+            planes += report["alternation"]["planes_checked"]
+        assert not calls and not batches and planes > 100
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_alternate_finds_one_certificate_on_an_optimal_model_and_none_at_a_first_plane_failure(
+            self, exact, tmp_path, monkeypatch):
+        # float: one margin LP; exact: one degree-m hull test (`find_critical_point_set`) and no margin LP
+        grid, coeffs = "-1,1:-1,1;7;uniform;x1^2*x2+x2^3", tmp_path / "optimal.json"
+        _, fit = run(RunConfig(command="fit", grid=grid, degree=2, exact=exact))
+        coeffs.write_text(json.dumps(fit["model"]))
+        margins, supports = [], []
+        real_margin, real_support = optimality._margin_lp, alternation.find_critical_point_set
+        monkeypatch.setattr(optimality, "_margin_lp", lambda *args: margins.append(args) or real_margin(*args))
+        monkeypatch.setattr(alternation, "find_critical_point_set",
+                            lambda *args: supports.append(args) or real_support(*args))
+        code, report = run(RunConfig(command="alternate", grid=grid, coeffs=str(coeffs), exact=exact))
+        assert (code, report["alternation"]["verdict"]) == (0, "pass")
+        assert (len(margins), len(supports)) == ((0, 1) if exact else (1, 0))
+        # a least-squares model whose one plane passes through both its extreme points: no moment LP to decide
+        lsq = ("-1,1:-1,1;5;uniform;x1^2*x2+x2^3+x1^3", "lsq-2d-m2.json") if exact else \
+            ("-1,1:-1,1;7;uniform;x1^3*x2+x2^4", "lsq-2d-m3.json")
+        margins.clear()
+        supports.clear()
+        code, report = run(RunConfig(command="alternate", grid=lsq[0], coeffs=os.path.join(GOLDEN, lsq[1]),
+                                     exact=exact))
+        assert (code, report["alternation"]["verdict"], report["alternation"]["planes_checked"]) == (2, "fail", 1)
+        assert not margins and not supports
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_a_failing_certificate_lp_leaves_alternate_as_without_a_certificate(self, exact, tmp_path, monkeypatch):
+        grid, coeffs = "-1,1:-1,1;7;uniform;x1^2*x2+x2^3", tmp_path / "optimal.json"
+        _, fit = run(RunConfig(command="fit", grid=grid, degree=2, exact=exact))
+        coeffs.write_text(json.dumps(fit["model"]))
+        argv = ["alternate", "--grid", grid, "--coeffs", str(coeffs)] + (["--exact"] if exact else [])
+        _withhold_certificate(monkeypatch)
+        reference = _run_report(argv, tmp_path / "reference.json")
+        monkeypatch.undo()
+        calls = []
+
+        def failing(*args):
+            calls.append(args)
+            raise LpFailure("the certificate's LP failed")
+
+        # the margin LP in float, the degree-m hull test in exact arithmetic
+        monkeypatch.setattr(*(alternation, "find_critical_point_set") if exact else (optimality, "check_isolability"),
+                            failing)
+        assert _run_report(argv, tmp_path / "report.json") == reference
+        assert len(calls) == 1 and reference[0] == 0
 
 
 def test_shared_points_meet_without_an_lp(monkeypatch):
@@ -637,7 +850,7 @@ def test_integer_planes_and_sides_match_the_rational_reference(case, data):
             kept += got
             if got:
                 planes += zip(normals.tolist(), offsets.tolist())
-                assert alternation._sides(X, normals, offsets, True).tolist() == np.array(
+                assert alternation._signs(alternation._distances(X, normals, offsets), True).tolist() == np.array(
                     [reference_exact_sides(points, *reference_exact_plane([points[i] for i in c])) for c in got]
                 ).T.tolist()
     reference, keys = [], set()
@@ -660,13 +873,20 @@ def test_integer_planes_and_sides_match_the_rational_reference(case, data):
 
 
 def test_exact_verifiers_on_the_two_dimensional_baseline_row_make_no_rational_solve(monkeypatch):
-    """The 9 x 9 exact Baseline row: every hull test's float support certifies, so `solve_exact` never runs."""
+    """The 9 x 9 exact Baseline row, with the fit's own certificate as `fit` hands it over: `solve_exact` never runs.
+
+    The certificate decides alternation's planes, and every hull test of
+    the reduction has a float support that certifies.
+    """
     samples = parse_grid_spec("-1,1:-1,1;9;uniform;x1^2*x2+x2^3", exact=True)
-    extremes = partition_extremes(fit_minimax(samples, 2, exact=True).residuals, 0)
+    fit = fit_minimax(samples, 2, exact=True)
+    extremes = partition_extremes(fit.residuals, 0)
     rational = []
     real = optimality.solve_exact
     monkeypatch.setattr(optimality, "solve_exact", lambda lp, **kw: rational.append(lp) or real(lp, **kw))
-    assert verify_by_hyperplanes(extremes, samples, 2, exact=True) == HyperplaneVerdict("pass", None, 19)
+    certificate = check_hull_intersection(extremes, samples, 2, True, fit.weights)
+    assert isinstance(certificate, IntersectionCertificate)
+    assert verify_by_hyperplanes(extremes, samples, 2, True, certificate) == HyperplaneVerdict("pass", None, 19)
     assert reduce_and_verify(extremes, samples, 2, exact=True).verdict == "pass"
     assert not rational
 

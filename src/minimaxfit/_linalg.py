@@ -5,11 +5,12 @@ test's proposed support for `optimality.certified_meet`, by fraction-free
 elimination in `exact_nullspace`, over rows that `integer_row` scales to
 integers.  `integer_rows` scales a whole table [A | b] that way, once: the
 exact LP's certificate and row check (`lp._integers`) and the exact fit's
-residuals read its rows through `monomials.dot_rows`.  `affine_normal`
-gives the float hyperplane through d points, by SVD; `affine_normals` gives
-those of a whole batch of d-point sets at once, each bit for bit
-`affine_normal`'s, and `integer_normals` the exact ones of a batch of
-integer points, as primitive integer normals and offsets.
+residuals read its rows through `monomials.dot_rows`.  A hyperplane's
+normal has one formula in both arithmetics, the signed minors of its
+points' differences (`_minors`): `integer_normals` gives the exact planes of
+a batch of integer points, as primitive integer normals and offsets, and
+`affine_normals` the float ones of a batch, as unit normals, each bit for
+bit what `affine_normal` computes for its one plane in Python floats.
 """
 
 from __future__ import annotations
@@ -96,12 +97,16 @@ def exact_solve(a: Sequence[Sequence[Number]], b: Sequence[Number]) -> Optional[
 
 
 def affine_normal(points: Sequence[Sequence[Number]]) -> Optional[tuple[tuple[float, ...], float]]:
-    """Float hyperplane (u, a) with <u, p> = a through d points of R^d, by SVD.
+    """Float hyperplane (u, a) with <u, p> = a through d points of R^d, one at a time in Python floats.
 
-    Returns None when the points are affinely dependent (the smallest
-    singular value of the differences is at most 1e-9 times the largest), in
-    which case the containing hyperplane is not unique.  Normals are unit
-    length with the first significant component positive.
+    The normal U is the signed (d-1)-minors of the differences p_k - p_0
+    (their generalised cross product, as `integer_normals` takes it), each
+    minor expanded along its first row.  Returns None when the points are
+    affinely dependent: when |U| is at most 1e-9 times the product of the
+    |p_k - p_0|, which bounds it (Hadamard), in which case the containing
+    hyperplane is not unique.  Else u is U over |U|, negated when its first
+    component above 1e-12 in size (or its first, if none is) is negative,
+    and a is the mean of the <u, p_k>; every sum runs in coordinate order.
 
     `verify_by_hyperplanes` takes its planes from `affine_normals`; this is
     the one-plane reference it is tested against bit for bit.
@@ -112,39 +117,88 @@ def affine_normal(points: Sequence[Sequence[Number]]) -> Optional[tuple[tuple[fl
     if d == 1:
         return (1.0,), float(points[0][0])
 
-    base = np.asarray(points[0], dtype=float)
-    diffs = np.asarray([np.asarray(p, dtype=float) - base for p in points[1:]])
-    _, sig, vh = np.linalg.svd(diffs)
-    if sig[0] == 0 or sig[-1] <= _RTOL * sig[0]:
+    base = [float(c) for c in points[0]]
+    diffs = [[float(c) - b for c, b in zip(p, base)] for p in points[1:]]
+
+    def det(rows: list) -> float:
+        if len(rows) == 1:
+            return rows[0][0]
+        total = 0
+        for j, c in enumerate(rows[0]):
+            term = c * det([r[:j] + r[j + 1:] for r in rows[1:]])
+            total = total - term if j % 2 else total + term
+        return total
+
+    def norm(v: list) -> float:
+        total = v[0] * v[0]
+        for c in v[1:]:
+            total = total + c * c
+        return math.sqrt(total)
+
+    U = [det([r[:j] + r[j + 1:] for r in diffs]) * (-1) ** j for j in range(d)]
+    bound = norm(diffs[0])
+    for r in diffs[1:]:
+        bound = bound * norm(r)
+    size = norm(U)
+    if not size > _RTOL * bound:
         return None
-    u = vh[-1]
-    lead = next((c for c in u if abs(c) > 1e-12), u[0])
-    if lead < 0:
-        u = -u
-    a = float(np.mean([np.dot(u, np.asarray(p, dtype=float)) for p in points]))
-    return tuple(float(c) for c in u), a
+    u = [c / size for c in U]
+    if next((c for c in u if abs(c) > 1e-12), u[0]) < 0:
+        u = [-c for c in u]
+    total = 0.0
+    for k, p in enumerate(points):
+        dot = u[0] * float(p[0])
+        for c, x in zip(u[1:], p[1:]):
+            dot = dot + c * float(x)
+        total = total + dot if k else dot
+    return tuple(u), total / d
 
 
 def affine_normals(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Float `affine_normal` of a batch: (u, a, unique) for a (B, d, d) array of B sets of d points.
+    """Float `affine_normal` of a batch: (u, a, unique) for a (B, d, d) float array of B sets of d points.
 
     Row b of u and a is bit for bit what `affine_normal` returns for
     ``points[b]`` wherever ``unique[b]`` holds, and ``unique[b]`` is False
-    exactly where it returns None.  One batched SVD runs the same LAPACK
-    routine on the same differences, and each offset is the mean of the same
-    dot products: a vector-by-vector `np.matmul` takes the dot kernel of
-    `np.dot`, whose sums another order or `einsum` would not reproduce.
+    exactly where it returns None; u and a are zero there.  The minors are
+    `integer_normals`' (`_minors` over floats), and every sum takes
+    `affine_normal`'s order.  The work runs over the batch axis, one
+    coordinate at a time.
     """
     count, d = points.shape[:2]
     if d == 1:
         return np.ones((count, 1)), points[:, 0, 0].copy(), np.ones(count, dtype=bool)
-    _, sig, vh = np.linalg.svd(points[:, 1:] - points[:, :1])
-    unique = sig[:, -1] > _RTOL * sig[:, 0]  # false also where sig[0] == 0, as sig is non-negative
-    u = vh[:, -1]
-    lead = u[np.arange(count), np.argmax(np.abs(u) > 1e-12, axis=1)]  # no such entry: the first
-    u = np.where((lead < 0)[:, None], -u, u)
-    a = np.add.reduce(np.matmul(points[:, :, None, :], u[:, None, :, None])[:, :, 0, 0], axis=1) / d  # np.mean
-    return u, a, unique
+    P = np.ascontiguousarray(points.transpose(1, 2, 0))  # P[k, j]: coordinate j of point k, over the batch
+    diffs = P[1:] - P[0]
+    U = _minors(diffs)
+    bound = _norms(diffs[0])
+    for k in range(1, d - 1):
+        bound = bound * _norms(diffs[k])
+    size = _norms(U)
+    unique = size > _RTOL * bound
+    u = np.where(unique, U / np.where(unique, size, 1.0), 0.0)
+    lead = u[np.argmax(np.abs(u) > 1e-12, axis=0), np.arange(count)]  # no such entry: the first
+    u = np.where(lead < 0, -u, u)
+    total = None  # the mean of the <u, p_k>
+    for k in range(d):
+        dot = u[0] * P[k, 0]
+        for j in range(1, d):
+            dot = dot + u[j] * P[k, j]
+        total = dot if total is None else total + dot
+    return u.T, total / d, unique
+
+
+def unit_planes(normals: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Float planes, a (B, d) array of normals and their offsets, scaled to unit normals as `_norms` takes them."""
+    norm = _norms(normals.T)
+    return normals / norm[:, None], offsets / norm
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each column of a float (k, B) array, its squares summed over the rows in order."""
+    total = v[0] * v[0]
+    for k in range(1, len(v)):
+        total = total + v[k] * v[k]
+    return np.sqrt(total)
 
 
 def integer_normals(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -159,8 +213,7 @@ def integer_normals(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     dependent: there ``unique`` is False.
     """
     count, d = points.shape[:2]
-    diffs = points[:, 1:] - points[:, :1]
-    U = np.stack([_det(np.delete(diffs, j, axis=2)) * (-1) ** j for j in range(d)], axis=1)
+    U = _minors((points[:, 1:] - points[:, :1]).transpose(1, 2, 0)).T
     g = np.gcd.reduce(U, axis=1)
     unique = g != 0
     U = U // np.where(unique, g, 1)[:, None]
@@ -169,12 +222,22 @@ def integer_normals(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     return U, (U * points[:, 0]).sum(axis=1), unique
 
 
+def _minors(diffs: np.ndarray) -> np.ndarray:
+    """The signed (d-1)-minors of (d-1) x d differences, a (d-1, d, B) stack: a (d, B) normal of each span.
+
+    Ints or floats: one formula in both arithmetics.
+    """
+    return np.stack([_det(np.delete(diffs, j, axis=1)) * (-1) ** j for j in range(diffs.shape[1])])
+
+
 def _det(M: np.ndarray) -> np.ndarray:
-    """The determinants of a stack of k x k object matrices, by expansion along the first row."""
-    if M.shape[1] == 0:
-        return np.ones(len(M), dtype=object)
+    """The determinants of a (k, k, B) stack of matrices, ints or floats, by expansion along the first row."""
+    if len(M) == 0:
+        return np.ones(M.shape[2:], dtype=M.dtype)
+    if len(M) == 1:
+        return M[0, 0]
     total = 0
-    for j in range(M.shape[1]):
-        term = M[:, 0, j] * _det(np.delete(M[:, 1:], j, axis=2))
+    for j in range(len(M)):
+        term = M[0, j] * _det(np.delete(M[1:], j, axis=1))
         total = total - term if j % 2 else total + term
     return total

@@ -8,16 +8,26 @@ independent extreme points suffices, which turns the condition into finitely
 many hull checks, small LPs in d > 1.
 
 `verify_by_hyperplanes` takes the d-point combinations in batches of a
-fixed size, so that memory stays bounded.  A float batch gets its planes
-from one batched SVD (`affine_normals`, bit for bit `affine_normal`'s).  An
-exact one works over integers: the extreme points are scaled once to X / q
-(one `integer_row` over all their coordinates), and `integer_normals` gives
-each plane as a primitive integer normal U and offset A.  One sign matrix
+fixed size, so that memory stays bounded.  A plane's normal has one formula
+in both arithmetics: the signed (d-1)-minors of the differences p_k - p_0,
+their generalised cross product.  A float batch gets its planes from
+`affine_normals` (bit for bit `affine_normal`'s) as unit normals; a
+combination spans no plane when the minors' norm is at most 1e-9 times
+the product of the |p_k - p_0|, which bounds it.  An exact batch works
+over integers: the extreme points are scaled once to X / q (one
+`integer_row` over all their coordinates), and `integer_normals` gives each
+plane as a primitive integer normal U and offset A.  One sign matrix
 sign(X U^T - a) of the extreme points X against the batch's planes
 classifies them all as `split` classifies one: a float plane scaled to a
 unit normal with `PLANE_TOL`, an exact one as integer sums with no
-tolerance.  Only a counterexample's plane goes back to the rational normal
-whose first non-zero component is 1, as reports show it.
+tolerance.  Each plane is checked once, at its first combination.  An
+exact plane is known by (U, A).  A float plane is known by its column of
+the sign matrix, which is all that its tests read, and which fixes the
+plane, as the points on it hold d affinely independent ones: so a float
+count does not hang on a normal's last bits, and is the exact count
+wherever the two arithmetics see the same points on each plane.  Only a
+counterexample's plane goes back to the rational normal whose first
+non-zero component is 1, as reports show it.
 
 In d > 1 most planes need no hull test, because a degree-m certificate
 answers it (the characterization theorem in its hull form; Cheney,
@@ -79,12 +89,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
+from math import comb
 from typing import Optional, Sequence
 
 import numpy as np
 
-from ._linalg import affine_normals, integer_normals, integer_row
+from ._linalg import affine_normals, integer_normals, integer_row, unit_planes
 from ._linalg import affine_normal  # unused here, kept because bench/tracing.py counts alternation.affine_normal
 from .fitting import ExtremeSets, SampleSet
 from .monomials import Number
@@ -93,7 +104,6 @@ from .optimality import IntersectionCertificate, VerificationOutcome, certificat
 from .optimality import check_hull_intersection, find_critical_point_set, hulls_intersect, hulls_intersect_batch
 
 PLANE_TOL = 1e-9
-_CANON_DECIMALS = 12  # a float plane's key: its normal and offset rounded to this many decimals
 _BATCH = 2048  # combinations in each batch
 _GROUP = 32  # the most degree-(m-1) hull tests that one `hulls_intersect_batch` call makes
 
@@ -158,7 +168,7 @@ def split(
         w, _ = integer_row([*u, offset])
         normals, offsets = np.array([w[:-1]], dtype=object), np.array([q * w[-1]], dtype=object)
     else:
-        normals, offsets = _unit(np.array([u]), np.array([float(offset)]))
+        normals, offsets = unit_planes(np.array([u]), np.array([float(offset)]))
         normal, offset = tuple(normals[0].tolist()), offsets.tolist()[0]
     side = _signs(_distances(points, normals, offsets), exact)
     return HyperplaneSplit(normal, offset, *_classes(rows, side[:, 0] * sign, sign))
@@ -252,16 +262,14 @@ def verify_by_hyperplanes(
     twice = np.flatnonzero(in_plus[:, 0] & in_minus[:, 0])
     pending = d > 1 and outcome is None  # d = 1 takes no certificate: each test there is a sign-block count
     weighted = _certificate_weights(outcome, extremes, degree, exact) if d > 1 else None
-    seen: set = set()
+    seen = set() if comb(n, d) > _BATCH else None  # keys of the planes of earlier batches
     supports: list = []  # rows of `_contains`'s stack for every degree-(m-1) support found
     checked = 0
     combos = combinations(range(len(idxs)), d)
     while batch := list(islice(combos, _BATCH)):
-        batch, normals, offsets = _new_planes(batch, coords, exact, seen)
+        batch, normals, offsets, distances, side = _new_planes(batch, coords, exact, seen)
         if not batch:
             continue
-        distances = _distances(coords, normals, offsets)
-        side = _signs(distances, exact)
         flipped = side[at] * sign[:, None]
         classes = _point_classes(side, in_plus, in_minus)
         # the planes whose degree-(m-1) test is an LP: both flipped classes non-empty, no point in both
@@ -308,30 +316,54 @@ def verify_by_hyperplanes(
     return HyperplaneVerdict("pass", None, checked)
 
 
-def _new_planes(batch, coords: np.ndarray, exact: bool, seen: set):
-    """The combinations of `batch` whose plane is unique and not in `seen`, with their normals and offsets.
+def _new_planes(batch, coords: np.ndarray, exact: bool, seen: Optional[set]):
+    """The combinations of `batch` whose plane is unique and new: (combinations, normals, offsets, distances, signs).
 
-    An exact plane's key is its primitive integer normal and offset over
-    the integer points (`integer_normals`), which fix its rational normal
-    whose first non-zero component is 1, and its offset; a float one's, its
-    normal and offset rounded to `_CANON_DECIMALS` decimals.  Each new key
-    goes into `seen`.
+    A plane is new when no combination before it in the batch has it, nor
+    any in an earlier batch: `seen` holds their keys and takes the batch's,
+    and is None when there is no other batch.  The distances and signs are
+    `_distances` and `_signs` of the points `coords` against the planes
+    kept, one column each.  An exact plane's key is its primitive integer
+    normal and offset over the integer points (`integer_normals`), which fix
+    its rational normal whose first non-zero component is 1, and its
+    offset.  A float plane, scaled to a unit normal, is known by its sign
+    column over the points, all that its tests read: the points on it fix
+    it, as d of them are affinely independent.  Equal columns within the
+    batch are found by one `np.unique` over their bytes, and a column's key
+    in `seen` packs it into two bits per point.
     """
-    normals, offsets, unique = (integer_normals if exact else affine_normals)(coords[np.array(batch)])
+    d = coords.shape[1]
+    points = coords[np.fromiter(chain.from_iterable(batch), dtype=np.intp, count=len(batch) * d).reshape(-1, d)]
+    normals, offsets, unique = (integer_normals if exact else affine_normals)(points)
+    kept = np.flatnonzero(unique)
     if exact:
-        keys = [(*u, a) if ok else None for u, a, ok in zip(normals.tolist(), offsets.tolist(), unique.tolist())]
+        normals, offsets = normals[kept], offsets[kept]
+        index: dict = {}  # each key's first plane
+        for k, key in enumerate(zip(*normals.T.tolist(), offsets.tolist())):
+            index.setdefault(key, k)
+        keys, first = list(index), np.array(list(index.values()), dtype=np.intp)
     else:
-        keys = [tuple([round(v, _CANON_DECIMALS) for v in u + [a]]) if ok else None
-                for u, a, ok in zip(normals.tolist(), offsets.tolist(), unique.tolist())]
-    kept = []
-    for k, key in enumerate(keys):
-        if key is not None and key not in seen:
-            seen.add(key)
-            kept.append(k)
-    if not kept:
-        return [], None, None
-    normals, offsets = (normals[kept], offsets[kept]) if exact else _unit(normals[kept], offsets[kept])
-    return [batch[k] for k in kept], normals, offsets
+        normals, offsets = unit_planes(normals[kept], offsets[kept])
+        distances = _distances(coords, normals, offsets)
+        side = _signs(distances, False)
+        columns = np.ascontiguousarray(side.T)
+        _, first = np.unique(columns.view(f"V{len(coords)}").ravel(), return_index=True)
+        first.sort()
+        keys = None if seen is None else [
+            row.tobytes() for row in np.packbits(np.hstack((columns[first] > 0, columns[first] < 0)), axis=1)]
+    if seen is not None:
+        new = [k for k, key in enumerate(keys) if key not in seen]
+        seen.update(keys)
+        first = first[new]
+    if not len(first):
+        return [], None, None, None, None
+    normals, offsets = normals[first], offsets[first]
+    if exact:
+        distances = _distances(coords, normals, offsets)
+        side = _signs(distances, True)
+    else:
+        distances, side = distances[:, first], side[:, first]
+    return [batch[k] for k in kept[first].tolist()], normals, offsets, distances, side
 
 
 def _integer_points(points: np.ndarray) -> tuple[np.ndarray, int]:
@@ -344,15 +376,6 @@ def _rational_plane(normal: list[int], offset: int, q: int) -> tuple[tuple[Fract
     """An integer plane over the points X / q as the rational (u, a) whose first non-zero u is 1, as reports show it."""
     lead = next(c for c in normal if c)
     return tuple(Fraction(c, lead) for c in normal), Fraction(offset, q * lead)
-
-
-def _unit(normals: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Float planes scaled to unit normals, the norm's squares summed over the coordinates in order."""
-    norm = normals[:, 0] * normals[:, 0]
-    for k in range(1, normals.shape[1]):
-        norm = norm + normals[:, k] * normals[:, k]
-    norm = np.sqrt(norm)
-    return normals / norm[:, None], offsets / norm
 
 
 def _distances(points: np.ndarray, normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:

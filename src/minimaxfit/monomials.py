@@ -74,12 +74,23 @@ def lift_matrix(points: Union[np.ndarray, Sequence[Sequence[Number]]], basis: Mo
     A float (n, d) table gives a float64 matrix; an object one (of
     ``Fraction``, say) an object matrix of the table's own numbers, with int 1
     in the constant column.
+
+    A float table with d > 1 takes each power once per distinct value of
+    its coordinate, told apart by their bits (so that -0.0, whose odd powers
+    are -0.0, is not 0.0), and gathers it back to the rows.  That saves work
+    only where coordinates repeat, as on a grid; a 1-D table repeats none,
+    as samples are distinct, and an exact one is lifted row by row.
     """
     table = np.array(points, ndmin=2)
     table = table if table.dtype == object else table.astype(float)
-    coords = table.T.tolist()
-    if len(coords) != basis.dimension:
-        raise ValueError(f"points have dimension {len(coords)}, basis expects {basis.dimension}")
+    if table.shape[1] != basis.dimension:
+        raise ValueError(f"points have dimension {table.shape[1]}, basis expects {basis.dimension}")
+    keyed = table.dtype != object and basis.dimension > 1
+    if keyed:  # per coordinate: its distinct bit patterns, and which of them each row holds
+        distinct = [np.unique(column.view(np.int64), return_inverse=True) for column in table.T]
+        coords = [bits.view(np.float64).tolist() for bits, _ in distinct]
+    else:
+        coords = table.T.tolist()
     powers: dict[tuple[int, int], np.ndarray] = {}
     matrix = np.ones((len(table), basis.size), dtype=table.dtype)
     for j, exponents in enumerate(basis.exponents):
@@ -87,7 +98,8 @@ def lift_matrix(points: Union[np.ndarray, Sequence[Sequence[Number]]], basis: Mo
         for k, e in enumerate(exponents):
             if e:
                 if (k, e) not in powers:
-                    powers[k, e] = np.array([x**e for x in coords[k]], dtype=table.dtype)
+                    power = np.array([x**e for x in coords[k]], dtype=table.dtype)
+                    powers[k, e] = power[distinct[k][1]] if keyed else power
                 column = powers[k, e] if column is None else column * powers[k, e]
         if column is not None:
             matrix[:, j] = column

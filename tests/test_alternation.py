@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
@@ -171,12 +172,46 @@ class TestVerifyByHyperplanes:
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_collinear_extremes_in_three_dimensions_are_vacuous(self, exact):
-        # all the points lie on one line, so no three of them fix a plane
+        # all the points lie on one line, so no three of them fix a plane; their float normals are
+        # zero, and are masked before any division, so no warning is raised either
         samples = SampleSet([(t, t, t) for t in range(5)], [0] * 5)
         extremes = ExtremeSets(plus=(0, 2, 4), minus=(1, 3), psi=1, rel_tol=0.0)
-        verdict = verify_by_hyperplanes(extremes, samples, 2, exact=exact)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdict = verify_by_hyperplanes(extremes, samples, 2, exact=exact)
         assert (verdict.verdict, verdict.planes_checked, verdict.counterexample) == ("vacuous", 0, None)
         assert verdict.warning == "no affinely independent extreme subset"
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_affinely_dependent_combinations_raise_no_warning(self, d):
+        # collinear 2-D extremes (many pairs on one line) and coplanar 3-D ones (many collinear
+        # triples, whose minors vanish): float planes are made with no division by zero, and they
+        # are the exact run's planes
+        if d == 2:
+            points = [(t, 0.5 * t) for t in (-1.0, -0.5, 0.0, 0.5, 1.0)] + [(0.0, 1.0), (0.5, -1.0)]
+        else:
+            points = [(x, y, 0.0) for x in (-1.0, 0.0, 1.0) for y in (-1.0, 0.0, 1.0)] + [(0.0, 0.0, 1.0)]
+        samples = SampleSet(points, [0.0] * len(points))
+        extremes = ExtremeSets(plus=tuple(range(0, len(points), 2)), minus=tuple(range(1, len(points), 2)),
+                               psi=1.0, rel_tol=0.0)
+        for degree in (2, 3):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = verify_by_hyperplanes(extremes, samples, degree)
+            reference = verify_by_hyperplanes(extremes, samples, degree, exact=True)
+            assert (got.verdict, got.planes_checked) == (reference.verdict, reference.planes_checked)
+            assert got.planes_checked > 0
+
+    def test_a_plane_whose_rounded_normals_differ_is_counted_once(self):
+        # five points on one line of direction (4, 5), all dyadic: the float normals of its ten pairs
+        # differ in their last bits, and rounded to 12 decimals their offsets split into two keys, so
+        # a plane keyed that way was counted twice; keyed by its sign column it is counted once
+        line = [(-0.625 + 0.25 * t, 0.25 + 0.3125 * t) for t in range(-2, 3)]
+        samples = SampleSet(line + [(0.5, -0.5), (1.0, 0.75)], [0.0] * 7)
+        extremes = ExtremeSets(plus=(0, 2, 4, 5), minus=(1, 3, 6), psi=1.0, rel_tol=0.0)
+        got = verify_by_hyperplanes(extremes, samples, 2)
+        reference = verify_by_hyperplanes(extremes, samples, 2, exact=True)
+        assert (got.verdict, got.planes_checked) == (reference.verdict, reference.planes_checked) == ("pass", 12)
 
     def test_matches_certificate_on_corpus(self):
         corpus = build_fit_corpus(seed=909, count=15, dims=(1, 2), degrees=(2, 3), point_range=(8, 20))
@@ -846,10 +881,11 @@ def test_integer_planes_and_sides_match_the_rational_reference(case, data):
     seen, kept, planes = set(), [], []
     for batch in (combos[:cut], combos[cut:]):
         if batch:
-            got, normals, offsets = alternation._new_planes(batch, X, True, seen)
+            got, normals, offsets, distances, side = alternation._new_planes(batch, X, True, seen)
             kept += got
             if got:
                 planes += zip(normals.tolist(), offsets.tolist())
+                assert side.tolist() == alternation._signs(distances, True).tolist()
                 assert alternation._signs(alternation._distances(X, normals, offsets), True).tolist() == np.array(
                     [reference_exact_sides(points, *reference_exact_plane([points[i] for i in c])) for c in got]
                 ).T.tolist()

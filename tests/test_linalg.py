@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minimaxfit._linalg import affine_normal, exact_nullspace, exact_solve, integer_normals
+from minimaxfit._linalg import affine_normal, affine_normals, exact_nullspace, exact_solve, integer_normals
 
 from support import gauss_jordan_nullspace, reference_exact_plane
 
@@ -174,6 +174,28 @@ class TestAffineNormal:
         assert reference_exact_plane(collinear) is None and reference_exact_plane(repeated) is None
         for points in (collinear, repeated):
             assert not integer_normals(np.array([points], dtype=object))[2][0]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_float_normals_of_a_batch_are_the_one_plane_reference_bit_for_bit(d):
+    """Each row of `affine_normals` is `affine_normal`'s plane, bit for bit, or not unique where it has none."""
+    rng = random.Random(20 + d)
+    coordinate = [lambda: rng.uniform(-2, 2), lambda: rng.randint(-4, 4) / 4, lambda: -0.0]
+    points = np.array([[[rng.choice(coordinate)() for _ in range(d)] for _ in range(d)] for _ in range(300)])
+    points[:40, -1] = points[:40, 0]  # repeated points: no unique plane in d > 1
+    if d > 2:
+        points[40:80, -1] = 2 * points[40:80, 1] - points[40:80, 0]  # three points on one line
+    u, a, unique = affine_normals(points)
+    assert u.shape == (300, d) and a.shape == unique.shape == (300,)
+    found = 0
+    for row, offset, ok, combo in zip(u, a, unique.tolist(), points.tolist()):
+        ref = affine_normal(combo)
+        assert ok == (ref is not None)
+        if ok:
+            found += 1
+            assert row.tobytes() == np.array(ref[0]).tobytes() and offset.tobytes() == np.float64(ref[1]).tobytes()
+            assert all(abs(np.dot(row, p) - offset) < 1e-12 for p in combo)
+    assert found > (200 if d > 2 else 250 if d > 1 else 299)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])

@@ -175,6 +175,31 @@ class TestLiftMatrix:
                     assert [type(v) for v in single] == [type(v) for v in expected]
                     assert [float(v).hex() for v in single] == [float(v).hex() for v in expected]
 
+    def test_powers_shared_by_repeated_coordinates_equal_lift_bit_for_bit(self):
+        # a float table with d > 1 takes each power once per distinct coordinate and gathers it back to
+        # the rows; the distinct values are told apart by their bits, so odd powers of -0.0 stay -0.0
+        # where a column also holds 0.0, and a grid's repeated values give every row its own x ** e
+        rng = random.Random(5)
+        axis = np.linspace(-1, 1, 7).tolist()
+        zeros = [(z, y) for z in (0.0, -0.0) for y in (0.5, -1.5, 0.0, -0.0)] + [(-0.0, 2.0), (0.0, -2.0)]
+        tables = {
+            "2-D grid": list(product(axis, repeat=2)),
+            "3-D grid": list(product(axis[:5], repeat=3)),
+            "scattered 2-D": [(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(60)],
+            "signed zeros": zeros,
+        }
+        for name, points in tables.items():
+            d = len(points[0])
+            basis = build_basis(d, 5)
+            matrix = lift_matrix(np.array(points), basis)
+            for point, row in zip(points, matrix.tolist()):
+                expected = [float(v).hex() for v in reference_lift(point, basis.exponents)]
+                assert [v.hex() for v in row] == expected, (name, point)
+        # the signed-zeros table holds both zeros in its first column, and odd powers tell them apart
+        basis = build_basis(2, 3)
+        cubes = lift_matrix(np.array(zeros), basis)[:, basis.exponents.index((3, 0))]
+        assert {math.copysign(1, v) for v in cubes if v == 0} == {1, -1}
+
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 3), st.integers(0, 5), st.data())
     def test_object_rows_equal_lift_value_and_type(self, d, degree, data):

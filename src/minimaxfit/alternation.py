@@ -44,12 +44,12 @@ the plane.  `verify_by_hyperplanes` takes the certificate from its caller
 whose test is a moment LP (`_own_certificate`).  An exact certificate
 that passes `certificate_checks` decides every plane with a weighted
 point off it.  A float one decides a plane when both masses are positive
-and the point passes the checks `lp.solve_batch` puts on a moment-LP
-point: it is non-negative, and every row of the plane's moment LP holds
-within `lp._row_slack` of that LP's own coefficients.  The sums
-<u, x> - a are those the sign matrix is read from.  Without a
-certificate (an isolable set, an `LpFailure`) every plane takes the hull
-tests below, as does every plane the certificate leaves open.
+and the point, non-negative as it is, holds every row of the plane's
+moment LP within the float row check's slack (`lp._row_slack`) of that
+LP's own coefficients.  The sums <u, x> - a are those the sign matrix is
+read from.  Without a certificate (an isolable set, an `LpFailure`)
+every plane takes the hull tests below, as does every plane the
+certificate leaves open.
 
 Of the planes left, many need no LP either: a degree-(m-1) certificate
 with support S+, S- (convex weights matching every lifted moment) is, zero
@@ -62,27 +62,9 @@ plane holds with no LP.  The support is whichever vertex the moment LP of
 prices it.  So pricing decides which planes it marks, but not a verdict: a
 marked plane's hulls do meet.
 
-In d > 1 the degree-(m-1) tests go in groups, in either arithmetic.  A
-group is the next planes, up to `_GROUP` of them, in plane order, that no
-stored support marks and whose test is a moment LP (both flipped classes
-non-empty, no point in both).  A group of more than one plane is one
-`optimality.hulls_intersect_batch` call: a stack of moment LPs over the
-extreme rows lifted once, solved together by `lp.solve_batch`.  It reads
-the float view of the lifted rows, also in exact arithmetic.  A batched
-answer only ever says that the hulls meet, with the support
-`hulls_intersect` reaches on that plane, and only once its weights are
-non-negative and its rows hold; in exact arithmetic, only once
-`optimality.certified_meet` finds exact weights on that support, whose
-positive ones are the support stored.  The planes still take their turns in
-plane order, and supports are stored in that order: a plane that a support
-stored after its group was formed marks drops its answer.  So the planes
-that need a test, and the supports they store, are those of one test per
-plane.  Every other plane takes the scalar `hulls_intersect` at its turn:
-one the batch left undecided (infeasible, at the pivot cap or failing a
-check), one whose test is no LP, and every degree-m point-elimination test.
-A failing split, and so the counterexample, is decided as it is without the
-batch.  In d = 1, and for exact points beyond float range, every test is
-one `hulls_intersect` per plane, on sample indices.
+A plane that neither the certificate nor a stored support decides takes
+the scalar `hulls_intersect` at its turn: degree m - 1 on its flipped
+classes, then, only where that fails, degree m on its on-plane classes.
 """
 
 from __future__ import annotations
@@ -100,12 +82,11 @@ from ._linalg import affine_normal  # unused here, kept because bench/tracing.py
 from .fitting import ExtremeSets, SampleSet
 from .monomials import Number
 from .lp import LpFailure, _row_slack
-from .optimality import IntersectionCertificate, VerificationOutcome, certificate_checks, certified_meet
-from .optimality import check_hull_intersection, find_critical_point_set, hulls_intersect, hulls_intersect_batch
+from .optimality import IntersectionCertificate, VerificationOutcome, certificate_checks
+from .optimality import check_hull_intersection, find_critical_point_set, hulls_intersect
 
 PLANE_TOL = 1e-9
 _BATCH = 2048  # combinations in each batch
-_GROUP = 32  # the most degree-(m-1) hull tests that one `hulls_intersect_batch` call makes
 
 
 @dataclass(frozen=True)
@@ -253,12 +234,7 @@ def verify_by_hyperplanes(
     rows, sign = _rows(extremes)
     at = np.array([place[i] for i in rows])
     n = len(idxs)
-    lifted = None  # float rows for `hulls_intersect_batch`, in either arithmetic
-    if d > 1:
-        try:
-            lifted = samples.lifted(rows, degree - 1, False)
-        except OverflowError:  # exact points beyond float range: every test is scalar
-            pass
+    lifted = samples.lifted(rows, degree - 1, False) if d > 1 and not exact else None  # for `_certificate_meets`
     twice = np.flatnonzero(in_plus[:, 0] & in_minus[:, 0])
     pending = d > 1 and outcome is None  # d = 1 takes no certificate: each test there is a sign-block count
     weighted = _certificate_weights(outcome, extremes, degree, exact) if d > 1 else None
@@ -282,22 +258,12 @@ def verify_by_hyperplanes(
         if weighted is not None:
             held, w = weighted  # the rows the certificate weighs, and their weights
             reused |= _certificate_meets(w, flipped[held], distances[at[held]], None if exact else lifted[held], exact)
-        grouped, meets = 0, {}  # the planes before `grouped` have had their group; the meets its batch found
         for j in range(len(batch)):
             checked += 1
             if reused[j]:
                 continue
             plus_side, minus_side, on_plus, on_minus = _classes(rows, flipped[:, j], sign)
-            if lifted is not None and j >= grouped and moment_lp[j]:
-                planes = j + np.flatnonzero(moment_lp[j:] & ~reused[j:])[:_GROUP]
-                grouped = planes[-1] + 1
-                if len(planes) > 1:
-                    meets = {k: tuple(frozenset(rows[r] for r in cls) for cls in meet) for k, meet
-                             in zip(planes.tolist(), hulls_intersect_batch(lifted, flipped[:, planes])) if meet}
-            found = meets.get(j)
-            if exact:  # a float meet counts once exact weights on its support certify it
-                found = certified_meet(samples, found, degree - 1)
-            found = found or hulls_intersect(samples, plus_side, minus_side, degree - 1, exact)
+            found = hulls_intersect(samples, plus_side, minus_side, degree - 1, exact)
             if found:
                 s, t = ([place[i] for i in members] for members in found)
                 supports.append(np.array([s + [n + k for k in t], [n + k for k in s] + t]))

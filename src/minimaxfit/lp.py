@@ -41,19 +41,6 @@ a feasible vertex in fewer pivots, but not always Bland's.  The scans read
 the tableau as Python lists: its few tens of rows are too few for array
 scans to pay.
 
-`solve_batch` decides a stack of same-shape float LPs A_k x = b_k, x >= 0,
-in lockstep: each pivot step is a few numpy operations over the whole stack
-(Gurung & Ray, "Simultaneous solving of batched linear programs on a GPU",
-ICPE 2019; on the CPU here).  The many small moment LPs of alternation's
-hull tests cost more in per-LP set-up and per-pivot interpreter overhead
-than in arithmetic.  It sits beside `_simplex` rather than inside it because
-it needs less: the objective is zero, so it runs phase 1 and no phase 2; it
-reports no basis, Farkas witness or status, only a point that passed the
-non-negativity and row checks, so an LP it does not decide goes to `solve`;
-and a cap on its pivots bounds how long the stack waits for its slowest LP.
-It takes `_simplex`'s pivot rule, priced then Bland's, and `_leaving`'s
-ratio test, so each LP reaches the point that `solve` reaches.
-
 Exact solves run as a float-to-exact crossover (Applegate, Cook, Dash &
 Espinoza, "Exact solutions to linear programming problems", ORL 2007): a
 float guess proposes an optimal basis, which is solved and checked once
@@ -93,10 +80,6 @@ _MAX_ITER = 50_000
 # rows, 129 columns) ran 19,633 before phase 1 gave up.
 _GUESS_PIVOTS = 4
 _PRICED_PIVOTS = 2  # pivots per tableau row that a priced `_simplex` call enters by most negative reduced cost
-# Pivots per row after which `solve_batch` leaves an LP undecided.  Alternation's moment LPs
-# made at most 7.7 per row on 2,690 random 2-D and 3-D fits (161 pivots on 21 rows) and 2.6 on
-# the verify-coeffs ops at seeds 1 and 7 (29 on 11).
-_BATCH_PIVOTS = 10
 
 
 class LpFailure(RuntimeError):
@@ -559,113 +542,6 @@ def _certify(lp: LinearProgram, basis, dropped, iterations: int) -> Optional[LpS
         return _optimal(lp, columns, [Fraction(v, q) for v in w], True, iterations, (tuple(basis), tuple(dropped)))
     except LpFailure:
         return None
-
-
-def solve_batch(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Feasible points of a stack of float LPs A_k x = b_k over x >= 0, decided in lockstep: (x, feasible).
-
-    A is (K, m, n) and b (K, m); a column of zeros pads an LP with fewer
-    variables and never enters.  Each LP takes the steps of `_solve`'s phase
-    1 on it: the same scaled rows, the same pivots (`_PRICED_PIVOTS` per row
-    priced, then Bland's rule, and `_leaving`'s ratio test), the same
-    artificials driven out, so its point is the one `solve` reaches; there
-    is no phase 2, as the objective is zero.  `feasible[k]` holds when LP k
-    ended phase 1 feasible within `_BATCH_PIVOTS` pivots per row, its point is
-    non-negative and every row holds as `_check_rows` asks.  Anything else
-    (infeasible, the cap, a step with no leaving row, a broken row) is
-    False, and the LP is left to `solve`.
-    """
-    K, m, n = A.shape
-    S = np.concatenate((A + 0.0, b[:, :, None]), axis=2)
-    S = S / np.maximum(1.0, np.abs(S).max(axis=2))[:, :, None]  # `_scaled`, row by row
-    S[S[:, :, -1] < 0] *= -1
-    T = np.zeros((K, m + 1, n + m + 1))  # row m holds the reduced costs, so that each pivot updates them
-    T[:, :m, :n], T[:, :m, -1] = S[:, :, :n], S[:, :, -1]
-    T[:, np.arange(m), n + np.arange(m)] = 1.0
-    obj = np.zeros((K, n + m))
-    obj[:, n:] = 1.0
-    for i in range(m):
-        obj = obj - T[:, i, :-1]
-    T[:, m, :-1] = obj
-    basis = np.tile(n + np.arange(m), (K, 1))
-    ended = np.zeros(K, dtype=bool)  # phase 1 reached its optimum
-    at = rows = np.arange(K)  # the LPs still pivoting: T[at], basis[at] are `Tw`, `bw`
-    Tw, bw = T, basis
-    cap = _BATCH_PIVOTS * m
-    for it in range(cap + 1):
-        obj = Tw[:, m, :-1]
-        negative = obj < -_TOL
-        entering = np.argmin(obj, axis=1) if it < _PRICED_PIVOTS * m else np.argmax(negative, axis=1)
-        column = Tw[rows, :, entering]
-        leaving = _leaving_rows(column[:, :m], Tw[:, :m, -1], bw)
-        going = negative.any(axis=1)
-        step = going & (leaving >= 0) & (it < cap)  # no leaving row: `_solve` raises
-        if not step.all():
-            ended[at[~going]] = True
-            T[at], basis[at] = Tw, bw
-            at, Tw, bw, entering, leaving, column = (v[step] for v in (at, Tw, bw, entering, leaving, column))
-            if not at.size:
-                break
-            rows = np.arange(len(at))
-        _pivot_rows(Tw, leaving, column)
-        bw[rows, leaving] = entering
-    artificial = basis >= n
-    residue = np.zeros(K)
-    for i in range(m):
-        residue = residue + np.where(artificial[:, i], T[:, i, -1], 0.0)
-    feasible = ended & (residue <= _TOL)
-    stuck = feasible[:, None] & artificial  # a pivot on row i changes no other row's basic column
-    for i in np.flatnonzero(stuck.any(axis=0)).tolist():  # drive the artificials out, in row order
-        nonzero = np.abs(T[:, i, :n]) > _TOL
-        out = np.flatnonzero(stuck[:, i] & nonzero.any(axis=1))
-        if out.size:
-            entering, sub = np.argmax(nonzero[out], axis=1), T[out]
-            _pivot_rows(sub, np.full(len(out), i), sub[np.arange(len(out)), :, entering])
-            T[out], basis[out, i] = sub, entering
-    x = np.zeros((K, n))
-    k, i = np.nonzero(basis < n)
-    x[k, basis[k, i]] = T[k, i, -1]
-    total = np.zeros((K, m))  # `dot_rows` of each LP's rows, column by column
-    for j in range(n):
-        total += A[:, :, j] * x[:, j, None]
-    feasible &= (x >= 0).all(axis=1) & (np.abs(total - b) <= _row_slack(A, b)).all(axis=1)
-    return x, feasible
-
-
-def _leaving_rows(column: np.ndarray, rhs: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """`_leaving` for each row of a stack of entering columns, rhs and bases; -1 where a step has no leaving row.
-
-    `_leaving` treats a ratio r above the least r* as r* only when r - r*
-    is within its margin 1e-9 max(1, |r|, |r*|), so only when
-    r - r* < 2e-9 (1 + |r*|).  Where no other ratio lies within
-    3e-9 (1 + 2|r*|) of r*, a bound wide enough for rounding, `_leaving`
-    picks the smallest basic column among the least ratios, as this does at
-    once over the stack; elsewhere the rows are scanned in order, as
-    `_leaving` scans them.
-    """
-    ok = column > _TOL
-    ratio = np.divide(rhs, column, out=np.full(rhs.shape, np.inf), where=ok)
-    least = ratio.min(axis=1, keepdims=True)
-    tied = ratio == least
-    leaving = np.where(tied, basis, np.inf).argmin(axis=1)
-    leaving[least[:, 0] == np.inf] = -1
-    near = ((ratio <= least + 3e-9 * (1 + 2 * np.abs(least))) != tied).any(axis=1)
-    for k in np.flatnonzero(near).tolist():
-        step = _leaving(column[k].tolist(), rhs[k].tolist(), basis[k].tolist(), _TOL)
-        leaving[k] = -1 if step is None else step
-    return leaving
-
-
-def _pivot_rows(T: np.ndarray, row: np.ndarray, column: np.ndarray):
-    """`_pivot` of each tableau T[k] of a stack on row[k], `column[k]` being its entering column.
-
-    The pivot row is written after the update, so it ends as `_pivot`
-    leaves it, having had zero times itself subtracted.
-    """
-    at = np.arange(len(T))
-    pivot_row = T[at, row] / column[at, row][:, None]
-    T -= column[:, :, None] * pivot_row[:, None, :]
-    T[at, row] = pivot_row
 
 
 def _check_rows(lp: LinearProgram, x, exact: bool, iterations: int):

@@ -40,7 +40,7 @@ import numpy as np
 
 from ._linalg import exact_solve
 from .fitting import ExtremeSets, SampleSet, model_values, sign_blocks
-from .lp import LinearProgram, LpFailure, duals, solve, solve_batch, solve_exact
+from .lp import LinearProgram, LpFailure, duals, solve, solve_exact
 from .monomials import Number, PolynomialModel, build_basis, dot, dot_rows
 from .monomials import evaluate, lift  # unused here, kept because bench/tracing.py counts both bindings
 
@@ -160,9 +160,7 @@ def hulls_intersect(
     (k = `degree`): their divided difference (sum w_j p(x_j) = 0 for
     deg p <= k) has every w_j nonzero and alternating in sign, as the blocks
     do; fewer blocks admit a separating polynomial (at most k sign changes).  None, which is falsy, when the hulls
-    do not meet or a class is empty.  `hulls_intersect_batch` runs many of
-    these float moment LPs at once (`lp.solve_batch`) and reaches the same
-    vertex on each it decides.
+    do not meet or a class is empty.
     """
     if not plus or not minus:
         return None
@@ -214,33 +212,6 @@ def certified_meet(
     if x is None or min(x) < 0:
         return None
     return frozenset(i for i, w in zip(plus, x) if w), frozenset(i for i, w in zip(minus, x[len(plus):]) if w)
-
-
-def hulls_intersect_batch(lifted: np.ndarray, sides: np.ndarray) -> list[Optional[tuple[list[int], list[int]]]]:
-    """Where the float hulls of many class pairs over the same rows meet, as far as one `lp.solve_batch` decides.
-
-    Column k of `sides` puts row r of `lifted` in its plus class (> 0), its
-    minus class (< 0) or neither (0); both classes must be non-empty and
-    hold no point twice.  Their moment LPs (`_moment_lp`, the rows of each
-    class in order) are stacked, padded with zero columns to the rows of
-    `lifted`, and solved together.  Entry k is the rows (S+, S-) on which
-    the point reached puts positive weight, the vertex `hulls_intersect`
-    reaches on the same classes, or None when the batch leaves that LP
-    undecided (infeasible among them): None does not say the hulls are apart.
-    """
-    K, (R, width) = sides.shape[1], lifted.shape
-    side = np.where(sides.T > 0, 0, np.where(sides.T < 0, 1, 2))  # each LP's columns: plus, then minus, then none
-    order = np.argsort(side, axis=1, kind="stable")
-    side = np.take_along_axis(side, order, axis=1)[:, None, :]
-    moments = lifted[order][:, :, 1:].transpose(0, 2, 1)
-    A = np.zeros((K, width + 1, R))
-    A[:, :1], A[:, 1:2] = side == 0, side == 1
-    A[:, 2:] = np.where(side == 0, moments, np.where(side == 1, -moments, 0.0))
-    b = np.zeros((K, width + 1))
-    b[:, :2] = 1
-    x, feasible = solve_batch(A, b)
-    plus, minus = (x > 0) & (side[:, 0] == 0), (x > 0) & (side[:, 0] == 1)
-    return [(order[k][plus[k]].tolist(), order[k][minus[k]].tolist()) if feasible[k] else None for k in range(K)]
 
 
 def check_hull_intersection(

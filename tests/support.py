@@ -184,21 +184,19 @@ def reference_exact_sides(points, normal, offset) -> list[int]:
 
 
 def bogus_float_supports(monkeypatch) -> list:
-    """Make every float moment LP, scalar or batched, claim a meet on the first point of each class.
+    """Make every float moment LP claim a meet on the first point of each class.
 
     Two distinct points never have equal lifted moments above degree 0, so
     every such claim is wrong there, and only the exact check can stop it.
     Returns the list that each `solve_exact` call of `optimality` appends its LP to.
     """
-    def first_points(A):  # x of each (m, n) LP in the stack: one on its first plus and first minus column
-        x = np.zeros((len(A), A.shape[2]))
+    def first_points(A):  # x of an (m, n) LP: one on its first plus and first minus column
+        x = np.zeros(A.shape[1])
         for row in (0, 1):
-            x[np.arange(len(A)), np.argmax(A[:, row] != 0, axis=1)] = 1.0
+            x[np.argmax(A[row] != 0)] = 1.0
         return x
 
-    monkeypatch.setattr(optimality, "solve",
-                        lambda lp, **_: LpSolution("optimal", x=first_points(lp.A[None])[0].tolist()))
-    monkeypatch.setattr(optimality, "solve_batch", lambda A, b: (first_points(A), np.ones(len(A), dtype=bool)))
+    monkeypatch.setattr(optimality, "solve", lambda lp, **_: LpSolution("optimal", x=first_points(lp.A).tolist()))
     rational = []
     real = optimality.solve_exact
     monkeypatch.setattr(optimality, "solve_exact", lambda lp, **kw: rational.append(lp) or real(lp, **kw))

@@ -368,38 +368,44 @@ def _assert_normals_bit_for_bit(samples, extremes):
 
 
 def _recording_hulls(monkeypatch):
-    """(plus, minus, degree, whether they meet) of every scalar `hulls_intersect` call alternation makes, in order."""
+    """(plus, minus, degree, meet) of every `hulls_intersect` call alternation makes, in order."""
     calls = []
     real = alternation.hulls_intersect
 
     def recorded(samples, plus, minus, degree, exact=False):
         found = real(samples, plus, minus, degree, exact)
-        calls.append((tuple(plus), tuple(minus), degree, found is not None))
+        calls.append((tuple(plus), tuple(minus), degree, found))
         return found
 
     monkeypatch.setattr(alternation, "hulls_intersect", recorded)
     return calls
 
 
-def _counting_hulls(monkeypatch, degree):
-    """A count of the hull tests that decide a plane: each scalar `hulls_intersect` call and each batched meet taken.
+def _plane_by_plane_tests(extremes, samples, degree, exact):
+    """The hull tests of a verifier that takes each plane in turn, with no certificate, as `_recording_hulls` lists them.
 
-    A plane that takes a degree-(m-1) meet, from a scalar test or from
-    `hulls_intersect_batch`, stores its support, and `_contains` reads
-    each support stored.  No two planes store equal supports (a plane
-    whose classes hold a stored one is not tested), so the batched meets
-    taken are the distinct supports less the scalar degree-(m-1) meets.
-    The batched answers a later support makes moot are not counted.
+    A plane whose flipped classes hold a support found before, one each
+    either way round, takes none; else degree m - 1 on its flipped classes,
+    whose meet is stored, and only where that fails, degree m on its
+    on-plane classes, whose failure ends the walk.
     """
-    calls, supports = _recording_hulls(monkeypatch), set()
-    real = alternation._contains
-
-    def read(classes, support):
-        supports.add(support.tobytes())
-        return real(classes, support)
-
-    monkeypatch.setattr(alternation, "_contains", read)
-    return lambda: len(calls) + len(supports) - sum(1 for *_, m, met in calls if m == degree - 1 and met)
+    idxs = sorted(set(extremes.plus) | set(extremes.minus))
+    calls, supports = [], []
+    for u, a in _candidate_planes(idxs, samples, exact):
+        sp = _scalar_split(extremes, samples, u, a, exact)
+        plus, minus = set(sp.plus_side), set(sp.minus_side)
+        if any(s <= plus and t <= minus or s <= minus and t <= plus for s, t in supports):
+            continue
+        found = hulls_intersect(samples, sp.plus_side, sp.minus_side, degree - 1, exact)
+        calls.append((sp.plus_side, sp.minus_side, degree - 1, found))
+        if found:
+            supports.append(found)
+            continue
+        met = hulls_intersect(samples, sp.on_plane_plus, sp.on_plane_minus, degree, exact)
+        calls.append((sp.on_plane_plus, sp.on_plane_minus, degree, met))
+        if met is None:
+            break
+    return calls
 
 
 def _withhold_certificate(monkeypatch):
@@ -430,11 +436,11 @@ class TestCertificateReuse:
         verdicts = set()
         for samples, extremes, degree in _reuse_corpus(exact):
             reference = _every_plane_verdict(extremes, samples, degree, exact)
-            deciding = _counting_hulls(monkeypatch, degree)
+            calls = _recording_hulls(monkeypatch)
             got = verify_by_hyperplanes(extremes, samples, degree, exact=exact)
             monkeypatch.undo()
             assert (got.verdict, got.planes_checked, got.counterexample) == reference
-            assert deciding() <= got.planes_checked * 2
+            assert len(calls) <= got.planes_checked * 2
             verdicts.add(got.verdict)
         assert {"pass", "fail"} <= verdicts
 
@@ -454,17 +460,16 @@ class TestCertificateReuse:
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_batch_sizes_change_no_verdict_and_no_support(self, exact, monkeypatch):
-        # combinations and hull tests in batches of any size: the verdict, count, counterexample
-        # and supports stored, in their order, are those of the default sizes (with no certificate,
-        # which would decide most planes before any hull test)
+        # combinations in batches of any size: the verdict, count, counterexample and supports
+        # stored, in their order, are those of the default size (with no certificate, which would
+        # decide most planes before any hull test)
         cases = [(s, e, m) for s, e, m in _reuse_corpus(exact) + _grid_corpus() if s.dimension > 1]
-        sizes = [("_BATCH", 1), ("_BATCH", 2), ("_BATCH", 5), ("_GROUP", 2), ("_GROUP", 3)]
+        sizes = [1, 2, 5]
         verdicts, crossing = set(), 0
         for samples, extremes, degree in cases:
             runs = []
-            for name, size in [(None, None), *sizes]:
-                if name:
-                    monkeypatch.setattr(alternation, name, size)
+            for size in [alternation._BATCH, *sizes]:
+                monkeypatch.setattr(alternation, "_BATCH", size)
                 _withhold_certificate(monkeypatch)
                 stored = _stored_supports(monkeypatch)
                 got = verify_by_hyperplanes(extremes, samples, degree, exact=exact)
@@ -472,15 +477,52 @@ class TestCertificateReuse:
                 runs.append((got.verdict, got.planes_checked, repr(got.counterexample), list(stored.values())))
             assert runs[1:] == runs[:1] * len(sizes)
             verdicts.add(runs[0][0])
-            crossing += runs[0][1] > 5 and len(runs[0][3]) > 3  # planes and supports over several batches and groups
+            crossing += runs[0][1] > 5 and len(runs[0][3]) > 3  # planes and supports over several batches
         assert {"pass", "fail"} <= verdicts and crossing >= 3
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_stores_the_supports_of_its_own_scalar_meets(self, exact, monkeypatch):
+        # with no certificate, every plane no stored support decides takes the scalar hull tests at its
+        # turn: the supports stored, in their order, are those of its degree-(m-1) meets, and no other
+        cases = [(s, e, m) for s, e, m in _reuse_corpus(exact) + _grid_corpus() if s.dimension > 1]
+        meets = 0
+        for samples, extremes, degree in cases:
+            _withhold_certificate(monkeypatch)
+            stored = _stored_supports(monkeypatch)
+            calls = _recording_hulls(monkeypatch)
+            verify_by_hyperplanes(extremes, samples, degree, exact=exact)
+            monkeypatch.undo()
+            idxs = sorted(set(extremes.plus) | set(extremes.minus))
+            n = len(idxs)
+            supports = [(frozenset(idxs[k] for k in first if k < n), frozenset(idxs[k - n] for k in first if k >= n))
+                        for first, _ in stored.values()]
+            assert supports == [found for *_, m, found in calls if m == degree - 1 and found]
+            meets += len(supports)
+        assert meets > 100
+
+    @pytest.mark.parametrize("corpus", ["reuse", "grid"])
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_each_open_plane_takes_its_scalar_tests_at_its_turn(self, exact, corpus, monkeypatch):
+        # with no certificate, the hull tests, their order and their outcomes are those of a verifier
+        # that takes one plane at a time: none runs ahead of its plane, and degree m runs only where
+        # degree m - 1 fails
+        cases = _reuse_corpus(exact) if corpus == "reuse" else _grid_corpus()
+        degree_m = 0
+        for samples, extremes, degree in cases:
+            _withhold_certificate(monkeypatch)
+            calls = _recording_hulls(monkeypatch)
+            verify_by_hyperplanes(extremes, samples, degree, exact=exact)
+            monkeypatch.undo()
+            assert calls == _plane_by_plane_tests(extremes, samples, degree, exact)
+            degree_m += sum(1 for *_, m, _ in calls if m == degree)
+        assert degree_m >= 3
 
     def test_three_dimensional_fit_needs_few_lps(self, monkeypatch):
         inst = build_fit_corpus(41, 1, (3,), (2,), (13, 18))[0]
-        deciding = _counting_hulls(monkeypatch, inst.degree)
+        calls = _recording_hulls(monkeypatch)
         got = verify_by_hyperplanes(inst.extremes, inst.samples, inst.degree)
         assert got.verdict == "pass" and got.planes_checked > 100
-        assert deciding() < got.planes_checked / 3
+        assert len(calls) < got.planes_checked / 3
 
     def test_reused_splits_have_feasible_moment_lps(self, monkeypatch):
         # each plane is decided by a degree-(m-1) hull test or by a stored support; the reference
@@ -513,100 +555,6 @@ class TestCertificateReuse:
         assert len(reused) >= 5
         for sp in reused:
             assert hulls_intersect(inst.samples, sp.plus_side, sp.minus_side, inst.degree - 1, exact=True)
-
-
-def _batched_cases():
-    """Float sets in d = 2 and 3 that pass and fail, each with a batch of hull tests."""
-    return [(s, e, m) for s, e, m in _reuse_corpus(False) if s.dimension > 1][:8]
-
-
-class TestBatchedHullTests:
-    def _scalar_run(self, monkeypatch, samples, extremes, degree):
-        """The verdict and scalar calls with no batch (groups of one plane) and no certificate, as before batching."""
-        monkeypatch.setattr(alternation, "_GROUP", 1)
-        _withhold_certificate(monkeypatch)
-        calls = _recording_hulls(monkeypatch)
-        got = verify_by_hyperplanes(extremes, samples, degree)
-        monkeypatch.undo()
-        return got, calls
-
-    def test_batch_stores_the_supports_of_the_unbatched_verifier(self, monkeypatch):
-        # batched answers a support stored meanwhile makes moot are dropped, so the supports, in
-        # their order, are those of the unbatched verifier; so are verdict, count and counterexample
-        for samples, extremes, degree in _batched_cases():
-            runs = []
-            for group in (1, alternation._GROUP):
-                monkeypatch.setattr(alternation, "_GROUP", group)
-                _withhold_certificate(monkeypatch)
-                stored = _stored_supports(monkeypatch)
-                runs.append((verify_by_hyperplanes(extremes, samples, degree), list(stored.values())))
-                monkeypatch.undo()
-            assert runs[0] == runs[1]
-
-    def test_batch_left_undecided_falls_back_plane_by_plane(self, monkeypatch):
-        # with no pivot allowed the kernel decides nothing, so every plane without a stored
-        # support takes the scalar tests, in the order and with the outcome they had unbatched;
-        # no certificate decides a plane first
-        verdicts = set()
-        for samples, extremes, degree in _batched_cases():
-            reference = _every_plane_verdict(extremes, samples, degree, False)
-            unbatched, scalar_calls = self._scalar_run(monkeypatch, samples, extremes, degree)
-            monkeypatch.setattr(lp, "_BATCH_PIVOTS", 0)
-            _withhold_certificate(monkeypatch)
-            batches = []
-            real_batch = alternation.hulls_intersect_batch
-            monkeypatch.setattr(alternation, "hulls_intersect_batch",
-                                lambda lifted, sides: batches.append(sides.shape[1]) or real_batch(lifted, sides))
-            calls = _recording_hulls(monkeypatch)
-            got = verify_by_hyperplanes(extremes, samples, degree)
-            monkeypatch.undo()
-            assert (got.verdict, got.planes_checked, got.counterexample) == reference
-            assert got == unbatched and calls == scalar_calls
-            verdicts.add(got.verdict)
-            if got.planes_checked > 3:
-                assert batches  # the fallback, not the unbatched path, decided these planes
-        assert verdicts == {"pass", "fail"}
-
-    def test_one_undecided_lp_sends_only_its_plane_to_the_scalar_test(self, monkeypatch):
-        # the first LP of the first batch is its group's own plane: marked undecided, as a broken
-        # row check marks it, that plane alone gets the scalar test, and nothing else changes
-        # (with no certificate, which would decide most planes before any hull test)
-        inst = build_fit_corpus(41, 1, (3,), (2,), (13, 18))[0]
-        samples, extremes, degree = inst.samples, inst.extremes, inst.degree
-        reference = _every_plane_verdict(extremes, samples, degree, False)
-        _withhold_certificate(monkeypatch)
-        baseline = _recording_hulls(monkeypatch)
-        assert verify_by_hyperplanes(extremes, samples, degree) == HyperplaneVerdict("pass", None, reference[1])
-        monkeypatch.undo()
-
-        first = []
-        real_solve = optimality.solve_batch
-
-        def one_undecided(A, b):
-            x, feasible = real_solve(A, b)
-            if not first:
-                assert feasible[0]
-                first.append(True)
-                feasible = feasible.copy()
-                feasible[0] = False
-            return x, feasible
-
-        sides = []
-        real_batch = alternation.hulls_intersect_batch
-        monkeypatch.setattr(alternation, "hulls_intersect_batch",
-                            lambda lifted, s: sides.append(s[:, 0]) or real_batch(lifted, s))
-        monkeypatch.setattr(optimality, "solve_batch", one_undecided)
-        _withhold_certificate(monkeypatch)
-        calls = _recording_hulls(monkeypatch)
-        got = verify_by_hyperplanes(extremes, samples, degree)
-        monkeypatch.undo()
-        assert (got.verdict, got.planes_checked, got.counterexample) == reference
-        rows = list(extremes.plus) + list(extremes.minus)
-        plane = (tuple(r for r, c in zip(rows, sides[0]) if c > 0), tuple(r for r, c in zip(rows, sides[0]) if c < 0),
-                 degree - 1, True)
-        assert plane not in baseline
-        at = calls.index(plane)
-        assert calls[:at] + calls[at + 1:] == baseline
 
 
 def _certified_sets(exact):
@@ -738,14 +686,10 @@ class TestCertificatePlanes:
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_fit_reads_every_plane_off_its_certificate(self, exact, tmp_path, monkeypatch):
-        # `fit` hands its certificate to alternation: no hull test of a plane, so no degree-(m-1) hull LP,
-        # and no batch of them
+        # `fit` hands its certificate to alternation: no hull test of a plane, so no degree-(m-1) hull LP
         corpus = (build_fit_corpus(42, 2, (2,), (2, 3), (11, 18)) + build_fit_corpus(41, 1, (3,), (2,), (13, 18))
                   + build_fit_corpus(43, 1, (2,), (4,), (18, 22)))
-        calls, batches = _recording_hulls(monkeypatch), []
-        real_batch = alternation.hulls_intersect_batch
-        monkeypatch.setattr(alternation, "hulls_intersect_batch", lambda *args: batches.append(args) or
-                            real_batch(*args))
+        calls = _recording_hulls(monkeypatch)
         planes = 0
         for k, inst in enumerate(corpus):
             data = tmp_path / f"{k}.csv"
@@ -755,7 +699,7 @@ class TestCertificatePlanes:
             code, report = run(RunConfig(command="fit", input_path=str(data), degree=inst.degree, exact=exact))
             assert code == 0 and report["alternation"]["verdict"] == "pass"
             planes += report["alternation"]["planes_checked"]
-        assert not calls and not batches and planes > 100
+        assert not calls and planes > 100
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_alternate_finds_one_certificate_on_an_optimal_model_and_none_at_a_first_plane_failure(

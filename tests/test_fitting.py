@@ -243,17 +243,16 @@ class TestSampleSet:
         assert len(lifted) == 3 * n
         assert {(e, type(p[0])) for _, e, p in lifted} == {(True, Fraction), (False, float)}
         # a table of Fractions is its own exact view: the model's values and the verifiers share one lift;
-        # exact alternation handed the certificate (as `fit` hands it) also reads the float table, lifted
-        # once at degree m - 1 for its hull tests
+        # exact alternation handed the certificate (as `fit` hands it) lifts no float row
         fractions = SampleSet(*samples.view(True))
         extremes = extreme_sets(fits[True].model, fractions)
         certificate = check_hull_intersection(extremes, fractions, 2, True)
         verify_by_hyperplanes(extremes, fractions, 2, True, certificate)
-        floats = list(map(tuple, fractions.view(False)[0].tolist()))
-        assert lifted[3 * n:] == rows[True] + [(1, False, p) for p in floats]
+        assert lifted[3 * n:] == rows[True]
         # with none, the float proposal of the support it finds (`find_critical_point_set`) lifts it at degree m
         verify_by_hyperplanes(extremes, fractions, 2, True)
-        assert lifted[5 * n:] == [(2, False, p) for p in floats]
+        floats = list(map(tuple, fractions.view(False)[0].tolist()))
+        assert lifted[4 * n:] == [(2, False, p) for p in floats]
 
     @pytest.mark.parametrize("dtype", [np.int64, np.float32])
     def test_numpy_scalars_become_python_numbers(self, dtype):

@@ -1264,85 +1264,40 @@ def test_objective_value_adds_left_to_right_under_any_sum(monkeypatch):
 
 
 def _equality_lps(rng, moments: bool):
-    """30 equality LPs over x >= 0 with 11 rows, as (A, b): degree-3 moment LPs of random 2-D classes, or random ones."""
+    """30 equality LPs over x >= 0 with 11 rows: degree-3 moment LPs of random 2-D classes, or random ones."""
     lps = []
     for _ in range(30):
         if moments:
             samples = random_samples(rng, 2, 30)
             idx = rng.sample(range(30), rng.randint(2, 30))
             p = rng.randint(1, len(idx) - 1)
-            lp = _moment_lp(samples.lifted(idx[:p], 3, False), samples.lifted(idx[p:], 3, False))
-            lps.append((lp.A, np.array(lp.rhs, dtype=float)))
+            lps.append(_moment_lp(samples.lifted(idx[:p], 3, False), samples.lifted(idx[p:], 3, False)))
             continue
         n = rng.randint(3, 20)
         A = np.array([[rng.choice((0.0, rng.uniform(-2, 2))) for _ in range(n)] for _ in range(11)])
         x = np.array([rng.choice((0.0, rng.uniform(0, 1))) for _ in range(n)])
-        lps.append((A, A @ x if rng.random() < 0.7 else np.array([rng.uniform(-1, 1) for _ in range(11)])))
+        b = A @ x if rng.random() < 0.7 else np.array([rng.uniform(-1, 1) for _ in range(11)])
+        lps.append(LinearProgram([0.0] * n, A, ["=="] * 11, b.tolist(), [(0, None)] * n))
     return lps
 
 
-def _stacked(lps):
-    """The LPs as one (K, rows, columns) stack, zero columns padding each to the widest, and the rhs."""
-    stack = np.zeros((len(lps), 11, max(A.shape[1] for A, _ in lps)))
-    for k, (A, _) in enumerate(lps):
-        stack[k, :, :A.shape[1]] = A
-    return stack, np.array([b for _, b in lps])
-
-
-def _solved_alone(A, b):
-    n = A.shape[1]
-    return solve(LinearProgram([0.0] * n, A, ["=="] * len(b), b, [(0, None)] * n))
-
-
 @pytest.mark.parametrize("moments", [True, False])
-def test_batch_reaches_the_point_of_solve(moments):
-    """Each LP of a `solve_batch` stack against `solve` on it alone: the same point, bit for bit.
+def test_float_points_of_equality_lps_hold_every_row_within_the_row_check(moments):
+    """Each float point `solve` finds on an equality LP passes the row check, and each LP it finds infeasible is.
 
-    The batch decides an LP exactly when `solve` finds its optimum and
-    every weight there is non-negative: the random rows' degenerate points
-    carry weights of -1e-16 or so, which `solve` returns and the batch leaves
-    undecided.  An infeasible LP is undecided too.
+    Every optimal float point misses each row by at most `_row_slack` of
+    that row and its rhs, and its weights are non-negative up to rounding.
+    An LP whose rhs is A x in float may have no exact solution (A has more
+    rows than rank), so only the float verdict "infeasible" must be exact.
     """
-    lps = _equality_lps(random.Random(70), moments)
-    x, feasible = lp_module.solve_batch(*_stacked(lps))
     statuses = []
-    for k, (A, b) in enumerate(lps):
-        sol = _solved_alone(A, b)
-        optimal = sol.status == "optimal"
-        statuses.append((sol.status, optimal and min(sol.x) >= 0))
-        assert feasible[k] == statuses[-1][1]
-        if optimal:
-            assert x[k, :A.shape[1]].tolist() == sol.x and not x[k, A.shape[1]:].any()
-    assert {("optimal", True), ("infeasible", False)} <= set(statuses)
-
-
-def test_batch_cap_leaves_longer_lps_undecided(monkeypatch):
-    lps = _equality_lps(random.Random(70), True)
-    stack, b = _stacked(lps)
-    x, feasible = lp_module.solve_batch(stack, b)
-    pivots = np.array([_solved_alone(*lp).iterations for lp in lps])
-    monkeypatch.setattr(lp_module, "_BATCH_PIVOTS", 2)  # 22 pivots on 11 rows
-    capped_x, capped = lp_module.solve_batch(stack, b)
-    assert (capped == (feasible & (pivots <= 22))).all()
-    assert capped.any() and (feasible & ~capped).any()
-    assert capped_x[capped].tolist() == x[capped].tolist()
-    monkeypatch.setattr(lp_module, "_BATCH_PIVOTS", 0)
-    assert not lp_module.solve_batch(stack, b)[1].any()
-
-
-def test_stacked_ratio_test_picks_what_the_list_scan_picks():
-    """`_leaving_rows` against `_leaving` on each row, near its tie margin: exact ties, ratios 0.5-5 margins apart."""
-    rng = random.Random(72)
-    for _ in range(40):
-        K, m = 30, 8
-        column = np.array([[rng.choice((0.0, -1.0, rng.uniform(1e-3, 3))) for _ in range(m)] for _ in range(K)])
-        least = np.array([rng.choice((0.0, 1e-12, rng.uniform(0, 2), rng.uniform(1e3, 1e6))) for _ in range(K)])
-        steps = np.array([[rng.choice((0.0, 0.0, 0.5, 0.9, 1.0, 1.1, 2.0, 3.0, 5.0, 1e6)) for _ in range(m)]
-                          for _ in range(K)])
-        rhs = (least[:, None] + steps * 1e-9 * np.maximum(1, least[:, None])) * column
-        rhs[column <= 0] = rng.uniform(0, 1)
-        basis = np.array([rng.sample(range(40), m) for _ in range(K)])
-        got = lp_module._leaving_rows(column, rhs, basis).tolist()
-        for k in range(K):
-            want = lp_module._leaving(column[k].tolist(), rhs[k].tolist(), basis[k].tolist(), 1e-9)
-            assert got[k] == (-1 if want is None else want)
+    for lp in _equality_lps(random.Random(70), moments):
+        sol = solve(lp)
+        statuses.append(sol.status)
+        if sol.status == "infeasible":
+            assert solve_exact(lp).status == "infeasible"
+        else:
+            A, b, x = np.asarray(lp.A, dtype=float), np.asarray(lp.rhs, dtype=float), np.array(sol.x)
+            assert (np.abs(A @ x - b) <= lp_module._row_slack(A, b)).all()
+            assert x.min() >= -1e-9
+    assert {"optimal", "infeasible"} <= set(statuses)

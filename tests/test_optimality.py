@@ -606,39 +606,33 @@ def test_only_hull_tests_are_priced(monkeypatch, exact):
 
 
 @pytest.mark.parametrize("dimension", [2, 3])
-def test_batched_hull_tests_agree_with_the_scalar_path(monkeypatch, dimension):
-    """`hulls_intersect_batch` on random float class pairs against `hulls_intersect` on each pair.
+def test_float_and_exact_hull_tests_agree_on_random_classes(dimension):
+    """`hulls_intersect` in both arithmetics on random float class pairs: the same verdict, and vertex supports.
 
-    Every batched meet is checked again from its weights: non-negative, each
-    side summing to one, every lifted moment matching within 1e-7, and its
-    support the one `hulls_intersect` reaches.  With the scalar test for each
-    pair the batch leaves undecided, the decision is `hulls_intersect`'s.
+    An exact meet is a vertex of its moment LP, so `certified_meet` gives
+    it back as it stands.  Where the float meet's support has exact
+    weights, the exact test takes that support (it proposes the float
+    vertex first).
     """
-    points = []
-    real = optimality.solve_batch
-    monkeypatch.setattr(optimality, "solve_batch", lambda A, b: points.append(real(A, b)) or points[-1])
     rng = random.Random(60 + dimension)
-    outcomes = {"meet": 0, "apart": 0}
+    outcomes = {"meet": 0, "apart": 0, "proposed": 0}
     for _ in range(12):
         samples = random_samples(rng, dimension, rng.randint(8, 12 * dimension))
         degree = rng.randint(1, 5 - dimension)
-        rows = rng.sample(range(len(samples)), rng.randint(4, len(samples)))
-        lifted = samples.lifted(rows, degree, False)
-        sides = np.array([[rng.choice((-1, 0, 1)) for _ in range(10)] for _ in rows])
-        sides[0], sides[1] = 1, -1  # no class empty
-        answers = optimality.hulls_intersect_batch(lifted, sides)
-        x, feasible = points[-1]
-        for k, answer in enumerate(answers):
-            plus, minus = np.flatnonzero(sides[:, k] > 0), np.flatnonzero(sides[:, k] < 0)
-            scalar = hulls_intersect(samples, [rows[r] for r in plus], [rows[r] for r in minus], degree)
-            outcomes["apart" if scalar is None else "meet"] += 1
-            if answer is None:
-                assert not feasible[k]
+        for _ in range(10):
+            rows = rng.sample(range(len(samples)), rng.randint(4, len(samples)))
+            cut = rng.randint(1, len(rows) - 1)
+            plus, minus = rows[:cut], rows[cut:]
+            found = hulls_intersect(samples, plus, minus, degree)
+            exact = hulls_intersect(samples, plus, minus, degree, exact=True)
+            assert (found is None) == (exact is None)
+            outcomes["apart" if exact is None else "meet"] += 1
+            if exact is None:
                 continue
-            alpha, beta = x[k, :len(plus)], x[k, len(plus):len(plus) + len(minus)]
-            assert (alpha >= 0).all() and (beta >= 0).all() and not x[k, len(plus) + len(minus):].any()
-            assert abs(alpha.sum() - 1) <= 1e-7 and abs(beta.sum() - 1) <= 1e-7
-            assert np.abs(lifted[plus].T @ alpha - lifted[minus].T @ beta).max() <= 1e-7
-            assert answer == (plus[alpha > 0].tolist(), minus[beta > 0].tolist())
-            assert scalar == (frozenset(rows[r] for r in answer[0]), frozenset(rows[r] for r in answer[1]))
+            assert exact[0] <= set(plus) and exact[1] <= set(minus)
+            assert certified_meet(samples, exact, degree) == exact
+            proposed = certified_meet(samples, found, degree)
+            if proposed:
+                assert exact == proposed
+                outcomes["proposed"] += 1
     assert min(outcomes.values()) >= 20, outcomes

@@ -58,9 +58,8 @@ flipped classes hold S+ and S- one each, either way round, as the LP is
 symmetric in its sides.  So each support found marks, as a boolean mask
 over the batch, every plane whose flipped classes contain it, and a marked
 plane holds with no LP.  The support is whichever vertex the moment LP of
-`hulls_intersect` reaches; that LP has no objective, so the LP kernel
-prices it.  So pricing decides which planes it marks, but not a verdict: a
-marked plane's hulls do meet.
+`hulls_intersect` reaches, so the vertex decides which planes it marks, but
+not a verdict: a marked plane's hulls do meet.
 
 A plane that neither the certificate nor a stored support decides takes
 the scalar `hulls_intersect` at its turn: degree m - 1 on its flipped
@@ -198,7 +197,9 @@ def verify_by_hyperplanes(
 
     Passes when each induced split satisfies the split condition; the first
     failing split is returned as a counterexample, equal to `split` of the
-    first combination's `affine_normal` plane.  Planes go in the order of
+    first combination's plane: in float its `affine_normal` plane, in exact
+    the rational plane of `integer_normals` whose first non-zero normal
+    component is 1 (`_rational_plane`).  Planes go in the order of
     the combinations, each counted once.  A split whose flipped classes
     contain a degree-(m-1) support found before (see the module docstring)
     holds with no LP, and point elimination runs only when degree reduction

@@ -614,7 +614,9 @@ def _run_revalidate(config: RunConfig) -> tuple[int, dict]:
     Every report holds its model, whose psi and extreme sets are recomputed,
     the sets with ``--rel-tol`` or the run's default: the report's extremes,
     which the witness replays over, must equal them, and a certificate's
-    weighted points lie in them.  A missing or malformed field is an error.
+    weighted points lie in them.  The report's degree must be the model's,
+    a certificate is replayed at it, and a witness may not exceed it.  A
+    missing or malformed field is an error.
     """
     if not config.report_path:
         raise ValueError("report re-validation needs --report <json>")
@@ -640,13 +642,14 @@ def _run_revalidate(config: RunConfig) -> tuple[int, dict]:
         checks["psi"] = abs(float(recomputed.psi) - float(claimed)) <= 1e-9 * max(1.0, float(claimed))
     sets = {"plus": list(recomputed.plus), "minus": list(recomputed.minus), "degenerate": recomputed.degenerate}
     checks["extremes"] = report.get("extremes") == sets
+    checks["degree"] = degree == model.degree
 
     if "certificate" in report:
         with _naming(f"{config.report_path}: certificate"):
             cert = report["certificate"]
             plus, minus = _json_indices(cert, "plus", n), _json_indices(cert, "minus", n)
             alpha, beta = _json_weights(cert, "alpha", len(plus)), _json_weights(cert, "beta", len(minus))
-        rebuilt = IntersectionCertificate(degree, plus, minus, alpha, beta, 0, exact)
+        rebuilt = IntersectionCertificate(model.degree, plus, minus, alpha, beta, 0, exact)
         checks.update(certificate_checks(replace(rebuilt, moment_residual=verify_certificate(rebuilt, samples))))
         # the weighted points are the model's extreme points, each on its own side
         checks["certificate_support"] = ({i for i, w in zip(plus, alpha) if w} <= set(recomputed.plus)
@@ -657,6 +660,7 @@ def _run_revalidate(config: RunConfig) -> tuple[int, dict]:
         with _naming(f"{config.report_path}: extremes"):
             extremes = report.get("extremes")
             plus, minus = _json_indices(extremes, "plus", n), _json_indices(extremes, "minus", n)
+        checks["witness_degree"] = witness.model.degree <= model.degree
         checks["witness_separates"] = verify_witness(witness, plus, minus, samples)
 
     valid = all(checks.values())

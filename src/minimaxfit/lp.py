@@ -30,16 +30,12 @@ every other status.  A cold float point that breaks a row refactors: its
 final basis goes to `_warm` with no rows appended, which solves B^-1 [A | b]
 afresh and finishes from there; the failure stands only if that fails too.
 
-The primal simplex enters the first column of negative reduced cost
-(Bland, "New finite pivoting rules for the simplex method", Math. of OR
-1977), and the least ratio picks the row that leaves, ties going to the
-smallest basic column.  An LP whose objective is all zero is a
-feasibility test, where any vertex will do, so its phase 1 is priced: the
-column of most negative reduced cost enters for the first two pivots per
-tableau row, then Bland's rule takes over, so it still ends.  That reaches
-a feasible vertex in fewer pivots, but not always Bland's.  The scans read
-the tableau as Python lists: its few tens of rows are too few for array
-scans to pay.
+In every phase of every LP, float and exact, the primal simplex enters
+the first column of negative reduced cost (Bland, "New finite pivoting
+rules for the simplex method", Math. of OR 1977), and the least ratio
+picks the row that leaves, ties going to the smallest basic column.  The
+scans read the tableau as Python lists: its few tens of rows are too few
+for array scans to pay.
 
 Exact solves run as a float-to-exact crossover (Applegate, Cook, Dash &
 Espinoza, "Exact solutions to linear programming problems", ORL 2007): a
@@ -73,13 +69,15 @@ LESS, EQUAL, GREATER = "<=", "==", ">="
 
 _TOL = 1e-9
 _MAX_ITER = 50_000
-# Pivots a float guess of `solve_exact` may make per standardised row and column.  The
-# largest guess over the test suite and the benchmark workloads (seeds 1 and 7) made 454
-# pivots on 68 rows and 99 columns, and none made more than 3.5 per row and column (433
-# on 52 and 73; priced guesses at most 1.1); the exact 3-D grid fit's first round (88
-# rows, 129 columns) ran 19,633 before phase 1 gave up.
+# Pivots a float guess of `solve_exact` may make per standardised row and column.  On the
+# benchmark workloads (seeds 1 and 7) every guess ends optimal within 1.44 per row and
+# column (128 pivots on 38 rows and 51 columns).  In the test suite the optimal guesses
+# stay within 3.46 (433 on 52 and 73), but 18 guesses run into the cap, in the exact fits
+# of the 5^2 and 7^2 grids at m = 3 and 4 and of the 4^3 and 9^3 grids at m = 3 (469
+# pivots on 48 rows and 69 columns, 4.01, on the 5^2 grid), and one on the 4^3 grid at
+# m = 4 ends phase 1 "unbounded" below it (1,190 on 128 and 199).  Uncapped, the first
+# round of the 9^3 fit (88 rows, 129 columns) ran 19,633 before phase 1 gave up.
 _GUESS_PIVOTS = 4
-_PRICED_PIVOTS = 2  # pivots per tableau row that a priced `_simplex` call enters by most negative reduced cost
 
 
 class LpFailure(RuntimeError):
@@ -164,8 +162,7 @@ def solve(lp: LinearProgram, start: Optional[LpSolution] = None) -> LpSolution:
     or without `start` at the basis of every row's slack when that is dual
     feasible; the two-phase simplex runs when there is no such start or it
     cannot finish.  `iterations` counts the pivots of every attempt, an
-    abandoned dual start's and a refactor's.  An LP with no objective has
-    its phase 1 priced (see `_solve`).
+    abandoned dual start's and a refactor's.
     """
     solution, spent = _warm(lp, start)
     if solution is None:
@@ -190,7 +187,6 @@ def solve_exact(lp: LinearProgram) -> LpSolution:
     basis is singular or fails an exact check, the two-phase simplex runs
     on integer rows.  The certificate, every row check and the rational
     simplex share one conversion of the rows to integers (`_integers`).
-    An LP with no objective has phase 1 priced in both, as in `solve`.
     """
     try:
         guess = _solve(lp, exact=False, guess=True)
@@ -271,9 +267,8 @@ def _solve(lp: LinearProgram, exact: bool, guess: bool = False) -> LpSolution:
 
     A `guess` (the float guess of `solve_exact`) raises `LpFailure` once both
     phases together have made `_GUESS_PIVOTS` pivots per standardised row and
-    column, so that a stalling guess hands over soon.  Phase 1 is priced
-    (`_simplex`) exactly when the objective is all zero, where any feasible
-    vertex answers; phase 2 keeps Bland's rule.  Exact rows are integers (`_pivot`).
+    column, so that a stalling guess hands over soon.  Exact rows are
+    integers (`_pivot`).
     """
     tol = 0 if exact else _TOL
     columns, rows, rhs, costs = _standard_form(lp, exact)
@@ -300,7 +295,7 @@ def _solve(lp: LinearProgram, exact: bool, guess: bool = False) -> LpSolution:
     # phase 1: minimise the sum of artificials
     costs1 = np.array([0] * art0 + [1] * m, dtype=rows.dtype)
     cap = _GUESS_PIVOTS * (m + art0) if guess else None
-    (obj, oden), status, it = _simplex(T, den, basis, costs1, tol, phase=1, cap=cap, price=not any(lp.objective))
+    (obj, oden), status, it = _simplex(T, den, basis, costs1, tol, phase=1, cap=cap)
     if status != "optimal":
         raise LpFailure(f"phase-1 simplex ended {status}", {"status": status, "iterations": it})
     if sum(T[i, -1] for i in range(m) if basis[i] >= art0) > tol:
@@ -607,15 +602,8 @@ def _eliminate(row: np.ndarray, den, entry, prow: np.ndarray, p):
     return (row // g, den // g) if g > 1 else (row, den)
 
 
-def _entering(reduced: list, tol, priced: bool) -> Optional[int]:
-    """The column that enters, from the reduced costs as a list, or None at an optimum.
-
-    Priced, the most negative reduced cost, ties going to the smallest
-    column; otherwise the first column below -`tol` (Bland's rule).
-    """
-    if priced:
-        j = min(range(len(reduced)), key=reduced.__getitem__, default=None)
-        return j if j is not None and reduced[j] < -tol else None
+def _entering(reduced: list, tol) -> Optional[int]:
+    """The first column whose reduced cost, from a list, is below -`tol` (Bland's rule), or None at an optimum."""
     return next((j for j, r in enumerate(reduced) if r < -tol), None)
 
 
@@ -653,20 +641,17 @@ def _leaving(column: list, rhs: list, basis: list[int], tol) -> Optional[int]:
     return leaving
 
 
-def _simplex(T, den, basis, costs, tol, phase: int, it: int = 0, cap: Optional[int] = None, price: bool = False):
+def _simplex(T, den, basis, costs, tol, phase: int, it: int = 0, cap: Optional[int] = None):
     """Minimise costs.x from the basic feasible point of tableau T (row i over den[i]), `it` pivots made so far.
 
-    With `price` (phase 1 of an LP with no objective, see `_solve`), the
-    column of most negative reduced cost enters for this call's first
-    `_PRICED_PIVOTS` pivots per tableau row.  After that, and
-    without `price`, the first column of negative reduced cost enters
-    (Bland's rule), which ends every solve (`_entering`).  The least ratio
-    picks the row that leaves, ties going to the smallest basic column
-    (`_leaving`).  Both scans read Python lists.  Entries within `tol` of
-    zero are zero (0 over integers, else 1e-9, and ratios within 1e-9
-    relative tie).  Returns the reduced costs as (obj, oden), obj / oden,
-    "optimal" or "unbounded", and the pivots so far; raises `LpFailure` once
-    the pivots so far pass `cap`, by default `_MAX_ITER` pivots of its own.
+    The first column of negative reduced cost enters (Bland's rule, which
+    ends every solve; `_entering`), and the least ratio picks the row that
+    leaves, ties going to the smallest basic column (`_leaving`).  Both
+    scans read Python lists.  Entries within `tol` of zero are zero (0 over
+    integers, else 1e-9, and ratios within 1e-9 relative tie).  Returns the
+    reduced costs as (obj, oden), obj / oden, "optimal" or "unbounded", and
+    the pivots so far; raises `LpFailure` once the pivots so far pass `cap`,
+    by default `_MAX_ITER` pivots of its own.
     """
     m, ncols = T.shape
     obj, oden = costs.copy(), 1  # the reduced costs are obj / oden
@@ -677,9 +662,8 @@ def _simplex(T, den, basis, costs, tol, phase: int, it: int = 0, cap: Optional[i
 
     if cap is None:
         cap = it + _MAX_ITER
-    priced_until = it + _PRICED_PIVOTS * m if price else it
     while True:
-        entering = _entering(obj.tolist(), tol, it < priced_until)
+        entering = _entering(obj.tolist(), tol)
         if entering is None:
             return (obj, oden), "optimal", it
         leaving = _leaving(T[:, entering].tolist(), T[:, -1].tolist(), basis, tol)

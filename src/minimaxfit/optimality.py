@@ -15,11 +15,10 @@ Every verifier reads its lifted rows from `SampleSet.lifted`, and
 on a line it counts sign blocks instead (discrete alternation, Cheney 1966).
 A certificate's moment residual, and a witness's margins and scale, take
 one `dot_rows` per side over those rows (transposed for the moments).
-A hull test's moment LP has no objective, so the LP kernel prices it: any
-vertex answers.  An exact hull test in d > 1 lets the float test propose a
-support and takes it once `certified_meet`, one fraction-free solve over
-that support's exact columns, finds unique non-negative weights on it; only
-a support it rejects, or a float test that finds none, goes to the rational
+An exact hull test in d > 1 lets the float test propose a support and
+takes it once `certified_meet`, one fraction-free solve over that
+support's exact columns, finds unique non-negative weights on it; only a
+support it rejects, or a float test that finds none, goes to the rational
 moment LP (`solve_exact`).
 
 A fit's certificate is its own LP's dual: the moment system is the LP dual
@@ -146,14 +145,12 @@ def hulls_intersect(
     Returns (S+, S-), the sample indices on which one moment-matching
     solution puts strictly positive weight, taken with no tolerance in either
     arithmetic; those points' hulls meet on their own.  In d > 1 that
-    solution is some vertex of the moment LP, which has no objective, so
-    the LP kernel prices it (see `lp._solve`): which vertex depends on the
-    pricing, the verdict does not, and no report shows the vertex.  In exact
-    arithmetic the float test on the samples' float view proposes its vertex
-    first, and its support stands once `certified_meet` finds exact weights
-    on it; else (an overflowing float view, an `LpFailure`, no float meet or
-    a rejected support) `solve_exact` decides, so it alone says the hulls do
-    not meet.
+    solution is the vertex of the moment LP that the simplex reaches.  In
+    exact arithmetic the float test on the samples' float view proposes its
+    vertex first, and its support stands once `certified_meet` finds exact
+    weights on it; else (an overflowing float view, an `LpFailure`, no float
+    meet or a rejected support) `solve_exact` decides, so it alone says the
+    hulls do not meet.
     A sample in both classes is such a solution by itself (weight one on
     each side matches every moment), so it is returned with no LP.  On a
     line, so is the first point of each of the first k+2 `sign_blocks`

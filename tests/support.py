@@ -299,7 +299,7 @@ def reference_standard_form(lp, conv):
 
 
 
-def reference_rational_simplex(lp: LinearProgram, price: bool = False) -> LpSolution:
+def reference_rational_simplex(lp: LinearProgram) -> LpSolution:
     """The two-phase simplex over a ``Fraction`` tableau: the reference for exact `lp._solve`.
 
     The rows are `reference_standard_form` over ``Fraction``.  A row with a
@@ -308,11 +308,10 @@ def reference_rational_simplex(lp: LinearProgram, price: bool = False) -> LpSolu
     (1 - the artificial's reduced cost) times the row's sign.  Each
     artificial still basic leaves on the first column with a non-zero entry
     in its row, or its row is dropped as redundant, and phase 2 minimises
-    the costs without the artificial columns.  Each phase enters the most
-    negative reduced cost for its first two pivots per tableau row when
-    priced, then the first negative one (`reference_entering`); the least
-    ratio leaves, ties going to the smallest basic column
-    (`reference_leaving`).  The pivots run on the whole tableau.
+    the costs without the artificial columns.  Each phase enters the first
+    negative reduced cost (`reference_entering`); the least ratio leaves,
+    ties going to the smallest basic column (`reference_leaving`).  The
+    pivots run on the whole tableau.
     """
     col_terms, rows, rhs, costs = reference_standard_form(lp, Fraction)
     m, art0 = len(rows), len(costs)
@@ -324,7 +323,7 @@ def reference_rational_simplex(lp: LinearProgram, price: bool = False) -> LpSolu
             T[i, :], signs[i] = -T[i, :], -1
         T[i, art0 + i] = Fraction(1)
     basis = [art0 + i for i in range(m)]
-    obj, it = _reference_phase(T, basis, np.array([Fraction(0)] * art0 + [Fraction(1)] * m, dtype=object), 0, price)
+    obj, it = _reference_phase(T, basis, np.array([Fraction(0)] * art0 + [Fraction(1)] * m, dtype=object), 0)
     if obj is None:
         raise LpFailure("phase-1 simplex ended unbounded")
     if sum(T[i, -1] for i in range(m) if basis[i] >= art0) > 0:
@@ -341,7 +340,7 @@ def reference_rational_simplex(lp: LinearProgram, price: bool = False) -> LpSolu
     T = np.delete(T, dropped, axis=0)
     T = np.concatenate((T[:, :art0], T[:, -1:]), axis=1)
     basis = [b for i, b in enumerate(basis) if i not in dropped]
-    obj, it = _reference_phase(T, basis, np.array(costs, dtype=object), it, price)
+    obj, it = _reference_phase(T, basis, np.array(costs, dtype=object), it)
     if obj is None:
         return LpSolution("unbounded", iterations=it)
     x_std = [Fraction(0)] * art0
@@ -352,18 +351,13 @@ def reference_rational_simplex(lp: LinearProgram, price: bool = False) -> LpSolu
     return LpSolution("optimal", x=x, objective_value=value, iterations=it, basis=(tuple(basis), tuple(dropped)))
 
 
-def _reference_phase(T, basis, costs, it: int, price: bool):
+def _reference_phase(T, basis, costs, it: int):
     """One phase of `reference_rational_simplex` on T in place: (reduced costs, None if unbounded; pivots so far)."""
     obj = costs.copy()
     for i, j in enumerate(basis):
         obj = obj - costs[j] * T[i, :-1]
-    priced_until = it + 2 * len(T) if price else it
     while True:
-        if it < priced_until:
-            j = min(range(len(obj)), key=lambda k: obj[k], default=None)
-            entering = j if j is not None and obj[j] < 0 else None
-        else:
-            entering = reference_entering(obj, 0)
+        entering = reference_entering(obj, 0)
         if entering is None:
             return obj, it
         leaving = reference_leaving(T, entering, basis, 0)

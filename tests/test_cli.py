@@ -848,7 +848,7 @@ class TestMainEntry:
         }))
         assert main(["report", "--report", str(path), "--input", str(data)]) == 2
         revalidation = json.loads(capsys.readouterr().out)
-        assert revalidation["checks"] == {"psi": True, "extremes": True, "certificate_moments": True,
+        assert revalidation["checks"] == {"psi": True, "extremes": True, "degree": True, "certificate_moments": True,
                                           "certificate_sums": False, "certificate_support": True}
         assert revalidation["valid"] is False
 
@@ -1006,6 +1006,51 @@ class TestMainEntry:
         assert main(["report", "--report", str(path), "--grid", grid]) == 2  # the default band is narrower
         checks = json.loads(capsys.readouterr().out)["checks"]
         assert not checks.pop("extremes") and all(checks.values())  # the weighted points are at psi all the same
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_report_replays_its_certificate_at_the_models_degree(self, tmp_path, capsys, exact):
+        # the optimal fit's report with "degree" lowered to 1 fails that check alone; the zero model
+        # (psi 1 at x = 1 and x = -1) with "degree" 0 and weight 1 on those two points matches the
+        # degree-0 moment, but not the degree-2 moments of the model it certifies
+        grid, path = "-1,1;21;uniform;x1^3", tmp_path / "r.json"
+        args = ["--exact"] if exact else []
+        assert main(["fit", "--grid", grid, "--degree", "2", "--out", str(path)] + args) == 0
+        report = json.loads(path.read_text())
+        report["degree"] = 1
+        path.write_text(json.dumps(report))
+        assert main(["report", "--report", str(path), "--grid", grid]) == 2
+        revalidation = json.loads(capsys.readouterr().out)
+        assert revalidation["valid"] is False
+        assert [name for name, passed in revalidation["checks"].items() if not passed] == ["degree"]
+
+        one = "1" if exact else 1.0
+        report.update(degree=0, psi=one, extremes={"plus": [20], "minus": [0], "degenerate": False},
+                      certificate={"degree": 0, "plus": [20], "minus": [0], "alpha": [one], "beta": [one]})
+        report["model"]["coefficients"] = [0, 0, 0]
+        path.write_text(json.dumps(report))
+        assert main(["report", "--report", str(path), "--grid", grid]) == 2
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert checks["psi"] and checks["extremes"] and checks["certificate_sums"] and checks["certificate_support"]
+        assert not checks["degree"] and not checks["certificate_moments"]
+
+    def test_report_rejects_a_witness_above_the_models_degree(self, tmp_path, capsys):
+        # x^3 - p, the residual of the optimal degree-2 fit, is positive on E+ and negative on E-,
+        # but separating the extreme sets at degree 3 says nothing about optimality at degree 2
+        grid, path = "-1,1;21;uniform;x1^3", tmp_path / "r.json"
+        assert main(["fit", "--grid", grid, "--degree", "2", "--out", str(path)]) == 0
+        report = json.loads(path.read_text())
+        residual = [-c for c in report["model"]["coefficients"]] + [1.0]
+        del report["certificate"]
+        report["witness"] = {"degree": 3, "coefficients": residual}
+        path.write_text(json.dumps(report))
+        assert main(["report", "--report", str(path), "--grid", grid]) == 2
+        revalidation = json.loads(capsys.readouterr().out)
+        assert revalidation["checks"]["witness_separates"] and not revalidation["checks"]["witness_degree"]
+        assert revalidation["valid"] is False
+        report["witness"] = {"degree": 1, "coefficients": [0.0, 1.0]}  # x: lower degrees may witness
+        path.write_text(json.dumps(report))
+        main(["report", "--report", str(path), "--grid", grid])
+        assert json.loads(capsys.readouterr().out)["checks"]["witness_degree"]
 
     def test_report_leaves_the_config_arithmetic_alone(self, tmp_path):
         grid = "-1,1;21;uniform;x1^3"

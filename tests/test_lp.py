@@ -396,8 +396,8 @@ def test_integer_tableau_solves_as_the_rational_simplex(monkeypatch):
     lps = _exact_corpus() + [_first_exact_round(monkeypatch, "-1,1:-1,1;5;chebyshev;x1^2*x2+x2^3", 2)]
     assert (lps[-1].num_rows, lps[-1].num_vars) == (36, 7)  # the exact 5x5 Baseline row's fit LP
     statuses = set()
-    for lp in lps:  # phase 1 is priced exactly when the objective is all zero
-        ref = reference_rational_simplex(lp, price=not any(lp.objective))
+    for lp in lps:  # Bland's rule in every phase, zero objectives too
+        ref = reference_rational_simplex(lp)
         _same_solve(lp_module._solve(lp, exact=True), ref)
         statuses.add(ref.status)
     assert statuses == {"optimal", "infeasible"}
@@ -406,10 +406,10 @@ def test_integer_tableau_solves_as_the_rational_simplex(monkeypatch):
 @settings(max_examples=200, deadline=None)
 @given(_bounded_lps(), st.booleans())
 def test_integer_tableau_solves_any_bounded_lp_as_the_rational_simplex(lp, feasibility):
-    # rowless LPs, box rows alone, float and -0.0 entries: every standard-form case; with no objective, priced
+    # rowless LPs, box rows alone, float and -0.0 entries: every standard-form case, with no objective too
     if feasibility:
         lp = LinearProgram([0] * lp.num_vars, lp.A, lp.relations, lp.rhs, lp.bounds)
-    _same_solve(lp_module._solve(lp, exact=True), reference_rational_simplex(lp, price=not any(lp.objective)))
+    _same_solve(lp_module._solve(lp, exact=True), reference_rational_simplex(lp))
 
 
 def test_exact_pivots_see_only_integers(monkeypatch):
@@ -725,8 +725,8 @@ def test_stalling_float_guess_is_capped(monkeypatch):
 def test_phase_1_failure_names_its_status(monkeypatch):
     real = lp_module._simplex
 
-    def unbounded(T, den, basis, costs, tol, phase, it=0, cap=None, price=False):
-        return ((costs, 1), "unbounded", 7) if phase == 1 else real(T, den, basis, costs, tol, phase, it, cap, price)
+    def unbounded(T, den, basis, costs, tol, phase, it=0, cap=None):
+        return ((costs, 1), "unbounded", 7) if phase == 1 else real(T, den, basis, costs, tol, phase, it, cap)
 
     monkeypatch.setattr(lp_module, "_simplex", unbounded)
     lp = LinearProgram([1.0], [[1.0]], [">="], [3.0])
@@ -1054,7 +1054,7 @@ def test_dual_rule_turns_to_blands_rule_after_m_steps(monkeypatch):
     assert got.objective_value == pytest.approx(solve_exact(lp).objective_value, rel=1e-9)
 
 
-# --- the simplex's scans over lists, and pricing --
+# --- the simplex's scans over lists --
 
 
 def _near_tie_tableau(rng: random.Random, exact: bool):
@@ -1090,10 +1090,7 @@ def test_list_scans_pick_what_the_element_loops_pick(exact):
             if got is not None:
                 least = min(rows, key=lambda i: T[i, -1] / T[i, col])
                 tie_broken += got != least
-        assert lp_module._entering(obj.tolist(), tol, False) == reference_entering(obj, tol)
-        negative = [j for j in range(len(obj)) if obj[j] < -tol]
-        priced = min(negative, key=lambda j: (obj[j], j)) if negative else None
-        assert lp_module._entering(obj.tolist(), tol, True) == priced
+        assert lp_module._entering(obj.tolist(), tol) == reference_entering(obj, tol)
     assert tie_broken >= 20
 
 
@@ -1118,8 +1115,8 @@ def _beale_in_phase_1(scale: int = 30) -> LinearProgram:
 
 
 @pytest.mark.parametrize("exact", [False, True])
-def test_priced_solve_ends_on_beales_cycling_example(monkeypatch, exact):
-    # with no objective the same phase 1 is priced, and every feasible point lies on Beale's optimal face
+def test_solve_ends_on_beales_cycling_example(exact):
+    # with no objective the same phase 1 runs, and every feasible point lies on Beale's optimal face
     lp = _beale_in_phase_1()
     feasibility = LinearProgram([0] * lp.num_vars, lp.A, lp.relations, lp.rhs, lp.bounds)
     entry = solve_exact if exact else solve
@@ -1127,12 +1124,6 @@ def test_priced_solve_ends_on_beales_cycling_example(monkeypatch, exact):
     for got in (lp_module._solve(lp, exact=exact), lp_module._solve(feasibility, exact=exact),
                 entry(lp), entry(feasibility)):
         assert got.status == "optimal" and dot(lp.objective, got.x) == value
-    # the hand-over is what ends it: pricing every pivot cycles in exact phase 1
-    if exact:
-        monkeypatch.setattr(lp_module, "_PRICED_PIVOTS", 10**6)
-        monkeypatch.setattr(lp_module, "_MAX_ITER", 600)
-        with pytest.raises(LpFailure, match="in phase 1"):
-            lp_module._solve(feasibility, exact=True)
 
 
 # --- refactoring: a cold float point that breaks a row restarts from its final basis --

@@ -2,7 +2,6 @@
 
 import itertools
 import random
-import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -28,10 +27,7 @@ from minimaxfit import (
     verify_witness,
 )
 from minimaxfit import optimality
-from minimaxfit import lp as lp_module
-from minimaxfit.alternation import verify_by_hyperplanes
 from minimaxfit.cli import parse_grid_spec
-from minimaxfit.reduction import reduce_and_verify
 from minimaxfit.fitting import DEFAULT_REL_TOL, model_values, partition_extremes
 from minimaxfit.lp import LpFailure, LpSolution, solve, solve_exact
 from minimaxfit.optimality import _moment_lp, certified_meet
@@ -503,31 +499,6 @@ def test_one_dimensional_hulls_meet_as_the_moment_lp_says(data):
 
 
 @pytest.mark.parametrize("exact", [False, True])
-def test_priced_and_unpriced_hull_tests_agree(monkeypatch, exact):
-    """Pricing moves the moment LP's vertex, never the verdict, on random 2-D and 3-D classes."""
-    rng = random.Random(24)
-    cases = []
-    for dimension in (2, 3):
-        for _ in range(30):
-            samples = random_samples(rng, dimension, rng.randint(5, 14))
-            if exact:
-                samples = SampleSet(*samples.view(True))
-            order = rng.sample(range(len(samples)), len(samples))
-            cut = rng.randint(1, len(samples) - 1)
-            cases.append((samples, sorted(order[:cut]), sorted(order[cut:]), rng.choice((1, 2))))
-    priced = [hulls_intersect(*case, exact) for case in cases]
-    monkeypatch.setattr(lp_module, "_PRICED_PIVOTS", 0)  # Bland's rule from the first pivot
-    unpriced = [hulls_intersect(*case, exact) for case in cases]
-    assert unpriced != priced  # the vertex moves
-    assert [meet is None for meet in priced] == [meet is None for meet in unpriced]
-    assert 10 <= sum(meet is None for meet in priced) <= len(cases) - 10  # both verdicts are common
-    for (samples, plus, minus, degree), meet in zip(cases, priced):
-        if meet is not None:  # a priced support is still a vertex's: its points' hulls meet on their own
-            assert meet[0] <= set(plus) and meet[1] <= set(minus)
-            assert hulls_intersect(samples, sorted(meet[0]), sorted(meet[1]), degree, exact) is not None
-
-
-@pytest.mark.parametrize("exact", [False, True])
 @pytest.mark.parametrize("dimension", [1, 2, 3])
 def test_fit_duals_certify_where_the_moment_lp_does(monkeypatch, dimension, exact):
     """On random fits, the certificate read from the fit's LP duals, and the margin LP's, against the moment LP's.
@@ -565,44 +536,6 @@ def test_fit_duals_certify_where_the_moment_lp_does(monkeypatch, dimension, exac
                 assert min(cert.alpha + cert.beta) >= -1e-9 and cert.moment_residual <= 1e-8
         assert exact or own.moment_residual <= 1e-12
         assert sum(w != 0 for w in own.alpha + own.beta) <= basis.size + 1  # n_m + 2, n_m = basis.size - 1
-
-
-@pytest.mark.parametrize("exact", [False, True])
-def test_only_hull_tests_are_priced(monkeypatch, exact):
-    """Every phase 1 in a fit, its verifiers and the remaining LP callers: priced only for `hulls_intersect`'s LPs.
-
-    The spy names each phase 1 by the first caller outside the LP module,
-    and the LP it solves by whether its objective is all zero.
-    """
-    calls, real = [], lp_module._simplex
-
-    def recorded(*args, **kwargs):
-        if kwargs.get("phase") == 1:
-            frame = sys._getframe(1)
-            lp = frame.f_locals["lp"]
-            while frame.f_globals["__name__"] == lp_module.__name__:
-                frame = frame.f_back
-            calls.append((frame.f_code.co_name, kwargs.get("price", False), not any(lp.objective)))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(lp_module, "_simplex", recorded)
-    grid = [(x / 4, y / 4) for x in range(-4, 5) for y in range(-4, 5)]
-    samples = SampleSet(grid, [abs(x) + y**3 for x, y in grid])
-    if exact:
-        samples = SampleSet(*samples.view(True))
-    fit = fit_minimax(samples, 2, exact=exact)
-    extremes = extreme_sets(fit.model, samples)
-    cert = check_hull_intersection(extremes, samples, 2, exact)
-    assert isinstance(cert, IntersectionCertificate)
-    assert not check_isolability(extremes, samples, 2, exact).isolable
-    assert reduce_and_verify(extremes, samples, 2, exact).verdict == "pass"
-    assert verify_by_hyperplanes(extremes, samples, 2, exact).verdict == "pass"
-    assert all(price == feasibility for _, price, feasibility in calls)
-    priced = {caller for caller, price, _ in calls if price}
-    unpriced = {caller for caller, price, _ in calls if not price}
-    assert priced == {"hulls_intersect"}
-    # a float fit's rounds start from a dual feasible basis (`lp._warm`), so they run no phase 1
-    assert unpriced == ({"_exchange", "check_isolability"} if exact else {"check_isolability"})
 
 
 @pytest.mark.parametrize("dimension", [2, 3])

@@ -1033,13 +1033,15 @@ class TestMainEntry:
         assert checks["psi"] and checks["extremes"] and checks["certificate_sums"] and checks["certificate_support"]
         assert not checks["degree"] and not checks["certificate_moments"]
 
-    def test_report_rejects_a_witness_above_the_models_degree(self, tmp_path, capsys):
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_report_rejects_a_witness_above_the_models_degree(self, tmp_path, capsys, exact):
         # x^3 - p, the residual of the optimal degree-2 fit, is positive on E+ and negative on E-,
         # but separating the extreme sets at degree 3 says nothing about optimality at degree 2
         grid, path = "-1,1;21;uniform;x1^3", tmp_path / "r.json"
-        assert main(["fit", "--grid", grid, "--degree", "2", "--out", str(path)]) == 0
+        args = ["--exact"] if exact else []
+        assert main(["fit", "--grid", grid, "--degree", "2", "--out", str(path)] + args) == 0
         report = json.loads(path.read_text())
-        residual = [-c for c in report["model"]["coefficients"]] + [1.0]
+        residual = [str(-Fraction(c)) if exact else -c for c in report["model"]["coefficients"]] + [1.0]
         del report["certificate"]
         report["witness"] = {"degree": 3, "coefficients": residual}
         path.write_text(json.dumps(report))

@@ -20,14 +20,15 @@ plane as a primitive integer normal U and offset A.  One sign matrix
 sign(X U^T - a) of the extreme points X against the batch's planes
 classifies them all as `split` classifies one: a float plane scaled to a
 unit normal with `PLANE_TOL`, an exact one as integer sums with no
-tolerance.  Each plane is checked once, at its first combination.  An
-exact plane is known by (U, A).  A float plane is known by its column of
-the sign matrix, which is all that its tests read, and which fixes the
-plane, as the points on it hold d affinely independent ones: so a float
-count does not hang on a normal's last bits, and is the exact count
-wherever the two arithmetics see the same points on each plane.  Only a
-counterexample's plane goes back to the rational normal whose first
-non-zero component is 1, as reports show it.
+tolerance.  Each plane is checked once, at its first combination, and is
+known in either arithmetic by its column of the sign matrix: that is all
+its tests read, and it fixes the plane, as the points on it hold d
+affinely independent ones.  With zero tolerance two distinct exact planes
+never share a column, so an exact count is the number of distinct planes;
+a float count does not hang on a normal's last bits, and is the exact
+count wherever the two arithmetics see the same points on each plane.
+Only a counterexample's plane goes back to the rational normal whose
+first non-zero component is 1, as reports show it.
 
 In d > 1 most planes need no hull test, because a degree-m certificate
 answers it (the characterization theorem in its hull form; Cheney,
@@ -71,7 +72,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, islice
-from math import comb
 from typing import Optional, Sequence
 
 import numpy as np
@@ -239,7 +239,7 @@ def verify_by_hyperplanes(
     twice = np.flatnonzero(in_plus[:, 0] & in_minus[:, 0])
     pending = d > 1 and outcome is None  # d = 1 takes no certificate: each test there is a sign-block count
     weighted = _certificate_weights(outcome, extremes, degree, exact) if d > 1 else None
-    seen = set() if comb(n, d) > _BATCH else None  # keys of the planes of earlier batches
+    seen: set = set()  # keys of the planes of earlier batches
     supports: list = []  # rows of `_contains`'s stack for every degree-(m-1) support found
     checked = 0
     combos = combinations(range(len(idxs)), d)
@@ -283,54 +283,39 @@ def verify_by_hyperplanes(
     return HyperplaneVerdict("pass", None, checked)
 
 
-def _new_planes(batch, coords: np.ndarray, exact: bool, seen: Optional[set]):
+def _new_planes(batch, coords: np.ndarray, exact: bool, seen: set):
     """The combinations of `batch` whose plane is unique and new: (combinations, normals, offsets, distances, signs).
 
-    A plane is new when no combination before it in the batch has it, nor
-    any in an earlier batch: `seen` holds their keys and takes the batch's,
-    and is None when there is no other batch.  The distances and signs are
-    `_distances` and `_signs` of the points `coords` against the planes
-    kept, one column each.  An exact plane's key is its primitive integer
-    normal and offset over the integer points (`integer_normals`), which fix
-    its rational normal whose first non-zero component is 1, and its
-    offset.  A float plane, scaled to a unit normal, is known by its sign
-    column over the points, all that its tests read: the points on it fix
-    it, as d of them are affinely independent.  Equal columns within the
-    batch are found by one `np.unique` over their bytes, and a column's key
-    in `seen` packs it into two bits per point.
+    A plane is known by its sign column over the points `coords`, which is
+    all that its tests read, and which fixes it, as the points on it hold d
+    affinely independent ones.  Exact signs have zero tolerance, so two
+    distinct exact planes never share a column; a float plane is scaled to
+    a unit normal first.  A plane is new when no combination before it in
+    the batch has its column, nor any in an earlier batch: `seen` holds
+    their keys and takes the batch's.  Equal columns within the batch are
+    found by one `np.unique` over their bytes, and a column's key in `seen`
+    packs it into two bits per point.  The distances and signs are
+    `_distances` and `_signs` of the points against the planes kept, one
+    column each.
     """
     d = coords.shape[1]
     points = coords[np.fromiter(chain.from_iterable(batch), dtype=np.intp, count=len(batch) * d).reshape(-1, d)]
     normals, offsets, unique = (integer_normals if exact else affine_normals)(points)
     kept = np.flatnonzero(unique)
-    if exact:
-        normals, offsets = normals[kept], offsets[kept]
-        index: dict = {}  # each key's first plane
-        for k, key in enumerate(zip(*normals.T.tolist(), offsets.tolist())):
-            index.setdefault(key, k)
-        keys, first = list(index), np.array(list(index.values()), dtype=np.intp)
-    else:
-        normals, offsets = unit_planes(normals[kept], offsets[kept])
-        distances = _distances(coords, normals, offsets)
-        side = _signs(distances, False)
-        columns = np.ascontiguousarray(side.T)
-        _, first = np.unique(columns.view(f"V{len(coords)}").ravel(), return_index=True)
-        first.sort()
-        keys = None if seen is None else [
-            row.tobytes() for row in np.packbits(np.hstack((columns[first] > 0, columns[first] < 0)), axis=1)]
-    if seen is not None:
-        new = [k for k, key in enumerate(keys) if key not in seen]
-        seen.update(keys)
-        first = first[new]
+    normals, offsets = normals[kept], offsets[kept]
+    if not exact:
+        normals, offsets = unit_planes(normals, offsets)
+    distances = _distances(coords, normals, offsets)
+    side = _signs(distances, exact)
+    columns = np.ascontiguousarray(side.T)
+    _, first = np.unique(columns.view(f"V{len(coords)}").ravel(), return_index=True)
+    first.sort()
+    keys = [row.tobytes() for row in np.packbits(np.hstack((columns[first] > 0, columns[first] < 0)), axis=1)]
+    first = first[[k for k, key in enumerate(keys) if key not in seen]]
+    seen.update(keys)
     if not len(first):
         return [], None, None, None, None
-    normals, offsets = normals[first], offsets[first]
-    if exact:
-        distances = _distances(coords, normals, offsets)
-        side = _signs(distances, True)
-    else:
-        distances, side = distances[:, first], side[:, first]
-    return [batch[k] for k in kept[first].tolist()], normals, offsets, distances, side
+    return [batch[k] for k in kept[first].tolist()], normals[first], offsets[first], distances[:, first], side[:, first]
 
 
 def _integer_points(points: np.ndarray) -> tuple[np.ndarray, int]:

@@ -137,9 +137,9 @@ class Expression:
                 raise ExpressionError(f"{node.id} needs parenthesised arguments", at)
             if not re.fullmatch(r"x\d+", node.id):
                 raise ExpressionError(f"unknown name {node.id!r}", at)
-            k = int(node.id[1:]) - 1
-            if k < 0:
+            if not re.fullmatch(r"x[1-9]\d*", node.id):  # x0, or a leading zero as in x01
                 raise ExpressionError(f"coordinate {node.id!r} is not valid", at)
+            k = int(node.id[1:]) - 1
             self.max_var = max(self.max_var, k)
             return lambda point, exact: point[k]
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
@@ -473,15 +473,18 @@ def _json_degree(degree) -> int:
     return degree
 
 
-def _json_number(value, message: str) -> Number:
-    """A finite JSON number (not a bool) as it is, or a string as its ``Fraction``; else ValueError(message)."""
+def _json_number(value, message: str, exact: bool = False) -> Number:
+    """A finite JSON number (not a bool), or a string as its ``Fraction``; else ValueError(message).
+
+    In exact arithmetic a number is the ``Fraction`` it is, a float's exactly.
+    """
     if isinstance(value, str):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
             pass
     elif type(value) in (int, float) and math.isfinite(value):
-        return value
+        return Fraction(value) if exact else value
     raise ValueError(message)
 
 
@@ -500,13 +503,13 @@ def _json_indices(payload, key: str, count: int) -> tuple[int, ...]:
     return tuple(indices)
 
 
-def _json_weights(payload, key: str, count: int) -> tuple[Number, ...]:
-    """payload[key] as `count` numbers; a ValueError names the field."""
+def _json_weights(payload, key: str, count: int, exact: bool) -> tuple[Number, ...]:
+    """payload[key] as `count` numbers (`_json_number`); a ValueError names the field."""
     weights = payload.get(key) if isinstance(payload, dict) else None
     message = f"'{key}' must be a list of numbers or rational strings, one per index ({count})"
     if not isinstance(weights, list) or len(weights) != count:
         raise ValueError(message)
-    return tuple(_json_number(w, message) for w in weights)
+    return tuple(_json_number(w, message, exact) for w in weights)
 
 
 def _model_from_json(payload, dimension: int, exact: bool = False) -> PolynomialModel:
@@ -520,8 +523,7 @@ def _model_from_json(payload, dimension: int, exact: bool = False) -> Polynomial
     message = "'coefficients' must be a list of numbers or rational strings"
     if not isinstance(coeffs, list):
         raise ValueError(message)
-    coeffs = tuple(_json_number(c, message) for c in coeffs)
-    return PolynomialModel(build_basis(dimension, degree), tuple(map(Fraction, coeffs)) if exact else coeffs)
+    return PolynomialModel(build_basis(dimension, degree), tuple(_json_number(c, message, exact) for c in coeffs))
 
 
 def run(config: RunConfig) -> tuple[int, dict]:
@@ -553,6 +555,7 @@ def run(config: RunConfig) -> tuple[int, dict]:
     report: dict = {
         "instance": {"source": source, "dimension": samples.dimension, "points": len(samples)},
         "arithmetic": "exact" if exact else "float",
+        "rel_tol": rel_tol,
         "timings": timings,
     }
     if config.coeffs:
@@ -612,11 +615,12 @@ def _run_revalidate(config: RunConfig) -> tuple[int, dict]:
     """Re-validate a previously written report against its input data.
 
     Every report holds its model, whose psi and extreme sets are recomputed,
-    the sets with ``--rel-tol`` or the run's default: the report's extremes,
-    which the witness replays over, must equal them, and a certificate's
-    weighted points lie in them.  The report's degree must be the model's,
-    a certificate is replayed at it, and a witness may not exceed it.  A
-    missing or malformed field is an error.
+    the sets with ``--rel-tol``, else the report's ``rel_tol``, else the
+    run's default: the report's extremes, which the witness replays over,
+    must equal them, and a certificate's weighted points lie in them.  The
+    report's degree must be the model's, a certificate is replayed at it,
+    and a witness may not exceed it.  An exact report's numbers are read as
+    the rationals they are.  A missing or malformed field is an error.
     """
     if not config.report_path:
         raise ValueError("report re-validation needs --report <json>")
@@ -634,7 +638,9 @@ def _run_revalidate(config: RunConfig) -> tuple[int, dict]:
     with _naming(f"{config.report_path}: model"):
         model = _model_from_json(report.get("model"), samples.dimension, exact)
     with _naming(config.report_path):
-        claimed = _json_number(report.get("psi"), "'psi' must be a number or a rational string")
+        claimed = _json_number(report.get("psi"), "'psi' must be a number or a rational string", exact)
+        if config.rel_tol is None and "rel_tol" in report:  # the band the run cut its extremes with
+            config = replace(config, rel_tol=float(_json_number(report["rel_tol"], "'rel_tol' must be a number")))
     recomputed = extreme_sets(model, samples, config.rel_tol_in(exact))
     if exact:
         checks["psi"] = recomputed.psi == claimed
@@ -648,7 +654,8 @@ def _run_revalidate(config: RunConfig) -> tuple[int, dict]:
         with _naming(f"{config.report_path}: certificate"):
             cert = report["certificate"]
             plus, minus = _json_indices(cert, "plus", n), _json_indices(cert, "minus", n)
-            alpha, beta = _json_weights(cert, "alpha", len(plus)), _json_weights(cert, "beta", len(minus))
+            alpha = _json_weights(cert, "alpha", len(plus), exact)
+            beta = _json_weights(cert, "beta", len(minus), exact)
         rebuilt = IntersectionCertificate(model.degree, plus, minus, alpha, beta, 0, exact)
         checks.update(certificate_checks(replace(rebuilt, moment_residual=verify_certificate(rebuilt, samples))))
         # the weighted points are the model's extreme points, each on its own side
@@ -656,7 +663,7 @@ def _run_revalidate(config: RunConfig) -> tuple[int, dict]:
                                          and {i for i, w in zip(minus, beta) if w} <= set(recomputed.minus))
     if "witness" in report:
         with _naming(f"{config.report_path}: witness"):
-            witness = SeparationWitness(_model_from_json(report["witness"], samples.dimension), None, None)
+            witness = SeparationWitness(_model_from_json(report["witness"], samples.dimension, exact), None, None)
         with _naming(f"{config.report_path}: extremes"):
             extremes = report.get("extremes")
             plus, minus = _json_indices(extremes, "plus", n), _json_indices(extremes, "minus", n)

@@ -150,7 +150,12 @@ def hulls_intersect(
     vertex first, and its support stands once `certified_meet` finds exact
     weights on it; else (an overflowing float view, an `LpFailure`, no float
     meet or a rejected support) `solve_exact` decides, so it alone says the
-    hulls do not meet.
+    hulls do not meet.  The proposal is the uncapped float `solve`, not
+    `solve_exact`'s capped guess: the exact `alternate --rel-tol 1e-8` of
+    the float abs-Chebyshev model has a 16 x 147 moment LP that needs 956
+    Bland pivots, past the guess's cap of 652, and the rational simplex it
+    then falls to made that command about 18 times slower; the 2-D degree-1
+    tests of the exact 9 x 9 fit took nearly twice as long.
     A sample in both classes is such a solution by itself (weight one on
     each side matches every moment), so it is returned with no LP.  On a
     line, so is the first point of each of the first k+2 `sign_blocks`

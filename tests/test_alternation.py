@@ -852,6 +852,29 @@ def test_integer_planes_and_sides_match_the_rational_reference(case, data):
             extremes, samples, normal, offset, True)
 
 
+def test_float_and_exact_enumerations_keep_the_same_combinations():
+    """A plane is known by its sign column in either arithmetic, so on grid extremes both keep the same planes.
+
+    The float enumeration takes the points as they are, the exact one over
+    integers (`_integer_points`); batches of `_BATCH` share one `seen`, as in
+    `verify_by_hyperplanes`.  Each grid point on a plane is on it in float
+    within `PLANE_TOL`, so both arithmetics see the same columns.
+    """
+    sets = 0
+    for samples, extremes, _ in _grid_corpus():
+        idxs = sorted(set(extremes.plus) | set(extremes.minus))
+        combos = list(combinations(range(len(idxs)), samples.dimension))
+        kept = []
+        for coords, exact in [(samples.view(False)[0][idxs], False),
+                              (alternation._integer_points(samples.view(True)[0][idxs])[0], True)]:
+            seen: set = set()
+            kept.append([c for k in range(0, len(combos), alternation._BATCH)
+                         for c in alternation._new_planes(combos[k:k + alternation._BATCH], coords, exact, seen)[0]])
+        assert kept[0] == kept[1] and kept[0]
+        sets += 1
+    assert sets == 15
+
+
 def test_exact_verifiers_on_the_two_dimensional_baseline_row_make_no_rational_solve(monkeypatch):
     """The 9 x 9 exact Baseline row, with the fit's own certificate as `fit` hands it over: `solve_exact` never runs.
 

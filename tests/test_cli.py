@@ -263,6 +263,16 @@ class TestExpression:
         with pytest.raises(ExpressionError):
             Expression("x1 + sin(x1)")
 
+    def test_coordinates_are_named_as_csv_headers_name_them(self):
+        # x followed by digits with no leading zero, as the header x1..xd; x01 is not x1
+        assert Expression("x10 + x1").max_var == 9
+        for text, position in [("x01^2", 0), ("x1 + x001", 5), ("x0", 0), ("2*x00", 2)]:
+            with pytest.raises(ExpressionError, match="is not valid") as err:
+                Expression(text)
+            assert err.value.position == position, text
+        with pytest.raises(ValueError, match="x01"):
+            parse_grid_spec("-1,1;5;uniform;x01^2")
+
     def test_point_with_too_few_coordinates(self):
         with pytest.raises(ValueError, match="expression uses x2 but points have dimension 1"):
             Expression("x2")((1.0,))
@@ -470,7 +480,7 @@ class TestRunPipeline:
         assert main([str(coeffs) if a == "COEFFS" else a for a in argv] + ["--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert list(report["timings"]) == keys
-        head = ["instance", "arithmetic", "timings", "degree", "model", "psi", "extremes"]
+        head = ["instance", "arithmetic", "rel_tol", "timings", "degree", "model", "psi", "extremes"]
         assert list(report) == head + sections
 
     @pytest.mark.parametrize("grid, degree, exact", [
@@ -807,8 +817,10 @@ class TestMainEntry:
         (lambda r: r.pop("psi"), "'psi' must be a number or a rational string"),
         (lambda r: r.pop("model"), "model: missing or null"),
         (lambda r: r.update(model=None), "model: missing or null"),
+        (lambda r: r.update(rel_tol="x"), "'rel_tol' must be a number"),
+        (lambda r: r.update(rel_tol=0.7), "rel-tol must lie in [0, 0.5)"),
     ], ids=["index-out-of-range", "no-instance", "weight-not-a-number", "weights-too-many", "psi-not-a-number",
-            "no-psi", "no-model", "null-model"])
+            "no-psi", "no-model", "null-model", "rel-tol-not-a-number", "rel-tol-out-of-range"])
     def test_malformed_report_fields_are_errors(self, tmp_path, capsys, edit, field):
         # a hand-edited fit report: exit 1 with one error line that names the file and the field
         data, path = os.path.join(DATA, "parabola.csv"), tmp_path / "fit.json"
@@ -998,14 +1010,48 @@ class TestMainEntry:
         else:
             assert checks["witness_separates"]
 
-    def test_report_recomputes_the_extremes_with_the_runs_rel_tol(self, tmp_path, capsys):
-        grid, path = "-1,1;21;uniform;x1^4", tmp_path / "r.json"
-        assert main(["fit", "--grid", grid, "--degree", "2", "--rel-tol", "0.2", "--out", str(path)]) == 0
+    @pytest.mark.parametrize("grid, degree", [("-1,1;21;uniform;x1^4", 2), ("-1,1;41;chebyshev;abs(x1)", 4)])
+    def test_report_recomputes_the_extremes_with_the_runs_rel_tol(self, tmp_path, capsys, grid, degree):
+        # the report records the band its extremes were cut with, and `report` reads it back unless
+        # --rel-tol names another; a report without the field takes the default band
+        path = tmp_path / "r.json"
+        assert main(["fit", "--grid", grid, "--degree", str(degree), "--rel-tol", "0.2", "--out", str(path)]) == 0
+        report = json.loads(path.read_text())
+        assert report["rel_tol"] == 0.2
+        assert main(["report", "--report", str(path), "--grid", grid]) == 0
+        assert json.loads(capsys.readouterr().out)["checks"]["extremes"]
         assert main(["report", "--report", str(path), "--grid", grid, "--rel-tol", "0.2"]) == 0
         assert json.loads(capsys.readouterr().out)["checks"]["extremes"]
+        assert main(["report", "--report", str(path), "--grid", grid, "--rel-tol", "0"]) == 2
+        capsys.readouterr()
+        del report["rel_tol"]
+        path.write_text(json.dumps(report))
         assert main(["report", "--report", str(path), "--grid", grid]) == 2  # the default band is narrower
         checks = json.loads(capsys.readouterr().out)["checks"]
         assert not checks.pop("extremes") and all(checks.values())  # the weighted points are at psi all the same
+
+    @pytest.mark.parametrize("written", ["numbers", "strings"])
+    def test_exact_report_reads_its_json_numbers_as_rationals(self, tmp_path, capsys, written):
+        # -1 + 49 x^2 is exactly 0 at the E- point 1/7, so it does not separate; the float 1/7
+        # (0.14285714285714285) gives it a value just below 0, which a float replay read as separating
+        data = tmp_path / "w.csv"
+        data.write_text("x1,f\n-1,1\n1/7,-1\n1,1\n0,0\n")
+        coefficients = [-1, 0.0, 49.0] if written == "numbers" else ["-1", "0", "49"]
+        report = {"instance": {"source": "x", "dimension": 1, "points": 4}, "arithmetic": "exact", "degree": 2,
+                  "model": {"degree": 2, "coefficients": ["0", "0", "0"]}, "psi": "1",
+                  "extremes": {"plus": [0, 2], "minus": [1], "degenerate": False},
+                  "witness": {"degree": 2, "coefficients": coefficients}}
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(report))
+        assert main(["report", "--input", str(data), "--report", str(path)]) == 2
+        revalidation = json.loads(capsys.readouterr().out)
+        assert revalidation["checks"]["witness_separates"] is False and revalidation["valid"] is False
+        # certificate weights written as JSON floats are their exact binary values: 0.1 + 0.9 is not 1
+        del report["witness"]
+        report["certificate"] = {"degree": 2, "plus": [0, 2], "minus": [1], "alpha": [0.1, 0.9], "beta": [1]}
+        path.write_text(json.dumps(report))
+        main(["report", "--input", str(data), "--report", str(path)])
+        assert json.loads(capsys.readouterr().out)["checks"]["certificate_sums"] is False
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_report_replays_its_certificate_at_the_models_degree(self, tmp_path, capsys, exact):

@@ -56,11 +56,13 @@ Of the planes left, many need no LP either: a degree-(m-1) certificate
 with support S+, S- (convex weights matching every lifted moment) is, zero
 elsewhere, a feasible point of the moment LP of any later split whose
 flipped classes hold S+ and S- one each, either way round, as the LP is
-symmetric in its sides.  So each support found marks, as a boolean mask
-over the batch, every plane whose flipped classes contain it, and a marked
-plane holds with no LP.  The support is whichever vertex the moment LP of
-`hulls_intersect` reaches, so the vertex decides which planes it marks, but
-not a verdict: a marked plane's hulls do meet.
+symmetric in its sides.  A support is stored as the rows (`_rows`) of S+
+on its plane's flipped plus side and of S- on its minus side; a plane
+holds with no LP where one list's rows are all > 0 and the other's all
+< 0 (a point in both extreme sets is only ever the support ({i}, {i}),
+whose two rows' sides are opposite).  The support is the vertex the moment
+LP of `hulls_intersect` reaches, so the vertex decides which planes it
+marks, but not a verdict: a marked plane's hulls do meet.
 
 A plane that neither the certificate nor a stored support decides takes
 the scalar `hulls_intersect` at its turn: degree m - 1 on its flipped
@@ -76,7 +78,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._linalg import affine_normals, integer_normals, integer_row, unit_planes
+from ._linalg import affine_normals, exact_nullspace, integer_normals, integer_row, unit_planes
 from ._linalg import affine_normal  # unused here, kept because bench/tracing.py counts alternation.affine_normal
 from .fitting import ExtremeSets, SampleSet
 from .monomials import Number
@@ -211,7 +213,10 @@ def verify_by_hyperplanes(
     plane whose test is a moment LP, and finding none leaves every plane to
     the hull tests.  Degree 1 asks `hulls_intersect` whether the degree-1
     hulls of E+ and E- meet, which is the certificate's verdict with no
-    moment LP on a line.
+    moment LP on a line.  Fewer than d extreme points lie on one plane,
+    whose split has no flipped class: it is the one plane checked, and
+    holds exactly when the degree-m hulls of E+ and E- meet; a failure
+    returns `split` of `_plane_through` them all.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
@@ -223,24 +228,23 @@ def verify_by_hyperplanes(
     d = samples.dimension
     idxs = sorted(set(extremes.plus) | set(extremes.minus))
     if len(idxs) < d:
-        return HyperplaneVerdict(
-            "vacuous", None, 0, warning=f"fewer than d = {d} extreme points"
-        )
+        warning = f"fewer than d = {d} extreme points: one plane through them all"
+        if hulls_intersect(samples, extremes.plus, extremes.minus, degree, exact):
+            return HyperplaneVerdict("pass", None, 1, warning)
+        plane = _plane_through(samples.view(exact)[0][idxs])
+        return HyperplaneVerdict("fail", split(extremes, samples, *plane, exact), 1, warning)
 
     coords, q = samples.view(exact)[0][idxs], None
     if exact:
         coords, q = _integer_points(coords)
-    place = {i: k for k, i in enumerate(idxs)}
-    in_plus, in_minus = (np.array([[i in cls] for i in idxs]) for cls in map(set, (extremes.plus, extremes.minus)))
     rows, sign = _rows(extremes)
-    at = np.array([place[i] for i in rows])
-    n = len(idxs)
+    at = np.searchsorted(idxs, rows)  # each row's point among `idxs`
     lifted = samples.lifted(rows, degree - 1, False) if d > 1 and not exact else None  # for `_certificate_meets`
-    twice = np.flatnonzero(in_plus[:, 0] & in_minus[:, 0])
+    twice = np.searchsorted(idxs, sorted(set(extremes.plus).intersection(extremes.minus)))
     pending = d > 1 and outcome is None  # d = 1 takes no certificate: each test there is a sign-block count
     weighted = _certificate_weights(outcome, extremes, degree, exact) if d > 1 else None
     seen: set = set()  # keys of the planes of earlier batches
-    supports: list = []  # rows of `_contains`'s stack for every degree-(m-1) support found
+    supports: list = []  # (S+ rows, S- rows) of every degree-(m-1) support found, as `_contains` reads them
     checked = 0
     combos = combinations(range(len(idxs)), d)
     while batch := list(islice(combos, _BATCH)):
@@ -248,12 +252,11 @@ def verify_by_hyperplanes(
         if not batch:
             continue
         flipped = side[at] * sign[:, None]
-        classes = _point_classes(side, in_plus, in_minus)
         # the planes whose degree-(m-1) test is an LP: both flipped classes non-empty, no point in both
         moment_lp = (flipped > 0).any(axis=0) & (flipped < 0).any(axis=0) & ~(side[twice] != 0).any(axis=0)
         reused = np.zeros(len(batch), dtype=bool)
         for support in supports:
-            reused |= _contains(classes, support)
+            reused |= _contains(flipped, support)
         if pending and (moment_lp & ~reused).any():
             pending, weighted = False, _own_certificate(extremes, samples, degree, exact)
         if weighted is not None:
@@ -266,9 +269,10 @@ def verify_by_hyperplanes(
             plus_side, minus_side, on_plus, on_minus = _classes(rows, flipped[:, j], sign)
             found = hulls_intersect(samples, plus_side, minus_side, degree - 1, exact)
             if found:
-                s, t = ([place[i] for i in members] for members in found)
-                supports.append(np.array([s + [n + k for k in t], [n + k for k in s] + t]))
-                reused |= _contains(classes, supports[-1])
+                col = flipped[:, j].tolist()
+                supports.append(tuple([r for r, i in enumerate(rows) if i in members and col[r] == f]
+                                      for members, f in zip(found, (1, -1))))
+                reused |= _contains(flipped, supports[-1])
                 continue
             if hulls_intersect(samples, on_plus, on_minus, degree, exact) is None:
                 normal, offset = normals[j].tolist(), offsets.tolist()[j]
@@ -277,9 +281,7 @@ def verify_by_hyperplanes(
                 counterexample = HyperplaneSplit(tuple(normal), offset, plus_side, minus_side, on_plus, on_minus)
                 return HyperplaneVerdict("fail", counterexample, checked)
     if checked == 0:
-        return HyperplaneVerdict(
-            "vacuous", None, 0, warning="no affinely independent extreme subset"
-        )
+        return HyperplaneVerdict("vacuous", None, 0, warning="no affinely independent extreme subset")
     return HyperplaneVerdict("pass", None, checked)
 
 
@@ -322,6 +324,18 @@ def _integer_points(points: np.ndarray) -> tuple[np.ndarray, int]:
     """Exact points as integers X over one denominator q, the lcm of all of theirs (`integer_row`): (X, q)."""
     X, q = integer_row(points.ravel().tolist())
     return np.array(X, dtype=object).reshape(points.shape), q
+
+
+def _plane_through(points: np.ndarray) -> tuple[list[Fraction], Fraction]:
+    """A rational plane (u, a) through the fewer than d rows of `points`, read exactly, whose first non-zero u is 1.
+
+    u is `exact_nullspace`'s null vector of the differences p_k - p_0, or of one zero row for one point.
+    """
+    d = points.shape[1]
+    base, *rest = [[Fraction(c) for c in p] for p in points.tolist()] or [[0] * d]
+    u, _ = exact_nullspace([[c - b for c, b in zip(p, base)] for p in rest] or [[0] * d])
+    lead = next(c for c in u if c)
+    return [c / lead for c in u], sum(c * x for c, x in zip(u, base)) / lead
 
 
 def _rational_plane(normal: list[int], offset: int, q: int) -> tuple[tuple[Fraction, ...], Fraction]:
@@ -437,17 +451,10 @@ def _classes(rows: list, flipped: np.ndarray, sign: np.ndarray) -> tuple[tuple[i
     return tuple(map(tuple, classes))
 
 
-def _point_classes(side: np.ndarray, in_plus: np.ndarray, in_minus: np.ndarray) -> np.ndarray:
-    """Which points each plane puts in its flipped plus class (rows 0..n-1) and its flipped minus class (n..2n-1)."""
-    up, down = side == 1, side == -1
-    return np.concatenate((up & in_plus | down & in_minus, down & in_plus | up & in_minus))
+def _contains(flipped: np.ndarray, support: tuple[list, list]) -> np.ndarray:
+    """The planes where one of `support`'s lists, the rows of S+ and of S-, is all > 0 in `flipped`, the other < 0.
 
-
-def _contains(classes: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """The planes whose flipped classes hold S+ and S- one each, either way round.
-
-    `classes` stacks each plane's flipped plus class over its flipped minus
-    class; the support's two rows index S+ in the first and S- in the
-    second, and the other way round.
+    Each flipped side is -1, 0 or 1, so that holds exactly where S+'s sum less S-'s is plus or minus their count.
     """
-    return np.logical_and.reduce(classes[support], axis=1).any(axis=0)
+    plus, minus = support
+    return np.abs(flipped[plus].sum(axis=0) - flipped[minus].sum(axis=0)) == len(plus) + len(minus)

@@ -150,12 +150,18 @@ def hulls_intersect(
     vertex first, and its support stands once `certified_meet` finds exact
     weights on it; else (an overflowing float view, an `LpFailure`, no float
     meet or a rejected support) `solve_exact` decides, so it alone says the
-    hulls do not meet.  The proposal is the uncapped float `solve`, not
-    `solve_exact`'s capped guess: the exact `alternate --rel-tol 1e-8` of
-    the float abs-Chebyshev model has a 16 x 147 moment LP that needs 956
-    Bland pivots, past the guess's cap of 652, and the rational simplex it
-    then falls to made that command about 18 times slower; the 2-D degree-1
-    tests of the exact 9 x 9 fit took nearly twice as long.
+    hulls do not meet.  A float test whose simplex raises `LpFailure` is
+    decided by `solve_exact` over the samples' exact view as well: a
+    75 + 69 point degree-3 test of the float abs-Chebyshev extremes runs
+    the float phase 1 past its 50,000 pivots, and its exact LP is optimal.
+    An exact test's proposal is the float solve alone (`_moment_meet`),
+    so that no `solve_exact` runs twice.  It is the uncapped float
+    `solve`, not `solve_exact`'s capped guess: the exact `alternate
+    --rel-tol 1e-8` of the float abs-Chebyshev model has a 16 x 147 moment
+    LP that needs 956 Bland pivots, past the guess's cap of 652, and the
+    rational simplex it then falls to made that command about 18 times
+    slower; the 2-D degree-1 tests of the exact 9 x 9 fit took nearly
+    twice as long.
     A sample in both classes is such a solution by itself (weight one on
     each side matches every moment), so it is returned with no LP.  On a
     line, so is the first point of each of the first k+2 `sign_blocks`
@@ -175,17 +181,20 @@ def hulls_intersect(
         if len(blocks) < degree + 2:
             return None
         return frozenset(i for i, neg in blocks if not neg), frozenset(i for i, neg in blocks if neg)
-    if exact:
-        try:
-            proposed = hulls_intersect(samples, plus, minus, degree)
-        except (OverflowError, LpFailure):
-            proposed = None
-        certified = certified_meet(samples, proposed, degree)
-        if certified:
-            return certified
-    plus_lifted = samples.lifted(plus, degree, exact)
-    minus_lifted = samples.lifted(minus, degree, exact)
-    sol = (solve_exact if exact else solve)(_moment_lp(plus_lifted, minus_lifted))
+    try:
+        found = _moment_meet(samples, plus, minus, degree, False)
+    except (OverflowError, LpFailure):  # an exact set beyond float range, or a float simplex breakdown
+        found = None
+    else:
+        if not exact:
+            return found
+    return certified_meet(samples, found, degree) or _moment_meet(samples, plus, minus, degree, True)
+
+
+def _moment_meet(samples: SampleSet, plus: Sequence[int], minus: Sequence[int], degree: int, exact: bool):
+    """(S+, S-) of `hulls_intersect` from the moment LP's vertex, `solve` in float, `solve_exact` in exact; or None."""
+    lifted = (samples.lifted(members, degree, exact) for members in (plus, minus))
+    sol = (solve_exact if exact else solve)(_moment_lp(*lifted))
     if sol.status != "optimal":
         return None
     p = len(plus)

@@ -43,6 +43,7 @@ from minimaxfit.optimality import certificate_checks
 from support import (
     bogus_float_supports,
     build_fit_corpus,
+    gauss_jordan_nullspace,
     random_samples,
     reference_exact_plane,
     reference_exact_sides,
@@ -161,14 +162,25 @@ class TestVerifyByHyperplanes:
         verdict = verify_by_hyperplanes(extremes, samples, 1)
         assert verdict.verdict == "pass"
 
-    def test_fewer_extremes_than_dimension_is_vacuous(self):
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_fewer_extremes_than_dimension_are_decided_on_a_plane_through_them_all(self, exact):
+        # a plane holds every extreme point, so its split has no flipped class, and holds exactly when
+        # the degree-m hulls of E+ and E- meet: E- empty, or two distinct points, fail on that plane
         samples = SampleSet([(0.0, 0.0), (1.0, 1.0)], [0, 0])
-        extremes = ExtremeSets(plus=(0,), minus=(), psi=1.0, rel_tol=0.0)
-        verdict = verify_by_hyperplanes(
-            ExtremeSets(plus=(0,), minus=(), psi=1.0, rel_tol=0.0), samples, 2
-        )
-        assert verdict.verdict == "vacuous"
-        assert verdict.warning
+        verdict = verify_by_hyperplanes(ExtremeSets(plus=(0,), minus=(), psi=1.0, rel_tol=0.0), samples, 2, exact)
+        assert (verdict.verdict, verdict.planes_checked) == ("fail", 1) and verdict.warning
+        assert verdict.counterexample == split(ExtremeSets(plus=(0,), minus=(), psi=1.0, rel_tol=0.0), samples,
+                                               (1, 0), 0, exact)
+        samples = SampleSet([(0, 1, 2), (Fraction(1, 3), 5, -1), (2, 2, 2)], [0, 0, 0])
+        extremes = ExtremeSets(plus=(0,), minus=(1,), psi=1, rel_tol=0.0)
+        verdict = verify_by_hyperplanes(extremes, samples, 3, exact)
+        sp = verdict.counterexample
+        assert (verdict.verdict, verdict.planes_checked) == ("fail", 1)
+        assert (sp.plus_side, sp.minus_side, sp.on_plane_plus, sp.on_plane_minus) == ((), (), (0,), (1,))
+        assert sp.normal[0] == 1 if exact else math.isclose(math.hypot(*sp.normal), 1)
+        # a point in both sets: its hulls meet on their own, so the one plane holds
+        both = verify_by_hyperplanes(ExtremeSets(plus=(0,), minus=(0,), psi=1, rel_tol=0.0), samples, 3, exact)
+        assert (both.verdict, both.planes_checked, both.counterexample) == ("pass", 1, None)
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_collinear_extremes_in_three_dimensions_are_vacuous(self, exact):
@@ -286,9 +298,27 @@ def _scalar_split(extremes, samples, normal, offset, exact):
     return HyperplaneSplit(tuple(u), a, tuple(plus_side), tuple(minus_side), tuple(on_plus), tuple(on_minus))
 
 
+def _plane_through_all(samples, idxs):
+    """A rational plane (u, a) through fewer than d points, u's first non-zero component 1: Gauss-Jordan's null vector."""
+    d = samples.dimension
+    pts = samples.view(True)[0]
+    base = [Fraction(c) for c in pts[idxs[0]]] if idxs else [Fraction(0)] * d
+    u, _ = gauss_jordan_nullspace([[Fraction(c) - b for c, b in zip(pts[i], base)] for i in idxs[1:]] or [[0] * d])
+    lead = next(c for c in u if c)
+    u = [c / lead for c in u]
+    return u, sum(c * b for c, b in zip(u, base))
+
+
 def _every_plane_verdict(extremes, samples, degree, exact):
-    """(verdict, planes checked, counterexample) from `check_split_condition` on every plane."""
+    """(verdict, planes checked, counterexample) from `check_split_condition` on every plane.
+
+    Fewer than d extreme points have one plane to check, a plane through
+    them all.
+    """
     idxs = sorted(set(extremes.plus) | set(extremes.minus))
+    if len(idxs) < samples.dimension:
+        sp = _scalar_split(extremes, samples, *_plane_through_all(samples, idxs), exact)
+        return ("pass", 1, None) if check_split_condition(sp, samples, degree, exact).holds else ("fail", 1, sp)
     checked = 0
     for u, a in _candidate_planes(idxs, samples, exact):
         sp = _scalar_split(extremes, samples, u, a, exact)
@@ -387,9 +417,14 @@ def _plane_by_plane_tests(extremes, samples, degree, exact):
     A plane whose flipped classes hold a support found before, one each
     either way round, takes none; else degree m - 1 on its flipped classes,
     whose meet is stored, and only where that fails, degree m on its
-    on-plane classes, whose failure ends the walk.
+    on-plane classes, whose failure ends the walk.  Fewer than d extreme
+    points take one degree-m test, on the plane through them all, whose
+    flipped classes are empty.
     """
     idxs = sorted(set(extremes.plus) | set(extremes.minus))
+    if len(idxs) < samples.dimension:
+        plus, minus = tuple(extremes.plus), tuple(extremes.minus)
+        return [(plus, minus, degree, hulls_intersect(samples, plus, minus, degree, exact))]
     calls, supports = [], []
     for u, a in _candidate_planes(idxs, samples, exact):
         sp = _scalar_split(extremes, samples, u, a, exact)
@@ -414,17 +449,19 @@ def _withhold_certificate(monkeypatch):
 
 
 def _stored_supports(monkeypatch):
-    """The supports `verify_by_hyperplanes` stores, in their order: `_contains` reads each as it is stored.
+    """The supports `verify_by_hyperplanes` stores, in their order, as their (S+ rows, S- rows) of `_rows`.
 
-    It reads every stored support again for each later batch, so only its
-    first read of each is kept; no two planes store equal supports.
+    `_contains` reads each as it is stored, and again for each later batch,
+    so only its first read of each is kept; no two planes store equal
+    supports.
     """
     stored = {}
     real = alternation._contains
 
-    def read(classes, support):
-        stored.setdefault(support.tobytes(), support.tolist())
-        return real(classes, support)
+    def read(flipped, support):
+        rows = tuple(tuple(r) for r in support)
+        stored.setdefault(rows, rows)
+        return real(flipped, support)
 
     monkeypatch.setattr(alternation, "_contains", read)
     return stored
@@ -492,10 +529,9 @@ class TestCertificateReuse:
             calls = _recording_hulls(monkeypatch)
             verify_by_hyperplanes(extremes, samples, degree, exact=exact)
             monkeypatch.undo()
-            idxs = sorted(set(extremes.plus) | set(extremes.minus))
-            n = len(idxs)
-            supports = [(frozenset(idxs[k] for k in first if k < n), frozenset(idxs[k - n] for k in first if k >= n))
-                        for first, _ in stored.values()]
+            rows, _ = alternation._rows(extremes)
+            supports = [(frozenset(rows[r] for r in plus), frozenset(rows[r] for r in minus))
+                        for plus, minus in stored.values()]
             assert supports == [found for *_, m, found in calls if m == degree - 1 and found]
             meets += len(supports)
         assert meets > 100

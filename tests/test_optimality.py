@@ -23,10 +23,12 @@ from minimaxfit import (
     find_critical_point_set,
     fit_minimax,
     hulls_intersect,
+    split,
     verify_certificate,
     verify_witness,
 )
 from minimaxfit import optimality
+from minimaxfit._linalg import affine_normal
 from minimaxfit.cli import parse_grid_spec
 from minimaxfit.fitting import DEFAULT_REL_TOL, model_values, partition_extremes
 from minimaxfit.lp import LpFailure, LpSolution, solve, solve_exact
@@ -569,3 +571,39 @@ def test_float_and_exact_hull_tests_agree_on_random_classes(dimension):
                 assert exact == proposed
                 outcomes["proposed"] += 1
     assert min(outcomes.values()) >= 20, outcomes
+
+
+def test_a_float_hull_test_whose_simplex_breaks_down_is_decided_exactly(monkeypatch):
+    # the float abs-Chebyshev extremes at m = 4 without their first E+ point, split by the line through
+    # samples 1 and 188: the degree-3 moment LP of the 75 + 69 flipped points runs the float phase 1
+    # past its pivot cap, so the test is decided by one `solve_exact`, whose vertex meets
+    samples = parse_grid_spec("-1,1:-1,1;21;chebyshev;abs(x1)+x2^3")
+    extremes = extreme_sets(fit_minimax(samples, 4).model, samples)
+    assert (len(extremes.plus), len(extremes.minus)) == (84, 63)
+    points = samples.view(False)[0]
+    sp = split(replace(extremes, plus=extremes.plus[1:]), samples, *affine_normal([points[1], points[188]]))
+    assert (len(sp.plus_side), len(sp.minus_side)) == (75, 69)
+    rational = []
+    monkeypatch.setattr(optimality, "solve_exact", lambda lp: rational.append(lp) or solve_exact(lp))
+    found = hulls_intersect(samples, sp.plus_side, sp.minus_side, 3)
+    assert len(rational) == 1
+    assert found and found[0] <= set(sp.plus_side) and found[1] <= set(sp.minus_side)
+    assert certified_meet(samples, found, 3) == found
+
+
+@pytest.mark.parametrize("meet", [True, False])
+def test_an_exact_hull_test_takes_a_float_lp_failure_as_no_proposal(meet, monkeypatch):
+    # the float proposal's `LpFailure` leaves the exact test to one `solve_exact`, not one inside the
+    # proposal and one after it
+    samples = SampleSet([(0, 0), (2, 0), (0, 2), (1, 1), (5, 5)], [0] * 5)
+    plus, minus = (0, 1, 2), (3,) if meet else (4,)  # (1, 1) is the midpoint of (2, 0) and (0, 2)
+
+    def failing(lp, start=None):
+        raise LpFailure("float breakdown")
+
+    rational = []
+    monkeypatch.setattr(optimality, "solve", failing)
+    monkeypatch.setattr(optimality, "solve_exact", lambda lp: rational.append(lp) or solve_exact(lp))
+    found = hulls_intersect(samples, plus, minus, 1, exact=True)
+    assert len(rational) == 1
+    assert found == ((frozenset({1, 2}), frozenset({3})) if meet else None)
